@@ -40,7 +40,7 @@ fn preloaded_store() -> SegmentStore {
     for s in 0..STREAMS as u64 {
         batch.clear();
         batch.extend((0..SEGMENTS_PER_STREAM).map(|k| seg(s, k)));
-        store.append_batch(s % 4, StreamId(s), &batch);
+        store.append_batch(s % 4, StreamId(s), &mut batch);
     }
     store
 }
@@ -107,7 +107,7 @@ fn snapshot_contended(c: &mut Criterion) {
                         for s in 0..HOT_STREAMS {
                             batch.clear();
                             batch.extend((0..RUN).map(|k| seg(s, k)));
-                            store.append_batch(0, StreamId(s), &batch);
+                            store.append_batch(0, StreamId(s), &mut batch);
                         }
                     });
                     while store.total_segments() < HOT_STREAMS * RUN as u64 {

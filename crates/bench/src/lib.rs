@@ -23,10 +23,25 @@ pub use pla_signal::{multi_walk, random_walk, sea_surface, WalkParams};
 #[cfg(feature = "alloc-counter")]
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        /// Allocation events of the current thread — what [`count`]
+        /// reads, so allocations on other threads (the test harness's,
+        /// a sibling test's) never land in a measurement. Const-
+        /// initialized with no destructor: reading it never allocates.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn note_thread_alloc() {
+        // `try_with`: a thread tearing down its locals may still free
+        // and allocate; those events are simply not attributed.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 
     /// [`System`] wrapper counting allocation events and bytes.
     /// Deallocations are intentionally not tracked: the invariant under
@@ -38,6 +53,7 @@ pub mod alloc_counter {
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            note_thread_alloc();
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.alloc(layout) }
         }
@@ -48,6 +64,7 @@ pub mod alloc_counter {
             // A growth is a fresh allocation request from the hot path's
             // point of view.
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            note_thread_alloc();
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
@@ -67,12 +84,14 @@ pub mod alloc_counter {
     }
 
     /// Runs `f`, returning its result plus the number of allocation
-    /// events it performed. Only meaningful single-threaded (counters
-    /// are process-wide).
+    /// events it performed on the calling thread. Allocations on other
+    /// threads — including any `f` itself hands work to — are not
+    /// counted, so measure single-threaded code.
     pub fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let before = allocations();
+        let thread_allocations = || THREAD_ALLOCS.with(Cell::get);
+        let before = thread_allocations();
         let result = f();
-        (result, allocations() - before)
+        (result, thread_allocations() - before)
     }
 }
 

@@ -8,6 +8,12 @@
 //! held to the same bar because their state migrated to the same
 //! inline-dimension storage.
 //!
+//! The wire path carries a budget instead of a zero: a segment sent
+//! through the multiplexed sender, a link, the collector's receiver and
+//! its publish into the shared store costs fewer than three heap
+//! allocations in steady state (the sender's replay copy of the frame,
+//! the receiver's copy of the payload, and amortized store growth).
+//!
 //! Requires the counting global allocator:
 //!
 //! ```sh
@@ -17,10 +23,16 @@
 
 use std::sync::Mutex;
 
+use std::sync::Arc;
+
 use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
-use pla_core::filters::StreamFilter;
+use pla_core::filters::{run_filter, StreamFilter};
 use pla_core::metrics::CountingSink;
-use pla_core::INLINE_DIMS;
+use pla_core::{Segment, INLINE_DIMS};
+use pla_ingest::SegmentStore;
+use pla_net::driver::pump_sender;
+use pla_net::{Collector, MemoryAcceptor, MuxSender, NetConfig};
+use pla_transport::wire::FixedCodec;
 
 /// The allocation counter is process-wide, but libtest runs `#[test]`s on
 /// parallel threads — another test's setup allocations would land inside
@@ -186,4 +198,58 @@ fn inline_dims_stream_is_allocation_free() {
             kind.label()
         );
     }
+}
+
+#[test]
+fn wire_path_allocations_per_segment_are_bounded() {
+    let _guard = serial();
+    // 256 d = 1 swing streams, one segment per stream per round, sent
+    // through MuxSender → MemoryLink → Collector (NetReceiver::on_bytes,
+    // flush_control, publish into a SegmentStore) with the batched acks
+    // read back by the sender every round.
+    const STREAMS: u64 = 256;
+    const WARMUP_ROUNDS: usize = 16;
+    const ROUNDS: usize = 48;
+    let logs: Vec<Vec<Segment>> = (0..STREAMS)
+        .map(|s| {
+            let signal = walk_signal(600, 0.5, 1.0, 0x5EED + s);
+            let mut filter = FilterKind::Swing.build(&[0.3]).expect("valid epsilon");
+            run_filter(filter.as_mut(), &signal).expect("filter runs")
+        })
+        .collect();
+    let rounds = WARMUP_ROUNDS + ROUNDS;
+    assert!(logs.iter().all(|log| log.len() >= rounds), "workload sanity: enough segments");
+
+    let config = NetConfig::default();
+    let store = Arc::new(SegmentStore::new());
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let mut collector = Collector::new(FixedCodec, 1, config, acceptor, store.clone());
+    let mut link = connector.connect(1 << 20);
+    let mut tx = MuxSender::new(FixedCodec, 1, config);
+    let mut round = |k: usize| {
+        for (s, log) in logs.iter().enumerate() {
+            tx.try_send_segment(s as u64, &log[k]).expect("credit never runs out");
+        }
+        pump_sender(&mut tx, &mut link).unwrap();
+        collector.pump().unwrap();
+        pump_sender(&mut tx, &mut link).unwrap();
+    };
+    for k in 0..WARMUP_ROUNDS {
+        round(k);
+    }
+    let ((), allocs) = alloc_counter::count(|| {
+        for k in WARMUP_ROUNDS..rounds {
+            round(k);
+        }
+    });
+    assert!(tx.all_acked(), "every frame acknowledged");
+    assert_eq!(store.total_segments(), STREAMS * rounds as u64, "every segment published");
+    let measured = STREAMS * ROUNDS as u64;
+    let per_segment = allocs as f64 / measured as f64;
+    eprintln!("wire path: {allocs} allocs / {measured} segments = {per_segment:.2} per segment");
+    assert!(
+        per_segment < 3.0,
+        "wire path: {per_segment:.2} heap allocations per segment (budget < 3)"
+    );
 }

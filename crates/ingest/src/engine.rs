@@ -437,10 +437,9 @@ impl ShardWorker {
             }
         });
         if let Some((store, source)) = &self.store {
-            if !scratch.is_empty() {
-                store.append_batch(*source, stream, scratch);
-                scratch.clear();
-            }
+            // Moves the staged segments into the store, leaving the
+            // scratch empty with its capacity for the next drain.
+            store.append_batch(*source, stream, scratch);
         }
     }
 

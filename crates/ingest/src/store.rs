@@ -213,15 +213,29 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    fn append(&mut self, source: u64, stream: StreamId, segment: Segment, seal: usize) {
+    /// Appends `segments` in order to `stream`'s log, crediting
+    /// `source`'s watermark, with one watermark and one stream lookup
+    /// however many segments there are.
+    fn append(
+        &mut self,
+        source: u64,
+        stream: StreamId,
+        segments: impl Iterator<Item = Segment>,
+        seal: usize,
+    ) {
         let mark = self.sources.entry(source).or_default();
-        mark.segments += 1;
-        if segment.t_end > mark.covered_through {
-            mark.covered_through = segment.t_end;
+        let log = self.streams.entry(stream).or_default();
+        let mut n = 0;
+        for segment in segments {
+            if segment.t_end > mark.covered_through {
+                mark.covered_through = segment.t_end;
+            }
+            log.push(segment, seal);
+            n += 1;
         }
-        self.segments += 1;
-        self.epoch += 1;
-        self.streams.entry(stream).or_default().push(segment, seal);
+        mark.segments += n;
+        self.segments += n;
+        self.epoch += n;
     }
 }
 
@@ -441,19 +455,21 @@ impl SegmentStore {
     /// watermark. Takes only the owning shard's write lock.
     pub fn append(&self, source: u64, stream: StreamId, segment: Segment) {
         let mut inner = self.shard(stream).write().expect("segment store shard lock");
-        inner.append(source, stream, segment, self.seal_threshold);
+        inner.append(source, stream, std::iter::once(segment), self.seal_threshold);
     }
 
     /// Appends a batch under one lock acquisition of the owning shard
-    /// (what a collector's pump round publishes per stream).
-    pub fn append_batch(&self, source: u64, stream: StreamId, segments: &[Segment]) {
+    /// (what a collector's pump round publishes per stream), *moving*
+    /// the segments out of `segments` — which is left empty with its
+    /// capacity intact, ready to stage the next batch. The source's
+    /// watermark and the stream's log are each looked up once per batch.
+    /// An empty batch changes nothing.
+    pub fn append_batch(&self, source: u64, stream: StreamId, segments: &mut Vec<Segment>) {
         if segments.is_empty() {
             return;
         }
         let mut inner = self.shard(stream).write().expect("segment store shard lock");
-        for seg in segments {
-            inner.append(source, stream, seg.clone(), self.seal_threshold);
-        }
+        inner.append(source, stream, segments.drain(..), self.seal_threshold);
     }
 
     /// A point-in-time view of everything (logs and watermarks), taken
@@ -599,7 +615,9 @@ mod tests {
         let a = SegmentStore::new();
         let b = SegmentStore::new();
         let segs = [seg(0.0, 1.0), seg(1.0, 4.0), seg(4.0, 9.0)];
-        a.append_batch(3, StreamId(1), &segs);
+        let mut batch = segs.to_vec();
+        a.append_batch(3, StreamId(1), &mut batch);
+        assert!(batch.is_empty(), "the batch is moved into the store");
         for s in &segs {
             b.append(3, StreamId(1), s.clone());
         }

@@ -57,7 +57,7 @@ fn snapshots_under_write_load_are_prefixes_of_the_final_store() {
                         if k % 3 == 0 {
                             store.append(w, StreamId(s), expected_segment(s, k));
                         } else {
-                            store.append_batch(w, StreamId(s), &[expected_segment(s, k)]);
+                            store.append_batch(w, StreamId(s), &mut vec![expected_segment(s, k)]);
                         }
                     }
                 }

@@ -73,7 +73,7 @@ proptest! {
             let next: Vec<Segment> =
                 (0..op.count).map(|i| seg(op.stream, log.len() + i)).collect();
             if op.batched {
-                store.append_batch(op.stream, StreamId(op.stream), &next);
+                store.append_batch(op.stream, StreamId(op.stream), &mut next.clone());
             } else {
                 for s in &next {
                     store.append(op.stream, StreamId(op.stream), s.clone());
@@ -126,8 +126,9 @@ proptest! {
         let mut lens: BTreeMap<u64, usize> = BTreeMap::new();
         for op in &ops {
             let from = *lens.get(&op.stream).unwrap_or(&0);
-            let next: Vec<Segment> = (0..op.count).map(|i| seg(op.stream, from + i)).collect();
-            store.append_batch(op.stream, StreamId(op.stream), &next);
+            let mut next: Vec<Segment> =
+                (0..op.count).map(|i| seg(op.stream, from + i)).collect();
+            store.append_batch(op.stream, StreamId(op.stream), &mut next);
             *lens.entry(op.stream).or_default() += op.count;
         }
         prop_assert_eq!(store.snapshot(), store.snapshot_deep());

@@ -42,6 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::BytesMut;
+use pla_core::Segment;
 use pla_ingest::{SegmentStore, StreamId};
 use pla_transport::wire::Codec;
 
@@ -185,8 +186,6 @@ struct Connection<C: Codec, L: Link> {
     last_recv: Instant,
     /// When the connection detached, for session-TTL eviction.
     detached_at: Option<Instant>,
-    /// Per-stream count of segments already published to the store.
-    published: BTreeMap<u64, usize>,
     /// Streams whose end-of-stream flush has run (Fin seen, trailing
     /// hold closed and published).
     flushed: std::collections::BTreeSet<u64>,
@@ -286,6 +285,10 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     quarantined_streams: std::collections::BTreeSet<u64>,
     /// Segments shed by per-stream quarantine.
     shed_segments: u64,
+    /// Recycled publish buffers: the streams a receiver reports touched,
+    /// and one stream's segments on their way into the store.
+    touched: Vec<u64>,
+    publish_batch: Vec<Segment>,
 }
 
 impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
@@ -317,6 +320,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             last_refusal: None,
             quarantined_streams: std::collections::BTreeSet::new(),
             shed_segments: 0,
+            touched: Vec::new(),
+            publish_batch: Vec::new(),
         }
     }
 
@@ -386,7 +391,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 token,
                 last_recv: now,
                 detached_at: None,
-                published: BTreeMap::new(),
                 flushed: std::collections::BTreeSet::new(),
                 published_total: 0,
                 backpressure: 0,
@@ -469,30 +473,36 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
 
     /// Publishes `conn`'s newly reconstructed segments (and, for
     /// streams whose `Fin` arrived, the flushed trailing hold) to the
-    /// store.
+    /// store. Only streams the receiver reports as touched since the
+    /// last publish are visited, and their segments are *moved* out of
+    /// the demultiplexer into the store — the connection keeps no copy of
+    /// what it has published.
     fn publish_conn(&mut self, conn: u64) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
-        let streams: Vec<u64> = c.rx.demux().streams().collect();
-        for stream in streams {
-            if c.rx.is_finished(stream) && !c.flushed.contains(&stream) {
+        let mut touched = std::mem::take(&mut self.touched);
+        let mut batch = std::mem::take(&mut self.publish_batch);
+        c.rx.take_touched(&mut touched);
+        for &stream in &touched {
+            if c.rx.is_finished(stream) && c.flushed.insert(stream) {
                 c.rx.demux_mut().flush_stream(stream);
-                c.flushed.insert(stream);
             }
-            let log = c.rx.demux().segments(stream).unwrap_or(&[]);
-            let from = c.published.get(&stream).copied().unwrap_or(0);
-            if log.len() > from {
-                if self.quarantined_streams.contains(&stream) {
-                    // Shed instead of publish, but still advance the
-                    // publish cursor: a later release resumes from live
-                    // data, it does not backfill the quarantined span.
-                    self.shed_segments += (log.len() - from) as u64;
-                } else {
-                    self.store.append_batch(conn, StreamId(stream), &log[from..]);
-                    c.published_total += (log.len() - from) as u64;
-                }
-                c.published.insert(stream, log.len());
+            c.rx.demux_mut().drain_segments(stream, &mut batch);
+            if batch.is_empty() {
+                continue;
+            }
+            if self.quarantined_streams.contains(&stream) {
+                // Shed instead of publish: a later release resumes from
+                // live data, it does not backfill the quarantined span.
+                self.shed_segments += batch.len() as u64;
+                batch.clear();
+            } else {
+                c.published_total += batch.len() as u64;
+                self.store.append_batch(conn, StreamId(stream), &mut batch);
             }
         }
+        touched.clear();
+        self.touched = touched;
+        self.publish_batch = batch;
     }
 
     /// Issues a fresh session token: unique among live sessions and
@@ -1042,6 +1052,39 @@ mod tests {
         let acceptor = MemoryAcceptor::new();
         let connector = acceptor.connector();
         (Collector::new(FixedCodec, 1, cfg, acceptor, store.clone()), connector, store)
+    }
+
+    /// Publishing moves: once a pump round has published a stream's
+    /// segments, the connection's demux holds none of them — only the
+    /// store does.
+    #[test]
+    fn published_segments_move_out_of_the_demux() {
+        let cfg = NetConfig::default();
+        let (mut coll, connector, store) = make(cfg);
+        let mut link = connector.connect(1 << 16);
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let mut sent = 0;
+        for round in 0..3 {
+            // Stream 1 sends every round, stream 2 only in the first.
+            for stream in [1u64, 2] {
+                if stream == 1 || round == 0 {
+                    tx.try_send_segment(stream, &seg(round)).unwrap();
+                    sent += 1;
+                }
+            }
+            pump_sender(&mut tx, &mut link).unwrap();
+            coll.pump().unwrap();
+            pump_sender(&mut tx, &mut link).unwrap();
+            assert_eq!(store.total_segments(), sent);
+            let c = &coll.conns[&1];
+            for stream in [1u64, 2] {
+                assert_eq!(c.rx.demux().segments(stream), Some(&[][..]), "published ⇒ moved");
+            }
+        }
+        assert!(tx.all_acked());
+        assert_eq!(store.stream_segments(StreamId(1)).unwrap().len(), 3);
+        assert_eq!(store.stream_segments(StreamId(2)).unwrap().len(), 1);
+        assert_eq!(coll.stats().segments, 4);
     }
 
     #[test]

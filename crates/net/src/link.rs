@@ -127,7 +127,9 @@ impl Link for MemoryLink {
         }
         let room = pipe.capacity.saturating_sub(pipe.data.len());
         if room == 0 {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe full"));
+            // A bare kind, not `io::Error::new` with a message: every pump
+            // round ends on a `WouldBlock`, and a message boxes.
+            return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = room.min(buf.len());
         pipe.data.extend(&buf[..n]);
@@ -140,7 +142,7 @@ impl Link for MemoryLink {
             return Err(io::Error::new(io::ErrorKind::ConnectionReset, "link severed"));
         }
         if pipe.data.is_empty() {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe empty"));
+            return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = buf.len().min(pipe.data.len());
         for slot in buf.iter_mut().take(n) {

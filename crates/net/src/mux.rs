@@ -17,7 +17,7 @@ use pla_core::{ProvisionalUpdate, Segment};
 use pla_transport::wire::{provisional_message, segment_messages, Codec, Message};
 
 use crate::credit::CreditWindow;
-use crate::frame::{encode, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{encode, encode_data, FrameDecoder, NetFrame, Outbox, ResumeCursor};
 use crate::{NetConfig, NetError};
 
 /// Per-stream sender state.
@@ -31,6 +31,18 @@ struct SendStream {
     /// exactly what a reconnect replays.
     unacked: VecDeque<(u64, Bytes)>,
     finished: bool,
+}
+
+impl SendStream {
+    fn new(window: u64) -> Self {
+        Self {
+            last_seq: 0,
+            acked: 0,
+            credit: CreditWindow::new(window),
+            unacked: VecDeque::new(),
+            finished: false,
+        }
+    }
 }
 
 /// Point-in-time counters for one stream, for observability and tests.
@@ -78,13 +90,7 @@ impl<C: Codec> MuxSender<C> {
 
     fn stream_entry(&mut self, stream: u64) -> &mut SendStream {
         let window = self.config.window;
-        self.streams.entry(stream).or_insert_with(|| SendStream {
-            last_seq: 0,
-            acked: 0,
-            credit: CreditWindow::new(window),
-            unacked: VecDeque::new(),
-            finished: false,
-        })
+        self.streams.entry(stream).or_insert_with(|| SendStream::new(window))
     }
 
     /// Encodes `msgs` as one sequenced `Data` frame for `stream`,
@@ -95,7 +101,9 @@ impl<C: Codec> MuxSender<C> {
         stream: u64,
         msgs: impl IntoIterator<Item = &'a Message>,
     ) -> Result<(), NetError> {
-        if self.stream_entry(stream).finished {
+        let window = self.config.window;
+        let entry = self.streams.entry(stream).or_insert_with(|| SendStream::new(window));
+        if entry.finished {
             return Err(NetError::Finished(stream));
         }
         // Each frame is a self-contained codec unit (reset first), led
@@ -108,18 +116,17 @@ impl<C: Codec> MuxSender<C> {
             self.codec.encode(m, self.dims, &mut self.scratch);
         }
         let payload_len = self.scratch.len() as u64;
-        let entry = self.streams.get_mut(&stream).expect("registered above");
         if !entry.credit.try_reserve(payload_len) {
             return Err(NetError::Backpressure);
         }
         entry.last_seq += 1;
         let seq = entry.last_seq;
-        let payload = self.scratch.split().freeze();
+        // Both scratch buffers keep their capacity from frame to frame;
+        // the replay copy is the one allocation a frame costs.
         self.frame_scratch.clear();
-        encode(&NetFrame::Data { stream, seq, payload }, &mut self.frame_scratch);
-        let frame_bytes = self.frame_scratch.split().freeze();
-        self.out.stage(&frame_bytes);
-        entry.unacked.push_back((seq, frame_bytes));
+        encode_data(stream, seq, &self.scratch, &mut self.frame_scratch);
+        self.out.stage(&self.frame_scratch);
+        entry.unacked.push_back((seq, Bytes::copy_from_slice(&self.frame_scratch)));
         Ok(())
     }
 
@@ -172,8 +179,7 @@ impl<C: Codec> MuxSender<C> {
         let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
         self.frame_scratch.clear();
         encode(&fin, &mut self.frame_scratch);
-        let bytes = self.frame_scratch.split().freeze();
-        self.out.stage(&bytes);
+        self.out.stage(&self.frame_scratch);
         Ok(())
     }
 
@@ -281,15 +287,15 @@ impl<C: Codec> MuxSender<C> {
     /// Stages every unacknowledged `Data` frame (in per-stream sequence
     /// order) plus the `Fin` of every finished stream.
     fn restage_unacked(&mut self) {
-        let mut fin_scratch = BytesMut::new();
         for (&stream, entry) in &self.streams {
             for (_, frame_bytes) in &entry.unacked {
                 self.out.stage(frame_bytes);
             }
             if entry.finished {
-                fin_scratch.clear();
-                encode(&NetFrame::Fin { stream, final_seq: entry.last_seq }, &mut fin_scratch);
-                self.out.stage(&fin_scratch);
+                self.frame_scratch.clear();
+                let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
+                encode(&fin, &mut self.frame_scratch);
+                self.out.stage(&self.frame_scratch);
             }
         }
     }

@@ -20,7 +20,7 @@
 //! make the coalescing free: acking `through_seq = 7` acknowledges
 //! frames 1–7 at once, and a replayed ack is a no-op at the sender.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::BytesMut;
 
@@ -61,6 +61,17 @@ pub struct ReceiverStats {
     pub stray_hellos: u64,
 }
 
+/// Per-stream receiving state kept beside the demultiplexer's
+/// reconstruction.
+struct RxStream {
+    window: ReceiveWindow,
+    /// The [`NetReceiver::ack_batch`] this stream was last queued in for
+    /// an `Ack`; equal to the current batch means "already queued".
+    ack_batch: u64,
+    /// The [`NetReceiver::touch_batch`] this stream was last reported in.
+    touch_batch: u64,
+}
+
 /// The multiplexed receiver. Feed it link bytes with
 /// [`on_bytes`](Self::on_bytes); collect its outbound `Ack`/`Credit`
 /// control frames from [`take_staged`](Self::take_staged) (or the
@@ -69,10 +80,18 @@ pub struct ReceiverStats {
 pub struct NetReceiver<C: Codec> {
     frames: FrameDecoder,
     demux: StreamDemux<C>,
-    windows: BTreeMap<u64, ReceiveWindow>,
+    streams: BTreeMap<u64, RxStream>,
     /// Streams whose ack state advanced since the last
-    /// [`flush_control`](Self::flush_control).
-    ack_dirty: BTreeSet<u64>,
+    /// [`flush_control`](Self::flush_control), each queued once.
+    ack_dirty: Vec<u64>,
+    /// Bumped whenever `ack_dirty` empties, which unqueues every stream
+    /// at once without touching their entries.
+    ack_batch: u64,
+    /// Streams that applied a `Data` frame or received a `Fin` since the
+    /// last [`take_touched`](Self::take_touched), each listed once.
+    touched: Vec<u64>,
+    /// Bumped whenever `touched` is taken (see `ack_batch`).
+    touch_batch: u64,
     /// Streams whose `Fin` arrived, with their final sequence number.
     finished: BTreeMap<u64, u64>,
     out: Outbox,
@@ -97,8 +116,11 @@ impl<C: Codec> NetReceiver<C> {
         Self {
             frames: FrameDecoder::new(config.max_frame),
             demux: StreamDemux::new(codec, dims),
-            windows: BTreeMap::new(),
-            ack_dirty: BTreeSet::new(),
+            streams: BTreeMap::new(),
+            ack_dirty: Vec::new(),
+            ack_batch: 1,
+            touched: Vec::new(),
+            touch_batch: 1,
             finished: BTreeMap::new(),
             out: Outbox::default(),
             config,
@@ -137,17 +159,28 @@ impl<C: Codec> NetReceiver<C> {
             match frame {
                 NetFrame::Data { stream, seq, payload } => {
                     let payload_len = payload.len() as u64;
-                    match self.demux.consume_sequenced(stream, seq, payload)? {
+                    let outcome = self.demux.consume_sequenced(stream, seq, payload)?;
+                    let window = self.config.window;
+                    let rx = self.streams.entry(stream).or_insert_with(|| RxStream {
+                        window: ReceiveWindow::new(window),
+                        ack_batch: 0,
+                        touch_batch: 0,
+                    });
+                    match outcome {
                         SeqOutcome::Applied => {
                             self.frames_applied += 1;
-                            self.windows
-                                .entry(stream)
-                                .or_insert_with(|| ReceiveWindow::new(self.config.window))
-                                .on_delivered(payload_len);
+                            rx.window.on_delivered(payload_len);
+                            if rx.touch_batch != self.touch_batch {
+                                rx.touch_batch = self.touch_batch;
+                                self.touched.push(stream);
+                            }
                         }
                         SeqOutcome::Duplicate => self.dup_drops += 1,
                     }
-                    self.ack_dirty.insert(stream);
+                    if rx.ack_batch != self.ack_batch {
+                        rx.ack_batch = self.ack_batch;
+                        self.ack_dirty.push(stream);
+                    }
                 }
                 NetFrame::Fin { stream, final_seq } => {
                     let applied = self.demux.ack_point(stream);
@@ -156,6 +189,14 @@ impl<C: Codec> NetReceiver<C> {
                     }
                     // Idempotent: a replayed Fin re-records the same fact.
                     self.finished.insert(stream, final_seq);
+                    // A stream that never applied a frame has nothing to
+                    // publish; a reported stream may be reported twice.
+                    if let Some(rx) = self.streams.get_mut(&stream) {
+                        if rx.touch_batch != self.touch_batch {
+                            rx.touch_batch = self.touch_batch;
+                            self.touched.push(stream);
+                        }
+                    }
                 }
                 NetFrame::Heartbeat { seq } => {
                     self.heartbeats += 1;
@@ -199,19 +240,48 @@ impl<C: Codec> NetReceiver<C> {
     /// per-round batches: a round that applies 20 frames of one stream
     /// acks them with a single 21-byte frame.
     pub fn flush_control(&mut self) {
-        while let Some(stream) = self.ack_dirty.pop_first() {
+        // Ascending stream order, as a sorted set would give: the control
+        // bytes do not depend on arrival order within a round.
+        let mut dirty = std::mem::take(&mut self.ack_dirty);
+        dirty.sort_unstable();
+        for &stream in &dirty {
             let ack = self.demux.ack_point(stream);
             self.stage_frame(&NetFrame::Ack { stream, through_seq: ack });
             self.acks_staged += 1;
-            let grant = self.windows.get_mut(&stream).and_then(|w| w.due_grant());
+            let grant = self.streams.get_mut(&stream).and_then(|rx| rx.window.due_grant());
             if let Some(granted_total) = grant {
                 self.stage_frame(&NetFrame::Credit { stream, granted_total });
                 self.credits_staged += 1;
             }
         }
+        dirty.clear();
+        self.ack_dirty = dirty;
+        self.ack_batch += 1;
         while let Some(seq) = self.heartbeat_echoes.pop_front() {
             self.stage_frame(&NetFrame::Heartbeat { seq });
         }
+    }
+
+    /// Drops every batched-but-unflushed ack.
+    fn clear_ack_dirty(&mut self) {
+        self.ack_dirty.clear();
+        self.ack_batch += 1;
+    }
+
+    /// Moves onto `out` the id of every stream that applied a `Data`
+    /// frame or received its `Fin` since the last call, each once, and
+    /// starts tracking afresh. The collector publishes exactly these
+    /// streams after a pump round, instead of walking every stream the
+    /// connection has ever carried.
+    pub fn take_touched(&mut self, out: &mut Vec<u64>) {
+        out.append(&mut self.touched);
+        self.touch_batch += 1;
+    }
+
+    /// The current credit grant of `stream` (the initial window for a
+    /// stream that never applied a frame).
+    fn current_grant(&self, stream: u64) -> u64 {
+        self.streams.get(&stream).map_or(self.config.window, |rx| rx.window.current_grant())
     }
 
     /// The connection died: forget the dead link's partial inbound
@@ -222,12 +292,9 @@ impl<C: Codec> NetReceiver<C> {
     pub fn on_reconnect(&mut self) {
         self.frames.reset();
         self.out.clear();
-        self.ack_dirty.clear();
-        let refresh: Vec<(u64, u64)> = self
-            .demux
-            .streams()
-            .map(|s| (s, self.windows.get(&s).map_or(self.config.window, |w| w.current_grant())))
-            .collect();
+        self.clear_ack_dirty();
+        let refresh: Vec<(u64, u64)> =
+            self.demux.streams().map(|s| (s, self.current_grant(s))).collect();
         for (stream, granted_total) in refresh {
             let ack = self.demux.ack_point(stream);
             self.stage_frame(&NetFrame::Ack { stream, through_seq: ack });
@@ -248,10 +315,7 @@ impl<C: Codec> NetReceiver<C> {
             .map(|stream| ResumeCursor {
                 stream,
                 through_seq: self.demux.ack_point(stream),
-                granted_total: self
-                    .windows
-                    .get(&stream)
-                    .map_or(self.config.window, |w| w.current_grant()),
+                granted_total: self.current_grant(stream),
             })
             .collect()
     }
@@ -265,7 +329,7 @@ impl<C: Codec> NetReceiver<C> {
     pub fn reset_link(&mut self) {
         self.frames.reset();
         self.out.clear();
-        self.ack_dirty.clear();
+        self.clear_ack_dirty();
         self.heartbeat_echoes.clear();
     }
 
@@ -381,7 +445,7 @@ mod tests {
     #[test]
     fn applied_data_is_acked_and_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert!(rx.control_dirty());
         let ctl = control_frames(&mut rx);
         assert_eq!(ctl, vec![NetFrame::Ack { stream: 3, through_seq: 1 }]);
@@ -396,11 +460,11 @@ mod tests {
         // Five frames for stream 3, two for stream 8, in one round.
         for seq in 1..=5 {
             let t = seq as f64;
-            rx.on_bytes(&data_bytes(3, seq, &[Message::Point { t, x: vec![1.0] }])).unwrap();
+            rx.on_bytes(&data_bytes(3, seq, &[Message::Point { t, x: [1.0].into() }])).unwrap();
         }
         for seq in 1..=2 {
             let t = seq as f64;
-            rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: vec![2.0] }])).unwrap();
+            rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: [2.0].into() }])).unwrap();
         }
         let ctl = control_frames(&mut rx);
         let acks: Vec<&NetFrame> =
@@ -419,9 +483,33 @@ mod tests {
     }
 
     #[test]
+    fn touched_streams_are_reported_once_per_take() {
+        let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
+        let point = |t: f64| [Message::Point { t, x: [1.0].into() }];
+        rx.on_bytes(&data_bytes(3, 1, &point(0.0))).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &point(1.0))).unwrap();
+        rx.on_bytes(&data_bytes(8, 1, &point(0.0))).unwrap();
+        let mut touched = Vec::new();
+        rx.take_touched(&mut touched);
+        assert_eq!(touched, vec![3, 8], "each stream once, however many frames it applied");
+        touched.clear();
+        rx.take_touched(&mut touched);
+        assert!(touched.is_empty(), "nothing new since the last take");
+        // A replay applies nothing, so it touches nothing — but a Fin does.
+        rx.on_bytes(&data_bytes(3, 2, &point(1.0))).unwrap();
+        rx.take_touched(&mut touched);
+        assert!(touched.is_empty(), "a dropped duplicate is not new data");
+        let mut fin = BytesMut::new();
+        encode(&NetFrame::Fin { stream: 8, final_seq: 1 }, &mut fin);
+        rx.on_bytes(&fin).unwrap();
+        rx.take_touched(&mut touched);
+        assert_eq!(touched, vec![8]);
+    }
+
+    #[test]
     fn duplicates_are_dropped_but_reacked() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        let frame = data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let frame = data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         rx.on_bytes(&frame).unwrap();
         let _ = control_frames(&mut rx);
         rx.on_bytes(&frame).unwrap();
@@ -437,8 +525,8 @@ mod tests {
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
         // Each Point frame payload is 9 (header) + 17 = 26 bytes; two of
         // them cross half the 64-byte window.
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         let ctl = control_frames(&mut rx);
         assert!(
             ctl.contains(&NetFrame::Credit { stream: 1, granted_total: 52 + 64 }),
@@ -450,7 +538,7 @@ mod tests {
     #[test]
     fn fin_requires_every_frame_applied() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut early_fin = BytesMut::new();
         encode(&NetFrame::Fin { stream: 2, final_seq: 5 }, &mut early_fin);
         assert_eq!(
@@ -458,7 +546,7 @@ mod tests {
             Err(NetError::IncompleteFin { stream: 2, final_seq: 5, applied: 1 })
         );
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut fin = BytesMut::new();
         encode(&NetFrame::Fin { stream: 2, final_seq: 1 }, &mut fin);
         rx.on_bytes(&fin).unwrap();
@@ -472,7 +560,7 @@ mod tests {
     #[test]
     fn reconnect_reannounces_cumulative_state() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.on_reconnect();
         let ctl = control_frames(&mut rx);
@@ -483,7 +571,7 @@ mod tests {
     #[test]
     fn reconnect_supersedes_pending_batched_acks() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         // Ack still batched (dirty) when the link dies: the reconnect
         // refresh must not double-stage it.
         assert!(rx.control_dirty());
@@ -523,13 +611,13 @@ mod tests {
     #[test]
     fn in_session_hello_is_ignored_but_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut buf = BytesMut::new();
         encode(&NetFrame::Hello { version: 1, token: 42 }, &mut buf);
         rx.on_bytes(&buf).unwrap();
         assert_eq!(rx.stats().stray_hellos, 1);
         // The session keeps working afterwards.
-        rx.on_bytes(&data_bytes(3, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         assert_eq!(rx.stats().frames_applied, 2);
         // But a HelloAck at the receiver is still a protocol error.
         let mut ack = BytesMut::new();
@@ -541,9 +629,9 @@ mod tests {
     fn resume_cursors_mirror_ack_and_grant_state() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: vec![3.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
         let cursors = rx.resume_cursors();
         assert_eq!(cursors.len(), 2);
         assert_eq!(cursors[0].stream, 1);
@@ -556,7 +644,7 @@ mod tests {
     #[test]
     fn reset_link_clears_without_staging() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert!(rx.control_dirty());
         rx.reset_link();
         assert!(!rx.control_dirty());
@@ -581,7 +669,7 @@ mod tests {
     #[test]
     fn take_staged_flushes_batched_acks_that_staged_bytes_misses() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert_eq!(rx.staged_bytes(), 0, "the batched ack is not in the outbox yet");
         assert!(rx.control_dirty(), "but the connection is not drained");
         let drained = rx.take_staged();

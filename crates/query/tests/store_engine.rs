@@ -24,8 +24,8 @@ fn seg(k: usize) -> Segment {
 
 fn store_with(n: usize) -> SegmentStore {
     let store = SegmentStore::with_config(StoreConfig { shards: 4, seal_threshold: 64 });
-    let segs: Vec<Segment> = (0..n).map(seg).collect();
-    store.append_batch(1, StreamId(7), &segs);
+    let mut segs: Vec<Segment> = (0..n).map(seg).collect();
+    store.append_batch(1, StreamId(7), &mut segs);
     store
 }
 
@@ -99,7 +99,7 @@ fn point_queries_match_polyline_evaluation() {
 fn range_aggregate_is_piecewise_exact_over_runs() {
     // Identity ramp: value == time, spanning many sealed runs.
     let store = SegmentStore::with_config(StoreConfig { shards: 2, seal_threshold: 8 });
-    let segs: Vec<Segment> = (0..200)
+    let mut segs: Vec<Segment> = (0..200)
         .map(|k| {
             let t0 = k as f64;
             Segment {
@@ -113,7 +113,7 @@ fn range_aggregate_is_piecewise_exact_over_runs() {
             }
         })
         .collect();
-    store.append_batch(1, StreamId(3), &segs);
+    store.append_batch(1, StreamId(3), &mut segs);
     let engine = StoreQueryEngine::new(store.snapshot());
 
     let agg = engine.range(StreamId(3), 10.5, 90.5, 0).unwrap();

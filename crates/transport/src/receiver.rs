@@ -10,11 +10,12 @@
 //!   to the reconstruction state of the stream named by the most recent
 //!   frame header, producing one segment log per stream.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use bytes::{Buf, Bytes};
 
-use pla_core::Segment;
+use pla_core::{DimVec, Segment};
 
 use crate::wire::{Codec, Message, WireError};
 
@@ -64,17 +65,24 @@ impl From<WireError> for ReceiveError {
 /// [`StreamDemux`].
 #[derive(Debug)]
 struct Assembler {
+    /// Reconstructed segments not yet drained
+    /// ([`StreamDemux::drain_segments`]); the whole log for a consumer
+    /// that never drains.
     segments: Vec<Segment>,
     /// Open piece-wise-linear segment start, with its "came from an End"
     /// connectedness flag.
-    open: Option<(f64, Vec<f64>, bool)>,
+    open: Option<(f64, DimVec<f64>, bool)>,
     /// Active piece-wise-constant hold.
-    hold: Option<(f64, Vec<f64>)>,
+    hold: Option<(f64, DimVec<f64>)>,
     /// Highest time the reconstruction covers; `f64::INFINITY` while a
     /// hold or provisional line allows forward extrapolation.
     covered: f64,
     provisionals: u64,
     messages: u64,
+    /// Next expected frame sequence number (sequenced mode, see
+    /// [`StreamDemux::consume_sequenced`]); stays 1 for streams only ever
+    /// fed through plain [`StreamDemux::consume`].
+    next_seq: u64,
 }
 
 impl Default for Assembler {
@@ -86,6 +94,7 @@ impl Default for Assembler {
             covered: f64::NEG_INFINITY,
             provisionals: 0,
             messages: 0,
+            next_seq: 1,
         }
     }
 }
@@ -101,14 +110,14 @@ impl Assembler {
 
     fn close_hold(&mut self, at: f64) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, at, &x));
+            self.segments.push(constant_segment(t0, at, x));
         }
     }
 
     /// Closes any active hold at the end of the stream.
     fn flush(&mut self) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, t0.max(self.covered_finite()), &x));
+            self.segments.push(constant_segment(t0, t0.max(self.covered_finite()), x));
         }
     }
 
@@ -140,9 +149,9 @@ impl Assembler {
                 }
                 self.segments.push(Segment {
                     t_start: t0,
-                    x_start: x0.into(),
+                    x_start: x0,
                     t_end: t,
-                    x_end: x.as_slice().into(),
+                    x_end: x.clone(),
                     connected,
                     n_points: 0,
                     new_recordings: if connected { 1 } else { 2 },
@@ -156,9 +165,9 @@ impl Assembler {
                 self.open = None;
                 self.segments.push(Segment {
                     t_start: t,
-                    x_start: x.as_slice().into(),
+                    x_start: x.clone(),
                     t_end: t,
-                    x_end: x.into(),
+                    x_end: x,
                     connected: false,
                     n_points: 1,
                     new_recordings: 1,
@@ -262,11 +271,11 @@ impl<C: Codec> Receiver<C> {
 /// let mut buf = BytesMut::new();
 /// for msg in [
 ///     Message::StreamFrame { stream: 7 },
-///     Message::Start { t: 0.0, x: vec![0.0] },
+///     Message::Start { t: 0.0, x: [0.0].into() },
 ///     Message::StreamFrame { stream: 9 },
-///     Message::Point { t: 0.0, x: vec![5.0] },
+///     Message::Point { t: 0.0, x: [5.0].into() },
 ///     Message::StreamFrame { stream: 7 },
-///     Message::End { t: 4.0, x: vec![8.0] },
+///     Message::End { t: 4.0, x: [8.0].into() },
 /// ] {
 ///     codec.encode(&msg, 1, &mut buf);
 /// }
@@ -282,10 +291,6 @@ pub struct StreamDemux<C> {
     current: Option<u64>,
     streams: BTreeMap<u64, Assembler>,
     frames: u64,
-    /// Per-stream next expected frame sequence number (sequenced mode,
-    /// see [`consume_sequenced`](Self::consume_sequenced)). Streams only
-    /// ever fed through plain [`consume`](Self::consume) have no entry.
-    next_seq: BTreeMap<u64, u64>,
 }
 
 /// What [`StreamDemux::consume_sequenced`] did with a frame.
@@ -301,14 +306,7 @@ pub enum SeqOutcome {
 impl<C: Codec> StreamDemux<C> {
     /// Creates a demultiplexer for `dims`-dimensional streams.
     pub fn new(codec: C, dims: usize) -> Self {
-        Self {
-            codec,
-            dims,
-            current: None,
-            streams: BTreeMap::new(),
-            frames: 0,
-            next_seq: BTreeMap::new(),
-        }
+        Self { codec, dims, current: None, streams: BTreeMap::new(), frames: 0 }
     }
 
     /// Decodes and applies every message in `bytes`, routing by the
@@ -365,51 +363,75 @@ impl<C: Codec> StreamDemux<C> {
         if seq == 0 {
             return Err(ReceiveError::Protocol("frame sequence numbers start at 1"));
         }
-        let expected = self.next_seq.get(&stream).copied().unwrap_or(1);
+        // One map lookup serves the sequence check and the apply: the
+        // expected sequence number lives in the stream's own assembler.
+        let (asm, fresh) = match self.streams.entry(stream) {
+            Entry::Occupied(e) => (e.into_mut(), false),
+            Entry::Vacant(e) => (e.insert(Assembler::default()), true),
+        };
+        let expected = asm.next_seq;
         if seq < expected {
             return Ok(SeqOutcome::Duplicate);
         }
         if seq > expected {
+            if fresh {
+                self.streams.remove(&stream);
+            }
             return Err(ReceiveError::SequenceGap { stream, expected, got: seq });
         }
         // Frames are coded independently (the sender resets its codec per
         // frame) so a replay decodes byte-identically regardless of what
         // arrived in between.
         self.codec.reset();
-        let mut first = true;
-        while bytes.remaining() > 0 {
-            let msg = self.codec.decode(&mut bytes, self.dims)?;
-            if let Message::StreamFrame { stream: s } = msg {
-                if s != stream {
+        let mut headed = false;
+        let mut apply = || {
+            while bytes.remaining() > 0 {
+                let msg = self.codec.decode(&mut bytes, self.dims)?;
+                if let Message::StreamFrame { stream: s } = msg {
+                    if s != stream {
+                        return Err(ReceiveError::Protocol(
+                            "sequenced frame contains a header for a different stream",
+                        ));
+                    }
+                    self.frames += 1;
+                    self.current = Some(s);
+                    headed = true;
+                    continue;
+                }
+                if !headed {
                     return Err(ReceiveError::Protocol(
-                        "sequenced frame contains a header for a different stream",
+                        "sequenced frame must begin with its own StreamFrame header",
                     ));
                 }
-                self.frames += 1;
-                self.current = Some(s);
-                self.streams.entry(s).or_default();
-                first = false;
-                continue;
+                asm.apply(msg)?;
             }
-            if first {
-                return Err(ReceiveError::Protocol(
-                    "sequenced frame must begin with its own StreamFrame header",
-                ));
+            if !headed {
+                return Err(ReceiveError::Protocol("sequenced frame carries no messages"));
             }
-            self.streams.get_mut(&stream).expect("header registered above").apply(msg)?;
+            Ok(())
+        };
+        match apply() {
+            Ok(()) => {
+                asm.next_seq = expected + 1;
+                Ok(SeqOutcome::Applied)
+            }
+            Err(e) => {
+                // A stream is registered by its frame header, as in
+                // `consume`: a frame refused before its header leaves no
+                // trace of a stream it introduced.
+                if fresh && !headed {
+                    self.streams.remove(&stream);
+                }
+                Err(e)
+            }
         }
-        if first {
-            return Err(ReceiveError::Protocol("sequenced frame carries no messages"));
-        }
-        self.next_seq.insert(stream, expected + 1);
-        Ok(SeqOutcome::Applied)
     }
 
     /// Highest frame sequence number applied for `stream` (0 when none) —
     /// the cumulative acknowledgement point a transport should report
     /// back to the sender.
     pub fn ack_point(&self, stream: u64) -> u64 {
-        self.next_seq.get(&stream).map_or(0, |n| n - 1)
+        self.streams.get(&stream).map_or(0, |asm| asm.next_seq - 1)
     }
 
     /// Stream ids seen so far, ascending.
@@ -435,10 +457,24 @@ impl<C: Codec> StreamDemux<C> {
         }
     }
 
-    /// Segments reconstructed so far for one stream (`None` if no frame
-    /// header ever named it).
+    /// Segments reconstructed for one stream and not yet moved out by
+    /// [`drain_segments`](Self::drain_segments) — the whole log for a
+    /// consumer that never drains (`None` if no frame header ever named
+    /// the stream).
     pub fn segments(&self, stream: u64) -> Option<&[Segment]> {
         self.streams.get(&stream).map(|a| a.segments.as_slice())
+    }
+
+    /// Moves `stream`'s reconstructed segments onto the end of `out`, in
+    /// order, leaving its log empty (its capacity is kept for the
+    /// segments to come). An incremental consumer — pla-net's collector
+    /// publishing into a shared store — drains instead of copying, so the
+    /// demultiplexer only ever holds what it has not handed on yet.
+    /// Unknown streams are a no-op.
+    pub fn drain_segments(&mut self, stream: u64, out: &mut Vec<Segment>) {
+        if let Some(asm) = self.streams.get_mut(&stream) {
+            out.append(&mut asm.segments);
+        }
     }
 
     /// Highest timestamp the reconstruction of `stream` reaches.
@@ -457,8 +493,8 @@ impl<C: Codec> StreamDemux<C> {
         self.streams.values().map(|a| a.messages).sum()
     }
 
-    /// Flushes every stream and hands back the per-stream segment logs,
-    /// ordered by stream id.
+    /// Flushes every stream and hands back the per-stream segment logs
+    /// (what has not been drained), ordered by stream id.
     pub fn into_segment_logs(self) -> BTreeMap<u64, Vec<Segment>> {
         self.streams
             .into_iter()
@@ -470,12 +506,12 @@ impl<C: Codec> StreamDemux<C> {
     }
 }
 
-fn constant_segment(t0: f64, t1: f64, x: &[f64]) -> Segment {
+fn constant_segment(t0: f64, t1: f64, x: DimVec<f64>) -> Segment {
     Segment {
         t_start: t0,
-        x_start: x.into(),
+        x_start: x.clone(),
         t_end: t1.max(t0),
-        x_end: x.into(),
+        x_end: x,
         connected: false,
         n_points: 0,
         new_recordings: 1,
@@ -504,9 +540,9 @@ mod tests {
             .consume(encode(
                 &[
                     Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: vec![4.0] },
+                    Message::Hold { t: 0.0, x: [4.0].into() },
                     Message::StreamFrame { stream: 2 },
-                    Message::Hold { t: 0.0, x: vec![9.0] },
+                    Message::Hold { t: 0.0, x: [9.0].into() },
                 ],
                 1,
             ))
@@ -535,11 +571,11 @@ mod tests {
                 &[
                     // Stream 1: an open hold to flush twice.
                     Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: vec![4.0] },
+                    Message::Hold { t: 0.0, x: [4.0].into() },
                     // Stream 2: closed by an explicit End — no open hold.
                     Message::StreamFrame { stream: 2 },
-                    Message::Start { t: 0.0, x: vec![1.0] },
-                    Message::End { t: 3.0, x: vec![2.0] },
+                    Message::Start { t: 0.0, x: [1.0].into() },
+                    Message::End { t: 3.0, x: [2.0].into() },
                     // Stream 3: a frame header and nothing else.
                     Message::StreamFrame { stream: 3 },
                 ],
@@ -573,11 +609,11 @@ mod tests {
     fn start_end_chain_reconstructs_connected_flags() {
         let bytes = encode(
             &[
-                Message::Start { t: 0.0, x: vec![0.0] },
-                Message::End { t: 5.0, x: vec![5.0] },
-                Message::End { t: 9.0, x: vec![1.0] }, // connected
-                Message::Start { t: 10.0, x: vec![7.0] },
-                Message::End { t: 12.0, x: vec![8.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
+                Message::End { t: 5.0, x: [5.0].into() },
+                Message::End { t: 9.0, x: [1.0].into() }, // connected
+                Message::Start { t: 10.0, x: [7.0].into() },
+                Message::End { t: 12.0, x: [8.0].into() },
             ],
             1,
         );
@@ -595,7 +631,10 @@ mod tests {
     #[test]
     fn holds_close_on_next_message() {
         let bytes = encode(
-            &[Message::Hold { t: 0.0, x: vec![1.0] }, Message::Hold { t: 10.0, x: vec![2.0] }],
+            &[
+                Message::Hold { t: 0.0, x: [1.0].into() },
+                Message::Hold { t: 10.0, x: [2.0].into() },
+            ],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -610,7 +649,7 @@ mod tests {
 
     #[test]
     fn end_without_start_is_protocol_error() {
-        let bytes = encode(&[Message::End { t: 1.0, x: vec![0.0] }], 1);
+        let bytes = encode(&[Message::End { t: 1.0, x: [0.0].into() }], 1);
         let mut rx = Receiver::new(FixedCodec, 1);
         assert!(matches!(rx.consume(bytes), Err(ReceiveError::Protocol(_))));
     }
@@ -619,11 +658,11 @@ mod tests {
     fn provisional_extends_coverage() {
         let bytes = encode(
             &[
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::Provisional {
                     t_anchor: 0.0,
-                    x_anchor: vec![0.0],
-                    slopes: vec![1.0],
+                    x_anchor: [0.0].into(),
+                    slopes: [1.0].into(),
                     covers_through: 9.0,
                 },
             ],
@@ -638,7 +677,7 @@ mod tests {
     #[test]
     fn incremental_chunks_reassemble() {
         let all = encode(
-            &[Message::Start { t: 0.0, x: vec![0.0] }, Message::End { t: 4.0, x: vec![4.0] }],
+            &[Message::Start { t: 0.0, x: [0.0].into() }, Message::End { t: 4.0, x: [4.0].into() }],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -653,7 +692,7 @@ mod tests {
     #[test]
     fn single_stream_receiver_rejects_frame_headers() {
         let bytes = encode(
-            &[Message::StreamFrame { stream: 1 }, Message::Point { t: 0.0, x: vec![1.0] }],
+            &[Message::StreamFrame { stream: 1 }, Message::Point { t: 0.0, x: [1.0].into() }],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -665,14 +704,14 @@ mod tests {
         let bytes = encode(
             &[
                 Message::StreamFrame { stream: 3 },
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 0.0, x: vec![5.0] },
+                Message::Hold { t: 0.0, x: [5.0].into() },
                 Message::StreamFrame { stream: 3 },
-                Message::End { t: 10.0, x: vec![10.0] },
-                Message::End { t: 14.0, x: vec![6.0] }, // still stream 3: connected
+                Message::End { t: 10.0, x: [10.0].into() },
+                Message::End { t: 14.0, x: [6.0].into() }, // still stream 3: connected
                 Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 20.0, x: vec![7.0] },
+                Message::Hold { t: 20.0, x: [7.0].into() },
             ],
             1,
         );
@@ -695,7 +734,7 @@ mod tests {
 
     #[test]
     fn demux_requires_a_frame_header_first() {
-        let bytes = encode(&[Message::Point { t: 0.0, x: vec![1.0] }], 1);
+        let bytes = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
         let mut demux = StreamDemux::new(FixedCodec, 1);
         assert!(matches!(demux.consume(bytes), Err(ReceiveError::Protocol(_))));
     }
@@ -706,9 +745,9 @@ mod tests {
         let bytes = encode(
             &[
                 Message::StreamFrame { stream: 1 },
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::StreamFrame { stream: 2 },
-                Message::End { t: 1.0, x: vec![1.0] },
+                Message::End { t: 1.0, x: [1.0].into() },
             ],
             1,
         );
@@ -729,8 +768,8 @@ mod tests {
     #[test]
     fn sequenced_frames_apply_in_order_and_drop_duplicates() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f1 = frame_bytes(5, &[Message::Start { t: 0.0, x: vec![0.0] }]);
-        let f2 = frame_bytes(5, &[Message::End { t: 4.0, x: vec![4.0] }]);
+        let f1 = frame_bytes(5, &[Message::Start { t: 0.0, x: [0.0].into() }]);
+        let f2 = frame_bytes(5, &[Message::End { t: 4.0, x: [4.0].into() }]);
         assert_eq!(demux.consume_sequenced(5, 1, f1.clone()).unwrap(), SeqOutcome::Applied);
         assert_eq!(demux.ack_point(5), 1);
         // Replay of frame 1 (e.g. after a reconnect): dropped untouched.
@@ -744,9 +783,37 @@ mod tests {
     }
 
     #[test]
+    fn drained_segments_leave_the_demux_and_reconstruction_continues() {
+        let frames = [
+            frame_bytes(5, &[Message::Start { t: 0.0, x: [0.0].into() }]),
+            frame_bytes(5, &[Message::End { t: 4.0, x: [4.0].into() }]),
+            // Connected to the drained segment's end point.
+            frame_bytes(5, &[Message::End { t: 9.0, x: [1.0].into() }]),
+            frame_bytes(5, &[Message::Hold { t: 12.0, x: [2.0].into() }]),
+        ];
+        let mut undrained = StreamDemux::new(FixedCodec, 1);
+        let mut demux = StreamDemux::new(FixedCodec, 1);
+        let mut out = Vec::new();
+        for (i, f) in frames.iter().enumerate() {
+            undrained.consume_sequenced(5, i as u64 + 1, f.clone()).unwrap();
+            demux.consume_sequenced(5, i as u64 + 1, f.clone()).unwrap();
+            demux.drain_segments(5, &mut out);
+            assert_eq!(demux.segments(5), Some(&[][..]), "drained ⇒ the demux keeps nothing");
+        }
+        demux.drain_segments(99, &mut out); // unknown stream: no-op
+        assert_eq!(demux.ack_point(5), 4, "draining leaves the sequence state alone");
+        // The drained pieces plus the teardown flush equal the
+        // undrained log.
+        out.extend(demux.into_segment_logs().remove(&5).unwrap());
+        assert_eq!(out, undrained.into_segment_logs()[&5]);
+        assert_eq!(out.len(), 3);
+        assert!(out[1].connected);
+    }
+
+    #[test]
     fn sequence_gaps_are_typed_errors() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f = frame_bytes(9, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let f = frame_bytes(9, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         assert_eq!(
             demux.consume_sequenced(9, 3, f.clone()),
             Err(ReceiveError::SequenceGap { stream: 9, expected: 1, got: 3 })
@@ -756,19 +823,20 @@ mod tests {
             Err(ReceiveError::Protocol("frame sequence numbers start at 1"))
         );
         assert_eq!(demux.ack_point(9), 0);
+        assert_eq!(demux.streams().count(), 0, "a refused frame registers no stream");
     }
 
     #[test]
     fn sequenced_frames_must_be_single_stream_and_self_labelled() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
         // Payload whose header names a different stream.
-        let mislabelled = frame_bytes(8, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let mislabelled = frame_bytes(8, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         assert!(matches!(
             demux.consume_sequenced(7, 1, mislabelled),
             Err(ReceiveError::Protocol(_))
         ));
         // Payload with no leading header at all.
-        let headerless = encode(&[Message::Point { t: 0.0, x: vec![1.0] }], 1);
+        let headerless = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
         assert!(matches!(
             demux.consume_sequenced(7, 1, headerless),
             Err(ReceiveError::Protocol(_))
@@ -778,8 +846,10 @@ mod tests {
             demux.consume_sequenced(7, 1, Bytes::from_static(&[])),
             Err(ReceiveError::Protocol(_))
         ));
-        // A failed frame is not counted as applied.
+        // A failed frame is not counted as applied, and one refused
+        // before its own header registers no stream.
         assert_eq!(demux.ack_point(7), 0);
+        assert_eq!(demux.streams().count(), 0);
     }
 
     #[test]
@@ -796,9 +866,9 @@ mod tests {
             }
             buf.freeze()
         };
-        let a1 = enc_frame(1, &[Message::Start { t: 0.0, x: vec![1.0] }]);
-        let b1 = enc_frame(2, &[Message::Start { t: 0.0, x: vec![-1.0] }]);
-        let a2 = enc_frame(1, &[Message::End { t: 8.0, x: vec![3.0] }]);
+        let a1 = enc_frame(1, &[Message::Start { t: 0.0, x: [1.0].into() }]);
+        let b1 = enc_frame(2, &[Message::Start { t: 0.0, x: [-1.0].into() }]);
+        let a2 = enc_frame(1, &[Message::End { t: 8.0, x: [3.0].into() }]);
         let mut demux = StreamDemux::new(CompactCodec::new(0.01, &[0.01]), 1);
         demux.consume_sequenced(1, 1, a1.clone()).unwrap();
         demux.consume_sequenced(2, 1, b1).unwrap();
@@ -813,13 +883,13 @@ mod tests {
     fn demux_works_through_the_compact_codec() {
         let msgs = [
             Message::StreamFrame { stream: 40 },
-            Message::Start { t: 0.0, x: vec![1.0] },
+            Message::Start { t: 0.0, x: [1.0].into() },
             Message::StreamFrame { stream: 41 },
-            Message::Start { t: 0.0, x: vec![-1.0] },
+            Message::Start { t: 0.0, x: [-1.0].into() },
             Message::StreamFrame { stream: 40 },
-            Message::End { t: 8.0, x: vec![3.0] },
+            Message::End { t: 8.0, x: [3.0].into() },
             Message::StreamFrame { stream: 41 },
-            Message::End { t: 8.0, x: vec![-3.0] },
+            Message::End { t: 8.0, x: [-3.0].into() },
         ];
         let mut enc = CompactCodec::new(0.01, &[0.01]);
         let mut buf = BytesMut::new();

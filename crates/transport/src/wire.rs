@@ -24,9 +24,14 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use pla_core::{ProvisionalUpdate, Segment};
+use pla_core::{DimVec, ProvisionalUpdate, Segment};
 
 /// One protocol message.
+///
+/// Per-dimension payloads are [`DimVec`]s, like [`Segment`]'s: up to
+/// [`INLINE_DIMS`](pla_core::INLINE_DIMS) values live inline, so building,
+/// encoding and decoding a message for a `d ≤ 4` stream never touches the
+/// heap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Constant value holds from `t` until the next message.
@@ -34,37 +39,37 @@ pub enum Message {
         /// Recording time.
         t: f64,
         /// Held value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// A disconnected segment starts here.
     Start {
         /// Recording time.
         t: f64,
         /// Segment start value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// The open segment ends here (and a connected successor may begin).
     End {
         /// Recording time.
         t: f64,
         /// Segment end value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// Degenerate single-point segment.
     Point {
         /// Recording time.
         t: f64,
         /// Value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// Lag-bound provisional line (paper §3.3).
     Provisional {
         /// Anchor time of the committed line.
         t_anchor: f64,
         /// Anchor values per dimension.
-        x_anchor: Vec<f64>,
+        x_anchor: DimVec<f64>,
         /// Slopes per dimension.
-        slopes: Vec<f64>,
+        slopes: DimVec<f64>,
         /// Newest covered sample time at commit.
         covers_through: f64,
     },
@@ -119,14 +124,14 @@ pub fn segment_messages(seg: &Segment, mut emit: impl FnMut(Message)) {
     let degenerate = seg.t_start == seg.t_end;
     let constant = seg.x_start == seg.x_end && !seg.connected && seg.new_recordings == 1;
     if degenerate {
-        emit(Message::Point { t: seg.t_start, x: seg.x_start.to_vec() });
+        emit(Message::Point { t: seg.t_start, x: seg.x_start.clone() });
     } else if constant {
-        emit(Message::Hold { t: seg.t_start, x: seg.x_start.to_vec() });
+        emit(Message::Hold { t: seg.t_start, x: seg.x_start.clone() });
     } else {
         if !seg.connected {
-            emit(Message::Start { t: seg.t_start, x: seg.x_start.to_vec() });
+            emit(Message::Start { t: seg.t_start, x: seg.x_start.clone() });
         }
-        emit(Message::End { t: seg.t_end, x: seg.x_end.to_vec() });
+        emit(Message::End { t: seg.t_end, x: seg.x_end.clone() });
     }
 }
 
@@ -134,8 +139,8 @@ pub fn segment_messages(seg: &Segment, mut emit: impl FnMut(Message)) {
 pub fn provisional_message(update: &ProvisionalUpdate) -> Message {
     Message::Provisional {
         t_anchor: update.t_anchor,
-        x_anchor: update.x_anchor.to_vec(),
-        slopes: update.slopes.to_vec(),
+        x_anchor: update.x_anchor.clone(),
+        slopes: update.slopes.clone(),
         covers_through: update.covers_through,
     }
 }
@@ -149,6 +154,14 @@ pub enum WireError {
     BadTag(u8),
     /// A varint ran past its maximum length.
     BadVarint,
+    /// A [`CompactCodec`] was asked to decode `dims`-dimensional values
+    /// but holds fewer value quanta than that, so it cannot scale them.
+    MissingQuanta {
+        /// Dimensions the decode was asked for.
+        dims: usize,
+        /// Value quanta the codec holds.
+        quanta: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -157,6 +170,9 @@ impl std::fmt::Display for WireError {
             Self::Truncated => write!(f, "byte stream truncated mid-message"),
             Self::BadTag(t) => write!(f, "unknown message tag {t}"),
             Self::BadVarint => write!(f, "malformed varint"),
+            Self::MissingQuanta { dims, quanta } => {
+                write!(f, "{dims}-dimensional values but only {quanta} value quanta")
+            }
         }
     }
 }
@@ -186,11 +202,11 @@ impl FixedCodec {
         }
     }
 
-    fn get_vec(buf: &mut Bytes, n: usize) -> Result<Vec<f64>, WireError> {
+    fn get_vec(buf: &mut Bytes, n: usize) -> Result<DimVec<f64>, WireError> {
         if buf.remaining() < 8 * n {
             return Err(WireError::Truncated);
         }
-        Ok((0..n).map(|_| buf.get_f64_le()).collect())
+        Ok(DimVec::from_fn(n, |_| buf.get_f64_le()))
     }
 }
 
@@ -270,13 +286,23 @@ impl Codec for FixedCodec {
 /// The time axis uses its own quantum. Quantization error is at most half
 /// a quantum per scalar; callers keeping `quantum ≤ ε/8` (say) retain an
 /// end-to-end guarantee of `ε + quantum/2`.
+///
+/// The codec needs one value quantum per dimension it carries. Encoding
+/// a message with more dimensions than quanta panics (the extra values
+/// cannot be scaled, and dropping them would corrupt the stream);
+/// decoding with `dims` above the quanta count fails with
+/// [`WireError::MissingQuanta`].
 #[derive(Debug, Clone)]
 pub struct CompactCodec {
     /// Quantum for the time axis.
     pub t_quantum: f64,
     /// Quantum per value dimension.
     pub x_quanta: Vec<f64>,
+    /// The previous message's quantized scalars — the delta predictor.
     prev: Vec<i64>,
+    /// The message being decoded; swapped into `prev` once it decodes
+    /// whole, so a failed decode leaves the predictor untouched.
+    cur: Vec<i64>,
 }
 
 impl CompactCodec {
@@ -290,11 +316,17 @@ impl CompactCodec {
         for &q in x_quanta {
             assert!(q.is_finite() && q > 0.0, "bad value quantum");
         }
-        Self { t_quantum, x_quanta: x_quanta.to_vec(), prev: Vec::new() }
+        Self { t_quantum, x_quanta: x_quanta.to_vec(), prev: Vec::new(), cur: Vec::new() }
     }
 
     fn quantize(v: f64, q: f64) -> i64 {
         (v / q).round() as i64
+    }
+
+    /// Quantum of a slope in dimension `d`: the x/t quantum ratio, for a
+    /// scale consistent with the values.
+    fn slope_quantum(&self, d: usize) -> f64 {
+        self.x_quanta[d] / self.t_quantum.max(f64::MIN_POSITIVE)
     }
 
     fn put_varint(out: &mut BytesMut, v: i64) {
@@ -331,68 +363,78 @@ impl CompactCodec {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Quantized scalars of a message, in encoding order. Frame headers
-    /// carry no quantized payload (they are encoded directly as a varint
-    /// id, bypassing the delta predictor).
-    fn scalars(&self, msg: &Message) -> Vec<i64> {
-        let qx = |x: &[f64]| -> Vec<i64> {
-            x.iter().zip(self.x_quanta.iter()).map(|(&v, &q)| Self::quantize(v, q)).collect()
-        };
+    fn check_dims(&self, dims: usize) -> Result<(), WireError> {
+        if dims > self.x_quanta.len() {
+            return Err(WireError::MissingQuanta { dims, quanta: self.x_quanta.len() });
+        }
+        Ok(())
+    }
+
+    /// Feeds `x` to `put`, dimension `d` quantized by `quantum(d)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has more dimensions than the codec has value quanta.
+    fn put_scaled(&self, x: &[f64], quantum: impl Fn(usize) -> f64, put: &mut impl FnMut(i64)) {
+        if let Err(e) = self.check_dims(x.len()) {
+            panic!("CompactCodec cannot encode the message: {e}");
+        }
+        for (d, &v) in x.iter().enumerate() {
+            put(Self::quantize(v, quantum(d)));
+        }
+    }
+
+    /// Feeds the quantized scalars of a payload message to `put`, in
+    /// encoding order: time, values, then (provisional lines) slopes and
+    /// the covered-through time.
+    fn quantized(&self, msg: &Message, mut put: impl FnMut(i64)) {
+        let value_quantum = |d: usize| self.x_quanta[d];
         match msg {
             Message::Hold { t, x }
             | Message::Start { t, x }
             | Message::End { t, x }
             | Message::Point { t, x } => {
-                let mut out = vec![Self::quantize(*t, self.t_quantum)];
-                out.extend(qx(x));
-                out
+                put(Self::quantize(*t, self.t_quantum));
+                self.put_scaled(x, value_quantum, &mut put);
             }
             Message::Provisional { t_anchor, x_anchor, slopes, covers_through } => {
-                let mut out = vec![Self::quantize(*t_anchor, self.t_quantum)];
-                out.extend(qx(x_anchor));
-                // Slopes use the x/t quantum ratio for consistent scale.
-                out.extend(
-                    slopes.iter().zip(self.x_quanta.iter()).map(|(&s, &q)| {
-                        Self::quantize(s, q / self.t_quantum.max(f64::MIN_POSITIVE))
-                    }),
-                );
-                out.push(Self::quantize(*covers_through, self.t_quantum));
-                out
+                put(Self::quantize(*t_anchor, self.t_quantum));
+                self.put_scaled(x_anchor, value_quantum, &mut put);
+                self.put_scaled(slopes, |d| self.slope_quantum(d), &mut put);
+                put(Self::quantize(*covers_through, self.t_quantum));
             }
-            Message::StreamFrame { .. } => Vec::new(),
+            Message::StreamFrame { .. } => {}
         }
     }
 
     fn rebuild(&self, tag: u8, scalars: &[i64], dims: usize) -> Result<Message, WireError> {
         let t = scalars[0] as f64 * self.t_quantum;
-        let dx = |offset: usize| -> Vec<f64> {
-            (0..dims).map(|d| scalars[offset + d] as f64 * self.x_quanta[d]).collect()
+        let dx = |offset: usize| -> DimVec<f64> {
+            DimVec::from_fn(dims, |d| scalars[offset + d] as f64 * self.x_quanta[d])
         };
         Ok(match tag {
             0 => Message::Hold { t, x: dx(1) },
             1 => Message::Start { t, x: dx(1) },
             2 => Message::End { t, x: dx(1) },
             3 => Message::Point { t, x: dx(1) },
-            4 => {
-                let slopes = (0..dims)
-                    .map(|d| {
-                        scalars[1 + dims + d] as f64
-                            * (self.x_quanta[d] / self.t_quantum.max(f64::MIN_POSITIVE))
-                    })
-                    .collect();
-                Message::Provisional {
-                    t_anchor: t,
-                    x_anchor: dx(1),
-                    slopes,
-                    covers_through: scalars[1 + 2 * dims] as f64 * self.t_quantum,
-                }
-            }
+            4 => Message::Provisional {
+                t_anchor: t,
+                x_anchor: dx(1),
+                slopes: DimVec::from_fn(dims, |d| {
+                    scalars[1 + dims + d] as f64 * self.slope_quantum(d)
+                }),
+                covers_through: scalars[1 + 2 * dims] as f64 * self.t_quantum,
+            },
             other => return Err(WireError::BadTag(other)),
         })
     }
 }
 
 impl Codec for CompactCodec {
+    /// # Panics
+    ///
+    /// Panics if the message carries more dimensions than the codec has
+    /// value quanta.
     fn encode(&mut self, msg: &Message, _dims: usize, out: &mut BytesMut) -> usize {
         let before = out.len();
         out.put_u8(msg.tag());
@@ -403,12 +445,25 @@ impl Codec for CompactCodec {
             Self::put_varint(out, *stream as i64);
             return out.len() - before;
         }
-        let scalars = self.scalars(msg);
-        for (i, &s) in scalars.iter().enumerate() {
-            let pred = self.prev.get(i).copied().unwrap_or(0);
-            Self::put_varint(out, s.wrapping_sub(pred));
-        }
-        self.prev = scalars;
+        // Delta against the previous message's scalar at the same
+        // position (0 past its end), overwriting the predictor in place.
+        let mut prev = std::mem::take(&mut self.prev);
+        let mut i = 0;
+        self.quantized(msg, |s| {
+            match prev.get_mut(i) {
+                Some(p) => {
+                    Self::put_varint(out, s.wrapping_sub(*p));
+                    *p = s;
+                }
+                None => {
+                    Self::put_varint(out, s);
+                    prev.push(s);
+                }
+            }
+            i += 1;
+        });
+        prev.truncate(i);
+        self.prev = prev;
         out.len() - before
     }
 
@@ -425,13 +480,15 @@ impl Codec for CompactCodec {
             4 => 2 + 2 * dims,
             other => return Err(WireError::BadTag(other)),
         };
-        let mut scalars = Vec::with_capacity(count);
+        self.check_dims(dims)?;
+        self.cur.clear();
         for i in 0..count {
             let pred = self.prev.get(i).copied().unwrap_or(0);
-            scalars.push(pred.wrapping_add(Self::get_varint(buf)?));
+            let delta = Self::get_varint(buf)?;
+            self.cur.push(pred.wrapping_add(delta));
         }
-        let msg = self.rebuild(tag, &scalars, dims)?;
-        self.prev = scalars;
+        let msg = self.rebuild(tag, &self.cur, dims)?;
+        std::mem::swap(&mut self.prev, &mut self.cur);
         Ok(msg)
     }
 
@@ -447,16 +504,16 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::StreamFrame { stream: 42 },
-            Message::Start { t: 0.0, x: vec![1.5, -2.0] },
-            Message::End { t: 10.0, x: vec![2.5, -1.0] },
+            Message::Start { t: 0.0, x: [1.5, -2.0].into() },
+            Message::End { t: 10.0, x: [2.5, -1.0].into() },
             Message::StreamFrame { stream: u64::MAX },
-            Message::End { t: 20.0, x: vec![3.5, 0.5] },
-            Message::Hold { t: 30.0, x: vec![3.5, 0.5] },
-            Message::Point { t: 41.0, x: vec![9.0, 9.0] },
+            Message::End { t: 20.0, x: [3.5, 0.5].into() },
+            Message::Hold { t: 30.0, x: [3.5, 0.5].into() },
+            Message::Point { t: 41.0, x: [9.0, 9.0].into() },
             Message::Provisional {
                 t_anchor: 41.0,
-                x_anchor: vec![9.0, 9.0],
-                slopes: vec![0.5, -0.25],
+                x_anchor: [9.0, 9.0].into(),
+                slopes: [0.5, -0.25].into(),
                 covers_through: 50.0,
             },
         ]
@@ -517,7 +574,7 @@ mod tests {
     #[test]
     fn compact_is_smaller_than_fixed_on_smooth_streams() {
         let msgs: Vec<Message> = (0..100)
-            .map(|i| Message::End { t: i as f64, x: vec![20.0 + (i % 5) as f64 * 0.01] })
+            .map(|i| Message::End { t: i as f64, x: [20.0 + (i % 5) as f64 * 0.01].into() })
             .collect();
         let mut fixed = FixedCodec;
         let mut compact = CompactCodec::new(0.001, &[0.001]);
@@ -549,7 +606,7 @@ mod tests {
     fn truncated_input_is_reported() {
         let mut codec = FixedCodec;
         let mut buf = BytesMut::new();
-        codec.encode(&Message::End { t: 1.0, x: vec![2.0] }, 1, &mut buf);
+        codec.encode(&Message::End { t: 1.0, x: [2.0].into() }, 1, &mut buf);
         let mut short = buf.freeze().slice(0..5);
         assert_eq!(codec.decode(&mut short, 1), Err(WireError::Truncated));
     }
@@ -561,14 +618,58 @@ mod tests {
         assert_eq!(codec.decode(&mut bytes, 0), Err(WireError::BadTag(9)));
     }
 
+    /// Regression: a compact codec holding fewer value quanta than the
+    /// stream has dimensions used to drop the extra values on encode (two
+    /// 2-d `End`s came out as 8 bytes) and then index out of bounds on
+    /// decode. Encoding now fails loudly and decoding returns a typed error.
+    #[test]
+    #[should_panic(expected = "2-dimensional values but only 1 value quanta")]
+    fn compact_encode_refuses_more_dims_than_quanta() {
+        let mut codec = CompactCodec::new(0.5, &[0.01]);
+        let mut buf = BytesMut::new();
+        codec.encode(&Message::End { t: 1.0, x: [2.0, 3.0].into() }, 2, &mut buf);
+    }
+
+    #[test]
+    fn compact_decode_with_more_dims_than_quanta_is_a_typed_error() {
+        let mut wide = CompactCodec::new(0.5, &[0.01, 0.01]);
+        let mut buf = BytesMut::new();
+        for msg in [
+            Message::End { t: 1.0, x: [2.0, 3.0].into() },
+            Message::Provisional {
+                t_anchor: 1.0,
+                x_anchor: [2.0, 3.0].into(),
+                slopes: [0.5, 0.5].into(),
+                covers_through: 2.0,
+            },
+        ] {
+            buf.clear();
+            wide.reset();
+            wide.encode(&msg, 2, &mut buf);
+            let mut narrow = CompactCodec::new(0.5, &[0.01]);
+            assert_eq!(
+                narrow.decode(&mut buf.clone().freeze(), 2),
+                Err(WireError::MissingQuanta { dims: 2, quanta: 1 })
+            );
+            // The codec that has every quantum decodes the same bytes.
+            wide.reset();
+            assert!(wide.decode(&mut buf.clone().freeze(), 2).is_ok());
+        }
+        // Frame headers carry no values and decode whatever the quanta.
+        buf.clear();
+        wide.encode(&Message::StreamFrame { stream: 3 }, 2, &mut buf);
+        let mut narrow = CompactCodec::new(0.5, &[0.01]);
+        assert_eq!(narrow.decode(&mut buf.freeze(), 2), Ok(Message::StreamFrame { stream: 3 }));
+    }
+
     #[test]
     fn scalar_count_matches_payload() {
-        assert_eq!(Message::End { t: 0.0, x: vec![0.0; 3] }.scalar_count(), 4);
+        assert_eq!(Message::End { t: 0.0, x: [0.0; 3].into() }.scalar_count(), 4);
         assert_eq!(
             Message::Provisional {
                 t_anchor: 0.0,
-                x_anchor: vec![0.0; 3],
-                slopes: vec![0.0; 3],
+                x_anchor: [0.0; 3].into(),
+                slopes: [0.0; 3].into(),
                 covers_through: 0.0
             }
             .scalar_count(),

@@ -46,23 +46,23 @@ fn lower(ops: &[Op]) -> Vec<Message> {
     for &op in ops {
         match op {
             Op::Hold(v) => {
-                out.push(Message::Hold { t: next_t(), x: vec![v] });
+                out.push(Message::Hold { t: next_t(), x: [v].into() });
                 chain_open = false;
             }
             Op::Point(v) => {
-                out.push(Message::Point { t: next_t(), x: vec![v] });
+                out.push(Message::Point { t: next_t(), x: [v].into() });
                 chain_open = false;
             }
             Op::Segment(a, b) => {
-                out.push(Message::Start { t: next_t(), x: vec![a] });
-                out.push(Message::End { t: next_t(), x: vec![b] });
+                out.push(Message::Start { t: next_t(), x: [a].into() });
+                out.push(Message::End { t: next_t(), x: [b].into() });
                 chain_open = true;
             }
             Op::Extend(v) => {
                 if !chain_open {
-                    out.push(Message::Start { t: next_t(), x: vec![v - 1.0] });
+                    out.push(Message::Start { t: next_t(), x: [v - 1.0].into() });
                 }
-                out.push(Message::End { t: next_t(), x: vec![v] });
+                out.push(Message::End { t: next_t(), x: [v].into() });
                 chain_open = true;
             }
         }

@@ -9,15 +9,15 @@ fn message_strategy(dims: usize) -> impl Strategy<Value = Message> {
     let vals = prop::collection::vec(-1e6f64..1e6, dims..=dims);
     let t = -1e6f64..1e6;
     prop_oneof![
-        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Hold { t, x }),
-        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Start { t, x }),
-        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::End { t, x }),
-        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Point { t, x }),
+        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Hold { t, x: x.into() }),
+        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Start { t, x: x.into() }),
+        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::End { t, x: x.into() }),
+        (t.clone(), vals.clone()).prop_map(|(t, x)| Message::Point { t, x: x.into() }),
         (t.clone(), vals.clone(), prop::collection::vec(-1e3f64..1e3, dims..=dims), t.clone())
             .prop_map(|(t_anchor, x_anchor, slopes, covers_through)| Message::Provisional {
                 t_anchor,
-                x_anchor,
-                slopes,
+                x_anchor: x_anchor.into(),
+                slopes: slopes.into(),
                 covers_through,
             }),
     ]
