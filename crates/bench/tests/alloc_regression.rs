@@ -9,7 +9,7 @@
 //! inline-dimension storage.
 //!
 //! The wire path carries a budget instead of a zero: a segment sent
-//! through the multiplexed sender, a link, the collector's receiver and
+//! through the session sender, a link, the collector's receiver and
 //! its publish into the shared store costs fewer than three heap
 //! allocations in steady state (the sender's replay copy of the frame,
 //! the receiver's copy of the payload, and amortized store growth).
@@ -24,14 +24,14 @@
 use std::sync::Mutex;
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
 use pla_core::filters::{run_filter, StreamFilter};
 use pla_core::metrics::CountingSink;
 use pla_core::{Segment, INLINE_DIMS};
 use pla_ingest::SegmentStore;
-use pla_net::driver::pump_sender;
-use pla_net::{Collector, MemoryAcceptor, MuxSender, NetConfig};
+use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
 
 /// The allocation counter is process-wide, but libtest runs `#[test]`s on
@@ -204,9 +204,10 @@ fn inline_dims_stream_is_allocation_free() {
 fn wire_path_allocations_per_segment_are_bounded() {
     let _guard = serial();
     // 256 d = 1 swing streams, one segment per stream per round, sent
-    // through MuxSender → MemoryLink → Collector (NetReceiver::on_bytes,
+    // through SessionSender → MemoryLink → Collector (NetReceiver::on_bytes,
     // flush_control, publish into a SegmentStore) with the batched acks
-    // read back by the sender every round.
+    // read back by the sender every round. The clock is frozen, so no
+    // heartbeat or deadline fires mid-measurement.
     const STREAMS: u64 = 256;
     const WARMUP_ROUNDS: usize = 16;
     const ROUNDS: usize = 48;
@@ -221,19 +222,22 @@ fn wire_path_allocations_per_segment_are_bounded() {
     assert!(logs.iter().all(|log| log.len() >= rounds), "workload sanity: enough segments");
 
     let config = NetConfig::default();
+    let session = SessionConfig::default();
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
-    let mut collector = Collector::new(FixedCodec, 1, config, acceptor, store.clone());
-    let mut link = connector.connect(1 << 20);
-    let mut tx = MuxSender::new(FixedCodec, 1, config);
+    let mut collector =
+        Collector::with_sessions(FixedCodec, 1, config, session, acceptor, store.clone());
+    let now = Instant::now();
+    let redial = MemoryRedial::new(connector, 1 << 20);
+    let mut tx = SessionSender::new(FixedCodec, 1, config, session, redial, now);
     let mut round = |k: usize| {
         for (s, log) in logs.iter().enumerate() {
-            tx.try_send_segment(s as u64, &log[k]).expect("credit never runs out");
+            tx.mux_mut().try_send_segment(s as u64, &log[k]).expect("credit never runs out");
         }
-        pump_sender(&mut tx, &mut link).unwrap();
-        collector.pump().unwrap();
-        pump_sender(&mut tx, &mut link).unwrap();
+        tx.pump_at(now);
+        collector.pump_at(now).unwrap();
+        tx.pump_at(now);
     };
     for k in 0..WARMUP_ROUNDS {
         round(k);
@@ -243,7 +247,7 @@ fn wire_path_allocations_per_segment_are_bounded() {
             round(k);
         }
     });
-    assert!(tx.all_acked(), "every frame acknowledged");
+    assert!(tx.is_established() && tx.mux().all_acked(), "every frame acknowledged");
     assert_eq!(store.total_segments(), STREAMS * rounds as u64, "every segment published");
     let measured = STREAMS * ROUNDS as u64;
     let per_segment = allocs as f64 / measured as f64;

@@ -7,7 +7,7 @@
 //! transfers every stream's full segment log end-to-end and reports
 //! thousands of segments per second into the store, plus the wire cost
 //! per segment (data frames + the batched `Ack`/`Credit` control
-//! traffic, both directions).
+//! traffic, both directions, plus each connection's `HelloAck`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,9 +15,8 @@ use std::time::Instant;
 use pla_core::filters::{run_filter, FilterKind};
 use pla_core::Segment;
 use pla_ingest::SegmentStore;
-use pla_net::driver::pump_sender;
 use pla_net::listen::MemoryAcceptor;
-use pla_net::{Collector, MemoryLink, MuxSender, NetConfig};
+use pla_net::{Collector, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
 
 use crate::experiments::Config;
@@ -37,34 +36,39 @@ fn segment_logs(streams: usize, samples_per_stream: usize, seed: u64) -> Vec<Vec
 
 /// Fans `logs` in over `conns` connections (streams split round-robin)
 /// into one shared store, returning `(segments, wire_bytes)`.
-/// `wire_bytes` counts every byte the collector moved — inbound data
-/// frames plus outbound acks and credit grants.
+/// `wire_bytes` counts every byte the collector moved on a bound
+/// connection — inbound data frames plus outbound acks, credit grants,
+/// and the `HelloAck` (the opening `Hello` is read before the
+/// connection exists). The clock is frozen at the start of the
+/// transfer: a lossless run needs no heartbeat, redial, or deadline.
 pub fn collector_transfer(logs: &[Vec<Segment>], conns: usize, window: u64) -> (u64, u64) {
     let cfg = NetConfig { window, max_frame: 1 << 20 };
+    let sess = SessionConfig::default();
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
-    let mut collector = Collector::new(FixedCodec, 1, cfg, acceptor, store.clone());
+    let mut collector = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
 
     // Connection c owns streams c, c + conns, c + 2·conns, …
-    let mut senders: Vec<(MuxSender<FixedCodec>, MemoryLink, Vec<usize>)> = (0..conns)
+    let now = Instant::now();
+    let mut senders: Vec<(SessionSender<FixedCodec, MemoryRedial>, Vec<usize>)> = (0..conns)
         .map(|c| {
-            let link = connector.connect(8 * 1024);
+            let redial = MemoryRedial::new(connector.clone(), 8 * 1024);
             let streams: Vec<usize> = (c..logs.len()).step_by(conns).collect();
-            (MuxSender::new(FixedCodec, 1, cfg), link, streams)
+            (SessionSender::new(FixedCodec, 1, cfg, sess, redial, now), streams)
         })
         .collect();
     let mut cursors = vec![0usize; logs.len()];
     let mut done = false;
     while !done {
         done = true;
-        for (tx, link, streams) in &mut senders {
+        for (tx, streams) in &mut senders {
             let mut conn_done = true;
             for &s in streams.iter() {
                 let log = &logs[s];
                 let cursor = &mut cursors[s];
                 while *cursor < log.len() {
-                    match tx.try_send_segment(s as u64, &log[*cursor]) {
+                    match tx.mux_mut().try_send_segment(s as u64, &log[*cursor]) {
                         Ok(()) => *cursor += 1,
                         Err(pla_net::NetError::Backpressure) => break,
                         Err(e) => panic!("send failed: {e}"),
@@ -76,17 +80,18 @@ pub fn collector_transfer(logs: &[Vec<Segment>], conns: usize, window: u64) -> (
             }
             if conn_done && !streams.is_empty() {
                 for &s in streams.iter() {
-                    tx.finish_stream(s as u64).expect("fin");
+                    tx.mux_mut().finish_stream(s as u64).expect("fin");
                 }
             } else {
                 done = false;
             }
-            pump_sender(tx, link).expect("sender link");
+            tx.pump_at(now);
         }
-        collector.pump().expect("collector");
-        for (tx, link, _) in &mut senders {
-            pump_sender(tx, link).expect("sender link");
-            if !tx.all_acked() {
+        collector.pump_at(now).expect("collector");
+        for (tx, _) in &mut senders {
+            tx.pump_at(now);
+            assert!(tx.failure().is_none(), "lossless session failed: {:?}", tx.failure());
+            if !tx.mux().all_acked() {
                 done = false;
             }
         }

@@ -20,33 +20,34 @@
 //!   consistent, `Arc`-shared sealed runs) while ingest continues.
 //!
 //! The collector is a sans-I/O-style state machine like the endpoints
-//! it hosts: [`pump`](Collector::pump) does one non-blocking round
-//! (tests drive it deterministically, interleaving and severing however
-//! they like), and [`drive_collector`] runs it on the
-//! [`runtime`] — one accept task plus one spawned task
-//! per connection, each parking on its link's readiness source (epoll-
-//! precise for TCP).
+//! it hosts: [`pump_at`](Collector::pump_at) does one non-blocking
+//! round at an explicit instant (tests drive it deterministically on a
+//! synthetic clock, interleaving and severing however they like), and
+//! [`drive_collector`] runs it on the [`runtime`] — one accept task
+//! plus one spawned task per bound connection.
 //!
-//! Reconnect: a dead link *detaches* its connection (state retained)
-//! rather than destroying it. [`reattach`](Collector::reattach) hands
-//! the connection a fresh link and replays the standard recovery — the
-//! receiver re-announces cumulative acks/credits, the sender replays
-//! unacked frames, duplicates are dropped by sequence number — so the
-//! store ends up byte-identical to an uninterrupted run.
+//! Reconnect: every connection opens with a session `Hello`
+//! ([`session`](crate::session)) and is issued a token. A dead or
+//! silent link *detaches* its connection (state retained) rather than
+//! destroying it; when the sender redials and presents its token, the
+//! collector rebinds the same [`ConnId`] by itself and answers with
+//! resume cursors — the receiver re-announces cumulative acks/credits,
+//! the sender replays unacked frames, duplicates are dropped by
+//! sequence number — so the store ends up byte-identical to an
+//! uninterrupted run.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use pla_core::Segment;
 use pla_ingest::{SegmentStore, StreamId};
 use pla_transport::wire::Codec;
 
-use crate::driver::{pump_in, pump_receiver_split, stall_interest, DriveError};
+use crate::driver::{pump_in, pump_receiver_split, DriveError};
 use crate::frame::{encode, FrameDecoder, NetFrame};
 use crate::link::Link;
 use crate::listen::Acceptor;
@@ -69,7 +70,7 @@ impl std::fmt::Display for ConnId {
 
 /// A fatal collector failure: one connection's byte stream violated the
 /// protocol (reconnecting cannot help; I/O failures are *not* errors —
-/// they detach the connection for [`Collector::reattach`]).
+/// they detach the connection until its sender resumes by token).
 #[derive(Debug)]
 pub struct CollectorError {
     /// The connection whose stream failed.
@@ -96,7 +97,8 @@ pub struct ConnStats {
     /// Whether a link is currently attached (false = detached, awaiting
     /// reconnect).
     pub attached: bool,
-    /// The session token bound to this connection (0 in legacy mode).
+    /// The session token bound to this connection (never 0 — 0 on the
+    /// wire means "refused").
     pub token: u64,
     /// The connection's receiving-endpoint counters (frames applied,
     /// duplicate replays dropped, control frames staged after
@@ -109,12 +111,11 @@ pub struct ConnStats {
     /// i.e. backpressure against the collector itself.
     pub backpressure: u64,
     /// Bytes moved over the link (read + written) across the
-    /// connection's lifetime, including across reattaches.
+    /// connection's lifetime, including across resumes.
     pub bytes_moved: u64,
-    /// Times this connection was resumed onto a fresh link — token
-    /// resumes in session mode plus explicit
-    /// [`reattach`](Collector::reattach) calls. The collector-side view
-    /// of the peer's redial attempts.
+    /// Times this connection's sender presented its token on a fresh
+    /// link and was rebound — the collector-side view of the peer's
+    /// redial attempts.
     pub resumes: u64,
     /// The protocol violation that quarantined this connection, if any.
     pub failed: Option<NetError>,
@@ -144,8 +145,8 @@ pub struct CollectorStats {
     /// Connections quarantined by a protocol violation.
     pub failed: usize,
     /// Handshakes refused (version mismatch, garbage first frame,
-    /// unknown/quarantined token, handshake timeout) — session mode
-    /// only. A refusal touches no bound connection.
+    /// unknown/quarantined token, handshake timeout). A refusal touches
+    /// no bound connection.
     pub refused: u64,
     /// Detached sessions evicted after their TTL lapsed.
     pub evicted: u64,
@@ -153,8 +154,8 @@ pub struct CollectorStats {
     /// side of the session liveness protocol (senders count the sent
     /// side in `SessionStats::heartbeats_sent`).
     pub heartbeats: u64,
-    /// Link resumes across all connections (token resumes plus explicit
-    /// reattaches) — see [`ConnStats::resumes`].
+    /// Token resumes across all connections — see
+    /// [`ConnStats::resumes`].
     pub resumes: u64,
     /// Segments shed by per-stream quarantine
     /// ([`Collector::quarantine_stream`]) instead of published.
@@ -171,18 +172,16 @@ pub struct CollectorStats {
 /// Per-connection state: the receiver plus publish bookkeeping.
 struct Connection<C: Codec, L: Link> {
     rx: NetReceiver<C>,
-    /// `None` while detached (link died; awaiting reattach).
+    /// `None` while detached (link died; awaiting a token resume).
     link: Option<L>,
     /// Set when this connection's byte stream violated the protocol:
-    /// the connection is quarantined (link dropped, no reattach) but
+    /// the connection is quarantined (link dropped, resume refused) but
     /// every other connection keeps running — the collector-level
     /// analogue of `pla-ingest`'s per-stream quarantine.
     failed: Option<NetError>,
-    /// The session token bound to this connection (0 in legacy
-    /// explicit-reattach mode).
+    /// The session token bound to this connection.
     token: u64,
-    /// When inbound bytes last arrived — the liveness clock (session
-    /// mode only).
+    /// When inbound bytes last arrived — the liveness clock.
     last_recv: Instant,
     /// When the connection detached, for session-TTL eviction.
     detached_at: Option<Instant>,
@@ -192,7 +191,7 @@ struct Connection<C: Codec, L: Link> {
     published_total: u64,
     backpressure: u64,
     bytes_moved: u64,
-    /// Token resumes plus explicit reattaches (see [`ConnStats::resumes`]).
+    /// Token resumes (see [`ConnStats::resumes`]).
     resumes: u64,
 }
 
@@ -208,49 +207,52 @@ struct Pending<L: Link> {
 /// model and [`drive_collector`] for the async form.
 ///
 /// ```
-/// use pla_ingest::{SegmentStore, StreamId};
+/// use pla_ingest::SegmentStore;
 /// use pla_net::listen::MemoryAcceptor;
-/// use pla_net::{Collector, MuxSender, NetConfig};
+/// use pla_net::{Collector, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 /// use pla_transport::wire::FixedCodec;
 /// use std::sync::Arc;
+/// use std::time::Instant;
 ///
 /// let store = Arc::new(SegmentStore::new());
 /// let acceptor = MemoryAcceptor::new();
 /// let connector = acceptor.connector();
-/// let cfg = NetConfig::default();
-/// let mut collector = Collector::new(FixedCodec, 1, cfg, acceptor, store.clone());
+/// let (cfg, sess) = (NetConfig::default(), SessionConfig::default());
+/// let mut collector = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
 ///
-/// // Two edge senders dial in, each with its own streams.
-/// let mut links = Vec::new();
+/// // Two edge senders, each with its own stream.
+/// let now = Instant::now();
 /// let mut senders = Vec::new();
 /// for id in 0..2u64 {
-///     links.push(connector.connect(4096));
-///     let mut tx = MuxSender::new(FixedCodec, 1, cfg);
-///     tx.try_send_segment(
-///         id,
-///         &pla_core::Segment {
-///             t_start: 0.0,
-///             x_start: [1.0].into(),
-///             t_end: 4.0,
-///             x_end: [5.0].into(),
-///             connected: false,
-///             n_points: 5,
-///             new_recordings: 2,
-///         },
-///     )
-///     .unwrap();
-///     tx.finish_all();
+///     let redial = MemoryRedial::new(connector.clone(), 4096);
+///     let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, now);
+///     tx.mux_mut()
+///         .try_send_segment(
+///             id,
+///             &pla_core::Segment {
+///                 t_start: 0.0,
+///                 x_start: [1.0].into(),
+///                 t_end: 4.0,
+///                 x_end: [5.0].into(),
+///                 connected: false,
+///                 n_points: 5,
+///                 new_recordings: 2,
+///             },
+///         )
+///         .unwrap();
+///     tx.mux_mut().finish_all();
 ///     senders.push(tx);
 /// }
-/// // Senders write, the collector pumps, acks flow back.
-/// for (tx, link) in senders.iter_mut().zip(&mut links) {
-///     pla_net::driver::pump_sender(tx, link).unwrap();
+/// // Senders dial and write `Hello` plus their data, the collector
+/// // binds each session and applies it, `HelloAck` and acks flow back.
+/// for tx in &mut senders {
+///     tx.pump_at(now);
 /// }
-/// collector.pump().unwrap();
-/// for (tx, link) in senders.iter_mut().zip(&mut links) {
-///     pla_net::driver::pump_sender(tx, link).unwrap();
+/// collector.pump_at(now).unwrap();
+/// for tx in &mut senders {
+///     tx.pump_at(now);
 /// }
-/// assert!(senders.iter().all(|tx| tx.all_acked()));
+/// assert!(senders.iter().all(|tx| tx.is_established() && tx.mux().all_acked()));
 /// let snap = store.snapshot();
 /// assert_eq!(snap.streams.len(), 2);
 /// assert_eq!(snap.total_segments, 2);
@@ -264,11 +266,9 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     store: Arc<SegmentStore>,
     conns: BTreeMap<u64, Connection<C, A::Link>>,
     next_conn: u64,
-    /// `Some` = session mode: connections must open with `Hello`, get a
-    /// token, heartbeat-lapse detach, and TTL eviction. `None` = the
-    /// legacy explicit-[`reattach`](Self::reattach) mode.
-    session: Option<SessionConfig>,
-    /// Accepted links mid-handshake (session mode only).
+    /// Handshake, liveness, and TTL-eviction timing.
+    session: SessionConfig,
+    /// Accepted links mid-handshake.
     pending: Vec<Pending<A::Link>>,
     /// Issued session tokens → connection ids.
     tokens: BTreeMap<u64, u64>,
@@ -293,13 +293,20 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
 
 impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// Creates a collector for `dims`-dimensional streams. Every
-    /// accepted connection gets a receiver cloned from `codec` and
-    /// `config` — as always, `config.window` must match what the
-    /// senders were built with.
-    pub fn new(
+    /// connection must open with a versioned `Hello`, gets a
+    /// server-issued session token in its `HelloAck`, and resumes by
+    /// presenting that token on a fresh link. A link silent past
+    /// `session.liveness_timeout` is detached; a detached session
+    /// unclaimed past `session.session_ttl` is evicted. Every bound
+    /// connection gets a receiver cloned from `codec` and `config` — as
+    /// always, `config.window` must match what the senders were built
+    /// with. Drive with [`pump_at`](Self::pump_at) (tests) or
+    /// [`pump`](Self::pump)/[`drive_collector`] (production clock).
+    pub fn with_sessions(
         codec: C,
         dims: usize,
         config: NetConfig,
+        session: SessionConfig,
         acceptor: A,
         store: Arc<SegmentStore>,
     ) -> Self {
@@ -311,7 +318,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             store,
             conns: BTreeMap::new(),
             next_conn: 1,
-            session: None,
+            session,
             pending: Vec::new(),
             tokens: BTreeMap::new(),
             token_ctr: 0,
@@ -325,60 +332,13 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// Creates a collector in **session mode**: every connection must
-    /// open with a versioned `Hello`, gets a server-issued session
-    /// token in its `HelloAck`, and resumes by presenting that token on
-    /// a fresh link — no [`reattach`](Self::reattach) call needed. A
-    /// link silent past `session.liveness_timeout` is detached; a
-    /// detached session unclaimed past `session.session_ttl` is
-    /// evicted. Drive with [`pump_at`](Self::pump_at) (tests) or
-    /// [`pump`](Self::pump)/[`drive_collector`] (production clock).
-    pub fn with_sessions(
-        codec: C,
-        dims: usize,
-        config: NetConfig,
-        session: SessionConfig,
-        acceptor: A,
-        store: Arc<SegmentStore>,
-    ) -> Self {
-        let mut c = Self::new(codec, dims, config, acceptor, store);
-        c.session = Some(session);
-        c
-    }
-
     /// The shared store this collector publishes into.
     pub fn store(&self) -> &Arc<SegmentStore> {
         &self.store
     }
 
-    /// Accepts every pending connection. In legacy mode each accepted
-    /// link becomes a connection immediately and its `ConnId` is
-    /// returned; in session mode accepted links are parked until their
-    /// `Hello` arrives ([`pump_at`](Self::pump_at) completes the
-    /// handshake), so this returns an empty list.
-    pub fn poll_accept(&mut self) -> io::Result<Vec<ConnId>> {
-        self.poll_accept_at(Instant::now())
-    }
-
-    fn poll_accept_at(&mut self, now: Instant) -> io::Result<Vec<ConnId>> {
-        let mut fresh = Vec::new();
-        while let Some(link) = self.acceptor.try_accept()? {
-            if self.session.is_some() {
-                self.pending.push(Pending {
-                    link,
-                    dec: FrameDecoder::new(self.config.max_frame),
-                    since: now,
-                });
-            } else {
-                let id = self.adopt(link, 0, now);
-                fresh.push(ConnId(id));
-            }
-        }
-        Ok(fresh)
-    }
-
-    /// Materializes a connection around an already-handshaken (or
-    /// legacy-mode) link.
+    /// Materializes a connection around a link whose `Hello` was just
+    /// accepted with a freshly issued `token`.
     fn adopt(&mut self, link: A::Link, token: u64, now: Instant) -> u64 {
         let id = self.next_conn;
         self.next_conn += 1;
@@ -407,20 +367,20 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// moved.
     ///
     /// An I/O failure **detaches** the connection (its reconstruction
-    /// state is retained for [`reattach`](Self::reattach)) and counts
-    /// as no progress. A protocol violation **quarantines** the
-    /// connection — link dropped, [`reattach`](Self::reattach) refused,
-    /// failure recorded in [`ConnStats::failed`] — and is returned once
-    /// to the caller; every *other* connection is unaffected.
+    /// state is retained for a token resume) and counts as no progress.
+    /// A protocol violation **quarantines** the connection — link
+    /// dropped, resume refused, failure recorded in
+    /// [`ConnStats::failed`] — and is returned once to the caller;
+    /// every *other* connection is unaffected.
     pub fn pump_conn(&mut self, conn: ConnId) -> Result<usize, CollectorError> {
         self.pump_conn_at(conn, Instant::now())
     }
 
     /// [`pump_conn`](Self::pump_conn) with an explicit clock — the form
-    /// deterministic tests drive. In session mode, `now` feeds the
-    /// liveness deadline: a link that produced no inbound bytes for
-    /// `liveness_timeout` is shut down and the connection detached, its
-    /// state retained for a token resume.
+    /// deterministic tests drive. `now` feeds the liveness deadline: a
+    /// link that produced no inbound bytes for `liveness_timeout` is
+    /// shut down and the connection detached, its state retained for a
+    /// token resume.
     pub fn pump_conn_at(&mut self, conn: ConnId, now: Instant) -> Result<usize, CollectorError> {
         let Some(c) = self.conns.get_mut(&conn.0) else { return Ok(0) };
         if c.failed.is_some() {
@@ -431,17 +391,15 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             Ok((read, written)) => {
                 if read > 0 {
                     c.last_recv = now;
-                } else if let Some(sess) = self.session {
+                } else if now.duration_since(c.last_recv) >= self.session.liveness_timeout {
                     // Only *arriving* bytes prove the peer alive — our own
                     // writes may be vanishing into a wedged pipe.
-                    if now.duration_since(c.last_recv) >= sess.liveness_timeout {
-                        if let Some(mut dead) = c.link.take() {
-                            dead.shutdown();
-                        }
-                        c.detached_at = Some(now);
-                        self.publish_conn(conn.0);
-                        return Ok(written);
+                    if let Some(mut dead) = c.link.take() {
+                        dead.shutdown();
                     }
+                    c.detached_at = Some(now);
+                    self.publish_conn(conn.0);
+                    return Ok(written);
                 }
                 let moved = read + written;
                 if moved == 0 {
@@ -555,16 +513,22 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// Advances every mid-handshake link at the given instant: reads,
-    /// decodes the first frame, and either binds a connection (fresh
-    /// token or resume), refuses the link, or keeps waiting until the
-    /// handshake deadline. Also evicts detached sessions whose TTL
-    /// lapsed. Returns the connections bound this round (a resumed
-    /// `ConnId` reappears here when its session rebinds). No-op outside
-    /// session mode.
+    /// Accepts every waiting link and advances every mid-handshake link
+    /// at the given instant: reads, decodes the first frame, and either
+    /// binds a connection (fresh token or resume), refuses the link, or
+    /// keeps waiting until the handshake deadline. Also evicts detached
+    /// sessions whose TTL lapsed. Returns the connections bound this
+    /// round (a resumed `ConnId` reappears here when its session
+    /// rebinds).
     pub fn pump_sessions(&mut self, now: Instant) -> Vec<ConnId> {
-        let Some(sess) = self.session else { return Vec::new() };
+        let sess = self.session;
         self.evict_expired(now, sess.session_ttl);
+        // An accept error means the listener died; existing connections
+        // keep running — a deployment would rebind and swap the acceptor.
+        while let Ok(Some(link)) = self.acceptor.try_accept() {
+            let dec = FrameDecoder::new(self.config.max_frame);
+            self.pending.push(Pending { link, dec, since: now });
+        }
         let mut bound = Vec::new();
         let mut keep = Vec::new();
         for mut p in std::mem::take(&mut self.pending) {
@@ -680,20 +644,17 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// One non-blocking round over the whole collector: accept pending
-    /// connections, pump every attached one. Returns total bytes moved.
+    /// One non-blocking round over the whole collector: accept and
+    /// handshake new links, pump every attached connection. Returns
+    /// total bytes moved.
     pub fn pump(&mut self) -> Result<usize, CollectorError> {
         self.pump_at(Instant::now())
     }
 
     /// [`pump`](Self::pump) with an explicit clock — the form
-    /// deterministic tests drive. In session mode this also advances
-    /// mid-handshake links and runs liveness/TTL enforcement.
+    /// deterministic tests drive. `now` drives the handshake, liveness,
+    /// and TTL deadlines.
     pub fn pump_at(&mut self, now: Instant) -> Result<usize, CollectorError> {
-        // Accept errors mean the listener died; surface as no progress
-        // (existing connections keep running) — a deployment would
-        // rebind and swap the acceptor.
-        let _ = self.poll_accept_at(now);
         let _ = self.pump_sessions(now);
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut moved = 0;
@@ -714,33 +675,11 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// Re-attaches a fresh link to a detached (or still-attached —
-    /// the old link is dropped) connection, running the receiver's
-    /// reconnect protocol: partial frames are discarded and cumulative
-    /// `Ack`/`Credit` state is restaged for the replaying sender.
-    /// Returns false if the connection id was never accepted or is
-    /// quarantined after a protocol violation (a corrupted session must
-    /// not resume).
-    pub fn reattach(&mut self, conn: ConnId, link: A::Link) -> bool {
-        match self.conns.get_mut(&conn.0) {
-            Some(c) if c.failed.is_none() => {
-                c.rx.on_reconnect();
-                c.link = Some(link);
-                c.detached_at = None;
-                c.last_recv = Instant::now();
-                c.resumes += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Administratively detaches `conn`: the link is shut down and
     /// dropped, pending reconstructed segments are published, and the
-    /// connection parks as detached — a session-mode peer resumes with
-    /// its token (TTL permitting), a legacy peer via
-    /// [`reattach`](Self::reattach). Returns false if the connection is
-    /// unknown, quarantined, or already detached.
+    /// connection parks as detached — its peer resumes with its token
+    /// (TTL permitting). Returns false if the connection is unknown,
+    /// quarantined, or already detached.
     pub fn drain(&mut self, conn: ConnId) -> bool {
         let now = Instant::now();
         match self.conns.get_mut(&conn.0) {
@@ -782,9 +721,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         self.quarantined_streams.iter().copied().collect()
     }
 
-    /// Ids of connections whose link died and await
-    /// [`reattach`](Self::reattach), ascending (quarantined
-    /// connections are not reattachable and not listed).
+    /// Ids of connections whose link died and await a token resume,
+    /// ascending (quarantined connections cannot resume and are not
+    /// listed).
     pub fn detached(&self) -> Vec<ConnId> {
         self.conns
             .iter()
@@ -860,28 +799,22 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         self.last_refusal.as_ref()
     }
 
-    /// Links accepted but still mid-handshake (session mode).
+    /// Links accepted but still mid-handshake.
     pub fn pending_handshakes(&self) -> usize {
         self.pending.len()
     }
 
-    /// What a connection's async task should do after a no-progress
-    /// round: park on the link's readiness source, back off while
-    /// detached, or exit after quarantine.
-    fn conn_wait_hint(&self, conn: u64) -> ConnWait {
-        match self.conns.get(&conn) {
-            Some(c) if c.failed.is_some() => ConnWait::Gone,
-            Some(c) => match &c.link {
-                // Session mode parks on a timer even while attached: a
-                // silently wedged fd never becomes readable, so an
-                // event-source wait would sleep straight through the
-                // liveness deadline it is supposed to enforce.
-                Some(_) if self.session.is_some() => ConnWait::Timer,
-                Some(link) => ConnWait::Ready(link.event_source(), c.rx.staged_bytes()),
-                None => ConnWait::Detached,
-            },
-            None => ConnWait::Gone,
-        }
+    /// How long a connection's async task sleeps after a no-progress
+    /// round, or `None` once the connection is quarantined or evicted
+    /// (the task exits). An attached link parks on a short timer, never
+    /// on its readiness source: a silently wedged fd never becomes
+    /// readable, so a readiness wait would sleep straight through the
+    /// liveness deadline it is supposed to enforce. A detached
+    /// connection, awaiting its token resume, backs off longer so a
+    /// dead connection does not keep the reactor hot.
+    fn idle_wait(&self, conn: u64) -> Option<Duration> {
+        let c = self.conns.get(&conn).filter(|c| c.failed.is_none())?;
+        Some(Duration::from_millis(if c.link.is_some() { 1 } else { 5 }))
     }
 }
 
@@ -902,35 +835,22 @@ fn frame_name(frame: &NetFrame) -> &'static str {
     }
 }
 
-/// How a connection task should wait after an idle round.
-enum ConnWait {
-    /// Attached: park on the link's source (with staged-byte count for
-    /// the interest choice).
-    Ready(Option<runtime::EventSource>, usize),
-    /// Attached in session mode: park on a short timer so
-    /// liveness/heartbeat deadlines fire even on a wedged link.
-    Timer,
-    /// Detached, awaiting [`Collector::reattach`] (or a token resume in
-    /// session mode): back off on a timer.
-    Detached,
-    /// Quarantined or removed: the task exits.
-    Gone,
-}
-
-/// Drives a collector on the [`runtime`]: one accept
-/// task (parking on the listener's readiness source where it has one)
-/// plus one spawned task per accepted connection, each pumping its own
-/// [`NetReceiver`] and parking on its own link. Returns `Ok(())` when
-/// `done(&collector)` is satisfied — spawned tasks are dropped with the
-/// root (structured teardown) — or the first failure once **every**
-/// connection has been quarantined (nothing left to drive). A protocol
-/// violation on one connection quarantines only that connection; put
+/// Drives a collector on the [`runtime`]: one accept task plus one
+/// spawned task per bound connection, each pumping its own
+/// [`NetReceiver`]. Returns `Ok(())` when `done(&collector)` is
+/// satisfied — spawned tasks are dropped with the root (structured
+/// teardown) — or the first failure once **every** connection has been
+/// quarantined (nothing left to drive). A protocol violation on one
+/// connection quarantines only that connection; put
 /// [`Collector::failure`]/[`CollectorStats::failed`] in the `done`
 /// predicate to abort earlier.
 ///
-/// The `done` predicate is re-evaluated on a millisecond timer (the
-/// per-connection I/O itself is event-driven; only this completion
-/// check polls).
+/// Every task runs on timers, not on readiness: the accept task and
+/// each attached connection's task re-pump after a 1 ms park whenever
+/// a round moved nothing, so handshake and liveness deadlines fire
+/// even on a silently wedged fd. A detached connection's task backs
+/// off to 5 ms until its sender resumes by token. The `done` predicate
+/// is re-evaluated on the same millisecond cadence.
 pub async fn drive_collector<C, A>(
     collector: Rc<RefCell<Collector<C, A>>>,
     mut done: impl FnMut(&Collector<C, A>) -> bool,
@@ -940,37 +860,24 @@ where
     A: Acceptor + 'static,
 {
     let spawner = runtime::spawner();
-    // Accept task: adopt new connections, spawn one pump task each. In
-    // session mode it also advances mid-handshake links on a millisecond
-    // cadence (pending sockets have no spawned task until their `Hello`
-    // binds them, and handshake deadlines need a clock). A resumed
-    // session reuses its `ConnId`, whose original task is still alive in
-    // its detached backoff — the spawned-set keeps it singly driven.
+    // Accept task: accepts and handshakes new links, spawning one pump
+    // task per bound connection (pending sockets have no task until
+    // their `Hello` binds them). A resumed session reuses its `ConnId`,
+    // whose original task is still alive in its detached backoff — the
+    // spawned-set keeps it singly driven.
     spawner.spawn({
         let collector = collector.clone();
         let spawner = spawner.clone();
         async move {
             let mut spawned = std::collections::BTreeSet::new();
             loop {
-                let (fresh, source, session_mode) = {
-                    let mut coll = collector.borrow_mut();
-                    let mut fresh = coll.poll_accept().unwrap_or_default();
-                    let session_mode = coll.session.is_some();
-                    if session_mode {
-                        fresh.extend(coll.pump_sessions(Instant::now()));
-                    }
-                    (fresh, coll.acceptor.event_source(), session_mode)
-                };
-                for conn in fresh {
+                let bound = collector.borrow_mut().pump_sessions(Instant::now());
+                for conn in bound {
                     if spawned.insert(conn.0) {
                         spawner.spawn(drive_connection(collector.clone(), conn));
                     }
                 }
-                if session_mode {
-                    runtime::sleep(std::time::Duration::from_millis(1)).await;
-                } else {
-                    runtime::io_ready(source, runtime::Interest::Read).await;
-                }
+                runtime::sleep(Duration::from_millis(1)).await;
             }
         }
     });
@@ -986,7 +893,7 @@ where
                 return Err(failure);
             }
         }
-        runtime::sleep(std::time::Duration::from_millis(1)).await;
+        runtime::sleep(Duration::from_millis(1)).await;
     }
 }
 
@@ -1003,30 +910,22 @@ where
             // stats; this task has nothing left to drive.
             Err(_) => return,
         };
-        if moved == 0 {
-            let hint = collector.borrow().conn_wait_hint(conn.0);
-            match hint {
-                ConnWait::Ready(source, staged) => {
-                    runtime::io_ready(source, stall_interest(staged)).await
-                }
-                ConnWait::Timer => runtime::sleep(std::time::Duration::from_millis(1)).await,
-                // Awaiting reattach: a timer backoff, not a poll-cadence
-                // spin (a dead connection must not keep the reactor hot).
-                ConnWait::Detached => runtime::sleep(std::time::Duration::from_millis(5)).await,
-                ConnWait::Gone => return,
-            }
-        } else {
+        if moved > 0 {
             runtime::yield_now().await;
+            continue;
         }
+        let Some(wait) = collector.borrow().idle_wait(conn.0) else { return };
+        runtime::sleep(wait).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::pump_sender;
+    use crate::frame::PROTOCOL_VERSION;
     use crate::link::MemoryLink;
-    use crate::listen::MemoryAcceptor;
+    use crate::listen::{MemoryAcceptor, MemoryConnector};
+    use crate::session::{HandshakeError, MemoryRedial, SessionConfig, SessionSender};
     use crate::MuxSender;
     use pla_core::Segment;
     use pla_transport::wire::FixedCodec;
@@ -1046,12 +945,28 @@ mod tests {
 
     fn make(
         cfg: NetConfig,
-    ) -> (Collector<FixedCodec, MemoryAcceptor>, crate::listen::MemoryConnector, Arc<SegmentStore>)
-    {
+        sess: SessionConfig,
+    ) -> (Collector<FixedCodec, MemoryAcceptor>, MemoryConnector, Arc<SegmentStore>) {
         let store = Arc::new(SegmentStore::new());
         let acceptor = MemoryAcceptor::new();
         let connector = acceptor.connector();
-        (Collector::new(FixedCodec, 1, cfg, acceptor, store.clone()), connector, store)
+        (
+            Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone()),
+            connector,
+            store,
+        )
+    }
+
+    /// A session sender that dials through `connector` on its first
+    /// pump at or after `now`.
+    fn sender(
+        connector: &MemoryConnector,
+        cfg: NetConfig,
+        capacity: usize,
+        now: Instant,
+    ) -> SessionSender<FixedCodec, MemoryRedial> {
+        let redial = MemoryRedial::new(connector.clone(), capacity);
+        SessionSender::new(FixedCodec, 1, cfg, SessionConfig::default(), redial, now)
     }
 
     /// Publishing moves: once a pump round has published a stream's
@@ -1060,28 +975,28 @@ mod tests {
     #[test]
     fn published_segments_move_out_of_the_demux() {
         let cfg = NetConfig::default();
-        let (mut coll, connector, store) = make(cfg);
-        let mut link = connector.connect(1 << 16);
-        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+        let t0 = Instant::now();
+        let mut tx = sender(&connector, cfg, 1 << 16, t0);
         let mut sent = 0;
         for round in 0..3 {
             // Stream 1 sends every round, stream 2 only in the first.
             for stream in [1u64, 2] {
                 if stream == 1 || round == 0 {
-                    tx.try_send_segment(stream, &seg(round)).unwrap();
+                    tx.mux_mut().try_send_segment(stream, &seg(round)).unwrap();
                     sent += 1;
                 }
             }
-            pump_sender(&mut tx, &mut link).unwrap();
-            coll.pump().unwrap();
-            pump_sender(&mut tx, &mut link).unwrap();
+            tx.pump_at(t0);
+            coll.pump_at(t0).unwrap();
+            tx.pump_at(t0);
             assert_eq!(store.total_segments(), sent);
             let c = &coll.conns[&1];
             for stream in [1u64, 2] {
                 assert_eq!(c.rx.demux().segments(stream), Some(&[][..]), "published ⇒ moved");
             }
         }
-        assert!(tx.all_acked());
+        assert!(tx.is_established() && tx.mux().all_acked());
         assert_eq!(store.stream_segments(StreamId(1)).unwrap().len(), 3);
         assert_eq!(store.stream_segments(StreamId(2)).unwrap().len(), 1);
         assert_eq!(coll.stats().segments, 4);
@@ -1090,26 +1005,31 @@ mod tests {
     #[test]
     fn two_connections_funnel_into_one_store() {
         let cfg = NetConfig::default();
-        let (mut coll, connector, store) = make(cfg);
-        let mut senders: Vec<(MuxSender<FixedCodec>, MemoryLink)> = (0..2u64)
+        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+        let t0 = Instant::now();
+        let mut senders: Vec<SessionSender<FixedCodec, MemoryRedial>> = (0..2u64)
             .map(|c| {
-                let link = connector.connect(4096);
-                let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+                let mut tx = sender(&connector, cfg, 4096, t0);
                 for s in 0..3u64 {
                     let stream = c * 3 + s;
                     for i in 0..4 {
-                        tx.try_send_segment(stream, &seg(i)).unwrap();
+                        tx.mux_mut().try_send_segment(stream, &seg(i)).unwrap();
                     }
-                    tx.finish_stream(stream).unwrap();
+                    tx.mux_mut().finish_stream(stream).unwrap();
                 }
-                (tx, link)
+                tx
             })
             .collect();
+        // Both dial before the collector's first round: ConnId follows
+        // dial order.
+        for tx in &mut senders {
+            tx.pump_at(t0);
+        }
         let mut stalled = 0;
-        while !senders.iter().all(|(tx, _)| tx.all_acked()) {
-            let mut moved = coll.pump().unwrap();
-            for (tx, link) in &mut senders {
-                moved += pump_sender(tx, link).unwrap();
+        while !senders.iter().all(|tx| tx.mux().all_acked()) {
+            let mut moved = coll.pump_at(t0).unwrap();
+            for tx in &mut senders {
+                moved += tx.pump_at(t0);
             }
             stalled = if moved == 0 { stalled + 1 } else { 0 };
             assert!(stalled < 10, "fan-in deadlocked");
@@ -1129,6 +1049,13 @@ mod tests {
         assert_eq!(stats.frames, 24);
         assert_eq!(stats.dup_drops, 0);
         assert!(coll.conn_complete(ConnId(1)) && coll.conn_complete(ConnId(2)));
+        // Every bound connection carries its own nonzero token — the one
+        // its sender was issued.
+        for (c, tx) in stats.conns.iter().zip(&senders) {
+            assert_ne!(c.token, 0, "{}: a bound connection always has a token", c.conn);
+            assert_eq!(c.token, tx.token());
+        }
+        assert_ne!(stats.conns[0].token, stats.conns[1].token);
         // Per-connection ack state is exposed.
         let c1 = coll.conn_stats(ConnId(1)).unwrap();
         assert_eq!(c1.ack_points, vec![(0, 4), (1, 4), (2, 4)]);
@@ -1137,90 +1064,53 @@ mod tests {
     #[test]
     fn protocol_violation_quarantines_only_its_own_connection() {
         let cfg = NetConfig::default();
-        let (mut coll, connector, store) = make(cfg);
-        // Conn 1 will turn hostile; conn 2 stays healthy.
+        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+        let t0 = Instant::now();
+        // Conn 1 will turn hostile after its handshake; conn 2 stays
+        // healthy.
         let mut bad_link = connector.connect(4096);
-        let good_link = connector.connect(4096);
-        let mut good_tx = MuxSender::new(FixedCodec, 1, cfg);
+        bad_link
+            .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 }))
+            .unwrap();
+        let mut good = sender(&connector, cfg, 4096, t0);
         for i in 0..4 {
-            good_tx.try_send_segment(7, &seg(i)).unwrap();
+            good.mux_mut().try_send_segment(7, &seg(i)).unwrap();
         }
-        good_tx.finish_stream(7).unwrap();
-        coll.poll_accept().unwrap();
+        good.mux_mut().finish_stream(7).unwrap();
+        good.pump_at(t0);
+        coll.pump_at(t0).unwrap();
+        assert_eq!(coll.stats().connections, 2, "both handshakes bound");
         // A frame with an unknown kind byte: framing-fatal for conn 1.
         bad_link.try_write(&[1u8, 0, 0, 0, 99]).unwrap();
-        let err = coll.pump().expect_err("the violation must surface once");
+        let err = coll.pump_at(t0).expect_err("the violation must surface once");
         assert_eq!(err.conn, ConnId(1));
-        // Conn 1 is quarantined: no reattach, no further pump errors,
-        // and the failure is visible in stats.
-        assert!(!coll.reattach(ConnId(1), MemoryLink::pair(8).0), "quarantine refuses reattach");
-        assert!(coll.detached().is_empty(), "quarantined conns are not 'awaiting reattach'");
+        // Conn 1 is quarantined: its token cannot resume, no further
+        // pump errors, and the failure is visible in stats.
+        let token = coll.conn_stats(ConnId(1)).unwrap().token;
+        let mut retry = connector.connect(4096);
+        retry
+            .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token }))
+            .unwrap();
+        coll.pump_at(t0).expect("no further errors after quarantine");
+        assert!(matches!(
+            coll.last_refusal(),
+            Some(NetError::Handshake(HandshakeError::Quarantined(t))) if *t == token
+        ));
+        assert!(coll.detached().is_empty(), "quarantined conns are not awaiting a resume");
         let stats = coll.stats();
         assert_eq!(stats.failed, 1);
+        assert_eq!(stats.connections, 2, "the refused resume minted no connection");
         assert!(coll.conn_stats(ConnId(1)).unwrap().failed.is_some());
         assert_eq!(coll.failure().unwrap().conn, ConnId(1));
         // Conn 2's session completes untouched.
-        let mut good = (good_tx, good_link);
         let mut stalled = 0;
-        while !(good.0.all_acked() && coll.conn_complete(ConnId(2))) {
-            let moved = coll.pump().expect("no further errors after quarantine")
-                + pump_sender(&mut good.0, &mut good.1).unwrap();
+        while !(good.mux().all_acked() && coll.conn_complete(ConnId(2))) {
+            let moved =
+                coll.pump_at(t0).expect("no further errors after quarantine") + good.pump_at(t0);
             stalled = if moved == 0 { stalled + 1 } else { 0 };
             assert!(stalled < 10, "healthy connection starved by the quarantined one");
         }
         assert_eq!(store.stream_segments(StreamId(7)).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn dead_link_detaches_and_reattach_resumes() {
-        let cfg = NetConfig::default();
-        let (mut coll, connector, store) = make(cfg);
-        let link = connector.connect(256);
-        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
-        let mut link = link;
-        for i in 0..6 {
-            tx.try_send_segment(9, &seg(i)).unwrap();
-        }
-        // First exchange: some frames land.
-        let _ = pump_sender(&mut tx, &mut link);
-        coll.pump().unwrap();
-        let before = store.total_segments();
-        assert!(before > 0);
-        // Kill the pipe mid-stream.
-        link.sever();
-        coll.pump().unwrap();
-        assert_eq!(coll.detached(), vec![ConnId(1)], "dead link detaches, state retained");
-        assert_eq!(coll.pump().unwrap(), 0, "detached connections pump nothing");
-        // Fresh pipe, same connection: replay finishes the job.
-        let (mut client, server) = MemoryLink::pair(256);
-        assert!(coll.reattach(ConnId(1), server));
-        tx.on_reconnect();
-        tx.finish_stream(9).unwrap();
-        let mut stalled = 0;
-        while !(tx.all_acked() && coll.conn_complete(ConnId(1))) {
-            let moved = coll.pump().unwrap() + pump_sender(&mut tx, &mut client).unwrap_or(0);
-            stalled = if moved == 0 { stalled + 1 } else { 0 };
-            assert!(stalled < 10, "reconnect transfer deadlocked");
-        }
-        let log = store.stream_segments(StreamId(9)).unwrap();
-        assert_eq!(log.len(), 6, "no loss, no duplication across the reconnect");
-        assert!(coll.stats().dup_drops > 0, "the replay was partially duplicate");
-        assert!(!coll.reattach(ConnId(99), MemoryLink::pair(8).0), "unknown conn refused");
-    }
-
-    fn make_sessions(
-        cfg: NetConfig,
-        sess: crate::session::SessionConfig,
-    ) -> (Collector<FixedCodec, MemoryAcceptor>, crate::listen::MemoryConnector, Arc<SegmentStore>)
-    {
-        let store = Arc::new(SegmentStore::new());
-        let acceptor = MemoryAcceptor::new();
-        let connector = acceptor.connector();
-        (
-            Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone()),
-            connector,
-            store,
-        )
     }
 
     fn frame_bytes(frame: &NetFrame) -> Vec<u8> {
@@ -1244,10 +1134,9 @@ mod tests {
 
     #[test]
     fn session_handshake_binds_with_a_token_and_applies_zero_rtt_data() {
-        use crate::frame::PROTOCOL_VERSION;
         let cfg = NetConfig::default();
-        let sess = crate::session::SessionConfig::default();
-        let (mut coll, connector, store) = make_sessions(cfg, sess);
+        let sess = SessionConfig::default();
+        let (mut coll, connector, store) = make(cfg, sess);
         let t0 = Instant::now();
         let mut client = connector.connect(4096);
         // Hello plus the whole session's data in one burst: the 0-RTT
@@ -1279,11 +1168,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_and_garbage_first_frames_are_typed_refusals() {
-        use crate::frame::PROTOCOL_VERSION;
-        use crate::session::HandshakeError;
         let cfg = NetConfig::default();
-        let sess = crate::session::SessionConfig::default();
-        let (mut coll, connector, _store) = make_sessions(cfg, sess);
+        let sess = SessionConfig::default();
+        let (mut coll, connector, _store) = make(cfg, sess);
         let t0 = Instant::now();
 
         // A peer speaking a future wire version.
@@ -1335,10 +1222,9 @@ mod tests {
 
     #[test]
     fn token_resume_rebinds_the_same_connection_without_reattach() {
-        use crate::frame::PROTOCOL_VERSION;
         let cfg = NetConfig::default();
-        let sess = crate::session::SessionConfig::default();
-        let (mut coll, connector, store) = make_sessions(cfg, sess);
+        let sess = SessionConfig::default();
+        let (mut coll, connector, store) = make(cfg, sess);
         let t0 = Instant::now();
 
         let mut client = connector.connect(4096);
@@ -1392,11 +1278,9 @@ mod tests {
 
     #[test]
     fn liveness_lapse_detaches_and_session_ttl_evicts() {
-        use crate::frame::PROTOCOL_VERSION;
-        use crate::session::HandshakeError;
         let cfg = NetConfig::default();
-        let sess = crate::session::SessionConfig::default();
-        let (mut coll, connector, _store) = make_sessions(cfg, sess);
+        let sess = SessionConfig::default();
+        let (mut coll, connector, _store) = make(cfg, sess);
         let t0 = Instant::now();
 
         let mut client = connector.connect(4096);
@@ -1433,10 +1317,9 @@ mod tests {
 
     #[test]
     fn session_sender_establishes_heartbeats_and_sees_echoes() {
-        use crate::session::{MemoryRedial, SessionConfig, SessionSender};
         let cfg = NetConfig::default();
         let sess = SessionConfig::default();
-        let (mut coll, connector, _store) = make_sessions(cfg, sess);
+        let (mut coll, connector, _store) = make(cfg, sess);
         let t0 = Instant::now();
         let mut client =
             SessionSender::new(FixedCodec, 1, cfg, sess, MemoryRedial::new(connector, 4096), t0);
@@ -1462,11 +1345,9 @@ mod tests {
 
     #[test]
     fn session_sender_gets_a_typed_version_mismatch_refusal() {
-        use crate::frame::PROTOCOL_VERSION;
-        use crate::session::{HandshakeError, MemoryRedial, SessionConfig, SessionSender};
         let cfg = NetConfig::default();
         let sess = SessionConfig::default();
-        let (mut coll, connector, _store) = make_sessions(cfg, sess);
+        let (mut coll, connector, _store) = make(cfg, sess);
         let t0 = Instant::now();
         let future = SessionConfig { version: PROTOCOL_VERSION + 1, ..sess };
         let mut client =
@@ -1485,10 +1366,9 @@ mod tests {
 
     #[test]
     fn silent_pending_sockets_are_dropped_at_the_handshake_deadline() {
-        use crate::session::HandshakeError;
         let cfg = NetConfig::default();
-        let sess = crate::session::SessionConfig::default();
-        let (mut coll, connector, _store) = make_sessions(cfg, sess);
+        let sess = SessionConfig::default();
+        let (mut coll, connector, _store) = make(cfg, sess);
         let t0 = Instant::now();
         let _mute = connector.connect(4096);
         coll.pump_at(t0).unwrap();
@@ -1513,7 +1393,7 @@ mod tests {
     fn async_driver_spawns_a_task_per_connection() {
         on_both_reactors(|kind| {
             let cfg = NetConfig::default();
-            let (coll, connector, store) = make(cfg);
+            let (coll, connector, store) = make(cfg, SessionConfig::default());
             let coll = Rc::new(RefCell::new(coll));
             const CONNS: u64 = 4;
             // Sender threads dial in and push concurrently — the memory
@@ -1523,22 +1403,23 @@ mod tests {
                 .map(|c| {
                     let connector = connector.clone();
                     std::thread::spawn(move || {
-                        let mut link = connector.connect(512);
-                        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+                        let mut tx = sender(&connector, cfg, 512, Instant::now());
                         for i in 0..5 {
-                            tx.try_send_segment(c, &seg(i)).unwrap();
+                            tx.mux_mut().try_send_segment(c, &seg(i)).unwrap();
                         }
-                        tx.finish_stream(c).unwrap();
+                        tx.mux_mut().finish_stream(c).unwrap();
                         let mut stalled = 0;
-                        while !tx.all_acked() {
-                            match pump_sender(&mut tx, &mut link) {
-                                Ok(0) => {
-                                    stalled += 1;
-                                    assert!(stalled < 4000, "sender starved");
-                                    std::thread::sleep(std::time::Duration::from_micros(200));
-                                }
-                                Ok(_) => stalled = 0,
-                                Err(e) => panic!("sender link failed: {e}"),
+                        while !tx.mux().all_acked() {
+                            let moved = tx.pump();
+                            if let Some(e) = tx.failure() {
+                                panic!("session failed: {e}");
+                            }
+                            if moved == 0 {
+                                stalled += 1;
+                                assert!(stalled < 4000, "sender starved");
+                                std::thread::sleep(std::time::Duration::from_micros(200));
+                            } else {
+                                stalled = 0;
                             }
                         }
                     })
@@ -1546,7 +1427,12 @@ mod tests {
                 .collect();
             runtime::block_on_with(
                 kind,
-                drive_collector(coll.clone(), |c| c.stats().segments == CONNS * 5),
+                // Segments land before the acks that release the sender
+                // threads are written, so wait for both.
+                drive_collector(coll.clone(), |c| {
+                    c.stats().segments == CONNS * 5
+                        && (1..=CONNS).all(|id| c.conn_complete(ConnId(id)))
+                }),
             )
             .expect("collector");
             for s in senders {
@@ -1559,23 +1445,23 @@ mod tests {
         });
     }
 
-    /// The session-mode async driver under both reactors: handshakes
-    /// arrive through the accept task, the wedge-proof `Timer` waits
-    /// keep liveness ticking, and a mid-run redial rebinds by token.
+    /// The async driver under both reactors: handshakes arrive through
+    /// the accept task, the wedge-proof timer parks keep liveness
+    /// ticking, and a mid-run redial rebinds by token.
     #[test]
     fn async_session_driver_handshakes_and_resumes_on_both_reactors() {
         on_both_reactors(|kind| {
             let cfg = NetConfig::default();
-            let sess = crate::session::SessionConfig::default();
-            let (coll, connector, store) = make_sessions(cfg, sess);
+            let sess = SessionConfig::default();
+            let (coll, connector, store) = make(cfg, sess);
             let coll = Rc::new(RefCell::new(coll));
             let sender = std::thread::spawn(move || {
-                let mut tx = crate::session::SessionSender::new(
+                let mut tx = SessionSender::new(
                     FixedCodec,
                     1,
                     cfg,
                     sess,
-                    crate::session::MemoryRedial::new(connector, 512),
+                    MemoryRedial::new(connector, 512),
                     Instant::now(),
                 );
                 for i in 0..4 {

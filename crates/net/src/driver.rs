@@ -130,7 +130,7 @@ pub fn pump_receiver<C: Codec, L: Link>(
 }
 
 /// [`pump_receiver`] with the read/written counts kept separate — the
-/// session-mode collector refreshes a connection's liveness deadline
+/// collector refreshes a connection's liveness deadline
 /// only when bytes actually *arrived*, not when this side merely wrote.
 pub(crate) fn pump_receiver_split<C: Codec, L: Link>(
     rx: &mut NetReceiver<C>,

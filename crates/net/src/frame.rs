@@ -10,7 +10,7 @@
 //! | [`NetFrame::Ack`] | receiver → sender | cumulative highest applied sequence number per stream |
 //! | [`NetFrame::Credit`] | receiver → sender | cumulative payload-byte grant per stream (flow control) |
 //! | [`NetFrame::Fin`] | sender → receiver | end of one stream, with its final sequence number |
-//! | [`NetFrame::Hello`] | sender → receiver | protocol version + session token (0 = new session); **must** be the first frame of a session-mode connection |
+//! | [`NetFrame::Hello`] | sender → receiver | protocol version + session token (0 = new session); **must** be the first frame of a collector or query-server connection |
 //! | [`NetFrame::HelloAck`] | receiver → sender | protocol version + issued/confirmed token (0 = refused) + one [`ResumeCursor`] per known stream |
 //! | [`NetFrame::Heartbeat`] | either | liveness probe with a sequence number; the receiver echoes it back |
 //! | [`NetFrame::QueryReq`] | reader → query server | one query, opaque `pla-query` wire bytes, tagged with a client-chosen `req_id` |
@@ -94,7 +94,7 @@ pub enum NetFrame {
         final_seq: u64,
     },
     /// Session open/resume request. Must be the first frame a
-    /// session-mode connection carries; anything else is a handshake
+    /// collector connection carries; anything else is a handshake
     /// violation that quarantines only that connection.
     Hello {
         /// The sender's wire-protocol version ([`PROTOCOL_VERSION`]).

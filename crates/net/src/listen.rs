@@ -18,7 +18,6 @@ use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
 use crate::link::{Link, MemoryLink, TcpLink};
-use crate::runtime::EventSource;
 
 /// A source of inbound connections.
 pub trait Acceptor {
@@ -31,13 +30,6 @@ pub trait Acceptor {
     /// is the common case, not an error). A real error means the
     /// listening endpoint itself failed.
     fn try_accept(&mut self) -> io::Result<Option<Self::Link>>;
-
-    /// The OS readiness source of the *listening* endpoint, if any —
-    /// lets an accept loop park on the epoll reactor until a connection
-    /// actually arrives.
-    fn event_source(&self) -> Option<EventSource> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -138,12 +130,6 @@ impl Acceptor for TcpAcceptor {
             Err(e) => Err(e),
         }
     }
-
-    #[cfg(unix)]
-    fn event_source(&self) -> Option<EventSource> {
-        use std::os::unix::io::AsRawFd;
-        Some(self.listener.as_raw_fd())
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +192,6 @@ mod tests {
         };
         #[cfg(unix)]
         assert!(link.event_source().is_some(), "accepted TCP links carry their fd");
-        #[cfg(unix)]
-        assert!(acceptor.event_source().is_some());
         drop(client);
         let _ = link;
     }

@@ -248,16 +248,24 @@ impl<C: Codec> MuxSender<C> {
     /// reconnect would do, but delivered atomically with the handshake.
     /// Cursors naming unknown streams are dropped (no phantom streams).
     pub fn apply_resume(&mut self, cursors: &[ResumeCursor]) {
+        let mut trimmed = false;
         for c in cursors {
             if let Some(entry) = self.streams.get_mut(&c.stream) {
                 entry.acked = entry.acked.max(c.through_seq);
                 while entry.unacked.front().is_some_and(|(seq, _)| *seq <= c.through_seq) {
                     entry.unacked.pop_front();
+                    trimmed = true;
                 }
                 entry.credit.grant_to(c.granted_total);
             }
         }
-        // The replay staged by `on_reconnect` may now contain frames the
+        // Nothing trimmed (always so for a fresh session): the staged
+        // replay is already exact, and restaging would resend every
+        // frame written behind the `Hello` before this ack arrived.
+        if !trimmed {
+            return;
+        }
+        // The replay staged by `on_reconnect` now contains frames the
         // cursors just acknowledged; restage from the trimmed buffers so
         // the wire never carries a *whole* frame the receiver already
         // holds. But this runs on a live link: if the link accepted a
@@ -524,6 +532,18 @@ mod tests {
         assert!(matches!(replay[0], NetFrame::Data { stream: 5, seq: 3, .. }));
         assert!(matches!(replay[1], NetFrame::Data { stream: 5, seq: 4, .. }));
         assert_eq!(replay[2], NetFrame::Fin { stream: 5, final_seq: 4 });
+    }
+
+    /// A fresh session's `HelloAck` carries no cursors: the 0-RTT data
+    /// already written behind the `Hello` must not be staged again.
+    #[test]
+    fn apply_resume_without_cursors_resends_nothing() {
+        let mut tx = sender();
+        tx.try_send_segment(5, &seg(0.0, 0.0, 5.0, 1.0)).unwrap();
+        tx.on_reconnect(); // dial: the replay is staged behind the Hello
+        assert!(!tx.take_staged().is_empty(), "written behind the Hello");
+        tx.apply_resume(&[]);
+        assert_eq!(tx.staged_bytes(), 0, "nothing trimmed, nothing to resend");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Self-healing sessions: handshake, heartbeats, automatic redial.
 //!
-//! PR 5's collector survives a dead link only because an *operator*
-//! calls [`Collector::reattach`](crate::Collector::reattach) with the
-//! right `ConnId` — the wire has no session identity. This module gives
-//! it one, following the shape of the rt-protocol forwarder handshake
-//! (`ForwarderHello` / resume cursors / heartbeats):
+//! A connection outlives its link only if the collector can tell which
+//! connection a fresh link belongs to. This module gives the wire that
+//! session identity, following the shape of the rt-protocol forwarder
+//! handshake (`ForwarderHello` / resume cursors / heartbeats), and it
+//! is the only way a [`Collector`](crate::Collector) connection comes
+//! back after its link dies:
 //!
-//! 1. The first frame of every session-mode connection is a
+//! 1. The first frame of every collector connection is a
 //!    [`Hello`](crate::frame::NetFrame::Hello) carrying the sender's
 //!    wire version and either token 0 (new session) or a previously
 //!    issued session token (resume).
@@ -111,7 +112,7 @@ impl std::fmt::Display for HandshakeError {
 impl std::error::Error for HandshakeError {}
 
 /// Session-layer timing and identity knobs, shared by the sender and
-/// the session-mode collector. Deliberately separate from
+/// the collector. Deliberately separate from
 /// [`NetConfig`]: the byte protocol does not change shape when the
 /// session layer sits on top of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,8 +16,8 @@
 //! each dial attempt draws the next [`FaultPlan`] from a queue (fault-
 //! free once the queue runs dry, so every schedule converges), which
 //! is how the chaos suites script an entire connection lifetime of
-//! failures against a [`SessionSender`](crate::SessionSender) without
-//! a single explicit `reattach`.
+//! failures against a [`SessionSender`](crate::SessionSender): every
+//! recovery is the sender's own redial and token resume.
 
 use std::collections::VecDeque;
 use std::io;

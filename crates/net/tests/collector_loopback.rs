@@ -1,24 +1,27 @@
 //! The collector acceptance test: 8 connections × 16 streams each — a
 //! fleet of edge senders multiplexing into one shared `SegmentStore` —
-//! with every link severed and reconnected mid-transfer, must leave the
-//! store *byte-identical* to 128 dedicated point-to-point
-//! transmitter/receiver links.
+//! with every link severed mid-transfer and recovered by session token
+//! resume, must leave the store *byte-identical* to 128 dedicated
+//! point-to-point transmitter/receiver links.
 //!
 //! Each sending side is the full production path: an `IngestEngine`
 //! (the edge node's shard-per-core filtering) whose live segment tap
-//! feeds an `EngineUplink` into a `MuxSender` over a deliberately tiny
-//! `MemoryLink`, so partial writes and credit stalls are routine.
+//! feeds an `EngineUplink` into a `SessionSender` over deliberately
+//! tiny `MemoryLink`s, so partial writes and credit stalls are routine.
+//! The run is on a frozen synthetic clock with zero redial backoff: no
+//! deadline can fire, so the only recovery path exercised is the
+//! sever → redial → token resume one.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pla_core::filters::{FilterKind, FilterSpec};
 use pla_core::{Segment, Signal};
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
-use pla_net::driver::{pump_sender, DriveError};
-use pla_net::listen::MemoryAcceptor;
+use pla_net::listen::{MemoryAcceptor, MemoryConnector};
 use pla_net::uplink::{EngineUplink, UplinkStatus};
-use pla_net::{Collector, ConnId, MemoryLink, MuxSender, NetConfig};
+use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_signal::{random_walk, WalkParams};
 use pla_transport::wire::FixedCodec;
 use pla_transport::{Receiver, Transmitter};
@@ -65,11 +68,17 @@ fn direct_reference() -> BTreeMap<u64, Vec<Segment>> {
     out
 }
 
+/// Session timing for the frozen clock: redials fire on the next pump,
+/// and no handshake, liveness, or TTL deadline ever lapses.
+fn session_config() -> SessionConfig {
+    SessionConfig { redial_initial: Duration::ZERO, ..SessionConfig::default() }
+}
+
 /// One edge node: engine-filtered segments multiplexed up a flaky link.
 struct EdgeSender {
-    tx: MuxSender<FixedCodec>,
+    tx: SessionSender<FixedCodec, MemoryRedial>,
     uplink: EngineUplink,
-    link: MemoryLink,
+    now: Instant,
     finned: bool,
     severed_once: bool,
     expected_segments: u64,
@@ -79,7 +88,7 @@ impl EdgeSender {
     /// Builds the node for connection `conn`, running its engine to
     /// completion up front (the tap buffers; the uplink then drains it
     /// under credit control).
-    fn new(conn: u64, cfg: NetConfig, link: MemoryLink) -> Self {
+    fn new(conn: u64, cfg: NetConfig, connector: &MemoryConnector, now: Instant) -> Self {
         let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
             shards: 2,
             queue_depth: 128,
@@ -96,10 +105,11 @@ impl EdgeSender {
         }
         let report = engine.finish();
         assert_eq!(report.quarantined(), 0);
+        let redial = MemoryRedial::new(connector.clone(), LINK_CAPACITY);
         Self {
-            tx: MuxSender::new(FixedCodec, 1, cfg),
+            tx: SessionSender::new(FixedCodec, 1, cfg, session_config(), redial, now),
             uplink: EngineUplink::new(tap),
-            link,
+            now,
             finned: false,
             severed_once: false,
             expected_segments: report.total_segments() as u64,
@@ -107,23 +117,23 @@ impl EdgeSender {
     }
 
     /// One sender round: drain the tap as credit allows, fin when
-    /// drained, pump the link. Dead links report no progress (the test
-    /// harness reconnects).
+    /// drained, pump the session. A dead link reports no progress and
+    /// is redialed on the next round.
     fn round(&mut self) -> usize {
-        let status = self.uplink.pump(&mut self.tx).expect("uplink");
+        let status = self.uplink.pump(self.tx.mux_mut()).expect("uplink");
         if status == UplinkStatus::Drained && !self.finned {
-            self.tx.finish_all();
+            self.tx.mux_mut().finish_all();
             self.finned = true;
         }
-        match pump_sender(&mut self.tx, &mut self.link) {
-            Ok(n) => n,
-            Err(DriveError::Io(_)) => 0,
-            Err(DriveError::Net(e)) => panic!("sender protocol error: {e}"),
+        let moved = self.tx.pump_at(self.now);
+        if let Some(e) = self.tx.failure() {
+            panic!("sender protocol error: {e}");
         }
+        moved
     }
 
     fn done(&self) -> bool {
-        self.finned && self.tx.is_idle()
+        self.finned && self.tx.mux().is_idle()
     }
 }
 
@@ -133,15 +143,22 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
-    let mut collector = Collector::new(FixedCodec, 1, cfg, acceptor, store.clone());
+    let mut collector =
+        Collector::with_sessions(FixedCodec, 1, cfg, session_config(), acceptor, store.clone());
 
+    let now = Instant::now();
     let mut edges: Vec<EdgeSender> =
-        (0..CONNS).map(|c| EdgeSender::new(c, cfg, connector.connect(LINK_CAPACITY))).collect();
+        (0..CONNS).map(|c| EdgeSender::new(c, cfg, &connector, now)).collect();
     let expected_total: u64 = edges.iter().map(|e| e.expected_segments).sum();
+    // Every edge dials before the collector's first round, so ConnId
+    // follows edge order.
+    for edge in &mut edges {
+        edge.round();
+    }
 
     let mut stalled = 0;
     loop {
-        let mut moved = collector.pump().expect("collector");
+        let mut moved = collector.pump_at(now).expect("collector");
 
         // Sever every connection once, staggered: connection c dies
         // when the store holds c+1 ninths of its expected traffic —
@@ -154,22 +171,19 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
             let threshold = edge.expected_segments * (c as u64 + 1) / (CONNS + 1);
             let conn = ConnId(c as u64 + 1); // accept order follows dial order
             let published = store.watermark(conn.0).map_or(0, |w| w.segments);
-            if !edge.severed_once && published >= threshold.max(1) {
-                edge.link.sever();
-                // Both sides observe the dead pipe...
-                assert_eq!(edge.round(), 0);
-                collector.pump().expect("collector survives dead links");
+            // Only an established session holds a token to resume with.
+            if !edge.severed_once && published >= threshold.max(1) && edge.tx.is_established() {
+                edge.tx.redial().last_link().expect("dialed").sever();
+                // The collector observes the dead pipe and detaches...
+                collector.pump_at(now).expect("collector survives dead links");
                 assert!(
                     collector.detached().contains(&conn),
                     "{conn} must be detached after its link died"
                 );
-                // ...then a fresh pipe re-attaches the same session.
-                let (client, server) = MemoryLink::pair(LINK_CAPACITY);
-                assert!(collector.reattach(conn, server));
-                edge.link = client;
-                edge.tx.on_reconnect();
+                // ...then the sender redials on its own, presents its
+                // token, and the same ConnId rebinds.
                 edge.severed_once = true;
-                moved += 1; // a reconnect is progress
+                moved += 1; // a sever is progress
             }
         }
 
@@ -205,6 +219,8 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
     assert_eq!(stats.connections, CONNS as usize);
     assert_eq!(stats.segments, expected_total);
     assert!(stats.dup_drops > 0, "staggered severs must have forced duplicate replays");
+    assert_eq!(stats.resumes, CONNS, "every severed connection came back by token resume");
+    assert_eq!(stats.refused, 0);
     for conn in &stats.conns {
         assert_eq!(conn.ack_points.len(), STREAMS_PER_CONN as usize);
         assert!(

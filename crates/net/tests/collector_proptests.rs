@@ -4,16 +4,23 @@
 //! `SegmentStore` must end up with *identical* per-stream logs and
 //! watermarks. Arrival order across connections is scheduling noise;
 //! the reconstruction is not allowed to depend on it.
+//!
+//! Unlike `session_proptests`, which compares sources up to relabeling,
+//! these properties pin the snapshot *exactly*, `ConnId`s included:
+//! every edge dials before the collector's first round, and the clock
+//! is frozen (with zero redial backoff) so a starved connection can
+//! never miss a handshake or liveness deadline and come back as a
+//! stranger.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use pla_core::Segment;
 use pla_ingest::{SegmentStore, StoreSnapshot};
-use pla_net::driver::pump_sender;
 use pla_net::listen::MemoryAcceptor;
-use pla_net::{Collector, ConnId, MemoryLink, MuxSender, NetConfig};
+use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
 
 const CONNS: usize = 3;
@@ -60,33 +67,38 @@ fn run_schedule(
     sever_at: &[Option<usize>],
 ) -> StoreSnapshot {
     let cfg = NetConfig { window: 4096, max_frame: 1 << 20 };
+    let sess = SessionConfig { redial_initial: Duration::ZERO, ..SessionConfig::default() };
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
-    let mut collector = Collector::new(FixedCodec, 1, cfg, acceptor, store.clone());
+    let mut collector = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
 
-    let mut senders: Vec<(MuxSender<FixedCodec>, MemoryLink, bool)> = (0..CONNS)
+    let now = Instant::now();
+    let mut senders: Vec<(SessionSender<FixedCodec, MemoryRedial>, bool)> = (0..CONNS)
         .map(|c| {
-            let link = connector.connect(LINK_CAPACITY);
-            let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+            let redial = MemoryRedial::new(connector.clone(), LINK_CAPACITY);
+            let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, now);
             for s in 0..STREAMS_PER_CONN {
                 let stream = c as u64 * STREAMS_PER_CONN + s;
                 for seg in &logs[stream as usize] {
-                    tx.try_send_segment(stream, seg).expect("roomy window");
+                    tx.mux_mut().try_send_segment(stream, seg).expect("roomy window");
                 }
-                tx.finish_stream(stream).expect("fin");
+                tx.mux_mut().finish_stream(stream).expect("fin");
             }
-            (tx, link, false)
+            (tx, false)
         })
         .collect();
-    // Adopt the connections up front so ConnId follows dial order.
-    collector.poll_accept().expect("accept");
+    // Every edge dials before the collector's first round, so ConnId
+    // follows dial order.
+    for (tx, _) in &mut senders {
+        tx.pump_at(now);
+    }
 
     let mut turn = 0usize;
     let mut schedule = schedule.iter().cycle();
     let mut stalled = 0;
     while !(0..CONNS)
-        .all(|c| senders[c].0.all_acked() && collector.conn_complete(ConnId(c as u64 + 1)))
+        .all(|c| senders[c].0.mux().all_acked() && collector.conn_complete(ConnId(c as u64 + 1)))
     {
         // A degenerate schedule (say, all zeros) would starve the other
         // connections forever; once the scheduled picks stop moving
@@ -97,19 +109,19 @@ fn run_schedule(
             if stalled < CONNS { *schedule.next().expect("cycled") % CONNS } else { turn % CONNS };
         let conn = ConnId(c as u64 + 1);
         // Scheduled mid-transfer death: lose the pipe (and whatever it
-        // carried), then immediately re-attach and replay.
-        if sever_at[c] == Some(turn / CONNS) && !senders[c].2 {
-            senders[c].1.sever();
-            let _ = collector.pump_conn(conn);
-            let (client, server) = MemoryLink::pair(LINK_CAPACITY);
-            assert!(collector.reattach(conn, server));
-            senders[c].1 = client;
-            senders[c].0.on_reconnect();
-            senders[c].2 = true;
+        // carried); the sender redials and resumes by token. A session
+        // that has not yet seen its `HelloAck` has no token to resume
+        // with, so its death waits until it is established.
+        let (tx, severed) = &mut senders[c];
+        if sever_at[c].is_some_and(|at| at <= turn / CONNS) && !*severed && tx.is_established() {
+            tx.redial().last_link().expect("dialed").sever();
+            let _ = collector.pump_conn_at(conn, now);
+            *severed = true;
         }
-        let (tx, link, _) = &mut senders[c];
-        let moved_tx = pump_sender(tx, link).unwrap_or(0);
-        let moved_rx = collector.pump_conn(conn).expect("protocol holds");
+        let moved_tx = tx.pump_at(now);
+        assert!(tx.failure().is_none(), "session failed: {:?}", tx.failure());
+        let _ = collector.pump_sessions(now);
+        let moved_rx = collector.pump_conn_at(conn, now).expect("protocol holds");
         turn += 1;
         stalled = if moved_tx + moved_rx == 0 { stalled + 1 } else { 0 };
         assert!(stalled < 10 * CONNS, "transfer deadlocked");

@@ -103,7 +103,7 @@ pub fn collector_families(stats: &CollectorStats, out: &mut Vec<MetricFamily>) {
     ));
     out.push(counter(
         "pla_session_resumes_total",
-        "Link resumes (token resumes plus explicit reattaches).",
+        "Session-token resumes: a redialed link rebound to its existing connection.",
         stats.resumes,
     ));
     if let Some(reason) = &stats.last_refusal {
@@ -138,7 +138,7 @@ pub fn collector_families(stats: &CollectorStats, out: &mut Vec<MetricFamily>) {
     ));
     out.push(family(
         "pla_conn_resumes_total",
-        "Link resumes, per connection.",
+        "Session-token resumes, per connection.",
         MetricKind::Counter,
         conn_series(|c| SampleValue::Counter(c.resumes)),
     ));

@@ -45,8 +45,6 @@ pub struct CollectorConfig {
     pub window: u64,
     /// Maximum accepted frame size in bytes.
     pub max_frame: u32,
-    /// Whether to run in session mode (hello/resume/heartbeats).
-    pub sessions: bool,
     /// Heartbeat probe interval, ms.
     pub heartbeat_ms: u64,
     /// Liveness timeout before a silent link is detached, ms.
@@ -71,7 +69,6 @@ impl Default for CollectorConfig {
             dims: 1,
             window: net.window,
             max_frame: net.max_frame,
-            sessions: true,
             heartbeat_ms: sess.heartbeat_interval.as_millis() as u64,
             liveness_ms: sess.liveness_timeout.as_millis() as u64,
             handshake_ms: sess.handshake_timeout.as_millis() as u64,
@@ -268,7 +265,6 @@ impl AppConfig {
             ("collector", "max_frame") => {
                 self.collector.max_frame = parse_num!(self, "collector", "max_frame", raw, u32, 1)
             }
-            ("collector", "sessions") => self.collector.sessions = parse_bool(section, key, raw)?,
             ("collector", "heartbeat_ms") => {
                 self.collector.heartbeat_ms =
                     parse_num!(self, "collector", "heartbeat_ms", raw, u64, 1)
@@ -413,7 +409,7 @@ impl AppConfig {
         };
         format!(
             "[ops]\nenabled = {}\nlisten = {}\nmax_request = {}\n\n\
-             [collector]\ndims = {}\nwindow = {}\nmax_frame = {}\nsessions = {}\n\
+             [collector]\ndims = {}\nwindow = {}\nmax_frame = {}\n\
              heartbeat_ms = {}\nliveness_ms = {}\nhandshake_ms = {}\nsession_ttl_ms = {}\n\
              redial_initial_ms = {}\nredial_cap_ms = {}\ntoken_seed = {}\n\n\
              [store]\nshards = {}\nseal_threshold = {}\n\n\
@@ -424,7 +420,6 @@ impl AppConfig {
             self.collector.dims,
             self.collector.window,
             self.collector.max_frame,
-            self.collector.sessions,
             self.collector.heartbeat_ms,
             self.collector.liveness_ms,
             self.collector.handshake_ms,

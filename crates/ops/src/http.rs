@@ -304,9 +304,9 @@ fn take_request(buf: &mut Vec<u8>, max_request: usize) -> Result<Option<Request>
 
 /// Drives an [`OpsServer`] forever on the shared single-thread runtime:
 /// pump, then yield (after progress) or sleep ~1 ms (when idle) — the
-/// same cadence [`drive_collector`](pla_net::drive_collector) uses in
-/// session mode. Spawn it next to the collector tasks; it completes only
-/// when the surrounding root future is dropped.
+/// same cadence [`drive_collector`](pla_net::drive_collector) uses.
+/// Spawn it next to the collector tasks; it completes only when the
+/// surrounding root future is dropped.
 pub async fn drive_ops<A: Acceptor, H: Handler>(server: Rc<RefCell<OpsServer<A, H>>>) {
     loop {
         let moved = server.borrow_mut().pump();

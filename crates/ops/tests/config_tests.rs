@@ -24,7 +24,6 @@ fn file_values_override_defaults() {
          [collector]\n\
          dims = 3\n\
          window = 2048\n\
-         sessions = false\n\
          token_seed = 12345\n\
          \n\
          [store]\n\
@@ -40,7 +39,6 @@ fn file_values_override_defaults() {
     assert_eq!(cfg.ops.max_request, 4096);
     assert_eq!(cfg.collector.dims, 3);
     assert_eq!(cfg.collector.window, 2048);
-    assert!(!cfg.collector.sessions);
     assert_eq!(cfg.collector.token_seed, 12345);
     assert_eq!(cfg.store.shards, 4);
     assert_eq!(cfg.ingest.queue_depth, 64);
@@ -110,6 +108,21 @@ fn unknown_keys_sections_and_bad_values_fail_loudly() {
 }
 
 #[test]
+fn the_retired_sessions_knob_fails_loudly() {
+    // The collector has one mode, so `sessions` is no longer a key: a
+    // config that still sets it must fail at boot rather than be
+    // silently ignored, whichever value it asks for and wherever it
+    // comes from.
+    let unknown = Err(ConfigError::UnknownKey {
+        section: "collector".to_string(),
+        key: "sessions".to_string(),
+    });
+    assert_eq!(AppConfig::parse_str("[collector]\nsessions = true\n"), unknown);
+    let env = vec![("PLA_COLLECTOR_SESSIONS".to_string(), "false".to_string())];
+    assert_eq!(AppConfig::load_str("", env), unknown);
+}
+
+#[test]
 fn every_field_round_trips_through_the_file_grammar() {
     // Give every field a non-default value so a dropped or misspelled
     // key in either direction breaks the equality.
@@ -120,7 +133,6 @@ fn every_field_round_trips_through_the_file_grammar() {
     cfg.collector.dims = 5;
     cfg.collector.window = 9999;
     cfg.collector.max_frame = 123_456;
-    cfg.collector.sessions = false;
     cfg.collector.heartbeat_ms = 11;
     cfg.collector.liveness_ms = 22;
     cfg.collector.handshake_ms = 33;

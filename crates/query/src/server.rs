@@ -359,7 +359,7 @@ impl<A: Acceptor> QueryServer<A> {
 
 /// Drives a [`QueryServer`] forever on the shared single-thread
 /// runtime: pump, then yield (after progress) or sleep ~1 ms (idle) —
-/// the same cadence as `drive_ops` and session-mode `drive_collector`.
+/// the same cadence as `drive_ops` and `drive_collector`.
 /// Spawn it next to the collector tasks; it completes only when the
 /// surrounding root future is dropped.
 pub async fn drive_query_server<A: Acceptor>(server: Rc<RefCell<QueryServer<A>>>) {

@@ -10,9 +10,12 @@
 //! stream), multiplexes its streams' segments over one socket, and the
 //! base station's `Collector` reconstructs all of them — one
 //! `NetReceiver` per accepted connection, every segment published as
-//! `(ConnId, StreamId, Segment)` into one queryable store. On Linux the
-//! runtime's epoll reactor parks each connection task on its socket, so
-//! idle connections cost nothing.
+//! `(ConnId, StreamId, Segment)` into one queryable store. Each sensor
+//! is a `SessionSender`: it opens with a `Hello`, is issued a session
+//! token, and would redial and resume by that token on its own if its
+//! socket died. The collector's per-connection tasks re-pump on a 1 ms
+//! timer when idle, so a liveness deadline fires even on a socket that
+//! wedges silently.
 //!
 //! (For the reconnect/replay choreography on a single connection, see
 //! `examples/net_pipeline.rs`.)
@@ -20,12 +23,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 use pla::core::filters::{run_filter, FilterKind};
 use pla::ingest::SegmentStore;
-use pla::net::driver::pump_sender;
 use pla::net::listen::TcpAcceptor;
-use pla::net::{collector, runtime, Collector, MuxSender, NetConfig, TcpLink};
+use pla::net::{collector, runtime, Collector, NetConfig, SessionConfig, SessionSender, TcpRedial};
 use pla::signal::{random_walk, WalkParams};
 use pla::transport::wire::FixedCodec;
 
@@ -36,6 +39,7 @@ const EPSILON: f64 = 0.4;
 
 fn main() {
     let cfg = NetConfig::default();
+    let sess = SessionConfig::default();
     let acceptor = match TcpAcceptor::bind("127.0.0.1:0") {
         Ok(a) => a,
         Err(e) => {
@@ -45,8 +49,14 @@ fn main() {
     };
     let addr = acceptor.local_addr().expect("bound address");
     let store = Arc::new(SegmentStore::new());
-    let collector =
-        Rc::new(RefCell::new(Collector::new(FixedCodec, 1, cfg, acceptor, store.clone())));
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec,
+        1,
+        cfg,
+        sess,
+        acceptor,
+        store.clone(),
+    )));
 
     // --- edge fleet: one thread per sensor node ------------------------
     let mut expected = 0u64;
@@ -69,14 +79,14 @@ fn main() {
             logs.push((id, segments));
         }
         workers.push(std::thread::spawn(move || {
-            let mut link = TcpLink::connect(addr).expect("dial collector");
-            let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+            let redial = TcpRedial::new(addr);
+            let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, Instant::now());
             let mut cursors = vec![0usize; logs.len()];
             loop {
                 let mut done = true;
                 for (i, (id, segments)) in logs.iter().enumerate() {
                     while cursors[i] < segments.len() {
-                        match tx.try_send_segment(*id, &segments[cursors[i]]) {
+                        match tx.mux_mut().try_send_segment(*id, &segments[cursors[i]]) {
                             Ok(()) => cursors[i] += 1,
                             Err(pla::net::NetError::Backpressure) => break,
                             Err(e) => panic!("send failed: {e}"),
@@ -87,10 +97,13 @@ fn main() {
                     }
                 }
                 if done {
-                    tx.finish_all();
+                    tx.mux_mut().finish_all();
                 }
-                pump_sender(&mut tx, &mut link).expect("uplink");
-                if done && tx.is_idle() {
+                tx.pump();
+                if let Some(e) = tx.failure() {
+                    panic!("uplink session failed: {e}");
+                }
+                if done && tx.mux().is_idle() {
                     return;
                 }
                 std::thread::yield_now();
@@ -104,9 +117,14 @@ fn main() {
         let collector = collector.clone();
         async move {
             let kind = runtime::active_reactor();
-            collector::drive_collector(collector, |c| c.stats().segments >= expected)
-                .await
-                .expect("collector");
+            // Done once every segment landed *and* every connection's
+            // acks went out: a sender's 0-RTT data is published while
+            // its handshake completes, before its `HelloAck` is written.
+            let done = |c: &Collector<_, _>| {
+                let stats = c.stats();
+                stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
+            };
+            collector::drive_collector(collector, done).await.expect("collector");
             kind
         }
     });

@@ -48,7 +48,6 @@ max_request = 16384
 [collector]
 dims = 1
 window = 512
-sessions = true
 heartbeat_ms = 50
 liveness_ms = 2000
 handshake_ms = 500

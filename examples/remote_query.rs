@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Two listening sockets, both on ephemeral loopback ports: the
-//! collector's (segment ingest, `Data`/`Ack`/`Credit` frames) and the
+//! collector's (a session `Hello` handshake, then segment ingest,
+//! `Data`/`Ack`/`Credit` frames) and the
 //! query server's (version-2 `Hello` handshake, then pipelined
 //! `QueryReq`/`QueryResp` + `EpochsReq`/`EpochsResp`). The reader also
 //! demonstrates the epoch-validated `SnapshotCache`: after one epochs
@@ -29,7 +30,7 @@ use pla::core::filters::{run_filter, FilterKind};
 use pla::ingest::SegmentStore;
 use pla::net::listen::TcpAcceptor;
 use pla::net::session::TcpRedial;
-use pla::net::{collector, runtime, Collector, MuxSender, NetConfig, TcpLink};
+use pla::net::{collector, runtime, Collector, NetConfig, SessionConfig, SessionSender};
 use pla::query::{
     Cached, Query, QueryClient, QueryClientConfig, QueryServer, Response, StoreQueryEngine,
 };
@@ -56,6 +57,7 @@ fn await_all(client: &mut QueryClient<TcpRedial>, ids: &[u64]) -> BTreeMap<u64, 
 
 fn main() {
     let cfg = NetConfig::default();
+    let sess = SessionConfig::default();
     let (ingest_acceptor, query_acceptor) =
         match (TcpAcceptor::bind("127.0.0.1:0"), TcpAcceptor::bind("127.0.0.1:0")) {
             (Ok(a), Ok(b)) => (a, b),
@@ -87,14 +89,14 @@ fn main() {
             logs.push((id, segments));
         }
         workers.push(std::thread::spawn(move || {
-            let mut link = TcpLink::connect(ingest_addr).expect("dial collector");
-            let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+            let redial = TcpRedial::new(ingest_addr);
+            let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, Instant::now());
             let mut cursors = vec![0usize; logs.len()];
             loop {
                 let mut done = true;
                 for (i, (id, segments)) in logs.iter().enumerate() {
                     while cursors[i] < segments.len() {
-                        match tx.try_send_segment(*id, &segments[cursors[i]]) {
+                        match tx.mux_mut().try_send_segment(*id, &segments[cursors[i]]) {
                             Ok(()) => cursors[i] += 1,
                             Err(pla::net::NetError::Backpressure) => break,
                             Err(e) => panic!("send failed: {e}"),
@@ -105,10 +107,13 @@ fn main() {
                     }
                 }
                 if done {
-                    tx.finish_all();
+                    tx.mux_mut().finish_all();
                 }
-                pla::net::driver::pump_sender(&mut tx, &mut link).expect("uplink");
-                if done && tx.is_idle() {
+                tx.pump();
+                if let Some(e) = tx.failure() {
+                    panic!("uplink session failed: {e}");
+                }
+                if done && tx.mux().is_idle() {
                     return;
                 }
                 std::thread::yield_now();
@@ -117,14 +122,24 @@ fn main() {
     }
 
     // --- base station: collect everything, then serve queries -----------
-    let collector =
-        Rc::new(RefCell::new(Collector::new(FixedCodec, 1, cfg, ingest_acceptor, store.clone())));
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec,
+        1,
+        cfg,
+        sess,
+        ingest_acceptor,
+        store.clone(),
+    )));
     runtime::block_on({
         let collector = collector.clone();
         async move {
-            collector::drive_collector(collector, |c| c.stats().segments >= expected)
-                .await
-                .expect("collector");
+            // Every segment landed and every connection's acks went out
+            // (0-RTT data is published before the `HelloAck` is written).
+            let done = |c: &Collector<_, _>| {
+                let stats = c.stats();
+                stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
+            };
+            collector::drive_collector(collector, done).await.expect("collector");
         }
     });
     for w in workers {
