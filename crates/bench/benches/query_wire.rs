@@ -2,7 +2,7 @@
 //! the `pla-query` serving tier (`QueryClient` ↔ `QueryServer` over a
 //! memory link).
 //!
-//! Each iteration is one complete serving round — dial, version-2
+//! Each iteration is one complete serving round — dial, versioned
 //! handshake, a pipelined burst of requests, and every response
 //! decoded — the unit a remote reader pays per refresh. `Elements`
 //! cells report queries/second (ns/iter ÷ burst = per-query latency);

@@ -6,8 +6,8 @@
 //! funneled by one `Collector` into one `SegmentStore`. Each cell
 //! transfers every stream's full segment log end-to-end and reports
 //! thousands of segments per second into the store, plus the wire cost
-//! per segment (data frames + the batched `Ack`/`Credit` control
-//! traffic, both directions, plus each connection's `HelloAck`).
+//! per segment (data frames + the batched `Ack` control traffic, both
+//! directions, plus each connection's `HelloAck`).
 
 use std::sync::Arc;
 use std::time::Instant;

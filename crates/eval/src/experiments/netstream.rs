@@ -86,8 +86,8 @@ pub fn transfer(logs: &[Vec<Segment>], window: u64) -> (u64, u64) {
 
 /// Multiplexed transport throughput (Ksegments/s) and wire cost vs
 /// stream count, for a tight and a roomy credit window. The wire cost
-/// is reported per window too: a tight window pays materially more
-/// `Credit`/`Ack` control traffic per segment.
+/// is reported per window too: a tight window carries more credit
+/// grants in its `Ack` cursors per segment.
 pub fn netstream_throughput(cfg: &Config) -> Table {
     let stream_counts = [8usize, 32, 128];
     let windows: [(u64, &str); 2] = [(2 * 1024, "2 KiB window"), (64 * 1024, "64 KiB window")];

@@ -823,7 +823,6 @@ fn frame_name(frame: &NetFrame) -> &'static str {
     match frame {
         NetFrame::Data { .. } => "Data",
         NetFrame::Ack { .. } => "Ack",
-        NetFrame::Credit { .. } => "Credit",
         NetFrame::Fin { .. } => "Fin",
         NetFrame::Hello { .. } => "Hello",
         NetFrame::HelloAck { .. } => "HelloAck",
@@ -1209,7 +1208,7 @@ mod tests {
 
         // A valid frame that isn't a Hello.
         let mut eager = connector.connect(4096);
-        eager.try_write(&frame_bytes(&NetFrame::Ack { stream: 1, through_seq: 1 })).unwrap();
+        eager.try_write(&frame_bytes(&NetFrame::Ack { cursors: Vec::new() })).unwrap();
         coll.pump_at(t0).unwrap();
         assert_eq!(coll.stats().refused, 3);
         assert!(matches!(
@@ -1218,6 +1217,35 @@ mod tests {
         ));
         // No refusal ever minted a connection.
         assert_eq!(coll.stats().connections, 0);
+    }
+
+    /// The `Hello` layout is the same in every protocol version, so a
+    /// sender built for version 2 (whose per-stream `Ack`, `Credit` and
+    /// fixed-width `Data` layouts this build no longer reads) is recognised and refused by version
+    /// before any of its ingest frames are decoded.
+    #[test]
+    fn a_version_2_hello_is_refused_as_a_version_mismatch() {
+        let (mut coll, connector, store) = make(NetConfig::default(), SessionConfig::default());
+        let mut v2 = connector.connect(4096);
+        // [len 11][kind 5 = Hello][version 2][token 0], then a version-2
+        // `Data` frame with its fixed-width 16-byte header.
+        let mut bytes = vec![11, 0, 0, 0, 5, 2, 0];
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&[17, 0, 0, 0, 1]);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        v2.try_write(&bytes).unwrap();
+        coll.pump_at(Instant::now()).unwrap();
+        assert!(matches!(
+            coll.last_refusal(),
+            Some(NetError::Handshake(HandshakeError::VersionMismatch { ours: 3, theirs: 2 }))
+        ));
+        assert_eq!(coll.stats().connections, 0);
+        assert_eq!(store.total_segments(), 0);
+        match read_frame(&mut v2) {
+            NetFrame::HelloAck { version, token, .. } => assert_eq!((version, token), (3, 0)),
+            other => panic!("expected refusal HelloAck, got {other:?}"),
+        }
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub(crate) fn pump_in<L: Link>(
     }
 }
 
-/// One non-blocking pump round for the sender: absorb inbound
-/// `Ack`/`Credit` bytes, then push staged frames. Returns total bytes
+/// One non-blocking pump round for the sender: absorb inbound `Ack`
+/// bytes, then push staged frames. Returns total bytes
 /// moved (0 = no progress; wait for the reactor).
 pub fn pump_sender<C: Codec, L: Link>(
     tx: &mut MuxSender<C>,
@@ -117,10 +117,10 @@ pub fn pump_sender<C: Codec, L: Link>(
 }
 
 /// One non-blocking pump round for the receiver: absorb inbound frames,
-/// flush the round's batched `Ack`/`Credit` control
-/// ([`NetReceiver::flush_control`] — one cumulative frame per touched
-/// stream, however many `Data` frames the round applied), then push the
-/// staged bytes. Returns total bytes moved.
+/// flush the round's batched `Ack` control
+/// ([`NetReceiver::flush_control`] — one frame with one cumulative
+/// cursor per touched stream, however many `Data` frames the round
+/// applied), then push the staged bytes. Returns total bytes moved.
 pub fn pump_receiver<C: Codec, L: Link>(
     rx: &mut NetReceiver<C>,
     link: &mut L,

@@ -2,13 +2,12 @@
 //!
 //! The byte stream between the two endpoints is a sequence of frames,
 //! each `[u32 len LE][u8 kind][fields…]` where `len` counts everything
-//! after the length prefix. Eleven kinds exist:
+//! after the length prefix. Ten kinds exist:
 //!
 //! | Kind | Direction | Carries |
 //! |---|---|---|
-//! | [`NetFrame::Data`] | sender → receiver | one stream's `pla-transport` codec bytes (led by that stream's `StreamFrame` header) plus a per-stream sequence number |
-//! | [`NetFrame::Ack`] | receiver → sender | cumulative highest applied sequence number per stream |
-//! | [`NetFrame::Credit`] | receiver → sender | cumulative payload-byte grant per stream (flow control) |
+//! | [`NetFrame::Data`] | sender → receiver | one stream's `pla-transport` codec bytes (led by that stream's `StreamFrame` header) behind a varint stream id and per-stream sequence number |
+//! | [`NetFrame::Ack`] | receiver → sender | one [`ResumeCursor`] per stream whose state moved since the last flush: cumulative ack point and cumulative credit grant (0 = no grant due) |
 //! | [`NetFrame::Fin`] | sender → receiver | end of one stream, with its final sequence number |
 //! | [`NetFrame::Hello`] | sender → receiver | protocol version + session token (0 = new session); **must** be the first frame of a collector or query-server connection |
 //! | [`NetFrame::HelloAck`] | receiver → sender | protocol version + issued/confirmed token (0 = refused) + one [`ResumeCursor`] per known stream |
@@ -18,13 +17,19 @@
 //! | [`NetFrame::EpochsReq`] | reader → query server | cache-validation probe for the store's per-shard epochs |
 //! | [`NetFrame::EpochsResp`] | query server → reader | the store's per-shard epoch counters, echoing the probe's `req_id` |
 //!
+//! `Ack` and `HelloAck` share one cursor-list codec: a varint count,
+//! then per cursor the varint stream delta from the previous cursor
+//! (from 0 for the first), `through_seq` and `granted_total`. Streams
+//! ascend strictly, so the encoding of a cursor list is unique. Every
+//! other integer field is fixed-width little-endian.
+//!
 //! Frames never split messages: a `Data` frame's payload is a
 //! self-contained codec unit (the sender resets its codec per frame), so
 //! a replayed frame decodes identically whenever it arrives — the
-//! property the reconnect protocol rests on. The session frames keep
-//! the same idempotence discipline: a duplicated `Hello` or `Heartbeat`
-//! is harmless, and a replayed `HelloAck` carrying the same token is a
-//! no-op at the sender.
+//! property the reconnect protocol rests on. The control frames keep
+//! the same idempotence discipline: every cursor is cumulative, so a
+//! duplicated `Ack` or `HelloAck` is a no-op at the sender, and a
+//! duplicated `Hello` or `Heartbeat` is harmless.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -38,13 +43,15 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// 2 = adds the query frames (`QueryReq`/`QueryResp`/`EpochsReq`/
 /// `EpochsResp`). A version-1 speaker cannot decode kind bytes 8–11,
 /// so the bump makes old and new builds refuse each other cleanly at
-/// the handshake instead of failing mid-stream.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// the handshake instead of failing mid-stream; 3 = one cumulative
+/// cursor frame per flush, varint `Data` header, `Credit` retired (kind
+/// byte 3 is now unknown).
+pub const PROTOCOL_VERSION: u16 = 3;
 
-/// One stream's resume position, carried by [`NetFrame::HelloAck`]: the
-/// receiver's cumulative ack point and cumulative credit grant, i.e.
-/// everything a replaying sender needs to trim its replay buffer and
-/// resume sending — the role `ResumeCursor` plays in the rt-protocol
+/// One stream's cumulative control state, carried by [`NetFrame::Ack`]
+/// and [`NetFrame::HelloAck`]: the receiver's ack point and credit
+/// grant, i.e. everything a sender needs to trim its replay buffer and
+/// keep sending — the role `ResumeCursor` plays in the rt-protocol
 /// forwarder handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeCursor {
@@ -52,7 +59,8 @@ pub struct ResumeCursor {
     pub stream: u64,
     /// Highest `Data` sequence number durably applied (cumulative ack).
     pub through_seq: u64,
-    /// Cumulative payload-byte credit grant for the stream.
+    /// Cumulative payload-byte credit grant for the stream; 0 (below
+    /// the implicit initial window) announces no new grant.
     pub granted_total: u64,
 }
 
@@ -69,21 +77,14 @@ pub enum NetFrame {
         /// `StreamFrame` header.
         payload: Bytes,
     },
-    /// Cumulative acknowledgement: every `Data` frame of `stream` with
-    /// `seq <= through_seq` has been applied.
+    /// Cumulative control for every stream whose state moved since the
+    /// receiver's last flush: per cursor, every `Data` frame with
+    /// `seq <= through_seq` has been applied, and the sender may have
+    /// sent at most `granted_total` payload bytes on the stream since
+    /// its birth (0 = no new grant).
     Ack {
-        /// The acknowledged stream.
-        stream: u64,
-        /// Highest applied sequence number.
-        through_seq: u64,
-    },
-    /// Cumulative flow-control grant: the sender may have sent at most
-    /// `granted_total` payload bytes on `stream` since stream birth.
-    Credit {
-        /// The granted stream.
-        stream: u64,
-        /// Absolute cumulative byte budget (monotonically increasing).
-        granted_total: u64,
+        /// One cursor per stream, strictly ascending by stream.
+        cursors: Vec<ResumeCursor>,
     },
     /// The stream is complete; no `Data` frame with `seq > final_seq`
     /// will ever exist.
@@ -111,8 +112,8 @@ pub enum NetFrame {
         version: u16,
         /// Issued or confirmed session token; 0 means refused.
         token: u64,
-        /// One cursor per stream the receiver has state for (empty for
-        /// a fresh session).
+        /// One cursor per stream the receiver has state for, strictly
+        /// ascending by stream (empty for a fresh session).
         cursors: Vec<ResumeCursor>,
     },
     /// Liveness probe. The receiver echoes each heartbeat back with the
@@ -163,7 +164,7 @@ pub enum NetFrame {
 
 const KIND_DATA: u8 = 1;
 const KIND_ACK: u8 = 2;
-const KIND_CREDIT: u8 = 3;
+// Kind 3 was `Credit` (protocol versions 1–2); grants ride in `Ack`.
 const KIND_FIN: u8 = 4;
 const KIND_HELLO: u8 = 5;
 const KIND_HELLO_ACK: u8 = 6;
@@ -173,8 +174,11 @@ const KIND_QUERY_RESP: u8 = 9;
 const KIND_EPOCHS_REQ: u8 = 10;
 const KIND_EPOCHS_RESP: u8 = 11;
 
-/// Bytes per [`ResumeCursor`] in a `HelloAck` body.
-const CURSOR_BYTES: usize = 24;
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// The shortest encoding of one cursor: three one-byte varints.
+const MIN_CURSOR_BYTES: usize = 3;
 
 /// Framing-layer errors. Any of these is fatal for the connection (the
 /// byte stream is no longer trustworthy); the session layer reconnects.
@@ -210,17 +214,79 @@ fn put_u32_le(out: &mut BytesMut, n: u32) {
     out.put_slice(&n.to_le_bytes());
 }
 
+/// `v` as an unsigned LEB128 varint: the bytes and how many are used.
+fn varint_bytes(mut v: u64) -> ([u8; MAX_VARINT_BYTES], usize) {
+    let mut buf = [0; MAX_VARINT_BYTES];
+    let mut n = 0;
+    while v >= 0x80 {
+        buf[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    buf[n] = v as u8;
+    (buf, n + 1)
+}
+
+fn put_varint(out: &mut BytesMut, v: u64) {
+    let (buf, n) = varint_bytes(v);
+    out.put_slice(&buf[..n]);
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Calls `each` with the (stream delta, through_seq, granted_total)
+/// triple of every cursor, in wire order. A list that does not ascend
+/// strictly encodes a zero or wrapped delta, which the peer's decoder
+/// refuses rather than misreads.
+fn cursor_fields(cursors: &[ResumeCursor], mut each: impl FnMut([u64; 3])) {
+    let mut prev = 0;
+    for (i, c) in cursors.iter().enumerate() {
+        debug_assert!(i == 0 || c.stream > prev, "cursor streams must ascend strictly");
+        each([c.stream.wrapping_sub(prev), c.through_seq, c.granted_total]);
+        prev = c.stream;
+    }
+}
+
+/// Encoded length of a cursor list (count included).
+fn cursors_len(cursors: &[ResumeCursor]) -> usize {
+    let mut len = varint_len(cursors.len() as u64);
+    cursor_fields(cursors, |f| len += f.iter().map(|&v| varint_len(v)).sum::<usize>());
+    len
+}
+
+fn put_cursors(out: &mut BytesMut, cursors: &[ResumeCursor]) {
+    put_varint(out, cursors.len() as u64);
+    cursor_fields(cursors, |f| f.iter().for_each(|&v| put_varint(out, v)));
+}
+
 /// Encodes a `Data` frame whose payload is borrowed, returning the
 /// encoded length — the same bytes as [`encode`] of the equivalent
 /// [`NetFrame::Data`], without first building a [`Bytes`] payload. The
 /// sender's hot path encodes every frame this way.
 pub fn encode_data(stream: u64, seq: u64, payload: &[u8], out: &mut BytesMut) -> usize {
-    put_u32_le(out, (1 + 16 + payload.len()) as u32);
+    let (stream, stream_n) = varint_bytes(stream);
+    let (seq, seq_n) = varint_bytes(seq);
+    let len = 1 + stream_n + seq_n + payload.len();
+    put_u32_le(out, len as u32);
     out.put_u8(KIND_DATA);
-    out.put_u64_le(stream);
-    out.put_u64_le(seq);
+    out.put_slice(&stream[..stream_n]);
+    out.put_slice(&seq[..seq_n]);
     out.put_slice(payload);
-    4 + 1 + 16 + payload.len()
+    4 + len
+}
+
+/// Encodes an `Ack` frame over borrowed cursors (strictly ascending by
+/// stream), returning the encoded length — the same bytes as [`encode`]
+/// of the equivalent [`NetFrame::Ack`], without owning a cursor list.
+pub(crate) fn encode_ack(cursors: &[ResumeCursor], out: &mut BytesMut) -> usize {
+    let len = 1 + cursors_len(cursors);
+    put_u32_le(out, len as u32);
+    out.put_u8(KIND_ACK);
+    put_cursors(out, cursors);
+    4 + len
 }
 
 /// Encodes `frame` onto `out`, returning the encoded length.
@@ -230,17 +296,8 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
         NetFrame::Data { stream, seq, payload } => {
             encode_data(*stream, *seq, payload, out);
         }
-        NetFrame::Ack { stream, through_seq } => {
-            put_u32_le(out, 1 + 16);
-            out.put_u8(KIND_ACK);
-            out.put_u64_le(*stream);
-            out.put_u64_le(*through_seq);
-        }
-        NetFrame::Credit { stream, granted_total } => {
-            put_u32_le(out, 1 + 16);
-            out.put_u8(KIND_CREDIT);
-            out.put_u64_le(*stream);
-            out.put_u64_le(*granted_total);
+        NetFrame::Ack { cursors } => {
+            encode_ack(cursors, out);
         }
         NetFrame::Fin { stream, final_seq } => {
             put_u32_le(out, 1 + 16);
@@ -255,16 +312,11 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
             out.put_u64_le(*token);
         }
         NetFrame::HelloAck { version, token, cursors } => {
-            put_u32_le(out, (1 + 2 + 8 + 4 + cursors.len() * CURSOR_BYTES) as u32);
+            put_u32_le(out, (1 + 2 + 8 + cursors_len(cursors)) as u32);
             out.put_u8(KIND_HELLO_ACK);
             out.put_slice(&version.to_le_bytes());
             out.put_u64_le(*token);
-            put_u32_le(out, cursors.len() as u32);
-            for c in cursors {
-                out.put_u64_le(c.stream);
-                out.put_u64_le(c.through_seq);
-                out.put_u64_le(c.granted_total);
-            }
+            put_cursors(out, cursors);
         }
         NetFrame::Heartbeat { seq } => {
             put_u32_le(out, 1 + 8);
@@ -301,6 +353,78 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
     out.len() - before
 }
 
+/// A read position over one frame body. Every read is bounds-checked
+/// and fails with a typed [`FrameError`] instead of panicking.
+struct BodyReader<'a> {
+    body: &'a [u8],
+    at: usize,
+}
+
+impl<'a> BodyReader<'a> {
+    fn remaining(&self) -> usize {
+        self.body.len() - self.at
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.body[self.at..]
+    }
+
+    /// Reads one unsigned LEB128 varint of at most
+    /// [`MAX_VARINT_BYTES`] bytes.
+    fn varint(&mut self) -> Result<u64, FrameError> {
+        let mut v = 0u64;
+        for i in 0..MAX_VARINT_BYTES {
+            let Some(&b) = self.body.get(self.at) else {
+                return Err(FrameError::Malformed("truncated varint"));
+            };
+            self.at += 1;
+            if i == MAX_VARINT_BYTES - 1 {
+                if b & 0x80 != 0 {
+                    return Err(FrameError::Malformed("varint longer than 10 bytes"));
+                }
+                if b > 1 {
+                    return Err(FrameError::Malformed("varint overflows u64"));
+                }
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+        Ok(v)
+    }
+
+    /// Reads a cursor list that must end exactly at the end of the body,
+    /// into `cursors` (cleared first; its capacity is reused). A count
+    /// the remaining bytes cannot hold is refused before anything is
+    /// allocated for it.
+    fn cursors(&mut self, mut cursors: Vec<ResumeCursor>) -> Result<Vec<ResumeCursor>, FrameError> {
+        let n = self.varint()?;
+        if n > (self.remaining() / MIN_CURSOR_BYTES) as u64 {
+            return Err(FrameError::Malformed("cursor count exceeds the frame body"));
+        }
+        cursors.clear();
+        cursors.reserve(n as usize);
+        let mut stream = 0u64;
+        for i in 0..n {
+            let delta = self.varint()?;
+            if i > 0 && delta == 0 {
+                return Err(FrameError::Malformed("cursor streams must ascend strictly"));
+            }
+            stream = stream
+                .checked_add(delta)
+                .ok_or(FrameError::Malformed("cursor stream delta overflows u64"))?;
+            let through_seq = self.varint()?;
+            let granted_total = self.varint()?;
+            cursors.push(ResumeCursor { stream, through_seq, granted_total });
+        }
+        if self.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing bytes after the last cursor"));
+        }
+        Ok(cursors)
+    }
+}
+
 /// Incremental frame decoder: feed arbitrary byte chunks, pull complete
 /// frames. Bytes of a partial frame wait in the accumulator until the
 /// rest arrives.
@@ -312,13 +436,25 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
     max_frame: u32,
+    /// Storage the next decoded cursor list is written into (see
+    /// [`recycle_cursors`](Self::recycle_cursors)).
+    spare_cursors: Vec<ResumeCursor>,
 }
 
 impl FrameDecoder {
     /// Creates a decoder enforcing `max_frame` as the largest accepted
     /// length prefix.
     pub fn new(max_frame: u32) -> Self {
-        Self { buf: Vec::new(), pos: 0, max_frame }
+        Self { buf: Vec::new(), pos: 0, max_frame, spare_cursors: Vec::new() }
+    }
+
+    /// Hands a decoded cursor list back, so the next `Ack` or `HelloAck`
+    /// decodes into its storage. A sender that returns every applied
+    /// `Ack` decodes its steady stream of acks without allocating — a
+    /// fresh list per frame costs more than the frame's cursors do
+    /// (one allocation the size of every stream's cursor, each flush).
+    pub(crate) fn recycle_cursors(&mut self, cursors: Vec<ResumeCursor>) {
+        self.spare_cursors = cursors;
     }
 
     /// Appends raw link bytes.
@@ -379,25 +515,22 @@ impl FrameDecoder {
         let kind = body[0];
         let frame = match kind {
             KIND_DATA => {
-                if body.len() < 17 {
-                    return Err(FrameError::Malformed("Data frame shorter than its header"));
-                }
-                NetFrame::Data {
-                    stream: Self::read_u64(body, 1),
-                    seq: Self::read_u64(body, 9),
-                    payload: Bytes::copy_from_slice(&body[17..]),
-                }
+                let mut r = BodyReader { body, at: 1 };
+                let stream = r.varint()?;
+                let seq = r.varint()?;
+                NetFrame::Data { stream, seq, payload: Bytes::copy_from_slice(r.rest()) }
             }
-            KIND_ACK | KIND_CREDIT | KIND_FIN => {
+            KIND_ACK => NetFrame::Ack {
+                cursors: BodyReader { body, at: 1 }
+                    .cursors(std::mem::take(&mut self.spare_cursors))?,
+            },
+            KIND_FIN => {
                 if body.len() != 17 {
-                    return Err(FrameError::Malformed("control frame must be exactly 17 bytes"));
+                    return Err(FrameError::Malformed("Fin frame must be exactly 17 bytes"));
                 }
-                let stream = Self::read_u64(body, 1);
-                let value = Self::read_u64(body, 9);
-                match kind {
-                    KIND_ACK => NetFrame::Ack { stream, through_seq: value },
-                    KIND_CREDIT => NetFrame::Credit { stream, granted_total: value },
-                    _ => NetFrame::Fin { stream, final_seq: value },
+                NetFrame::Fin {
+                    stream: Self::read_u64(body, 1),
+                    final_seq: Self::read_u64(body, 9),
                 }
             }
             KIND_HELLO => {
@@ -410,28 +543,15 @@ impl FrameDecoder {
                 }
             }
             KIND_HELLO_ACK => {
-                if body.len() < 15 {
+                if body.len() < 12 {
                     return Err(FrameError::Malformed("HelloAck frame shorter than its header"));
                 }
-                let version = u16::from_le_bytes(body[1..3].try_into().expect("2 bytes"));
-                let token = Self::read_u64(body, 3);
-                let n = u32::from_le_bytes(body[11..15].try_into().expect("4 bytes")) as usize;
-                if body.len() != 15 + n * CURSOR_BYTES {
-                    return Err(FrameError::Malformed(
-                        "HelloAck cursor count disagrees with length",
-                    ));
+                NetFrame::HelloAck {
+                    version: u16::from_le_bytes(body[1..3].try_into().expect("2 bytes")),
+                    token: Self::read_u64(body, 3),
+                    cursors: BodyReader { body, at: 11 }
+                        .cursors(std::mem::take(&mut self.spare_cursors))?,
                 }
-                let cursors = (0..n)
-                    .map(|i| {
-                        let at = 15 + i * CURSOR_BYTES;
-                        ResumeCursor {
-                            stream: Self::read_u64(body, at),
-                            through_seq: Self::read_u64(body, at + 8),
-                            granted_total: Self::read_u64(body, at + 16),
-                        }
-                    })
-                    .collect();
-                NetFrame::HelloAck { version, token, cursors }
             }
             KIND_HEARTBEAT => {
                 if body.len() != 9 {
@@ -577,8 +697,17 @@ mod tests {
     fn sample_frames() -> Vec<NetFrame> {
         vec![
             NetFrame::Data { stream: 7, seq: 1, payload: Bytes::from(vec![9, 8, 7]) },
-            NetFrame::Ack { stream: 7, through_seq: 1 },
-            NetFrame::Credit { stream: 7, granted_total: 65536 },
+            NetFrame::Ack {
+                cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 65536 }],
+            },
+            NetFrame::Ack { cursors: vec![] },
+            NetFrame::Ack {
+                cursors: vec![
+                    ResumeCursor { stream: 0, through_seq: 0, granted_total: 0 },
+                    ResumeCursor { stream: 1, through_seq: u64::MAX, granted_total: 0 },
+                    ResumeCursor { stream: u64::MAX, through_seq: 1, granted_total: u64::MAX },
+                ],
+            },
             NetFrame::Data { stream: u64::MAX, seq: 2, payload: Bytes::from(vec![]) },
             NetFrame::Fin { stream: 7, final_seq: 2 },
             NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 },
@@ -617,10 +746,52 @@ mod tests {
         assert_eq!(dec.pending(), 0);
     }
 
+    fn ack(stream: u64, through_seq: u64) -> NetFrame {
+        NetFrame::Ack { cursors: vec![ResumeCursor { stream, through_seq, granted_total: 0 }] }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut values = vec![0, 1, 127, 128, 16_383, 16_384, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|b| 1u64 << b));
+        for v in values {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            assert_eq!(buf.len(), varint_len(v), "length of {v}");
+            let mut r = BodyReader { body: &buf, at: 0 };
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn data_headers_shrink_to_their_varints() {
+        let mut buf = BytesMut::new();
+        assert_eq!(encode_data(7, 1, &[9, 8, 7], &mut buf), 4 + 1 + 1 + 1 + 3);
+        assert_eq!(&buf[..], &[6, 0, 0, 0, KIND_DATA, 7, 1, 9, 8, 7]);
+        buf.clear();
+        assert_eq!(encode_data(u64::MAX, 300, &[], &mut buf), 4 + 1 + 10 + 2);
+    }
+
+    #[test]
+    fn recycled_cursor_storage_is_decoded_into() {
+        let mut buf = BytesMut::new();
+        encode(&ack(3, 9), &mut buf);
+        encode(&ack(4, 1), &mut buf);
+        let mut dec = FrameDecoder::new(1024);
+        dec.extend(&buf);
+        let Some(NetFrame::Ack { cursors }) = dec.try_next().unwrap() else { panic!("an Ack") };
+        let storage = cursors.as_ptr();
+        dec.recycle_cursors(cursors);
+        let Some(NetFrame::Ack { cursors }) = dec.try_next().unwrap() else { panic!("an Ack") };
+        assert_eq!(cursors.as_ptr(), storage, "the second list reuses the first one's storage");
+        assert_eq!(cursors, [ResumeCursor { stream: 4, through_seq: 1, granted_total: 0 }]);
+    }
+
     #[test]
     fn partial_frames_wait_for_more_bytes() {
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 3, through_seq: 9 }, &mut buf);
+        encode(&ack(3, 9), &mut buf);
         let mut dec = FrameDecoder::new(1024);
         for (i, &b) in buf.iter().enumerate() {
             dec.extend(&[b]);
@@ -628,7 +799,7 @@ mod tests {
             if i + 1 < buf.len() {
                 assert_eq!(got, None, "byte {i} must not complete the frame");
             } else {
-                assert_eq!(got, Some(NetFrame::Ack { stream: 3, through_seq: 9 }));
+                assert_eq!(got, Some(ack(3, 9)));
             }
         }
     }
@@ -649,8 +820,20 @@ mod tests {
     fn malformed_control_length_is_rejected() {
         let mut dec = FrameDecoder::new(1024);
         dec.extend(&2u32.to_le_bytes());
-        dec.extend(&[super::KIND_ACK, 0]);
+        dec.extend(&[super::KIND_FIN, 0]);
         assert!(matches!(dec.try_next(), Err(FrameError::Malformed(_))));
+
+        // An Ack whose cursor ends mid-varint.
+        let mut dec = FrameDecoder::new(1024);
+        dec.extend(&5u32.to_le_bytes());
+        dec.extend(&[super::KIND_ACK, 1, 3, 9, 0x80]);
+        assert_eq!(dec.try_next(), Err(FrameError::Malformed("truncated varint")));
+
+        // The retired Credit kind is unknown in this version.
+        let mut dec = FrameDecoder::new(1024);
+        dec.extend(&17u32.to_le_bytes());
+        dec.extend(&[3u8; 17]);
+        assert_eq!(dec.try_next(), Err(FrameError::BadKind(3)));
     }
 
     #[test]
@@ -666,7 +849,7 @@ mod tests {
         let mut dec = FrameDecoder::new(1024);
         let mut body = vec![super::KIND_HELLO_ACK, 1, 0];
         body.extend_from_slice(&7u64.to_le_bytes());
-        body.extend_from_slice(&3u32.to_le_bytes()); // claims 3 cursors, has 0
+        body.push(3); // claims 3 cursors, has 0
         dec.extend(&(body.len() as u32).to_le_bytes());
         dec.extend(&body);
         assert!(matches!(dec.try_next(), Err(FrameError::Malformed(_))));
@@ -709,7 +892,7 @@ mod tests {
         encode(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 }, &mut buf);
         let mark = buf.len();
         encode(&NetFrame::Data { stream: 1, seq: 1, payload: Bytes::from(vec![5, 6]) }, &mut buf);
-        encode(&NetFrame::Ack { stream: 1, through_seq: 1 }, &mut buf);
+        encode(&ack(1, 1), &mut buf);
 
         let mut dec = FrameDecoder::new(1024);
         dec.extend(&buf);
@@ -767,7 +950,7 @@ mod tests {
     #[test]
     fn accumulator_compacts_without_losing_data() {
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Credit { stream: 2, granted_total: 7 }, &mut buf);
+        encode(&ack(2, 7), &mut buf);
         let mut dec = FrameDecoder::new(1024);
         for _ in 0..2000 {
             dec.extend(&buf);

@@ -14,10 +14,12 @@
 //!   [`MemoryLink`] (in-process, capacity-bounded, severable — the
 //!   deterministic test substrate) and [`TcpLink`] (non-blocking
 //!   `std::net::TcpStream`).
-//! * [`frame`] — length-delimited net frames (`Data`/`Ack`/`Credit`/
-//!   `Fin`) wrapping `pla-transport`'s wire encoding; each `Data` frame
-//!   carries one stream's messages behind its `StreamFrame` header, plus
-//!   a per-stream sequence number.
+//! * [`frame`] — length-delimited net frames (`Data`/`Ack`/`Fin` plus
+//!   the session and query frames) wrapping `pla-transport`'s wire
+//!   encoding; each `Data` frame carries one stream's messages behind
+//!   its `StreamFrame` header, plus a per-stream sequence number, and
+//!   one `Ack` frame carries every stream's cumulative ack and credit
+//!   cursor for a flush.
 //! * [`credit`] — cumulative-offset per-stream flow control (the QUIC
 //!   `MAX_STREAM_DATA` shape): the receiver grants an absolute byte
 //!   budget per stream, the sender never exceeds it, and a saturated
@@ -135,6 +137,19 @@ pub enum NetError {
         /// The highest sequence number actually applied.
         applied: u64,
     },
+    /// The receiver acknowledged a `Data` frame this sender never
+    /// produced. A cumulative ack licenses the sender to discard its
+    /// replay copies, so one that overshoots can only come from a
+    /// corrupt or confused peer; the connection is failed rather than
+    /// trusted.
+    AckBeyondSent {
+        /// The acknowledged stream.
+        stream: u64,
+        /// The acknowledged sequence number.
+        through_seq: u64,
+        /// The sequence number of the last frame actually sent.
+        last_seq: u64,
+    },
     /// Framing-layer failure (bad kind byte, oversized length prefix).
     Frame(FrameError),
     /// Demultiplexer failure (wire decode, protocol order, sequence
@@ -156,6 +171,9 @@ impl std::fmt::Display for NetError {
                 f,
                 "stream#{stream}: Fin declares final seq {final_seq} but only {applied} applied"
             ),
+            Self::AckBeyondSent { stream, through_seq, last_seq } => {
+                write!(f, "stream#{stream}: ack through seq {through_seq} but only {last_seq} sent")
+            }
             Self::Frame(e) => write!(f, "framing error: {e}"),
             Self::Receive(e) => write!(f, "receive error: {e}"),
             Self::Handshake(e) => write!(f, "handshake error: {e}"),

@@ -191,37 +191,30 @@ impl<C: Codec> MuxSender<C> {
         }
     }
 
-    /// Feeds inbound link bytes (the receiver's `Ack`/`Credit` control
-    /// frames).
+    /// Feeds inbound link bytes (the receiver's `Ack` control frames).
     pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.frames_in.extend(bytes);
         while let Some(frame) = self.frames_in.try_next()? {
-            self.on_frame(frame)?;
+            if let Some(cursors) = self.on_frame(frame)? {
+                self.frames_in.recycle_cursors(cursors);
+            }
         }
         Ok(())
     }
 
     /// Applies one already-decoded inbound frame. The session layer
     /// decodes the link itself (it must intercept `HelloAck`) and
-    /// forwards the control plane here frame by frame.
-    pub(crate) fn on_frame(&mut self, frame: NetFrame) -> Result<(), NetError> {
+    /// forwards the control plane here frame by frame. An applied
+    /// `Ack`'s cursor list comes back for
+    /// [`FrameDecoder::recycle_cursors`].
+    pub(crate) fn on_frame(
+        &mut self,
+        frame: NetFrame,
+    ) -> Result<Option<Vec<ResumeCursor>>, NetError> {
         match frame {
-            // Control frames naming a stream this sender never sent
-            // on are dropped without materializing state: a corrupt
-            // or hostile peer must not be able to conjure phantom
-            // streams (which finish_all would then Fin).
-            NetFrame::Ack { stream, through_seq } => {
-                if let Some(entry) = self.streams.get_mut(&stream) {
-                    entry.acked = entry.acked.max(through_seq);
-                    while entry.unacked.front().is_some_and(|(seq, _)| *seq <= through_seq) {
-                        entry.unacked.pop_front();
-                    }
-                }
-            }
-            NetFrame::Credit { stream, granted_total } => {
-                if let Some(entry) = self.streams.get_mut(&stream) {
-                    entry.credit.grant_to(granted_total);
-                }
+            NetFrame::Ack { cursors } => {
+                self.apply_cursors(&cursors)?;
+                return Ok(Some(cursors));
             }
             // Liveness probes and echoes carry no stream state; the
             // session layer tracks arrival times, the mux ignores them.
@@ -239,31 +232,62 @@ impl<C: Codec> MuxSender<C> {
                 return Err(NetError::UnexpectedFrame("query frame at ingest sender"))
             }
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Applies the receiver's resume cursors from a `HelloAck`: acks
-    /// trim the replay buffer, grants refresh the credit windows —
-    /// exactly what the per-stream `Ack`+`Credit` refresh of a plain
-    /// reconnect would do, but delivered atomically with the handshake.
-    /// Cursors naming unknown streams are dropped (no phantom streams).
-    pub fn apply_resume(&mut self, cursors: &[ResumeCursor]) {
+    /// Applies the receiver's cumulative cursors — from an `Ack` or a
+    /// `HelloAck` alike: each ack point trims the stream's replay
+    /// buffer, each grant raises its credit window (`grant_to` keeps the
+    /// maximum, so a 0 grant changes nothing). Returns whether any
+    /// replay frame was trimmed.
+    ///
+    /// Cursors naming a stream this sender never sent on are dropped
+    /// without materializing state: a corrupt or hostile peer must not
+    /// be able to conjure phantom streams (which `finish_all` would
+    /// then Fin).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::AckBeyondSent`] when a cursor acknowledges a frame
+    /// this sender never produced: trimming on it would discard frames
+    /// the receiver cannot hold, so the connection is condemned instead.
+    fn apply_cursors(&mut self, cursors: &[ResumeCursor]) -> Result<bool, NetError> {
         let mut trimmed = false;
         for c in cursors {
-            if let Some(entry) = self.streams.get_mut(&c.stream) {
-                entry.acked = entry.acked.max(c.through_seq);
-                while entry.unacked.front().is_some_and(|(seq, _)| *seq <= c.through_seq) {
-                    entry.unacked.pop_front();
-                    trimmed = true;
-                }
-                entry.credit.grant_to(c.granted_total);
+            let Some(entry) = self.streams.get_mut(&c.stream) else { continue };
+            if c.through_seq > entry.last_seq {
+                return Err(NetError::AckBeyondSent {
+                    stream: c.stream,
+                    through_seq: c.through_seq,
+                    last_seq: entry.last_seq,
+                });
             }
+            entry.acked = entry.acked.max(c.through_seq);
+            while entry.unacked.front().is_some_and(|(seq, _)| *seq <= c.through_seq) {
+                entry.unacked.pop_front();
+                trimmed = true;
+            }
+            entry.credit.grant_to(c.granted_total);
         }
+        Ok(trimmed)
+    }
+
+    /// Applies the receiver's resume cursors from a `HelloAck` exactly
+    /// as an `Ack` frame's cursors are applied — acks trim the replay
+    /// buffer, grants raise the credit windows, cursors for unknown
+    /// streams are dropped — then restages the replay if the cursors
+    /// trimmed any of it.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::AckBeyondSent`] when a cursor acknowledges a frame
+    /// this sender never produced, as for an `Ack` frame.
+    pub fn apply_resume(&mut self, cursors: &[ResumeCursor]) -> Result<(), NetError> {
         // Nothing trimmed (always so for a fresh session): the staged
         // replay is already exact, and restaging would resend every
         // frame written behind the `Hello` before this ack arrived.
-        if !trimmed {
-            return;
+        if !self.apply_cursors(cursors)? {
+            return Ok(());
         }
         // The replay staged by `on_reconnect` now contains frames the
         // cursors just acknowledged; restage from the trimmed buffers so
@@ -278,6 +302,7 @@ impl<C: Codec> MuxSender<C> {
             self.out.stage(&tail);
         }
         self.restage_unacked();
+        Ok(())
     }
 
     /// The connection died: drop everything staged for the dead link,
@@ -374,6 +399,17 @@ mod tests {
         MuxSender::new(FixedCodec, 1, NetConfig::default())
     }
 
+    fn cursor(stream: u64, through_seq: u64, granted_total: u64) -> ResumeCursor {
+        ResumeCursor { stream, through_seq, granted_total }
+    }
+
+    /// The wire bytes of one `Ack` frame.
+    fn ack_bytes(cursors: &[ResumeCursor]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode(&NetFrame::Ack { cursors: cursors.to_vec() }, &mut buf);
+        buf
+    }
+
     /// `apply_resume` arrives on the *live* link; if the link tore a
     /// frame on a partial write, the rebuilt outbox must lead with that
     /// frame's remaining bytes or the peer's decoder desyncs.
@@ -394,11 +430,7 @@ mod tests {
         let cut = bounds[2] + 3;
         tx.outbox().consume(cut);
 
-        tx.apply_resume(&[crate::frame::ResumeCursor {
-            stream: 5,
-            through_seq: 1,
-            granted_total: 1 << 20,
-        }]);
+        tx.apply_resume(&[cursor(5, 1, 1 << 20)]).unwrap();
 
         // The wire = what the link already accepted + what goes out now.
         let mut wire = staged[..cut].to_vec();
@@ -451,10 +483,11 @@ mod tests {
         assert_eq!(tx.try_send_segment(1, &seg(6.0, 0.0, 9.0, 1.0)), Err(NetError::Backpressure));
         assert_eq!(tx.staged_bytes(), staged_before, "refused send stages nothing");
         assert_eq!(tx.stream_stats(1).unwrap().frames, frames_before, "no seq burned");
+        // An ack without a grant (granted_total 0) changes no credit.
+        tx.on_bytes(&ack_bytes(&[cursor(1, 1, 0)])).unwrap();
+        assert_eq!(tx.try_send_segment(1, &seg(6.0, 0.0, 9.0, 1.0)), Err(NetError::Backpressure));
         // A credit grant unblocks it.
-        let mut grant = BytesMut::new();
-        encode(&NetFrame::Credit { stream: 1, granted_total: 1024 }, &mut grant);
-        tx.on_bytes(&grant).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(1, 1, 1024)])).unwrap();
         tx.try_send_segment(1, &seg(6.0, 0.0, 9.0, 1.0)).unwrap();
     }
 
@@ -465,19 +498,53 @@ mod tests {
             tx.try_send_segment(9, &seg(i as f64 * 10.0, 0.0, i as f64 * 10.0 + 5.0, 1.0)).unwrap();
         }
         assert!(!tx.all_acked());
-        let mut ack = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 9, through_seq: 2 }, &mut ack);
-        tx.on_bytes(&ack).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(9, 2, 0)])).unwrap();
         assert_eq!(tx.stream_stats(9).unwrap().unacked, 1);
         // A stale (replayed) ack changes nothing.
-        let mut stale = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 9, through_seq: 1 }, &mut stale);
-        tx.on_bytes(&stale).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(9, 1, 0)])).unwrap();
         assert_eq!(tx.stream_stats(9).unwrap().unacked, 1);
-        let mut last = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 9, through_seq: 3 }, &mut last);
-        tx.on_bytes(&last).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(9, 3, 0)])).unwrap();
         assert!(tx.all_acked());
+    }
+
+    #[test]
+    fn one_ack_frame_releases_every_stream_it_names() {
+        let mut tx = sender();
+        for stream in [2, 4, 6] {
+            for i in 0..2 {
+                let t = i as f64 * 10.0;
+                tx.try_send_segment(stream, &seg(t, 0.0, t + 5.0, 1.0)).unwrap();
+            }
+        }
+        tx.on_bytes(&ack_bytes(&[cursor(2, 2, 0), cursor(4, 1, 0), cursor(6, 2, 0)])).unwrap();
+        assert_eq!(tx.stream_stats(2).unwrap().unacked, 0);
+        assert_eq!(tx.stream_stats(4).unwrap().unacked, 1);
+        assert_eq!(tx.stream_stats(6).unwrap().unacked, 0);
+    }
+
+    /// A cumulative ack must mean what the sender assumes when it trims:
+    /// an ack point past the last frame sent cannot come from a correct
+    /// receiver, on an `Ack` or in a `HelloAck`, and must not advance
+    /// `acked` beyond anything sent.
+    #[test]
+    fn an_ack_beyond_the_last_frame_sent_is_a_protocol_error() {
+        let mut tx = sender();
+        for i in 0..3 {
+            tx.try_send_segment(9, &seg(i as f64 * 10.0, 0.0, i as f64 * 10.0 + 5.0, 1.0)).unwrap();
+        }
+        let beyond = NetError::AckBeyondSent { stream: 9, through_seq: 4, last_seq: 3 };
+        assert_eq!(tx.on_bytes(&ack_bytes(&[cursor(9, 4, 0)])), Err(beyond.clone()));
+        let stats = tx.stream_stats(9).unwrap();
+        assert_eq!((stats.acked, stats.unacked), (0, 3), "nothing trimmed, nothing reported");
+
+        let mut tx = sender();
+        tx.try_send_segment(9, &seg(0.0, 0.0, 5.0, 1.0)).unwrap();
+        tx.on_reconnect();
+        assert_eq!(
+            tx.apply_resume(&[cursor(9, u64::MAX, 0)]),
+            Err(NetError::AckBeyondSent { stream: 9, through_seq: u64::MAX, last_seq: 1 })
+        );
+        assert_eq!(tx.stream_stats(9).unwrap().acked, 0);
     }
 
     #[test]
@@ -488,9 +555,7 @@ mod tests {
         }
         tx.finish_stream(5).unwrap();
         let _lost = tx.take_staged(); // written to a link that then died
-        let mut ack = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 5, through_seq: 2 }, &mut ack);
-        tx.on_bytes(&ack).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(5, 2, 0)])).unwrap();
         tx.on_reconnect();
         let mut dec = FrameDecoder::new(1 << 20);
         dec.extend(&tx.take_staged());
@@ -514,10 +579,11 @@ mod tests {
         let _lost = tx.take_staged();
         tx.on_reconnect(); // 0-RTT replay staged alongside the Hello
         tx.apply_resume(&[
-            crate::frame::ResumeCursor { stream: 5, through_seq: 2, granted_total: 4096 },
+            cursor(5, 2, 4096),
             // Unknown stream: dropped, never materialized.
-            crate::frame::ResumeCursor { stream: 99, through_seq: 7, granted_total: 1 << 40 },
-        ]);
+            cursor(99, 7, 1 << 40),
+        ])
+        .unwrap();
         assert_eq!(tx.stream_stats(99), None, "cursors must not conjure streams");
         assert_eq!(tx.stream_stats(5).unwrap().unacked, 2);
         assert!(tx.stream_stats(5).unwrap().credit_available > 0, "grant refreshed");
@@ -542,7 +608,7 @@ mod tests {
         tx.try_send_segment(5, &seg(0.0, 0.0, 5.0, 1.0)).unwrap();
         tx.on_reconnect(); // dial: the replay is staged behind the Hello
         assert!(!tx.take_staged().is_empty(), "written behind the Hello");
-        tx.apply_resume(&[]);
+        tx.apply_resume(&[]).unwrap();
         assert_eq!(tx.staged_bytes(), 0, "nothing trimmed, nothing to resend");
     }
 
@@ -571,10 +637,7 @@ mod tests {
     fn control_frames_for_unknown_streams_are_dropped_without_state() {
         let mut tx = sender();
         tx.try_send_segment(1, &seg(0.0, 0.0, 1.0, 1.0)).unwrap();
-        let mut buf = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 999, through_seq: 3 }, &mut buf);
-        encode(&NetFrame::Credit { stream: 999, granted_total: 1 << 40 }, &mut buf);
-        tx.on_bytes(&buf).unwrap();
+        tx.on_bytes(&ack_bytes(&[cursor(999, 3, 1 << 40)])).unwrap();
         assert_eq!(tx.stream_stats(999), None, "no phantom stream may be conjured");
         assert_eq!(tx.streams().collect::<Vec<_>>(), vec![1]);
         // finish_all therefore fins only real streams.

@@ -14,11 +14,12 @@
 //! Applying a `Data` frame records the stream as *ack-dirty* but stages
 //! nothing. [`flush_control`](NetReceiver::flush_control) — called once
 //! per pump round by the [`driver`](crate::driver) pumps and by
-//! [`take_staged`](NetReceiver::take_staged) — then emits **one**
-//! cumulative `Ack` (and at most one `Credit` top-up) per dirty stream,
-//! however many of its frames the round applied. Cumulative counters
-//! make the coalescing free: acking `through_seq = 7` acknowledges
-//! frames 1–7 at once, and a replayed ack is a no-op at the sender.
+//! [`take_staged`](NetReceiver::take_staged) — then emits **one** `Ack`
+//! frame holding one cumulative cursor per dirty stream (its ack point
+//! and, when one is due, its credit top-up), however many frames and
+//! streams the round applied. Cumulative counters make the coalescing
+//! free: acking `through_seq = 7` acknowledges frames 1–7 at once, and a
+//! replayed cursor is a no-op at the sender.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -28,7 +29,7 @@ use pla_transport::wire::Codec;
 use pla_transport::{SeqOutcome, StreamDemux};
 
 use crate::credit::ReceiveWindow;
-use crate::frame::{encode, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{encode, encode_ack, FrameDecoder, NetFrame, Outbox, ResumeCursor};
 use crate::{NetConfig, NetError};
 
 /// Heartbeats awaiting an echo are bounded: a peer that floods probes
@@ -49,9 +50,11 @@ pub struct ReceiverStats {
     pub streams: usize,
     /// Streams whose `Fin` has arrived.
     pub finished_streams: usize,
-    /// `Ack` frames staged (after batching).
+    /// Stream acknowledgements staged (after batching): one per cursor
+    /// of each staged `Ack` frame, however many cursors share a frame.
     pub acks_staged: u64,
-    /// `Credit` frames staged.
+    /// Credit grants staged: one per cursor carrying a nonzero
+    /// `granted_total`.
     pub credits_staged: u64,
     /// `Heartbeat` probes received (each is echoed on the next control
     /// flush).
@@ -73,7 +76,7 @@ struct RxStream {
 }
 
 /// The multiplexed receiver. Feed it link bytes with
-/// [`on_bytes`](Self::on_bytes); collect its outbound `Ack`/`Credit`
+/// [`on_bytes`](Self::on_bytes); collect its outbound `Ack`
 /// control frames from [`take_staged`](Self::take_staged) (or the
 /// [`driver`](crate::driver) pumps); read the reconstruction from
 /// [`demux`](Self::demux).
@@ -97,6 +100,8 @@ pub struct NetReceiver<C: Codec> {
     out: Outbox,
     config: NetConfig,
     scratch: BytesMut,
+    /// The cursors of the `Ack` frame being built (capacity reused).
+    cursors: Vec<ResumeCursor>,
     /// Heartbeat sequence numbers to echo back on the next control
     /// flush (bounded by [`HEARTBEAT_ECHO_CAP`]).
     heartbeat_echoes: VecDeque<u64>,
@@ -125,6 +130,7 @@ impl<C: Codec> NetReceiver<C> {
             out: Outbox::default(),
             config,
             scratch: BytesMut::new(),
+            cursors: Vec::new(),
             heartbeat_echoes: VecDeque::new(),
             frames_applied: 0,
             dup_drops: 0,
@@ -141,6 +147,16 @@ impl<C: Codec> NetReceiver<C> {
         self.out.stage(&self.scratch);
     }
 
+    /// Stages one `Ack` frame carrying `self.cursors`, if there are any.
+    fn stage_cursors(&mut self) {
+        if self.cursors.is_empty() {
+            return;
+        }
+        self.scratch.clear();
+        encode_ack(&self.cursors, &mut self.scratch);
+        self.out.stage(&self.scratch);
+    }
+
     /// Feeds inbound link bytes, applying every complete frame:
     ///
     /// * `Data` → [`StreamDemux::consume_sequenced`]; an applied frame
@@ -152,7 +168,7 @@ impl<C: Codec> NetReceiver<C> {
     ///   connection can still release its replay buffer).
     /// * `Fin` → the stream is complete; verified against the applied
     ///   sequence point.
-    /// * `Ack`/`Credit` → protocol error at this endpoint.
+    /// * `Ack` → protocol error at this endpoint.
     pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.frames.extend(bytes);
         while let Some(frame) = self.frames.try_next()? {
@@ -211,9 +227,6 @@ impl<C: Codec> NetReceiver<C> {
                 // re-states a fact this side already acted on.
                 NetFrame::Hello { .. } => self.stray_hellos += 1,
                 NetFrame::Ack { .. } => return Err(NetError::UnexpectedFrame("Ack at receiver")),
-                NetFrame::Credit { .. } => {
-                    return Err(NetError::UnexpectedFrame("Credit at receiver"))
-                }
                 NetFrame::HelloAck { .. } => {
                     return Err(NetError::UnexpectedFrame("HelloAck at receiver"))
                 }
@@ -231,29 +244,32 @@ impl<C: Codec> NetReceiver<C> {
     }
 
     /// Stages the batched control traffic for everything applied since
-    /// the last flush: per ack-dirty stream, one cumulative `Ack` and —
-    /// only when the grant schedule says one is due — one `Credit`.
+    /// the last flush: one `Ack` frame with one cumulative cursor per
+    /// ack-dirty stream, whose `granted_total` is the stream's credit
+    /// top-up when the grant schedule says one is due and 0 otherwise.
     ///
     /// The [`driver`](crate::driver) pumps call this once per round
     /// (and [`take_staged`](Self::take_staged) calls it for manual
     /// pumping), which is what turns per-frame control chatter into
-    /// per-round batches: a round that applies 20 frames of one stream
-    /// acks them with a single 21-byte frame.
+    /// per-round batches: a round that applies 20 frames on each of 200
+    /// streams acks them all with one frame of a few bytes per stream.
     pub fn flush_control(&mut self) {
-        // Ascending stream order, as a sorted set would give: the control
-        // bytes do not depend on arrival order within a round.
+        // Ascending stream order, as the cursor codec requires: the
+        // control bytes do not depend on arrival order within a round.
         let mut dirty = std::mem::take(&mut self.ack_dirty);
         dirty.sort_unstable();
+        self.cursors.clear();
         for &stream in &dirty {
-            let ack = self.demux.ack_point(stream);
-            self.stage_frame(&NetFrame::Ack { stream, through_seq: ack });
-            self.acks_staged += 1;
             let grant = self.streams.get_mut(&stream).and_then(|rx| rx.window.due_grant());
-            if let Some(granted_total) = grant {
-                self.stage_frame(&NetFrame::Credit { stream, granted_total });
-                self.credits_staged += 1;
-            }
+            self.credits_staged += u64::from(grant.is_some());
+            self.cursors.push(ResumeCursor {
+                stream,
+                through_seq: self.demux.ack_point(stream),
+                granted_total: grant.unwrap_or(0),
+            });
         }
+        self.acks_staged += dirty.len() as u64;
+        self.stage_cursors();
         dirty.clear();
         self.ack_dirty = dirty;
         self.ack_batch += 1;
@@ -286,29 +302,24 @@ impl<C: Codec> NetReceiver<C> {
 
     /// The connection died: forget the dead link's partial inbound
     /// frame and its undelivered control bytes, then re-announce this
-    /// side's cumulative state — an `Ack` and a `Credit` per known
-    /// stream — so the reconnected sender can immediately trim its
-    /// replay buffer and resume sending.
+    /// side's cumulative state — one `Ack` frame with a cursor (ack
+    /// point and current grant) per known stream — so the reconnected
+    /// sender can immediately trim its replay buffer and resume sending.
     pub fn on_reconnect(&mut self) {
         self.frames.reset();
         self.out.clear();
         self.clear_ack_dirty();
-        let refresh: Vec<(u64, u64)> =
-            self.demux.streams().map(|s| (s, self.current_grant(s))).collect();
-        for (stream, granted_total) in refresh {
-            let ack = self.demux.ack_point(stream);
-            self.stage_frame(&NetFrame::Ack { stream, through_seq: ack });
-            self.stage_frame(&NetFrame::Credit { stream, granted_total });
-            self.acks_staged += 1;
-            self.credits_staged += 1;
-        }
+        self.cursors = self.resume_cursors();
+        let n = self.cursors.len() as u64;
+        self.acks_staged += n;
+        self.credits_staged += n;
+        self.stage_cursors();
     }
 
     /// This side's cumulative resume state, one cursor per known
-    /// stream — the payload of a session-resume `HelloAck`. Equivalent
-    /// to what [`on_reconnect`](Self::on_reconnect) would announce as
-    /// individual `Ack`/`Credit` frames, delivered atomically with the
-    /// handshake instead.
+    /// stream, ascending — the payload of a session-resume `HelloAck`,
+    /// and the same cursors [`on_reconnect`](Self::on_reconnect)
+    /// announces in an `Ack` frame.
     pub fn resume_cursors(&self) -> Vec<ResumeCursor> {
         self.demux
             .streams()
@@ -369,7 +380,7 @@ impl<C: Codec> NetReceiver<C> {
     }
 
     /// Current endpoint counters (frames applied, duplicates dropped,
-    /// control frames staged).
+    /// acks and grants staged).
     pub fn stats(&self) -> ReceiverStats {
         ReceiverStats {
             frames_applied: self.frames_applied,
@@ -432,6 +443,18 @@ mod tests {
         buf.to_vec()
     }
 
+    fn cursor(stream: u64, through_seq: u64, granted_total: u64) -> ResumeCursor {
+        ResumeCursor { stream, through_seq, granted_total }
+    }
+
+    /// The cursors of a control flush that must be exactly one `Ack`.
+    fn only_ack(ctl: &[NetFrame]) -> &[ResumeCursor] {
+        match ctl {
+            [NetFrame::Ack { cursors }] => cursors,
+            other => panic!("expected exactly one Ack frame, got {other:?}"),
+        }
+    }
+
     fn control_frames(rx: &mut NetReceiver<FixedCodec>) -> Vec<NetFrame> {
         let mut dec = FrameDecoder::new(1 << 20);
         dec.extend(&rx.take_staged());
@@ -448,7 +471,7 @@ mod tests {
         rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert!(rx.control_dirty());
         let ctl = control_frames(&mut rx);
-        assert_eq!(ctl, vec![NetFrame::Ack { stream: 3, through_seq: 1 }]);
+        assert_eq!(only_ack(&ctl), [cursor(3, 1, 0)], "acked through 1, no grant due");
         assert_eq!(rx.demux().segments(3).unwrap().len(), 1);
         assert_eq!(rx.stats().frames_applied, 1);
         assert!(!rx.control_dirty());
@@ -467,17 +490,14 @@ mod tests {
             rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: [2.0].into() }])).unwrap();
         }
         let ctl = control_frames(&mut rx);
-        let acks: Vec<&NetFrame> =
-            ctl.iter().filter(|f| matches!(f, NetFrame::Ack { .. })).collect();
+        let acks: Vec<(u64, u64)> =
+            only_ack(&ctl).iter().map(|c| (c.stream, c.through_seq)).collect();
         assert_eq!(
             acks,
-            vec![
-                &NetFrame::Ack { stream: 3, through_seq: 5 },
-                &NetFrame::Ack { stream: 8, through_seq: 2 },
-            ],
-            "one cumulative ack per stream per round, not per frame"
+            vec![(3, 5), (8, 2)],
+            "one cumulative cursor per stream per round, not per frame, in one frame"
         );
-        assert_eq!(rx.stats().acks_staged, 2);
+        assert_eq!(rx.stats().acks_staged, 2, "acks count cursors, not frames");
         // Nothing new ⇒ the next flush stages nothing.
         assert!(control_frames(&mut rx).is_empty());
     }
@@ -514,7 +534,7 @@ mod tests {
         let _ = control_frames(&mut rx);
         rx.on_bytes(&frame).unwrap();
         let ctl = control_frames(&mut rx);
-        assert_eq!(ctl, vec![NetFrame::Ack { stream: 3, through_seq: 1 }], "re-ack the replay");
+        assert_eq!(only_ack(&ctl), [cursor(3, 1, 0)], "re-ack the replay");
         assert_eq!(rx.demux().segments(3).unwrap().len(), 1, "no duplicate segment");
         assert_eq!(rx.stats().dup_drops, 1, "the dropped replay is counted");
     }
@@ -528,10 +548,7 @@ mod tests {
         rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         let ctl = control_frames(&mut rx);
-        assert!(
-            ctl.contains(&NetFrame::Credit { stream: 1, granted_total: 52 + 64 }),
-            "expected a top-up grant, got {ctl:?}"
-        );
+        assert_eq!(only_ack(&ctl), [cursor(1, 2, 52 + 64)], "expected a top-up grant");
         assert_eq!(rx.stats().credits_staged, 1);
     }
 
@@ -564,8 +581,33 @@ mod tests {
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.on_reconnect();
         let ctl = control_frames(&mut rx);
-        assert!(ctl.contains(&NetFrame::Ack { stream: 7, through_seq: 1 }));
-        assert!(ctl.iter().any(|f| matches!(f, NetFrame::Credit { stream: 7, .. })));
+        let window = NetConfig::default().window;
+        assert_eq!(only_ack(&ctl), [cursor(7, 1, window)], "ack point and current grant");
+    }
+
+    #[test]
+    fn reconnect_stages_one_frame_covering_every_known_stream() {
+        let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
+        let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
+        rx.on_bytes(&data_bytes(9, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(5, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
+        let _ = control_frames(&mut rx); // acks lost with the old link
+        let before = rx.stats();
+        rx.on_reconnect();
+        let ctl = control_frames(&mut rx);
+        // Stream 2 crossed half its 64-byte window, so its grant moved
+        // past the initial one; the others still hold the initial window.
+        assert_eq!(
+            only_ack(&ctl),
+            [cursor(2, 2, 52 + 64), cursor(5, 1, 64), cursor(9, 1, 64)],
+            "one frame, one cursor per known stream, ascending"
+        );
+        assert_eq!(only_ack(&ctl), rx.resume_cursors(), "the same cursors a HelloAck carries");
+        // The observability counters still count per-stream entries.
+        assert_eq!(rx.stats().acks_staged - before.acks_staged, 3);
+        assert_eq!(rx.stats().credits_staged - before.credits_staged, 3);
     }
 
     #[test]
@@ -578,8 +620,7 @@ mod tests {
         rx.on_reconnect();
         assert!(!rx.control_dirty());
         let ctl = control_frames(&mut rx);
-        let acks = ctl.iter().filter(|f| matches!(f, NetFrame::Ack { .. })).count();
-        assert_eq!(acks, 1, "exactly one ack after the refresh, got {ctl:?}");
+        assert_eq!(only_ack(&ctl).len(), 1, "exactly one ack after the refresh");
     }
 
     #[test]
@@ -657,7 +698,7 @@ mod tests {
     fn control_frames_at_the_receiver_are_protocol_errors() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Ack { stream: 1, through_seq: 1 }, &mut buf);
+        encode(&NetFrame::Ack { cursors: vec![cursor(1, 1, 0)] }, &mut buf);
         assert!(matches!(rx.on_bytes(&buf), Err(NetError::UnexpectedFrame(_))));
     }
 
@@ -678,7 +719,7 @@ mod tests {
         assert_eq!(rx.staged_bytes(), 0);
         let mut dec = FrameDecoder::new(1 << 20);
         dec.extend(&drained);
-        assert_eq!(dec.try_next().unwrap(), Some(NetFrame::Ack { stream: 4, through_seq: 1 }));
+        assert_eq!(dec.try_next().unwrap(), Some(NetFrame::Ack { cursors: vec![cursor(4, 1, 0)] }));
         assert_eq!(dec.try_next().unwrap(), None);
 
         // Same trap with a pending heartbeat echo: zero staged bytes,

@@ -449,7 +449,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                             return Err(NetError::Handshake(err));
                         }
                         self.token = token;
-                        self.mux.apply_resume(&cursors);
+                        self.mux.apply_resume(&cursors)?;
                         self.phase = Phase::Established;
                         self.backoff = self.session.redial_initial;
                         self.stats.established += 1;
@@ -467,7 +467,12 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                 self.stats.echoes_seen += 1;
                 Ok(())
             }
-            other => self.mux.on_frame(other),
+            other => {
+                if let Some(cursors) = self.mux.on_frame(other)? {
+                    self.dec.recycle_cursors(cursors);
+                }
+                Ok(())
+            }
         }
     }
 
@@ -637,6 +642,55 @@ mod tests {
         let cfg = SessionConfig::default();
         assert_eq!(cfg.version, PROTOCOL_VERSION);
         assert!(cfg.redial_initial < cfg.redial_cap);
+    }
+
+    /// An ack past the last frame sent is a protocol failure like any
+    /// other: the session parks instead of trimming on it, whether the
+    /// cursor rides the handshake or a later `Ack`.
+    #[test]
+    fn an_ack_beyond_sent_fails_the_session() {
+        use crate::frame::ResumeCursor;
+        use crate::listen::{Acceptor, MemoryAcceptor};
+        use crate::Link;
+        use pla_core::Segment;
+        use pla_transport::wire::FixedCodec;
+
+        let seg = Segment {
+            t_start: 0.0,
+            x_start: [0.0].into(),
+            t_end: 1.0,
+            x_end: [1.0].into(),
+            connected: false,
+            n_points: 2,
+            new_recordings: 2,
+        };
+        let cursor = |through_seq| ResumeCursor { stream: 4, through_seq, granted_total: 0 };
+        for (handshake, ack) in [(vec![cursor(2)], None), (vec![], Some(cursor(2)))] {
+            let mut acceptor = MemoryAcceptor::new();
+            let redial = MemoryRedial::new(acceptor.connector(), 1 << 16);
+            let now = Instant::now();
+            let config = NetConfig::default();
+            let session = SessionConfig::default();
+            let mut tx = SessionSender::new(FixedCodec, 1, config, session, redial, now);
+            tx.mux_mut().try_send_segment(4, &seg).unwrap();
+            tx.pump_at(now);
+            let mut peer = acceptor.try_accept().unwrap().expect("dialed");
+            let mut reply = BytesMut::new();
+            encode(
+                &NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 9, cursors: handshake },
+                &mut reply,
+            );
+            if let Some(c) = ack {
+                encode(&NetFrame::Ack { cursors: vec![c] }, &mut reply);
+            }
+            peer.try_write(&reply).unwrap();
+            tx.pump_at(now);
+            assert_eq!(
+                tx.failure(),
+                Some(&NetError::AckBeyondSent { stream: 4, through_seq: 2, last_seq: 1 })
+            );
+            assert_eq!(tx.mux().stream_stats(4).unwrap().unacked, 1, "nothing was trimmed");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Golden wire-format pin for the ingest plane: the exact bytes of every
 //! ingest-plane frame kind — `Hello`, `HelloAck` (with and without resume
-//! cursors), `Data`, `Ack`, `Credit`, `Fin` and `Heartbeat` — are checked
+//! cursors), `Data`, `Ack` (empty, one cursor, and grant-carrying and
+//! `u64::MAX` cursors), `Fin` and `Heartbeat` — are checked
 //! into `golden_net_frames.bin`. The `Data` section carries payloads with
 //! every `pla-transport` message tag (`StreamFrame`, `Hold`, `Start`,
 //! `End`, `Point`, `Provisional`) under both codecs, at d = 1 and at
@@ -46,9 +47,16 @@ fn control_frames() -> Vec<NetFrame> {
             ],
         },
         NetFrame::Data { stream: 7, seq: 1, payload: Bytes::from(vec![]) },
-        NetFrame::Ack { stream: 7, through_seq: 1 },
-        NetFrame::Ack { stream: u64::MAX, through_seq: u64::MAX },
-        NetFrame::Credit { stream: 7, granted_total: 98_304 },
+        NetFrame::Ack { cursors: vec![] },
+        NetFrame::Ack {
+            cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 0 }],
+        },
+        NetFrame::Ack {
+            cursors: vec![
+                ResumeCursor { stream: 7, through_seq: 1, granted_total: 98_304 },
+                ResumeCursor { stream: u64::MAX, through_seq: u64::MAX, granted_total: 0 },
+            ],
+        },
         NetFrame::Fin { stream: 7, final_seq: 0 },
         NetFrame::Fin { stream: 7, final_seq: 1 },
         NetFrame::Heartbeat { seq: 0 },
@@ -225,9 +233,9 @@ fn mux_sender_matches_the_golden_file() {
 }
 
 #[test]
-fn golden_file_is_for_protocol_version_2() {
-    assert_eq!(PROTOCOL_VERSION, 2, "regenerate the golden file when the version moves");
-    assert_eq!(&GOLDEN[5..7], &2u16.to_le_bytes(), "golden Hello must advertise version 2");
+fn golden_file_is_for_protocol_version_3() {
+    assert_eq!(PROTOCOL_VERSION, 3, "regenerate the golden file when the version moves");
+    assert_eq!(&GOLDEN[5..7], &3u16.to_le_bytes(), "golden Hello must advertise version 3");
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!
 //! Two listening sockets, both on ephemeral loopback ports: the
 //! collector's (a session `Hello` handshake, then segment ingest,
-//! `Data`/`Ack`/`Credit` frames) and the
-//! query server's (version-2 `Hello` handshake, then pipelined
+//! `Data`/`Ack` frames) and the
+//! query server's (versioned `Hello` handshake, then pipelined
 //! `QueryReq`/`QueryResp` + `EpochsReq`/`EpochsResp`). The reader also
 //! demonstrates the epoch-validated `SnapshotCache`: after one epochs
 //! probe, re-asking the same queries is answered locally with zero
