@@ -811,7 +811,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// readable, so a readiness wait would sleep straight through the
     /// liveness deadline it is supposed to enforce. A detached
     /// connection, awaiting its token resume, backs off longer so a
-    /// dead connection does not keep the reactor hot.
+    /// dead connection does not keep the executor hot.
     fn idle_wait(&self, conn: u64) -> Option<Duration> {
         let c = self.conns.get(&conn).filter(|c| c.failed.is_none())?;
         Some(Duration::from_millis(if c.link.is_some() { 1 } else { 5 }))
@@ -1408,137 +1408,119 @@ mod tests {
         assert!(matches!(coll.last_refusal(), Some(NetError::Handshake(HandshakeError::Timeout))));
     }
 
-    /// The reactor is a wake-up strategy, never semantics: the whole
-    /// async collector round must behave identically under the portable
-    /// poll loop and (on Linux) epoll.
-    fn on_both_reactors(f: impl Fn(runtime::ReactorKind)) {
-        f(runtime::ReactorKind::PollLoop);
-        #[cfg(target_os = "linux")]
-        f(runtime::ReactorKind::Epoll);
-    }
-
     #[test]
     fn async_driver_spawns_a_task_per_connection() {
-        on_both_reactors(|kind| {
-            let cfg = NetConfig::default();
-            let (coll, connector, store) = make(cfg, SessionConfig::default());
-            let coll = Rc::new(RefCell::new(coll));
-            const CONNS: u64 = 4;
-            // Sender threads dial in and push concurrently — the memory
-            // connector is Send, so this exercises real cross-thread
-            // wakes.
-            let senders: Vec<_> = (0..CONNS)
-                .map(|c| {
-                    let connector = connector.clone();
-                    std::thread::spawn(move || {
-                        let mut tx = sender(&connector, cfg, 512, Instant::now());
-                        for i in 0..5 {
-                            tx.mux_mut().try_send_segment(c, &seg(i)).unwrap();
+        let cfg = NetConfig::default();
+        let (coll, connector, store) = make(cfg, SessionConfig::default());
+        let coll = Rc::new(RefCell::new(coll));
+        const CONNS: u64 = 4;
+        // Sender threads dial in and push concurrently — the memory
+        // connector is Send, so this exercises real cross-thread
+        // wakes.
+        let senders: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let connector = connector.clone();
+                std::thread::spawn(move || {
+                    let mut tx = sender(&connector, cfg, 512, Instant::now());
+                    for i in 0..5 {
+                        tx.mux_mut().try_send_segment(c, &seg(i)).unwrap();
+                    }
+                    tx.mux_mut().finish_stream(c).unwrap();
+                    let mut stalled = 0;
+                    while !tx.mux().all_acked() {
+                        let moved = tx.pump();
+                        if let Some(e) = tx.failure() {
+                            panic!("session failed: {e}");
                         }
-                        tx.mux_mut().finish_stream(c).unwrap();
-                        let mut stalled = 0;
-                        while !tx.mux().all_acked() {
-                            let moved = tx.pump();
-                            if let Some(e) = tx.failure() {
-                                panic!("session failed: {e}");
-                            }
-                            if moved == 0 {
-                                stalled += 1;
-                                assert!(stalled < 4000, "sender starved");
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            } else {
-                                stalled = 0;
-                            }
+                        if moved == 0 {
+                            stalled += 1;
+                            assert!(stalled < 4000, "sender starved");
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                        } else {
+                            stalled = 0;
                         }
-                    })
+                    }
                 })
-                .collect();
-            runtime::block_on_with(
-                kind,
-                // Segments land before the acks that release the sender
-                // threads are written, so wait for both.
-                drive_collector(coll.clone(), |c| {
-                    c.stats().segments == CONNS * 5
-                        && (1..=CONNS).all(|id| c.conn_complete(ConnId(id)))
-                }),
-            )
-            .expect("collector");
-            for s in senders {
-                s.join().unwrap();
-            }
-            let snap = store.snapshot();
-            assert_eq!(snap.streams.len(), CONNS as usize);
-            assert_eq!(snap.total_segments, CONNS * 5);
-            assert_eq!(coll.borrow().stats().connections, CONNS as usize);
-        });
+            })
+            .collect();
+        runtime::block_on(
+            // Segments land before the acks that release the sender
+            // threads are written, so wait for both.
+            drive_collector(coll.clone(), |c| {
+                c.stats().segments == CONNS * 5 && (1..=CONNS).all(|id| c.conn_complete(ConnId(id)))
+            }),
+        )
+        .expect("collector");
+        for s in senders {
+            s.join().unwrap();
+        }
+        let snap = store.snapshot();
+        assert_eq!(snap.streams.len(), CONNS as usize);
+        assert_eq!(snap.total_segments, CONNS * 5);
+        assert_eq!(coll.borrow().stats().connections, CONNS as usize);
     }
 
-    /// The async driver under both reactors: handshakes arrive through
+    /// The async driver end to end: handshakes arrive through
     /// the accept task, the wedge-proof timer parks keep liveness
     /// ticking, and a mid-run redial rebinds by token.
     #[test]
-    fn async_session_driver_handshakes_and_resumes_on_both_reactors() {
-        on_both_reactors(|kind| {
-            let cfg = NetConfig::default();
-            let sess = SessionConfig::default();
-            let (coll, connector, store) = make(cfg, sess);
-            let coll = Rc::new(RefCell::new(coll));
-            let sender = std::thread::spawn(move || {
-                let mut tx = SessionSender::new(
-                    FixedCodec,
-                    1,
-                    cfg,
-                    sess,
-                    MemoryRedial::new(connector, 512),
-                    Instant::now(),
-                );
-                for i in 0..4 {
-                    tx.mux_mut().try_send_segment(7, &seg(i)).unwrap();
+    fn async_session_driver_handshakes_and_resumes() {
+        let cfg = NetConfig::default();
+        let sess = SessionConfig::default();
+        let (coll, connector, store) = make(cfg, sess);
+        let coll = Rc::new(RefCell::new(coll));
+        let sender = std::thread::spawn(move || {
+            let mut tx = SessionSender::new(
+                FixedCodec,
+                1,
+                cfg,
+                sess,
+                MemoryRedial::new(connector, 512),
+                Instant::now(),
+            );
+            for i in 0..4 {
+                tx.mux_mut().try_send_segment(7, &seg(i)).unwrap();
+            }
+            let mut severed = false;
+            let mut finned = false;
+            let mut stalled = 0;
+            loop {
+                let moved = tx.pump();
+                if let Some(e) = tx.failure() {
+                    panic!("session failed: {e}");
                 }
-                let mut severed = false;
-                let mut finned = false;
-                let mut stalled = 0;
-                loop {
-                    let moved = tx.pump();
-                    if let Some(e) = tx.failure() {
-                        panic!("session failed: {e}");
-                    }
-                    // Once established, kill the link once: the machine
-                    // must redial and resume by token on its own.
-                    if tx.is_established() && !severed {
-                        tx.redial().last_link().expect("dialed").sever();
-                        severed = true;
-                        continue;
-                    }
-                    if severed && tx.is_established() && tx.mux().all_acked() && !finned {
-                        tx.mux_mut().finish_stream(7).unwrap();
-                        finned = true;
-                    }
-                    if finned && tx.mux().is_idle() {
-                        break;
-                    }
-                    if moved == 0 {
-                        stalled += 1;
-                        assert!(stalled < 20_000, "session sender starved");
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    } else {
-                        stalled = 0;
-                    }
+                // Once established, kill the link once: the machine
+                // must redial and resume by token on its own.
+                if tx.is_established() && !severed {
+                    tx.redial().last_link().expect("dialed").sever();
+                    severed = true;
+                    continue;
                 }
-                tx.redial().dials()
-            });
-            runtime::block_on_with(
-                kind,
-                drive_collector(coll.clone(), |c| {
-                    c.stats().connections == 1 && c.conn_complete(ConnId(1))
-                }),
-            )
-            .expect("collector");
-            let dials = sender.join().unwrap();
-            assert!(dials >= 2, "the sever must have forced a redial, got {dials}");
-            let stats = coll.borrow().stats();
-            assert_eq!(stats.connections, 1, "the resume rebound the same conn");
-            assert_eq!(store.snapshot().total_segments, 4);
+                if severed && tx.is_established() && tx.mux().all_acked() && !finned {
+                    tx.mux_mut().finish_stream(7).unwrap();
+                    finned = true;
+                }
+                if finned && tx.mux().is_idle() {
+                    break;
+                }
+                if moved == 0 {
+                    stalled += 1;
+                    assert!(stalled < 20_000, "session sender starved");
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                } else {
+                    stalled = 0;
+                }
+            }
+            tx.redial().dials()
         });
+        runtime::block_on(drive_collector(coll.clone(), |c| {
+            c.stats().connections == 1 && c.conn_complete(ConnId(1))
+        }))
+        .expect("collector");
+        let dials = sender.join().unwrap();
+        assert!(dials >= 2, "the sever must have forced a redial, got {dials}");
+        let stats = coll.borrow().stats();
+        assert_eq!(stats.connections, 1, "the resume rebound the same conn");
+        assert_eq!(store.snapshot().total_segments, 4);
     }
 }

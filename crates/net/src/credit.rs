@@ -94,9 +94,9 @@ impl ReceiveWindow {
         }
     }
 
-    /// The current cumulative grant — what a reconnect refresh
-    /// re-announces regardless of [`due_grant`](Self::due_grant)'s
-    /// batching.
+    /// The current cumulative grant — what a session resume's
+    /// `HelloAck` cursor re-announces regardless of
+    /// [`due_grant`](Self::due_grant)'s batching.
     pub fn current_grant(&self) -> u64 {
         self.granted
     }

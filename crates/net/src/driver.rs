@@ -4,13 +4,9 @@
 //! non-blocking round each — read everything available, write
 //! everything staged — and report progress; they are what the
 //! deterministic tests call directly, in whatever interleaving they
-//! want to probe. The async [`drive_sender`]/[`drive_receiver`] wrap
-//! those rounds in runtime tasks: pump, and when nothing moved, suspend
-//! on [`runtime::io_ready`] — parked on the link's fd where it has one
-//! (kernel-precise under the epoll reactor), at bounded poll cadence
-//! otherwise.
+//! want to probe. The session layer and the collector build their
+//! rounds from the same crate-private read and write halves.
 
-use std::cell::RefCell;
 use std::io;
 
 use pla_transport::wire::Codec;
@@ -19,7 +15,6 @@ use crate::frame::Outbox;
 use crate::link::Link;
 use crate::mux::MuxSender;
 use crate::receiver::NetReceiver;
-use crate::runtime;
 use crate::NetError;
 
 /// What can go wrong while pumping: the link died (reconnectable) or
@@ -106,7 +101,7 @@ pub(crate) fn pump_in<L: Link>(
 
 /// One non-blocking pump round for the sender: absorb inbound `Ack`
 /// bytes, then push staged frames. Returns total bytes
-/// moved (0 = no progress; wait for the reactor).
+/// moved (0 = no progress).
 pub fn pump_sender<C: Codec, L: Link>(
     tx: &mut MuxSender<C>,
     link: &mut L,
@@ -140,66 +135,6 @@ pub(crate) fn pump_receiver_split<C: Codec, L: Link>(
     rx.flush_control();
     let written = pump_out(rx.outbox(), link)?;
     Ok((read, written))
-}
-
-/// The readiness to wait for after a round that moved nothing: always
-/// reads; adds write interest only while bytes are actually staged (a
-/// socket is almost always writable, so unconditional write interest
-/// would turn an epoll sleep into a busy loop).
-pub(crate) fn stall_interest(staged: usize) -> runtime::Interest {
-    if staged > 0 {
-        runtime::Interest::ReadWrite
-    } else {
-        runtime::Interest::Read
-    }
-}
-
-/// Pumps the sender as an async task until `done(tx)` says the session
-/// is over (typically: everything fed, finished, and
-/// [`MuxSender::is_idle`]). A round that moves no bytes suspends on the
-/// link's readiness source (kernel-precise under the epoll reactor;
-/// bounded poll cadence otherwise).
-pub async fn drive_sender<C: Codec, L: Link>(
-    tx: &RefCell<MuxSender<C>>,
-    link: &RefCell<L>,
-    mut done: impl FnMut(&MuxSender<C>) -> bool,
-) -> Result<(), DriveError> {
-    loop {
-        let moved = pump_sender(&mut tx.borrow_mut(), &mut *link.borrow_mut())?;
-        if done(&tx.borrow()) {
-            return Ok(());
-        }
-        if moved == 0 {
-            let source = link.borrow().event_source();
-            let interest = stall_interest(tx.borrow().staged_bytes());
-            runtime::io_ready(source, interest).await;
-        } else {
-            runtime::yield_now().await;
-        }
-    }
-}
-
-/// Pumps the receiver as an async task until `done(rx)` says the
-/// session is over (typically: every expected stream finished and
-/// nothing staged).
-pub async fn drive_receiver<C: Codec, L: Link>(
-    rx: &RefCell<NetReceiver<C>>,
-    link: &RefCell<L>,
-    mut done: impl FnMut(&NetReceiver<C>) -> bool,
-) -> Result<(), DriveError> {
-    loop {
-        let moved = pump_receiver(&mut rx.borrow_mut(), &mut *link.borrow_mut())?;
-        if done(&rx.borrow()) {
-            return Ok(());
-        }
-        if moved == 0 {
-            let source = link.borrow().event_source();
-            let interest = stall_interest(rx.borrow().staged_bytes());
-            runtime::io_ready(source, interest).await;
-        } else {
-            runtime::yield_now().await;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,52 +184,5 @@ mod tests {
         for log in logs.values() {
             assert_eq!(log.len(), 5);
         }
-    }
-
-    /// The async drivers move the same session over the runtime.
-    #[test]
-    fn async_drivers_complete_a_session() {
-        use std::rc::Rc;
-
-        let (la, lb) = MemoryLink::pair(64);
-        let cfg = NetConfig::default();
-        let tx = Rc::new(RefCell::new(MuxSender::new(FixedCodec, 1, cfg)));
-        {
-            let mut tx = tx.borrow_mut();
-            for s in 0..3u64 {
-                for i in 0..4 {
-                    tx.try_send_segment(s, &seg(i)).unwrap();
-                }
-            }
-            tx.finish_all();
-        }
-        let logs = runtime::block_on({
-            let tx = tx.clone();
-            async move {
-                let spawner = runtime::spawner();
-                let la = Rc::new(RefCell::new(la));
-                let lb = RefCell::new(lb);
-                spawner.spawn(async move {
-                    drive_sender(&tx, &la, |t| t.is_idle()).await.expect("sender");
-                });
-                // The receiver lives entirely in the root task.
-                let rx = RefCell::new(NetReceiver::new(FixedCodec, 1, cfg));
-                drive_receiver(&rx, &lb, |r| {
-                    r.finished_streams().count() == 3 && r.staged_bytes() == 0
-                })
-                .await
-                .expect("receiver");
-                // Let the sender task observe its final acks.
-                for _ in 0..50 {
-                    runtime::yield_now().await;
-                }
-                rx.into_inner().into_demux().into_segment_logs()
-            }
-        });
-        assert_eq!(logs.len(), 3);
-        for log in logs.values() {
-            assert_eq!(log.len(), 4);
-        }
-        assert!(tx.borrow().all_acked());
     }
 }

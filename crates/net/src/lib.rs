@@ -7,9 +7,9 @@
 //! recovery. This crate is that layer:
 //!
 //! * [`runtime`] — a minimal vendored-style futures runtime (same
-//!   offline policy as `vendor/`): a single-threaded executor with a
-//!   *poll-loop reactor* over non-blocking I/O, timers, and `block_on`.
-//!   No external dependencies.
+//!   offline policy as `vendor/`): a single-threaded executor that parks
+//!   until its next timer, timers, and `block_on`. No external
+//!   dependencies.
 //! * [`link`] — the byte-pipe abstraction the transport runs over:
 //!   [`MemoryLink`] (in-process, capacity-bounded, severable — the
 //!   deterministic test substrate) and [`TcpLink`] (non-blocking
@@ -30,12 +30,15 @@
 //!   so every protocol path is unit-testable deterministically. The
 //!   receiver feeds `pla_transport::StreamDemux`, which rebuilds one
 //!   segment log per stream.
-//! * Reconnect — both endpoints survive losing their link: the sender
-//!   retains un-acknowledged frames and replays them on
-//!   [`MuxSender::on_reconnect`]; the receiver drops replayed duplicates
-//!   by sequence number ([`StreamDemux::consume_sequenced`](pla_transport::StreamDemux::consume_sequenced)) and
-//!   re-announces its ack/credit state, so the reconstruction is
-//!   byte-identical to an uninterrupted run.
+//! * [`session`] — the one way a connection comes back: a
+//!   [`SessionSender`] redials on its own and resumes by session token.
+//!   The resume `HelloAck` carries the receiver's cumulative ack/credit
+//!   cursors, the sender replays exactly its un-acknowledged tail, and
+//!   the receiver drops replayed duplicates by sequence number
+//!   ([`StreamDemux::consume_sequenced`](pla_transport::StreamDemux::consume_sequenced)),
+//!   so the reconstruction is byte-identical to an uninterrupted run.
+//! * [`collector`] — the base-station side: a [`Collector`] funnels many
+//!   accepted sessions into one shared `SegmentStore`.
 //! * [`uplink`] — the `pla-ingest` integration: an engine's live segment
 //!   tap flows straight out over one multiplexed connection.
 //!
@@ -67,6 +70,7 @@
 //! assert_eq!(rx.into_demux().into_segment_logs()[&7].len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -17,14 +17,12 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
-use crate::runtime::EventSource;
-
 /// A non-blocking, connection-oriented byte stream.
 ///
 /// Both methods follow `std::io` conventions: `WouldBlock` means "try
-/// again later" (the runtime's [`io_op`](crate::runtime::io_op) turns it
-/// into a suspension point); any other error means the connection is
-/// dead and the session layer should reconnect.
+/// again later" (the pumps end their round and the driving task sleeps
+/// on a timer); any other error means the connection is dead and the
+/// session layer should reconnect.
 pub trait Link {
     /// Writes some prefix of `buf`, returning how many bytes were
     /// accepted. `Err(WouldBlock)` when the pipe is full.
@@ -34,16 +32,6 @@ pub trait Link {
     /// finished and closed); `Err(WouldBlock)` when no bytes are
     /// available yet.
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-
-    /// The OS-level readiness source (raw fd) backing this link, if it
-    /// has one. Drivers pass it to
-    /// [`runtime::io_ready`](crate::runtime::io_ready) so the epoll
-    /// reactor can sleep until the kernel reports the link ready;
-    /// in-process links return `None` and fall back to the bounded
-    /// poll-loop cadence under either reactor.
-    fn event_source(&self) -> Option<EventSource> {
-        None
-    }
 
     /// Tears the connection down from this side. The session layer
     /// calls it when a liveness deadline expires: the link looks alive
@@ -174,7 +162,7 @@ impl TcpLink {
     /// Wraps an accepted stream, switching it to non-blocking mode and
     /// disabling Nagle (the transport already batches into frames; an
     /// extra 40 ms delayed-ack dance per credit round trip would swamp
-    /// the poll-loop reactor's latency).
+    /// the 1 ms pump cadence).
     pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
@@ -189,12 +177,6 @@ impl Link for TcpLink {
 
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         io::Read::read(&mut self.stream, buf)
-    }
-
-    #[cfg(unix)]
-    fn event_source(&self) -> Option<EventSource> {
-        use std::os::unix::io::AsRawFd;
-        Some(self.stream.as_raw_fd())
     }
 
     fn shutdown(&mut self) {

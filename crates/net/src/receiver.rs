@@ -278,12 +278,6 @@ impl<C: Codec> NetReceiver<C> {
         }
     }
 
-    /// Drops every batched-but-unflushed ack.
-    fn clear_ack_dirty(&mut self) {
-        self.ack_dirty.clear();
-        self.ack_batch += 1;
-    }
-
     /// Moves onto `out` the id of every stream that applied a `Data`
     /// frame or received its `Fin` since the last call, each once, and
     /// starts tracking afresh. The collector publishes exactly these
@@ -300,26 +294,10 @@ impl<C: Codec> NetReceiver<C> {
         self.streams.get(&stream).map_or(self.config.window, |rx| rx.window.current_grant())
     }
 
-    /// The connection died: forget the dead link's partial inbound
-    /// frame and its undelivered control bytes, then re-announce this
-    /// side's cumulative state — one `Ack` frame with a cursor (ack
-    /// point and current grant) per known stream — so the reconnected
-    /// sender can immediately trim its replay buffer and resume sending.
-    pub fn on_reconnect(&mut self) {
-        self.frames.reset();
-        self.out.clear();
-        self.clear_ack_dirty();
-        self.cursors = self.resume_cursors();
-        let n = self.cursors.len() as u64;
-        self.acks_staged += n;
-        self.credits_staged += n;
-        self.stage_cursors();
-    }
-
     /// This side's cumulative resume state, one cursor per known
-    /// stream, ascending — the payload of a session-resume `HelloAck`,
-    /// and the same cursors [`on_reconnect`](Self::on_reconnect)
-    /// announces in an `Ack` frame.
+    /// stream (ack point and current grant), ascending — the payload of
+    /// a session-resume `HelloAck`, from which the reconnected sender
+    /// trims its replay buffer and resumes sending.
     pub fn resume_cursors(&self) -> Vec<ResumeCursor> {
         self.demux
             .streams()
@@ -335,12 +313,13 @@ impl<C: Codec> NetReceiver<C> {
     /// partial inbound frame, its undelivered control bytes, and any
     /// batched-but-unflushed acks — **without** staging anything. The
     /// session handshake announces this side's cumulative state through
-    /// the `HelloAck` resume cursors instead, so the per-stream refresh
-    /// of [`on_reconnect`](Self::on_reconnect) would be redundant bytes.
+    /// the [`resume_cursors`](Self::resume_cursors) of its `HelloAck`
+    /// instead.
     pub fn reset_link(&mut self) {
         self.frames.reset();
         self.out.clear();
-        self.clear_ack_dirty();
+        self.ack_dirty.clear();
+        self.ack_batch += 1;
         self.heartbeat_echoes.clear();
     }
 
@@ -579,10 +558,9 @@ mod tests {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
         rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
-        rx.on_reconnect();
-        let ctl = control_frames(&mut rx);
+        rx.reset_link();
         let window = NetConfig::default().window;
-        assert_eq!(only_ack(&ctl), [cursor(7, 1, window)], "ack point and current grant");
+        assert_eq!(rx.resume_cursors(), [cursor(7, 1, window)], "ack point and current grant");
     }
 
     #[test]
@@ -594,33 +572,27 @@ mod tests {
         rx.on_bytes(&data_bytes(2, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         rx.on_bytes(&data_bytes(5, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
-        let before = rx.stats();
-        rx.on_reconnect();
-        let ctl = control_frames(&mut rx);
+        rx.reset_link();
         // Stream 2 crossed half its 64-byte window, so its grant moved
         // past the initial one; the others still hold the initial window.
+        // The resume HelloAck carries these cursors in one frame.
         assert_eq!(
-            only_ack(&ctl),
+            rx.resume_cursors(),
             [cursor(2, 2, 52 + 64), cursor(5, 1, 64), cursor(9, 1, 64)],
-            "one frame, one cursor per known stream, ascending"
+            "one cursor per known stream, ascending"
         );
-        assert_eq!(only_ack(&ctl), rx.resume_cursors(), "the same cursors a HelloAck carries");
-        // The observability counters still count per-stream entries.
-        assert_eq!(rx.stats().acks_staged - before.acks_staged, 3);
-        assert_eq!(rx.stats().credits_staged - before.credits_staged, 3);
     }
 
     #[test]
     fn reconnect_supersedes_pending_batched_acks() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
         rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        // Ack still batched (dirty) when the link dies: the reconnect
-        // refresh must not double-stage it.
+        // Ack still batched (dirty) when the link dies: the resume
+        // cursors supersede it, so nothing may stage it afterwards.
         assert!(rx.control_dirty());
-        rx.on_reconnect();
+        rx.reset_link();
         assert!(!rx.control_dirty());
-        let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl).len(), 1, "exactly one ack after the refresh");
+        assert!(control_frames(&mut rx).is_empty(), "no Ack staged after the reset");
     }
 
     #[test]

@@ -1,33 +1,26 @@
 //! A minimal single-threaded futures runtime: executor, timers, and a
-//! pluggable *reactor* over non-blocking I/O.
+//! spawner.
 //!
 //! The offline-build policy that vendors `rand`/`bytes`/`proptest`/
 //! `criterion` as API stand-ins (see `vendor/README.md`) applies to the
-//! async runtime too: no `tokio`, no `mio` — just `std` (plus, on
-//! Linux, the handful of raw syscall declarations in the private
-//! `epoll` module). The
-//! design is the smallest thing that honestly drives this crate's
-//! transport:
+//! async runtime too: no `tokio`, no `mio` — just `std`. The design is
+//! the smallest thing that honestly drives this crate's tasks
+//! ([`drive_collector`](crate::drive_collector) and the ops and query
+//! servers built on it), all of which wait on timers, never on fd
+//! readiness:
 //!
 //! * **Executor** — single-threaded, cooperative. Tasks are `!Send`
 //!   futures boxed on the local heap; wakers carry a task id into a
 //!   mutex-protected ready queue (wakers must be `Send`, the tasks never
 //!   leave the thread). [`block_on`] runs a root future plus everything
 //!   it [`spawn`](Spawner::spawn)s.
-//! * **Reactor** — selected at construction ([`block_on_with`]), behind
-//!   the [`io_op`]/[`io_ready`] seam:
-//!   [`PollLoop`](ReactorKind::PollLoop) re-fires every parked I/O
-//!   waker after a short bounded park (≤ 200 µs — portable, zero
-//!   platform code, deterministic for tests), while epoll (Linux, the
-//!   [`Default`](ReactorKind::default)) parks fd-backed waiters on
-//!   `epoll_wait` so idle connections cost no polling at all. Futures
-//!   without an OS readiness source (e.g. over a
-//!   [`MemoryLink`](crate::MemoryLink)) keep poll-loop cadence under
-//!   either reactor (rounded up to epoll's 1 ms timer granularity
-//!   there).
-//! * **Timers** — a deadline list consulted for the wait timeout;
-//!   [`sleep`] and [`yield_now`] are the primitives the drivers use for
-//!   backoff.
+//! * **Idle wait** — with nothing runnable, the executor thread parks
+//!   until the next timer deadline (at most 50 ms). A waker fired from
+//!   another thread queues its task and unparks the executor, so a
+//!   cross-thread wake never waits out the park.
+//! * **Timers** — a deadline list consulted for the park timeout;
+//!   [`sleep`] and [`yield_now`] are the primitives the drivers use to
+//!   pace their pump loops.
 //!
 //! ```
 //! use pla_net::runtime;
@@ -48,25 +41,32 @@
 //! assert_eq!(out, 42);
 //! ```
 
-#[cfg(target_os = "linux")]
-mod epoll;
-mod reactor;
-
-pub use reactor::{EventSource, Interest, ReactorKind};
-
-use reactor::{Notifier, Reactor};
-
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
-use std::io;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// How long the idle executor parks when no timer is due sooner.
+const IDLE_PARK: Duration = Duration::from_millis(50);
+
+/// The wake-up strategy driving the executor.
+///
+/// There is one: the executor parks its thread until the next timer
+/// and cross-thread wakes unpark it. The type remains only as run
+/// metadata ([`active_reactor`]), so tools that record which runtime
+/// produced a measurement keep a stable field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReactorKind {
+    /// Timer-bounded thread parking, woken early by cross-thread wakes.
+    PollLoop,
+}
 
 /// Wakes the executor thread and marks one task runnable. This is the
 /// only piece that crosses threads, hence the `Mutex` (uncontended in
@@ -78,13 +78,14 @@ struct TaskWaker {
 
 struct ReadyQueue {
     ids: Mutex<VecDeque<u64>>,
-    notifier: Notifier,
+    /// The executor thread, unparked by every push.
+    executor: Thread,
 }
 
 impl ReadyQueue {
     fn push(&self, id: u64) {
         self.ids.lock().expect("ready queue").push_back(id);
-        self.notifier.notify();
+        self.executor.unpark();
     }
 
     fn pop(&self) -> Option<u64> {
@@ -98,38 +99,26 @@ impl Wake for TaskWaker {
     }
 }
 
-/// Reactor + spawner state shared between the executor and the futures
+/// Spawner and timer state shared between the executor and the futures
 /// it polls, installed in a thread-local while the executor runs.
+#[derive(Default)]
 struct Shared {
     /// Tasks spawned from inside other tasks, picked up each turn.
     spawned: RefCell<Vec<LocalFuture>>,
-    /// Wakes suspended I/O futures; see [`reactor`] for the two
-    /// implementations.
-    reactor: Reactor,
     /// Timer deadlines with their wakers.
     timers: RefCell<Vec<(Instant, Waker)>>,
-}
-
-impl Shared {
-    fn new(kind: ReactorKind) -> Rc<Self> {
-        Rc::new(Self {
-            spawned: RefCell::new(Vec::new()),
-            reactor: Reactor::new(kind),
-            timers: RefCell::new(Vec::new()),
-        })
-    }
 }
 
 thread_local! {
     static CURRENT: RefCell<Option<Rc<Shared>>> = const { RefCell::new(None) };
 }
 
-fn with_shared<R>(f: impl FnOnce(&Shared) -> R) -> R {
+fn with_shared<R>(f: impl FnOnce(&Rc<Shared>) -> R) -> R {
     CURRENT.with(|cur| {
         let cur = cur.borrow();
         let shared = cur.as_ref().expect(
             "pla-net runtime primitive used outside runtime::block_on \
-             (sleep/io_op/spawn need a running executor)",
+             (sleep/spawn need a running executor)",
         );
         f(shared)
     })
@@ -164,50 +153,32 @@ impl Spawner {
 ///
 /// Panics outside [`block_on`].
 pub fn spawner() -> Spawner {
-    let shared = CURRENT.with(|cur| {
-        cur.borrow()
-            .as_ref()
-            .expect(
-                "pla-net runtime primitive used outside runtime::block_on \
-                 (sleep/io_op/spawn need a running executor)",
-            )
-            .clone()
-    });
-    Spawner { shared }
+    Spawner { shared: with_shared(Rc::clone) }
 }
 
-/// The reactor implementation actually driving the current executor
-/// (after any platform fallback).
+/// The wake-up strategy driving the current executor (always
+/// [`ReactorKind::PollLoop`]; kept as run metadata).
 ///
 /// # Panics
 ///
 /// Panics outside [`block_on`].
 pub fn active_reactor() -> ReactorKind {
-    with_shared(|s| s.reactor.kind())
+    with_shared(|_| ReactorKind::PollLoop)
 }
 
-/// Runs `root` on the host's default reactor (epoll on Linux, the
-/// portable poll loop elsewhere). See [`block_on_with`].
+/// Runs `root` to completion on the current thread, driving every task
+/// it spawns. Spawned tasks still pending when the root completes are
+/// dropped (structured teardown: the root future owns the session).
 pub fn block_on<F: Future>(root: F) -> F::Output {
-    block_on_with(ReactorKind::default(), root)
-}
-
-/// Runs `root` to completion on the current thread with the requested
-/// [`ReactorKind`], driving every task it spawns. Spawned tasks still
-/// pending when the root completes are dropped (structured teardown:
-/// the root future owns the session).
-pub fn block_on_with<F: Future>(kind: ReactorKind, root: F) -> F::Output {
-    let shared = Shared::new(kind);
+    let shared = Rc::new(Shared::default());
     CURRENT.with(|cur| {
         assert!(cur.borrow().is_none(), "nested runtime::block_on on one thread");
         *cur.borrow_mut() = Some(shared.clone());
     });
     let _guard = CurrentGuard;
 
-    let ready = Arc::new(ReadyQueue {
-        ids: Mutex::new(VecDeque::new()),
-        notifier: shared.reactor.notifier(),
-    });
+    let ready =
+        Arc::new(ReadyQueue { ids: Mutex::new(VecDeque::new()), executor: std::thread::current() });
     const ROOT_ID: u64 = 0;
     let mut next_id: u64 = 1;
     let mut tasks: HashMap<u64, LocalFuture> = HashMap::new();
@@ -261,15 +232,16 @@ pub fn block_on_with<F: Future>(kind: ReactorKind, root: F) -> F::Output {
             continue;
         }
 
-        // Nothing runnable: the reactor turn. Sleep until I/O readiness
-        // (epoll), the bounded poll park, a due timer, or a cross-thread
-        // wake — whichever comes first — then fire the due wakers.
+        // Nothing runnable: park until the next timer is due or a
+        // cross-thread wake unparks us, whichever comes first. A wake
+        // that lands before the park leaves the thread's unpark token
+        // set, so the park returns at once and nothing is lost.
         let next_timer = shared.timers.borrow().iter().map(|(d, _)| *d).min();
-        let timeout = match next_timer {
-            Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-            None => Duration::from_millis(50),
-        };
-        shared.reactor.wait(timeout);
+        let timeout = next_timer
+            .map_or(IDLE_PARK, |deadline| deadline.saturating_duration_since(Instant::now()));
+        if !timeout.is_zero() {
+            std::thread::park_timeout(timeout);
+        }
     }
 }
 
@@ -304,82 +276,9 @@ pub fn yield_now() -> impl Future<Output = ()> {
     })
 }
 
-/// Suspends until the reactor's next turn: resumes as soon as any waker
-/// fires, or after at most one poll interval. This is the sourceless
-/// "wait for I/O readiness" primitive — a pump loop over a link with no
-/// OS readiness source ([`MemoryLink`](crate::MemoryLink)) awaits this
-/// instead of spinning. Fd-backed links should use [`io_ready`], which
-/// lets the epoll reactor sleep precisely.
-pub fn reactor_tick() -> impl Future<Output = ()> {
-    io_ready(None, Interest::ReadWrite)
-}
-
-/// Suspends until `source` is ready for `interest` (or, with no source,
-/// until the reactor's next poll turn — identical to [`reactor_tick`]).
-///
-/// Under the epoll reactor a real `source` sleeps in the kernel until
-/// its fd is actually readable/writable; under the poll-loop reactor
-/// (and for sourceless waits under either) the future re-fires after at
-/// most one poll interval. Either way this is a *hint*, not a
-/// guarantee: callers re-try their non-blocking operation and re-await,
-/// so a spurious wake costs one `WouldBlock`, never correctness.
-pub fn io_ready(source: Option<EventSource>, interest: Interest) -> impl Future<Output = ()> {
-    let mut registered = false;
-    std::future::poll_fn(move |cx| {
-        if registered {
-            Poll::Ready(())
-        } else {
-            registered = true;
-            with_shared(|s| {
-                s.reactor.register(source.map(|fd| (fd, interest)), cx.waker().clone())
-            });
-            Poll::Pending
-        }
-    })
-}
-
-/// Adapts a non-blocking I/O operation into a future: runs `op`; on
-/// [`WouldBlock`](io::ErrorKind::WouldBlock) registers with the
-/// reactor and suspends, resolving once the operation
-/// eventually returns ready or fails. [`Interrupted`](io::ErrorKind::Interrupted)
-/// retries immediately.
-///
-/// This is the seam between the sans-I/O protocol endpoints and the
-/// runtime: `op` typically borrows a [`Link`](crate::Link) through a
-/// `RefCell` and attempts one `try_read`/`try_write`. The sourceless
-/// form polls; [`io_op_on`] carries the fd so the epoll reactor can
-/// sleep precisely.
-pub fn io_op<T>(op: impl FnMut() -> io::Result<T>) -> impl Future<Output = io::Result<T>> {
-    io_op_on(None, Interest::ReadWrite, op)
-}
-
-/// [`io_op`] with an explicit readiness source: on `WouldBlock` the
-/// waker parks on `source` for `interest` (kernel-precise under epoll,
-/// poll-interval cadence otherwise).
-pub fn io_op_on<T>(
-    source: Option<EventSource>,
-    interest: Interest,
-    mut op: impl FnMut() -> io::Result<T>,
-) -> impl Future<Output = io::Result<T>> {
-    std::future::poll_fn(move |cx| match op() {
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-            with_shared(|s| {
-                s.reactor.register(source.map(|fd| (fd, interest)), cx.waker().clone())
-            });
-            Poll::Pending
-        }
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-        other => Poll::Ready(other),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[test]
     fn block_on_returns_root_value() {
@@ -387,156 +286,104 @@ mod tests {
     }
 
     #[test]
-    fn default_reactor_is_epoll_on_linux() {
-        let kind = block_on(async { active_reactor() });
-        #[cfg(target_os = "linux")]
-        assert_eq!(kind, ReactorKind::Epoll);
-        #[cfg(not(target_os = "linux"))]
-        assert_eq!(kind, ReactorKind::PollLoop);
-    }
-
-    #[test]
     fn poll_loop_reactor_is_always_selectable() {
-        let kind = block_on_with(ReactorKind::PollLoop, async { active_reactor() });
+        let kind = block_on(async { active_reactor() });
         assert_eq!(kind, ReactorKind::PollLoop);
-    }
-
-    /// Runs a runtime test under both reactors: the reactor is a pure
-    /// wake-up strategy and must never change semantics.
-    fn on_both_reactors(f: impl Fn(ReactorKind)) {
-        f(ReactorKind::PollLoop);
-        #[cfg(target_os = "linux")]
-        f(ReactorKind::Epoll);
     }
 
     #[test]
     fn spawned_tasks_run_and_interleave() {
-        on_both_reactors(|kind| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let out = block_on_with(kind, {
-                let log = log.clone();
-                async move {
-                    let spawner = spawner();
-                    for id in 0..3 {
-                        let log = log.clone();
-                        spawner.spawn(async move {
-                            log.borrow_mut().push(id);
-                            yield_now().await;
-                            log.borrow_mut().push(id + 10);
-                        });
-                    }
-                    // Give the children two turns.
-                    yield_now().await;
-                    yield_now().await;
-                    yield_now().await;
-                    log.borrow().len()
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let out = block_on({
+            let log = log.clone();
+            async move {
+                let spawner = spawner();
+                for id in 0..3 {
+                    let log = log.clone();
+                    spawner.spawn(async move {
+                        log.borrow_mut().push(id);
+                        yield_now().await;
+                        log.borrow_mut().push(id + 10);
+                    });
                 }
-            });
-            assert_eq!(out, 6, "all three tasks completed both halves");
-            let log = log.borrow();
-            // First halves all ran before any second half (cooperative turns).
-            assert_eq!(&log[..3], &[0, 1, 2]);
+                // Give the children two turns.
+                yield_now().await;
+                yield_now().await;
+                yield_now().await;
+                log.borrow().len()
+            }
         });
+        assert_eq!(out, 6, "all three tasks completed both halves");
+        let log = log.borrow();
+        // First halves all ran before any second half (cooperative turns).
+        assert_eq!(&log[..3], &[0, 1, 2]);
     }
 
     #[test]
     fn sleep_orders_by_deadline() {
-        on_both_reactors(|kind| {
-            let order = Rc::new(RefCell::new(Vec::new()));
-            block_on_with(kind, {
-                let order = order.clone();
-                async move {
-                    let spawner = spawner();
-                    let o1 = order.clone();
-                    spawner.spawn(async move {
-                        sleep(Duration::from_millis(20)).await;
-                        o1.borrow_mut().push("late");
-                    });
-                    let o2 = order.clone();
-                    spawner.spawn(async move {
-                        sleep(Duration::from_millis(1)).await;
-                        o2.borrow_mut().push("early");
-                    });
-                    sleep(Duration::from_millis(40)).await;
-                }
-            });
-            assert_eq!(*order.borrow(), vec!["early", "late"]);
-        });
-    }
-
-    #[test]
-    fn io_op_retries_would_block_until_ready() {
-        on_both_reactors(|kind| {
-            let attempts = Rc::new(Cell::new(0));
-            let result = block_on_with(kind, {
-                let attempts = attempts.clone();
-                async move {
-                    io_op(move || {
-                        attempts.set(attempts.get() + 1);
-                        if attempts.get() < 4 {
-                            Err(io::Error::new(io::ErrorKind::WouldBlock, "not yet"))
-                        } else {
-                            Ok(99u32)
-                        }
-                    })
-                    .await
-                }
-            });
-            assert_eq!(result.unwrap(), 99);
-            assert_eq!(attempts.get(), 4);
-        });
-    }
-
-    #[test]
-    fn io_op_propagates_real_errors() {
-        on_both_reactors(|kind| {
-            let result: io::Result<()> = block_on_with(kind, async {
-                io_op(|| Err(io::Error::new(io::ErrorKind::ConnectionReset, "gone"))).await
-            });
-            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::ConnectionReset);
-        });
-    }
-
-    /// The epoll reactor against a real kernel object: a task blocked
-    /// reading an empty TCP socket must wake when bytes arrive from
-    /// another thread — a kernel-readiness wake, not a poll re-fire.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_wakes_on_real_socket_readiness() {
-        use crate::link::{Link, TcpLink};
-        use std::os::unix::io::AsRawFd;
-
-        let listener = match std::net::TcpListener::bind("127.0.0.1:0") {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("skipping epoll socket test: cannot bind loopback ({e})");
-                return;
+        let order = Rc::new(RefCell::new(Vec::new()));
+        block_on({
+            let order = order.clone();
+            async move {
+                let spawner = spawner();
+                let o1 = order.clone();
+                spawner.spawn(async move {
+                    sleep(Duration::from_millis(20)).await;
+                    o1.borrow_mut().push("late");
+                });
+                let o2 = order.clone();
+                spawner.spawn(async move {
+                    sleep(Duration::from_millis(1)).await;
+                    o2.borrow_mut().push("early");
+                });
+                sleep(Duration::from_millis(40)).await;
             }
-        };
-        let addr = listener.local_addr().unwrap();
-        let client = std::net::TcpStream::connect(addr).unwrap();
-        let (server_stream, _) = listener.accept().unwrap();
-        let fd = server_stream.as_raw_fd();
-        let mut server = TcpLink::from_stream(server_stream).unwrap();
+        });
+        assert_eq!(*order.borrow(), vec!["early", "late"]);
+    }
 
-        // The writer fires from another thread after a delay; the
-        // suspended reader is woken by fd readiness.
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            use std::io::Write;
-            (&client).write_all(b"ping").unwrap();
-            client
-        });
-        let got = block_on_with(ReactorKind::Epoll, async move {
-            assert_eq!(active_reactor(), ReactorKind::Epoll);
-            let mut buf = [0u8; 8];
-            let n = io_op_on(Some(fd), Interest::Read, || server.try_read(&mut buf))
-                .await
-                .expect("read");
-            buf[..n].to_vec()
-        });
-        assert_eq!(&got, b"ping");
-        drop(writer.join().unwrap());
+    /// A waker fired from another thread must cut the idle park short.
+    /// No timer is armed, so without the unpark every round would sit
+    /// out the full [`IDLE_PARK`] before polling the woken root again.
+    #[test]
+    fn cross_thread_wake_interrupts_the_idle_park() {
+        const ROUNDS: u32 = 20;
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            let slot: Arc<Mutex<(bool, Option<Waker>)>> = Arc::default();
+            let waker_thread = std::thread::spawn({
+                let slot = slot.clone();
+                move || {
+                    // Wait for the root to suspend, give the executor
+                    // time to park, then complete and wake it.
+                    while slot.lock().unwrap().1.is_none() {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    let waker = {
+                        let mut slot = slot.lock().unwrap();
+                        slot.0 = true;
+                        slot.1.take().unwrap()
+                    };
+                    waker.wake();
+                }
+            });
+            block_on(std::future::poll_fn(|cx| {
+                let mut slot = slot.lock().unwrap();
+                if slot.0 {
+                    Poll::Ready(())
+                } else {
+                    slot.1 = Some(cx.waker().clone());
+                    Poll::Pending
+                }
+            }));
+            waker_thread.join().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < IDLE_PARK * ROUNDS / 2,
+            "{ROUNDS} cross-thread wakes took {elapsed:?}: the wake did not unpark the executor"
+        );
     }
 
     #[test]

@@ -25,7 +25,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::link::{Link, MemoryLink};
 use crate::listen::MemoryConnector;
-use crate::runtime::EventSource;
 use crate::session::{splitmix64, Redial};
 
 /// One scripted link pathology. Frame indices count complete frames
@@ -299,10 +298,6 @@ impl<L: Link> Link for FaultLink<L> {
         self.flush_staged(&mut st);
         drop(st);
         self.inner.try_read(buf)
-    }
-
-    fn event_source(&self) -> Option<EventSource> {
-        self.inner.event_source()
     }
 
     fn shutdown(&mut self) {

@@ -1,8 +1,17 @@
-//! The collector acceptance test: 8 connections × 16 streams each — a
-//! fleet of edge senders multiplexing into one shared `SegmentStore` —
-//! with every link severed mid-transfer and recovered by session token
-//! resume, must leave the store *byte-identical* to 128 dedicated
-//! point-to-point transmitter/receiver links.
+//! The collector acceptance tests: a fleet of edge senders multiplexing
+//! into one shared `SegmentStore`, with every link severed mid-transfer
+//! and recovered by session token resume, must leave the store
+//! *byte-identical* to one dedicated point-to-point
+//! transmitter/receiver link per stream.
+//!
+//! One harness runs three fleets:
+//!
+//! * 8 connections × 16 streams over 211-byte pipes — many sessions,
+//!   each dying at a different phase of its transfer;
+//! * 1 connection × 64 streams over a 193-byte pipe — one heavily
+//!   multiplexed session severed halfway, under the `FixedCodec`;
+//! * the same single session under the `CompactCodec`, whose stateful
+//!   delta predictor must survive the resume's replay.
 //!
 //! Each sending side is the full production path: an `IngestEngine`
 //! (the edge node's shard-per-core filtering) whose live segment tap
@@ -23,13 +32,28 @@ use pla_net::listen::{MemoryAcceptor, MemoryConnector};
 use pla_net::uplink::{EngineUplink, UplinkStatus};
 use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_signal::{random_walk, WalkParams};
-use pla_transport::wire::FixedCodec;
+use pla_transport::wire::{Codec, CompactCodec, FixedCodec};
 use pla_transport::{Receiver, Transmitter};
 
-const CONNS: u64 = 8;
-const STREAMS_PER_CONN: u64 = 16;
 const SAMPLES: usize = 300;
-const LINK_CAPACITY: usize = 211;
+const CFG: NetConfig = NetConfig { window: 512, max_frame: 1 << 20 };
+
+/// The shape of one fan-in run.
+#[derive(Debug, Clone, Copy)]
+struct Fleet {
+    /// Edge senders, one session each.
+    conns: u64,
+    /// Streams multiplexed over each session.
+    streams_per_conn: u64,
+    /// Capacity of every `MemoryLink` pipe, in bytes.
+    link_capacity: usize,
+}
+
+impl Fleet {
+    fn streams(&self) -> u64 {
+        self.conns * self.streams_per_conn
+    }
+}
 
 fn spec_for(id: u64) -> FilterSpec {
     let kind = match id % 3 {
@@ -51,12 +75,12 @@ fn signal_for(id: u64) -> Signal {
 
 /// The reference: every stream over its own dedicated point-to-point
 /// link, as the paper deploys it.
-fn direct_reference() -> BTreeMap<u64, Vec<Segment>> {
+fn direct_reference<C: Codec + Clone>(codec: C, streams: u64) -> BTreeMap<u64, Vec<Segment>> {
     let mut out = BTreeMap::new();
-    for id in 0..CONNS * STREAMS_PER_CONN {
+    for id in 0..streams {
         let filter = spec_for(id).build().expect("valid spec");
-        let mut tx = Transmitter::new(filter, FixedCodec);
-        let mut rx = Receiver::new(FixedCodec, 1);
+        let mut tx = Transmitter::new(filter, codec.clone());
+        let mut rx = Receiver::new(codec.clone(), 1);
         for (t, x) in signal_for(id).iter() {
             tx.push(t, x).expect("valid sample");
             rx.consume(tx.take_bytes()).expect("lossless link");
@@ -75,8 +99,8 @@ fn session_config() -> SessionConfig {
 }
 
 /// One edge node: engine-filtered segments multiplexed up a flaky link.
-struct EdgeSender {
-    tx: SessionSender<FixedCodec, MemoryRedial>,
+struct EdgeSender<C: Codec> {
+    tx: SessionSender<C, MemoryRedial>,
     uplink: EngineUplink,
     now: Instant,
     finned: bool,
@@ -84,19 +108,19 @@ struct EdgeSender {
     expected_segments: u64,
 }
 
-impl EdgeSender {
+impl<C: Codec> EdgeSender<C> {
     /// Builds the node for connection `conn`, running its engine to
     /// completion up front (the tap buffers; the uplink then drains it
     /// under credit control).
-    fn new(conn: u64, cfg: NetConfig, connector: &MemoryConnector, now: Instant) -> Self {
+    fn new(codec: C, conn: u64, fleet: Fleet, connector: &MemoryConnector, now: Instant) -> Self {
         let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
             shards: 2,
             queue_depth: 128,
             shard_log: false,
         });
         let handle = engine.handle();
-        let base = conn * STREAMS_PER_CONN;
-        for s in 0..STREAMS_PER_CONN {
+        let base = conn * fleet.streams_per_conn;
+        for s in 0..fleet.streams_per_conn {
             let id = base + s;
             handle.register(StreamId(id), spec_for(id)).expect("register");
             let signal = signal_for(id);
@@ -105,9 +129,9 @@ impl EdgeSender {
         }
         let report = engine.finish();
         assert_eq!(report.quarantined(), 0);
-        let redial = MemoryRedial::new(connector.clone(), LINK_CAPACITY);
+        let redial = MemoryRedial::new(connector.clone(), fleet.link_capacity);
         Self {
-            tx: SessionSender::new(FixedCodec, 1, cfg, session_config(), redial, now),
+            tx: SessionSender::new(codec, 1, CFG, session_config(), redial, now),
             uplink: EngineUplink::new(tap),
             now,
             finned: false,
@@ -137,18 +161,20 @@ impl EdgeSender {
     }
 }
 
-#[test]
-fn eight_connections_with_reconnects_match_direct_links_exactly() {
-    let cfg = NetConfig { window: 512, max_frame: 1 << 20 };
+/// Runs `fleet` into one collector, severing every connection once,
+/// checks the transport-level invariants, and asserts the store is
+/// byte-identical to one direct `codec` link per stream.
+fn assert_fleet_matches_direct_links<C: Codec + Clone + 'static>(codec: C, fleet: Fleet) {
+    let conns = fleet.conns;
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
     let mut collector =
-        Collector::with_sessions(FixedCodec, 1, cfg, session_config(), acceptor, store.clone());
+        Collector::with_sessions(codec.clone(), 1, CFG, session_config(), acceptor, store.clone());
 
     let now = Instant::now();
-    let mut edges: Vec<EdgeSender> =
-        (0..CONNS).map(|c| EdgeSender::new(c, cfg, &connector, now)).collect();
+    let mut edges: Vec<EdgeSender<C>> =
+        (0..conns).map(|c| EdgeSender::new(codec.clone(), c, fleet, &connector, now)).collect();
     let expected_total: u64 = edges.iter().map(|e| e.expected_segments).sum();
     // Every edge dials before the collector's first round, so ConnId
     // follows edge order.
@@ -161,14 +187,15 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
         let mut moved = collector.pump_at(now).expect("collector");
 
         // Sever every connection once, staggered: connection c dies
-        // when the store holds c+1 ninths of its expected traffic —
-        // different links die at different phases of the transfer. The
-        // cut lands *after* the collector staged its acks but before
-        // the sender read them, so the freshly written acks die in the
-        // pipe and the replay is partially duplicate — the worst case
-        // the dedup must absorb.
+        // when the store holds c+1 of conns+1 parts of its expected
+        // traffic (a lone connection dies halfway) — different links
+        // die at different phases of the transfer. The cut lands
+        // *after* the collector staged its acks but before the sender
+        // read them, so the freshly written acks die in the pipe and
+        // the replay is partially duplicate — the worst case the dedup
+        // must absorb.
         for (c, edge) in edges.iter_mut().enumerate() {
-            let threshold = edge.expected_segments * (c as u64 + 1) / (CONNS + 1);
+            let threshold = edge.expected_segments * (c as u64 + 1) / (conns + 1);
             let conn = ConnId(c as u64 + 1); // accept order follows dial order
             let published = store.watermark(conn.0).map_or(0, |w| w.segments);
             // Only an established session holds a token to resume with.
@@ -191,7 +218,7 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
             moved += edge.round();
         }
 
-        if edges.iter().all(|e| e.done()) && (1..=CONNS).all(|c| collector.conn_complete(ConnId(c)))
+        if edges.iter().all(|e| e.done()) && (1..=conns).all(|c| collector.conn_complete(ConnId(c)))
         {
             break;
         }
@@ -200,10 +227,10 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
     }
     assert!(edges.iter().all(|e| e.severed_once), "every link must have died once");
 
-    // The store must be byte-identical to 128 dedicated links.
-    let reference = direct_reference();
+    // The store must be byte-identical to the dedicated links.
+    let reference = direct_reference(codec, fleet.streams());
     let snap = store.snapshot();
-    assert_eq!(snap.streams.len(), (CONNS * STREAMS_PER_CONN) as usize);
+    assert_eq!(snap.streams.len(), fleet.streams() as usize);
     assert_eq!(snap.total_segments, expected_total);
     for (id, want) in &reference {
         let got = &snap.streams[&StreamId(*id)];
@@ -216,23 +243,47 @@ fn eight_connections_with_reconnects_match_direct_links_exactly() {
 
     // Observability: replays were dropped and counted, per connection.
     let stats = collector.stats();
-    assert_eq!(stats.connections, CONNS as usize);
+    assert_eq!(stats.connections, conns as usize);
     assert_eq!(stats.segments, expected_total);
     assert!(stats.dup_drops > 0, "staggered severs must have forced duplicate replays");
-    assert_eq!(stats.resumes, CONNS, "every severed connection came back by token resume");
+    assert_eq!(stats.resumes, conns, "every severed connection came back by token resume");
     assert_eq!(stats.refused, 0);
     for conn in &stats.conns {
-        assert_eq!(conn.ack_points.len(), STREAMS_PER_CONN as usize);
+        assert_eq!(conn.ack_points.len(), fleet.streams_per_conn as usize);
         assert!(
             conn.ack_points.iter().all(|&(_, ack)| ack > 0),
             "{}: every stream fully acked",
             conn.conn
         );
-        assert_eq!(conn.receiver.finished_streams, STREAMS_PER_CONN as usize);
+        assert_eq!(conn.receiver.finished_streams, fleet.streams_per_conn as usize);
     }
     // Per-connection watermarks cover the whole signal span.
-    for c in 1..=CONNS {
+    for c in 1..=conns {
         let mark = store.watermark(c).expect("every connection appended");
         assert!(mark.covered_through >= (SAMPLES - 1) as f64);
     }
+}
+
+#[test]
+fn eight_connections_with_reconnects_match_direct_links_exactly() {
+    let fleet = Fleet { conns: 8, streams_per_conn: 16, link_capacity: 211 };
+    assert_fleet_matches_direct_links(FixedCodec, fleet);
+}
+
+/// One session carrying 64 streams: the densest multiplexing through a
+/// single sever and resume.
+const ONE_SESSION: Fleet = Fleet { conns: 1, streams_per_conn: 64, link_capacity: 193 };
+
+#[test]
+fn one_session_sixty_four_streams_with_resume_match_direct_links_exactly() {
+    assert_fleet_matches_direct_links(FixedCodec, ONE_SESSION);
+}
+
+#[test]
+fn one_session_resume_survives_the_compact_codec_too() {
+    // The compact codec's delta predictor is stateful; the per-frame
+    // reset contract keeps replays decodable. Quantization is applied
+    // per value, so the multiplexed logs still match a direct compact
+    // link exactly.
+    assert_fleet_matches_direct_links(CompactCodec::new(0.01, &[0.01]), ONE_SESSION);
 }

@@ -15,7 +15,7 @@
 //!   stats structs into metric families.
 //! - [`http`] + [`admin`] — an [`OpsServer`] behind the
 //!   existing `Acceptor`/`Link` seam (deterministically testable over
-//!   `MemoryAcceptor`, drivable on both reactors), and the
+//!   `MemoryAcceptor`, drivable on the `pla-net` runtime), and the
 //!   [`CollectorAdmin`] handler serving
 //!   `/metrics`, `/healthz`, and the JSON admin API.
 //! - [`config`] — a dependency-free TOML-subset parser with `PLA_*` env

@@ -17,7 +17,8 @@
 //! timer when idle, so a liveness deadline fires even on a socket that
 //! wedges silently.
 //!
-//! (For the reconnect/replay choreography on a single connection, see
+//! (For one session severed mid-stream and healing itself — redial,
+//! token resume, replay of the unacknowledged tail — see
 //! `examples/net_pipeline.rs`.)
 
 use std::cell::RefCell;

@@ -1,6 +1,6 @@
 //! Multiplexed fleet uplink: many sensors → one shard-per-core ingest
-//! engine → one framed, credit-controlled connection → per-stream
-//! reconstruction — surviving a mid-stream disconnect.
+//! engine → one framed, credit-controlled session → a collector's
+//! store — surviving a mid-stream disconnect.
 //!
 //! ```text
 //! cargo run --release --example net_pipeline
@@ -14,28 +14,38 @@
 //! 1. 32 sensor streams feed an `IngestEngine` (filtering happens
 //!    shard-per-core); the engine's live segment tap feeds an uplink;
 //! 2. the uplink multiplexes segments into sequenced, credit-limited
-//!    frames over an in-memory link (swap in `TcpLink` for a socket);
+//!    frames on a `SessionSender` over an in-memory link (swap in
+//!    `TcpRedial`/`TcpAcceptor` for sockets), and a `Collector` task
+//!    publishes them into a `SegmentStore`;
 //! 3. halfway through, the connection is severed — bytes in flight are
-//!    lost — and the session reconnects: the sender replays its
-//!    unacknowledged frames, the receiver drops duplicates by sequence
-//!    number;
-//! 4. the receiver's `StreamDemux` rebuilds every stream's segment log,
-//!    which is verified against the ε guarantee.
+//!    lost — and the session heals itself: the sender redials and
+//!    presents its session token, the collector rebinds the same
+//!    connection and answers with its ack cursors, the sender replays
+//!    only its unacknowledged tail, and the collector drops duplicates
+//!    by sequence number;
+//! 4. the store holds every segment exactly once, verified against the
+//!    ε guarantee.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pla::core::filters::{FilterKind, FilterSpec};
-use pla::ingest::{IngestConfig, IngestEngine, StreamId};
-use pla::net::driver::{pump_receiver, pump_sender, DriveError};
+use pla::ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
+use pla::net::listen::MemoryAcceptor;
 use pla::net::uplink::{EngineUplink, UplinkStatus};
-use pla::net::{runtime, MemoryLink, MuxSender, NetConfig, NetReceiver};
+use pla::net::{
+    collector, runtime, Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender,
+};
 use pla::signal::{random_walk, WalkParams};
 use pla::transport::wire::FixedCodec;
 
 const STREAMS: u64 = 32;
 const SAMPLES: usize = 2_000;
 const EPSILON: f64 = 0.4;
+/// The sender's connection: the collector numbers connections from 1.
+const CONN: ConnId = ConnId(1);
 
 fn main() {
     // --- 1. fleet ingest -------------------------------------------------
@@ -62,7 +72,7 @@ fn main() {
         handle.push_batch(StreamId(id as u64), &samples).expect("feed");
     }
     let report = engine.finish();
-    let total_segments = report.total_segments();
+    let total_segments = report.total_segments() as u64;
     println!(
         "ingest: {} streams, {} samples -> {} segments ({} shards)",
         report.streams.len(),
@@ -71,98 +81,101 @@ fn main() {
         report.shards.len()
     );
 
-    // --- 2.+3. one multiplexed connection, with a forced reconnect -------
+    // --- 2.+3. one multiplexed session, with a forced sever --------------
     let cfg = NetConfig { window: 4 * 1024, max_frame: 1 << 20 };
-    let tx = Rc::new(RefCell::new(MuxSender::new(FixedCodec, 1, cfg)));
-    let rx = Rc::new(RefCell::new(NetReceiver::new(FixedCodec, 1, cfg)));
-    let (la, lb) = MemoryLink::pair(1024);
-    let link_a = Rc::new(RefCell::new(la));
-    let link_b = Rc::new(RefCell::new(lb));
-    let reconnects = Rc::new(RefCell::new(0u32));
+    let sess = SessionConfig::default();
+    let store = Arc::new(SegmentStore::new());
+    let acceptor = MemoryAcceptor::new();
+    let redial = MemoryRedial::new(acceptor.connector(), 1024);
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec,
+        1,
+        cfg,
+        sess,
+        acceptor,
+        store.clone(),
+    )));
+    let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, Instant::now());
 
     runtime::block_on({
-        let (tx, rx) = (tx.clone(), rx.clone());
-        let reconnects = reconnects.clone();
+        let collector = collector.clone();
+        let store = store.clone();
+        let tx = &mut tx;
         async move {
+            // The base station runs as a task beside the sender; it is
+            // dropped when the root (the sender) completes.
+            runtime::spawner().spawn({
+                let collector = collector.clone();
+                async move {
+                    collector::drive_collector(collector, |_| false).await.expect("collector");
+                }
+            });
             let mut uplink = EngineUplink::new(tap);
             let mut finned = false;
+            let mut severed = false;
             loop {
                 // Feed the sender from the engine tap (credit-limited).
-                let status = uplink.pump(&mut tx.borrow_mut()).expect("uplink");
+                let status = uplink.pump(tx.mux_mut()).expect("uplink");
                 if status == UplinkStatus::Drained && !finned {
-                    tx.borrow_mut().finish_all();
+                    tx.mux_mut().finish_all();
                     finned = true;
                 }
 
-                // Sever the link once, mid-transfer.
-                let applied = rx.borrow().demux().messages();
-                if *reconnects.borrow() == 0 && applied >= total_segments as u64 / 2 {
-                    link_a.borrow().sever();
+                // Sever the link once, mid-transfer. No reconnect call
+                // follows: the session redials and resumes on its own.
+                let published = store.watermark(CONN.0).map_or(0, |w| w.segments);
+                if !severed && tx.is_established() && published >= total_segments / 2 {
+                    tx.redial().last_link().expect("dialed").sever();
+                    severed = true;
                     println!(
-                        "!! connection severed after {applied} messages; \
+                        "!! connection severed after {published} segments landed; \
                          in-flight bytes lost"
                     );
                 }
 
-                // Pump both ends; a dead link triggers the reconnect path.
-                let pumped = {
-                    let a = pump_sender(&mut tx.borrow_mut(), &mut *link_a.borrow_mut());
-                    let b = pump_receiver(&mut rx.borrow_mut(), &mut *link_b.borrow_mut());
-                    match (a, b) {
-                        (Ok(na), Ok(nb)) => Some(na + nb),
-                        (Err(DriveError::Io(_)), _) | (_, Err(DriveError::Io(_))) => None,
-                        (Err(e), _) | (_, Err(e)) => panic!("protocol error: {e}"),
-                    }
-                };
-                match pumped {
-                    None => {
-                        // Reconnect: fresh link, replay unacked, resync.
-                        let (na, nb) = MemoryLink::pair(1024);
-                        *link_a.borrow_mut() = na;
-                        *link_b.borrow_mut() = nb;
-                        tx.borrow_mut().on_reconnect();
-                        rx.borrow_mut().on_reconnect();
-                        *reconnects.borrow_mut() += 1;
-                        println!(
-                            "-> reconnected; sender replays unacknowledged frames, \
-                             receiver dedups by sequence number"
-                        );
-                    }
-                    Some(0) => runtime::reactor_tick().await,
-                    Some(_) => runtime::yield_now().await,
+                let moved = tx.pump();
+                if let Some(e) = tx.failure() {
+                    panic!("session failed: {e}");
                 }
-
-                let done = finned
-                    && tx.borrow().is_idle()
-                    && rx.borrow().finished_streams().count() as u64 == STREAMS
-                    && rx.borrow().staged_bytes() == 0;
-                if done {
+                if finned && tx.mux().is_idle() && collector.borrow().conn_complete(CONN) {
                     break;
+                }
+                if moved == 0 {
+                    runtime::sleep(Duration::from_millis(1)).await;
+                } else {
+                    runtime::yield_now().await;
                 }
             }
         }
     });
 
     // --- 4. verify the reconstruction ------------------------------------
-    assert_eq!(*reconnects.borrow(), 1, "the disconnect should have happened once");
-    let rx = Rc::try_unwrap(rx).ok().expect("session done").into_inner();
-    let logs = rx.into_demux().into_segment_logs();
-    assert_eq!(logs.len(), STREAMS as usize);
-    let mut recovered = 0usize;
+    let stats = collector.borrow().stats();
+    assert_eq!(stats.connections, 1, "the resume rebound the same connection");
+    assert_eq!(stats.resumes, 1, "the sever was healed by exactly one token resume");
+    assert_eq!(tx.stats().established, 2, "first handshake plus the resume");
+    println!(
+        "-> resumed by session token after {} dials; sender replayed its \
+         unacknowledged tail, collector dropped {} duplicate frames",
+        tx.stats().dials,
+        stats.dup_drops
+    );
+    let snap = store.snapshot();
+    assert_eq!(snap.streams.len(), STREAMS as usize);
+    assert_eq!(snap.total_segments, total_segments, "every segment landed exactly once");
     let mut worst = 0.0f64;
     for (id, signal) in signals.iter().enumerate() {
-        let log = &logs[&(id as u64)];
-        recovered += log.len();
+        let log = &snap.streams[&StreamId(id as u64)];
         for (t, x) in signal.iter() {
             if let Some(seg) = log.iter().find(|s| s.covers(t)) {
                 worst = worst.max((seg.eval(t, 0) - x[0]).abs());
             }
         }
     }
-    assert_eq!(recovered, total_segments, "every segment arrived exactly once");
     println!(
-        "reconstructed {recovered} segments across {STREAMS} streams \
-         after 1 reconnect; worst in-segment error {worst:.4} <= ε = {EPSILON}"
+        "stored {} segments across {STREAMS} streams after 1 resume; \
+         worst in-segment error {worst:.4} <= ε = {EPSILON}",
+        snap.total_segments
     );
     assert!(worst <= EPSILON * (1.0 + 1e-6));
 }
