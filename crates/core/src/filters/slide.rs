@@ -264,7 +264,6 @@ pub struct SlideBuilder {
     eps: Vec<f64>,
     max_lag: Option<usize>,
     hull_mode: HullMode,
-    force_generic: bool,
     dispatch_override: Option<Dispatch>,
 }
 
@@ -280,16 +279,6 @@ impl SlideBuilder {
     /// [`HullMode::Optimized`]).
     pub fn hull_mode(mut self, mode: HullMode) -> Self {
         self.hull_mode = mode;
-        self
-    }
-
-    /// Disables the `d == 1` scalar fast path, forcing the generic
-    /// per-dimension envelope update. The two paths are byte-identical in
-    /// output (pinned by property tests); this switch exists so the tests
-    /// can prove it.
-    #[doc(hidden)]
-    pub fn force_generic(mut self, on: bool) -> Self {
-        self.force_generic = on;
         self
     }
 
@@ -324,7 +313,6 @@ impl SlideBuilder {
         let raw = (0..d).map(|_| Vec::with_capacity(MIN_HULL_CAPACITY)).collect();
         let dispatch = match self.dispatch_override {
             Some(want) => want.sanitized(d, true),
-            None if self.force_generic => Dispatch::Generic,
             None => Dispatch::auto(d, true),
         };
         Ok(SlideFilter {
@@ -412,7 +400,6 @@ impl SlideFilter {
             eps: eps.to_vec(),
             max_lag: None,
             hull_mode: HullMode::default(),
-            force_generic: false,
             dispatch_override: None,
         }
     }
@@ -536,11 +523,8 @@ impl SlideFilter {
                 Self::note_point(use_hull, env, hulls, raw, 0, t, v);
                 sums.push(t, std::slice::from_ref(&v));
             }
-            Dispatch::Lanes(k) => {
-                // Fused acceptance test + regression-sums update: one
-                // kernel call instead of two (`#[target_feature]` keeps
-                // each call from inlining here, so call count matters).
-                let s = sums.slide_step_lanes(k, env.u.view(), env.l.view(), eps, t, x);
+            Dispatch::Lanes => {
+                let s = kern::slide_step(env.u.view(), env.l.view(), eps.lanes(), t, x);
                 if !s.fits {
                     return false;
                 }
@@ -571,6 +555,7 @@ impl SlideFilter {
                     }
                     Self::note_point(use_hull, env, hulls, raw, i, t, v);
                 }
+                sums.push_lanes(t, x);
             }
             Dispatch::Generic => {
                 let eps = eps.as_slice();

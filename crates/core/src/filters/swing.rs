@@ -87,7 +87,6 @@ pub struct SwingBuilder {
     eps: Vec<f64>,
     max_lag: Option<usize>,
     recording: RecordingStrategy,
-    force_generic: bool,
     dispatch_override: Option<Dispatch>,
 }
 
@@ -104,16 +103,6 @@ impl SwingBuilder {
     /// [`RecordingStrategy::MseOptimal`]).
     pub fn recording(mut self, strategy: RecordingStrategy) -> Self {
         self.recording = strategy;
-        self
-    }
-
-    /// Disables the `d == 1` scalar fast path and the `d ≤ 4` lane
-    /// kernels, forcing the generic per-dimension cone update. All
-    /// dispatches are byte-identical in output (pinned by property
-    /// tests); this switch exists so the tests can prove it.
-    #[doc(hidden)]
-    pub fn force_generic(mut self, on: bool) -> Self {
-        self.force_generic = on;
         self
     }
 
@@ -136,7 +125,6 @@ impl SwingBuilder {
         let d = self.eps.len();
         let dispatch = match self.dispatch_override {
             Some(want) => want.sanitized(d, true),
-            None if self.force_generic => Dispatch::Generic,
             None => Dispatch::auto(d, true),
         };
         Ok(SwingFilter {
@@ -193,7 +181,6 @@ impl SwingFilter {
             eps: eps.to_vec(),
             max_lag: None,
             recording: RecordingStrategy::default(),
-            force_generic: false,
             dispatch_override: None,
         }
     }
@@ -258,8 +245,8 @@ impl SwingFilter {
         if let Some(slopes) = &iv.frozen {
             return match dispatch {
                 Dispatch::Scalar1 => (x[0] - (iv.origin_x[0] + slopes[0] * dt)).abs() <= eps[0],
-                Dispatch::Lanes(k) => {
-                    kern::fits_affine(k, iv.origin_x.lanes(), slopes.lanes(), eps.lanes(), dt, x)
+                Dispatch::Lanes => {
+                    kern::fits_affine(iv.origin_x.lanes(), slopes.lanes(), eps.lanes(), dt, x)
                 }
                 Dispatch::Generic => {
                     let origin_x = iv.origin_x.as_slice();
@@ -279,8 +266,7 @@ impl SwingFilter {
                 }
                 fit
             }
-            Dispatch::Lanes(k) => kern::swing_step(
-                k,
+            Dispatch::Lanes => kern::swing_step(
                 iv.origin_x.lanes(),
                 eps.lanes(),
                 dt,
@@ -334,16 +320,14 @@ impl SwingFilter {
     #[inline]
     fn accumulate(dispatch: Dispatch, sums: &mut RegressionSums, t: f64, x: &[f64]) {
         match dispatch {
-            Dispatch::Lanes(k) => sums.push_lanes(k, t, x),
+            Dispatch::Lanes => sums.push_lanes(t, x),
             _ => sums.push(t, x),
         }
     }
 
-    /// [`step`](Self::step) fused with the MSE accumulation for
-    /// non-frozen intervals: on the lane dispatch both run in a single
-    /// kernel call (one pad, one dispatch), halving the per-sample call
-    /// overhead of the dominant `MseOptimal` accept path. Byte-identical
-    /// to `step` followed by [`accumulate`](Self::accumulate).
+    /// [`step`](Self::step) followed, on a fit, by the MSE
+    /// accumulation — the dominant `MseOptimal` accept path of a
+    /// non-frozen interval.
     #[inline]
     fn step_mse(
         dispatch: Dispatch,
@@ -354,25 +338,11 @@ impl SwingFilter {
         x: &[f64],
     ) -> bool {
         debug_assert!(iv.frozen.is_none());
-        match dispatch {
-            Dispatch::Lanes(k) => sums.swing_step_lanes(
-                k,
-                &iv.origin_x,
-                eps,
-                t - iv.origin_t,
-                t,
-                x,
-                &mut iv.l_slope,
-                &mut iv.u_slope,
-            ),
-            other => {
-                let fit = Self::step(other, eps, iv, t, x);
-                if fit {
-                    Self::accumulate(other, sums, t, x);
-                }
-                fit
-            }
+        let fit = Self::step(dispatch, eps, iv, t, x);
+        if fit {
+            Self::accumulate(dispatch, sums, t, x);
         }
+        fit
     }
 
     /// Scalar (`d == 1`) acceptance test — same arithmetic as the

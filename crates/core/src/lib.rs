@@ -48,6 +48,7 @@
 //! assert_eq!(report.n_segments, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

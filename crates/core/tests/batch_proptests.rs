@@ -10,7 +10,7 @@ use pla_core::filters::{
     CacheFilter, FilterKind, FilterSpec, KalmanFilter, LinearFilter, SlideFilter, StreamFilter,
     SwingFilter,
 };
-use pla_core::kern::{Dispatch, Kernel};
+use pla_core::kern::Dispatch;
 use pla_core::{CollectingSink, FilterError, Signal};
 
 /// A 1-D signal with walks, plateaus, and jumps (the same family the core
@@ -123,16 +123,11 @@ fn dims_and_signal() -> impl Strategy<Value = (usize, Signal)> {
     (0usize..4).prop_map(|i| [2usize, 3, 4, 8][i]).prop_flat_map(|d| (Just(d), multi_signal(d)))
 }
 
-/// The dispatch modes whose outputs must coincide. Invalid combinations
-/// (e.g. `Lanes` at `d = 8`, SSE2 off x86_64) are snapped to the valid
-/// automatic choice by the builders, so every entry is always runnable.
+/// The dispatch modes whose outputs must coincide. `Lanes` at `d = 8`
+/// is invalid and is snapped to the automatic choice by the builders, so
+/// every entry is always runnable.
 fn dispatch_set() -> Vec<Dispatch> {
-    let mut set =
-        vec![Dispatch::Generic, Dispatch::Lanes(Kernel::Scalar), Dispatch::Lanes(Kernel::detect())];
-    if cfg!(target_arch = "x86_64") {
-        set.push(Dispatch::Lanes(Kernel::Sse2));
-    }
-    set
+    vec![Dispatch::Generic, Dispatch::Lanes]
 }
 
 /// All five kernel-wired filter families (plus the lag-bounded swing and
@@ -225,7 +220,7 @@ proptest! {
                 b.build().unwrap()
             };
             let mut swing_generic = {
-                let mut b = SwingFilter::builder(&[eps]).force_generic(true);
+                let mut b = SwingFilter::builder(&[eps]).force_dispatch(Dispatch::Generic);
                 if let Some(m) = max_lag { b = b.max_lag(m); }
                 b.build().unwrap()
             };
@@ -240,7 +235,7 @@ proptest! {
                 b.build().unwrap()
             };
             let mut slide_generic = {
-                let mut b = SlideFilter::builder(&[eps]).force_generic(true);
+                let mut b = SlideFilter::builder(&[eps]).force_dispatch(Dispatch::Generic);
                 if let Some(m) = max_lag { b = b.max_lag(m); }
                 b.build().unwrap()
             };
@@ -272,10 +267,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Kernel-layer pin: every dispatch mode — generic per-dimension
-    /// loop, scalar lanes, SSE2, and the detected best SIMD backend —
-    /// produces **bit-identical** `Segment` and `ProvisionalUpdate`
-    /// streams for all five filters at d ∈ {2, 3, 4, 8}.
+    /// Kernel-layer pin: both dispatch modes — the generic per-dimension
+    /// loop and the fixed-width lane kernels — produce **bit-identical**
+    /// `Segment` and `ProvisionalUpdate` streams for all five filters at
+    /// d ∈ {2, 3, 4, 8}.
     #[test]
     fn kernel_dispatches_are_bit_identical(
         (dims, signal) in dims_and_signal(),

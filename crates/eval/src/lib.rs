@@ -24,6 +24,7 @@
 //! | `variants` | cache-variant comparison (ablation) | [`experiments::variants_ablation`] |
 //! | `multistream` | ingest throughput vs shard count (scale-out) | [`experiments::multistream_throughput`] |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

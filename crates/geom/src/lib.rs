@@ -21,6 +21,7 @@
 //! Everything here is allocation-conscious: the hull reuses its vertex
 //! buffers across filtering intervals via [`IncrementalHull::clear`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -54,6 +54,7 @@
 //! assert!(mean.lo <= 2.5 && 2.5 <= mean.hi); // true mean is inside
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

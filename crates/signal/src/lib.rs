@@ -21,6 +21,7 @@
 //! All generators are seeded and deterministic: the same parameters always
 //! produce the same [`Signal`], which the experiment harness relies on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

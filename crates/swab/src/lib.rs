@@ -27,6 +27,7 @@
 //! the segmenter is conservative: it may split where an optimal fit could
 //! merge, but it never violates `ε`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -22,6 +22,7 @@
 //!   versus independently, with the `(d+1)/2d` time-redundancy factor
 //!   measured rather than assumed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -36,9 +36,9 @@ threshold.
 
 A baseline captured on a different machine (cpu count, platform, or
 CPU SIMD feature-set mismatch) is an ERROR: absolute ns/iter do not
-transfer between machines, and a feature-set change silently flips
-which kernel backend `Kernel::detect` picks — a "regression" or "win"
-against such a baseline is meaningless. The run fails loudly before
+transfer between machines, and a feature-set change marks a different
+CPU class — a "regression" or "win" against such a baseline is
+meaningless. The run fails loudly before
 timing anything. Pass --allow-machine-mismatch to run anyway; the
 comparison is then informational only and regressions never fail the
 run. Re-capture the baseline on the gating machine class
@@ -64,8 +64,8 @@ LINE = re.compile(
 
 DIM_CELL = re.compile(r"^hot_path/(?P<dims>\d+)d/(?P<filter>.+)$")
 
-# Keep in sync with scripts/bench_baseline.py: the feature flags that
-# change which kernel backend pla-core's `Kernel::detect` picks.
+# Keep in sync with scripts/bench_baseline.py: the vector feature flags
+# that fingerprint the CPU class a baseline was captured on.
 SIMD_FEATURES = ("sse2", "avx", "avx2", "avx512f", "fma")
 
 

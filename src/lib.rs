@@ -34,6 +34,8 @@
 //! See `examples/` for end-to-end scenarios and `crates/eval` for the
 //! paper-reproduction harness.
 
+#![forbid(unsafe_code)]
+
 pub use pla_core as core;
 pub use pla_eval as eval;
 pub use pla_geom as geom;
