@@ -32,7 +32,7 @@
 //! destroying it; when the sender redials and presents its token, the
 //! collector rebinds the same [`ConnId`] by itself and answers with
 //! resume cursors — the receiver re-announces cumulative acks/credits,
-//! the sender replays unacked frames, duplicates are dropped by
+//! the sender replays unacked entries, duplicates are dropped by
 //! sequence number — so the store ends up byte-identical to an
 //! uninterrupted run.
 
@@ -100,7 +100,7 @@ pub struct ConnStats {
     /// The session token bound to this connection (never 0 — 0 on the
     /// wire means "refused").
     pub token: u64,
-    /// The connection's receiving-endpoint counters (frames applied,
+    /// The connection's receiving-endpoint counters (entries applied,
     /// duplicate replays dropped, control frames staged after
     /// batching).
     pub receiver: ReceiverStats,
@@ -133,9 +133,9 @@ pub struct CollectorStats {
     pub connections: usize,
     /// Connections currently holding a live link.
     pub attached: usize,
-    /// `Data` frames applied across all connections.
+    /// Sequenced entries applied across all connections.
     pub frames: u64,
-    /// Duplicate frames dropped across all connections (replays after
+    /// Duplicate entries dropped across all connections (replays after
     /// reconnect — shed load).
     pub dup_drops: u64,
     /// Segments published to the shared store.
@@ -821,7 +821,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
 /// The wire-level name of a frame, for typed `NotHello` refusals.
 fn frame_name(frame: &NetFrame) -> &'static str {
     match frame {
-        NetFrame::Data { .. } => "Data",
+        NetFrame::Batch(_) => "Batch",
         NetFrame::Ack { .. } => "Ack",
         NetFrame::Fin { .. } => "Fin",
         NetFrame::Hello { .. } => "Hello",
@@ -1221,8 +1221,9 @@ mod tests {
 
     /// The `Hello` layout is the same in every protocol version, so a
     /// sender built for version 2 (whose per-stream `Ack`, `Credit` and
-    /// fixed-width `Data` layouts this build no longer reads) is recognised and refused by version
-    /// before any of its ingest frames are decoded.
+    /// fixed-width `Data` layouts this build no longer reads) is
+    /// recognised and refused by version before any of its ingest frames
+    /// are decoded.
     #[test]
     fn a_version_2_hello_is_refused_as_a_version_mismatch() {
         let (mut coll, connector, store) = make(NetConfig::default(), SessionConfig::default());
@@ -1238,12 +1239,17 @@ mod tests {
         coll.pump_at(Instant::now()).unwrap();
         assert!(matches!(
             coll.last_refusal(),
-            Some(NetError::Handshake(HandshakeError::VersionMismatch { ours: 3, theirs: 2 }))
+            Some(NetError::Handshake(HandshakeError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: 2
+            }))
         ));
         assert_eq!(coll.stats().connections, 0);
         assert_eq!(store.total_segments(), 0);
         match read_frame(&mut v2) {
-            NetFrame::HelloAck { version, token, .. } => assert_eq!((version, token), (3, 0)),
+            NetFrame::HelloAck { version, token, .. } => {
+                assert_eq!((version, token), (PROTOCOL_VERSION, 0))
+            }
             other => panic!("expected refusal HelloAck, got {other:?}"),
         }
     }

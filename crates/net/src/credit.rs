@@ -3,7 +3,7 @@
 //! Both counters only ever grow — the shape QUIC's `MAX_STREAM_DATA`
 //! uses, and the property that makes reconnect trivial: a grant or a
 //! reservation applied twice (a replayed control frame, a replayed
-//! `Data` frame) is a no-op, so neither side needs to reconcile "how
+//! `Batch` entry) is a no-op, so neither side needs to reconcile "how
 //! much was in flight" after a connection dies.
 //!
 //! * The **sender** holds a [`CreditWindow`]: `used` payload bytes sent
@@ -14,7 +14,7 @@
 //!   bytes applied to the demultiplexer. It keeps the sender's budget
 //!   topped up to `delivered + window`, re-granting once half the window
 //!   is consumed (batching grants keeps the control-frame overhead at
-//!   ~2 frames per window, not per data frame).
+//!   ~2 frames per window, not per data entry).
 
 /// Sender-side credit accounting for one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -100,7 +100,8 @@ pub(crate) fn pump_in<L: Link>(
 }
 
 /// One non-blocking pump round for the sender: absorb inbound `Ack`
-/// bytes, then push staged frames. Returns total bytes
+/// bytes, then seal the round's entries into `Batch` frames and push
+/// the staged frames. Returns total bytes
 /// moved (0 = no progress).
 pub fn pump_sender<C: Codec, L: Link>(
     tx: &mut MuxSender<C>,
@@ -114,7 +115,7 @@ pub fn pump_sender<C: Codec, L: Link>(
 /// One non-blocking pump round for the receiver: absorb inbound frames,
 /// flush the round's batched `Ack` control
 /// ([`NetReceiver::flush_control`] — one frame with one cumulative
-/// cursor per touched stream, however many `Data` frames the round
+/// cursor per touched stream, however many `Batch` entries the round
 /// applied), then push the staged bytes. Returns total bytes moved.
 pub fn pump_receiver<C: Codec, L: Link>(
     rx: &mut NetReceiver<C>,

@@ -6,7 +6,7 @@
 //!
 //! | Kind | Direction | Carries |
 //! |---|---|---|
-//! | [`NetFrame::Data`] | sender → receiver | one stream's `pla-transport` codec bytes (led by that stream's `StreamFrame` header) behind a varint stream id and per-stream sequence number |
+//! | [`NetFrame::Batch`] | sender → receiver | one flush's sequenced entries: per entry a stream, a per-stream sequence number and that stream's `pla-transport` codec bytes |
 //! | [`NetFrame::Ack`] | receiver → sender | one [`ResumeCursor`] per stream whose state moved since the last flush: cumulative ack point and cumulative credit grant (0 = no grant due) |
 //! | [`NetFrame::Fin`] | sender → receiver | end of one stream, with its final sequence number |
 //! | [`NetFrame::Hello`] | sender → receiver | protocol version + session token (0 = new session); **must** be the first frame of a collector or query-server connection |
@@ -20,16 +20,25 @@
 //! `Ack` and `HelloAck` share one cursor-list codec: a varint count,
 //! then per cursor the varint stream delta from the previous cursor
 //! (from 0 for the first), `through_seq` and `granted_total`. Streams
-//! ascend strictly, so the encoding of a cursor list is unique. Every
+//! ascend strictly, so the encoding of a cursor list is unique.
+//!
+//! A `Batch` body is a varint entry count, then per entry the varint
+//! stream delta from the previous entry (from 0 for the first), the
+//! varint `seq`, the varint payload length and the payload. Streams are
+//! non-decreasing; a repeated stream (delta 0) carries the next
+//! consecutive `seq`. The sender emits one `Batch` per flush, split into
+//! several only where one would exceed the peer's `max_frame`. Every
 //! other integer field is fixed-width little-endian.
 //!
-//! Frames never split messages: a `Data` frame's payload is a
-//! self-contained codec unit (the sender resets its codec per frame), so
-//! a replayed frame decodes identically whenever it arrives — the
-//! property the reconnect protocol rests on. The control frames keep
-//! the same idempotence discipline: every cursor is cumulative, so a
-//! duplicated `Ack` or `HelloAck` is a no-op at the sender, and a
-//! duplicated `Hello` or `Heartbeat` is harmless.
+//! Entries never split messages: each payload is a self-contained codec
+//! unit of one stream (the sender resets its codec per entry, and no
+//! `StreamFrame` header rides inside — the entry names its stream), so a
+//! replayed entry decodes identically whenever it arrives, in whatever
+//! batch it is re-packed into — the property the reconnect protocol
+//! rests on. The control frames keep the same idempotence discipline:
+//! every cursor is cumulative, so a duplicated `Ack` or `HelloAck` is a
+//! no-op at the sender, and a duplicated `Hello` or `Heartbeat` is
+//! harmless.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -45,8 +54,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// so the bump makes old and new builds refuse each other cleanly at
 /// the handshake instead of failing mid-stream; 3 = one cumulative
 /// cursor frame per flush, varint `Data` header, `Credit` retired (kind
-/// byte 3 is now unknown).
-pub const PROTOCOL_VERSION: u16 = 3;
+/// byte 3 is now unknown); 4 = one `Batch` frame per flush replaces the
+/// per-segment `Data` frame and its in-payload `StreamFrame` header
+/// (kind byte 1 is now unknown).
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// One stream's cumulative control state, carried by [`NetFrame::Ack`]
 /// and [`NetFrame::HelloAck`]: the receiver's ack point and credit
@@ -57,28 +68,96 @@ pub const PROTOCOL_VERSION: u16 = 3;
 pub struct ResumeCursor {
     /// The stream the cursor describes.
     pub stream: u64,
-    /// Highest `Data` sequence number durably applied (cumulative ack).
+    /// Highest entry sequence number durably applied (cumulative ack).
     pub through_seq: u64,
     /// Cumulative payload-byte credit grant for the stream; 0 (below
     /// the implicit initial window) announces no new grant.
     pub granted_total: u64,
 }
 
+/// One sequenced entry of a [`Batch`]: a chunk of one stream's wire
+/// messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchEntry {
+    /// The stream the payload belongs to.
+    pub stream: u64,
+    /// Per-stream sequence number, starting at 1.
+    pub seq: u64,
+    /// The stream's `pla-transport` codec bytes, coded from a reset
+    /// codec, with no `StreamFrame` header.
+    pub payload: Bytes,
+}
+
+/// The entries of one [`NetFrame::Batch`], held as their encoded bytes.
+/// A decoded batch was validated whole before the decoder returned it,
+/// and every [`entries`](Self::entries) payload is a zero-copy slice of
+/// the one buffer the decoder copied the frame body into.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Batch {
+    count: u64,
+    /// The encoded entries: everything after the count.
+    body: Bytes,
+}
+
+impl Batch {
+    /// Packs `entries` (non-decreasing by stream; a repeated stream's
+    /// seqs consecutive) into one batch. An out-of-order list encodes a
+    /// wrapped stream delta, and an empty one a zero count; the peer's
+    /// decoder refuses either rather than misreads it.
+    pub fn from_entries<'a>(entries: impl IntoIterator<Item = (u64, u64, &'a [u8])>) -> Self {
+        let mut body = BytesMut::new();
+        let mut count = 0;
+        let mut prev = 0;
+        for (stream, seq, payload) in entries {
+            debug_assert!(count == 0 || stream >= prev, "batch streams must not descend");
+            put_entry(&mut body, stream.wrapping_sub(prev), seq, payload);
+            prev = stream;
+            count += 1;
+        }
+        Self { count, body: body.freeze() }
+    }
+
+    /// The entries in wire order; each payload is a slice of the
+    /// batch's one buffer.
+    pub fn entries(&self) -> BatchEntries<'_> {
+        BatchEntries { batch: self, reader: BodyReader { body: &self.body, at: 0 }, stream: 0 }
+    }
+}
+
+/// Iterator over a [`Batch`]'s entries (see [`Batch::entries`]).
+pub struct BatchEntries<'a> {
+    batch: &'a Batch,
+    reader: BodyReader<'a>,
+    stream: u64,
+}
+
+impl Iterator for BatchEntries<'_> {
+    type Item = BatchEntry;
+
+    fn next(&mut self) -> Option<BatchEntry> {
+        // The bytes were validated when the batch was decoded (or
+        // written by `from_entries`), so no read here can fail; a
+        // failure would end the iteration, never panic.
+        let r = &mut self.reader;
+        if r.remaining() == 0 {
+            return None;
+        }
+        self.stream = self.stream.wrapping_add(r.varint().ok()?);
+        let seq = r.varint().ok()?;
+        let len = usize::try_from(r.varint().ok()?).ok().filter(|&n| n <= r.remaining())?;
+        let payload = self.batch.body.slice(r.at..r.at + len);
+        r.at += len;
+        Some(BatchEntry { stream: self.stream, seq, payload })
+    }
+}
+
 /// One frame of the multiplexed connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetFrame {
-    /// A chunk of one stream's wire messages.
-    Data {
-        /// The stream the payload belongs to.
-        stream: u64,
-        /// Per-stream sequence number, starting at 1.
-        seq: u64,
-        /// `pla-transport` codec bytes, beginning with the stream's own
-        /// `StreamFrame` header.
-        payload: Bytes,
-    },
+    /// One flush's sequenced entries, ordered by stream.
+    Batch(Batch),
     /// Cumulative control for every stream whose state moved since the
-    /// receiver's last flush: per cursor, every `Data` frame with
+    /// receiver's last flush: per cursor, every entry with
     /// `seq <= through_seq` has been applied, and the sender may have
     /// sent at most `granted_total` payload bytes on the stream since
     /// its birth (0 = no new grant).
@@ -86,12 +165,12 @@ pub enum NetFrame {
         /// One cursor per stream, strictly ascending by stream.
         cursors: Vec<ResumeCursor>,
     },
-    /// The stream is complete; no `Data` frame with `seq > final_seq`
-    /// will ever exist.
+    /// The stream is complete; no entry with `seq > final_seq` will ever
+    /// exist. The sender stages it behind the stream's last `Batch`.
     Fin {
         /// The finished stream.
         stream: u64,
-        /// Sequence number of its last `Data` frame (0 if none).
+        /// Sequence number of its last entry (0 if none).
         final_seq: u64,
     },
     /// Session open/resume request. Must be the first frame a
@@ -162,7 +241,7 @@ pub enum NetFrame {
     },
 }
 
-const KIND_DATA: u8 = 1;
+// Kind 1 was `Data` (protocol versions 1–3); entries ride in `Batch`.
 const KIND_ACK: u8 = 2;
 // Kind 3 was `Credit` (protocol versions 1–2); grants ride in `Ack`.
 const KIND_FIN: u8 = 4;
@@ -173,12 +252,17 @@ const KIND_QUERY_REQ: u8 = 8;
 const KIND_QUERY_RESP: u8 = 9;
 const KIND_EPOCHS_REQ: u8 = 10;
 const KIND_EPOCHS_RESP: u8 = 11;
+const KIND_BATCH: u8 = 12;
 
 /// The longest LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: usize = 10;
 
 /// The shortest encoding of one cursor: three one-byte varints.
 const MIN_CURSOR_BYTES: usize = 3;
+
+/// The shortest encoding of one batch entry: three one-byte varints
+/// (stream delta, seq, payload length 0).
+const MIN_ENTRY_BYTES: usize = 3;
 
 /// Framing-layer errors. Any of these is fatal for the connection (the
 /// byte stream is no longer trustworthy); the session layer reconnects.
@@ -214,21 +298,21 @@ fn put_u32_le(out: &mut BytesMut, n: u32) {
     out.put_slice(&n.to_le_bytes());
 }
 
-/// `v` as an unsigned LEB128 varint: the bytes and how many are used.
-fn varint_bytes(mut v: u64) -> ([u8; MAX_VARINT_BYTES], usize) {
-    let mut buf = [0; MAX_VARINT_BYTES];
-    let mut n = 0;
+/// Writes `v` as an unsigned LEB128 varint at `buf[at..]`, returning
+/// the index just past it.
+fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
-        buf[n] = v as u8 | 0x80;
+        buf[at] = v as u8 | 0x80;
         v >>= 7;
-        n += 1;
+        at += 1;
     }
-    buf[n] = v as u8;
-    (buf, n + 1)
+    buf[at] = v as u8;
+    at + 1
 }
 
 fn put_varint(out: &mut BytesMut, v: u64) {
-    let (buf, n) = varint_bytes(v);
+    let mut buf = [0; MAX_VARINT_BYTES];
+    let n = write_varint(&mut buf, 0, v);
     out.put_slice(&buf[..n]);
 }
 
@@ -262,20 +346,90 @@ fn put_cursors(out: &mut BytesMut, cursors: &[ResumeCursor]) {
     cursor_fields(cursors, |f| f.iter().for_each(|&v| put_varint(out, v)));
 }
 
-/// Encodes a `Data` frame whose payload is borrowed, returning the
-/// encoded length — the same bytes as [`encode`] of the equivalent
-/// [`NetFrame::Data`], without first building a [`Bytes`] payload. The
-/// sender's hot path encodes every frame this way.
-pub fn encode_data(stream: u64, seq: u64, payload: &[u8], out: &mut BytesMut) -> usize {
-    let (stream, stream_n) = varint_bytes(stream);
-    let (seq, seq_n) = varint_bytes(seq);
-    let len = 1 + stream_n + seq_n + payload.len();
-    put_u32_le(out, len as u32);
-    out.put_u8(KIND_DATA);
-    out.put_slice(&stream[..stream_n]);
-    out.put_slice(&seq[..seq_n]);
+/// Encoded length of one batch entry whose stream delta is `delta`.
+fn entry_len(delta: u64, seq: u64, payload_len: usize) -> usize {
+    varint_len(delta) + varint_len(seq) + varint_len(payload_len as u64) + payload_len
+}
+
+fn put_entry(out: &mut BytesMut, delta: u64, seq: u64, payload: &[u8]) {
+    // The three header varints go out as one slice: on the sender's hot
+    // path an entry is a few dozen bytes, and each append costs a call.
+    let mut head = [0; 3 * MAX_VARINT_BYTES];
+    let mut n = 0;
+    for v in [delta, seq, payload.len() as u64] {
+        n = write_varint(&mut head, n, v);
+    }
+    out.put_slice(&head[..n]);
     out.put_slice(payload);
-    4 + len
+}
+
+/// The length prefix of a `Batch` frame of `count` entries whose
+/// encoded entries take `body_len` bytes.
+fn batch_len(count: u64, body_len: usize) -> usize {
+    1 + varint_len(count) + body_len
+}
+
+fn put_batch_header(out: &mut BytesMut, count: u64, body_len: usize) {
+    put_u32_le(out, batch_len(count, body_len) as u32);
+    out.put_u8(KIND_BATCH);
+    put_varint(out, count);
+}
+
+/// The length prefix of the smallest frame an entry can travel in: a
+/// `Batch` holding it alone. An entry whose value exceeds the peer's
+/// `max_frame` cannot be sent at all.
+pub(crate) fn single_entry_frame_len(stream: u64, seq: u64, payload_len: usize) -> usize {
+    batch_len(1, entry_len(stream, seq, payload_len))
+}
+
+/// Packs sequenced entries into `Batch` frames on an [`Outbox`]: entries
+/// accumulate into the open batch, and a batch is staged when the next
+/// entry would push its length prefix past `max_frame`, or on
+/// [`finish`](Self::finish). The sender's one writer of `Batch` frames;
+/// the same bytes as [`encode`] of the equivalent [`NetFrame::Batch`].
+#[derive(Debug, Default)]
+pub(crate) struct BatchWriter {
+    body: BytesMut,
+    count: u64,
+    prev: u64,
+    head: BytesMut,
+}
+
+impl BatchWriter {
+    /// Adds one entry. Streams must not descend within one open batch,
+    /// and the entry alone must fit `max_frame`
+    /// ([`single_entry_frame_len`]).
+    pub(crate) fn push(
+        &mut self,
+        stream: u64,
+        seq: u64,
+        payload: &[u8],
+        max_frame: u32,
+        out: &mut Outbox,
+    ) {
+        debug_assert!(self.count == 0 || stream >= self.prev, "batch streams must not descend");
+        let entry = entry_len(stream.wrapping_sub(self.prev), seq, payload.len());
+        if self.count > 0 && batch_len(self.count + 1, self.body.len() + entry) > max_frame as usize
+        {
+            self.finish(out);
+        }
+        put_entry(&mut self.body, stream.wrapping_sub(self.prev), seq, payload);
+        self.prev = stream;
+        self.count += 1;
+    }
+
+    /// Stages the open batch, if it holds any entry.
+    pub(crate) fn finish(&mut self, out: &mut Outbox) {
+        if self.count == 0 {
+            return;
+        }
+        self.head.clear();
+        put_batch_header(&mut self.head, self.count, self.body.len());
+        out.stage_parts(&[&self.head, &self.body]);
+        self.body.clear();
+        self.count = 0;
+        self.prev = 0;
+    }
 }
 
 /// Encodes an `Ack` frame over borrowed cursors (strictly ascending by
@@ -293,8 +447,9 @@ pub(crate) fn encode_ack(cursors: &[ResumeCursor], out: &mut BytesMut) -> usize 
 pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
     let before = out.len();
     match frame {
-        NetFrame::Data { stream, seq, payload } => {
-            encode_data(*stream, *seq, payload, out);
+        NetFrame::Batch(batch) => {
+            put_batch_header(out, batch.count, batch.body.len());
+            out.put_slice(&batch.body);
         }
         NetFrame::Ack { cursors } => {
             encode_ack(cursors, out);
@@ -365,10 +520,6 @@ impl<'a> BodyReader<'a> {
         self.body.len() - self.at
     }
 
-    fn rest(&self) -> &'a [u8] {
-        &self.body[self.at..]
-    }
-
     /// Reads one unsigned LEB128 varint of at most
     /// [`MAX_VARINT_BYTES`] bytes.
     fn varint(&mut self) -> Result<u64, FrameError> {
@@ -422,6 +573,47 @@ impl<'a> BodyReader<'a> {
             return Err(FrameError::Malformed("trailing bytes after the last cursor"));
         }
         Ok(cursors)
+    }
+
+    /// Validates a `Batch` body that must end exactly at the end of the
+    /// frame: the count is backed by the bytes (nothing is sized from
+    /// it), stream deltas accumulate without overflow, every seq is at
+    /// least 1 and a repeated stream's seq is consecutive, and every
+    /// payload lies inside the body. Returns the count and where the
+    /// entries start.
+    fn batch(&mut self) -> Result<(u64, usize), FrameError> {
+        let n = self.varint()?;
+        if n == 0 {
+            return Err(FrameError::Malformed("batch frame carries no entries"));
+        }
+        if n > (self.remaining() / MIN_ENTRY_BYTES) as u64 {
+            return Err(FrameError::Malformed("batch entry count exceeds the frame body"));
+        }
+        let start = self.at;
+        let (mut stream, mut prev_seq) = (0u64, 0u64);
+        for i in 0..n {
+            let delta = self.varint()?;
+            stream = stream
+                .checked_add(delta)
+                .ok_or(FrameError::Malformed("batch stream delta overflows u64"))?;
+            let seq = self.varint()?;
+            if seq == 0 {
+                return Err(FrameError::Malformed("batch entry seq must be at least 1"));
+            }
+            if i > 0 && delta == 0 && prev_seq.checked_add(1) != Some(seq) {
+                return Err(FrameError::Malformed("repeated batch stream skips a seq"));
+            }
+            prev_seq = seq;
+            let len = self.varint()?;
+            if len > self.remaining() as u64 {
+                return Err(FrameError::Malformed("batch payload runs past the frame body"));
+            }
+            self.at += len as usize;
+        }
+        if self.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing bytes after the last batch entry"));
+        }
+        Ok((n, start))
     }
 }
 
@@ -514,11 +706,11 @@ impl FrameDecoder {
         let body = &avail[4..total];
         let kind = body[0];
         let frame = match kind {
-            KIND_DATA => {
-                let mut r = BodyReader { body, at: 1 };
-                let stream = r.varint()?;
-                let seq = r.varint()?;
-                NetFrame::Data { stream, seq, payload: Bytes::copy_from_slice(r.rest()) }
+            KIND_BATCH => {
+                let (count, start) = BodyReader { body, at: 1 }.batch()?;
+                // One copy of the whole body; every entry's payload is a
+                // slice of it.
+                NetFrame::Batch(Batch { count, body: Bytes::copy_from_slice(&body[start..]) })
             }
             KIND_ACK => NetFrame::Ack {
                 cursors: BodyReader { body, at: 1 }
@@ -619,12 +811,21 @@ pub struct Outbox {
 impl Outbox {
     /// Appends encoded frame bytes (one whole frame per call).
     pub fn stage(&mut self, bytes: &[u8]) {
+        self.stage_parts(&[bytes]);
+    }
+
+    /// Appends one whole frame given as consecutive parts (a header
+    /// and a body written apart).
+    pub(crate) fn stage_parts(&mut self, parts: &[&[u8]]) {
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
-        self.frame_lens.push_back(bytes.len());
+        let before = self.buf.len();
+        for part in parts {
+            self.buf.extend_from_slice(part);
+        }
+        self.frame_lens.push_back(self.buf.len() - before);
     }
 
     /// Bytes not yet handed to the link.
@@ -694,9 +895,13 @@ impl Outbox {
 mod tests {
     use super::*;
 
+    fn batch(entries: &[(u64, u64, &[u8])]) -> NetFrame {
+        NetFrame::Batch(Batch::from_entries(entries.iter().copied()))
+    }
+
     fn sample_frames() -> Vec<NetFrame> {
         vec![
-            NetFrame::Data { stream: 7, seq: 1, payload: Bytes::from(vec![9, 8, 7]) },
+            batch(&[(7, 1, &[9, 8, 7])]),
             NetFrame::Ack {
                 cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 65536 }],
             },
@@ -708,7 +913,7 @@ mod tests {
                     ResumeCursor { stream: u64::MAX, through_seq: 1, granted_total: u64::MAX },
                 ],
             },
-            NetFrame::Data { stream: u64::MAX, seq: 2, payload: Bytes::from(vec![]) },
+            batch(&[(0, 1, &[]), (0, 2, &[1]), (5, u64::MAX, &[2, 3]), (u64::MAX, 2, &[])]),
             NetFrame::Fin { stream: 7, final_seq: 2 },
             NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 },
             NetFrame::Hello { version: 9, token: u64::MAX },
@@ -764,13 +969,50 @@ mod tests {
         }
     }
 
+    /// Data entries cost their varints: a one-byte count per batch, then
+    /// per entry a stream delta, a seq and a payload length.
     #[test]
     fn data_headers_shrink_to_their_varints() {
         let mut buf = BytesMut::new();
-        assert_eq!(encode_data(7, 1, &[9, 8, 7], &mut buf), 4 + 1 + 1 + 1 + 3);
-        assert_eq!(&buf[..], &[6, 0, 0, 0, KIND_DATA, 7, 1, 9, 8, 7]);
+        assert_eq!(encode(&batch(&[(7, 1, &[9, 8, 7])]), &mut buf), 4 + 1 + 1 + 3 + 3);
+        assert_eq!(&buf[..], &[8, 0, 0, 0, KIND_BATCH, 1, 7, 1, 3, 9, 8, 7]);
+        // A repeated stream costs a zero delta; the next stream its
+        // distance from the previous one.
         buf.clear();
-        assert_eq!(encode_data(u64::MAX, 300, &[], &mut buf), 4 + 1 + 10 + 2);
+        encode(&batch(&[(7, 1, &[9]), (7, 2, &[8]), (300, 4, &[])]), &mut buf);
+        assert_eq!(&buf[5..], &[3, 7, 1, 1, 9, 0, 2, 1, 8, 0xA5, 0x02, 4, 0]);
+        buf.clear();
+        assert_eq!(encode(&batch(&[(u64::MAX, 300, &[])]), &mut buf), 4 + 1 + 1 + 10 + 2 + 1);
+        assert_eq!(single_entry_frame_len(u64::MAX, 300, 0), 1 + 1 + 10 + 2 + 1);
+    }
+
+    /// The sender's writer produces the generic encoder's bytes, and
+    /// splits only where one more entry would pass `max_frame`.
+    #[test]
+    fn batch_writer_splits_at_max_frame_and_matches_encode() {
+        let entries: Vec<(u64, u64, Vec<u8>)> =
+            (0..12u64).map(|i| (i / 3, 1 + i % 3, vec![i as u8; 5])).collect();
+        let mut out = Outbox::default();
+        let mut writer = BatchWriter::default();
+        for (stream, seq, payload) in &entries {
+            writer.push(*stream, *seq, payload, 40, &mut out);
+        }
+        writer.finish(&mut out);
+        let mut dec = FrameDecoder::new(40);
+        dec.extend(&out.take());
+        let mut got = Vec::new();
+        let mut frames = 0;
+        while let Some(NetFrame::Batch(b)) = dec.try_next().unwrap() {
+            frames += 1;
+            let mut one = BytesMut::new();
+            let len = encode(&NetFrame::Batch(b.clone()), &mut one);
+            assert!(len - 4 <= 40, "a {len}-byte frame passed max_frame");
+            got.extend(b.entries().map(|e| (e.stream, e.seq, e.payload.to_vec())));
+        }
+        assert_eq!(dec.pending(), 0);
+        assert_eq!(got, entries, "every entry once, in order");
+        // 8 bytes per entry: 4 entries fit a 40-byte frame, not 5.
+        assert_eq!(frames, 3);
     }
 
     #[test]
@@ -891,7 +1133,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 }, &mut buf);
         let mark = buf.len();
-        encode(&NetFrame::Data { stream: 1, seq: 1, payload: Bytes::from(vec![5, 6]) }, &mut buf);
+        encode(&batch(&[(1, 1, &[5, 6])]), &mut buf);
         encode(&ack(1, 1), &mut buf);
 
         let mut dec = FrameDecoder::new(1024);
@@ -906,7 +1148,7 @@ mod tests {
         // The leftovers decode cleanly through a fresh decoder.
         let mut rx = FrameDecoder::new(1024);
         rx.extend(&rest);
-        assert!(matches!(rx.try_next().unwrap(), Some(NetFrame::Data { .. })));
+        assert!(matches!(rx.try_next().unwrap(), Some(NetFrame::Batch(_))));
         assert!(matches!(rx.try_next().unwrap(), Some(NetFrame::Ack { .. })));
         assert_eq!(rx.try_next().unwrap(), None);
     }

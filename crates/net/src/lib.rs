@@ -14,12 +14,12 @@
 //!   [`MemoryLink`] (in-process, capacity-bounded, severable — the
 //!   deterministic test substrate) and [`TcpLink`] (non-blocking
 //!   `std::net::TcpStream`).
-//! * [`frame`] — length-delimited net frames (`Data`/`Ack`/`Fin` plus
+//! * [`frame`] — length-delimited net frames (`Batch`/`Ack`/`Fin` plus
 //!   the session and query frames) wrapping `pla-transport`'s wire
-//!   encoding; each `Data` frame carries one stream's messages behind
-//!   its `StreamFrame` header, plus a per-stream sequence number, and
-//!   one `Ack` frame carries every stream's cumulative ack and credit
-//!   cursor for a flush.
+//!   encoding; one `Batch` frame carries a flush's sequenced entries,
+//!   each one stream's messages with its stream id and per-stream
+//!   sequence number, and one `Ack` frame carries every stream's
+//!   cumulative ack and credit cursor for a flush.
 //! * [`credit`] — cumulative-offset per-stream flow control (the QUIC
 //!   `MAX_STREAM_DATA` shape): the receiver grants an absolute byte
 //!   budget per stream, the sender never exceeds it, and a saturated
@@ -127,12 +127,25 @@ pub enum NetError {
     /// The stream was already finished with
     /// [`MuxSender::finish_stream`]; no more payload may follow.
     Finished(u64),
+    /// The entry cannot travel in any frame the peer accepts: even alone
+    /// in a `Batch` frame it would exceed [`NetConfig::max_frame`], and
+    /// the peer's decoder would fail the whole connection on it. Nothing
+    /// was sent, sequenced or reserved; the caller sheds the entry or
+    /// raises `max_frame` on both sides.
+    EntryTooLarge {
+        /// The stream the entry was for.
+        stream: u64,
+        /// The length prefix of the one-entry `Batch` frame.
+        frame_len: usize,
+        /// The configured maximum.
+        max_frame: u32,
+    },
     /// The peer sent a frame kind this endpoint never accepts (e.g.
-    /// `Data` arriving at the sender).
+    /// `Batch` arriving at the sender).
     UnexpectedFrame(&'static str),
-    /// A `Fin` arrived before every one of the stream's `Data` frames
-    /// was applied — impossible on an ordered connection unless frames
-    /// were lost.
+    /// A `Fin` arrived before every one of the stream's entries was
+    /// applied — impossible on an ordered connection unless frames were
+    /// lost.
     IncompleteFin {
         /// The stream being finished.
         stream: u64,
@@ -141,7 +154,7 @@ pub enum NetError {
         /// The highest sequence number actually applied.
         applied: u64,
     },
-    /// The receiver acknowledged a `Data` frame this sender never
+    /// The receiver acknowledged an entry this sender never
     /// produced. A cumulative ack licenses the sender to discard its
     /// replay copies, so one that overshoots can only come from a
     /// corrupt or confused peer; the connection is failed rather than
@@ -151,7 +164,7 @@ pub enum NetError {
         stream: u64,
         /// The acknowledged sequence number.
         through_seq: u64,
-        /// The sequence number of the last frame actually sent.
+        /// The sequence number of the last entry actually sent.
         last_seq: u64,
     },
     /// Framing-layer failure (bad kind byte, oversized length prefix).
@@ -170,6 +183,10 @@ impl std::fmt::Display for NetError {
         match self {
             Self::Backpressure => write!(f, "stream credit exhausted; retry or shed load"),
             Self::Finished(s) => write!(f, "stream#{s} is finished; no more payload may follow"),
+            Self::EntryTooLarge { stream, frame_len, max_frame } => write!(
+                f,
+                "stream#{stream}: entry needs a {frame_len}-byte frame, over max_frame {max_frame}"
+            ),
             Self::UnexpectedFrame(what) => write!(f, "unexpected frame at this endpoint: {what}"),
             Self::IncompleteFin { stream, final_seq, applied } => write!(
                 f,

@@ -1,6 +1,13 @@
 //! The sending endpoint: N logical streams multiplexed onto one framed
 //! byte stream, with per-stream credit and replayable delivery.
 //!
+//! Each send becomes one sequenced entry: the stream's codec bytes,
+//! retained per entry for replay. Entries wait until the next flush —
+//! [`take_staged`](MuxSender::take_staged), the pumps' outbox access, a
+//! [`finish_stream`](MuxSender::finish_stream), or a replay — which
+//! seals them, in ascending stream order, into as few `Batch` frames as
+//! `max_frame` allows.
+//!
 //! [`MuxSender`] is *sans-I/O*: segments go in
 //! ([`try_send_segment`](MuxSender::try_send_segment)), framed bytes
 //! come out ([`take_staged`](MuxSender::take_staged) or the pump
@@ -9,7 +16,9 @@
 //! touches a socket, so every protocol path — credit exhaustion, ack
 //! processing, reconnect replay — is deterministically testable.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 
@@ -17,18 +26,21 @@ use pla_core::{ProvisionalUpdate, Segment};
 use pla_transport::wire::{provisional_message, segment_messages, Codec, Message};
 
 use crate::credit::CreditWindow;
-use crate::frame::{encode, encode_data, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{
+    encode, single_entry_frame_len, BatchWriter, FrameDecoder, NetFrame, Outbox, ResumeCursor,
+};
 use crate::{NetConfig, NetError};
 
 /// Per-stream sender state.
 struct SendStream {
-    /// Sequence number of the last `Data` frame produced (0 = none yet).
+    /// Sequence number of the last entry produced (0 = none yet).
     last_seq: u64,
     /// Highest cumulatively acknowledged sequence number.
     acked: u64,
     credit: CreditWindow,
-    /// Encoded `Data` frames not yet acknowledged, oldest first —
-    /// exactly what a reconnect replays.
+    /// `(seq, payload)` of every entry not yet acknowledged, oldest
+    /// first — exactly what a reconnect replays. Each payload is its own
+    /// buffer, so trimming one never pins another's bytes.
     unacked: VecDeque<(u64, Bytes)>,
     finished: bool,
 }
@@ -48,11 +60,11 @@ impl SendStream {
 /// Point-in-time counters for one stream, for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendStreamStats {
-    /// `Data` frames produced so far.
+    /// Entries produced so far.
     pub frames: u64,
     /// Highest acknowledged sequence number.
     pub acked: u64,
-    /// Frames retained for possible replay.
+    /// Entries retained for possible replay.
     pub unacked: usize,
     /// Credit bytes currently available.
     pub credit_available: u64,
@@ -67,6 +79,13 @@ pub struct MuxSender<C: Codec> {
     dims: usize,
     config: NetConfig,
     streams: BTreeMap<u64, SendStream>,
+    /// `(stream, seq, payload range in pending_bytes)` of every entry
+    /// not yet sealed into a frame, in send order. Sealing reads these
+    /// freshly written bytes instead of revisiting every stream's replay
+    /// buffer; both keep their capacity across flushes.
+    pending: Vec<(u64, u64, Range<usize>)>,
+    pending_bytes: Vec<u8>,
+    batch: BatchWriter,
     out: Outbox,
     frames_in: FrameDecoder,
     scratch: BytesMut,
@@ -81,6 +100,9 @@ impl<C: Codec> MuxSender<C> {
             dims,
             config,
             streams: BTreeMap::new(),
+            pending: Vec::new(),
+            pending_bytes: Vec::new(),
+            batch: BatchWriter::default(),
             out: Outbox::default(),
             frames_in: FrameDecoder::new(config.max_frame),
             scratch: BytesMut::new(),
@@ -93,41 +115,71 @@ impl<C: Codec> MuxSender<C> {
         self.streams.entry(stream).or_insert_with(|| SendStream::new(window))
     }
 
-    /// Encodes `msgs` as one sequenced `Data` frame for `stream`,
-    /// stages it, and retains it for replay. The credit check happens
-    /// *before* anything is staged, so a refused send leaves no trace.
+    /// Encodes `msgs` as one sequenced entry for `stream` and retains
+    /// it for replay; the next flush seals it into a `Batch` frame. The
+    /// size and credit checks happen *before* anything is retained, so a
+    /// refused send leaves no trace.
     fn try_send_messages<'a>(
         &mut self,
         stream: u64,
         msgs: impl IntoIterator<Item = &'a Message>,
     ) -> Result<(), NetError> {
         let window = self.config.window;
-        let entry = self.streams.entry(stream).or_insert_with(|| SendStream::new(window));
+        let (entry, fresh) = match self.streams.entry(stream) {
+            Entry::Occupied(e) => (e.into_mut(), false),
+            Entry::Vacant(e) => (e.insert(SendStream::new(window)), true),
+        };
         if entry.finished {
             return Err(NetError::Finished(stream));
         }
-        // Each frame is a self-contained codec unit (reset first), led
-        // by the stream's own header — the contract
-        // `StreamDemux::consume_sequenced` enforces.
+        let seq = entry.last_seq + 1;
+        // Each entry is a self-contained codec unit (reset first) with no
+        // stream header — the contract `StreamDemux::consume_sequenced`
+        // enforces.
         self.scratch.clear();
         self.codec.reset();
-        self.codec.encode(&Message::StreamFrame { stream }, self.dims, &mut self.scratch);
         for m in msgs {
             self.codec.encode(m, self.dims, &mut self.scratch);
         }
-        let payload_len = self.scratch.len() as u64;
-        if !entry.credit.try_reserve(payload_len) {
+        let frame_len = single_entry_frame_len(stream, seq, self.scratch.len());
+        if frame_len > self.config.max_frame as usize {
+            if fresh {
+                self.streams.remove(&stream);
+            }
+            return Err(NetError::EntryTooLarge {
+                stream,
+                frame_len,
+                max_frame: self.config.max_frame,
+            });
+        }
+        if !entry.credit.try_reserve(self.scratch.len() as u64) {
             return Err(NetError::Backpressure);
         }
-        entry.last_seq += 1;
-        let seq = entry.last_seq;
-        // Both scratch buffers keep their capacity from frame to frame;
-        // the replay copy is the one allocation a frame costs.
-        self.frame_scratch.clear();
-        encode_data(stream, seq, &self.scratch, &mut self.frame_scratch);
-        self.out.stage(&self.frame_scratch);
-        entry.unacked.push_back((seq, Bytes::copy_from_slice(&self.frame_scratch)));
+        entry.last_seq = seq;
+        // The scratch buffer keeps its capacity from entry to entry; the
+        // replay copy is the one allocation an entry costs.
+        entry.unacked.push_back((seq, Bytes::copy_from_slice(&self.scratch)));
+        let at = self.pending_bytes.len();
+        self.pending_bytes.extend_from_slice(&self.scratch);
+        self.pending.push((stream, seq, at..self.pending_bytes.len()));
         Ok(())
+    }
+
+    /// Seals every pending entry into `Batch` frames on the outbox:
+    /// streams ascending (sorted here, the way the receiver sorts its
+    /// ack list), each stream's entries in seq order.
+    fn seal_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.pending.sort_unstable_by_key(|&(stream, seq, _)| (stream, seq));
+        for (stream, seq, range) in &self.pending {
+            let payload = &self.pending_bytes[range.clone()];
+            self.batch.push(*stream, *seq, payload, self.config.max_frame, &mut self.out);
+        }
+        self.batch.finish(&mut self.out);
+        self.pending.clear();
+        self.pending_bytes.clear();
     }
 
     /// Sends one finalized segment on `stream`.
@@ -145,6 +197,9 @@ impl<C: Codec> MuxSender<C> {
     /// cover the encoded payload: nothing is sent, and the caller
     /// retries after the receiver grants more (or sheds load). This is
     /// the same contract as `pla_ingest::IngestHandle::try_push`.
+    /// [`NetError::EntryTooLarge`] when even a `Batch` frame of this one
+    /// entry would exceed `max_frame`: the peer would refuse it, so
+    /// nothing is sent or reserved.
     pub fn try_send_segment(&mut self, stream: u64, seg: &Segment) -> Result<(), NetError> {
         // At most two messages per segment, staged on the stack — the
         // send path stays off the heap (beyond the payload buffer
@@ -167,14 +222,16 @@ impl<C: Codec> MuxSender<C> {
         self.try_send_messages(stream, &[provisional_message(update)])
     }
 
-    /// Marks `stream` complete and stages its `Fin` frame. Further
-    /// sends on it fail with [`NetError::Finished`]; finishing twice is
-    /// idempotent.
+    /// Marks `stream` complete and stages its `Fin` frame behind every
+    /// pending entry (sealed first, so the `Fin` never overtakes its
+    /// stream's data). Further sends on it fail with
+    /// [`NetError::Finished`]; finishing twice is idempotent.
     pub fn finish_stream(&mut self, stream: u64) -> Result<(), NetError> {
-        let entry = self.stream_entry(stream);
-        if entry.finished {
+        if self.streams.get(&stream).is_some_and(|s| s.finished) {
             return Ok(());
         }
+        self.seal_pending();
+        let entry = self.stream_entry(stream);
         entry.finished = true;
         let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
         self.frame_scratch.clear();
@@ -219,7 +276,7 @@ impl<C: Codec> MuxSender<C> {
             // Liveness probes and echoes carry no stream state; the
             // session layer tracks arrival times, the mux ignores them.
             NetFrame::Heartbeat { .. } => {}
-            NetFrame::Data { .. } => return Err(NetError::UnexpectedFrame("Data at sender")),
+            NetFrame::Batch(_) => return Err(NetError::UnexpectedFrame("Batch at sender")),
             NetFrame::Fin { .. } => return Err(NetError::UnexpectedFrame("Fin at sender")),
             NetFrame::Hello { .. } => return Err(NetError::UnexpectedFrame("Hello at sender")),
             NetFrame::HelloAck { .. } => {
@@ -239,7 +296,7 @@ impl<C: Codec> MuxSender<C> {
     /// `HelloAck` alike: each ack point trims the stream's replay
     /// buffer, each grant raises its credit window (`grant_to` keeps the
     /// maximum, so a 0 grant changes nothing). Returns whether any
-    /// replay frame was trimmed.
+    /// replay entry was trimmed.
     ///
     /// Cursors naming a stream this sender never sent on are dropped
     /// without materializing state: a corrupt or hostile peer must not
@@ -248,8 +305,8 @@ impl<C: Codec> MuxSender<C> {
     ///
     /// # Errors
     ///
-    /// [`NetError::AckBeyondSent`] when a cursor acknowledges a frame
-    /// this sender never produced: trimming on it would discard frames
+    /// [`NetError::AckBeyondSent`] when a cursor acknowledges an entry
+    /// this sender never produced: trimming on it would discard entries
     /// the receiver cannot hold, so the connection is condemned instead.
     fn apply_cursors(&mut self, cursors: &[ResumeCursor]) -> Result<bool, NetError> {
         let mut trimmed = false;
@@ -280,7 +337,7 @@ impl<C: Codec> MuxSender<C> {
     ///
     /// # Errors
     ///
-    /// [`NetError::AckBeyondSent`] when a cursor acknowledges a frame
+    /// [`NetError::AckBeyondSent`] when a cursor acknowledges an entry
     /// this sender never produced, as for an `Ack` frame.
     pub fn apply_resume(&mut self, cursors: &[ResumeCursor]) -> Result<(), NetError> {
         // Nothing trimmed (always so for a fresh session): the staged
@@ -289,13 +346,13 @@ impl<C: Codec> MuxSender<C> {
         if !self.apply_cursors(cursors)? {
             return Ok(());
         }
-        // The replay staged by `on_reconnect` now contains frames the
+        // The replay staged by `on_reconnect` now contains entries the
         // cursors just acknowledged; restage from the trimmed buffers so
         // the wire never carries a *whole* frame the receiver already
         // holds. But this runs on a live link: if the link accepted a
         // partial write, the frame it tore must complete first — the
-        // receiver drops duplicate frames by sequence number, it cannot
-        // survive a torn one.
+        // receiver drops duplicate entries by sequence number, it cannot
+        // survive a torn frame.
         let torn: Option<Vec<u8>> = self.out.partial_head().map(<[u8]>::to_vec);
         self.out.clear();
         if let Some(tail) = torn {
@@ -307,23 +364,29 @@ impl<C: Codec> MuxSender<C> {
 
     /// The connection died: drop everything staged for the dead link,
     /// forget its partial inbound frame, and restage every
-    /// unacknowledged `Data` frame (in per-stream sequence order) plus
-    /// the `Fin` of every finished stream. The receiver drops whatever
-    /// it already applied by sequence number, so replaying is always
-    /// safe.
+    /// unacknowledged entry (re-batched, in per-stream sequence order)
+    /// plus the `Fin` of every finished stream. The receiver drops
+    /// whatever it already applied by sequence number, so replaying is
+    /// always safe.
     pub fn on_reconnect(&mut self) {
         self.out.clear();
         self.frames_in.reset();
         self.restage_unacked();
     }
 
-    /// Stages every unacknowledged `Data` frame (in per-stream sequence
-    /// order) plus the `Fin` of every finished stream.
+    /// Stages every unacknowledged entry — pending ones included —
+    /// re-batched from the per-entry bytes in ascending stream order,
+    /// then the `Fin` of every finished stream, behind all of its data.
     fn restage_unacked(&mut self) {
         for (&stream, entry) in &self.streams {
-            for (_, frame_bytes) in &entry.unacked {
-                self.out.stage(frame_bytes);
+            for (seq, payload) in &entry.unacked {
+                self.batch.push(stream, *seq, payload, self.config.max_frame, &mut self.out);
             }
+        }
+        self.batch.finish(&mut self.out);
+        self.pending.clear();
+        self.pending_bytes.clear();
+        for (&stream, entry) in &self.streams {
             if entry.finished {
                 self.frame_scratch.clear();
                 let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
@@ -333,31 +396,37 @@ impl<C: Codec> MuxSender<C> {
         }
     }
 
-    /// Whether every produced frame has been acknowledged and nothing
+    /// Whether every produced entry has been acknowledged and nothing
     /// is waiting for the link — the sender's "safe to stop pumping"
     /// condition (together with having called
     /// [`finish_all`](Self::finish_all)).
     pub fn is_idle(&self) -> bool {
-        self.out.is_empty() && self.streams.values().all(|s| s.unacked.is_empty())
+        self.out.is_empty() && self.all_acked()
     }
 
-    /// Whether every produced frame has been acknowledged.
+    /// Whether every produced entry has been acknowledged.
     pub fn all_acked(&self) -> bool {
         self.streams.values().all(|s| s.unacked.is_empty())
     }
 
-    /// Bytes staged for the link but not yet written.
+    /// Bytes sealed into frames for the link but not yet written
+    /// (entries still waiting for their flush are not counted).
     pub fn staged_bytes(&self) -> usize {
         self.out.pending()
     }
 
     /// Drains every staged byte (manual pumping; the
     /// [`driver`](crate::driver) pumps incrementally instead).
+    /// Pending entries are sealed into frames first.
     pub fn take_staged(&mut self) -> Vec<u8> {
+        self.seal_pending();
         self.out.take()
     }
 
+    /// The outbox, with every pending entry sealed into it: each pump
+    /// round's access is the flush that batches what the round sent.
     pub(crate) fn outbox(&mut self) -> &mut Outbox {
+        self.seal_pending();
         &mut self.out
     }
 
@@ -381,6 +450,7 @@ impl<C: Codec> MuxSender<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Batch;
     use pla_transport::wire::FixedCodec;
 
     fn seg(t0: f64, x0: f64, t1: f64, x1: f64) -> Segment {
@@ -410,6 +480,31 @@ mod tests {
         buf
     }
 
+    /// One sender → receiver frame, a `Batch` as its `(stream, seq)`
+    /// entries.
+    #[derive(Debug, PartialEq)]
+    enum Wire {
+        Batch(Vec<(u64, u64)>),
+        Fin(u64, u64),
+    }
+
+    /// Decodes staged sender bytes, checking every frame fits
+    /// `max_frame`.
+    fn wire(bytes: &[u8], max_frame: u32) -> Vec<Wire> {
+        let mut dec = FrameDecoder::new(max_frame);
+        dec.extend(bytes);
+        let mut out = Vec::new();
+        while let Some(f) = dec.try_next().expect("the sender's frames decode") {
+            out.push(match f {
+                NetFrame::Batch(b) => Wire::Batch(b.entries().map(|e| (e.stream, e.seq)).collect()),
+                NetFrame::Fin { stream, final_seq } => Wire::Fin(stream, final_seq),
+                other => panic!("unexpected frame on the wire: {other:?}"),
+            });
+        }
+        assert_eq!(dec.pending(), 0, "no torn bytes left behind");
+        out
+    }
+
     /// `apply_resume` arrives on the *live* link; if the link tore a
     /// frame on a partial write, the rebuilt outbox must lead with that
     /// frame's remaining bytes or the peer's decoder desyncs.
@@ -418,6 +513,7 @@ mod tests {
         let mut tx = MuxSender::new(FixedCodec, 1, NetConfig { window: 4096, max_frame: 1 << 20 });
         for i in 0..4 {
             tx.try_send_segment(5, &seg(i as f64 * 10.0, 0.0, i as f64 * 10.0 + 5.0, 1.0)).unwrap();
+            tx.outbox(); // one flush per send: one `Batch` frame each
         }
         let staged = tx.outbox().as_bytes().to_vec();
         // Frame boundaries from the length prefixes; cut mid-frame-3.
@@ -433,50 +529,129 @@ mod tests {
         tx.apply_resume(&[cursor(5, 1, 1 << 20)]).unwrap();
 
         // The wire = what the link already accepted + what goes out now.
-        let mut wire = staged[..cut].to_vec();
-        wire.extend(tx.take_staged());
-        let mut dec = FrameDecoder::new(1 << 20);
-        dec.extend(&wire);
-        let mut seqs = Vec::new();
-        while let Some(f) = dec.try_next().expect("wire must stay framed") {
-            match f {
-                NetFrame::Data { stream: 5, seq, .. } => seqs.push(seq),
-                other => panic!("unexpected frame on the wire: {other:?}"),
-            }
-        }
-        assert_eq!(dec.pending(), 0, "no torn bytes left behind");
+        let mut wire_bytes = staged[..cut].to_vec();
+        wire_bytes.extend(tx.take_staged());
         // Frames 1-2 were fully written, the torn frame 3 completes,
-        // then the trimmed replay (unacked 2..=4) follows; the receiver
-        // dedups whole frames by seq.
-        assert_eq!(seqs, vec![1, 2, 3, 2, 3, 4]);
+        // then the trimmed replay (unacked 2..=4, re-batched) follows;
+        // the receiver dedups entries by seq.
+        assert_eq!(
+            wire(&wire_bytes, 1 << 20),
+            [
+                Wire::Batch(vec![(5, 1)]),
+                Wire::Batch(vec![(5, 2)]),
+                Wire::Batch(vec![(5, 3)]),
+                Wire::Batch(vec![(5, 2), (5, 3), (5, 4)]),
+            ]
+        );
     }
 
     #[test]
-    fn segments_become_sequenced_data_frames() {
+    fn segments_become_sequenced_batch_entries() {
         let mut tx = sender();
         tx.try_send_segment(4, &seg(0.0, 1.0, 5.0, 2.0)).unwrap();
         tx.try_send_segment(4, &seg(6.0, 0.0, 9.0, 1.0)).unwrap();
         tx.try_send_segment(2, &seg(0.0, 0.0, 1.0, 1.0)).unwrap();
-        let bytes = tx.take_staged();
-        let mut dec = FrameDecoder::new(1 << 20);
-        dec.extend(&bytes);
-        let mut seen = Vec::new();
-        while let Some(f) = dec.try_next().unwrap() {
-            match f {
-                NetFrame::Data { stream, seq, .. } => seen.push((stream, seq)),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(seen, vec![(4, 1), (4, 2), (2, 1)], "per-stream sequence numbers");
+        assert_eq!(tx.staged_bytes(), 0, "entries wait for the flush");
+        // One flush, one frame: streams ascending, per-stream seqs.
+        assert_eq!(wire(&tx.take_staged(), 1 << 20), [Wire::Batch(vec![(2, 1), (4, 1), (4, 2)])]);
         let s4 = tx.stream_stats(4).unwrap();
         assert_eq!(s4.frames, 2);
-        assert_eq!(s4.unacked, 2, "frames retained until acked");
+        assert_eq!(s4.unacked, 2, "entries retained until acked");
+        // Entries sent after a flush go out in the next one.
+        tx.try_send_segment(4, &seg(10.0, 0.0, 12.0, 1.0)).unwrap();
+        assert_eq!(wire(&tx.take_staged(), 1 << 20), [Wire::Batch(vec![(4, 3)])]);
+        assert!(tx.take_staged().is_empty(), "sealed entries are not sent twice");
+    }
+
+    /// A `Fin` is staged behind its stream's last entry even when that
+    /// entry was still waiting for a flush.
+    #[test]
+    fn fins_follow_their_streams_data() {
+        let mut tx = sender();
+        tx.try_send_segment(4, &seg(0.0, 1.0, 5.0, 2.0)).unwrap();
+        tx.try_send_segment(2, &seg(0.0, 0.0, 1.0, 1.0)).unwrap();
+        tx.finish_stream(4).unwrap();
+        tx.try_send_segment(2, &seg(2.0, 0.0, 3.0, 1.0)).unwrap();
+        tx.finish_all();
+        assert_eq!(
+            wire(&tx.take_staged(), 1 << 20),
+            [
+                Wire::Batch(vec![(2, 1), (4, 1)]),
+                Wire::Fin(4, 1),
+                Wire::Batch(vec![(2, 2)]),
+                Wire::Fin(2, 2),
+            ]
+        );
+    }
+
+    /// No frame the sender writes, live or replayed, exceeds
+    /// `max_frame`: a flush too large for one `Batch` splits.
+    #[test]
+    fn flushes_and_replays_split_at_max_frame() {
+        // A 1-D Start+End entry: 34 payload bytes plus 3 header bytes.
+        let max_frame = 100;
+        let mut tx = MuxSender::new(FixedCodec, 1, NetConfig { window: 1 << 16, max_frame });
+        let mut want = Vec::new();
+        for i in 0..6 {
+            for stream in [9, 3] {
+                tx.try_send_segment(stream, &seg(i as f64 * 10.0, 0.0, i as f64 * 10.0 + 5.0, 1.0))
+                    .unwrap();
+            }
+        }
+        for stream in [3, 9] {
+            want.extend((1..=6).map(|seq| (stream, seq)));
+        }
+        let flat = |frames: Vec<Wire>| -> (usize, Vec<(u64, u64)>) {
+            let n = frames.len();
+            let entries = frames
+                .into_iter()
+                .flat_map(|f| match f {
+                    Wire::Batch(e) => e,
+                    Wire::Fin(..) => panic!("no Fin was staged"),
+                })
+                .collect();
+            (n, entries)
+        };
+        assert_eq!(flat(wire(&tx.take_staged(), max_frame)), (6, want.clone()), "two per frame");
+        tx.on_reconnect();
+        assert_eq!(flat(wire(&tx.take_staged(), max_frame)), (6, want), "the replay splits alike");
+    }
+
+    /// An entry that cannot fit `max_frame` even alone would make the
+    /// peer fail the whole connection; it is refused up front, before
+    /// any sequence number or credit is spent.
+    #[test]
+    fn an_entry_too_large_for_max_frame_is_refused_without_a_trace() {
+        // A 5-D `Provisional` is 97 payload bytes: a 102-byte frame alone.
+        let mut tx = MuxSender::new(FixedCodec, 5, NetConfig { window: 4096, max_frame: 100 });
+        let update = ProvisionalUpdate {
+            t_anchor: 0.0,
+            x_anchor: [1.0; 5].into(),
+            slopes: [0.5; 5].into(),
+            covers_through: 2.0,
+        };
+        let too_large = NetError::EntryTooLarge { stream: 3, frame_len: 102, max_frame: 100 };
+        assert_eq!(tx.try_send_provisional(3, &update), Err(too_large.clone()));
+        assert_eq!(tx.stream_stats(3), None, "a refused first entry conjures no stream");
+        assert!(tx.take_staged().is_empty());
+
+        // A 5-D `Point` segment (49 payload bytes) fits, and the stream
+        // keeps working around the refusals.
+        let mut point = seg(1.0, 0.0, 1.0, 0.0);
+        point.x_start = [2.0; 5].into();
+        point.x_end = [2.0; 5].into();
+        point.n_points = 1;
+        tx.try_send_segment(3, &point).unwrap();
+        let before = tx.stream_stats(3).unwrap();
+        assert_eq!(tx.try_send_provisional(3, &update), Err(too_large));
+        assert_eq!(tx.stream_stats(3).unwrap(), before, "no seq burned, no credit reserved");
+        assert_eq!(wire(&tx.take_staged(), 100), [Wire::Batch(vec![(3, 1)])]);
     }
 
     #[test]
     fn credit_exhaustion_is_backpressure_and_leaves_no_trace() {
         let mut tx = MuxSender::new(FixedCodec, 1, NetConfig { window: 64, max_frame: 1 << 20 });
-        // 1-D fixed-codec segment payload: header (9) + Start (17) + End (17) = 43 bytes.
+        // 1-D fixed-codec segment payload: Start (17) + End (17) = 34 bytes.
         tx.try_send_segment(1, &seg(0.0, 1.0, 5.0, 2.0)).unwrap();
         let staged_before = tx.staged_bytes();
         let frames_before = tx.stream_stats(1).unwrap().frames;
@@ -557,16 +732,11 @@ mod tests {
         let _lost = tx.take_staged(); // written to a link that then died
         tx.on_bytes(&ack_bytes(&[cursor(5, 2, 0)])).unwrap();
         tx.on_reconnect();
-        let mut dec = FrameDecoder::new(1 << 20);
-        dec.extend(&tx.take_staged());
-        let mut replay = Vec::new();
-        while let Some(f) = dec.try_next().unwrap() {
-            replay.push(f);
-        }
-        assert_eq!(replay.len(), 3, "two unacked Data frames plus the Fin");
-        assert!(matches!(replay[0], NetFrame::Data { stream: 5, seq: 3, .. }));
-        assert!(matches!(replay[1], NetFrame::Data { stream: 5, seq: 4, .. }));
-        assert_eq!(replay[2], NetFrame::Fin { stream: 5, final_seq: 4 });
+        assert_eq!(
+            wire(&tx.take_staged(), 1 << 20),
+            [Wire::Batch(vec![(5, 3), (5, 4)]), Wire::Fin(5, 4)],
+            "the two unacked entries re-batched, then the Fin"
+        );
     }
 
     #[test]
@@ -588,16 +758,11 @@ mod tests {
         assert_eq!(tx.stream_stats(5).unwrap().unacked, 2);
         assert!(tx.stream_stats(5).unwrap().credit_available > 0, "grant refreshed");
         // The staged replay was re-trimmed to match: seq 3, 4, then Fin.
-        let mut dec = FrameDecoder::new(1 << 20);
-        dec.extend(&tx.take_staged());
-        let mut replay = Vec::new();
-        while let Some(f) = dec.try_next().unwrap() {
-            replay.push(f);
-        }
-        assert_eq!(replay.len(), 3, "acked frames must not be replayed, got {replay:?}");
-        assert!(matches!(replay[0], NetFrame::Data { stream: 5, seq: 3, .. }));
-        assert!(matches!(replay[1], NetFrame::Data { stream: 5, seq: 4, .. }));
-        assert_eq!(replay[2], NetFrame::Fin { stream: 5, final_seq: 4 });
+        assert_eq!(
+            wire(&tx.take_staged(), 1 << 20),
+            [Wire::Batch(vec![(5, 3), (5, 4)]), Wire::Fin(5, 4)],
+            "acked entries must not be replayed"
+        );
     }
 
     /// A fresh session's `HelloAck` carries no cursors: the 0-RTT data
@@ -658,7 +823,7 @@ mod tests {
     fn payload_frames_at_the_sender_are_protocol_errors() {
         let mut tx = sender();
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Data { stream: 1, seq: 1, payload: Bytes::from_static(b"x") }, &mut buf);
+        encode(&NetFrame::Batch(Batch::from_entries([(1, 1, &b"x"[..])])), &mut buf);
         assert!(matches!(tx.on_bytes(&buf), Err(NetError::UnexpectedFrame(_))));
     }
 }

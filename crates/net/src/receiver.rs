@@ -11,15 +11,15 @@
 //!
 //! # Batched acknowledgements
 //!
-//! Applying a `Data` frame records the stream as *ack-dirty* but stages
+//! Applying a `Batch` entry records its stream as *ack-dirty* but stages
 //! nothing. [`flush_control`](NetReceiver::flush_control) — called once
 //! per pump round by the [`driver`](crate::driver) pumps and by
 //! [`take_staged`](NetReceiver::take_staged) — then emits **one** `Ack`
 //! frame holding one cumulative cursor per dirty stream (its ack point
-//! and, when one is due, its credit top-up), however many frames and
+//! and, when one is due, its credit top-up), however many entries and
 //! streams the round applied. Cumulative counters make the coalescing
-//! free: acking `through_seq = 7` acknowledges frames 1–7 at once, and a
-//! replayed cursor is a no-op at the sender.
+//! free: acking `through_seq = 7` acknowledges entries 1–7 at once, and
+//! a replayed cursor is a no-op at the sender.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -29,7 +29,7 @@ use pla_transport::wire::Codec;
 use pla_transport::{SeqOutcome, StreamDemux};
 
 use crate::credit::ReceiveWindow;
-use crate::frame::{encode, encode_ack, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{encode, encode_ack, BatchEntry, FrameDecoder, NetFrame, Outbox, ResumeCursor};
 use crate::{NetConfig, NetError};
 
 /// Heartbeats awaiting an echo are bounded: a peer that floods probes
@@ -40,9 +40,9 @@ const HEARTBEAT_ECHO_CAP: usize = 32;
 /// collector's per-connection observability and for tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
-    /// `Data` frames applied to the demultiplexer.
+    /// Sequenced entries applied to the demultiplexer.
     pub frames_applied: u64,
-    /// `Data` frames dropped as duplicates (replays after reconnect) —
+    /// Entries dropped as duplicates (replays after reconnect) —
     /// shed load that must stay observable, mirroring
     /// `pla_ingest::ShardStats::backpressure`.
     pub dup_drops: u64,
@@ -90,7 +90,7 @@ pub struct NetReceiver<C: Codec> {
     /// Bumped whenever `ack_dirty` empties, which unqueues every stream
     /// at once without touching their entries.
     ack_batch: u64,
-    /// Streams that applied a `Data` frame or received a `Fin` since the
+    /// Streams that applied an entry or received a `Fin` since the
     /// last [`take_touched`](Self::take_touched), each listed once.
     touched: Vec<u64>,
     /// Bumped whenever `touched` is taken (see `ack_batch`).
@@ -157,15 +157,46 @@ impl<C: Codec> NetReceiver<C> {
         self.out.stage(&self.scratch);
     }
 
+    /// Applies one sequenced entry through
+    /// [`StreamDemux::consume_sequenced`]: an applied entry is counted
+    /// against the stream's credit window, a duplicate (replay after
+    /// reconnect) is dropped — and either way the stream is marked
+    /// ack-dirty, so the next [`flush_control`](Self::flush_control)
+    /// re-announces its cumulative ack (a sender whose acks were lost
+    /// with the old connection can still release its replay buffer).
+    fn apply_entry(&mut self, entry: BatchEntry) -> Result<(), NetError> {
+        let BatchEntry { stream, seq, payload } = entry;
+        let payload_len = payload.len() as u64;
+        let outcome = self.demux.consume_sequenced(stream, seq, payload)?;
+        let window = self.config.window;
+        let rx = self.streams.entry(stream).or_insert_with(|| RxStream {
+            window: ReceiveWindow::new(window),
+            ack_batch: 0,
+            touch_batch: 0,
+        });
+        match outcome {
+            SeqOutcome::Applied => {
+                self.frames_applied += 1;
+                rx.window.on_delivered(payload_len);
+                if rx.touch_batch != self.touch_batch {
+                    rx.touch_batch = self.touch_batch;
+                    self.touched.push(stream);
+                }
+            }
+            SeqOutcome::Duplicate => self.dup_drops += 1,
+        }
+        if rx.ack_batch != self.ack_batch {
+            rx.ack_batch = self.ack_batch;
+            self.ack_dirty.push(stream);
+        }
+        Ok(())
+    }
+
     /// Feeds inbound link bytes, applying every complete frame:
     ///
-    /// * `Data` → [`StreamDemux::consume_sequenced`]; an applied frame
-    ///   is counted against the stream's credit window, a duplicate
-    ///   (replay after reconnect) is dropped — and either way the
-    ///   stream is marked ack-dirty, so the next
-    ///   [`flush_control`](Self::flush_control) re-announces its
-    ///   cumulative ack (a sender whose acks were lost with the old
-    ///   connection can still release its replay buffer).
+    /// * `Batch` → each entry in order, exactly as if it had arrived
+    ///   alone (see `apply_entry`): dedup, credit and acks are per
+    ///   entry, never per frame.
     /// * `Fin` → the stream is complete; verified against the applied
     ///   sequence point.
     /// * `Ack` → protocol error at this endpoint.
@@ -173,29 +204,9 @@ impl<C: Codec> NetReceiver<C> {
         self.frames.extend(bytes);
         while let Some(frame) = self.frames.try_next()? {
             match frame {
-                NetFrame::Data { stream, seq, payload } => {
-                    let payload_len = payload.len() as u64;
-                    let outcome = self.demux.consume_sequenced(stream, seq, payload)?;
-                    let window = self.config.window;
-                    let rx = self.streams.entry(stream).or_insert_with(|| RxStream {
-                        window: ReceiveWindow::new(window),
-                        ack_batch: 0,
-                        touch_batch: 0,
-                    });
-                    match outcome {
-                        SeqOutcome::Applied => {
-                            self.frames_applied += 1;
-                            rx.window.on_delivered(payload_len);
-                            if rx.touch_batch != self.touch_batch {
-                                rx.touch_batch = self.touch_batch;
-                                self.touched.push(stream);
-                            }
-                        }
-                        SeqOutcome::Duplicate => self.dup_drops += 1,
-                    }
-                    if rx.ack_batch != self.ack_batch {
-                        rx.ack_batch = self.ack_batch;
-                        self.ack_dirty.push(stream);
+                NetFrame::Batch(batch) => {
+                    for entry in batch.entries() {
+                        self.apply_entry(entry)?;
                     }
                 }
                 NetFrame::Fin { stream, final_seq } => {
@@ -250,8 +261,8 @@ impl<C: Codec> NetReceiver<C> {
     ///
     /// The [`driver`](crate::driver) pumps call this once per round
     /// (and [`take_staged`](Self::take_staged) calls it for manual
-    /// pumping), which is what turns per-frame control chatter into
-    /// per-round batches: a round that applies 20 frames on each of 200
+    /// pumping), which is what turns per-entry control chatter into
+    /// per-round batches: a round that applies 20 entries on each of 200
     /// streams acks them all with one frame of a few bytes per stream.
     pub fn flush_control(&mut self) {
         // Ascending stream order, as the cursor codec requires: the
@@ -278,8 +289,8 @@ impl<C: Codec> NetReceiver<C> {
         }
     }
 
-    /// Moves onto `out` the id of every stream that applied a `Data`
-    /// frame or received its `Fin` since the last call, each once, and
+    /// Moves onto `out` the id of every stream that applied an entry or
+    /// received its `Fin` since the last call, each once, and
     /// starts tracking afresh. The collector publishes exactly these
     /// streams after a pump round, instead of walking every stream the
     /// connection has ever carried.
@@ -289,7 +300,7 @@ impl<C: Codec> NetReceiver<C> {
     }
 
     /// The current credit grant of `stream` (the initial window for a
-    /// stream that never applied a frame).
+    /// stream that never applied an entry).
     fn current_grant(&self, stream: u64) -> u64 {
         self.streams.get(&stream).map_or(self.config.window, |rx| rx.window.current_grant())
     }
@@ -358,7 +369,7 @@ impl<C: Codec> NetReceiver<C> {
         self.finished.contains_key(&stream)
     }
 
-    /// Current endpoint counters (frames applied, duplicates dropped,
+    /// Current endpoint counters (entries applied, duplicates dropped,
     /// acks and grants staged).
     pub fn stats(&self) -> ReceiverStats {
         ReceiverStats {
@@ -374,7 +385,7 @@ impl<C: Codec> NetReceiver<C> {
     }
 
     /// Bytes staged for the link (acks, credit grants) but not yet
-    /// written. Control for freshly applied frames is staged by
+    /// written. Control for freshly applied entries is staged by
     /// [`flush_control`](Self::flush_control) — the driver pumps run it
     /// every round, so after a pump this is an exact "nothing left to
     /// send" test.
@@ -403,22 +414,23 @@ impl<C: Codec> NetReceiver<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::frame::Batch;
     use pla_transport::wire::{FixedCodec, Message};
 
-    fn payload(stream: u64, msgs: &[Message]) -> Bytes {
+    fn payload(msgs: &[Message]) -> Vec<u8> {
         let mut codec = FixedCodec;
         let mut buf = BytesMut::new();
-        codec.encode(&Message::StreamFrame { stream }, 1, &mut buf);
         for m in msgs {
             codec.encode(m, 1, &mut buf);
         }
-        buf.freeze()
+        buf.to_vec()
     }
 
+    /// A one-entry `Batch` frame.
     fn data_bytes(stream: u64, seq: u64, msgs: &[Message]) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Data { stream, seq, payload: payload(stream, msgs) }, &mut buf);
+        let batch = Batch::from_entries([(stream, seq, &payload(msgs)[..])]);
+        encode(&NetFrame::Batch(batch), &mut buf);
         buf.to_vec()
     }
 
@@ -481,6 +493,32 @@ mod tests {
         assert!(control_frames(&mut rx).is_empty());
     }
 
+    /// A batch applies entry by entry, exactly as if each had arrived
+    /// alone: a replayed batch overlapping what was applied drops only
+    /// the duplicate entries, and acks stay one cursor per stream.
+    #[test]
+    fn batch_entries_apply_and_dedup_one_by_one() {
+        let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
+        let point = |t: f64| payload(&[Message::Point { t, x: [1.0].into() }]);
+        let (p0, p1, p2) = (point(0.0), point(1.0), point(2.0));
+        let batch = |entries: &[(u64, u64, &[u8])]| {
+            let mut buf = BytesMut::new();
+            encode(&NetFrame::Batch(Batch::from_entries(entries.iter().copied())), &mut buf);
+            buf
+        };
+        rx.on_bytes(&batch(&[(3, 1, &p0), (3, 2, &p1), (8, 1, &p0)])).unwrap();
+        rx.on_bytes(&batch(&[(3, 2, &p1), (3, 3, &p2), (8, 1, &p0)])).unwrap();
+        assert_eq!((rx.stats().frames_applied, rx.stats().dup_drops), (4, 2));
+        assert_eq!(rx.demux().segments(3).unwrap().len(), 3, "no duplicate segment");
+        let ctl = control_frames(&mut rx);
+        assert_eq!(only_ack(&ctl), [cursor(3, 3, 0), cursor(8, 1, 0)]);
+        // An entry that fails mid-batch fails the connection, but the
+        // entries before it stay applied (and acknowledged).
+        let gap = batch(&[(3, 4, &point(3.0)), (3, 5, &point(4.0)), (9, 2, &p0)]);
+        assert!(matches!(rx.on_bytes(&gap), Err(NetError::Receive(_))));
+        assert_eq!(rx.demux().ack_point(3), 5);
+    }
+
     #[test]
     fn touched_streams_are_reported_once_per_take() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
@@ -522,12 +560,12 @@ mod tests {
     fn consumption_regrants_credit() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        // Each Point frame payload is 9 (header) + 17 = 26 bytes; two of
-        // them cross half the 64-byte window.
+        // Each Point entry payload is 17 bytes; two of them cross half
+        // the 64-byte window.
         rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl), [cursor(1, 2, 52 + 64)], "expected a top-up grant");
+        assert_eq!(only_ack(&ctl), [cursor(1, 2, 34 + 64)], "expected a top-up grant");
         assert_eq!(rx.stats().credits_staged, 1);
     }
 
@@ -578,7 +616,7 @@ mod tests {
         // The resume HelloAck carries these cursors in one frame.
         assert_eq!(
             rx.resume_cursors(),
-            [cursor(2, 2, 52 + 64), cursor(5, 1, 64), cursor(9, 1, 64)],
+            [cursor(2, 2, 34 + 64), cursor(5, 1, 64), cursor(9, 1, 64)],
             "one cursor per known stream, ascending"
         );
     }

@@ -697,7 +697,7 @@ mod tests {
     fn handshake_errors_display() {
         let cases: Vec<(HandshakeError, &str)> = vec![
             (HandshakeError::VersionMismatch { ours: 1, theirs: 2 }, "version mismatch"),
-            (HandshakeError::NotHello("Data"), "not Hello"),
+            (HandshakeError::NotHello("Batch"), "not Hello"),
             (HandshakeError::UnknownToken(7), "unknown"),
             (HandshakeError::Quarantined(7), "quarantined"),
             (HandshakeError::Refused { server_version: 1 }, "refused"),

@@ -13,6 +13,10 @@
 //! * the same single session under the `CompactCodec`, whose stateful
 //!   delta predictor must survive the resume's replay.
 //!
+//! A fourth case shrinks `max_frame` until every flush and every replay
+//! splits into several `Batch` frames, then tears the session's links at
+//! seeded byte offsets inside those frames, under both codecs.
+//!
 //! Each sending side is the full production path: an `IngestEngine`
 //! (the edge node's shard-per-core filtering) whose live segment tap
 //! feeds an `EngineUplink` into a `SessionSender` over deliberately
@@ -28,9 +32,10 @@ use std::time::{Duration, Instant};
 use pla_core::filters::{FilterKind, FilterSpec};
 use pla_core::{Segment, Signal};
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
-use pla_net::listen::{MemoryAcceptor, MemoryConnector};
+use pla_net::listen::MemoryAcceptor;
+use pla_net::testutil::{Fault, FaultPlan, FaultRedial};
 use pla_net::uplink::{EngineUplink, UplinkStatus};
-use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
+use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, Redial, SessionConfig, SessionSender};
 use pla_signal::{random_walk, WalkParams};
 use pla_transport::wire::{Codec, CompactCodec, FixedCodec};
 use pla_transport::{Receiver, Transmitter};
@@ -99,8 +104,8 @@ fn session_config() -> SessionConfig {
 }
 
 /// One edge node: engine-filtered segments multiplexed up a flaky link.
-struct EdgeSender<C: Codec> {
-    tx: SessionSender<C, MemoryRedial>,
+struct EdgeSender<C: Codec, R: Redial = MemoryRedial> {
+    tx: SessionSender<C, R>,
     uplink: EngineUplink,
     now: Instant,
     finned: bool,
@@ -108,11 +113,11 @@ struct EdgeSender<C: Codec> {
     expected_segments: u64,
 }
 
-impl<C: Codec> EdgeSender<C> {
+impl<C: Codec, R: Redial> EdgeSender<C, R> {
     /// Builds the node for connection `conn`, running its engine to
     /// completion up front (the tap buffers; the uplink then drains it
     /// under credit control).
-    fn new(codec: C, conn: u64, fleet: Fleet, connector: &MemoryConnector, now: Instant) -> Self {
+    fn new(codec: C, conn: u64, fleet: Fleet, config: NetConfig, redial: R, now: Instant) -> Self {
         let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
             shards: 2,
             queue_depth: 128,
@@ -129,9 +134,8 @@ impl<C: Codec> EdgeSender<C> {
         }
         let report = engine.finish();
         assert_eq!(report.quarantined(), 0);
-        let redial = MemoryRedial::new(connector.clone(), fleet.link_capacity);
         Self {
-            tx: SessionSender::new(codec, 1, CFG, session_config(), redial, now),
+            tx: SessionSender::new(codec, 1, config, session_config(), redial, now),
             uplink: EngineUplink::new(tap),
             now,
             finned: false,
@@ -173,8 +177,12 @@ fn assert_fleet_matches_direct_links<C: Codec + Clone + 'static>(codec: C, fleet
         Collector::with_sessions(codec.clone(), 1, CFG, session_config(), acceptor, store.clone());
 
     let now = Instant::now();
-    let mut edges: Vec<EdgeSender<C>> =
-        (0..conns).map(|c| EdgeSender::new(codec.clone(), c, fleet, &connector, now)).collect();
+    let mut edges: Vec<EdgeSender<C>> = (0..conns)
+        .map(|c| {
+            let redial = MemoryRedial::new(connector.clone(), fleet.link_capacity);
+            EdgeSender::new(codec.clone(), c, fleet, CFG, redial, now)
+        })
+        .collect();
     let expected_total: u64 = edges.iter().map(|e| e.expected_segments).sum();
     // Every edge dials before the collector's first round, so ConnId
     // follows edge order.
@@ -286,4 +294,82 @@ fn one_session_resume_survives_the_compact_codec_too() {
     // per value, so the multiplexed logs still match a direct compact
     // link exactly.
     assert_fleet_matches_direct_links(CompactCodec::new(0.01, &[0.01]), ONE_SESSION);
+}
+
+/// Small enough that no `Batch` frame holds more than three 1-D entries
+/// (a `Start`+`End` entry is 37 bytes, an `End` entry 20), so every
+/// flush or replay of more than three entries splits — yet large enough
+/// for the collector's `Ack` and `HelloAck` frames over eight streams
+/// (at most 60 bytes), which are not split.
+const SPLIT: NetConfig = NetConfig { window: 512, max_frame: 80 };
+
+/// One session of 8 streams over [`SPLIT`], whose first four links are
+/// each torn inside a frame: the first `keep` bytes of frame `frame`
+/// (seeded; past the `Hello`, so every tear hits an established session
+/// or its 0-RTT replay) get through, then the link dies. Every tear is
+/// recovered by token resume, and the replays re-batch and re-split
+/// the unacked tail. The store must still be byte-identical to the
+/// dedicated links.
+fn assert_torn_split_batches_match_direct_links<C: Codec + Clone + 'static>(codec: C, seed: u64) {
+    let fleet = Fleet { conns: 1, streams_per_conn: 8, link_capacity: 4096 };
+    let mut state = seed;
+    let mut draw = |bound: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    let plans: Vec<FaultPlan> = (0..4)
+        .map(|_| {
+            let frame = 1 + draw(24);
+            let keep = draw(SPLIT.max_frame as u64 + 4) as usize;
+            FaultPlan::new(vec![Fault::Truncate { frame, keep }])
+        })
+        .collect();
+    let store = Arc::new(SegmentStore::new());
+    let acceptor = MemoryAcceptor::new();
+    let redial = FaultRedial::new(acceptor.connector(), fleet.link_capacity, plans);
+    let mut collector = Collector::with_sessions(
+        codec.clone(),
+        1,
+        SPLIT,
+        session_config(),
+        acceptor,
+        store.clone(),
+    );
+    let now = Instant::now();
+    let mut edge = EdgeSender::new(codec.clone(), 0, fleet, SPLIT, redial, now);
+    edge.round();
+    let mut stalled = 0;
+    // A healthy run converges in about a hundred rounds; the cap turns
+    // a redial livelock (progress every round, never done) into a
+    // failure instead of a hang.
+    for round in 0.. {
+        let mut moved = collector.pump_at(now).expect("torn links never violate the protocol");
+        moved += edge.round();
+        if edge.done() && collector.conn_complete(ConnId(1)) {
+            break;
+        }
+        stalled = if moved == 0 { stalled + 1 } else { 0 };
+        assert!(stalled < 64, "seed {seed}: fan-in deadlocked");
+        assert!(round < 10_000, "seed {seed}: fan-in never converged");
+    }
+
+    let reference = direct_reference(codec, fleet.streams());
+    let snap = store.snapshot();
+    assert_eq!(snap.total_segments, edge.expected_segments);
+    for (id, want) in &reference {
+        assert_eq!(&snap.streams[&StreamId(*id)], want, "seed {seed}, stream {id}");
+    }
+    let stats = collector.stats();
+    assert_eq!(stats.connections, 1, "seed {seed}: every tear resumed the one session");
+    assert!(stats.resumes >= 1, "seed {seed}: at least one tear landed");
+    assert_eq!(stats.refused, 0);
+}
+
+#[test]
+fn replays_that_split_into_many_batches_survive_torn_links_under_both_codecs() {
+    for seed in 1..=6 {
+        assert_torn_split_batches_match_direct_links(FixedCodec, seed);
+        assert_torn_split_batches_match_direct_links(CompactCodec::new(0.01, &[0.01]), seed);
+    }
 }

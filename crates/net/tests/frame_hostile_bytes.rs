@@ -6,14 +6,17 @@
 //! [`FrameError`] — never panic. Any frame that does decode must survive
 //! an encode/decode round trip unchanged.
 //!
-//! The variable-length fields (varints and cursor lists) are also
-//! pinned against the inputs a hostile peer would reach for: an
+//! The variable-length fields (varints, cursor lists and batches) are
+//! also pinned against the inputs a hostile peer would reach for: an
 //! over-long varint, a varint past `u64::MAX`, a stream delta that
-//! overflows, a cursor count the body cannot hold, and trailing bytes
-//! after the last cursor. Each is refused before anything is sized
-//! from it, measured by the counting allocator below: no allocation at
-//! all, except that a cursor list whose count the body can hold is
-//! allocated once before its cursors are read.
+//! overflows, a cursor or entry count the body cannot hold, seq 0, a
+//! payload length past the body, and trailing bytes after the last
+//! cursor or entry. Each is refused before anything is sized from it,
+//! measured by the counting allocator below: no allocation at all,
+//! except that a cursor list whose count the body can hold is allocated
+//! once before its cursors are read. A `Batch` is validated whole before
+//! its one body copy, so every refused batch — truncated golden batches
+//! included — allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,9 +31,9 @@ const QUERY_GOLDEN: &[u8] = include_bytes!("../../query/tests/golden_query_frame
 
 const MAX_FRAME: u32 = 1 << 16;
 
-const KIND_DATA: u8 = 1;
 const KIND_ACK: u8 = 2;
 const KIND_HELLO_ACK: u8 = 6;
+const KIND_BATCH: u8 = 12;
 
 thread_local! {
     /// Allocation events on this thread; const-initialized with no
@@ -166,13 +169,16 @@ fn every_single_byte_mutation_of_every_golden_frame_is_typed() {
     }
 }
 
+/// The varint of `u64::MAX`: nine 0xFF bytes and a final 0x01.
+const MAX_VARINT: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+
 #[test]
 fn an_over_long_varint_is_refused_without_allocating() {
-    // A `Data` stream id whose continuation bit never clears.
+    // A `Batch` entry count whose continuation bit never clears.
     let mut body = vec![0x80; 10];
     body.push(0x01);
     body.extend_from_slice(&[1, 9, 9]);
-    assert_refused_without_allocating(&framed(KIND_DATA, &body), "varint longer than 10 bytes");
+    assert_refused_without_allocating(&framed(KIND_BATCH, &body), "varint longer than 10 bytes");
 }
 
 #[test]
@@ -181,12 +187,107 @@ fn a_varint_past_u64_max_is_refused_without_allocating() {
     let mut body = vec![0xFF; 9];
     body.push(0x02);
     body.push(1);
-    assert_refused_without_allocating(&framed(KIND_DATA, &body), "varint overflows u64");
-    // The largest value that fits still decodes.
-    let mut body = vec![0xFF; 9];
-    body.extend_from_slice(&[0x01, 1]);
-    let (result, _) = decode_one(&framed(KIND_DATA, &body));
-    assert!(matches!(result, Ok(Some(NetFrame::Data { stream: u64::MAX, seq: 1, .. }))));
+    assert_refused_without_allocating(&framed(KIND_BATCH, &body), "varint overflows u64");
+    // The largest value that fits still decodes: one entry on stream
+    // u64::MAX.
+    let mut body = vec![1];
+    body.extend_from_slice(&MAX_VARINT);
+    body.extend_from_slice(&[1, 0]);
+    let (result, _) = decode_one(&framed(KIND_BATCH, &body));
+    let Ok(Some(NetFrame::Batch(batch))) = result else { panic!("a valid batch: {result:?}") };
+    let entries: Vec<(u64, u64, usize)> =
+        batch.entries().map(|e| (e.stream, e.seq, e.payload.len())).collect();
+    assert_eq!(entries, [(u64::MAX, 1, 0)]);
+}
+
+#[test]
+fn a_batch_entry_count_the_body_cannot_back_is_refused_without_allocating() {
+    // Count u64::MAX over three bytes: nothing may be sized from it.
+    let mut body = MAX_VARINT.to_vec();
+    body.extend_from_slice(&[1, 1, 0]);
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &body),
+        "batch entry count exceeds the frame body",
+    );
+    // Count 2 with five bytes, one short of two minimal entries.
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &[2, 1, 1, 0, 2, 1]),
+        "batch entry count exceeds the frame body",
+    );
+    // Count 2 backed by six bytes, but the first entry's payload takes
+    // the bytes the second one needs.
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &[2, 1, 1, 1, 9, 2, 1]),
+        "truncated varint",
+    );
+    // A zero count is no batch at all.
+    assert_refused_without_allocating(&framed(KIND_BATCH, &[0]), "batch frame carries no entries");
+}
+
+#[test]
+fn a_batch_stream_delta_that_overflows_is_refused_without_allocating() {
+    // Stream u64::MAX, then a delta of 1 past it.
+    let mut body = vec![2];
+    body.extend_from_slice(&MAX_VARINT);
+    body.extend_from_slice(&[1, 0, 1, 1, 0]);
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &body),
+        "batch stream delta overflows u64",
+    );
+}
+
+#[test]
+fn a_batch_entry_with_seq_zero_is_refused_without_allocating() {
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &[1, 5, 0, 1, 9]),
+        "batch entry seq must be at least 1",
+    );
+    // A repeated stream must carry the next seq, not skip or repeat one.
+    for seq in [1, 3] {
+        assert_refused_without_allocating(
+            &framed(KIND_BATCH, &[2, 5, 1, 0, 0, seq, 0]),
+            "repeated batch stream skips a seq",
+        );
+    }
+}
+
+#[test]
+fn a_batch_payload_length_past_the_body_is_refused_without_allocating() {
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &[1, 5, 1, 4, 9, 9, 9]),
+        "batch payload runs past the frame body",
+    );
+    let mut body = vec![1, 5, 1];
+    body.extend_from_slice(&MAX_VARINT);
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &body),
+        "batch payload runs past the frame body",
+    );
+}
+
+#[test]
+fn trailing_bytes_after_the_last_batch_entry_are_refused_without_allocating() {
+    assert_refused_without_allocating(
+        &framed(KIND_BATCH, &[1, 5, 1, 1, 9, 0xAA]),
+        "trailing bytes after the last batch entry",
+    );
+}
+
+/// Every strict truncation of a golden batch body, re-framed as if it
+/// were whole, is a typed refusal that allocated nothing — the decoder
+/// validates a batch before it copies any of it.
+#[test]
+fn every_truncated_golden_batch_is_refused_without_allocating() {
+    let batches: Vec<&[u8]> =
+        split_frames(NET_GOLDEN).into_iter().filter(|f| f[4] == KIND_BATCH).collect();
+    assert!(batches.len() >= 8, "the golden file holds the batch section");
+    for frame in batches {
+        for cut in 5..frame.len() {
+            let (result, allocs) = decode_one(&framed(KIND_BATCH, &frame[5..cut]));
+            assert!(matches!(result, Err(FrameError::Malformed(_))), "cut {cut}: {result:?}");
+            assert_eq!(allocs, 0, "refusing a {cut}-byte cut allocated {allocs} times");
+        }
+    }
 }
 
 #[test]

@@ -1,25 +1,27 @@
 //! Golden wire-format pin for the ingest plane: the exact bytes of every
 //! ingest-plane frame kind — `Hello`, `HelloAck` (with and without resume
-//! cursors), `Data`, `Ack` (empty, one cursor, and grant-carrying and
-//! `u64::MAX` cursors), `Fin` and `Heartbeat` — are checked
-//! into `golden_net_frames.bin`. The `Data` section carries payloads with
-//! every `pla-transport` message tag (`StreamFrame`, `Hold`, `Start`,
-//! `End`, `Point`, `Provisional`) under both codecs, at d = 1 and at
-//! d = 5 (past `INLINE_DIMS`, where per-dimension payloads spill to the
-//! heap).
+//! cursors), `Batch`, `Ack` (empty, one cursor, and grant-carrying and
+//! `u64::MAX` cursors), `Fin` and `Heartbeat` — are checked into
+//! `golden_net_frames.bin`. The data section is `Batch` frames whose
+//! entries carry every `pla-transport` payload message tag (`Hold`,
+//! `Start`, `End`, `Point`, `Provisional`) under both codecs, at d = 1
+//! and at d = 5 (past `INLINE_DIMS`, where per-dimension payloads spill
+//! to the heap), for two interleaved streams per section; one section's
+//! `max_frame` is small enough to split its flush into several batches.
 //!
 //! Two independent writers must reproduce the file byte for byte: the
-//! generic [`encode`] over [`NetFrame`] values, and the [`MuxSender`] hot
-//! path, which encodes its `Data` frames in place. Any byte change here
-//! must come with a `PROTOCOL_VERSION` bump.
+//! generic [`encode`] over [`NetFrame`] values (batches packed greedily
+//! here, entry by entry), and the [`MuxSender`] hot path, which seals
+//! its pending entries into `Batch` frames in place. Any byte change
+//! here must come with a `PROTOCOL_VERSION` bump.
 //!
 //! Deliberate-update path:
 //! `cargo test -p pla-net --test golden_net_frames -- --ignored regenerate_golden`
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use pla_core::{DimVec, ProvisionalUpdate, Segment};
-use pla_net::frame::{encode, FrameDecoder, NetFrame, ResumeCursor, PROTOCOL_VERSION};
+use pla_net::frame::{encode, Batch, FrameDecoder, NetFrame, ResumeCursor, PROTOCOL_VERSION};
 use pla_net::{MuxSender, NetConfig};
 use pla_transport::wire::{
     provisional_message, segment_messages, Codec, CompactCodec, FixedCodec, Message,
@@ -28,11 +30,12 @@ use pla_transport::wire::{
 const GOLDEN: &[u8] = include_bytes!("golden_net_frames.bin");
 
 /// A window no golden script comes close to exhausting.
-const CONFIG: NetConfig = NetConfig { window: 1 << 20, max_frame: 1 << 20 };
+const WINDOW: u64 = 1 << 20;
 
 /// Every ingest-plane control frame with fixed, representative field
-/// values — edge values included (`u64::MAX` ids, zero sequence numbers,
-/// empty cursor lists, an empty `Data` payload).
+/// values — edge values included (`u64::MAX` ids and seqs, zero
+/// sequence numbers, empty cursor lists, empty and repeated-stream
+/// batch entries).
 fn control_frames() -> Vec<NetFrame> {
     vec![
         NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 },
@@ -46,7 +49,12 @@ fn control_frames() -> Vec<NetFrame> {
                 ResumeCursor { stream: u64::MAX, through_seq: 0, granted_total: 0 },
             ],
         },
-        NetFrame::Data { stream: 7, seq: 1, payload: Bytes::from(vec![]) },
+        NetFrame::Batch(Batch::from_entries([
+            (0, u64::MAX, &[][..]),
+            (7, 1, &[][..]),
+            (7, 2, &[0xAB][..]),
+            (u64::MAX, 1, &[0x00, 0xFF][..]),
+        ])),
         NetFrame::Ack { cursors: vec![] },
         NetFrame::Ack {
             cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 0 }],
@@ -112,54 +120,82 @@ fn compact(d: usize) -> CompactCodec {
     CompactCodec::new(0.001, &quanta)
 }
 
-/// One stream's share of the `Data` section, built both ways.
+/// One section of the data frames, built both ways.
 struct Section {
-    /// The frames as [`NetFrame`] values: each payload is the stream's
-    /// `StreamFrame` header plus the item's messages from a reset codec
-    /// (the documented `Data` payload contract), then the stream's `Fin`.
+    /// The frames as [`NetFrame`] values: every entry's payload is the
+    /// item's messages from a reset codec (the documented entry
+    /// contract), the entries packed greedily into batches no longer
+    /// than `max_frame`, then the streams' `Fin`s.
     frames: Vec<NetFrame>,
     /// The same frames as a `MuxSender` stages them.
     mux_bytes: Vec<u8>,
     /// Which message tags the payloads carry, decoded with the codec.
-    tags: [bool; 6],
+    tags: [bool; 5],
 }
 
-fn section<C: Codec + Clone>(codec: C, stream: u64, d: usize) -> Section {
-    let mut enc = codec.clone();
-    let mut frames = Vec::new();
-    let items = script(d);
-    for (i, item) in items.iter().enumerate() {
-        let mut msgs = Vec::new();
-        match item {
-            Item::Segment(seg) => segment_messages(seg, |m| msgs.push(m)),
-            Item::Provisional(u) => msgs.push(provisional_message(u)),
-        }
-        let mut payload = BytesMut::new();
-        enc.reset();
-        enc.encode(&Message::StreamFrame { stream }, d, &mut payload);
-        for m in &msgs {
-            enc.encode(m, d, &mut payload);
-        }
-        frames.push(NetFrame::Data { stream, seq: i as u64 + 1, payload: payload.freeze() });
-    }
-    frames.push(NetFrame::Fin { stream, final_seq: items.len() as u64 });
+/// The encoded length prefix of `frame`.
+fn frame_len(frame: &NetFrame) -> usize {
+    let mut buf = BytesMut::new();
+    encode(frame, &mut buf) - 4
+}
 
-    let mut tx = MuxSender::new(codec.clone(), d, CONFIG);
-    for item in &items {
-        match item {
-            Item::Segment(seg) => tx.try_send_segment(stream, seg).unwrap(),
-            Item::Provisional(u) => tx.try_send_provisional(stream, u).unwrap(),
+fn batch(entries: &[(u64, u64, Vec<u8>)]) -> NetFrame {
+    NetFrame::Batch(Batch::from_entries(entries.iter().map(|(s, q, p)| (*s, *q, &p[..]))))
+}
+
+/// Sends the script on streams `a < b` alternately, one flush at the
+/// end (`finish_all`).
+fn section<C: Codec + Clone>(codec: C, streams: [u64; 2], d: usize, max_frame: u32) -> Section {
+    let items = script(d);
+    let mut enc = codec.clone();
+    let mut entries: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    for stream in streams {
+        for (i, item) in items.iter().enumerate() {
+            let mut msgs = Vec::new();
+            match item {
+                Item::Segment(seg) => segment_messages(seg, |m| msgs.push(m)),
+                Item::Provisional(u) => msgs.push(provisional_message(u)),
+            }
+            let mut payload = BytesMut::new();
+            enc.reset();
+            for m in &msgs {
+                enc.encode(m, d, &mut payload);
+            }
+            entries.push((stream, i as u64 + 1, payload.to_vec()));
         }
     }
-    tx.finish_stream(stream).unwrap();
+    let mut frames = Vec::new();
+    let mut open: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    for entry in entries.iter().cloned() {
+        open.push(entry);
+        if open.len() > 1 && frame_len(&batch(&open)) > max_frame as usize {
+            let next = open.pop().expect("just pushed");
+            frames.push(batch(&open));
+            open = vec![next];
+        }
+    }
+    frames.push(batch(&open));
+    for stream in streams {
+        frames.push(NetFrame::Fin { stream, final_seq: items.len() as u64 });
+    }
+
+    let mut tx = MuxSender::new(codec.clone(), d, NetConfig { window: WINDOW, max_frame });
+    for item in &items {
+        for stream in streams.into_iter().rev() {
+            match item {
+                Item::Segment(seg) => tx.try_send_segment(stream, seg).unwrap(),
+                Item::Provisional(u) => tx.try_send_provisional(stream, u).unwrap(),
+            }
+        }
+    }
+    tx.finish_all();
     let mux_bytes = tx.take_staged();
 
     let mut dec = codec;
-    let mut tags = [false; 6];
-    for frame in &frames {
-        let NetFrame::Data { payload, .. } = frame else { continue };
+    let mut tags = [false; 5];
+    for (_, _, payload) in &entries {
         dec.reset();
-        let mut bytes = payload.clone();
+        let mut bytes = bytes::Bytes::copy_from_slice(payload);
         while !bytes.is_empty() {
             let tag = match dec.decode(&mut bytes, d).expect("golden payload decodes") {
                 Message::Hold { .. } => 0,
@@ -167,7 +203,7 @@ fn section<C: Codec + Clone>(codec: C, stream: u64, d: usize) -> Section {
                 Message::End { .. } => 2,
                 Message::Point { .. } => 3,
                 Message::Provisional { .. } => 4,
-                Message::StreamFrame { .. } => 5,
+                Message::StreamFrame { .. } => panic!("entries carry no stream header"),
             };
             tags[tag] = true;
         }
@@ -175,14 +211,15 @@ fn section<C: Codec + Clone>(codec: C, stream: u64, d: usize) -> Section {
     Section { frames, mux_bytes, tags }
 }
 
-/// The codec/dimension matrix the `Data` section covers, each on its own
-/// stream id.
+/// The codec/dimension matrix the data section covers, each on its own
+/// pair of stream ids. The first section's small `max_frame` splits its
+/// flush into several batches.
 fn sections() -> Vec<Section> {
     vec![
-        section(FixedCodec, 11, 1),
-        section(FixedCodec, u64::MAX, 5),
-        section(compact(1), 13, 1),
-        section(compact(5), 14, 5),
+        section(FixedCodec, [11, 300], 1, 96),
+        section(FixedCodec, [u64::MAX - 1, u64::MAX], 5, 1 << 20),
+        section(compact(1), [13, 14], 1, 1 << 20),
+        section(compact(5), [0, 1 << 40], 5, 1 << 20),
     ]
 }
 
@@ -202,8 +239,8 @@ fn encode_all() -> Vec<u8> {
     buf.to_vec()
 }
 
-/// The same bytes, with every `Data`/`Fin` frame written by a
-/// `MuxSender` instead of the generic encoder.
+/// The same bytes, with every data-section `Batch`/`Fin` frame written
+/// by a `MuxSender` instead of the generic encoder.
 fn mux_all() -> Vec<u8> {
     let mut buf = BytesMut::new();
     for frame in control_frames() {
@@ -229,13 +266,13 @@ fn generic_encoder_matches_the_golden_file() {
 
 #[test]
 fn mux_sender_matches_the_golden_file() {
-    assert_eq!(mux_all(), GOLDEN, "the sender's in-place Data encoding drifted from the contract");
+    assert_eq!(mux_all(), GOLDEN, "the sender's in-place Batch encoding drifted from the contract");
 }
 
 #[test]
-fn golden_file_is_for_protocol_version_3() {
-    assert_eq!(PROTOCOL_VERSION, 3, "regenerate the golden file when the version moves");
-    assert_eq!(&GOLDEN[5..7], &3u16.to_le_bytes(), "golden Hello must advertise version 3");
+fn golden_file_is_for_protocol_version_4() {
+    assert_eq!(PROTOCOL_VERSION, 4, "regenerate the golden file when the version moves");
+    assert_eq!(&GOLDEN[5..7], &4u16.to_le_bytes(), "golden Hello must advertise version 4");
 }
 
 #[test]
@@ -250,13 +287,18 @@ fn golden_file_redecodes_losslessly() {
     assert_eq!(decoded, golden_frames(), "decode(golden) must reproduce the frames exactly");
 }
 
-/// Coverage pin: under each codec and dimension, the `Data` payloads
-/// carry every message tag.
+/// Coverage pin: under each codec and dimension, the entry payloads
+/// carry every payload message tag, and the small-`max_frame` section
+/// really splits its flush.
 #[test]
 fn data_payloads_cover_every_message_tag() {
     for (i, s) in sections().iter().enumerate() {
-        assert_eq!(s.tags, [true; 6], "section {i} misses a message tag");
+        assert_eq!(s.tags, [true; 5], "section {i} misses a message tag");
     }
+    let batches = |s: &Section| s.frames.iter().filter(|f| matches!(f, NetFrame::Batch(_))).count();
+    let sections = sections();
+    assert!(batches(&sections[0]) >= 3, "the first section must split its flush");
+    assert!(sections[1..].iter().all(|s| batches(s) == 1), "one batch per roomy flush");
 }
 
 /// Deliberate-update path for the wire contract.

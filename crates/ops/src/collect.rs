@@ -53,7 +53,7 @@ pub fn collector_families(stats: &CollectorStats, out: &mut Vec<MetricFamily>) {
     ));
     out.push(counter(
         "pla_collector_frames_total",
-        "Data frames applied across all connections.",
+        "Sequenced entries applied across all connections.",
         stats.frames,
     ));
     out.push(counter(
@@ -132,7 +132,7 @@ pub fn collector_families(stats: &CollectorStats, out: &mut Vec<MetricFamily>) {
     ));
     out.push(family(
         "pla_conn_frames_total",
-        "Data frames applied, per connection.",
+        "Sequenced entries applied, per connection.",
         MetricKind::Counter,
         conn_series(|c| SampleValue::Counter(c.receiver.frames_applied)),
     ));

@@ -532,7 +532,7 @@ impl<R: Redial> QueryClient<R> {
                 self.done.insert(req_id, Ok(Response::Epochs(epochs)));
             }
             NetFrame::Heartbeat { .. } => {}
-            // Data/Ack/Fin/Hello/QueryReq/EpochsReq have no
+            // Batch/Ack/Fin/Hello/QueryReq/EpochsReq have no
             // business arriving at a query client.
             _ => return false,
         }

@@ -1,7 +1,7 @@
 //! Golden wire-format pin for the query protocol: the exact bytes of
 //! every query-plane frame kind — `QueryReq` carrying each query
 //! variant, `QueryResp` carrying each result variant (including every
-//! typed engine error), `EpochsReq`/`EpochsResp`, and the version-3
+//! typed engine error), `EpochsReq`/`EpochsResp`, and the version-4
 //! handshake pair — are checked into `golden_query_frames.bin`. The
 //! encoding is a wire contract between deployed speakers: any byte
 //! change here must come with a `PROTOCOL_VERSION` bump so old and new
@@ -111,11 +111,11 @@ fn wire_encoding_matches_the_golden_file() {
 /// The version the golden bytes were captured under. A version bump
 /// without a regenerated fixture (or vice versa) fails here.
 #[test]
-fn golden_file_is_for_protocol_version_3() {
-    assert_eq!(PROTOCOL_VERSION, 3, "regenerate the golden file when the version moves");
+fn golden_file_is_for_protocol_version_4() {
+    assert_eq!(PROTOCOL_VERSION, 4, "regenerate the golden file when the version moves");
     // The Hello's version field lives right after the 4-byte length and
     // 1-byte kind: pin it in the raw bytes too.
-    assert_eq!(&GOLDEN[5..7], &3u16.to_le_bytes(), "golden Hello must advertise version 3");
+    assert_eq!(&GOLDEN[5..7], &4u16.to_le_bytes(), "golden Hello must advertise version 4");
 }
 
 #[test]

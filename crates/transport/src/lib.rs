@@ -14,8 +14,12 @@
 //!   its reconstruction reaches (`covered_through`), which defines the
 //!   *lag*;
 //! * [`StreamDemux`] — the multi-stream receiver: one connection carries
-//!   many logical streams, interleaved behind `StreamFrame` headers, and
-//!   the demultiplexer rebuilds one segment log per stream;
+//!   many logical streams, and the demultiplexer rebuilds one segment log
+//!   per stream — from a byte stream interleaved behind `StreamFrame`
+//!   headers ([`StreamDemux::consume`]), or from header-less sequenced
+//!   entries that name their stream out of band
+//!   ([`StreamDemux::consume_sequenced`], what `pla-net`'s `Batch`
+//!   frames carry);
 //! * [`simulate_lag`] — end-to-end lag measurement backing the paper's
 //!   `m_max_lag` bound;
 //! * [`packing`] — the §5.4 analysis: compressing `d` dimensions jointly

@@ -6,9 +6,11 @@
 //!   [`StreamFrame`](Message::StreamFrame) header arriving here is a
 //!   protocol violation: the sender is multiplexing and the bytes must go
 //!   through a demultiplexer instead.
-//! * [`StreamDemux`] — the multi-stream endpoint: every message is applied
-//!   to the reconstruction state of the stream named by the most recent
-//!   frame header, producing one segment log per stream.
+//! * [`StreamDemux`] — the multi-stream endpoint, producing one segment
+//!   log per stream: [`consume`](StreamDemux::consume) applies every
+//!   message to the stream named by the most recent frame header, and
+//!   [`consume_sequenced`](StreamDemux::consume_sequenced) applies one
+//!   header-less entry to the stream its caller names.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -79,7 +81,7 @@ struct Assembler {
     covered: f64,
     provisionals: u64,
     messages: u64,
-    /// Next expected frame sequence number (sequenced mode, see
+    /// Next expected entry sequence number (sequenced mode, see
     /// [`StreamDemux::consume_sequenced`]); stays 1 for streams only ever
     /// fed through plain [`StreamDemux::consume`].
     next_seq: u64,
@@ -331,29 +333,32 @@ impl<C: Codec> StreamDemux<C> {
         Ok(())
     }
 
-    /// Applies one *sequenced frame*: a self-contained chunk of codec
-    /// bytes for a single stream, tagged with a per-stream sequence
-    /// number. This is the resumable-delivery entry point `pla-net`'s
-    /// multiplexed transport uses: after a reconnect the sender replays
-    /// every unacknowledged frame, and the sequence numbers let this side
-    /// drop the ones it already applied, so the reconstruction is
-    /// identical to an uninterrupted run.
+    /// Applies one *sequenced entry*: a self-contained chunk of one
+    /// stream's codec bytes, tagged with a per-stream sequence number.
+    /// This is the resumable-delivery entry point `pla-net`'s
+    /// multiplexed transport uses (one call per `Batch` entry): after a
+    /// reconnect the sender replays every unacknowledged entry, and the
+    /// sequence numbers let this side drop the ones it already applied,
+    /// so the reconstruction is identical to an uninterrupted run.
     ///
     /// The contract, enforced here:
     ///
-    /// * `seq` starts at 1 and increments by 1 per frame per stream.
+    /// * `seq` starts at 1 and increments by 1 per entry per stream.
     ///   `seq < expected` is a replay → [`SeqOutcome::Duplicate`], bytes
-    ///   dropped untouched. `seq > expected` means the transport lost a
-    ///   frame → [`ReceiveError::SequenceGap`].
-    /// * The payload must begin with a [`Message::StreamFrame`] naming
-    ///   `stream`, and every header inside the frame must name `stream`
-    ///   too (one frame, one stream — otherwise dropping a duplicate
-    ///   would also drop other streams' messages).
-    /// * Each frame is decoded from a fresh codec state
-    ///   ([`Codec::reset`]), so replayed frames decode identically no
+    ///   dropped untouched. `seq > expected` means the transport lost an
+    ///   entry → [`ReceiveError::SequenceGap`].
+    /// * The payload holds at least one message, all for `stream`: the
+    ///   entry names its stream, so a [`Message::StreamFrame`] inside
+    ///   the payload is a protocol error (one entry, one stream —
+    ///   otherwise dropping a duplicate would also drop other streams'
+    ///   messages).
+    /// * Each entry is decoded from a fresh codec state
+    ///   ([`Codec::reset`]), so replayed entries decode identically no
     ///   matter what was decoded in between.
     ///
-    /// On any error the frame is *not* counted as applied.
+    /// On any error the entry is *not* counted as applied (the ack point
+    /// stays put), and a stream the refused entry would have introduced
+    /// is not registered.
     pub fn consume_sequenced(
         &mut self,
         stream: u64,
@@ -373,53 +378,36 @@ impl<C: Codec> StreamDemux<C> {
         if seq < expected {
             return Ok(SeqOutcome::Duplicate);
         }
-        if seq > expected {
-            if fresh {
-                self.streams.remove(&stream);
-            }
-            return Err(ReceiveError::SequenceGap { stream, expected, got: seq });
-        }
-        // Frames are coded independently (the sender resets its codec per
-        // frame) so a replay decodes byte-identically regardless of what
-        // arrived in between.
-        self.codec.reset();
-        let mut headed = false;
-        let mut apply = || {
-            while bytes.remaining() > 0 {
-                let msg = self.codec.decode(&mut bytes, self.dims)?;
-                if let Message::StreamFrame { stream: s } = msg {
-                    if s != stream {
+        let result = if seq > expected {
+            Err(ReceiveError::SequenceGap { stream, expected, got: seq })
+        } else if bytes.remaining() == 0 {
+            Err(ReceiveError::Protocol("sequenced entry carries no messages"))
+        } else {
+            // Entries are coded independently (the sender resets its
+            // codec per entry) so a replay decodes byte-identically
+            // regardless of what arrived in between.
+            self.codec.reset();
+            let mut apply = || {
+                while bytes.remaining() > 0 {
+                    let msg = self.codec.decode(&mut bytes, self.dims)?;
+                    if matches!(msg, Message::StreamFrame { .. }) {
                         return Err(ReceiveError::Protocol(
-                            "sequenced frame contains a header for a different stream",
+                            "StreamFrame header inside a sequenced entry",
                         ));
                     }
-                    self.frames += 1;
-                    self.current = Some(s);
-                    headed = true;
-                    continue;
+                    asm.apply(msg)?;
                 }
-                if !headed {
-                    return Err(ReceiveError::Protocol(
-                        "sequenced frame must begin with its own StreamFrame header",
-                    ));
-                }
-                asm.apply(msg)?;
-            }
-            if !headed {
-                return Err(ReceiveError::Protocol("sequenced frame carries no messages"));
-            }
-            Ok(())
+                Ok(())
+            };
+            apply()
         };
-        match apply() {
+        match result {
             Ok(()) => {
                 asm.next_seq = expected + 1;
                 Ok(SeqOutcome::Applied)
             }
             Err(e) => {
-                // A stream is registered by its frame header, as in
-                // `consume`: a frame refused before its header leaves no
-                // trace of a stream it introduced.
-                if fresh && !headed {
+                if fresh {
                     self.streams.remove(&stream);
                 }
                 Err(e)
@@ -482,7 +470,7 @@ impl<C: Codec> StreamDemux<C> {
         self.streams.get(&stream).map(|a| a.covered)
     }
 
-    /// Frame headers seen.
+    /// `StreamFrame` headers seen by [`consume`](Self::consume).
     pub fn frames(&self) -> u64 {
         self.frames
     }
@@ -755,21 +743,16 @@ mod tests {
         assert!(matches!(demux.consume(bytes), Err(ReceiveError::Protocol(_))));
     }
 
-    fn frame_bytes(stream: u64, msgs: &[Message]) -> Bytes {
-        let mut codec = FixedCodec;
-        let mut buf = BytesMut::new();
-        codec.encode(&Message::StreamFrame { stream }, 1, &mut buf);
-        for m in msgs {
-            codec.encode(m, 1, &mut buf);
-        }
-        buf.freeze()
+    /// One sequenced entry's payload: the messages, no stream header.
+    fn frame_bytes(msgs: &[Message]) -> Bytes {
+        encode(msgs, 1)
     }
 
     #[test]
     fn sequenced_frames_apply_in_order_and_drop_duplicates() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f1 = frame_bytes(5, &[Message::Start { t: 0.0, x: [0.0].into() }]);
-        let f2 = frame_bytes(5, &[Message::End { t: 4.0, x: [4.0].into() }]);
+        let f1 = frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]);
+        let f2 = frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]);
         assert_eq!(demux.consume_sequenced(5, 1, f1.clone()).unwrap(), SeqOutcome::Applied);
         assert_eq!(demux.ack_point(5), 1);
         // Replay of frame 1 (e.g. after a reconnect): dropped untouched.
@@ -785,11 +768,11 @@ mod tests {
     #[test]
     fn drained_segments_leave_the_demux_and_reconstruction_continues() {
         let frames = [
-            frame_bytes(5, &[Message::Start { t: 0.0, x: [0.0].into() }]),
-            frame_bytes(5, &[Message::End { t: 4.0, x: [4.0].into() }]),
+            frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]),
+            frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]),
             // Connected to the drained segment's end point.
-            frame_bytes(5, &[Message::End { t: 9.0, x: [1.0].into() }]),
-            frame_bytes(5, &[Message::Hold { t: 12.0, x: [2.0].into() }]),
+            frame_bytes(&[Message::End { t: 9.0, x: [1.0].into() }]),
+            frame_bytes(&[Message::Hold { t: 12.0, x: [2.0].into() }]),
         ];
         let mut undrained = StreamDemux::new(FixedCodec, 1);
         let mut demux = StreamDemux::new(FixedCodec, 1);
@@ -813,7 +796,7 @@ mod tests {
     #[test]
     fn sequence_gaps_are_typed_errors() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f = frame_bytes(9, &[Message::Point { t: 0.0, x: [1.0].into() }]);
+        let f = frame_bytes(&[Message::Point { t: 0.0, x: [1.0].into() }]);
         assert_eq!(
             demux.consume_sequenced(9, 3, f.clone()),
             Err(ReceiveError::SequenceGap { stream: 9, expected: 1, got: 3 })
@@ -827,48 +810,51 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_frames_must_be_single_stream_and_self_labelled() {
+    fn sequenced_entries_must_not_carry_stream_headers() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        // Payload whose header names a different stream.
-        let mislabelled = frame_bytes(8, &[Message::Point { t: 0.0, x: [1.0].into() }]);
-        assert!(matches!(
-            demux.consume_sequenced(7, 1, mislabelled),
-            Err(ReceiveError::Protocol(_))
-        ));
-        // Payload with no leading header at all.
-        let headerless = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
-        assert!(matches!(
-            demux.consume_sequenced(7, 1, headerless),
-            Err(ReceiveError::Protocol(_))
-        ));
+        let point = Message::Point { t: 0.0, x: [1.0].into() };
+        // The entry names its stream; a header inside it — its own
+        // stream's or another's, leading or after a message — is refused.
+        for msgs in [
+            vec![Message::StreamFrame { stream: 7 }, point.clone()],
+            vec![Message::StreamFrame { stream: 8 }, point.clone()],
+            vec![point.clone(), Message::StreamFrame { stream: 8 }],
+        ] {
+            assert_eq!(
+                demux.consume_sequenced(7, 1, encode(&msgs, 1)),
+                Err(ReceiveError::Protocol("StreamFrame header inside a sequenced entry"))
+            );
+        }
         // Empty payload.
-        assert!(matches!(
+        assert_eq!(
             demux.consume_sequenced(7, 1, Bytes::from_static(&[])),
-            Err(ReceiveError::Protocol(_))
-        ));
-        // A failed frame is not counted as applied, and one refused
-        // before its own header registers no stream.
+            Err(ReceiveError::Protocol("sequenced entry carries no messages"))
+        );
+        // A failed entry is not counted as applied, and registers no
+        // stream it would have introduced.
         assert_eq!(demux.ack_point(7), 0);
         assert_eq!(demux.streams().count(), 0);
+        // The bare messages apply.
+        assert_eq!(demux.consume_sequenced(7, 1, encode(&[point], 1)), Ok(SeqOutcome::Applied));
+        assert_eq!(demux.segments(7).map(<[Segment]>::len), Some(1));
     }
 
     #[test]
     fn sequenced_compact_codec_replay_is_idempotent() {
-        // The compact codec's delta predictor is reset per frame, so a
-        // replayed frame decodes identically even though other frames
+        // The compact codec's delta predictor is reset per entry, so a
+        // replayed entry decodes identically even though other entries
         // were decoded in between.
-        let enc_frame = |stream: u64, msgs: &[Message]| {
+        let enc_frame = |msgs: &[Message]| {
             let mut codec = CompactCodec::new(0.01, &[0.01]);
             let mut buf = BytesMut::new();
-            codec.encode(&Message::StreamFrame { stream }, 1, &mut buf);
             for m in msgs {
                 codec.encode(m, 1, &mut buf);
             }
             buf.freeze()
         };
-        let a1 = enc_frame(1, &[Message::Start { t: 0.0, x: [1.0].into() }]);
-        let b1 = enc_frame(2, &[Message::Start { t: 0.0, x: [-1.0].into() }]);
-        let a2 = enc_frame(1, &[Message::End { t: 8.0, x: [3.0].into() }]);
+        let a1 = enc_frame(&[Message::Start { t: 0.0, x: [1.0].into() }]);
+        let b1 = enc_frame(&[Message::Start { t: 0.0, x: [-1.0].into() }]);
+        let a2 = enc_frame(&[Message::End { t: 8.0, x: [3.0].into() }]);
         let mut demux = StreamDemux::new(CompactCodec::new(0.01, &[0.01]), 1);
         demux.consume_sequenced(1, 1, a1.clone()).unwrap();
         demux.consume_sequenced(2, 1, b1).unwrap();

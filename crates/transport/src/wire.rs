@@ -15,6 +15,9 @@
 //! many logical streams by interleaving frame headers with the ordinary
 //! messages. A connection that never sends a `StreamFrame` is a
 //! single-stream connection, exactly as before — the header is pay-as-you-go.
+//! A transport that names each chunk's stream itself (`pla-net`'s
+//! `Batch` entries, fed to `StreamDemux::consume_sequenced`) sends no
+//! `StreamFrame` at all.
 //!
 //! Two codecs serialize messages: [`FixedCodec`] (8-byte IEEE doubles,
 //! lossless) and [`CompactCodec`] (per-dimension quantization plus

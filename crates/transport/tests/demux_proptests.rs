@@ -1,14 +1,20 @@
 //! Adversarial property tests for [`StreamDemux`]: whatever a hostile
 //! or failing transport does to the byte stream — interleaving streams
-//! in any order, replaying frames after reconnects, truncating the tail
-//! — the demultiplexer must either reconstruct per-stream segment logs
-//! *identical* to single-stream reconstruction, or fail with a typed
-//! error. It must never panic and never silently corrupt a log.
+//! in any order, replaying entries after reconnects, truncating the
+//! tail, or handing over arbitrary bytes — the demultiplexer must either
+//! reconstruct per-stream segment logs *identical* to single-stream
+//! reconstruction, or fail with a typed error. It must never panic and
+//! never silently corrupt a log.
+//!
+//! Sequenced entries follow the header-less contract
+//! ([`StreamDemux::consume_sequenced`]): the caller names the stream,
+//! the payload is that stream's codec bytes alone, and a `StreamFrame`
+//! header inside it is a protocol error.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
-use pla_transport::wire::{Codec, FixedCodec, Message};
+use pla_transport::wire::{Codec, CompactCodec, FixedCodec, Message};
 use pla_transport::{ReceiveError, Receiver, SeqOutcome, StreamDemux};
 
 /// Ops that always yield a protocol-valid per-stream message sequence,
@@ -79,29 +85,38 @@ fn streams_strategy() -> impl Strategy<Value = Vec<Vec<Message>>> {
 /// The single-stream reference: what a dedicated `Receiver` makes of
 /// one stream's messages alone.
 fn single_stream_reference(msgs: &[Message]) -> Vec<pla_core::Segment> {
+    let mut rx = Receiver::new(FixedCodec, 1);
+    rx.consume(entry(msgs)).expect("valid single-stream sequence");
+    rx.into_segments()
+}
+
+/// One sequenced entry's payload: `msgs` from a fresh `FixedCodec`,
+/// with no stream header.
+fn entry(msgs: &[Message]) -> Bytes {
     let mut codec = FixedCodec;
     let mut buf = BytesMut::new();
     for m in msgs {
         codec.encode(m, 1, &mut buf);
     }
-    let mut rx = Receiver::new(FixedCodec, 1);
-    rx.consume(buf.freeze()).expect("valid single-stream sequence");
-    rx.into_segments()
+    buf.freeze()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any interleaving of the streams onto one connection — chosen by
-    /// an arbitrary schedule, switching headers at every turn —
-    /// reconstructs each stream's log exactly as a dedicated
-    /// single-stream receiver would.
+    /// an arbitrary schedule, one message per turn — reconstructs each
+    /// stream's log exactly as a dedicated single-stream receiver would,
+    /// whether each turn is a header-less sequenced entry or a message
+    /// behind a `StreamFrame` header on one unsequenced byte stream.
     #[test]
     fn arbitrary_interleavings_match_single_stream_reconstruction(
         streams in streams_strategy(),
         schedule in prop::collection::vec(0usize..16, 1..160),
     ) {
         let mut cursors = vec![0usize; streams.len()];
+        let mut seqs = vec![0u64; streams.len()];
+        let mut sequenced = StreamDemux::new(FixedCodec, 1);
         let mut codec = FixedCodec;
         let mut buf = BytesMut::new();
         let mut schedule = schedule.into_iter().cycle();
@@ -116,26 +131,33 @@ proptest! {
                     .expect("loop condition");
                 (alive, &mut cursors[alive])
             };
+            let msg = &streams[pick][*cursor];
+            seqs[pick] += 1;
+            let outcome = sequenced
+                .consume_sequenced(pick as u64, seqs[pick], entry(std::slice::from_ref(msg)))
+                .expect("in-order entry");
+            prop_assert_eq!(outcome, SeqOutcome::Applied);
             codec.encode(&Message::StreamFrame { stream: pick as u64 }, 1, &mut buf);
-            codec.encode(&streams[pick][*cursor], 1, &mut buf);
+            codec.encode(msg, 1, &mut buf);
             *cursor += 1;
         }
         let mut demux = StreamDemux::new(FixedCodec, 1);
         demux.consume(buf.freeze()).expect("valid interleaving");
-        let logs = demux.into_segment_logs();
-        for (id, msgs) in streams.iter().enumerate() {
-            let want = single_stream_reference(msgs);
-            prop_assert_eq!(
-                logs.get(&(id as u64)).cloned().unwrap_or_default(),
-                want,
-                "stream {} diverged from single-stream reconstruction",
-                id
-            );
+        for logs in [demux.into_segment_logs(), sequenced.into_segment_logs()] {
+            for (id, msgs) in streams.iter().enumerate() {
+                let want = single_stream_reference(msgs);
+                prop_assert_eq!(
+                    logs.get(&(id as u64)).cloned().unwrap_or_default(),
+                    want,
+                    "stream {} diverged from single-stream reconstruction",
+                    id
+                );
+            }
         }
     }
 
-    /// Sequenced frames with arbitrary replays of already-delivered
-    /// frames (what reconnect storms produce): duplicates are dropped,
+    /// Sequenced entries with arbitrary replays of already-delivered
+    /// entries (what reconnect storms produce): duplicates are dropped,
     /// logs stay byte-identical to single-stream reconstruction.
     #[test]
     fn duplicated_frames_never_corrupt_the_logs(
@@ -143,7 +165,8 @@ proptest! {
         chop in prop::collection::vec(1usize..4, 1..40),
         replays in prop::collection::vec((0usize..8, 0usize..8), 0..24),
     ) {
-        // Chop each stream's messages into sequenced frames.
+        // Chop each stream's messages into header-less sequenced
+        // entries.
         let mut frames: Vec<(u64, u64, Bytes)> = Vec::new(); // (stream, seq, bytes)
         for (id, msgs) in streams.iter().enumerate() {
             let mut chop = chop.iter().cycle();
@@ -151,14 +174,8 @@ proptest! {
             let mut i = 0;
             while i < msgs.len() {
                 let take = (*chop.next().expect("cycled")).min(msgs.len() - i);
-                let mut codec = FixedCodec;
-                let mut buf = BytesMut::new();
-                codec.encode(&Message::StreamFrame { stream: id as u64 }, 1, &mut buf);
-                for m in &msgs[i..i + take] {
-                    codec.encode(m, 1, &mut buf);
-                }
                 seq += 1;
-                frames.push((id as u64, seq, buf.freeze()));
+                frames.push((id as u64, seq, entry(&msgs[i..i + take])));
                 i += take;
             }
         }
@@ -196,33 +213,50 @@ proptest! {
         }
     }
 
-    /// A frame from the future (sequence gap) is a typed error and does
-    /// not count as applied.
+    /// An entry from the future (sequence gap) is a typed error and
+    /// does not count as applied — nor does a valid entry carrying a
+    /// `StreamFrame` header, under the header-less contract.
     #[test]
     fn sequence_gaps_are_typed_errors(
         msgs in prop::collection::vec(op_strategy(), 1..8).prop_map(|ops| lower(&ops)),
         gap in 2u64..100,
     ) {
-        let mut codec = FixedCodec;
-        let mut buf = BytesMut::new();
-        codec.encode(&Message::StreamFrame { stream: 1 }, 1, &mut buf);
-        for m in &msgs {
-            codec.encode(m, 1, &mut buf);
-        }
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let got = demux.consume_sequenced(1, gap, buf.freeze());
+        let got = demux.consume_sequenced(1, gap, entry(&msgs));
         prop_assert_eq!(got, Err(ReceiveError::SequenceGap { stream: 1, expected: 1, got: gap }));
-        prop_assert_eq!(demux.ack_point(1), 0, "a gapped frame must not be applied");
+        prop_assert_eq!(demux.ack_point(1), 0, "a gapped entry must not be applied");
+        let mut headed = vec![Message::StreamFrame { stream: 1 }];
+        headed.extend(msgs.iter().cloned());
+        prop_assert!(matches!(
+            demux.consume_sequenced(1, 1, entry(&headed)),
+            Err(ReceiveError::Protocol(_))
+        ));
+        prop_assert_eq!(demux.ack_point(1), 0, "a headed entry must not be applied");
+        prop_assert_eq!(demux.consume_sequenced(1, 1, entry(&msgs)), Ok(SeqOutcome::Applied));
     }
 
     /// Truncating the connection at any byte yields a typed error (or a
     /// clean prefix), never a panic — and the messages decoded before
-    /// the cut still demux into valid per-stream state.
+    /// the cut still demux into valid per-stream state. The same holds
+    /// for a truncated sequenced entry, which is refused whole: its ack
+    /// point does not move.
     #[test]
     fn truncated_tail_bytes_never_panic(
         streams in streams_strategy(),
         cut_fraction in 0.0f64..1.0,
     ) {
+        let payload = entry(&streams[0]);
+        let entry_cut = ((payload.len() as f64) * cut_fraction) as usize;
+        let mut sequenced = StreamDemux::new(FixedCodec, 1);
+        match sequenced.consume_sequenced(0, 1, payload.slice(0..entry_cut)) {
+            // A cut on a message boundary is a shorter, valid entry.
+            Ok(outcome) => prop_assert_eq!(outcome, SeqOutcome::Applied),
+            Err(ReceiveError::Wire(_) | ReceiveError::Protocol(_)) => {
+                prop_assert_eq!(sequenced.ack_point(0), 0, "a refused entry must not apply");
+            }
+            Err(other) => prop_assert!(false, "unexpected error class: {}", other),
+        }
+
         let mut codec = FixedCodec;
         let mut buf = BytesMut::new();
         for (id, msgs) in streams.iter().enumerate() {
@@ -255,4 +289,43 @@ proptest! {
             );
         }
     }
+
+    /// Arbitrary payload bytes under both codecs: each entry either
+    /// applies cleanly or is refused with a typed error — never a panic
+    /// — and a refused entry leaves the ack point where it was.
+    #[test]
+    fn arbitrary_entry_payloads_apply_or_fail_typed(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..12),
+        compact in any::<bool>(),
+    ) {
+        if compact {
+            feed_arbitrary(CompactCodec::new(0.01, &[0.01]), &payloads)?;
+        } else {
+            feed_arbitrary(FixedCodec, &payloads)?;
+        }
+    }
+}
+
+/// Feeds each payload as the next entry of stream 3, checking the ack
+/// point moves by exactly one per applied entry and not at all per
+/// refused one.
+fn feed_arbitrary<C: Codec>(
+    codec: C,
+    payloads: &[Vec<u8>],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut demux = StreamDemux::new(codec, 1);
+    for payload in payloads {
+        let before = demux.ack_point(3);
+        match demux.consume_sequenced(3, before + 1, Bytes::copy_from_slice(payload)) {
+            Ok(outcome) => {
+                prop_assert_eq!(outcome, SeqOutcome::Applied);
+                prop_assert_eq!(demux.ack_point(3), before + 1);
+            }
+            Err(ReceiveError::Wire(_) | ReceiveError::Protocol(_)) => {
+                prop_assert_eq!(demux.ack_point(3), before, "a refused entry must not apply");
+            }
+            Err(other) => prop_assert!(false, "unexpected error class: {}", other),
+        }
+    }
+    Ok(())
 }

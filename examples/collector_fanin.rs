@@ -148,7 +148,7 @@ fn main() {
     for conn in &stats.conns {
         let mark = store.watermark(conn.conn.0).expect("watermark");
         println!(
-            "  {}: {} frames, {} segments, covered through t={:.0}, {} bytes moved",
+            "  {}: {} entries, {} segments, covered through t={:.0}, {} bytes moved",
             conn.conn,
             conn.receiver.frames_applied,
             conn.published,

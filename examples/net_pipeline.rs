@@ -156,7 +156,7 @@ fn main() {
     assert_eq!(tx.stats().established, 2, "first handshake plus the resume");
     println!(
         "-> resumed by session token after {} dials; sender replayed its \
-         unacknowledged tail, collector dropped {} duplicate frames",
+         unacknowledged tail, collector dropped {} duplicate entries",
         tx.stats().dials,
         stats.dup_drops
     );

@@ -11,7 +11,7 @@
 //!
 //! Two listening sockets, both on ephemeral loopback ports: the
 //! collector's (a session `Hello` handshake, then segment ingest,
-//! `Data`/`Ack` frames) and the
+//! `Batch`/`Ack` frames) and the
 //! query server's (versioned `Hello` handshake, then pipelined
 //! `QueryReq`/`QueryResp` + `EpochsReq`/`EpochsResp`). The reader also
 //! demonstrates the epoch-validated `SnapshotCache`: after one epochs
