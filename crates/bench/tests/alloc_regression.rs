@@ -14,6 +14,11 @@
 //! allocations in steady state (the sender's replay copy of the frame,
 //! the receiver's copy of the payload, and amortized store growth).
 //!
+//! The shared store's snapshot is pointer work: its allocations are the
+//! snapshot's own maps and epochs box, the same whatever the streams'
+//! runs and tails hold. With no snapshot alive, appends allocate only
+//! when a tail seals.
+//!
 //! Requires the counting global allocator:
 //!
 //! ```sh
@@ -30,7 +35,7 @@ use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
 use pla_core::filters::{run_filter, StreamFilter};
 use pla_core::metrics::CountingSink;
 use pla_core::{Segment, INLINE_DIMS};
-use pla_ingest::SegmentStore;
+use pla_ingest::{SegmentStore, StoreConfig, StreamId};
 use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
 
@@ -255,5 +260,109 @@ fn wire_path_allocations_per_segment_are_bounded() {
     assert!(
         per_segment < 3.0,
         "wire path: {per_segment:.2} heap allocations per segment (budget < 3)"
+    );
+}
+
+fn store_seg(k: usize) -> Segment {
+    let t = k as f64;
+    Segment {
+        t_start: t,
+        x_start: [t].into(),
+        t_end: t + 1.0,
+        x_end: [t + 0.5].into(),
+        connected: false,
+        n_points: 2,
+        new_recordings: 2,
+    }
+}
+
+#[test]
+fn snapshot_allocations_do_not_depend_on_runs_or_tails() {
+    let _guard = serial();
+    const STREAMS: u64 = 16;
+    const SOURCES: u64 = 4;
+    let config = StoreConfig::default();
+    let seal = config.seal_threshold;
+    // Both stores hold the same streams and sources; only the shape of
+    // each stream's log differs.
+    let filled = |runs: usize, tail: usize| {
+        let store = SegmentStore::with_config(config);
+        let mut batch = Vec::new();
+        for s in 0..STREAMS {
+            batch.extend((0..runs * seal + tail).map(store_seg));
+            store.append_batch(s % SOURCES, StreamId(s), &mut batch);
+        }
+        store
+    };
+    let small = filled(1, 1);
+    let large = filled(100, seal - 1);
+    let shape = |store: &SegmentStore| {
+        let snap = store.snapshot();
+        let view = &snap.streams[&StreamId(0)];
+        (view.runs().len(), view.tail().len())
+    };
+    assert_eq!(shape(&small), (1, 1));
+    assert_eq!(shape(&large), (100, seal - 1));
+    let (_, small_allocs) = alloc_counter::count(|| drop(small.snapshot()));
+    let (_, large_allocs) = alloc_counter::count(|| drop(large.snapshot()));
+    assert_eq!(
+        small_allocs, large_allocs,
+        "a snapshot's allocations must not grow with the runs and tails it shares"
+    );
+    // Only the maps (at most one node per entry) and the epochs box.
+    let bound = STREAMS + SOURCES + 1;
+    assert!(
+        small_allocs <= bound,
+        "snapshot: {small_allocs} allocations for {STREAMS} streams (map and epochs bound {bound})"
+    );
+}
+
+#[test]
+fn unshared_appends_allocate_only_at_seals() {
+    let _guard = serial();
+    const STREAMS: u64 = 8;
+    const ROUNDS: usize = 20;
+    let config = StoreConfig::default();
+    let seal = config.seal_threshold;
+    let store = SegmentStore::with_config(config);
+    // Create every stream and its source watermark first.
+    for s in 0..STREAMS {
+        store.append(s, StreamId(s), store_seg(0));
+    }
+    let mut batch = Vec::with_capacity(seal);
+    let (mut seals, mut seal_allocs) = (0u64, 0u64);
+    let mut len = 1;
+    for round in 0..ROUNDS * seal {
+        for s in 0..STREAMS {
+            // Alternate single appends and three-segment batches; each
+            // stream seals at the same positions.
+            let (_, allocs) = alloc_counter::count(|| {
+                if round % 2 == 0 {
+                    store.append(s, StreamId(s), store_seg(len));
+                } else {
+                    batch.extend((len..len + 3).map(store_seg));
+                    store.append_batch(s, StreamId(s), &mut batch);
+                }
+            });
+            let added = if round % 2 == 0 { 1 } else { 3 };
+            let sealed = (len + added) / seal - len / seal;
+            if sealed == 0 {
+                assert_eq!(allocs, 0, "stream {s}: an append that sealed nothing allocated");
+            } else {
+                seals += sealed as u64;
+                seal_allocs += allocs;
+            }
+        }
+        len += if round % 2 == 0 { 1 } else { 3 };
+    }
+    let runs_per_stream = (len / seal) as u64;
+    assert!(seals > STREAMS * 10, "workload sanity: {seals} seals");
+    // Each seal allocates its run and a fresh tail; the run list's own
+    // amortized growth adds at most one allocation per doubling.
+    let growth = STREAMS * (u64::from(runs_per_stream.ilog2()) + 2);
+    assert!(
+        seal_allocs <= 2 * seals + growth,
+        "{seal_allocs} allocations across {seals} seals (budget {})",
+        2 * seals + growth
     );
 }

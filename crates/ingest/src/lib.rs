@@ -21,9 +21,10 @@
 //!   [`IngestError::Backpressure`] instead, letting the caller shed load.
 //! * [`SegmentStore`] — the shared, concurrently-appendable home for
 //!   segment logs: streams hash across lock shards, each stream's log is
-//!   a chain of immutable `Arc`-shared [`Run`]s plus a small mutable
-//!   tail, and [`snapshot`](SegmentStore::snapshot)s are O(streams)
-//!   pointer grabs with a per-shard consistency contract (see
+//!   a chain of immutable `Arc`-shared [`Run`]s plus an open tail, and
+//!   [`snapshot`](SegmentStore::snapshot)s are two `Arc` clones per
+//!   stream (the writer copies on write) with a per-shard consistency
+//!   contract (see
 //!   [`store`](SegmentStore)'s module docs). Fed directly by an engine
 //!   ([`IngestEngine::with_segment_store`]) or, at the base station, by
 //!   `pla-net`'s many-connection collector funneling every connection's

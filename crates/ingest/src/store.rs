@@ -11,38 +11,46 @@
 //! append its shards' emissions directly
 //! ([`with_segment_store`](crate::IngestEngine::with_segment_store));
 //! readers take [`snapshot`](SegmentStore::snapshot)s while appends
-//! continue — and a snapshot costs O(streams) pointer grabs, not a
-//! deep copy of every segment.
+//! continue — and a snapshot costs two `Arc` clones per stream, not a
+//! copy of any segment.
 //!
 //! # Layout: shards → streams → runs + tail
 //!
 //! ```text
 //! SegmentStore
 //!  ├─ shard 0 (RwLock) ── streams hashed here by shard_of
-//!  │    ├─ stream 7:  [run₀ (Arc)] [run₁ (Arc)] [run₂ (Arc)] | tail (Vec)
-//!  │    │              └────────── sealed, immutable ───────┘  └ mutable,
-//!  │    │                                                        < seal
-//!  │    │                                                        threshold
-//!  │    └─ stream 23: [run₀ (Arc)] | tail
+//!  │    ├─ stream 7:  Arc[ run₀ (Arc) · run₁ (Arc) · run₂ (Arc) ]  Arc[ tail ]
+//!  │    │                  └──────── sealed, immutable ───────┘        └ open,
+//!  │    │             └─────────── run list ──────────────────┘          < seal
+//!  │    │                                                                threshold
+//!  │    └─ stream 23: Arc[ run₀ (Arc) ]  Arc[ tail ]
 //!  ├─ shard 1 (RwLock) …
 //!  └─ shard N-1
 //! ```
+//!
+//! A snapshot's [`StreamView`] holds the same two outer `Arc`s as the
+//! live log: the run list and the open tail.
 //!
 //! * **Streams hash across N shards** (the same [`shard_of`] routing the
 //!   ingest engine uses), each shard behind its own `RwLock` — writers
 //!   on different shards never contend, and a reader sweeping a
 //!   snapshot holds one shard's lock at a time, never a global lock
 //!   across streams.
-//! * **A stream's log is a chain of immutable runs plus a small mutable
+//! * **A stream's log is a chain of immutable runs plus an open
 //!   tail.** Appends push into the tail; when the tail reaches the
-//!   *seal threshold* it is sealed into an [`Arc<Run>`](Run) — and a
-//!   sealed run is **immutable forever**. Snapshots share sealed runs
-//!   by `Arc` clone (a pointer grab) and copy only the tail (bounded by
-//!   the threshold), so [`snapshot`](SegmentStore::snapshot) is
-//!   O(streams · threshold) worst case instead of O(total segments) —
-//!   at 10k segments per stream that is two orders of magnitude less
-//!   copying, and the shared runs mean a snapshot's memory cost is
-//!   O(streams) too.
+//!   *seal threshold* it is moved, without a copy, into an
+//!   [`Arc<Run>`](Run) — and a sealed run is **immutable forever**.
+//! * **Snapshots share, the writer copies on write.** A snapshot takes
+//!   one `Arc` clone of each stream's run list and one of its tail:
+//!   [`snapshot`](SegmentStore::snapshot) costs O(streams) atomic
+//!   increments plus the snapshot's own map, whatever the runs or tails
+//!   hold. The writer never mutates a tail or run list a snapshot still
+//!   holds. An append that finds its tail shared first copies it into a
+//!   private buffer (at most once per stream per live snapshot, and
+//!   only for streams appended while it lives). A seal that finds the
+//!   run list shared clones the list of run pointers before pushing.
+//!   With no snapshot alive, appends copy nothing and allocate only at
+//!   a seal (the new run and a fresh tail buffer).
 //! * **Epochs make change detection O(shards).** Every shard counts the
 //!   segments it has ever admitted in an *epoch* counter; snapshots
 //!   record the per-shard epochs they observed, so a poller can compare
@@ -66,7 +74,8 @@
 //!   prefixes of their append history** — a snapshot can lag a racing
 //!   writer, it can never tear a stream or reorder within one.
 //! * A snapshot never changes after it is returned: sealed runs are
-//!   immutable and the tail is copied out under the shard lock.
+//!   immutable, and the writer copies a shared tail or run list before
+//!   it changes either (copy on write, under the shard write lock).
 //!
 //! Other rules carried over unchanged from the coarse-lock store:
 //!
@@ -126,9 +135,10 @@ pub struct StoreConfig {
     /// collector with tens to hundreds of connections.
     pub shards: usize,
     /// Tail length at which a stream's mutable tail is sealed into an
-    /// immutable [`Run`] (clamped to ≥ 1). This bounds both the
-    /// per-stream copy cost of a snapshot and the granularity of run
-    /// sharing: every sealed run holds exactly this many segments.
+    /// immutable [`Run`] (clamped to ≥ 1). This bounds the writer's
+    /// copy-on-write cost (a shared tail is shorter than this) and sets
+    /// the granularity of run sharing: every sealed run holds exactly
+    /// this many segments.
     pub seal_threshold: usize,
 }
 
@@ -140,10 +150,9 @@ impl Default for StoreConfig {
 
 /// A sealed, immutable block of consecutive segments of one stream.
 ///
-/// Runs are the unit of sharing between the live store and its
-/// snapshots: once sealed, a run's contents never change (the
-/// Arc-sharing rule in ARCHITECTURE.md), so cloning the `Arc` *is* the
-/// copy. Every run sealed by a store holds exactly
+/// Runs are shared between the live store and its snapshots: once
+/// sealed, a run's contents never change (the Arc-sharing rule in
+/// ARCHITECTURE.md), so cloning the `Arc` *is* the copy. Every run sealed by a store holds exactly
 /// [`StoreConfig::seal_threshold`] segments — uniform length keeps
 /// position lookups O(1).
 #[derive(Debug, PartialEq)]
@@ -169,32 +178,56 @@ impl Run {
 }
 
 /// One stream's live log inside a shard: the sealed-run chain plus the
-/// mutable tail being filled.
-#[derive(Debug, Default)]
+/// open tail being filled. Both sit behind an `Arc` that snapshots
+/// share; the writer copies on write (see [`StreamLog::tail_mut`]), so
+/// it never mutates anything a snapshot holds.
+#[derive(Debug)]
 struct StreamLog {
-    runs: Vec<Arc<Run>>,
+    runs: Arc<Vec<Arc<Run>>>,
     sealed: usize,
-    tail: Vec<Segment>,
+    tail: Arc<Vec<Segment>>,
 }
 
 impl StreamLog {
+    fn new(seal_threshold: usize) -> Self {
+        Self { runs: Arc::default(), sealed: 0, tail: Arc::new(Vec::with_capacity(seal_threshold)) }
+    }
+
     fn len(&self) -> usize {
         self.sealed + self.tail.len()
     }
 
+    /// The tail, writable. When a live snapshot still shares it, the
+    /// tail is first replaced by a private copy with room for a full
+    /// run — paid once per snapshot that saw this stream's tail, and
+    /// only if the stream is appended while that snapshot lives.
+    fn tail_mut(&mut self, seal_threshold: usize) -> &mut Vec<Segment> {
+        if Arc::get_mut(&mut self.tail).is_none() {
+            let mut own = Vec::with_capacity(seal_threshold);
+            own.extend_from_slice(&self.tail);
+            self.tail = Arc::new(own);
+        }
+        Arc::get_mut(&mut self.tail).expect("tail is unshared after copy-on-write")
+    }
+
     fn push(&mut self, segment: Segment, seal_threshold: usize) {
-        self.tail.push(segment);
-        if self.tail.len() == seal_threshold {
-            let run = std::mem::replace(&mut self.tail, Vec::with_capacity(seal_threshold));
-            self.runs.push(Arc::new(Run { segments: run.into_boxed_slice() }));
+        let tail = self.tail_mut(seal_threshold);
+        tail.push(segment);
+        if tail.len() == seal_threshold {
+            // A full tail is exactly `seal_threshold` long with that
+            // capacity, so boxing it moves the buffer into the run.
+            let full = std::mem::replace(tail, Vec::with_capacity(seal_threshold));
+            let run = Arc::new(Run { segments: full.into_boxed_slice() });
+            Arc::make_mut(&mut self.runs).push(run);
             self.sealed += seal_threshold;
         }
     }
 
+    /// Two `Arc` clones: the view shares the run list and the tail.
     fn view(&self, run_len: usize) -> StreamView {
         StreamView {
-            runs: self.runs.clone(),
-            tail: self.tail.clone().into(),
+            runs: Arc::clone(&self.runs),
+            tail: Arc::clone(&self.tail),
             len: self.len(),
             run_len,
         }
@@ -224,7 +257,7 @@ impl ShardInner {
         seal: usize,
     ) {
         let mark = self.sources.entry(source).or_default();
-        let log = self.streams.entry(stream).or_default();
+        let log = self.streams.entry(stream).or_insert_with(|| StreamLog::new(seal));
         let mut n = 0;
         for segment in segments {
             if segment.t_end > mark.covered_through {
@@ -239,8 +272,11 @@ impl ShardInner {
     }
 }
 
-/// A read-only view of one stream's log at snapshot time: shared sealed
-/// runs plus a copy of the tail.
+/// A read-only view of one stream's log at snapshot time: the store's
+/// run list and open tail, both shared by `Arc` (taking a view copies
+/// no segment and allocates nothing). The store copies on write, so a
+/// view never changes however long it is held; holding one across
+/// appends costs at most one tail copy per stream, paid by the writer.
 ///
 /// The view reads like the flat `Vec<Segment>` the pre-sharding store
 /// returned — [`iter`](StreamView::iter), [`get`](StreamView::get),
@@ -253,15 +289,15 @@ impl ShardInner {
 /// and time lookups binary-search run starts then within one run.
 #[derive(Clone)]
 pub struct StreamView {
-    runs: Vec<Arc<Run>>,
-    tail: Arc<[Segment]>,
+    runs: Arc<Vec<Arc<Run>>>,
+    tail: Arc<Vec<Segment>>,
     len: usize,
     run_len: usize,
 }
 
 impl Default for StreamView {
     fn default() -> Self {
-        Self { runs: Vec::new(), tail: Vec::new().into(), len: 0, run_len: 1 }
+        Self { runs: Arc::default(), tail: Arc::default(), len: 0, run_len: 1 }
     }
 }
 
@@ -282,7 +318,8 @@ impl StreamView {
         &self.runs
     }
 
-    /// The unsealed tail as of snapshot time, following the runs.
+    /// The unsealed tail as of snapshot time, following the runs (shared
+    /// with the store until the store's next append to this stream).
     pub fn tail(&self) -> &[Segment] {
         &self.tail
     }
@@ -473,10 +510,10 @@ impl SegmentStore {
     }
 
     /// A point-in-time view of everything (logs and watermarks), taken
-    /// one shard at a time — O(streams) `Arc` clones plus a copy of
-    /// each stream's sub-threshold tail, *not* a deep copy of every
-    /// segment. See the module docs for the per-shard consistency
-    /// contract.
+    /// one shard at a time: two `Arc` clones per stream, no segment
+    /// copied. The only allocations are the snapshot's own stream and
+    /// source maps and its epochs box. See the module docs for the
+    /// per-shard consistency contract and the writer's copy on write.
     pub fn snapshot(&self) -> StoreSnapshot {
         let mut snap = StoreSnapshot::default();
         let mut epochs = Vec::with_capacity(self.shards.len());
@@ -495,12 +532,12 @@ impl SegmentStore {
         snap
     }
 
-    /// The pre-sharding snapshot semantics: every segment deep-copied
-    /// into one freshly allocated run per stream, sharing nothing with
-    /// the live store. Kept as the A/B baseline for the
-    /// `store_concurrent` bench and for callers that need a snapshot
-    /// whose memory is independent of the store's (e.g. to outlive it
-    /// cheaply after the store keeps growing).
+    /// Not part of the public API: exists only as the `store_proptests`
+    /// oracle (`snapshot() == snapshot_deep()`) and as the
+    /// `store_concurrent/snapshot_deep` bench baseline. Every segment is
+    /// deep-copied into one freshly allocated run per stream, sharing
+    /// nothing with the live store.
+    #[doc(hidden)]
     pub fn snapshot_deep(&self) -> StoreSnapshot {
         let mut snap = self.snapshot();
         for view in snap.streams.values_mut() {
@@ -508,8 +545,8 @@ impl SegmentStore {
             *view = StreamView {
                 len: flat.len(),
                 run_len: flat.len().max(1),
-                runs: vec![Arc::new(Run { segments: flat.into_boxed_slice() })],
-                tail: Vec::new().into(),
+                runs: Arc::new(vec![Arc::new(Run { segments: flat.into_boxed_slice() })]),
+                tail: Arc::default(),
             };
         }
         snap
@@ -657,19 +694,50 @@ mod tests {
         assert_eq!(view.span(), Some((0.0, 11.0)));
     }
 
+    /// With no append between them, two snapshots share the sealed runs,
+    /// the run list itself and the open tail: nothing is copied.
     #[test]
     fn snapshots_share_sealed_runs_with_the_store() {
         let store = SegmentStore::with_config(StoreConfig { shards: 1, seal_threshold: 2 });
-        for i in 0..6 {
+        for i in 0..7 {
             store.append(1, StreamId(1), seg(i as f64, i as f64 + 1.0));
         }
         let a = store.snapshot();
         let b = store.snapshot();
-        let (ra, rb) = (a.streams[&StreamId(1)].runs(), b.streams[&StreamId(1)].runs());
+        let (va, vb) = (&a.streams[&StreamId(1)], &b.streams[&StreamId(1)]);
+        let (ra, rb) = (va.runs(), vb.runs());
         assert_eq!(ra.len(), 3);
         for (x, y) in ra.iter().zip(rb.iter()) {
             assert!(Arc::ptr_eq(x, y), "snapshots must share sealed runs, not copy them");
         }
+        assert_eq!(ra.as_ptr(), rb.as_ptr(), "the run list is shared");
+        assert_eq!(va.tail().len(), 1);
+        assert_eq!(va.tail().as_ptr(), vb.tail().as_ptr(), "the tail is shared, not copied");
+    }
+
+    #[test]
+    fn held_snapshot_survives_appends_and_seals_by_copy_on_write() {
+        let store = SegmentStore::with_config(StoreConfig { shards: 1, seal_threshold: 4 });
+        let mut flat = Vec::new();
+        for i in 0..6 {
+            let s = seg(i as f64, i as f64 + 1.0);
+            flat.push(s.clone());
+            store.append(1, StreamId(1), s);
+        }
+        let held = store.snapshot();
+        let held_tail = held.streams[&StreamId(1)].tail().as_ptr();
+        // Fill the shared tail, seal it, and start the next one.
+        for i in 6..13 {
+            store.append(1, StreamId(1), seg(i as f64, i as f64 + 1.0));
+        }
+        let view = &held.streams[&StreamId(1)];
+        assert_eq!(*view, flat, "a held snapshot never sees later appends or seals");
+        assert_eq!((view.runs().len(), view.tail().len()), (1, 2));
+        assert_eq!(view.tail().as_ptr(), held_tail, "the writer copied; the view kept its tail");
+        let live = store.snapshot();
+        let now = &live.streams[&StreamId(1)];
+        assert_eq!((now.runs().len(), now.tail().len()), (3, 1));
+        assert!(Arc::ptr_eq(&view.runs()[0], &now.runs()[0]), "old runs stay shared");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! tail however its seal threshold dictates — but every read path must
 //! present the exact flat append order. These properties drive random
 //! shard counts, seal thresholds, and single/batch append interleavings
-//! against a flat `Vec<Segment>` reference model.
+//! against a flat `Vec<Segment>` reference model, and pin the
+//! copy-on-write contract between snapshots and the writer.
 
 use std::collections::BTreeMap;
 
@@ -132,5 +133,75 @@ proptest! {
             *lens.entry(op.stream).or_default() += op.count;
         }
         prop_assert_eq!(store.snapshot(), store.snapshot_deep());
+    }
+
+    /// Copy on write: snapshots taken at random points and held while
+    /// later appends fill, seal and replace the tails they share each
+    /// still equal the flat prefix of the log as of their capture.
+    #[test]
+    fn held_snapshots_keep_their_prefix_across_appends_and_seals(
+        ops in prop::collection::vec((op_strategy(), any::<bool>()), 1..50),
+        shards in 1..5usize,
+        seal in 1..9usize,
+    ) {
+        let store = SegmentStore::with_config(StoreConfig { shards, seal_threshold: seal });
+        let mut reference: BTreeMap<u64, Vec<Segment>> = BTreeMap::new();
+        let mut held = Vec::new();
+        for (op, take) in &ops {
+            let log = reference.entry(op.stream).or_default();
+            let next: Vec<Segment> =
+                (0..op.count).map(|i| seg(op.stream, log.len() + i)).collect();
+            if op.batched {
+                store.append_batch(op.stream, StreamId(op.stream), &mut next.clone());
+            } else {
+                for s in &next {
+                    store.append(op.stream, StreamId(op.stream), s.clone());
+                }
+            }
+            log.extend(next);
+            if *take {
+                held.push((store.snapshot(), reference.clone()));
+            }
+        }
+        for (snap, prefix) in &held {
+            prop_assert_eq!(snap.streams.len(), prefix.len());
+            for (id, flat) in prefix {
+                let view = &snap.streams[&StreamId(*id)];
+                let view_bits: Vec<_> = view.iter().map(bits).collect();
+                let flat_bits: Vec<_> = flat.iter().map(bits).collect();
+                prop_assert_eq!(view_bits, flat_bits);
+                prop_assert_eq!(view.runs().len() * seal + view.tail().len(), flat.len());
+            }
+        }
+    }
+
+    /// With no snapshot alive, appends write into the tail in place: its
+    /// buffer moves only when a seal starts a fresh one.
+    #[test]
+    fn unshared_tails_stay_in_place_between_seals(
+        ops in prop::collection::vec(op_strategy(), 1..50),
+        seal in 1..9usize,
+    ) {
+        let store = SegmentStore::with_config(StoreConfig { shards: 2, seal_threshold: seal });
+        // (runs, tail buffer) per stream, read through a snapshot that
+        // is dropped before the next append.
+        let probe = |id: u64| {
+            let snap = store.snapshot();
+            snap.streams.get(&StreamId(id)).map(|v| (v.runs().len(), v.tail().as_ptr()))
+        };
+        let mut lens: BTreeMap<u64, usize> = BTreeMap::new();
+        for op in &ops {
+            let before = probe(op.stream);
+            let from = *lens.get(&op.stream).unwrap_or(&0);
+            let mut next: Vec<Segment> =
+                (0..op.count).map(|i| seg(op.stream, from + i)).collect();
+            store.append_batch(op.stream, StreamId(op.stream), &mut next);
+            *lens.entry(op.stream).or_default() += op.count;
+            if let (Some((runs, ptr)), Some((runs_after, ptr_after))) = (before, probe(op.stream)) {
+                if runs == runs_after {
+                    prop_assert_eq!(ptr, ptr_after, "an unsealing append moved the tail");
+                }
+            }
+        }
     }
 }

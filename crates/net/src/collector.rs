@@ -47,7 +47,7 @@ use pla_core::Segment;
 use pla_ingest::{SegmentStore, StreamId};
 use pla_transport::wire::Codec;
 
-use crate::driver::{pump_in, pump_receiver_split, DriveError};
+use crate::driver::{pump_in, pump_out, pump_receiver_split, DriveError};
 use crate::frame::{encode, FrameDecoder, NetFrame};
 use crate::link::Link;
 use crate::listen::Acceptor;
@@ -493,6 +493,14 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
 
     /// Feeds bytes that arrived in the same read as the `Hello` (the
     /// sender's 0-RTT replay) to the freshly bound connection.
+    ///
+    /// If those bytes violate the protocol the connection is quarantined,
+    /// but only after its staged `HelloAck` is written (best effort): a
+    /// sender that learns its token redials with it and is refused as
+    /// [`Quarantined`](HandshakeError::Quarantined), a typed terminal
+    /// failure, instead of redialing as a stranger and minting a fresh
+    /// quarantined connection every time. As in
+    /// [`refuse`](Self::refuse), the link is dropped, not shut down.
     fn feed_adopted(&mut self, id: u64, leftover: &[u8], now: Instant) {
         if leftover.is_empty() {
             return;
@@ -506,7 +514,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             }
             Err(error) => {
                 if let Some(mut dead) = c.link.take() {
-                    dead.shutdown();
+                    let _ = pump_out(c.rx.outbox(), &mut dead);
                 }
                 c.failed = Some(error);
             }
@@ -1110,6 +1118,101 @@ mod tests {
             assert!(stalled < 10, "healthy connection starved by the quarantined one");
         }
         assert_eq!(store.stream_segments(StreamId(7)).unwrap().len(), 4);
+    }
+
+    /// A fresh session whose 0-RTT bytes violate the protocol is
+    /// quarantined, but its `HelloAck` is delivered first: the peer
+    /// learns its token, so its redial is refused as quarantined
+    /// instead of minting one more quarantined connection per redial.
+    #[test]
+    fn zero_rtt_violation_delivers_the_hello_ack_before_quarantine() {
+        let cfg = NetConfig::default();
+        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+        let t0 = Instant::now();
+        let mut client = connector.connect(4096);
+        // Hello plus a frame whose length prefix passes `max_frame`, in
+        // one write: the violation arrives in the handshake's read.
+        let mut burst = frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 });
+        burst.extend_from_slice(&(cfg.max_frame + 1).to_le_bytes());
+        burst.push(12);
+        client.try_write(&burst).unwrap();
+        coll.pump_at(t0).unwrap();
+        let stats = coll.stats();
+        assert_eq!((stats.connections, stats.failed), (1, 1), "bound, then quarantined");
+        let token = coll.conn_stats(ConnId(1)).unwrap().token;
+        assert_ne!(token, 0);
+        match read_frame(&mut client) {
+            NetFrame::HelloAck { token: got, .. } => assert_eq!(got, token),
+            other => panic!("expected the staged HelloAck, got {other:?}"),
+        }
+        let mut buf = [0u8; 64];
+        assert_eq!(
+            client.try_read(&mut buf).unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock,
+            "nothing follows the HelloAck: the collector dropped the link"
+        );
+
+        // The redial presents the learned token and is refused, typed.
+        let mut redial = connector.connect(4096);
+        redial
+            .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token }))
+            .unwrap();
+        coll.pump_at(t0).unwrap();
+        assert!(matches!(
+            coll.last_refusal(),
+            Some(NetError::Handshake(HandshakeError::Quarantined(t))) if *t == token
+        ));
+        match read_frame(&mut redial) {
+            NetFrame::HelloAck { token: 0, .. } => {}
+            other => panic!("expected a refusal HelloAck, got {other:?}"),
+        }
+        let stats = coll.stats();
+        assert_eq!(stats.connections, 1, "the redial minted no second connection");
+        assert_eq!((stats.failed, stats.refused), (1, 1));
+        assert!(coll.conn_stats(ConnId(1)).unwrap().failed.is_some());
+        assert_eq!(store.total_segments(), 0);
+    }
+
+    /// The same loop end to end: a sender whose 0-RTT batch exceeds the
+    /// collector's `max_frame` establishes, loses the link, redials once
+    /// with its token and then fails typed and terminal.
+    #[test]
+    fn session_sender_with_a_violating_zero_rtt_batch_fails_after_one_redial() {
+        let sess = SessionConfig::default();
+        let (mut coll, connector, store) =
+            make(NetConfig { max_frame: 256, ..NetConfig::default() }, sess);
+        let t0 = Instant::now();
+        let mut client = sender(&connector, NetConfig::default(), 4096, t0);
+        for i in 0..32 {
+            client.mux_mut().try_send_segment(5, &seg(i)).unwrap();
+        }
+        client.pump_at(t0); // dial: Hello + an oversized Batch in one write
+        coll.pump_at(t0).unwrap();
+        client.pump_at(t0);
+        assert!(client.is_established(), "the HelloAck reached the sender");
+        let token = client.token();
+        assert_eq!(token, coll.conn_stats(ConnId(1)).unwrap().token);
+
+        // The silent link lapses; the redial carries the learned token.
+        let lapse = t0 + sess.liveness_timeout;
+        client.pump_at(lapse);
+        let redial_at = lapse + sess.redial_cap;
+        client.pump_at(redial_at);
+        coll.pump_at(redial_at).unwrap();
+        client.pump_at(redial_at);
+        assert!(matches!(
+            coll.last_refusal(),
+            Some(NetError::Handshake(HandshakeError::Quarantined(t))) if *t == token
+        ));
+        assert!(matches!(
+            client.failure(),
+            Some(NetError::Handshake(HandshakeError::UnknownToken(t))) if *t == token
+        ));
+        assert_eq!(client.pump_at(redial_at + sess.redial_cap), 0, "terminal: no redial storm");
+        assert_eq!(client.stats().dials, 2);
+        let stats = coll.stats();
+        assert_eq!((stats.connections, stats.failed, stats.refused), (1, 1, 1));
+        assert_eq!(store.total_segments(), 0);
     }
 
     fn frame_bytes(frame: &NetFrame) -> Vec<u8> {

@@ -4,7 +4,9 @@
 //! frames against a shared [`SegmentStore`].
 //!
 //! Serving never blocks ingest: the engine wraps
-//! [`SegmentStore::snapshot`] (O(streams) pointer work) and is rebuilt
+//! [`SegmentStore::snapshot`] (two `Arc` clones per stream, no segment
+//! copied; the store copies on write while the engine holds it) and is
+//! rebuilt
 //! lazily — only when a request arrives **and** the store's per-shard
 //! [`epochs`](SegmentStore::epochs) moved since the last build. A
 //! read-only workload over a quiet store never re-snapshots.
