@@ -26,9 +26,9 @@ use pla_core::Signal;
 const N_1D: usize = 100_000;
 const N_MULTI: usize = 20_000;
 
-/// Dimension counts under measurement: the `d == 1` scalar dispatch, the
-/// `d ∈ {2, 4}` inline-lane (`kern` lane-op) dispatch at both ends of its
-/// range, and the `d = 8` generic spill regime.
+/// Dimension counts under measurement: one lane of the single inline
+/// chunk (`d = 1`), part and all of that chunk (`d ∈ {2, 4}`), and two
+/// spilled chunks (`d = 8`) of the `kern` lane ops.
 const DIMS: [usize; 4] = [1, 2, 4, 8];
 
 fn signal_for(dims: usize) -> Signal {

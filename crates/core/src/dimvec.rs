@@ -14,7 +14,10 @@
 //!
 //! The element bound `T: Copy + Default` keeps the implementation free of
 //! `unsafe`: the inline array is always fully initialized, with
-//! `T::default()` filling the unused tail.
+//! `T::default()` filling the unused tail. The spill buffer is padded the
+//! same way to a whole number of [`INLINE_DIMS`]-wide chunks, so the lane
+//! kernels (`crate::kern`) see every `DimVec<f64>` as zero-padded chunks
+//! at any length; every mutator keeps that padding at `T::default()`.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -44,10 +47,32 @@ pub const INLINE_DIMS: usize = 4;
 #[derive(Clone)]
 pub struct DimVec<T: Copy + Default> {
     /// Element count. Elements live in `inline[..len]` when
-    /// `len <= INLINE_DIMS`, in `spill` (all of them) otherwise.
+    /// `len <= INLINE_DIMS`, in `spill[..len]` otherwise.
     len: u32,
+    /// Inline elements, then `T::default()` padding. All padding while
+    /// the vector is spilled.
     inline: [T; INLINE_DIMS],
+    /// Spilled elements, then `T::default()` padding up to the next
+    /// multiple of [`INLINE_DIMS`], so the lane kernels see whole
+    /// chunks. Empty while the vector is inline.
     spill: Vec<T>,
+}
+
+/// `d` rounded up to a whole number of [`INLINE_DIMS`]-wide chunks.
+#[inline]
+fn padded(d: usize) -> usize {
+    d.next_multiple_of(INLINE_DIMS)
+}
+
+/// `slice` copied into one allocation and padded with `T::default()` to
+/// whole chunks. Kept out of line so that `from_slice`'s inline case
+/// stays small enough to inline.
+#[inline(never)]
+fn padded_copy<T: Copy + Default>(slice: &[T]) -> Vec<T> {
+    let mut spill = Vec::with_capacity(padded(slice.len()));
+    spill.extend_from_slice(slice);
+    spill.resize(padded(slice.len()), T::default());
+    spill
 }
 
 impl<T: Copy + Default> DimVec<T> {
@@ -58,10 +83,11 @@ impl<T: Copy + Default> DimVec<T> {
     }
 
     /// An empty vector with room for `d` elements: no-op for `d ≤`
-    /// [`INLINE_DIMS`], a single exact-size heap reservation above.
+    /// [`INLINE_DIMS`], a single heap reservation (rounded up to whole
+    /// chunks) above.
     #[inline]
     pub fn with_capacity(d: usize) -> Self {
-        let spill = if d > INLINE_DIMS { Vec::with_capacity(d) } else { Vec::new() };
+        let spill = if d > INLINE_DIMS { Vec::with_capacity(padded(d)) } else { Vec::new() };
         Self { len: 0, inline: [T::default(); INLINE_DIMS], spill }
     }
 
@@ -85,14 +111,13 @@ impl<T: Copy + Default> DimVec<T> {
     #[inline]
     pub fn from_slice(slice: &[T]) -> Self {
         let mut inline = [T::default(); INLINE_DIMS];
-        if slice.len() <= INLINE_DIMS {
+        let spill = if slice.len() <= INLINE_DIMS {
             inline[..slice.len()].copy_from_slice(slice);
-            Self { len: slice.len() as u32, inline, spill: Vec::new() }
+            Vec::new()
         } else {
-            // One exact-size allocation plus a memcpy — matches what
-            // `slice.to_vec()` used to cost before DimVec existed.
-            Self { len: slice.len() as u32, inline, spill: slice.to_vec() }
-        }
+            padded_copy(slice)
+        };
+        Self { len: slice.len() as u32, inline, spill }
     }
 
     /// Number of elements.
@@ -121,14 +146,20 @@ impl<T: Copy + Default> DimVec<T> {
             self.inline[len] = value;
         } else {
             if len == INLINE_DIMS {
-                // Crossing the boundary: move the inline prefix over,
+                // Crossing the boundary: move the inline block over,
                 // reserving enough that incremental dimension-by-
-                // dimension fills don't re-grow immediately.
+                // dimension fills don't re-grow immediately, and leave
+                // the inline block all padding.
                 self.spill.clear();
                 self.spill.reserve(2 * INLINE_DIMS);
                 self.spill.extend_from_slice(&self.inline);
+                self.inline = [T::default(); INLINE_DIMS];
             }
-            self.spill.push(value);
+            if len == self.spill.len() {
+                // The last chunk is full: open a padding chunk.
+                self.spill.resize(len + INLINE_DIMS, T::default());
+            }
+            self.spill[len] = value;
         }
         self.len += 1;
     }
@@ -143,8 +174,12 @@ impl<T: Copy + Default> DimVec<T> {
     /// Removes all elements. Spill capacity is retained for reuse.
     #[inline]
     pub fn clear(&mut self) {
+        if self.is_inline() {
+            self.inline[..self.len as usize].fill(T::default());
+        } else {
+            self.spill.clear();
+        }
         self.len = 0;
-        self.spill.clear();
     }
 
     /// The elements as a slice.
@@ -153,17 +188,17 @@ impl<T: Copy + Default> DimVec<T> {
         if self.is_inline() {
             &self.inline[..self.len as usize]
         } else {
-            &self.spill
+            &self.spill[..self.len as usize]
         }
     }
 
     /// The elements as a mutable slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        if self.len as usize <= INLINE_DIMS {
+        if self.is_inline() {
             &mut self.inline[..self.len as usize]
         } else {
-            &mut self.spill
+            &mut self.spill[..self.len as usize]
         }
     }
 
@@ -180,41 +215,36 @@ impl<T: Copy + Default> DimVec<T> {
 }
 
 impl DimVec<f64> {
-    /// Fixed-width view of the inline block for the lane kernels
-    /// (`crate::kern`): all [`INLINE_DIMS`] lanes — the live `len()`
-    /// prefix plus the `0.0` padding tail the kernels rely on being
-    /// neutral.
+    /// The elements as [`INLINE_DIMS`]-wide chunks for the lane kernels
+    /// (`crate::kern`): one chunk, the inline block, for `len() ≤
+    /// INLINE_DIMS`; ⌈len / INLINE_DIMS⌉ chunks of the spill buffer
+    /// above. Lanes past `len()` are `0.0`, which every lane op treats as
+    /// neutral: every mutator of this type keeps them so (pinned by
+    /// `every_mutator_keeps_padding_zero`), and the kernels write `0.0`
+    /// back to them (pinned by `kern`'s `padding_lanes_are_neutral`).
     ///
-    /// Callers must hold the *zero-tail invariant*: every lane past
-    /// `len()` is exactly `0.0`. All construction paths a fixed-length
-    /// vector uses (`new` + `push`, `from_fn`, `from_slice`, same-length
-    /// `assign`/`copy_from_slice`) preserve it, and every mutating
-    /// kernel writes `0.0` back to padding lanes. The shrinking `assign`
-    /// path does *not* (it leaves stale tail values) — fixed-`d` filter
-    /// state never shrinks, and the debug assertion below catches any
-    /// violation in tests.
-    #[inline]
-    pub(crate) fn lanes(&self) -> &[f64; INLINE_DIMS] {
-        debug_assert!(self.is_inline(), "lanes() on a spilled DimVec");
-        debug_assert!(
-            self.inline[self.len()..].iter().all(|&v| v == 0.0),
-            "lanes(): non-zero padding tail {:?}",
-            &self.inline[self.len()..]
-        );
-        &self.inline
+    /// `inline` must equal [`Self::is_inline`]. A kernel decides it once
+    /// for all of its same-length operands and passes it as a constant,
+    /// so the one-chunk case compiles to straight-line code.
+    #[inline(always)]
+    pub(crate) fn lanes(&self, inline: bool) -> &[[f64; INLINE_DIMS]] {
+        debug_assert_eq!(inline, self.is_inline(), "lanes(): wrong storage regime");
+        if inline {
+            std::slice::from_ref(&self.inline)
+        } else {
+            self.spill.as_chunks().0
+        }
     }
 
-    /// Mutable fixed-width view of the inline block; same contract as
-    /// [`Self::lanes`] — kernels must keep padding lanes at `0.0`.
-    #[inline]
-    pub(crate) fn lanes_mut(&mut self) -> &mut [f64; INLINE_DIMS] {
-        debug_assert!(self.is_inline(), "lanes_mut() on a spilled DimVec");
-        debug_assert!(
-            self.inline[self.len()..].iter().all(|&v| v == 0.0),
-            "lanes_mut(): non-zero padding tail {:?}",
-            &self.inline[self.len()..]
-        );
-        &mut self.inline
+    /// Mutable chunk view; same contract as [`Self::lanes`].
+    #[inline(always)]
+    pub(crate) fn lanes_mut(&mut self, inline: bool) -> &mut [[f64; INLINE_DIMS]] {
+        debug_assert_eq!(inline, self.is_inline(), "lanes_mut(): wrong storage regime");
+        if inline {
+            std::slice::from_mut(&mut self.inline)
+        } else {
+            self.spill.as_chunks_mut().0
+        }
     }
 }
 
@@ -252,10 +282,13 @@ impl<T: Copy + Default, const N: usize> From<[T; N]> for DimVec<T> {
 }
 
 impl<T: Copy + Default> From<Vec<T>> for DimVec<T> {
-    fn from(vec: Vec<T>) -> Self {
+    fn from(mut vec: Vec<T>) -> Self {
         if vec.len() > INLINE_DIMS {
-            // Take the allocation as the spill storage — no copy.
-            Self { len: vec.len() as u32, inline: [T::default(); INLINE_DIMS], spill: vec }
+            // Take the allocation as the spill storage: no copy unless
+            // the padding outgrows its capacity.
+            let len = vec.len() as u32;
+            vec.resize(padded(vec.len()), T::default());
+            Self { len, inline: [T::default(); INLINE_DIMS], spill: vec }
         } else {
             Self::from_slice(&vec)
         }
@@ -404,6 +437,54 @@ mod tests {
         v.push(42.0);
         assert!(v.is_inline());
         assert_eq!(v, [42.0]);
+    }
+
+    /// Lanes past `len()` as the kernels see them.
+    fn padding(v: &DimVec<f64>) -> Vec<f64> {
+        v.lanes(v.is_inline()).as_flattened()[v.len()..].to_vec()
+    }
+
+    #[test]
+    fn every_mutator_keeps_padding_zero() {
+        // Shrinking assign, inline → inline.
+        let mut v = DimVec::from_slice(&[1.0, 2.0, 3.0]);
+        v.assign(&[4.0]);
+        assert_eq!(padding(&v), [0.0; 3]);
+        // Clear, then refill shorter.
+        let mut v = DimVec::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        v.clear();
+        v.extend_from_slice(&[5.0, 6.0]);
+        assert_eq!(padding(&v), [0.0; 2]);
+        // Spilled, then shrunk back to inline, by assign and by clear.
+        let long: Vec<f64> = (1..=9).map(f64::from).collect();
+        let mut v = DimVec::from_slice(&long);
+        v.assign(&[7.0, 8.0]);
+        assert!(v.is_inline());
+        assert_eq!(padding(&v), [0.0; 2]);
+        let mut v = DimVec::from_slice(&long);
+        v.clear();
+        v.push(9.0);
+        assert_eq!(padding(&v), [0.0; 3]);
+        // Spilled and shrunk within the spill regime (3 chunks → 2).
+        let mut v = DimVec::from_slice(&long);
+        v.assign(&long[..6]);
+        assert_eq!(v.lanes(false).len(), 2);
+        assert_eq!(padding(&v), [0.0; 2]);
+    }
+
+    #[test]
+    fn lanes_are_whole_zero_padded_chunks() {
+        for d in 0..=13 {
+            let built = DimVec::from_fn(d, |i| i as f64 + 1.0);
+            let collected: DimVec<f64> = (0..d).map(|i| i as f64 + 1.0).collect();
+            let from_vec: DimVec<f64> = (0..d).map(|i| i as f64 + 1.0).collect::<Vec<_>>().into();
+            for v in [built, collected, from_vec] {
+                let lanes = v.lanes(v.is_inline());
+                assert_eq!(lanes.len(), d.div_ceil(INLINE_DIMS).max(1), "d={d}");
+                assert_eq!(&lanes.as_flattened()[..d], v.as_slice(), "d={d}");
+                assert!(padding(&v).iter().all(|&p| p == 0.0), "d={d}");
+            }
+        }
     }
 
     #[test]

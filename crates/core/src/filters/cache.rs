@@ -21,10 +21,10 @@
 
 use crate::dimvec::DimVec;
 use crate::error::FilterError;
-use crate::kern::{self, Dispatch};
+use crate::kern;
 use crate::segment::{validate_epsilons, Segment, SegmentSink};
 
-use super::common::{point_segment, violates};
+use super::common::point_segment;
 use super::{validate_push, StreamFilter};
 
 /// Strategy for choosing a run's recorded value.
@@ -73,9 +73,6 @@ pub struct CacheFilter {
     eps: DimVec<f64>,
     variant: CacheVariant,
     run: Option<Run>,
-    /// Per-dimension iteration strategy (`d ≤ 4` lane kernels, generic
-    /// loop otherwise), decided at construction.
-    dispatch: Dispatch,
 }
 
 impl CacheFilter {
@@ -88,8 +85,7 @@ impl CacheFilter {
     /// Creates a cache filter with an explicit variant.
     pub fn with_variant(eps: &[f64], variant: CacheVariant) -> Result<Self, FilterError> {
         validate_epsilons(eps)?;
-        let dispatch = Dispatch::auto(eps.len(), false);
-        Ok(Self { eps: eps.into(), variant, run: None, dispatch })
+        Ok(Self { eps: eps.into(), variant, run: None })
     }
 
     /// The configured variant.
@@ -97,100 +93,26 @@ impl CacheFilter {
         self.variant
     }
 
-    /// Forces a specific [`Dispatch`] (sanitized against the dimension
-    /// count). Test hook for the byte-identity proptests.
-    #[doc(hidden)]
-    pub fn force_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch.sanitized(self.eps.len(), false);
-        self
-    }
-
-    /// The per-dimension dispatch decided at construction.
-    #[doc(hidden)]
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
     /// Fused acceptance test + run update: absorbs `(t, x)` into the run
     /// and returns `true`, or leaves the run untouched and returns
-    /// `false`. Every dispatch branch evaluates the same expression tree
-    /// — min/max use compare-and-select (`a < b ? a : b`) semantics to
-    /// match the lane kernels' selects bit-for-bit — so the output stream is
-    /// byte-identical across dispatches (pinned by the proptests).
+    /// `false`. Min/max use the lane kernels' compare-and-select
+    /// (`a < b ? a : b`) semantics.
     ///
     /// Associated (not `&self`) so the push hot path can run while
     /// holding a disjoint mutable borrow of the live run.
-    fn step(
-        dispatch: Dispatch,
-        variant: CacheVariant,
-        eps: &DimVec<f64>,
-        run: &mut Run,
-        t: f64,
-        x: &[f64],
-    ) -> bool {
+    fn step(variant: CacheVariant, eps: &DimVec<f64>, run: &mut Run, t: f64, x: &[f64]) -> bool {
+        let Run { first, min, max, sum, .. } = run;
         let accepted = match variant {
             CacheVariant::FirstValue => {
-                let fit = match dispatch {
-                    Dispatch::Lanes => kern::fits_const(run.first.lanes(), eps.lanes(), x),
-                    _ => {
-                        let first = run.first.as_slice();
-                        !violates(eps.as_slice(), x, |d| first[d])
-                    }
-                };
+                let fit = kern::fits_const(first, eps, x);
                 if fit {
-                    match dispatch {
-                        Dispatch::Lanes => kern::minmax_sum(
-                            run.min.lanes_mut(),
-                            run.max.lanes_mut(),
-                            run.sum.lanes_mut(),
-                            x,
-                        ),
-                        _ => {
-                            let min = run.min.as_mut_slice();
-                            let max = run.max.as_mut_slice();
-                            let sum = run.sum.as_mut_slice();
-                            for (d, &v) in x.iter().enumerate() {
-                                min[d] = if min[d] < v { min[d] } else { v };
-                                max[d] = if max[d] > v { max[d] } else { v };
-                                sum[d] += v;
-                            }
-                        }
-                    }
+                    kern::minmax_sum(min, max, sum, x);
                 }
                 fit
             }
             // Run stays representable while every dimension's range,
             // including the candidate, spans at most 2ε.
-            CacheVariant::Midrange | CacheVariant::Mean => match dispatch {
-                Dispatch::Lanes => kern::range_step(
-                    run.min.lanes_mut(),
-                    run.max.lanes_mut(),
-                    run.sum.lanes_mut(),
-                    eps.lanes(),
-                    x,
-                ),
-                _ => {
-                    let fit = {
-                        let (min, max) = (run.min.as_slice(), run.max.as_slice());
-                        x.iter().enumerate().all(|(d, &v)| {
-                            let lo = if min[d] < v { min[d] } else { v };
-                            let hi = if max[d] > v { max[d] } else { v };
-                            hi - lo <= 2.0 * eps[d]
-                        })
-                    };
-                    if fit {
-                        let min = run.min.as_mut_slice();
-                        let max = run.max.as_mut_slice();
-                        let sum = run.sum.as_mut_slice();
-                        for (d, &v) in x.iter().enumerate() {
-                            min[d] = if min[d] < v { min[d] } else { v };
-                            max[d] = if max[d] > v { max[d] } else { v };
-                            sum[d] += v;
-                        }
-                    }
-                    fit
-                }
-            },
+            CacheVariant::Midrange | CacheVariant::Mean => kern::range_step(min, max, sum, eps, x),
         };
         if accepted {
             run.t_last = t;
@@ -257,7 +179,7 @@ impl StreamFilter for CacheFilter {
         match &mut self.run {
             None => self.run = Some(Self::start_run(t, x)),
             Some(run) => {
-                if !Self::step(self.dispatch, self.variant, &self.eps, run, t, x) {
+                if !Self::step(self.variant, &self.eps, run, t, x) {
                     let done = std::mem::replace(run, Self::start_run(t, x));
                     self.emit(&done, sink);
                 }

@@ -35,27 +35,9 @@ pub(crate) fn point_segment(t: f64, x: &[f64], connected: bool) -> Segment {
     }
 }
 
-/// True when any dimension of `x` deviates from `pred` by more than its
-/// `ε` (the shared violation test of cache and linear filters).
-#[inline]
-pub(crate) fn violates(eps: &[f64], x: &[f64], pred: impl Fn(usize) -> f64) -> bool {
-    x.iter().enumerate().any(|(dim, &v)| (v - pred(dim)).abs() > eps[dim])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn violates_checks_every_dimension() {
-        let eps = [1.0, 0.1];
-        let pred = |_dim: usize| 0.0;
-        assert!(!violates(&eps, &[0.5, 0.05], pred));
-        assert!(violates(&eps, &[0.5, 0.2], pred));
-        assert!(violates(&eps, &[1.5, 0.0], pred));
-        // exactly ε is acceptable (closed bound)
-        assert!(!violates(&eps, &[1.0, 0.1], pred));
-    }
 
     #[test]
     fn point_segment_is_degenerate() {

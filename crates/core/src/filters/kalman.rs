@@ -18,7 +18,7 @@
 
 use crate::dimvec::DimVec;
 use crate::error::FilterError;
-use crate::kern::{self, Dispatch};
+use crate::kern;
 use crate::segment::{validate_epsilons, Segment, SegmentSink};
 
 use super::common::point_segment;
@@ -142,11 +142,6 @@ pub struct KalmanFilter {
     trackers: DimVec<Kalman1D>,
     last_tracked_t: f64,
     state: State,
-    /// Per-dimension iteration strategy for the acceptance test (`d ≤ 4`
-    /// lane kernels, generic loop otherwise), decided at construction.
-    /// The tracker update itself is identical scalar code under every
-    /// dispatch.
-    dispatch: Dispatch,
 }
 
 impl KalmanFilter {
@@ -177,22 +172,7 @@ impl KalmanFilter {
             trackers: DimVec::new(),
             last_tracked_t: 0.0,
             state: State::Empty,
-            dispatch: Dispatch::auto(eps.len(), false),
         })
-    }
-
-    /// Forces a specific [`Dispatch`] (sanitized against the dimension
-    /// count). Test hook for the byte-identity proptests.
-    #[doc(hidden)]
-    pub fn force_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch.sanitized(self.eps.len(), false);
-        self
-    }
-
-    /// The per-dimension dispatch decided at construction.
-    #[doc(hidden)]
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     fn track(&mut self, t: f64, x: &[f64]) {
@@ -223,21 +203,9 @@ impl KalmanFilter {
 
     /// Associated (not `&self`) so the push hot path can test acceptance
     /// while holding a disjoint mutable borrow of the live interval.
-    /// Both dispatch branches evaluate the same expression tree (byte-
-    /// identical output, pinned by the proptests).
-    fn fits(dispatch: Dispatch, eps: &DimVec<f64>, iv: &Interval, t: f64, x: &[f64]) -> bool {
+    fn fits(eps: &DimVec<f64>, iv: &Interval, t: f64, x: &[f64]) -> bool {
         let dt = t - iv.anchor_t;
-        match dispatch {
-            Dispatch::Lanes => {
-                kern::fits_affine(iv.anchor_x.lanes(), iv.slopes.lanes(), eps.lanes(), dt, x)
-            }
-            _ => {
-                let (anchor_x, slopes) = (iv.anchor_x.as_slice(), iv.slopes.as_slice());
-                x.iter()
-                    .enumerate()
-                    .all(|(d, &v)| (v - (anchor_x[d] + slopes[d] * dt)).abs() <= eps[d])
-            }
-        }
+        kern::fits_affine(&iv.anchor_x, &iv.slopes, eps, dt, x)
     }
 
     fn close(&self, iv: &Interval, sink: &mut dyn SegmentSink) -> (f64, DimVec<f64>) {
@@ -281,7 +249,7 @@ impl StreamFilter for KalmanFilter {
         // Hot path: an accepted sample extends the live interval in place
         // — no state-enum move per point.
         if let State::Active(iv) = &mut self.state {
-            if Self::fits(self.dispatch, &self.eps, iv, t, x) {
+            if Self::fits(&self.eps, iv, t, x) {
                 iv.last_t = t;
                 iv.n_pts += 1;
                 return Ok(());
@@ -295,7 +263,7 @@ impl StreamFilter for KalmanFilter {
                 // Open the first segment at the first point; slope from
                 // the tracker after two measurements.
                 let mut iv = self.open_interval(t0, x0, false, 1);
-                if Self::fits(self.dispatch, &self.eps, &iv, t, x) {
+                if Self::fits(&self.eps, &iv, t, x) {
                     iv.last_t = t;
                     iv.n_pts += 1;
                     self.state = State::Active(iv);
@@ -315,7 +283,7 @@ impl StreamFilter for KalmanFilter {
                 // Violation (the in-place accept above didn't take it).
                 let (t_end, x_end) = self.close(&iv, sink);
                 let mut next = self.open_interval(t_end, x_end, true, 1);
-                if !Self::fits(self.dispatch, &self.eps, &next, t, x) {
+                if !Self::fits(&self.eps, &next, t, x) {
                     // Ensure the violator itself is representable.
                     let dt = t - next.anchor_t;
                     for (d, &v) in x.iter().enumerate() {

@@ -20,7 +20,7 @@ use pla_geom::{Line, Point2};
 
 use crate::dimvec::DimVec;
 use crate::error::FilterError;
-use crate::kern::{self, Dispatch};
+use crate::kern;
 use crate::segment::{validate_epsilons, Segment, SegmentSink};
 
 use super::common::point_segment;
@@ -121,9 +121,6 @@ pub struct LinearFilter {
     /// start. Recycled across intervals (buffers retained).
     lines: SharedLines,
     emitted_any: bool,
-    /// Per-dimension iteration strategy (`d ≤ 4` lane kernels, generic
-    /// loop otherwise), decided at construction.
-    dispatch: Dispatch,
 }
 
 impl LinearFilter {
@@ -141,27 +138,12 @@ impl LinearFilter {
             state: State::Empty,
             lines: SharedLines::new(eps.len()),
             emitted_any: false,
-            dispatch: Dispatch::auto(eps.len(), false),
         })
     }
 
     /// The configured mode.
     pub fn mode(&self) -> LinearMode {
         self.mode
-    }
-
-    /// Forces a specific [`Dispatch`] (sanitized against the dimension
-    /// count). Test hook for the byte-identity proptests.
-    #[doc(hidden)]
-    pub fn force_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch.sanitized(self.eps.len(), false);
-        self
-    }
-
-    /// The per-dimension dispatch decided at construction.
-    #[doc(hidden)]
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     /// Opens an interval, refilling the filter's recycled line buffers.
@@ -179,23 +161,10 @@ impl LinearFilter {
 
     /// Associated (not `&self`) so the push hot path can test acceptance
     /// while holding a disjoint mutable borrow of the live interval.
-    /// Both dispatch branches evaluate the same expression tree (byte-
-    /// identical output, pinned by the proptests).
     #[inline]
-    fn fits(dispatch: Dispatch, eps: &DimVec<f64>, lines: &SharedLines, t: f64, x: &[f64]) -> bool {
+    fn fits(eps: &DimVec<f64>, lines: &SharedLines, t: f64, x: &[f64]) -> bool {
         let dt = t - lines.t0;
-        match dispatch {
-            Dispatch::Lanes => {
-                kern::fits_affine(lines.x0.lanes(), lines.slope.lanes(), eps.lanes(), dt, x)
-            }
-            _ => {
-                let (x0, slope) = (lines.x0.as_slice(), lines.slope.as_slice());
-                x.iter()
-                    .zip(eps.as_slice())
-                    .enumerate()
-                    .all(|(d, (&v, &e))| (v - (x0[d] + slope[d] * dt)).abs() <= e)
-            }
-        }
+        kern::fits_affine(&lines.x0, &lines.slope, eps, dt, x)
     }
 
     /// Ends `iv` at its last accepted time, emitting the segment and
@@ -241,7 +210,7 @@ impl StreamFilter for LinearFilter {
         // Hot path: an accepted sample extends the live interval in place
         // — no state-enum move per point.
         if let State::Active(iv) = &mut self.state {
-            if Self::fits(self.dispatch, &self.eps, &self.lines, t, x) {
+            if Self::fits(&self.eps, &self.lines, t, x) {
                 iv.last_t = t;
                 iv.n_pts += 1;
                 return Ok(());

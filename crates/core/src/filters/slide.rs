@@ -54,7 +54,7 @@ use pla_geom::{
 
 use crate::dimvec::DimVec;
 use crate::error::FilterError;
-use crate::kern::{self, Dispatch};
+use crate::kern::{self, LANES};
 use crate::mse::RegressionSums;
 use crate::segment::{validate_epsilons, ProvisionalUpdate, Segment, SegmentSink};
 
@@ -126,8 +126,8 @@ struct Frozen {
 }
 
 /// Structure-of-arrays envelope: one line per dimension, stored as
-/// parallel `t0` / `x0` / `slope` columns so the `d ≤ 4` inline regime
-/// can hand the lane kernels ([`crate::kern`]) contiguous blocks.
+/// parallel `t0` / `x0` / `slope` columns so they can be handed to the
+/// lane kernels ([`crate::kern`]) as chunks.
 /// `eval` reproduces [`Line::eval`]'s expression tree bit for bit.
 #[derive(Debug, Clone, Default)]
 struct EnvLines {
@@ -173,11 +173,10 @@ impl EnvLines {
         self.slope.assign(other.slope.as_slice());
     }
 
-    /// Lane view for the kernels (`d ≤ 4` only; padding lanes are `0.0`
-    /// and neutral for every op).
+    /// The columns as the kernels take them.
     #[inline]
     fn view(&self) -> kern::EnvView<'_> {
-        kern::EnvView { t0: self.t0.lanes(), x0: self.x0.lanes(), slope: self.slope.lanes() }
+        kern::EnvView { t0: &self.t0, x0: &self.x0, slope: &self.slope }
     }
 }
 
@@ -264,7 +263,6 @@ pub struct SlideBuilder {
     eps: Vec<f64>,
     max_lag: Option<usize>,
     hull_mode: HullMode,
-    dispatch_override: Option<Dispatch>,
 }
 
 impl SlideBuilder {
@@ -279,16 +277,6 @@ impl SlideBuilder {
     /// [`HullMode::Optimized`]).
     pub fn hull_mode(mut self, mode: HullMode) -> Self {
         self.hull_mode = mode;
-        self
-    }
-
-    /// Pins the kernel dispatch (invalid choices are snapped to the
-    /// automatic one). Every dispatch produces byte-identical output
-    /// (pinned by property tests); this switch exists so the tests can
-    /// prove it.
-    #[doc(hidden)]
-    pub fn force_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch_override = Some(dispatch);
         self
     }
 
@@ -311,10 +299,6 @@ impl SlideBuilder {
         // optimized scans them until the interval outgrows
         // [`LAZY_HULL_THRESHOLD`] and hulls take over.
         let raw = (0..d).map(|_| Vec::with_capacity(MIN_HULL_CAPACITY)).collect();
-        let dispatch = match self.dispatch_override {
-            Some(want) => want.sanitized(d, true),
-            None => Dispatch::auto(d, true),
-        };
         Ok(SlideFilter {
             sums: RegressionSums::new(0.0, &vec![0.0; d]),
             eps: self.eps.as_slice().into(),
@@ -326,7 +310,6 @@ impl SlideBuilder {
             hulls,
             raw,
             env: Envelopes::default(),
-            dispatch,
             retired: Vec::new(),
             cone_scratch: None,
             x_pool: None,
@@ -372,9 +355,6 @@ pub struct SlideFilter {
     sums: RegressionSums,
     /// Envelopes of the live interval, recycled via `clear()`.
     env: Envelopes,
-    /// Kernel dispatch for the envelope hot path, decided once at
-    /// construction ([`Dispatch::auto`] unless overridden for tests).
-    dispatch: Dispatch,
     /// Arena of retired [`Pending`]s (at most 2): their spilled `DimVec`
     /// payloads are reused at the next interval close, covering the
     /// `d > 4` spill regime's alloc headroom documented in PR 3.
@@ -396,18 +376,7 @@ impl SlideFilter {
 
     /// Starts configuring a slide filter.
     pub fn builder(eps: &[f64]) -> SlideBuilder {
-        SlideBuilder {
-            eps: eps.to_vec(),
-            max_lag: None,
-            hull_mode: HullMode::default(),
-            dispatch_override: None,
-        }
-    }
-
-    /// The kernel dispatch decided at construction.
-    #[doc(hidden)]
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
+        SlideBuilder { eps: eps.to_vec(), max_lag: None, hull_mode: HullMode::default() }
     }
 
     /// The configured lag bound, if any.
@@ -458,9 +427,9 @@ impl SlideFilter {
         Interval { first_t: t0, last_t: t1, n_pts: 2, frozen: None, hull_built: false }
     }
 
-    /// Acceptance test against a frozen interval's committed lines.
-    /// Identical scalar code under every dispatch (the lines are AoS and
-    /// this path is off the envelope hot loop).
+    /// Acceptance test against a frozen interval's committed lines (a
+    /// scalar loop: the lines are AoS and this path is off the envelope
+    /// hot loop).
     fn fits_frozen(eps: &DimVec<f64>, f: &Frozen, t: f64, x: &[f64]) -> bool {
         let g = f.g.as_slice();
         x.iter().enumerate().all(|(i, &v)| (v - g[i].eval(t)).abs() <= eps[i])
@@ -472,12 +441,9 @@ impl SlideFilter {
     /// is mutated on a miss.
     ///
     /// Associated, over explicit field borrows, so the push hot path can
-    /// run it on the live interval in place. Every [`Dispatch`] arm
-    /// evaluates the same expression tree — the output streams are
-    /// byte-identical (pinned by property tests).
+    /// run it on the live interval in place.
     #[allow(clippy::too_many_arguments)]
     fn step(
-        dispatch: Dispatch,
         hull_mode: HullMode,
         eps: &DimVec<f64>,
         env: &mut Envelopes,
@@ -488,115 +454,43 @@ impl SlideFilter {
         t: f64,
         x: &[f64],
     ) -> bool {
+        if !kern::slide_step(env.u.view(), env.l.view(), eps, t, x) {
+            return false;
+        }
         let use_hull = hull_mode == HullMode::Optimized && iv.hull_built;
-        match dispatch {
-            Dispatch::Scalar1 => {
-                let e = eps[0];
-                let v = x[0];
-                let ue = env.u.eval(0, t);
-                let le = env.l.eval(0, t);
-                if !(v <= ue + e && v >= le - e) {
-                    return false;
-                }
-                if v > le + e {
+        for (c, (xc, ec)) in x.chunks(LANES).zip(eps.chunks(LANES)).enumerate() {
+            let p = kern::slide_pierced(env.u.view(), env.l.view(), eps, t, x, c);
+            for (lane, (&v, &e)) in xc.iter().zip(ec).enumerate() {
+                let (i, bit) = (c * LANES + lane, 1 << lane);
+                // Max-slope line through an up-shifted earlier point and
+                // the down-shifted new point; earlier touch on the lower
+                // chain (and symmetrically for the upper).
+                if p.lower & bit != 0 {
                     Self::rebuild_lower(
                         use_hull,
                         &mut env.l,
                         hulls,
                         raw,
-                        0,
+                        i,
                         e,
                         Point2::new(t, v - e),
                     );
                 }
-                if v < ue - e {
+                if p.upper & bit != 0 {
                     Self::rebuild_upper(
                         use_hull,
                         &mut env.u,
                         hulls,
                         raw,
-                        0,
+                        i,
                         e,
                         Point2::new(t, v + e),
                     );
                 }
-                Self::note_point(use_hull, env, hulls, raw, 0, t, v);
-                sums.push(t, std::slice::from_ref(&v));
-            }
-            Dispatch::Lanes => {
-                let s = kern::slide_step(env.u.view(), env.l.view(), eps.lanes(), t, x);
-                if !s.fits {
-                    return false;
-                }
-                let eps = eps.as_slice();
-                for (i, &v) in x.iter().enumerate() {
-                    let e = eps[i];
-                    if s.needs_l & (1 << i) != 0 {
-                        Self::rebuild_lower(
-                            use_hull,
-                            &mut env.l,
-                            hulls,
-                            raw,
-                            i,
-                            e,
-                            Point2::new(t, v - e),
-                        );
-                    }
-                    if s.needs_u & (1 << i) != 0 {
-                        Self::rebuild_upper(
-                            use_hull,
-                            &mut env.u,
-                            hulls,
-                            raw,
-                            i,
-                            e,
-                            Point2::new(t, v + e),
-                        );
-                    }
-                    Self::note_point(use_hull, env, hulls, raw, i, t, v);
-                }
-                sums.push_lanes(t, x);
-            }
-            Dispatch::Generic => {
-                let eps = eps.as_slice();
-                let fit = x.iter().enumerate().all(|(i, &v)| {
-                    v <= env.u.eval(i, t) + eps[i] && v >= env.l.eval(i, t) - eps[i]
-                });
-                if !fit {
-                    return false;
-                }
-                for (i, &v) in x.iter().enumerate() {
-                    let e = eps[i];
-                    // Max-slope line through an up-shifted earlier point
-                    // and the down-shifted new point; earlier touch on
-                    // the lower chain (and symmetrically for the upper).
-                    if v > env.l.eval(i, t) + e {
-                        Self::rebuild_lower(
-                            use_hull,
-                            &mut env.l,
-                            hulls,
-                            raw,
-                            i,
-                            e,
-                            Point2::new(t, v - e),
-                        );
-                    }
-                    if v < env.u.eval(i, t) - e {
-                        Self::rebuild_upper(
-                            use_hull,
-                            &mut env.u,
-                            hulls,
-                            raw,
-                            i,
-                            e,
-                            Point2::new(t, v + e),
-                        );
-                    }
-                    Self::note_point(use_hull, env, hulls, raw, i, t, v);
-                }
-                sums.push(t, x);
+                Self::note_point(use_hull, env, hulls, raw, i, t, v);
             }
         }
+        sums.push(t, x);
         Self::maybe_build_hulls(hull_mode, iv, hulls, raw);
         iv.last_t = t;
         iv.n_pts += 1;
@@ -1165,7 +1059,6 @@ impl StreamFilter for SlideFilter {
             if let State::Active(iv) = &mut self.state {
                 if iv.frozen.is_none()
                     && Self::step(
-                        self.dispatch,
                         self.hull_mode,
                         &self.eps,
                         &mut self.env,
@@ -1197,7 +1090,6 @@ impl StreamFilter for SlideFilter {
                     Self::fits_frozen(&self.eps, f, t, x)
                 } else {
                     Self::step(
-                        self.dispatch,
                         self.hull_mode,
                         &self.eps,
                         &mut self.env,
@@ -1274,7 +1166,6 @@ impl StreamFilter for SlideFilter {
                             ok
                         } else {
                             Self::step(
-                                self.dispatch,
                                 self.hull_mode,
                                 &self.eps,
                                 &mut self.env,

@@ -26,7 +26,7 @@
 
 use crate::dimvec::DimVec;
 use crate::error::FilterError;
-use crate::kern::{self, Dispatch};
+use crate::kern;
 use crate::mse::RegressionSums;
 use crate::segment::{validate_epsilons, ProvisionalUpdate, Segment, SegmentSink};
 
@@ -87,7 +87,6 @@ pub struct SwingBuilder {
     eps: Vec<f64>,
     max_lag: Option<usize>,
     recording: RecordingStrategy,
-    dispatch_override: Option<Dispatch>,
 }
 
 impl SwingBuilder {
@@ -106,14 +105,6 @@ impl SwingBuilder {
         self
     }
 
-    /// Forces a specific [`Dispatch`] (sanitized against the dimension
-    /// count at build time). Test hook for the byte-identity proptests.
-    #[doc(hidden)]
-    pub fn force_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch_override = Some(dispatch);
-        self
-    }
-
     /// Validates the configuration and builds the filter.
     pub fn build(self) -> Result<SwingFilter, FilterError> {
         validate_epsilons(&self.eps)?;
@@ -122,18 +113,12 @@ impl SwingBuilder {
                 return Err(FilterError::InvalidMaxLag { value: m });
             }
         }
-        let d = self.eps.len();
-        let dispatch = match self.dispatch_override {
-            Some(want) => want.sanitized(d, true),
-            None => Dispatch::auto(d, true),
-        };
         Ok(SwingFilter {
-            sums: RegressionSums::new(0.0, &vec![0.0; d]),
+            sums: RegressionSums::new(0.0, &vec![0.0; self.eps.len()]),
             eps: self.eps.as_slice().into(),
             max_lag: self.max_lag,
             recording: self.recording,
             state: State::Empty,
-            dispatch,
         })
     }
 }
@@ -164,9 +149,6 @@ pub struct SwingFilter {
     /// Regression moments of the live interval, recycled via `reset()`
     /// so opening an interval never allocates.
     sums: RegressionSums,
-    /// Per-dimension iteration strategy (`d == 1` scalar, `d ≤ 4` lane
-    /// kernels, generic loop), decided once at construction.
-    dispatch: Dispatch,
 }
 
 impl SwingFilter {
@@ -177,23 +159,12 @@ impl SwingFilter {
 
     /// Starts configuring a swing filter.
     pub fn builder(eps: &[f64]) -> SwingBuilder {
-        SwingBuilder {
-            eps: eps.to_vec(),
-            max_lag: None,
-            recording: RecordingStrategy::default(),
-            dispatch_override: None,
-        }
+        SwingBuilder { eps: eps.to_vec(), max_lag: None, recording: RecordingStrategy::default() }
     }
 
     /// The configured lag bound, if any.
     pub fn max_lag(&self) -> Option<usize> {
         self.max_lag
-    }
-
-    /// The per-dimension dispatch decided at construction.
-    #[doc(hidden)]
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     /// The configured recording strategy.
@@ -215,7 +186,7 @@ impl SwingFilter {
         let l_slope = DimVec::from_fn(self.dims(), |d| (x[d] - self.eps[d] - origin_x[d]) / dt);
         self.sums.reset(origin_t, &origin_x);
         if self.recording == RecordingStrategy::MseOptimal {
-            Self::accumulate(self.dispatch, &mut self.sums, t, x);
+            self.sums.push(t, x);
         }
         Interval {
             origin_t,
@@ -234,73 +205,16 @@ impl SwingFilter {
     /// 14–18): returns whether `(t, x)` can still be represented by the
     /// interval's candidate set, swinging `lᵢᵏ` / `uᵢᵏ` in place when it
     /// can. Frozen intervals are only checked against the committed line,
-    /// never mutated. Every [`Dispatch`] branch evaluates the same
-    /// expression tree, so the output stream is byte-identical across
-    /// them (pinned by the proptests in `tests/batch_proptests.rs`).
+    /// never mutated.
     ///
     /// Associated (not `&self`) so the push hot path can run while
     /// holding a disjoint mutable borrow of the live interval.
-    fn step(dispatch: Dispatch, eps: &DimVec<f64>, iv: &mut Interval, t: f64, x: &[f64]) -> bool {
+    fn step(eps: &DimVec<f64>, iv: &mut Interval, t: f64, x: &[f64]) -> bool {
         let dt = t - iv.origin_t;
         if let Some(slopes) = &iv.frozen {
-            return match dispatch {
-                Dispatch::Scalar1 => (x[0] - (iv.origin_x[0] + slopes[0] * dt)).abs() <= eps[0],
-                Dispatch::Lanes => {
-                    kern::fits_affine(iv.origin_x.lanes(), slopes.lanes(), eps.lanes(), dt, x)
-                }
-                Dispatch::Generic => {
-                    let origin_x = iv.origin_x.as_slice();
-                    let slopes = slopes.as_slice();
-                    x.iter()
-                        .enumerate()
-                        .all(|(d, &v)| (v - (origin_x[d] + slopes[d] * dt)).abs() <= eps[d])
-                }
-            };
+            return kern::fits_affine(&iv.origin_x, slopes, eps, dt, x);
         }
-        let fit = match dispatch {
-            Dispatch::Scalar1 => {
-                let eps = eps.as_slice();
-                let fit = Self::fits1(eps, iv, t, x[0]);
-                if fit {
-                    Self::swing1(eps, iv, t, x[0]);
-                }
-                fit
-            }
-            Dispatch::Lanes => kern::swing_step(
-                iv.origin_x.lanes(),
-                eps.lanes(),
-                dt,
-                x,
-                iv.l_slope.lanes_mut(),
-                iv.u_slope.lanes_mut(),
-            ),
-            Dispatch::Generic => {
-                let origin_x = iv.origin_x.as_slice();
-                let fit = {
-                    let (u_slope, l_slope) = (iv.u_slope.as_slice(), iv.l_slope.as_slice());
-                    x.iter().enumerate().all(|(d, &v)| {
-                        let hi = origin_x[d] + u_slope[d] * dt + eps[d];
-                        let lo = origin_x[d] + l_slope[d] * dt - eps[d];
-                        v >= lo && v <= hi
-                    })
-                };
-                if fit {
-                    let l_slope = iv.l_slope.as_mut_slice();
-                    let u_slope = iv.u_slope.as_mut_slice();
-                    for (d, &v) in x.iter().enumerate() {
-                        let lo_val = origin_x[d] + l_slope[d] * dt;
-                        if v - eps[d] > lo_val {
-                            l_slope[d] = (v - eps[d] - origin_x[d]) / dt;
-                        }
-                        let hi_val = origin_x[d] + u_slope[d] * dt;
-                        if v + eps[d] < hi_val {
-                            u_slope[d] = (v + eps[d] - origin_x[d]) / dt;
-                        }
-                    }
-                }
-                fit
-            }
-        };
+        let fit = kern::swing_step(&iv.origin_x, eps, dt, x, &mut iv.l_slope, &mut iv.u_slope);
         #[cfg(debug_assertions)]
         if fit {
             for d in 0..x.len() {
@@ -313,24 +227,11 @@ impl SwingFilter {
         fit
     }
 
-    /// Accumulates one sample into `sums` using the same backend as the
-    /// cone update (the lane kernel is byte-identical to
-    /// [`RegressionSums::push`]). Associated for the same borrow reason
-    /// as [`step`](Self::step).
-    #[inline]
-    fn accumulate(dispatch: Dispatch, sums: &mut RegressionSums, t: f64, x: &[f64]) {
-        match dispatch {
-            Dispatch::Lanes => sums.push_lanes(t, x),
-            _ => sums.push(t, x),
-        }
-    }
-
     /// [`step`](Self::step) followed, on a fit, by the MSE
     /// accumulation — the dominant `MseOptimal` accept path of a
-    /// non-frozen interval.
+    /// non-frozen interval. Associated for the same borrow reason.
     #[inline]
     fn step_mse(
-        dispatch: Dispatch,
         eps: &DimVec<f64>,
         sums: &mut RegressionSums,
         iv: &mut Interval,
@@ -338,39 +239,11 @@ impl SwingFilter {
         x: &[f64],
     ) -> bool {
         debug_assert!(iv.frozen.is_none());
-        let fit = Self::step(dispatch, eps, iv, t, x);
+        let fit = Self::step(eps, iv, t, x);
         if fit {
-            Self::accumulate(dispatch, sums, t, x);
+            sums.push(t, x);
         }
         fit
-    }
-
-    /// Scalar (`d == 1`) acceptance test — same arithmetic as the
-    /// generic [`step`](Self::step) branch, with the per-dimension loop
-    /// machinery compiled out.
-    #[inline]
-    fn fits1(eps: &[f64], iv: &Interval, t: f64, v: f64) -> bool {
-        let dt = t - iv.origin_t;
-        let e = eps[0];
-        let hi = iv.origin_x[0] + iv.u_slope[0] * dt + e;
-        let lo = iv.origin_x[0] + iv.l_slope[0] * dt - e;
-        v >= lo && v <= hi
-    }
-
-    /// Scalar (`d == 1`) cone update — same arithmetic and update order
-    /// as the generic [`step`](Self::step) loop body for `d = 0`.
-    #[inline]
-    fn swing1(eps: &[f64], iv: &mut Interval, t: f64, v: f64) {
-        let dt = t - iv.origin_t;
-        let e = eps[0];
-        let lo_val = iv.origin_x[0] + iv.l_slope[0] * dt;
-        if v - e > lo_val {
-            iv.l_slope[0] = (v - e - iv.origin_x[0]) / dt;
-        }
-        let hi_val = iv.origin_x[0] + iv.u_slope[0] * dt;
-        if v + e < hi_val {
-            iv.u_slope[0] = (v + e - iv.origin_x[0]) / dt;
-        }
     }
 
     /// The recording slopes: MSE-optimal (eq. 5), clamped-last-point, or
@@ -461,9 +334,9 @@ impl StreamFilter for SwingFilter {
             if let State::Active(iv) = &mut self.state {
                 if iv.frozen.is_none() {
                     let fit = if self.recording == RecordingStrategy::MseOptimal {
-                        Self::step_mse(self.dispatch, &self.eps, &mut self.sums, iv, t, x)
+                        Self::step_mse(&self.eps, &mut self.sums, iv, t, x)
                     } else {
-                        Self::step(self.dispatch, &self.eps, iv, t, x)
+                        Self::step(&self.eps, iv, t, x)
                     };
                     if fit {
                         iv.last_t = t;
@@ -488,9 +361,9 @@ impl StreamFilter for SwingFilter {
             State::Active(mut iv) => {
                 let fit = if iv.frozen.is_none() && self.recording == RecordingStrategy::MseOptimal
                 {
-                    Self::step_mse(self.dispatch, &self.eps, &mut self.sums, &mut iv, t, x)
+                    Self::step_mse(&self.eps, &mut self.sums, &mut iv, t, x)
                 } else {
-                    Self::step(self.dispatch, &self.eps, &mut iv, t, x)
+                    Self::step(&self.eps, &mut iv, t, x)
                 };
                 if fit {
                     iv.last_t = t;
@@ -542,9 +415,9 @@ impl StreamFilter for SwingFilter {
                         let fit = if iv.frozen.is_none()
                             && self.recording == RecordingStrategy::MseOptimal
                         {
-                            Self::step_mse(self.dispatch, &self.eps, &mut self.sums, &mut iv, t, x)
+                            Self::step_mse(&self.eps, &mut self.sums, &mut iv, t, x)
                         } else {
-                            Self::step(self.dispatch, &self.eps, &mut iv, t, x)
+                            Self::step(&self.eps, &mut iv, t, x)
                         };
                         if !fit {
                             break;

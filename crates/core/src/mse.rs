@@ -70,38 +70,18 @@ impl RegressionSums {
         self.suv.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Accumulates one sample.
+    /// Accumulates one sample through the lane kernel
+    /// ([`crate::kern`]): per dimension, `v = x − x_ref`, `sv += v`,
+    /// `suv += u·v`.
+    #[inline]
     pub fn push(&mut self, t: f64, x: &[f64]) {
         debug_assert_eq!(x.len(), self.x_ref.len());
         let u = t - self.t_ref;
         self.n += 1;
         self.su += u;
         self.suu += u * u;
-        // Slices hoisted out of the loop so the per-dimension accesses
-        // compile to plain indexed loads/stores.
-        let x_ref = self.x_ref.as_slice();
-        let sv = self.sv.as_mut_slice();
-        let suv = self.suv.as_mut_slice();
-        for (dim, &xv) in x.iter().enumerate() {
-            let v = xv - x_ref[dim];
-            sv[dim] += v;
-            suv[dim] += u * v;
-        }
-    }
-
-    /// Accumulates one sample through the fixed-width lane kernel —
-    /// byte-identical to [`push`](Self::push) (the kernel replicates the
-    /// loop's expression tree; see [`crate::kern`]). Callers guarantee
-    /// `d ≤ INLINE_DIMS` (the sums are inline).
-    #[inline]
-    pub(crate) fn push_lanes(&mut self, t: f64, x: &[f64]) {
-        debug_assert_eq!(x.len(), self.x_ref.len());
-        let u = t - self.t_ref;
-        self.n += 1;
-        self.su += u;
-        self.suu += u * u;
         let Self { x_ref, sv, suv, .. } = self;
-        crate::kern::sums_push(x_ref.lanes(), sv.lanes_mut(), suv.lanes_mut(), u, x);
+        crate::kern::sums_push(x_ref, sv, suv, u, x);
     }
 
     /// Number of accumulated samples.

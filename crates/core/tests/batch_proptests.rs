@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 
 use pla_core::filters::{
-    CacheFilter, FilterKind, FilterSpec, KalmanFilter, LinearFilter, SlideFilter, StreamFilter,
+    CacheFilter, CacheVariant, FilterKind, FilterSpec, KalmanFilter, LinearFilter, StreamFilter,
     SwingFilter,
 };
-use pla_core::kern::Dispatch;
 use pla_core::{CollectingSink, FilterError, Signal};
 
 /// A 1-D signal with walks, plateaus, and jumps (the same family the core
@@ -30,19 +29,24 @@ fn signal_and_splits() -> impl Strategy<Value = (Signal, Vec<usize>)> {
                 values.push(x);
             }
             let signal = Signal::from_values(&values);
-            // Deterministic irregular batch sizes derived from the seed:
-            // exercises empty, single-sample, and large batches.
-            let mut sizes = Vec::new();
-            let mut state = split_seed | 1;
-            let mut remaining = signal.len();
-            while remaining > 0 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let take = ((state >> 33) as usize % 17).min(remaining);
-                sizes.push(take);
-                remaining -= take.max(1).min(remaining);
-            }
+            let sizes = split_plan(signal.len(), split_seed);
             (signal, sizes)
         })
+}
+
+/// Deterministic irregular batch sizes for `len` samples derived from
+/// the seed: exercises empty, single-sample, and large batches.
+fn split_plan(len: usize, seed: u64) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut state = seed | 1;
+    let mut remaining = len;
+    while remaining > 0 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let take = ((state >> 33) as usize % 17).min(remaining);
+        sizes.push(take);
+        remaining -= take.max(1).min(remaining);
+    }
+    sizes
 }
 
 fn run_sequential(spec: &FilterSpec, signal: &Signal) -> CollectingSink {
@@ -92,7 +96,7 @@ fn run_dyn(f: &mut dyn StreamFilter, signal: &Signal) -> CollectingSink {
     sink
 }
 
-// ----- kernel-dispatch byte-identity ---------------------------------------
+// ----- multi-dimensional pins ---------------------------------------------
 
 /// A `dims`-dimensional signal from the same walk/plateau/jump family as
 /// [`signal_and_splits`], with independent per-dimension steps.
@@ -119,36 +123,49 @@ fn multi_signal(dims: usize) -> impl Strategy<Value = Signal> {
         })
 }
 
+/// One lane, a partial chunk, a full chunk, a full chunk plus one lane,
+/// and two full chunks.
 fn dims_and_signal() -> impl Strategy<Value = (usize, Signal)> {
-    (0usize..4).prop_map(|i| [2usize, 3, 4, 8][i]).prop_flat_map(|d| (Just(d), multi_signal(d)))
+    (0usize..6)
+        .prop_map(|i| [1usize, 2, 3, 4, 5, 8][i])
+        .prop_flat_map(|d| (Just(d), multi_signal(d)))
 }
 
-/// The dispatch modes whose outputs must coincide. `Lanes` at `d = 8`
-/// is invalid and is snapped to the automatic choice by the builders, so
-/// every entry is always runnable.
-fn dispatch_set() -> Vec<Dispatch> {
-    vec![Dispatch::Generic, Dispatch::Lanes]
-}
-
-/// All five kernel-wired filter families (plus the lag-bounded swing and
-/// slide configurations, which exercise the provisional-update paths),
-/// each pinned to `disp`.
-fn kernel_filters(eps: &[f64], disp: Dispatch) -> Vec<(&'static str, Box<dyn StreamFilter>)> {
+/// Filters whose dimensions are independent: each output dimension
+/// depends only on the same input dimension and its ε, and the fits
+/// tests are order-free conjunctions. The slide filter is left out: at
+/// d > 1 it picks one connection time for all dimensions by minimizing
+/// a sum over them, and floating-point addition follows dimension order,
+/// so a permutation may move the last bits of a connected segment.
+fn separable_filters(eps: &[f64]) -> Vec<(&'static str, Box<dyn StreamFilter>)> {
     vec![
-        ("cache", Box::new(CacheFilter::new(eps).unwrap().force_dispatch(disp))),
-        ("linear", Box::new(LinearFilter::new(eps).unwrap().force_dispatch(disp))),
-        ("kalman", Box::new(KalmanFilter::new(eps).unwrap().force_dispatch(disp))),
-        ("swing", Box::new(SwingFilter::builder(eps).force_dispatch(disp).build().unwrap())),
-        ("slide", Box::new(SlideFilter::builder(eps).force_dispatch(disp).build().unwrap())),
+        ("cache", Box::new(CacheFilter::new(eps).unwrap())),
         (
-            "swing-lag",
-            Box::new(SwingFilter::builder(eps).max_lag(7).force_dispatch(disp).build().unwrap()),
+            "cache-midrange",
+            Box::new(CacheFilter::with_variant(eps, CacheVariant::Midrange).unwrap()),
         ),
-        (
-            "slide-lag",
-            Box::new(SlideFilter::builder(eps).max_lag(7).force_dispatch(disp).build().unwrap()),
-        ),
+        ("cache-mean", Box::new(CacheFilter::with_variant(eps, CacheVariant::Mean).unwrap())),
+        ("linear", Box::new(LinearFilter::new(eps).unwrap())),
+        ("kalman", Box::new(KalmanFilter::new(eps).unwrap())),
+        ("swing", Box::new(SwingFilter::new(eps).unwrap())),
+        ("swing-lag", Box::new(SwingFilter::builder(eps).max_lag(7).build().unwrap())),
     ]
+}
+
+/// A seeded Fisher–Yates permutation of `0..d`.
+fn permutation(d: usize, seed: u64) -> Vec<usize> {
+    let mut p: Vec<usize> = (0..d).collect();
+    let mut state = seed | 1;
+    for i in (1..d).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        p.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    p
+}
+
+/// `v` with its dimensions reordered: output dimension `i` is `v[p[i]]`.
+fn permute(v: &[f64], p: &[usize]) -> Vec<f64> {
+    p.iter().map(|&j| v[j]).collect()
 }
 
 /// The output streams as raw bit patterns: value equality is not enough
@@ -207,45 +224,6 @@ proptest! {
         }
     }
 
-    /// PR-3 pin: the `d == 1` scalar fast path (dispatched once at
-    /// construction) is byte-identical to the generic per-dimension path
-    /// — same `Segment`s, same `ProvisionalUpdate`s, for plain and
-    /// lag-bounded configurations.
-    #[test]
-    fn scalar_fast_path_is_byte_identical((signal, _) in signal_and_splits(), eps in 0.05f64..20.0) {
-        for max_lag in [None, Some(7usize)] {
-            let mut swing_fast = {
-                let mut b = SwingFilter::builder(&[eps]);
-                if let Some(m) = max_lag { b = b.max_lag(m); }
-                b.build().unwrap()
-            };
-            let mut swing_generic = {
-                let mut b = SwingFilter::builder(&[eps]).force_dispatch(Dispatch::Generic);
-                if let Some(m) = max_lag { b = b.max_lag(m); }
-                b.build().unwrap()
-            };
-            let fast = run_dyn(&mut swing_fast, &signal);
-            let generic = run_dyn(&mut swing_generic, &signal);
-            prop_assert_eq!(&fast.segments, &generic.segments, "swing lag={:?}", max_lag);
-            prop_assert_eq!(&fast.provisionals, &generic.provisionals, "swing lag={:?}", max_lag);
-
-            let mut slide_fast = {
-                let mut b = SlideFilter::builder(&[eps]);
-                if let Some(m) = max_lag { b = b.max_lag(m); }
-                b.build().unwrap()
-            };
-            let mut slide_generic = {
-                let mut b = SlideFilter::builder(&[eps]).force_dispatch(Dispatch::Generic);
-                if let Some(m) = max_lag { b = b.max_lag(m); }
-                b.build().unwrap()
-            };
-            let fast = run_dyn(&mut slide_fast, &signal);
-            let generic = run_dyn(&mut slide_generic, &signal);
-            prop_assert_eq!(&fast.segments, &generic.segments, "slide lag={:?}", max_lag);
-            prop_assert_eq!(&fast.provisionals, &generic.provisionals, "slide lag={:?}", max_lag);
-        }
-    }
-
     /// PR-3 pin: the recycled scratch buffers (hulls, raw points,
     /// regression sums) carry no state across `finish` — a warm filter
     /// re-compressing a stream emits byte-identical output to a freshly
@@ -267,65 +245,56 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Kernel-layer pin: both dispatch modes — the generic per-dimension
-    /// loop and the fixed-width lane kernels — produce **bit-identical**
-    /// `Segment` and `ProvisionalUpdate` streams for all five filters at
-    /// d ∈ {2, 3, 4, 8}.
+    /// `push_batch` is bit-identical to `push` at d ∈ {1, 2, 3, 4, 5, 8},
+    /// for every filter family including the lag-bounded ones.
     #[test]
-    fn kernel_dispatches_are_bit_identical(
+    fn push_batch_matches_push_sequence_multi_dim(
         (dims, signal) in dims_and_signal(),
         eps in 0.05f64..20.0,
+        split_seed in any::<u64>(),
     ) {
-        type NamedBits = (&'static str, (Vec<u64>, Vec<u64>));
-        let epsv = vec![eps; dims];
-        let dispatches = dispatch_set();
-        let reference: Vec<NamedBits> = kernel_filters(&epsv, dispatches[0])
-            .into_iter()
-            .map(|(name, mut f)| (name, bits_of(&run_dyn(f.as_mut(), &signal))))
-            .collect();
-        for &disp in &dispatches[1..] {
-            for ((name, want), (_, mut f)) in reference.iter().zip(kernel_filters(&epsv, disp)) {
-                let got = bits_of(&run_dyn(f.as_mut(), &signal));
-                prop_assert_eq!(
-                    want, &got,
-                    "{} at d={}: {:?} diverged from {:?}", name, dims, disp, dispatches[0]
-                );
-            }
+        let epsv: Vec<f64> = (0..dims).map(|i| eps * (1.0 + 0.3 * i as f64)).collect();
+        let mut specs: Vec<FilterSpec> =
+            FilterKind::OVERHEAD_SET.iter().map(|&k| FilterSpec::new(k, &epsv)).collect();
+        specs.push(FilterSpec::new(FilterKind::Swing, &epsv).with_max_lag(7));
+        specs.push(FilterSpec::new(FilterKind::Slide, &epsv).with_max_lag(7));
+        let sizes = split_plan(signal.len(), split_seed);
+        for spec in specs {
+            let sequential = run_sequential(&spec, &signal);
+            let batched = run_batched(&spec, &signal, &sizes);
+            prop_assert_eq!(bits_of(&sequential), bits_of(&batched), "{:?} at d={}", spec.kind, dims);
         }
     }
-}
 
-/// NaN and ±inf inputs surface the same typed [`FilterError`] under
-/// every dispatch mode (validation runs before any kernel touches the
-/// data), and the filter stays usable afterwards.
-#[test]
-fn non_finite_inputs_error_identically_under_every_dispatch() {
-    for dims in [1usize, 2, 3, 4, 8] {
-        let eps = vec![0.5; dims];
-        let good = vec![1.0; dims];
-        for disp in dispatch_set() {
-            for (name, mut f) in kernel_filters(&eps, disp) {
-                let mut sink = CollectingSink::default();
-                f.push(0.0, &good, &mut sink).unwrap();
-                let bad_dim = dims - 1;
-                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                    let mut x = good.clone();
-                    x[bad_dim] = bad;
-                    let err = f.push(1.0, &x, &mut sink).unwrap_err();
-                    assert!(
-                        matches!(err, FilterError::NonFiniteValue { dim, .. } if dim == bad_dim),
-                        "{name} d={dims} {disp:?}: got {err:?} for value {bad}"
-                    );
-                }
-                let err = f.push(f64::NAN, &good, &mut sink).unwrap_err();
-                assert!(
-                    matches!(err, FilterError::NonFiniteTime { .. }),
-                    "{name} d={dims} {disp:?}: got {err:?} for NaN time"
-                );
-                // The rejected samples must not have corrupted the state.
-                f.push(1.0, &good, &mut sink).unwrap();
-                f.finish(&mut sink).unwrap();
+    /// Permuting the input's dimensions (and their ε) permutes every
+    /// output field bit-for-bit and leaves the rest unchanged. With one
+    /// kernel path left, this is what catches a chunk offset or a
+    /// padding lane leaking into a live one on random inputs.
+    #[test]
+    fn dimension_permutation_permutes_output(
+        (dims, signal) in dims_and_signal(),
+        eps in 0.05f64..20.0,
+        perm_seed in any::<u64>(),
+    ) {
+        let p = permutation(dims, perm_seed);
+        let epsv: Vec<f64> = (0..dims).map(|i| eps * (1.0 + 0.3 * i as f64)).collect();
+        let mut permuted = Signal::new(dims);
+        for (t, x) in signal.iter() {
+            permuted.push(t, &permute(x, &p)).unwrap();
+        }
+        let filters = separable_filters(&epsv).into_iter().zip(separable_filters(&permute(&epsv, &p)));
+        for ((name, mut f), (_, mut g)) in filters {
+            let mut want = run_dyn(f.as_mut(), &signal);
+            for s in &mut want.segments {
+                s.x_start = permute(&s.x_start, &p).into();
+                s.x_end = permute(&s.x_end, &p).into();
             }
+            for u in &mut want.provisionals {
+                u.x_anchor = permute(&u.x_anchor, &p).into();
+                u.slopes = permute(&u.slopes, &p).into();
+            }
+            let got = run_dyn(g.as_mut(), &permuted);
+            prop_assert_eq!(bits_of(&want), bits_of(&got), "{} at d={} under {:?}", name, dims, p);
         }
     }
 }

@@ -36,9 +36,10 @@ fn signal_1d() -> impl Strategy<Value = Signal> {
         })
 }
 
-/// Strategy: a d-dimensional signal (d ∈ 1..=4) with independent walks.
+/// Strategy: a d-dimensional signal (d ∈ 1..=9: one to three lane
+/// chunks) with independent walks.
 fn signal_nd() -> impl Strategy<Value = Signal> {
-    (1usize..=4, 2usize..120, any::<u64>()).prop_map(|(d, n, seed)| {
+    (1usize..=9, 2usize..120, any::<u64>()).prop_map(|(d, n, seed)| {
         let mut s = Signal::new(d);
         let mut state = seed | 1;
         let mut rnd = || {

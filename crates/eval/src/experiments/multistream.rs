@@ -44,7 +44,7 @@ pub fn stream_workload(streams: usize, samples_per_stream: usize, seed: u64) -> 
 /// Feeds `signals` (one stream each) through a fresh engine with
 /// `shards` shards and returns the total samples absorbed.
 ///
-/// Streams are fed round-robin in [`FEED_BATCH`]-sample batches — the
+/// Streams are fed round-robin in batches of `FEED_BATCH` (256) samples — the
 /// interleaved arrival pattern of many sensors on one collector — and the
 /// run panics if any stream is quarantined or loses samples, so the
 /// timing can never silently measure partial work.

@@ -14,7 +14,7 @@
 //! Same driver split as `pla-ops`'s `OpsServer`: a sync non-blocking
 //! [`pump`](QueryServer::pump) owns all protocol logic, and
 //! [`drive_query_server`] wraps it in the shared single-thread
-//! [`runtime`](pla_net::runtime) loop.
+//! [`pla_net::runtime`] loop.
 //!
 //! Failure containment mirrors the collector: a version-mismatched
 //! `Hello` gets a `HelloAck { token: 0 }` refusal and only that

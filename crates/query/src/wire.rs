@@ -1,6 +1,6 @@
 //! Wire codec for remote queries: the opaque bodies of
-//! [`NetFrame::QueryReq`](pla_net::NetFrame::QueryReq) /
-//! [`NetFrame::QueryResp`](pla_net::NetFrame::QueryResp).
+//! [`NetFrame::QueryReq`](pla_net::frame::NetFrame::QueryReq) /
+//! [`NetFrame::QueryResp`](pla_net::frame::NetFrame::QueryResp).
 //!
 //! The frame layer carries `(req_id, body)` and never looks inside the
 //! body; this module owns the body format, so the query language can
@@ -12,7 +12,7 @@
 //! Every `f64` travels as its IEEE-754 bit pattern
 //! ([`f64::to_bits`], little-endian), never through a decimal detour:
 //! a remote answer must be **bit-identical** to the local
-//! [`StoreQueryEngine`](crate::StoreQueryEngine) answer on the same
+//! [`StoreQueryEngine`] answer on the same
 //! snapshot, which a text round-trip cannot promise.
 //!
 //! Layout: one leading tag byte, then the variant's fields in
@@ -28,7 +28,7 @@ use crate::types::{Bounded, BoundedCount, QueryError};
 use pla_ingest::StreamId;
 
 /// One remote query — the body of a `QueryReq` frame. Mirrors the
-/// [`StoreQueryEngine`](crate::StoreQueryEngine) surface method for
+/// [`StoreQueryEngine`] surface method for
 /// method.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
