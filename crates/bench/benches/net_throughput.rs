@@ -1,7 +1,7 @@
 //! Multiplexed transport throughput: segments/second through one
-//! `pla-net` connection (framing, per-stream sequencing, credit flow
-//! control, acks, and `StreamDemux` reconstruction), sweeping stream
-//! count × credit window.
+//! `pla-net` connection (framing, session sequencing, connection credit
+//! flow control, acks, and `StreamDemux` reconstruction), sweeping
+//! stream count × credit window.
 //!
 //! Each iteration is one complete end-to-end transfer of every
 //! stream's full segment log — the unit a deployment pays per

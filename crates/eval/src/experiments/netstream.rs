@@ -4,7 +4,7 @@
 //! The paper's transmitter/receiver analysis (§5.4) counts recordings;
 //! this experiment measures the *transport* those recordings ride on
 //! once many transmitters share one multiplexed connection: framing,
-//! per-stream sequencing, credit flow control, acks, and the
+//! session sequencing, connection credit flow control, acks, and the
 //! `StreamDemux` reconstruction on the far side. Each cell transfers
 //! every stream's full segment log end-to-end (sender endpoint →
 //! framed bytes → receiver endpoint → per-stream logs) and reports
@@ -85,9 +85,9 @@ pub fn transfer(logs: &[Vec<Segment>], window: u64) -> (u64, u64) {
 }
 
 /// Multiplexed transport throughput (Ksegments/s) and wire cost vs
-/// stream count, for a tight and a roomy credit window. The wire cost
-/// is reported per window too: a tight window carries more credit
-/// grants in its `Ack` cursors per segment.
+/// stream count, for a tight and a roomy connection credit window. The
+/// wire cost is reported per window too: a tight window carries more
+/// credit grants in its `Ack`s per segment.
 pub fn netstream_throughput(cfg: &Config) -> Table {
     let stream_counts = [8usize, 32, 128];
     let windows: [(u64, &str); 2] = [(2 * 1024, "2 KiB window"), (64 * 1024, "64 KiB window")];

@@ -11,8 +11,8 @@
 //!   production, a [`MemoryAcceptor`](crate::listen::MemoryAcceptor)
 //!   for deterministic tests);
 //! * every connection gets its **own** [`NetReceiver`] — its own frame
-//!   decoder, demultiplexer, sequence state, and credit windows, so one
-//!   slow or replaying sender cannot corrupt another's reconstruction;
+//!   decoder, demultiplexer, session seq and credit window, so one slow
+//!   or replaying sender cannot corrupt another's reconstruction;
 //! * every reconstructed segment is published, in per-stream order, to
 //!   one shared [`SegmentStore`] as `(ConnId, StreamId, Segment)` —
 //!   per-connection buffers exist only transiently inside the demux;
@@ -30,11 +30,11 @@
 //! ([`session`](crate::session)) and is issued a token. A dead or
 //! silent link *detaches* its connection (state retained) rather than
 //! destroying it; when the sender redials and presents its token, the
-//! collector rebinds the same [`ConnId`] by itself and answers with
-//! resume cursors — the receiver re-announces cumulative acks/credits,
-//! the sender replays unacked entries, duplicates are dropped by
-//! sequence number — so the store ends up byte-identical to an
-//! uninterrupted run.
+//! collector rebinds the same [`ConnId`] by itself and answers with its
+//! resume point — the receiver re-announces its cumulative ack and
+//! credit grant, the sender resends its unacked frames, replayed entries
+//! are dropped by session seq — so the store ends up byte-identical to
+//! an uninterrupted run.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -87,9 +87,8 @@ impl std::fmt::Display for CollectorError {
 
 impl std::error::Error for CollectorError {}
 
-/// Point-in-time counters for one connection — the per-connection ack
-/// state [`StreamDemux`](pla_transport::StreamDemux) keeps per demux,
-/// surfaced per connection so shed load stays observable.
+/// Point-in-time counters for one connection, surfaced per connection
+/// so shed load stays observable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnStats {
     /// The connection.
@@ -119,8 +118,9 @@ pub struct ConnStats {
     pub resumes: u64,
     /// The protocol violation that quarantined this connection, if any.
     pub failed: Option<NetError>,
-    /// Per-stream cumulative ack points `(stream, through_seq)` — what
-    /// this connection's demux has durably applied.
+    /// Per-stream `(stream, entries applied)` — each stream's share of
+    /// what this connection's demux has durably applied. (The wire acks
+    /// one session seq; this is the per-stream view of it.)
     pub ack_points: Vec<(u64, u64)>,
 }
 
@@ -185,9 +185,6 @@ struct Connection<C: Codec, L: Link> {
     last_recv: Instant,
     /// When the connection detached, for session-TTL eviction.
     detached_at: Option<Instant>,
-    /// Streams whose end-of-stream flush has run (Fin seen, trailing
-    /// hold closed and published).
-    flushed: std::collections::BTreeSet<u64>,
     published_total: u64,
     backpressure: u64,
     bytes_moved: u64,
@@ -351,7 +348,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 token,
                 last_recv: now,
                 detached_at: None,
-                flushed: std::collections::BTreeSet::new(),
                 published_total: 0,
                 backpressure: 0,
                 bytes_moved: 0,
@@ -441,7 +437,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         let mut batch = std::mem::take(&mut self.publish_batch);
         c.rx.take_touched(&mut touched);
         for &stream in &touched {
-            if c.rx.is_finished(stream) && c.flushed.insert(stream) {
+            // Closing a finished stream's trailing hold is a no-op the
+            // second time, so a replayed `Fin` may touch it again.
+            if c.rx.is_finished(stream) {
                 c.rx.demux_mut().flush_stream(stream);
             }
             c.rx.demux_mut().drain_segments(stream, &mut batch);
@@ -485,7 +483,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// link is touched — every bound connection keeps running.
     fn refuse(&mut self, link: &mut A::Link, version: u16, err: HandshakeError) {
         let mut buf = BytesMut::new();
-        encode(&NetFrame::HelloAck { version, token: 0, cursors: Vec::new() }, &mut buf);
+        let refusal = NetFrame::HelloAck { version, token: 0, through: 0, granted_total: 0 };
+        encode(&refusal, &mut buf);
         let _ = link.try_write(&buf);
         self.refused += 1;
         self.last_refusal = Some(NetError::Handshake(err));
@@ -578,7 +577,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                         let ack = NetFrame::HelloAck {
                             version: sess.version,
                             token,
-                            cursors: Vec::new(),
+                            through: 0,
+                            granted_total: 0,
                         };
                         self.conns.get_mut(&id).expect("just adopted").rx.stage_session(&ack);
                         self.feed_adopted(id, &leftover, now);
@@ -598,10 +598,12 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                                     old.shutdown();
                                 }
                                 c.rx.reset_link();
+                                let (through, granted_total) = c.rx.resume_point();
                                 let ack = NetFrame::HelloAck {
                                     version: sess.version,
                                     token,
-                                    cursors: c.rx.resume_cursors(),
+                                    through,
+                                    granted_total,
                                 };
                                 c.rx.stage_session(&ack);
                                 c.link = Some(p.link);
@@ -1258,10 +1260,10 @@ mod tests {
         let cs = coll.conn_stats(ConnId(1)).unwrap();
         assert_ne!(cs.token, 0, "a bound session carries a nonzero token");
         match read_frame(&mut client) {
-            NetFrame::HelloAck { version, token, cursors } => {
+            NetFrame::HelloAck { version, token, through, granted_total } => {
                 assert_eq!(version, PROTOCOL_VERSION);
                 assert_eq!(token, cs.token);
-                assert!(cursors.is_empty(), "a fresh session has no resume state");
+                assert_eq!((through, granted_total), (0, 0), "a fresh session has no resume state");
             }
             other => panic!("expected HelloAck first, got {other:?}"),
         }
@@ -1311,7 +1313,7 @@ mod tests {
 
         // A valid frame that isn't a Hello.
         let mut eager = connector.connect(4096);
-        eager.try_write(&frame_bytes(&NetFrame::Ack { cursors: Vec::new() })).unwrap();
+        eager.try_write(&frame_bytes(&NetFrame::Ack { through: 0, granted_total: 0 })).unwrap();
         coll.pump_at(t0).unwrap();
         assert_eq!(coll.stats().refused, 3);
         assert!(matches!(
@@ -1385,7 +1387,7 @@ mod tests {
         assert_eq!(coll.detached(), vec![ConnId(1)], "dead link detaches, session retained");
 
         // A fresh link presents the token: same ConnId, no reattach call,
-        // and the HelloAck carries resume cursors.
+        // and the HelloAck carries the resume point.
         let mut resumed = connector.connect(4096);
         resumed
             .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token }))
@@ -1400,11 +1402,10 @@ mod tests {
         assert_eq!(stats.refused, 0);
         assert!(coll.detached().is_empty());
         match read_frame(&mut resumed) {
-            NetFrame::HelloAck { token: t2, cursors, .. } => {
+            NetFrame::HelloAck { token: t2, through, granted_total, .. } => {
                 assert_eq!(t2, token);
-                assert_eq!(cursors.len(), 1, "one cursor per known stream");
-                assert_eq!(cursors[0].stream, 9);
-                assert!(cursors[0].through_seq > 0, "the cursor reflects applied frames");
+                assert!(through > 0, "the resume point reflects applied entries");
+                assert!(granted_total >= NetConfig::default().window, "and the current grant");
             }
             other => panic!("expected resume HelloAck, got {other:?}"),
         }

@@ -1,22 +1,23 @@
-//! Per-stream credit flow control, in *cumulative offsets*.
+//! Connection credit flow control, in *cumulative offsets*.
 //!
-//! Both counters only ever grow — the shape QUIC's `MAX_STREAM_DATA`
-//! uses, and the property that makes reconnect trivial: a grant or a
-//! reservation applied twice (a replayed control frame, a replayed
-//! `Batch` entry) is a no-op, so neither side needs to reconcile "how
-//! much was in flight" after a connection dies.
+//! One window covers every stream of a connection — QUIC's `MAX_DATA`,
+//! not `MAX_STREAM_DATA`: the collector applies each entry as it
+//! arrives, so there is no per-stream consumer for a per-stream window
+//! to protect. Both counters only ever grow, which makes reconnect
+//! trivial: a grant applied twice (a replayed `Ack` or `HelloAck`) is a
+//! no-op, so neither side reconciles "how much was in flight" after a
+//! connection dies.
 //!
 //! * The **sender** holds a [`CreditWindow`]: `used` payload bytes sent
-//!   since stream birth versus the `granted` cumulative budget. A send
-//!   that would cross the budget is refused — surfaced to callers as
-//!   [`NetError::Backpressure`](crate::NetError::Backpressure).
+//!   since the session began versus the `granted` cumulative budget. A
+//!   send that would cross the budget is refused — surfaced to callers
+//!   as [`NetError::Backpressure`](crate::NetError::Backpressure).
 //! * The **receiver** holds a [`ReceiveWindow`]: `delivered` payload
-//!   bytes applied to the demultiplexer. It keeps the sender's budget
-//!   topped up to `delivered + window`, re-granting once half the window
-//!   is consumed (batching grants keeps the control-frame overhead at
-//!   ~2 frames per window, not per data entry).
+//!   bytes applied. It keeps the sender's budget topped up to
+//!   `delivered + window`, re-granting once half the window is consumed
+//!   (so grants ride about two `Ack`s per window, not every one).
 
-/// Sender-side credit accounting for one stream.
+/// Sender-side credit accounting for one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreditWindow {
     granted: u64,
@@ -35,15 +36,10 @@ impl CreditWindow {
         self.granted - self.used
     }
 
-    /// Cumulative bytes reserved so far.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// Reserves `n` bytes if the budget covers them.
     #[must_use]
     pub fn try_reserve(&mut self, n: u64) -> bool {
-        if self.used + n <= self.granted {
+        if n <= self.available() {
             self.used += n;
             true
         } else {
@@ -58,7 +54,7 @@ impl CreditWindow {
     }
 }
 
-/// Receiver-side grant scheduling for one stream.
+/// Receiver-side grant scheduling for one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiveWindow {
     delivered: u64,
@@ -72,21 +68,18 @@ impl ReceiveWindow {
         Self { delivered: 0, granted: window, window }
     }
 
-    /// Records `n` payload bytes applied to the application.
+    /// Records `n` payload bytes applied.
     pub fn on_delivered(&mut self, n: u64) {
         self.delivered += n;
-    }
-
-    /// Cumulative bytes delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// The grant to announce now, if one is due (less than half the
     /// window still granted ahead of delivery). Returns the new
     /// cumulative total and records it as announced.
     pub fn due_grant(&mut self) -> Option<u64> {
-        if self.granted - self.delivered < self.window / 2 {
+        // Saturating: a peer that overran its grant gets topped up from
+        // what was actually delivered, not a wrapped difference.
+        if self.granted.saturating_sub(self.delivered) < self.window / 2 {
             self.granted = self.delivered + self.window;
             Some(self.granted)
         } else {
@@ -95,7 +88,7 @@ impl ReceiveWindow {
     }
 
     /// The current cumulative grant — what a session resume's
-    /// `HelloAck` cursor re-announces regardless of
+    /// `HelloAck` re-announces regardless of
     /// [`due_grant`](Self::due_grant)'s batching.
     pub fn current_grant(&self) -> u64 {
         self.granted
@@ -156,8 +149,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sent_total, tx.used());
-        assert_eq!(sent_total, rx.delivered());
         assert!(sent_total >= 30 * 40, "flow keeps moving: sent {sent_total}");
+        assert!(rx.current_grant() >= sent_total + 50, "the grant stays half a window ahead");
     }
 }

@@ -114,8 +114,8 @@ pub fn pump_sender<C: Codec, L: Link>(
 
 /// One non-blocking pump round for the receiver: absorb inbound frames,
 /// flush the round's batched `Ack` control
-/// ([`NetReceiver::flush_control`] — one frame with one cumulative
-/// cursor per touched stream, however many `Batch` entries the round
+/// ([`NetReceiver::flush_control`] — one frame with the session's
+/// cumulative ack, however many `Batch` entries and streams the round
 /// applied), then push the staged bytes. Returns total bytes moved.
 pub fn pump_receiver<C: Codec, L: Link>(
     rx: &mut NetReceiver<C>,

@@ -6,39 +6,37 @@
 //!
 //! | Kind | Direction | Carries |
 //! |---|---|---|
-//! | [`NetFrame::Batch`] | sender → receiver | one flush's sequenced entries: per entry a stream, a per-stream sequence number and that stream's `pla-transport` codec bytes |
-//! | [`NetFrame::Ack`] | receiver → sender | one [`ResumeCursor`] per stream whose state moved since the last flush: cumulative ack point and cumulative credit grant (0 = no grant due) |
-//! | [`NetFrame::Fin`] | sender → receiver | end of one stream, with its final sequence number |
+//! | [`NetFrame::Batch`] | sender → receiver | one flush's entries, numbered consecutively in the session's one sequence space from a base seq: per entry a stream and that stream's `pla-transport` codec bytes |
+//! | [`NetFrame::Ack`] | receiver → sender | the session's cumulative ack (`through`) and cumulative connection credit grant (`granted_total`, 0 = no grant due) |
+//! | [`NetFrame::Fin`] | sender → receiver | end of one stream, with a session seq at or after its last entry (the last seq sealed when it finished) |
 //! | [`NetFrame::Hello`] | sender → receiver | protocol version + session token (0 = new session); **must** be the first frame of a collector or query-server connection |
-//! | [`NetFrame::HelloAck`] | receiver → sender | protocol version + issued/confirmed token (0 = refused) + one [`ResumeCursor`] per known stream |
+//! | [`NetFrame::HelloAck`] | receiver → sender | protocol version + issued/confirmed token (0 = refused) + the same `through`/`granted_total` point as an `Ack` |
 //! | [`NetFrame::Heartbeat`] | either | liveness probe with a sequence number; the receiver echoes it back |
 //! | [`NetFrame::QueryReq`] | reader → query server | one query, opaque `pla-query` wire bytes, tagged with a client-chosen `req_id` |
 //! | [`NetFrame::QueryResp`] | query server → reader | the matching result (or typed error), echoing the request's `req_id` |
 //! | [`NetFrame::EpochsReq`] | reader → query server | cache-validation probe for the store's per-shard epochs |
 //! | [`NetFrame::EpochsResp`] | query server → reader | the store's per-shard epoch counters, echoing the probe's `req_id` |
 //!
-//! `Ack` and `HelloAck` share one cursor-list codec: a varint count,
-//! then per cursor the varint stream delta from the previous cursor
-//! (from 0 for the first), `through_seq` and `granted_total`. Streams
-//! ascend strictly, so the encoding of a cursor list is unique.
-//!
-//! A `Batch` body is a varint entry count, then per entry the varint
-//! stream delta from the previous entry (from 0 for the first), the
-//! varint `seq`, the varint payload length and the payload. Streams are
-//! non-decreasing; a repeated stream (delta 0) carries the next
-//! consecutive `seq`. The sender emits one `Batch` per flush, split into
-//! several only where one would exceed the peer's `max_frame`. Every
-//! other integer field is fixed-width little-endian.
+//! One session is one in-order sender, so one sequence space covers
+//! all of its streams. A `Batch` body is a varint entry count and the
+//! varint session seq of its first entry (the *base*, at least 1), then
+//! per entry the varint stream delta from the previous entry (from 0
+//! for the first), the varint payload length and the payload. Entry `i`
+//! carries seq `base + i`; streams are non-decreasing. The sender emits
+//! one `Batch` per flush, split into several only where one would
+//! exceed the peer's `max_frame`. `Ack` and `HelloAck` end in the same
+//! two varints, `through` and `granted_total`. Every other integer field
+//! is fixed-width little-endian.
 //!
 //! Entries never split messages: each payload is a self-contained codec
 //! unit of one stream (the sender resets its codec per entry, and no
 //! `StreamFrame` header rides inside — the entry names its stream), so a
-//! replayed entry decodes identically whenever it arrives, in whatever
-//! batch it is re-packed into — the property the reconnect protocol
-//! rests on. The control frames keep the same idempotence discipline:
-//! every cursor is cumulative, so a duplicated `Ack` or `HelloAck` is a
-//! no-op at the sender, and a duplicated `Hello` or `Heartbeat` is
-//! harmless.
+//! replayed entry decodes identically whenever it arrives. The sender
+//! replays sealed frames byte for byte, and the receiver drops every
+//! entry at or below its applied point. The control frames keep the
+//! same idempotence discipline: `through` and `granted_total` are
+//! cumulative, so a duplicated `Ack` or `HelloAck` is a no-op at the
+//! sender, and a duplicated `Hello` or `Heartbeat` is harmless.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -56,24 +54,11 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// cursor frame per flush, varint `Data` header, `Credit` retired (kind
 /// byte 3 is now unknown); 4 = one `Batch` frame per flush replaces the
 /// per-segment `Data` frame and its in-payload `StreamFrame` header
-/// (kind byte 1 is now unknown).
-pub const PROTOCOL_VERSION: u16 = 4;
-
-/// One stream's cumulative control state, carried by [`NetFrame::Ack`]
-/// and [`NetFrame::HelloAck`]: the receiver's ack point and credit
-/// grant, i.e. everything a sender needs to trim its replay buffer and
-/// keep sending — the role `ResumeCursor` plays in the rt-protocol
-/// forwarder handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeCursor {
-    /// The stream the cursor describes.
-    pub stream: u64,
-    /// Highest entry sequence number durably applied (cumulative ack).
-    pub through_seq: u64,
-    /// Cumulative payload-byte credit grant for the stream; 0 (below
-    /// the implicit initial window) announces no new grant.
-    pub granted_total: u64,
-}
+/// (kind byte 1 is now unknown); 5 = one session sequence space (a
+/// `Batch` carries a base seq, entries drop their per-stream seq), a
+/// single-point `Ack`/`HelloAck` replaces the per-stream cursor lists,
+/// and one credit window per connection replaces the per-stream ones.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// One sequenced entry of a [`Batch`]: a chunk of one stream's wire
 /// messages.
@@ -81,7 +66,7 @@ pub struct ResumeCursor {
 pub struct BatchEntry {
     /// The stream the payload belongs to.
     pub stream: u64,
-    /// Per-stream sequence number, starting at 1.
+    /// Session sequence number: the batch's base plus the entry's index.
     pub seq: u64,
     /// The stream's `pla-transport` codec bytes, coded from a reset
     /// codec, with no `StreamFrame` header.
@@ -95,32 +80,38 @@ pub struct BatchEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     count: u64,
-    /// The encoded entries: everything after the count.
+    base: u64,
+    /// The encoded entries: everything after the base seq.
     body: Bytes,
 }
 
 impl Batch {
-    /// Packs `entries` (non-decreasing by stream; a repeated stream's
-    /// seqs consecutive) into one batch. An out-of-order list encodes a
-    /// wrapped stream delta, and an empty one a zero count; the peer's
-    /// decoder refuses either rather than misreads it.
-    pub fn from_entries<'a>(entries: impl IntoIterator<Item = (u64, u64, &'a [u8])>) -> Self {
+    /// Packs `entries` (non-decreasing by stream) into one batch whose
+    /// first entry carries session seq `base`. An out-of-order list
+    /// encodes a wrapped stream delta, and an empty one a zero count;
+    /// the peer's decoder refuses either rather than misreads it.
+    pub fn from_entries<'a>(base: u64, entries: impl IntoIterator<Item = (u64, &'a [u8])>) -> Self {
         let mut body = BytesMut::new();
         let mut count = 0;
         let mut prev = 0;
-        for (stream, seq, payload) in entries {
+        for (stream, payload) in entries {
             debug_assert!(count == 0 || stream >= prev, "batch streams must not descend");
-            put_entry(&mut body, stream.wrapping_sub(prev), seq, payload);
+            put_entry(&mut body, stream.wrapping_sub(prev), payload);
             prev = stream;
             count += 1;
         }
-        Self { count, body: body.freeze() }
+        Self { count, base, body: body.freeze() }
     }
 
     /// The entries in wire order; each payload is a slice of the
     /// batch's one buffer.
     pub fn entries(&self) -> BatchEntries<'_> {
-        BatchEntries { batch: self, reader: BodyReader { body: &self.body, at: 0 }, stream: 0 }
+        BatchEntries {
+            batch: self,
+            reader: BodyReader { body: &self.body, at: 0 },
+            stream: 0,
+            seq: self.base,
+        }
     }
 }
 
@@ -129,6 +120,7 @@ pub struct BatchEntries<'a> {
     batch: &'a Batch,
     reader: BodyReader<'a>,
     stream: u64,
+    seq: u64,
 }
 
 impl Iterator for BatchEntries<'_> {
@@ -143,10 +135,11 @@ impl Iterator for BatchEntries<'_> {
             return None;
         }
         self.stream = self.stream.wrapping_add(r.varint().ok()?);
-        let seq = r.varint().ok()?;
         let len = usize::try_from(r.varint().ok()?).ok().filter(|&n| n <= r.remaining())?;
         let payload = self.batch.body.slice(r.at..r.at + len);
         r.at += len;
+        let seq = self.seq;
+        self.seq = seq.wrapping_add(1);
         Some(BatchEntry { stream: self.stream, seq, payload })
     }
 }
@@ -156,21 +149,24 @@ impl Iterator for BatchEntries<'_> {
 pub enum NetFrame {
     /// One flush's sequenced entries, ordered by stream.
     Batch(Batch),
-    /// Cumulative control for every stream whose state moved since the
-    /// receiver's last flush: per cursor, every entry with
-    /// `seq <= through_seq` has been applied, and the sender may have
-    /// sent at most `granted_total` payload bytes on the stream since
-    /// its birth (0 = no new grant).
+    /// The session's cumulative control: every entry with
+    /// `seq <= through` has been applied, and the sender may have sent
+    /// at most `granted_total` payload bytes on the connection since the
+    /// session began (0 = no new grant).
     Ack {
-        /// One cursor per stream, strictly ascending by stream.
-        cursors: Vec<ResumeCursor>,
+        /// Cumulative ack: the session seq applied through.
+        through: u64,
+        /// Cumulative connection credit grant; 0 announces none.
+        granted_total: u64,
     },
-    /// The stream is complete; no entry with `seq > final_seq` will ever
-    /// exist. The sender stages it behind the stream's last `Batch`.
+    /// The stream is complete; none of its entries has a session seq
+    /// above `final_seq`. The sender stages it behind the stream's last
+    /// `Batch`.
     Fin {
         /// The finished stream.
         stream: u64,
-        /// Sequence number of its last entry (0 if none).
+        /// A session seq at or after its last entry: the last seq the
+        /// sender had sealed when the stream finished (0 if none).
         final_seq: u64,
     },
     /// Session open/resume request. Must be the first frame a
@@ -184,16 +180,17 @@ pub enum NetFrame {
         token: u64,
     },
     /// Handshake reply: the session is bound (nonzero `token`) or
-    /// refused (`token == 0`), with the receiver's resume cursors so a
+    /// refused (`token == 0`), with the receiver's cumulative point so a
     /// resuming sender can trim its replay buffer before retransmitting.
     HelloAck {
         /// The receiver's wire-protocol version.
         version: u16,
         /// Issued or confirmed session token; 0 means refused.
         token: u64,
-        /// One cursor per stream the receiver has state for, strictly
-        /// ascending by stream (empty for a fresh session).
-        cursors: Vec<ResumeCursor>,
+        /// The session seq applied through (0 for a fresh session).
+        through: u64,
+        /// The current cumulative connection credit grant (0 = none).
+        granted_total: u64,
     },
     /// Liveness probe. The receiver echoes each heartbeat back with the
     /// same sequence number; either side treats a quiet link as dead
@@ -257,12 +254,9 @@ const KIND_BATCH: u8 = 12;
 /// The longest LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: usize = 10;
 
-/// The shortest encoding of one cursor: three one-byte varints.
-const MIN_CURSOR_BYTES: usize = 3;
-
-/// The shortest encoding of one batch entry: three one-byte varints
-/// (stream delta, seq, payload length 0).
-const MIN_ENTRY_BYTES: usize = 3;
+/// The shortest encoding of one batch entry: two one-byte varints
+/// (stream delta, payload length 0).
+const MIN_ENTRY_BYTES: usize = 2;
 
 /// Framing-layer errors. Any of these is fatal for the connection (the
 /// byte stream is no longer trustworthy); the session layer reconnects.
@@ -321,126 +315,109 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Calls `each` with the (stream delta, through_seq, granted_total)
-/// triple of every cursor, in wire order. A list that does not ascend
-/// strictly encodes a zero or wrapped delta, which the peer's decoder
-/// refuses rather than misreads.
-fn cursor_fields(cursors: &[ResumeCursor], mut each: impl FnMut([u64; 3])) {
-    let mut prev = 0;
-    for (i, c) in cursors.iter().enumerate() {
-        debug_assert!(i == 0 || c.stream > prev, "cursor streams must ascend strictly");
-        each([c.stream.wrapping_sub(prev), c.through_seq, c.granted_total]);
-        prev = c.stream;
-    }
-}
-
-/// Encoded length of a cursor list (count included).
-fn cursors_len(cursors: &[ResumeCursor]) -> usize {
-    let mut len = varint_len(cursors.len() as u64);
-    cursor_fields(cursors, |f| len += f.iter().map(|&v| varint_len(v)).sum::<usize>());
-    len
-}
-
-fn put_cursors(out: &mut BytesMut, cursors: &[ResumeCursor]) {
-    put_varint(out, cursors.len() as u64);
-    cursor_fields(cursors, |f| f.iter().for_each(|&v| put_varint(out, v)));
-}
-
 /// Encoded length of one batch entry whose stream delta is `delta`.
-fn entry_len(delta: u64, seq: u64, payload_len: usize) -> usize {
-    varint_len(delta) + varint_len(seq) + varint_len(payload_len as u64) + payload_len
+fn entry_len(delta: u64, payload_len: usize) -> usize {
+    varint_len(delta) + varint_len(payload_len as u64) + payload_len
 }
 
-fn put_entry(out: &mut BytesMut, delta: u64, seq: u64, payload: &[u8]) {
-    // The three header varints go out as one slice: on the sender's hot
-    // path an entry is a few dozen bytes, and each append costs a call.
-    let mut head = [0; 3 * MAX_VARINT_BYTES];
-    let mut n = 0;
-    for v in [delta, seq, payload.len() as u64] {
-        n = write_varint(&mut head, n, v);
-    }
+fn put_entry(out: &mut BytesMut, delta: u64, payload: &[u8]) {
+    // The header varints go out as one slice: on the sender's hot path
+    // an entry is a few dozen bytes, and each append costs a call.
+    let mut head = [0; 2 * MAX_VARINT_BYTES];
+    let n = write_varint(&mut head, 0, delta);
+    let n = write_varint(&mut head, n, payload.len() as u64);
     out.put_slice(&head[..n]);
     out.put_slice(payload);
 }
 
-/// The length prefix of a `Batch` frame of `count` entries whose
-/// encoded entries take `body_len` bytes.
-fn batch_len(count: u64, body_len: usize) -> usize {
-    1 + varint_len(count) + body_len
+/// The length prefix of a `Batch` frame of `count` entries from session
+/// seq `base` whose encoded entries take `body_len` bytes.
+fn batch_len(count: u64, base: u64, body_len: usize) -> usize {
+    1 + varint_len(count) + varint_len(base) + body_len
 }
 
-fn put_batch_header(out: &mut BytesMut, count: u64, body_len: usize) {
-    put_u32_le(out, batch_len(count, body_len) as u32);
+fn put_batch_header(out: &mut BytesMut, count: u64, base: u64, body_len: usize) {
+    put_u32_le(out, batch_len(count, base, body_len) as u32);
     out.put_u8(KIND_BATCH);
     put_varint(out, count);
+    put_varint(out, base);
 }
 
 /// The length prefix of the smallest frame an entry can travel in: a
-/// `Batch` holding it alone. An entry whose value exceeds the peer's
+/// `Batch` holding it alone, whose base is the entry's session seq (or
+/// any seq at or below it). An entry whose value exceeds the peer's
 /// `max_frame` cannot be sent at all.
 pub(crate) fn single_entry_frame_len(stream: u64, seq: u64, payload_len: usize) -> usize {
-    batch_len(1, entry_len(stream, seq, payload_len))
+    batch_len(1, seq, entry_len(stream, payload_len))
 }
 
-/// Packs sequenced entries into `Batch` frames on an [`Outbox`]: entries
-/// accumulate into the open batch, and a batch is staged when the next
+/// The two cumulative varints `Ack` and `HelloAck` end in.
+fn put_point(out: &mut BytesMut, through: u64, granted_total: u64) {
+    put_varint(out, through);
+    put_varint(out, granted_total);
+}
+
+/// Packs sequenced entries into sealed `Batch` frames: entries
+/// accumulate into the open batch, and a batch is sealed when the next
 /// entry would push its length prefix past `max_frame`, or on
 /// [`finish`](Self::finish). The sender's one writer of `Batch` frames;
 /// the same bytes as [`encode`] of the equivalent [`NetFrame::Batch`].
+/// A sealed frame comes back whole, with the session seq of its last
+/// entry, ready to stage and to keep for replay.
 #[derive(Debug, Default)]
 pub(crate) struct BatchWriter {
     body: BytesMut,
     count: u64,
+    base: u64,
     prev: u64,
-    head: BytesMut,
 }
 
 impl BatchWriter {
-    /// Adds one entry. Streams must not descend within one open batch,
-    /// and the entry alone must fit `max_frame`
-    /// ([`single_entry_frame_len`]).
+    /// Adds the entry with session seq `seq`, one past the open batch's
+    /// last. Streams must not descend within one open batch, and the
+    /// entry alone must fit `max_frame` ([`single_entry_frame_len`]).
+    /// Returns the batch it sealed to make room, if any.
     pub(crate) fn push(
         &mut self,
         stream: u64,
         seq: u64,
         payload: &[u8],
         max_frame: u32,
-        out: &mut Outbox,
-    ) {
+    ) -> Option<(u64, Bytes)> {
         debug_assert!(self.count == 0 || stream >= self.prev, "batch streams must not descend");
-        let entry = entry_len(stream.wrapping_sub(self.prev), seq, payload.len());
-        if self.count > 0 && batch_len(self.count + 1, self.body.len() + entry) > max_frame as usize
+        debug_assert!(self.count == 0 || seq == self.base + self.count, "seqs must be consecutive");
+        let entry = entry_len(stream.wrapping_sub(self.prev), payload.len());
+        let sealed = if self.count > 0
+            && batch_len(self.count + 1, self.base, self.body.len() + entry) > max_frame as usize
         {
-            self.finish(out);
+            self.finish()
+        } else {
+            None
+        };
+        if self.count == 0 {
+            self.base = seq;
         }
-        put_entry(&mut self.body, stream.wrapping_sub(self.prev), seq, payload);
+        put_entry(&mut self.body, stream.wrapping_sub(self.prev), payload);
         self.prev = stream;
         self.count += 1;
+        sealed
     }
 
-    /// Stages the open batch, if it holds any entry.
-    pub(crate) fn finish(&mut self, out: &mut Outbox) {
+    /// Seals the open batch, if it holds any entry.
+    pub(crate) fn finish(&mut self) -> Option<(u64, Bytes)> {
         if self.count == 0 {
-            return;
+            return None;
         }
-        self.head.clear();
-        put_batch_header(&mut self.head, self.count, self.body.len());
-        out.stage_parts(&[&self.head, &self.body]);
+        let len = batch_len(self.count, self.base, self.body.len());
+        let mut frame = BytesMut::with_capacity(4 + len);
+        put_batch_header(&mut frame, self.count, self.base, self.body.len());
+        frame.put_slice(&self.body);
+        let last = self.base + self.count - 1;
         self.body.clear();
         self.count = 0;
         self.prev = 0;
+        Some((last, frame.freeze()))
     }
-}
-
-/// Encodes an `Ack` frame over borrowed cursors (strictly ascending by
-/// stream), returning the encoded length — the same bytes as [`encode`]
-/// of the equivalent [`NetFrame::Ack`], without owning a cursor list.
-pub(crate) fn encode_ack(cursors: &[ResumeCursor], out: &mut BytesMut) -> usize {
-    let len = 1 + cursors_len(cursors);
-    put_u32_le(out, len as u32);
-    out.put_u8(KIND_ACK);
-    put_cursors(out, cursors);
-    4 + len
 }
 
 /// Encodes `frame` onto `out`, returning the encoded length.
@@ -448,11 +425,13 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
     let before = out.len();
     match frame {
         NetFrame::Batch(batch) => {
-            put_batch_header(out, batch.count, batch.body.len());
+            put_batch_header(out, batch.count, batch.base, batch.body.len());
             out.put_slice(&batch.body);
         }
-        NetFrame::Ack { cursors } => {
-            encode_ack(cursors, out);
+        NetFrame::Ack { through, granted_total } => {
+            put_u32_le(out, (1 + varint_len(*through) + varint_len(*granted_total)) as u32);
+            out.put_u8(KIND_ACK);
+            put_point(out, *through, *granted_total);
         }
         NetFrame::Fin { stream, final_seq } => {
             put_u32_le(out, 1 + 16);
@@ -466,12 +445,13 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
             out.put_slice(&version.to_le_bytes());
             out.put_u64_le(*token);
         }
-        NetFrame::HelloAck { version, token, cursors } => {
-            put_u32_le(out, (1 + 2 + 8 + cursors_len(cursors)) as u32);
+        NetFrame::HelloAck { version, token, through, granted_total } => {
+            let len = 1 + 2 + 8 + varint_len(*through) + varint_len(*granted_total);
+            put_u32_le(out, len as u32);
             out.put_u8(KIND_HELLO_ACK);
             out.put_slice(&version.to_le_bytes());
             out.put_u64_le(*token);
-            put_cursors(out, cursors);
+            put_point(out, *through, *granted_total);
         }
         NetFrame::Heartbeat { seq } => {
             put_u32_le(out, 1 + 8);
@@ -545,65 +525,45 @@ impl<'a> BodyReader<'a> {
         Ok(v)
     }
 
-    /// Reads a cursor list that must end exactly at the end of the body,
-    /// into `cursors` (cleared first; its capacity is reused). A count
-    /// the remaining bytes cannot hold is refused before anything is
-    /// allocated for it.
-    fn cursors(&mut self, mut cursors: Vec<ResumeCursor>) -> Result<Vec<ResumeCursor>, FrameError> {
-        let n = self.varint()?;
-        if n > (self.remaining() / MIN_CURSOR_BYTES) as u64 {
-            return Err(FrameError::Malformed("cursor count exceeds the frame body"));
-        }
-        cursors.clear();
-        cursors.reserve(n as usize);
-        let mut stream = 0u64;
-        for i in 0..n {
-            let delta = self.varint()?;
-            if i > 0 && delta == 0 {
-                return Err(FrameError::Malformed("cursor streams must ascend strictly"));
-            }
-            stream = stream
-                .checked_add(delta)
-                .ok_or(FrameError::Malformed("cursor stream delta overflows u64"))?;
-            let through_seq = self.varint()?;
-            let granted_total = self.varint()?;
-            cursors.push(ResumeCursor { stream, through_seq, granted_total });
-        }
+    /// Reads the `through`/`granted_total` point that must end exactly
+    /// at the end of the body.
+    fn point(&mut self) -> Result<(u64, u64), FrameError> {
+        let through = self.varint()?;
+        let granted_total = self.varint()?;
         if self.remaining() != 0 {
-            return Err(FrameError::Malformed("trailing bytes after the last cursor"));
+            return Err(FrameError::Malformed("trailing bytes after the ack point"));
         }
-        Ok(cursors)
+        Ok((through, granted_total))
     }
 
     /// Validates a `Batch` body that must end exactly at the end of the
     /// frame: the count is backed by the bytes (nothing is sized from
-    /// it), stream deltas accumulate without overflow, every seq is at
-    /// least 1 and a repeated stream's seq is consecutive, and every
-    /// payload lies inside the body. Returns the count and where the
-    /// entries start.
-    fn batch(&mut self) -> Result<(u64, usize), FrameError> {
+    /// it), the base seq is at least 1 and the last entry's seq fits a
+    /// `u64`, stream deltas accumulate without overflow, and every
+    /// payload lies inside the body. Returns the count, the base and
+    /// where the entries start.
+    fn batch(&mut self) -> Result<(u64, u64, usize), FrameError> {
         let n = self.varint()?;
         if n == 0 {
             return Err(FrameError::Malformed("batch frame carries no entries"));
+        }
+        let base = self.varint()?;
+        if base == 0 {
+            return Err(FrameError::Malformed("batch base seq must be at least 1"));
+        }
+        if base.checked_add(n - 1).is_none() {
+            return Err(FrameError::Malformed("batch seqs run past u64::MAX"));
         }
         if n > (self.remaining() / MIN_ENTRY_BYTES) as u64 {
             return Err(FrameError::Malformed("batch entry count exceeds the frame body"));
         }
         let start = self.at;
-        let (mut stream, mut prev_seq) = (0u64, 0u64);
-        for i in 0..n {
+        let mut stream = 0u64;
+        for _ in 0..n {
             let delta = self.varint()?;
             stream = stream
                 .checked_add(delta)
                 .ok_or(FrameError::Malformed("batch stream delta overflows u64"))?;
-            let seq = self.varint()?;
-            if seq == 0 {
-                return Err(FrameError::Malformed("batch entry seq must be at least 1"));
-            }
-            if i > 0 && delta == 0 && prev_seq.checked_add(1) != Some(seq) {
-                return Err(FrameError::Malformed("repeated batch stream skips a seq"));
-            }
-            prev_seq = seq;
             let len = self.varint()?;
             if len > self.remaining() as u64 {
                 return Err(FrameError::Malformed("batch payload runs past the frame body"));
@@ -613,7 +573,7 @@ impl<'a> BodyReader<'a> {
         if self.remaining() != 0 {
             return Err(FrameError::Malformed("trailing bytes after the last batch entry"));
         }
-        Ok((n, start))
+        Ok((n, base, start))
     }
 }
 
@@ -628,25 +588,13 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
     max_frame: u32,
-    /// Storage the next decoded cursor list is written into (see
-    /// [`recycle_cursors`](Self::recycle_cursors)).
-    spare_cursors: Vec<ResumeCursor>,
 }
 
 impl FrameDecoder {
     /// Creates a decoder enforcing `max_frame` as the largest accepted
     /// length prefix.
     pub fn new(max_frame: u32) -> Self {
-        Self { buf: Vec::new(), pos: 0, max_frame, spare_cursors: Vec::new() }
-    }
-
-    /// Hands a decoded cursor list back, so the next `Ack` or `HelloAck`
-    /// decodes into its storage. A sender that returns every applied
-    /// `Ack` decodes its steady stream of acks without allocating — a
-    /// fresh list per frame costs more than the frame's cursors do
-    /// (one allocation the size of every stream's cursor, each flush).
-    pub(crate) fn recycle_cursors(&mut self, cursors: Vec<ResumeCursor>) {
-        self.spare_cursors = cursors;
+        Self { buf: Vec::new(), pos: 0, max_frame }
     }
 
     /// Appends raw link bytes.
@@ -707,15 +655,16 @@ impl FrameDecoder {
         let kind = body[0];
         let frame = match kind {
             KIND_BATCH => {
-                let (count, start) = BodyReader { body, at: 1 }.batch()?;
+                let (count, base, start) = BodyReader { body, at: 1 }.batch()?;
                 // One copy of the whole body; every entry's payload is a
                 // slice of it.
-                NetFrame::Batch(Batch { count, body: Bytes::copy_from_slice(&body[start..]) })
+                let body = Bytes::copy_from_slice(&body[start..]);
+                NetFrame::Batch(Batch { count, base, body })
             }
-            KIND_ACK => NetFrame::Ack {
-                cursors: BodyReader { body, at: 1 }
-                    .cursors(std::mem::take(&mut self.spare_cursors))?,
-            },
+            KIND_ACK => {
+                let (through, granted_total) = BodyReader { body, at: 1 }.point()?;
+                NetFrame::Ack { through, granted_total }
+            }
             KIND_FIN => {
                 if body.len() != 17 {
                     return Err(FrameError::Malformed("Fin frame must be exactly 17 bytes"));
@@ -735,14 +684,15 @@ impl FrameDecoder {
                 }
             }
             KIND_HELLO_ACK => {
-                if body.len() < 12 {
+                if body.len() < 11 {
                     return Err(FrameError::Malformed("HelloAck frame shorter than its header"));
                 }
+                let (through, granted_total) = BodyReader { body, at: 11 }.point()?;
                 NetFrame::HelloAck {
                     version: u16::from_le_bytes(body[1..3].try_into().expect("2 bytes")),
                     token: Self::read_u64(body, 3),
-                    cursors: BodyReader { body, at: 11 }
-                        .cursors(std::mem::take(&mut self.spare_cursors))?,
+                    through,
+                    granted_total,
                 }
             }
             KIND_HEARTBEAT => {
@@ -811,21 +761,12 @@ pub struct Outbox {
 impl Outbox {
     /// Appends encoded frame bytes (one whole frame per call).
     pub fn stage(&mut self, bytes: &[u8]) {
-        self.stage_parts(&[bytes]);
-    }
-
-    /// Appends one whole frame given as consecutive parts (a header
-    /// and a body written apart).
-    pub(crate) fn stage_parts(&mut self, parts: &[&[u8]]) {
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        let before = self.buf.len();
-        for part in parts {
-            self.buf.extend_from_slice(part);
-        }
-        self.frame_lens.push_back(self.buf.len() - before);
+        self.buf.extend_from_slice(bytes);
+        self.frame_lens.push_back(bytes.len());
     }
 
     /// Bytes not yet handed to the link.
@@ -895,36 +836,31 @@ impl Outbox {
 mod tests {
     use super::*;
 
-    fn batch(entries: &[(u64, u64, &[u8])]) -> NetFrame {
-        NetFrame::Batch(Batch::from_entries(entries.iter().copied()))
+    fn batch(base: u64, entries: &[(u64, &[u8])]) -> NetFrame {
+        NetFrame::Batch(Batch::from_entries(base, entries.iter().copied()))
     }
 
     fn sample_frames() -> Vec<NetFrame> {
         vec![
-            batch(&[(7, 1, &[9, 8, 7])]),
-            NetFrame::Ack {
-                cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 65536 }],
-            },
-            NetFrame::Ack { cursors: vec![] },
-            NetFrame::Ack {
-                cursors: vec![
-                    ResumeCursor { stream: 0, through_seq: 0, granted_total: 0 },
-                    ResumeCursor { stream: 1, through_seq: u64::MAX, granted_total: 0 },
-                    ResumeCursor { stream: u64::MAX, through_seq: 1, granted_total: u64::MAX },
-                ],
-            },
-            batch(&[(0, 1, &[]), (0, 2, &[1]), (5, u64::MAX, &[2, 3]), (u64::MAX, 2, &[])]),
+            batch(1, &[(7, &[9, 8, 7])]),
+            NetFrame::Ack { through: 1, granted_total: 65536 },
+            NetFrame::Ack { through: 0, granted_total: 0 },
+            NetFrame::Ack { through: u64::MAX, granted_total: u64::MAX },
+            batch(u64::MAX - 3, &[(0, &[]), (0, &[1]), (5, &[2, 3]), (u64::MAX, &[])]),
             NetFrame::Fin { stream: 7, final_seq: 2 },
             NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 },
             NetFrame::Hello { version: 9, token: u64::MAX },
-            NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 0, cursors: vec![] },
+            NetFrame::HelloAck {
+                version: PROTOCOL_VERSION,
+                token: 0,
+                through: 0,
+                granted_total: 0,
+            },
             NetFrame::HelloAck {
                 version: PROTOCOL_VERSION,
                 token: 0xDEAD_BEEF,
-                cursors: vec![
-                    ResumeCursor { stream: 3, through_seq: 12, granted_total: 4096 },
-                    ResumeCursor { stream: u64::MAX, through_seq: 0, granted_total: 0 },
-                ],
+                through: 12,
+                granted_total: 4096,
             },
             NetFrame::Heartbeat { seq: 41 },
             NetFrame::QueryReq { req_id: 1, body: Bytes::from(vec![1, 2, 3, 4]) },
@@ -951,8 +887,8 @@ mod tests {
         assert_eq!(dec.pending(), 0);
     }
 
-    fn ack(stream: u64, through_seq: u64) -> NetFrame {
-        NetFrame::Ack { cursors: vec![ResumeCursor { stream, through_seq, granted_total: 0 }] }
+    fn ack(through: u64, granted_total: u64) -> NetFrame {
+        NetFrame::Ack { through, granted_total }
     }
 
     #[test]
@@ -969,65 +905,67 @@ mod tests {
         }
     }
 
-    /// Data entries cost their varints: a one-byte count per batch, then
-    /// per entry a stream delta, a seq and a payload length.
+    /// Entries cost their varints: a count and a base seq per batch,
+    /// then per entry a stream delta and a payload length — no seq.
     #[test]
     fn data_headers_shrink_to_their_varints() {
         let mut buf = BytesMut::new();
-        assert_eq!(encode(&batch(&[(7, 1, &[9, 8, 7])]), &mut buf), 4 + 1 + 1 + 3 + 3);
-        assert_eq!(&buf[..], &[8, 0, 0, 0, KIND_BATCH, 1, 7, 1, 3, 9, 8, 7]);
+        assert_eq!(encode(&batch(1, &[(7, &[9, 8, 7])]), &mut buf), 4 + 1 + 2 + 2 + 3);
+        assert_eq!(&buf[..], &[8, 0, 0, 0, KIND_BATCH, 1, 1, 7, 3, 9, 8, 7]);
         // A repeated stream costs a zero delta; the next stream its
-        // distance from the previous one.
+        // distance from the previous one. Entries carry seqs 300..=302.
         buf.clear();
-        encode(&batch(&[(7, 1, &[9]), (7, 2, &[8]), (300, 4, &[])]), &mut buf);
-        assert_eq!(&buf[5..], &[3, 7, 1, 1, 9, 0, 2, 1, 8, 0xA5, 0x02, 4, 0]);
+        encode(&batch(300, &[(7, &[9]), (7, &[8]), (300, &[])]), &mut buf);
+        assert_eq!(&buf[5..], &[3, 0xAC, 0x02, 7, 1, 9, 0, 1, 8, 0xA5, 0x02, 0]);
         buf.clear();
-        assert_eq!(encode(&batch(&[(u64::MAX, 300, &[])]), &mut buf), 4 + 1 + 1 + 10 + 2 + 1);
-        assert_eq!(single_entry_frame_len(u64::MAX, 300, 0), 1 + 1 + 10 + 2 + 1);
+        assert_eq!(encode(&batch(300, &[(u64::MAX, &[])]), &mut buf), 4 + 1 + 1 + 2 + 10 + 1);
+        assert_eq!(single_entry_frame_len(u64::MAX, 300, 0), 1 + 1 + 2 + 10 + 1);
+        // One `Ack` per flush: a kind byte and two varints.
+        buf.clear();
+        assert_eq!(encode(&ack(300, 0), &mut buf), 4 + 1 + 2 + 1);
+        assert_eq!(&buf[4..], &[KIND_ACK, 0xAC, 0x02, 0]);
+    }
+
+    #[test]
+    fn batch_entries_number_from_the_base() {
+        let NetFrame::Batch(b) = batch(41, &[(2, &[1]), (2, &[2]), (9, &[])]) else {
+            unreachable!()
+        };
+        let got: Vec<(u64, u64, Vec<u8>)> =
+            b.entries().map(|e| (e.stream, e.seq, e.payload.to_vec())).collect();
+        assert_eq!(got, [(2, 41, vec![1]), (2, 42, vec![2]), (9, 43, vec![])]);
     }
 
     /// The sender's writer produces the generic encoder's bytes, and
-    /// splits only where one more entry would pass `max_frame`.
+    /// splits only where one more entry would pass `max_frame`; each
+    /// sealed frame reports the seq of its last entry.
     #[test]
     fn batch_writer_splits_at_max_frame_and_matches_encode() {
         let entries: Vec<(u64, u64, Vec<u8>)> =
-            (0..12u64).map(|i| (i / 3, 1 + i % 3, vec![i as u8; 5])).collect();
-        let mut out = Outbox::default();
+            (0..12u64).map(|i| (i / 3, 1 + i, vec![i as u8; 5])).collect();
+        let mut sealed = Vec::new();
         let mut writer = BatchWriter::default();
         for (stream, seq, payload) in &entries {
-            writer.push(*stream, *seq, payload, 40, &mut out);
+            sealed.extend(writer.push(*stream, *seq, payload, 40));
         }
-        writer.finish(&mut out);
-        let mut dec = FrameDecoder::new(40);
-        dec.extend(&out.take());
+        sealed.extend(writer.finish());
+        assert!(writer.finish().is_none(), "nothing left open");
         let mut got = Vec::new();
-        let mut frames = 0;
-        while let Some(NetFrame::Batch(b)) = dec.try_next().unwrap() {
-            frames += 1;
+        for (last, frame) in &sealed {
+            let mut dec = FrameDecoder::new(40);
+            dec.extend(frame);
+            let Some(NetFrame::Batch(b)) = dec.try_next().unwrap() else { panic!("a Batch") };
+            assert_eq!(dec.pending(), 0, "one whole frame");
             let mut one = BytesMut::new();
-            let len = encode(&NetFrame::Batch(b.clone()), &mut one);
-            assert!(len - 4 <= 40, "a {len}-byte frame passed max_frame");
+            encode(&NetFrame::Batch(b.clone()), &mut one);
+            assert_eq!(&one[..], &frame[..], "the writer's bytes are the encoder's");
+            assert!(frame.len() - 4 <= 40, "a {}-byte frame passed max_frame", frame.len());
             got.extend(b.entries().map(|e| (e.stream, e.seq, e.payload.to_vec())));
+            assert_eq!(got.last().unwrap().1, *last);
         }
-        assert_eq!(dec.pending(), 0);
         assert_eq!(got, entries, "every entry once, in order");
-        // 8 bytes per entry: 4 entries fit a 40-byte frame, not 5.
-        assert_eq!(frames, 3);
-    }
-
-    #[test]
-    fn recycled_cursor_storage_is_decoded_into() {
-        let mut buf = BytesMut::new();
-        encode(&ack(3, 9), &mut buf);
-        encode(&ack(4, 1), &mut buf);
-        let mut dec = FrameDecoder::new(1024);
-        dec.extend(&buf);
-        let Some(NetFrame::Ack { cursors }) = dec.try_next().unwrap() else { panic!("an Ack") };
-        let storage = cursors.as_ptr();
-        dec.recycle_cursors(cursors);
-        let Some(NetFrame::Ack { cursors }) = dec.try_next().unwrap() else { panic!("an Ack") };
-        assert_eq!(cursors.as_ptr(), storage, "the second list reuses the first one's storage");
-        assert_eq!(cursors, [ResumeCursor { stream: 4, through_seq: 1, granted_total: 0 }]);
+        // 7 bytes per entry: 5 entries fit a 40-byte frame, not 6.
+        assert_eq!(sealed.len(), 3);
     }
 
     #[test]
@@ -1065,10 +1003,10 @@ mod tests {
         dec.extend(&[super::KIND_FIN, 0]);
         assert!(matches!(dec.try_next(), Err(FrameError::Malformed(_))));
 
-        // An Ack whose cursor ends mid-varint.
+        // An Ack whose grant ends mid-varint.
         let mut dec = FrameDecoder::new(1024);
-        dec.extend(&5u32.to_le_bytes());
-        dec.extend(&[super::KIND_ACK, 1, 3, 9, 0x80]);
+        dec.extend(&3u32.to_le_bytes());
+        dec.extend(&[super::KIND_ACK, 9, 0x80]);
         assert_eq!(dec.try_next(), Err(FrameError::Malformed("truncated varint")));
 
         // The retired Credit kind is unknown in this version.
@@ -1086,12 +1024,11 @@ mod tests {
         dec.extend(&[super::KIND_HELLO, 1, 0, 0, 0]);
         assert!(matches!(dec.try_next(), Err(FrameError::Malformed(_))));
 
-        // HelloAck whose cursor count promises more cursors than the
-        // frame carries.
+        // HelloAck whose point stops after `through`.
         let mut dec = FrameDecoder::new(1024);
         let mut body = vec![super::KIND_HELLO_ACK, 1, 0];
         body.extend_from_slice(&7u64.to_le_bytes());
-        body.push(3); // claims 3 cursors, has 0
+        body.push(3); // `through`, then no grant
         dec.extend(&(body.len() as u32).to_le_bytes());
         dec.extend(&body);
         assert!(matches!(dec.try_next(), Err(FrameError::Malformed(_))));
@@ -1133,7 +1070,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 }, &mut buf);
         let mark = buf.len();
-        encode(&batch(&[(1, 1, &[5, 6])]), &mut buf);
+        encode(&batch(1, &[(1, &[5, 6])]), &mut buf);
         encode(&ack(1, 1), &mut buf);
 
         let mut dec = FrameDecoder::new(1024);

@@ -16,15 +16,16 @@
 //!   `std::net::TcpStream`).
 //! * [`frame`] — length-delimited net frames (`Batch`/`Ack`/`Fin` plus
 //!   the session and query frames) wrapping `pla-transport`'s wire
-//!   encoding; one `Batch` frame carries a flush's sequenced entries,
-//!   each one stream's messages with its stream id and per-stream
-//!   sequence number, and one `Ack` frame carries every stream's
-//!   cumulative ack and credit cursor for a flush.
-//! * [`credit`] — cumulative-offset per-stream flow control (the QUIC
-//!   `MAX_STREAM_DATA` shape): the receiver grants an absolute byte
-//!   budget per stream, the sender never exceeds it, and a saturated
-//!   stream surfaces [`NetError::Backpressure`] to the caller — the same
-//!   contract as `pla_ingest::IngestHandle::try_push`.
+//!   encoding. A session has one sequence space: one `Batch` frame
+//!   carries a flush's entries numbered consecutively from its base
+//!   seq, each one stream's messages with its stream id, and one `Ack`
+//!   frame carries the session's cumulative ack and connection credit
+//!   grant.
+//! * [`credit`] — cumulative-offset flow control per connection (the
+//!   QUIC `MAX_DATA` shape): the receiver grants an absolute byte budget
+//!   for the whole connection, the sender never exceeds it, and a
+//!   saturated connection surfaces [`NetError::Backpressure`] to the
+//!   caller — the same contract as `pla_ingest::IngestHandle::try_push`.
 //! * [`MuxSender`] / [`NetReceiver`] — the two connection endpoints as
 //!   *sans-I/O* state machines: bytes in, bytes out, no sockets inside,
 //!   so every protocol path is unit-testable deterministically. The
@@ -32,11 +33,11 @@
 //!   segment log per stream.
 //! * [`session`] — the one way a connection comes back: a
 //!   [`SessionSender`] redials on its own and resumes by session token.
-//!   The resume `HelloAck` carries the receiver's cumulative ack/credit
-//!   cursors, the sender replays exactly its un-acknowledged tail, and
-//!   the receiver drops replayed duplicates by sequence number
-//!   ([`StreamDemux::consume_sequenced`](pla_transport::StreamDemux::consume_sequenced)),
-//!   so the reconstruction is byte-identical to an uninterrupted run.
+//!   The resume `HelloAck` carries the receiver's cumulative ack and
+//!   credit point, the sender resends its un-acknowledged sealed frames
+//!   byte for byte, and the receiver drops every replayed entry at or
+//!   below its applied session seq, so the reconstruction is
+//!   byte-identical to an uninterrupted run.
 //! * [`collector`] — the base-station side: a [`Collector`] funnels many
 //!   accepted sessions into one shared `SegmentStore`.
 //! * [`uplink`] — the `pla-ingest` integration: an engine's live segment
@@ -91,8 +92,8 @@ pub mod uplink;
 pub use collector::{drive_collector, Collector, CollectorStats, ConnId, ConnStats};
 pub use link::{Link, MemoryLink, TcpLink};
 pub use listen::{Acceptor, MemoryAcceptor, MemoryConnector, TcpAcceptor};
-pub use mux::{MuxSender, SendStreamStats};
-pub use receiver::{NetReceiver, ReceiverStats};
+pub use mux::{MuxSender, SendStats};
+pub use receiver::{NetReceiver, ReceiverStats, RxStream};
 pub use session::{HandshakeError, MemoryRedial, Redial, SessionConfig, SessionSender, TcpRedial};
 
 use crate::frame::FrameError;
@@ -101,10 +102,13 @@ use pla_transport::ReceiveError;
 /// Connection-level configuration shared by both endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Initial (and steady-state) per-stream credit window in payload
-    /// bytes. Both sides must agree on it: the sender starts with this
-    /// budget implicitly granted, and the receiver keeps topping the
-    /// grant up to `delivered + window` as it consumes.
+    /// Initial (and steady-state) connection credit window in payload
+    /// bytes, shared by every stream of the connection. Both sides must
+    /// agree on it: the sender starts with this budget implicitly
+    /// granted, and the receiver keeps topping the grant up to
+    /// `delivered + window` as it consumes. An entry whose payload
+    /// exceeds it can never be sent
+    /// ([`NetError::EntryExceedsWindow`]).
     pub window: u64,
     /// Maximum accepted frame length in bytes (guards the decoder
     /// against a corrupt or hostile length prefix).
@@ -113,16 +117,16 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self { window: 64 * 1024, max_frame: 1024 * 1024 }
+        Self { window: 1024 * 1024, max_frame: 1024 * 1024 }
     }
 }
 
 /// Errors surfaced by the transport endpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// The stream's credit window cannot cover this payload right now;
-    /// retry after the receiver grants more (or shed load), exactly like
-    /// `pla_ingest::IngestError::Backpressure`.
+    /// The connection's credit window cannot cover this payload right
+    /// now; retry after the receiver grants more (or shed load), exactly
+    /// like `pla_ingest::IngestError::Backpressure`.
     Backpressure,
     /// The stream was already finished with
     /// [`MuxSender::finish_stream`]; no more payload may follow.
@@ -140,37 +144,54 @@ pub enum NetError {
         /// The configured maximum.
         max_frame: u32,
     },
+    /// The entry's payload is larger than the whole connection credit
+    /// window ([`NetConfig::window`]), so no grant could ever admit it.
+    /// Nothing was sent, sequenced or reserved; the caller sheds the
+    /// entry or raises `window` on both sides.
+    EntryExceedsWindow {
+        /// The stream the entry was for.
+        stream: u64,
+        /// The entry's payload bytes.
+        payload_len: usize,
+        /// The configured window.
+        window: u64,
+    },
     /// The peer sent a frame kind this endpoint never accepts (e.g.
     /// `Batch` arriving at the sender).
     UnexpectedFrame(&'static str),
-    /// A `Fin` arrived before every one of the stream's entries was
-    /// applied — impossible on an ordered connection unless frames were
-    /// lost.
+    /// A `Fin` arrived before the session seq it names was applied —
+    /// impossible on an ordered connection unless frames were lost.
     IncompleteFin {
         /// The stream being finished.
         stream: u64,
-        /// The sender's declared final sequence number.
+        /// The session seq the `Fin` names.
         final_seq: u64,
-        /// The highest sequence number actually applied.
+        /// The session seq actually applied through.
         applied: u64,
     },
-    /// The receiver acknowledged an entry this sender never
-    /// produced. A cumulative ack licenses the sender to discard its
-    /// replay copies, so one that overshoots can only come from a
-    /// corrupt or confused peer; the connection is failed rather than
-    /// trusted.
+    /// A `Batch` entry skipped ahead of the session's next seq: the
+    /// connection lost an entry. (Entries at or below the applied seq
+    /// are replays and are dropped, not refused.)
+    SequenceGap {
+        /// The session seq the receiver expected next.
+        expected: u64,
+        /// The session seq that arrived.
+        got: u64,
+    },
+    /// The receiver acknowledged an entry this sender never sealed. A
+    /// cumulative ack licenses the sender to discard its replay frames,
+    /// so one that overshoots can only come from a corrupt or confused
+    /// peer; the connection is failed rather than trusted.
     AckBeyondSent {
-        /// The acknowledged stream.
-        stream: u64,
-        /// The acknowledged sequence number.
+        /// The acknowledged session seq.
         through_seq: u64,
-        /// The sequence number of the last entry actually sent.
+        /// The session seq of the last entry actually sealed.
         last_seq: u64,
     },
     /// Framing-layer failure (bad kind byte, oversized length prefix).
     Frame(FrameError),
-    /// Demultiplexer failure (wire decode, protocol order, sequence
-    /// gap).
+    /// Demultiplexer failure (wire decode, protocol order within a
+    /// stream).
     Receive(ReceiveError),
     /// Session handshake failure — version mismatch, a first frame that
     /// was not a valid `Hello`, or an unknown/quarantined session token.
@@ -181,19 +202,26 @@ pub enum NetError {
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Backpressure => write!(f, "stream credit exhausted; retry or shed load"),
+            Self::Backpressure => write!(f, "connection credit exhausted; retry or shed load"),
             Self::Finished(s) => write!(f, "stream#{s} is finished; no more payload may follow"),
             Self::EntryTooLarge { stream, frame_len, max_frame } => write!(
                 f,
                 "stream#{stream}: entry needs a {frame_len}-byte frame, over max_frame {max_frame}"
             ),
+            Self::EntryExceedsWindow { stream, payload_len, window } => write!(
+                f,
+                "stream#{stream}: {payload_len}-byte entry exceeds the {window}-byte credit window"
+            ),
             Self::UnexpectedFrame(what) => write!(f, "unexpected frame at this endpoint: {what}"),
             Self::IncompleteFin { stream, final_seq, applied } => write!(
                 f,
-                "stream#{stream}: Fin declares final seq {final_seq} but only {applied} applied"
+                "stream#{stream}: Fin names session seq {final_seq} but only {applied} applied"
             ),
-            Self::AckBeyondSent { stream, through_seq, last_seq } => {
-                write!(f, "stream#{stream}: ack through seq {through_seq} but only {last_seq} sent")
+            Self::SequenceGap { expected, got } => {
+                write!(f, "session seq gap: expected {expected}, got {got}")
+            }
+            Self::AckBeyondSent { through_seq, last_seq } => {
+                write!(f, "ack through session seq {through_seq} but only {last_seq} sealed")
             }
             Self::Frame(e) => write!(f, "framing error: {e}"),
             Self::Receive(e) => write!(f, "receive error: {e}"),

@@ -3,33 +3,33 @@
 //!
 //! [`NetReceiver`] is the sans-I/O twin of
 //! [`MuxSender`](crate::MuxSender): it owns the
-//! [`FrameDecoder`](crate::frame::FrameDecoder), a
-//! [`StreamDemux`] (which performs the actual segment reconstruction
-//! and the sequence-number dedup that makes replay safe), and one
-//! [`ReceiveWindow`](crate::credit::ReceiveWindow) per stream for
-//! credit scheduling.
+//! [`FrameDecoder`](crate::frame::FrameDecoder), a [`StreamDemux`]
+//! (which performs the actual segment reconstruction), the session's
+//! applied seq (the dedup point that makes replay safe) and one
+//! [`ReceiveWindow`] for the whole connection. Each stream's own
+//! bookkeeping — its publish mark and its `Fin` — lives in the demux's
+//! slot for the stream, so applying an entry costs one map lookup.
 //!
 //! # Batched acknowledgements
 //!
-//! Applying a `Batch` entry records its stream as *ack-dirty* but stages
-//! nothing. [`flush_control`](NetReceiver::flush_control) — called once
-//! per pump round by the [`driver`](crate::driver) pumps and by
-//! [`take_staged`](NetReceiver::take_staged) — then emits **one** `Ack`
-//! frame holding one cumulative cursor per dirty stream (its ack point
-//! and, when one is due, its credit top-up), however many entries and
-//! streams the round applied. Cumulative counters make the coalescing
-//! free: acking `through_seq = 7` acknowledges entries 1–7 at once, and
-//! a replayed cursor is a no-op at the sender.
+//! Applying a `Batch` stages nothing. [`flush_control`](NetReceiver::flush_control)
+//! — called once per pump round by the [`driver`](crate::driver) pumps
+//! and by [`take_staged`](NetReceiver::take_staged) — then emits **one**
+//! `Ack` frame: the session seq applied through and, when one is due,
+//! the connection's credit top-up, however many entries and streams the
+//! round applied. The cumulative ack makes the coalescing free: acking
+//! `through = 7` acknowledges entries 1–7 at once, and a replayed `Ack`
+//! is a no-op at the sender.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::BytesMut;
 
 use pla_transport::wire::Codec;
-use pla_transport::{SeqOutcome, StreamDemux};
+use pla_transport::StreamDemux;
 
 use crate::credit::ReceiveWindow;
-use crate::frame::{encode, encode_ack, BatchEntry, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{encode, FrameDecoder, NetFrame, Outbox};
 use crate::{NetConfig, NetError};
 
 /// Heartbeats awaiting an echo are bounded: a peer that floods probes
@@ -50,10 +50,10 @@ pub struct ReceiverStats {
     pub streams: usize,
     /// Streams whose `Fin` has arrived.
     pub finished_streams: usize,
-    /// Stream acknowledgements staged (after batching): one per cursor
-    /// of each staged `Ack` frame, however many cursors share a frame.
+    /// `Ack` frames staged: one per control flush that followed any
+    /// `Batch`, however many entries and streams it covers.
     pub acks_staged: u64,
-    /// Credit grants staged: one per cursor carrying a nonzero
+    /// Connection credit grants staged: one per `Ack` carrying a nonzero
     /// `granted_total`.
     pub credits_staged: u64,
     /// `Heartbeat` probes received (each is echoed on the next control
@@ -64,15 +64,14 @@ pub struct ReceiverStats {
     pub stray_hellos: u64,
 }
 
-/// Per-stream receiving state kept beside the demultiplexer's
-/// reconstruction.
-struct RxStream {
-    window: ReceiveWindow,
-    /// The [`NetReceiver::ack_batch`] this stream was last queued in for
-    /// an `Ack`; equal to the current batch means "already queued".
-    ack_batch: u64,
-    /// The [`NetReceiver::touch_batch`] this stream was last reported in.
+/// The receiver's own state for one stream, kept in the demux's slot
+/// for it (see [`StreamDemux::consume_next`]).
+#[derive(Debug, Default)]
+pub struct RxStream {
+    /// The receiver's touch round this stream was last reported in.
     touch_batch: u64,
+    /// The session seq its `Fin` named, once one arrived.
+    fin: Option<u64>,
 }
 
 /// The multiplexed receiver. Feed it link bytes with
@@ -82,26 +81,21 @@ struct RxStream {
 /// [`demux`](Self::demux).
 pub struct NetReceiver<C: Codec> {
     frames: FrameDecoder,
-    demux: StreamDemux<C>,
-    streams: BTreeMap<u64, RxStream>,
-    /// Streams whose ack state advanced since the last
-    /// [`flush_control`](Self::flush_control), each queued once.
-    ack_dirty: Vec<u64>,
-    /// Bumped whenever `ack_dirty` empties, which unqueues every stream
-    /// at once without touching their entries.
-    ack_batch: u64,
+    demux: StreamDemux<C, RxStream>,
+    /// Cumulative ack: the session seq applied through.
+    applied: u64,
+    window: ReceiveWindow,
+    /// Whether a `Batch` arrived since the last
+    /// [`flush_control`](Self::flush_control).
+    ack_due: bool,
     /// Streams that applied an entry or received a `Fin` since the
     /// last [`take_touched`](Self::take_touched), each listed once.
     touched: Vec<u64>,
-    /// Bumped whenever `touched` is taken (see `ack_batch`).
+    /// Bumped whenever `touched` is taken, which unlists every stream at
+    /// once without touching their slots.
     touch_batch: u64,
-    /// Streams whose `Fin` arrived, with their final sequence number.
-    finished: BTreeMap<u64, u64>,
     out: Outbox,
-    config: NetConfig,
     scratch: BytesMut,
-    /// The cursors of the `Ack` frame being built (capacity reused).
-    cursors: Vec<ResumeCursor>,
     /// Heartbeat sequence numbers to echo back on the next control
     /// flush (bounded by [`HEARTBEAT_ECHO_CAP`]).
     heartbeat_echoes: VecDeque<u64>,
@@ -120,17 +114,14 @@ impl<C: Codec> NetReceiver<C> {
     pub fn new(codec: C, dims: usize, config: NetConfig) -> Self {
         Self {
             frames: FrameDecoder::new(config.max_frame),
-            demux: StreamDemux::new(codec, dims),
-            streams: BTreeMap::new(),
-            ack_dirty: Vec::new(),
-            ack_batch: 1,
+            demux: StreamDemux::with_slots(codec, dims),
+            applied: 0,
+            window: ReceiveWindow::new(config.window),
+            ack_due: false,
             touched: Vec::new(),
             touch_batch: 1,
-            finished: BTreeMap::new(),
             out: Outbox::default(),
-            config,
             scratch: BytesMut::new(),
-            cursors: Vec::new(),
             heartbeat_echoes: VecDeque::new(),
             frames_applied: 0,
             dup_drops: 0,
@@ -147,83 +138,57 @@ impl<C: Codec> NetReceiver<C> {
         self.out.stage(&self.scratch);
     }
 
-    /// Stages one `Ack` frame carrying `self.cursors`, if there are any.
-    fn stage_cursors(&mut self) {
-        if self.cursors.is_empty() {
-            return;
+    /// Lists `stream` as touched unless it already is this round.
+    fn touch(touched: &mut Vec<u64>, touch_batch: u64, stream: u64, rx: &mut RxStream) {
+        if rx.touch_batch != touch_batch {
+            rx.touch_batch = touch_batch;
+            touched.push(stream);
         }
-        self.scratch.clear();
-        encode_ack(&self.cursors, &mut self.scratch);
-        self.out.stage(&self.scratch);
-    }
-
-    /// Applies one sequenced entry through
-    /// [`StreamDemux::consume_sequenced`]: an applied entry is counted
-    /// against the stream's credit window, a duplicate (replay after
-    /// reconnect) is dropped — and either way the stream is marked
-    /// ack-dirty, so the next [`flush_control`](Self::flush_control)
-    /// re-announces its cumulative ack (a sender whose acks were lost
-    /// with the old connection can still release its replay buffer).
-    fn apply_entry(&mut self, entry: BatchEntry) -> Result<(), NetError> {
-        let BatchEntry { stream, seq, payload } = entry;
-        let payload_len = payload.len() as u64;
-        let outcome = self.demux.consume_sequenced(stream, seq, payload)?;
-        let window = self.config.window;
-        let rx = self.streams.entry(stream).or_insert_with(|| RxStream {
-            window: ReceiveWindow::new(window),
-            ack_batch: 0,
-            touch_batch: 0,
-        });
-        match outcome {
-            SeqOutcome::Applied => {
-                self.frames_applied += 1;
-                rx.window.on_delivered(payload_len);
-                if rx.touch_batch != self.touch_batch {
-                    rx.touch_batch = self.touch_batch;
-                    self.touched.push(stream);
-                }
-            }
-            SeqOutcome::Duplicate => self.dup_drops += 1,
-        }
-        if rx.ack_batch != self.ack_batch {
-            rx.ack_batch = self.ack_batch;
-            self.ack_dirty.push(stream);
-        }
-        Ok(())
     }
 
     /// Feeds inbound link bytes, applying every complete frame:
     ///
-    /// * `Batch` → each entry in order, exactly as if it had arrived
-    ///   alone (see `apply_entry`): dedup, credit and acks are per
-    ///   entry, never per frame.
+    /// * `Batch` → each entry above the applied seq in order, exactly as
+    ///   if it had arrived alone; entries at or below it are replays and
+    ///   are dropped. Either way an `Ack` is due, so a sender whose acks
+    ///   were lost with the old connection can still release its replay
+    ///   frames.
     /// * `Fin` → the stream is complete; verified against the applied
-    ///   sequence point.
+    ///   seq.
     /// * `Ack` → protocol error at this endpoint.
     pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.frames.extend(bytes);
         while let Some(frame) = self.frames.try_next()? {
             match frame {
                 NetFrame::Batch(batch) => {
+                    self.ack_due = true;
                     for entry in batch.entries() {
-                        self.apply_entry(entry)?;
+                        if entry.seq <= self.applied {
+                            self.dup_drops += 1;
+                            continue;
+                        }
+                        let expected = self.applied + 1;
+                        if entry.seq != expected {
+                            return Err(NetError::SequenceGap { expected, got: entry.seq });
+                        }
+                        let len = entry.payload.len() as u64;
+                        let rx = self.demux.consume_next(entry.stream, entry.payload)?;
+                        Self::touch(&mut self.touched, self.touch_batch, entry.stream, rx);
+                        self.applied = expected;
+                        self.frames_applied += 1;
+                        self.window.on_delivered(len);
                     }
                 }
                 NetFrame::Fin { stream, final_seq } => {
-                    let applied = self.demux.ack_point(stream);
-                    if applied != final_seq {
+                    if final_seq > self.applied {
+                        let applied = self.applied;
                         return Err(NetError::IncompleteFin { stream, final_seq, applied });
                     }
-                    // Idempotent: a replayed Fin re-records the same fact.
-                    self.finished.insert(stream, final_seq);
-                    // A stream that never applied a frame has nothing to
-                    // publish; a reported stream may be reported twice.
-                    if let Some(rx) = self.streams.get_mut(&stream) {
-                        if rx.touch_batch != self.touch_batch {
-                            rx.touch_batch = self.touch_batch;
-                            self.touched.push(stream);
-                        }
-                    }
+                    // Idempotent: a replayed Fin re-records the same
+                    // fact, and a reported stream may be reported twice.
+                    let rx = self.demux.slot_mut(stream);
+                    rx.fin = Some(final_seq);
+                    Self::touch(&mut self.touched, self.touch_batch, stream, rx);
                 }
                 NetFrame::Heartbeat { seq } => {
                     self.heartbeats += 1;
@@ -254,36 +219,24 @@ impl<C: Codec> NetReceiver<C> {
         Ok(())
     }
 
-    /// Stages the batched control traffic for everything applied since
-    /// the last flush: one `Ack` frame with one cumulative cursor per
-    /// ack-dirty stream, whose `granted_total` is the stream's credit
-    /// top-up when the grant schedule says one is due and 0 otherwise.
+    /// Stages the batched control traffic for everything received since
+    /// the last flush: one `Ack` frame with the applied seq, whose
+    /// `granted_total` is the connection's credit top-up when the grant
+    /// schedule says one is due and 0 otherwise.
     ///
     /// The [`driver`](crate::driver) pumps call this once per round
     /// (and [`take_staged`](Self::take_staged) calls it for manual
     /// pumping), which is what turns per-entry control chatter into
     /// per-round batches: a round that applies 20 entries on each of 200
-    /// streams acks them all with one frame of a few bytes per stream.
+    /// streams acks them all with one frame of a few bytes.
     pub fn flush_control(&mut self) {
-        // Ascending stream order, as the cursor codec requires: the
-        // control bytes do not depend on arrival order within a round.
-        let mut dirty = std::mem::take(&mut self.ack_dirty);
-        dirty.sort_unstable();
-        self.cursors.clear();
-        for &stream in &dirty {
-            let grant = self.streams.get_mut(&stream).and_then(|rx| rx.window.due_grant());
+        if std::mem::take(&mut self.ack_due) {
+            let grant = self.window.due_grant();
             self.credits_staged += u64::from(grant.is_some());
-            self.cursors.push(ResumeCursor {
-                stream,
-                through_seq: self.demux.ack_point(stream),
-                granted_total: grant.unwrap_or(0),
-            });
+            self.acks_staged += 1;
+            let ack = NetFrame::Ack { through: self.applied, granted_total: grant.unwrap_or(0) };
+            self.stage_frame(&ack);
         }
-        self.acks_staged += dirty.len() as u64;
-        self.stage_cursors();
-        dirty.clear();
-        self.ack_dirty = dirty;
-        self.ack_batch += 1;
         while let Some(seq) = self.heartbeat_echoes.pop_front() {
             self.stage_frame(&NetFrame::Heartbeat { seq });
         }
@@ -299,38 +252,24 @@ impl<C: Codec> NetReceiver<C> {
         self.touch_batch += 1;
     }
 
-    /// The current credit grant of `stream` (the initial window for a
-    /// stream that never applied an entry).
-    fn current_grant(&self, stream: u64) -> u64 {
-        self.streams.get(&stream).map_or(self.config.window, |rx| rx.window.current_grant())
-    }
-
-    /// This side's cumulative resume state, one cursor per known
-    /// stream (ack point and current grant), ascending — the payload of
-    /// a session-resume `HelloAck`, from which the reconnected sender
-    /// trims its replay buffer and resumes sending.
-    pub fn resume_cursors(&self) -> Vec<ResumeCursor> {
-        self.demux
-            .streams()
-            .map(|stream| ResumeCursor {
-                stream,
-                through_seq: self.demux.ack_point(stream),
-                granted_total: self.current_grant(stream),
-            })
-            .collect()
+    /// This side's cumulative resume point: the session seq applied
+    /// through and the current credit grant — the payload of a
+    /// session-resume `HelloAck`, from which the reconnected sender
+    /// trims its replay frames and resumes sending.
+    pub fn resume_point(&self) -> (u64, u64) {
+        (self.applied, self.window.current_grant())
     }
 
     /// The link died but the session survives: forget the dead link's
     /// partial inbound frame, its undelivered control bytes, and any
-    /// batched-but-unflushed acks — **without** staging anything. The
+    /// batched-but-unflushed ack — **without** staging anything. The
     /// session handshake announces this side's cumulative state through
-    /// the [`resume_cursors`](Self::resume_cursors) of its `HelloAck`
+    /// the [`resume_point`](Self::resume_point) of its `HelloAck`
     /// instead.
     pub fn reset_link(&mut self) {
         self.frames.reset();
         self.out.clear();
-        self.ack_dirty.clear();
-        self.ack_batch += 1;
+        self.ack_due = false;
         self.heartbeat_echoes.clear();
     }
 
@@ -342,31 +281,31 @@ impl<C: Codec> NetReceiver<C> {
 
     /// The reconstruction state: per-stream segment logs, coverage,
     /// counters.
-    pub fn demux(&self) -> &StreamDemux<C> {
+    pub fn demux(&self) -> &StreamDemux<C, RxStream> {
         &self.demux
     }
 
     /// Mutable access to the reconstruction state — the collector uses
     /// it to flush a finished stream's trailing hold segment
     /// ([`StreamDemux::flush_stream`]) before publishing.
-    pub fn demux_mut(&mut self) -> &mut StreamDemux<C> {
+    pub fn demux_mut(&mut self) -> &mut StreamDemux<C, RxStream> {
         &mut self.demux
     }
 
     /// Consumes the receiver, handing back the demultiplexer (for
     /// [`StreamDemux::into_segment_logs`]).
-    pub fn into_demux(self) -> StreamDemux<C> {
+    pub fn into_demux(self) -> StreamDemux<C, RxStream> {
         self.demux
     }
 
     /// Streams whose `Fin` has arrived, ascending.
     pub fn finished_streams(&self) -> impl Iterator<Item = u64> + '_ {
-        self.finished.keys().copied()
+        self.demux.slots().filter(|(_, rx)| rx.fin.is_some()).map(|(stream, _)| stream)
     }
 
     /// Whether `stream` is complete.
     pub fn is_finished(&self, stream: u64) -> bool {
-        self.finished.contains_key(&stream)
+        self.demux.slot(stream).is_some_and(|rx| rx.fin.is_some())
     }
 
     /// Current endpoint counters (entries applied, duplicates dropped,
@@ -376,7 +315,7 @@ impl<C: Codec> NetReceiver<C> {
             frames_applied: self.frames_applied,
             dup_drops: self.dup_drops,
             streams: self.demux.streams().count(),
-            finished_streams: self.finished.len(),
+            finished_streams: self.finished_streams().count(),
             acks_staged: self.acks_staged,
             credits_staged: self.credits_staged,
             heartbeats: self.heartbeats,
@@ -396,7 +335,7 @@ impl<C: Codec> NetReceiver<C> {
     /// Whether an un-flushed batched ack is pending
     /// ([`flush_control`](Self::flush_control) would stage bytes).
     pub fn control_dirty(&self) -> bool {
-        !self.ack_dirty.is_empty() || !self.heartbeat_echoes.is_empty()
+        self.ack_due || !self.heartbeat_echoes.is_empty()
     }
 
     /// Flushes batched control and drains every staged byte (manual
@@ -426,24 +365,26 @@ mod tests {
         buf.to_vec()
     }
 
-    /// A one-entry `Batch` frame.
-    fn data_bytes(stream: u64, seq: u64, msgs: &[Message]) -> Vec<u8> {
+    fn point(t: f64, x: f64) -> Vec<u8> {
+        payload(&[Message::Point { t, x: [x].into() }])
+    }
+
+    /// A `Batch` frame of `(stream, payload)` entries from seq `base`.
+    fn batch(base: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        let batch = Batch::from_entries([(stream, seq, &payload(msgs)[..])]);
-        encode(&NetFrame::Batch(batch), &mut buf);
+        encode(&NetFrame::Batch(Batch::from_entries(base, entries.iter().copied())), &mut buf);
         buf.to_vec()
     }
 
-    fn cursor(stream: u64, through_seq: u64, granted_total: u64) -> ResumeCursor {
-        ResumeCursor { stream, through_seq, granted_total }
+    /// A one-entry `Batch` frame.
+    fn data_bytes(stream: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+        batch(seq, &[(stream, payload)])
     }
 
-    /// The cursors of a control flush that must be exactly one `Ack`.
-    fn only_ack(ctl: &[NetFrame]) -> &[ResumeCursor] {
-        match ctl {
-            [NetFrame::Ack { cursors }] => cursors,
-            other => panic!("expected exactly one Ack frame, got {other:?}"),
-        }
+    fn fin_bytes(stream: u64, final_seq: u64) -> BytesMut {
+        let mut fin = BytesMut::new();
+        encode(&NetFrame::Fin { stream, final_seq }, &mut fin);
+        fin
     }
 
     fn control_frames(rx: &mut NetReceiver<FixedCodec>) -> Vec<NetFrame> {
@@ -456,13 +397,21 @@ mod tests {
         out
     }
 
+    /// The `(through, granted_total)` of a control flush that must be
+    /// exactly one `Ack`.
+    fn only_ack(rx: &mut NetReceiver<FixedCodec>) -> (u64, u64) {
+        match control_frames(rx)[..] {
+            [NetFrame::Ack { through, granted_total }] => (through, granted_total),
+            ref other => panic!("expected exactly one Ack frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn applied_data_is_acked_and_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
         assert!(rx.control_dirty());
-        let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl), [cursor(3, 1, 0)], "acked through 1, no grant due");
+        assert_eq!(only_ack(&mut rx), (1, 0), "acked through 1, no grant due");
         assert_eq!(rx.demux().segments(3).unwrap().len(), 1);
         assert_eq!(rx.stats().frames_applied, 1);
         assert!(!rx.control_dirty());
@@ -471,74 +420,69 @@ mod tests {
     #[test]
     fn acks_batch_to_one_frame_per_stream_per_flush() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        // Five frames for stream 3, two for stream 8, in one round.
+        // Five entries for stream 3, two for stream 8, in one round.
         for seq in 1..=5 {
-            let t = seq as f64;
-            rx.on_bytes(&data_bytes(3, seq, &[Message::Point { t, x: [1.0].into() }])).unwrap();
+            rx.on_bytes(&data_bytes(3, seq, &point(seq as f64, 1.0))).unwrap();
         }
-        for seq in 1..=2 {
-            let t = seq as f64;
-            rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: [2.0].into() }])).unwrap();
+        for seq in 6..=7 {
+            rx.on_bytes(&data_bytes(8, seq, &point(seq as f64, 2.0))).unwrap();
         }
-        let ctl = control_frames(&mut rx);
-        let acks: Vec<(u64, u64)> =
-            only_ack(&ctl).iter().map(|c| (c.stream, c.through_seq)).collect();
-        assert_eq!(
-            acks,
-            vec![(3, 5), (8, 2)],
-            "one cumulative cursor per stream per round, not per frame, in one frame"
-        );
-        assert_eq!(rx.stats().acks_staged, 2, "acks count cursors, not frames");
+        assert_eq!(only_ack(&mut rx), (7, 0), "one cumulative ack per round, for every stream");
+        assert_eq!(rx.stats().acks_staged, 1, "acks count frames, not entries or streams");
+        assert_eq!(rx.demux().ack_point(3), 5, "stream 3 applied five entries");
         // Nothing new ⇒ the next flush stages nothing.
         assert!(control_frames(&mut rx).is_empty());
     }
 
     /// A batch applies entry by entry, exactly as if each had arrived
     /// alone: a replayed batch overlapping what was applied drops only
-    /// the duplicate entries, and acks stay one cursor per stream.
+    /// the entries at or below the applied seq.
     #[test]
     fn batch_entries_apply_and_dedup_one_by_one() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        let point = |t: f64| payload(&[Message::Point { t, x: [1.0].into() }]);
-        let (p0, p1, p2) = (point(0.0), point(1.0), point(2.0));
-        let batch = |entries: &[(u64, u64, &[u8])]| {
-            let mut buf = BytesMut::new();
-            encode(&NetFrame::Batch(Batch::from_entries(entries.iter().copied())), &mut buf);
-            buf
-        };
-        rx.on_bytes(&batch(&[(3, 1, &p0), (3, 2, &p1), (8, 1, &p0)])).unwrap();
-        rx.on_bytes(&batch(&[(3, 2, &p1), (3, 3, &p2), (8, 1, &p0)])).unwrap();
-        assert_eq!((rx.stats().frames_applied, rx.stats().dup_drops), (4, 2));
-        assert_eq!(rx.demux().segments(3).unwrap().len(), 3, "no duplicate segment");
-        let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl), [cursor(3, 3, 0), cursor(8, 1, 0)]);
+        let (p0, p1, p2) = (point(0.0, 1.0), point(1.0, 1.0), point(2.0, 1.0));
+        rx.on_bytes(&batch(1, &[(3, &p0), (3, &p1), (8, &p0)])).unwrap();
+        rx.on_bytes(&batch(2, &[(3, &p1), (8, &p0), (8, &p1), (9, &p2)])).unwrap();
+        assert_eq!((rx.stats().frames_applied, rx.stats().dup_drops), (5, 2));
+        assert_eq!(rx.demux().segments(3).unwrap().len(), 2, "no duplicate segment");
+        assert_eq!(rx.demux().segments(8).unwrap().len(), 2);
+        assert_eq!(only_ack(&mut rx), (5, 0));
         // An entry that fails mid-batch fails the connection, but the
         // entries before it stay applied (and acknowledged).
-        let gap = batch(&[(3, 4, &point(3.0)), (3, 5, &point(4.0)), (9, 2, &p0)]);
-        assert!(matches!(rx.on_bytes(&gap), Err(NetError::Receive(_))));
-        assert_eq!(rx.demux().ack_point(3), 5);
+        let bad = batch(6, &[(3, &point(3.0, 0.0)), (3, &point(4.0, 0.0)), (9, &[])]);
+        assert!(matches!(rx.on_bytes(&bad), Err(NetError::Receive(_))));
+        assert_eq!(rx.resume_point().0, 7);
+    }
+
+    /// The session seq has no holes: an entry past the next seq means
+    /// the connection lost one.
+    #[test]
+    fn a_session_seq_gap_is_a_typed_error() {
+        let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
+        rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
+        let gap = batch(3, &[(4, &point(0.0, 1.0))]);
+        assert_eq!(rx.on_bytes(&gap), Err(NetError::SequenceGap { expected: 2, got: 3 }));
+        assert_eq!(rx.demux().segments(4), None, "nothing past the gap applied");
+        assert_eq!(rx.resume_point().0, 1);
     }
 
     #[test]
     fn touched_streams_are_reported_once_per_take() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        let point = |t: f64| [Message::Point { t, x: [1.0].into() }];
-        rx.on_bytes(&data_bytes(3, 1, &point(0.0))).unwrap();
-        rx.on_bytes(&data_bytes(3, 2, &point(1.0))).unwrap();
-        rx.on_bytes(&data_bytes(8, 1, &point(0.0))).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &point(1.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(8, 3, &point(0.0, 1.0))).unwrap();
         let mut touched = Vec::new();
         rx.take_touched(&mut touched);
-        assert_eq!(touched, vec![3, 8], "each stream once, however many frames it applied");
+        assert_eq!(touched, vec![3, 8], "each stream once, however many entries it applied");
         touched.clear();
         rx.take_touched(&mut touched);
         assert!(touched.is_empty(), "nothing new since the last take");
         // A replay applies nothing, so it touches nothing — but a Fin does.
-        rx.on_bytes(&data_bytes(3, 2, &point(1.0))).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &point(1.0, 1.0))).unwrap();
         rx.take_touched(&mut touched);
         assert!(touched.is_empty(), "a dropped duplicate is not new data");
-        let mut fin = BytesMut::new();
-        encode(&NetFrame::Fin { stream: 8, final_seq: 1 }, &mut fin);
-        rx.on_bytes(&fin).unwrap();
+        rx.on_bytes(&fin_bytes(8, 3)).unwrap();
         rx.take_touched(&mut touched);
         assert_eq!(touched, vec![8]);
     }
@@ -546,12 +490,11 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_but_reacked() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        let frame = data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }]);
+        let frame = data_bytes(3, 1, &point(0.0, 1.0));
         rx.on_bytes(&frame).unwrap();
         let _ = control_frames(&mut rx);
         rx.on_bytes(&frame).unwrap();
-        let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl), [cursor(3, 1, 0)], "re-ack the replay");
+        assert_eq!(only_ack(&mut rx), (1, 0), "re-ack the replay");
         assert_eq!(rx.demux().segments(3).unwrap().len(), 1, "no duplicate segment");
         assert_eq!(rx.stats().dup_drops, 1, "the dropped replay is counted");
     }
@@ -560,33 +503,28 @@ mod tests {
     fn consumption_regrants_credit() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        // Each Point entry payload is 17 bytes; two of them cross half
-        // the 64-byte window.
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
-        let ctl = control_frames(&mut rx);
-        assert_eq!(only_ack(&ctl), [cursor(1, 2, 34 + 64)], "expected a top-up grant");
+        // Each Point entry payload is 17 bytes; two of them, on any
+        // streams, cross half the connection's 64-byte window.
+        rx.on_bytes(&data_bytes(1, 1, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(2, 2, &point(1.0, 2.0))).unwrap();
+        assert_eq!(only_ack(&mut rx), (2, 34 + 64), "expected a top-up grant");
         assert_eq!(rx.stats().credits_staged, 1);
     }
 
     #[test]
     fn fin_requires_every_frame_applied() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        let mut early_fin = BytesMut::new();
-        encode(&NetFrame::Fin { stream: 2, final_seq: 5 }, &mut early_fin);
+        rx.on_bytes(&data_bytes(2, 1, &point(0.0, 1.0))).unwrap();
         assert_eq!(
-            rx.on_bytes(&early_fin),
+            rx.on_bytes(&fin_bytes(2, 5)),
             Err(NetError::IncompleteFin { stream: 2, final_seq: 5, applied: 1 })
         );
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        let mut fin = BytesMut::new();
-        encode(&NetFrame::Fin { stream: 2, final_seq: 1 }, &mut fin);
-        rx.on_bytes(&fin).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&fin_bytes(2, 1)).unwrap();
         assert!(rx.is_finished(2));
         // A replayed Fin is idempotent.
-        rx.on_bytes(&fin).unwrap();
+        rx.on_bytes(&fin_bytes(2, 1)).unwrap();
         assert_eq!(rx.finished_streams().collect::<Vec<_>>(), vec![2]);
         assert_eq!(rx.stats().finished_streams, 1);
     }
@@ -594,39 +532,37 @@ mod tests {
     #[test]
     fn reconnect_reannounces_cumulative_state() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &point(0.0, 1.0))).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.reset_link();
         let window = NetConfig::default().window;
-        assert_eq!(rx.resume_cursors(), [cursor(7, 1, window)], "ack point and current grant");
+        assert_eq!(rx.resume_point(), (1, window), "ack point and current grant");
     }
 
+    /// The resume `HelloAck` carries one point for every stream the
+    /// connection carried, however many.
     #[test]
     fn reconnect_stages_one_frame_covering_every_known_stream() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        rx.on_bytes(&data_bytes(9, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(2, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(5, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(9, 1, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(2, 2, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(2, 3, &point(1.0, 2.0))).unwrap();
+        rx.on_bytes(&data_bytes(5, 4, &point(0.0, 3.0))).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.reset_link();
-        // Stream 2 crossed half its 64-byte window, so its grant moved
-        // past the initial one; the others still hold the initial window.
-        // The resume HelloAck carries these cursors in one frame.
-        assert_eq!(
-            rx.resume_cursors(),
-            [cursor(2, 2, 34 + 64), cursor(5, 1, 64), cursor(9, 1, 64)],
-            "one cursor per known stream, ascending"
-        );
+        // The flush saw 68 bytes delivered, past half the 64-byte
+        // window, so the grant moved to 68 + 64.
+        assert_eq!(rx.resume_point(), (4, 68 + 64), "one point covers all three streams");
+        assert_eq!(rx.staged_bytes(), 0, "the HelloAck, not the receiver, carries it");
     }
 
     #[test]
     fn reconnect_supersedes_pending_batched_acks() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        // Ack still batched (dirty) when the link dies: the resume
-        // cursors supersede it, so nothing may stage it afterwards.
+        rx.on_bytes(&data_bytes(7, 1, &point(0.0, 1.0))).unwrap();
+        // Ack still batched (dirty) when the link dies: the resume point
+        // supersedes it, so nothing may stage it afterwards.
         assert!(rx.control_dirty());
         rx.reset_link();
         assert!(!rx.control_dirty());
@@ -662,17 +598,18 @@ mod tests {
     #[test]
     fn in_session_hello_is_ignored_but_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
         let mut buf = BytesMut::new();
         encode(&NetFrame::Hello { version: 1, token: 42 }, &mut buf);
         rx.on_bytes(&buf).unwrap();
         assert_eq!(rx.stats().stray_hellos, 1);
         // The session keeps working afterwards.
-        rx.on_bytes(&data_bytes(3, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &point(1.0, 2.0))).unwrap();
         assert_eq!(rx.stats().frames_applied, 2);
         // But a HelloAck at the receiver is still a protocol error.
         let mut ack = BytesMut::new();
-        encode(&NetFrame::HelloAck { version: 1, token: 1, cursors: vec![] }, &mut ack);
+        let hello_ack = NetFrame::HelloAck { version: 1, token: 1, through: 0, granted_total: 0 };
+        encode(&hello_ack, &mut ack);
         assert!(matches!(rx.on_bytes(&ack), Err(NetError::UnexpectedFrame(_))));
     }
 
@@ -680,39 +617,38 @@ mod tests {
     fn resume_cursors_mirror_ack_and_grant_state() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
-        let cursors = rx.resume_cursors();
-        assert_eq!(cursors.len(), 2);
-        assert_eq!(cursors[0].stream, 1);
-        assert_eq!(cursors[0].through_seq, 2);
-        assert!(cursors[0].granted_total >= 64, "grant covers at least the initial window");
-        assert_eq!(cursors[1].stream, 4);
-        assert_eq!(cursors[1].through_seq, 1);
+        rx.on_bytes(&data_bytes(1, 1, &point(0.0, 1.0))).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &point(1.0, 2.0))).unwrap();
+        rx.on_bytes(&data_bytes(4, 3, &point(0.0, 3.0))).unwrap();
+        let (through, granted_total) = rx.resume_point();
+        assert_eq!(through, 3);
+        assert!(granted_total >= 64, "grant covers at least the initial window");
+        // The flush that announces a grant moves the resume point's too.
+        let (_, announced) = only_ack(&mut rx);
+        assert_eq!(rx.resume_point(), (3, announced));
     }
 
     #[test]
     fn reset_link_clears_without_staging() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &point(0.0, 1.0))).unwrap();
         assert!(rx.control_dirty());
         rx.reset_link();
         assert!(!rx.control_dirty());
         assert_eq!(rx.staged_bytes(), 0, "reset_link must not stage the refresh");
-        // The cumulative state survives for the HelloAck cursors.
-        assert_eq!(rx.resume_cursors()[0].through_seq, 1);
+        // The cumulative state survives for the HelloAck.
+        assert_eq!(rx.resume_point().0, 1);
     }
 
     #[test]
     fn control_frames_at_the_receiver_are_protocol_errors() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
         let mut buf = BytesMut::new();
-        encode(&NetFrame::Ack { cursors: vec![cursor(1, 1, 0)] }, &mut buf);
+        encode(&NetFrame::Ack { through: 1, granted_total: 0 }, &mut buf);
         assert!(matches!(rx.on_bytes(&buf), Err(NetError::UnexpectedFrame(_))));
     }
 
-    /// Batched control lives in `ack_dirty`/`heartbeat_echoes`, not in
+    /// Batched control lives in `ack_due`/`heartbeat_echoes`, not in
     /// the outbox, until a flush — so `staged_bytes()` alone reads
     /// "drained" while an ack is still owed. Completion checks must
     /// pair it with `control_dirty()`, and `take_staged()` must flush
@@ -720,7 +656,7 @@ mod tests {
     #[test]
     fn take_staged_flushes_batched_acks_that_staged_bytes_misses() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(4, 1, &point(0.0, 1.0))).unwrap();
         assert_eq!(rx.staged_bytes(), 0, "the batched ack is not in the outbox yet");
         assert!(rx.control_dirty(), "but the connection is not drained");
         let drained = rx.take_staged();
@@ -729,7 +665,7 @@ mod tests {
         assert_eq!(rx.staged_bytes(), 0);
         let mut dec = FrameDecoder::new(1 << 20);
         dec.extend(&drained);
-        assert_eq!(dec.try_next().unwrap(), Some(NetFrame::Ack { cursors: vec![cursor(4, 1, 0)] }));
+        assert_eq!(dec.try_next().unwrap(), Some(NetFrame::Ack { through: 1, granted_total: 0 }));
         assert_eq!(dec.try_next().unwrap(), None);
 
         // Same trap with a pending heartbeat echo: zero staged bytes,

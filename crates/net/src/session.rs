@@ -3,7 +3,7 @@
 //! A connection outlives its link only if the collector can tell which
 //! connection a fresh link belongs to. This module gives the wire that
 //! session identity, following the shape of the rt-protocol forwarder
-//! handshake (`ForwarderHello` / resume cursors / heartbeats), and it
+//! handshake (`ForwarderHello` / resume point / heartbeats), and it
 //! is the only way a [`Collector`](crate::Collector) connection comes
 //! back after its link dies:
 //!
@@ -13,9 +13,9 @@
 //!    issued session token (resume).
 //! 2. The collector answers with a
 //!    [`HelloAck`](crate::frame::NetFrame::HelloAck): the issued or
-//!    confirmed token plus one [`ResumeCursor`](crate::frame::ResumeCursor)
-//!    per known stream, so the sender trims its replay buffer *before*
-//!    retransmitting. Token 0 in the ack means refused (version
+//!    confirmed token plus the session seq it applied through and its
+//!    current credit grant, so the sender trims its replay frames
+//!    *before* retransmitting. Token 0 in the ack means refused (version
 //!    mismatch, unknown token, or a quarantined session).
 //! 3. Either side treats a link that has been silent past its liveness
 //!    deadline as dead — [`Heartbeat`](crate::frame::NetFrame::Heartbeat)
@@ -412,9 +412,9 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                 self.session_out.clear();
                 let hello = NetFrame::Hello { version: self.session.version, token: self.token };
                 self.stage_session_frame(&hello);
-                // 0-RTT replay: stage the unacked tail right behind the
-                // Hello. If the HelloAck's cursors later show some of it
-                // was already applied, `apply_resume` re-trims.
+                // 0-RTT replay: stage the unacked frames right behind the
+                // Hello. If the HelloAck's point later shows some of them
+                // were already applied, `apply_resume` re-trims.
                 self.mux.on_reconnect();
                 self.phase = Phase::HelloSent { since: now };
                 self.last_recv = now;
@@ -430,7 +430,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
     /// Applies one inbound frame. `Err` is terminal (protocol failure).
     fn on_frame(&mut self, frame: NetFrame) -> Result<(), NetError> {
         match frame {
-            NetFrame::HelloAck { version, token, cursors } => {
+            NetFrame::HelloAck { version, token, through, granted_total } => {
                 match self.phase {
                     Phase::HelloSent { .. } => {
                         if token == 0 {
@@ -449,7 +449,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                             return Err(NetError::Handshake(err));
                         }
                         self.token = token;
-                        self.mux.apply_resume(&cursors)?;
+                        self.mux.apply_resume(through, granted_total)?;
                         self.phase = Phase::Established;
                         self.backoff = self.session.redial_initial;
                         self.stats.established += 1;
@@ -467,12 +467,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                 self.stats.echoes_seen += 1;
                 Ok(())
             }
-            other => {
-                if let Some(cursors) = self.mux.on_frame(other)? {
-                    self.dec.recycle_cursors(cursors);
-                }
-                Ok(())
-            }
+            other => self.mux.on_frame(other),
         }
     }
 
@@ -644,12 +639,11 @@ mod tests {
         assert!(cfg.redial_initial < cfg.redial_cap);
     }
 
-    /// An ack past the last frame sent is a protocol failure like any
+    /// An ack past the last entry sealed is a protocol failure like any
     /// other: the session parks instead of trimming on it, whether the
-    /// cursor rides the handshake or a later `Ack`.
+    /// point rides the handshake or a later `Ack`.
     #[test]
     fn an_ack_beyond_sent_fails_the_session() {
-        use crate::frame::ResumeCursor;
         use crate::listen::{Acceptor, MemoryAcceptor};
         use crate::Link;
         use pla_core::Segment;
@@ -664,8 +658,7 @@ mod tests {
             n_points: 2,
             new_recordings: 2,
         };
-        let cursor = |through_seq| ResumeCursor { stream: 4, through_seq, granted_total: 0 };
-        for (handshake, ack) in [(vec![cursor(2)], None), (vec![], Some(cursor(2)))] {
+        for (handshake, ack) in [(2, None), (0, Some(2))] {
             let mut acceptor = MemoryAcceptor::new();
             let redial = MemoryRedial::new(acceptor.connector(), 1 << 16);
             let now = Instant::now();
@@ -677,19 +670,24 @@ mod tests {
             let mut peer = acceptor.try_accept().unwrap().expect("dialed");
             let mut reply = BytesMut::new();
             encode(
-                &NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 9, cursors: handshake },
+                &NetFrame::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    token: 9,
+                    through: handshake,
+                    granted_total: 0,
+                },
                 &mut reply,
             );
-            if let Some(c) = ack {
-                encode(&NetFrame::Ack { cursors: vec![c] }, &mut reply);
+            if let Some(through) = ack {
+                encode(&NetFrame::Ack { through, granted_total: 0 }, &mut reply);
             }
             peer.try_write(&reply).unwrap();
             tx.pump_at(now);
             assert_eq!(
                 tx.failure(),
-                Some(&NetError::AckBeyondSent { stream: 4, through_seq: 2, last_seq: 1 })
+                Some(&NetError::AckBeyondSent { through_seq: 2, last_seq: 1 })
             );
-            assert_eq!(tx.mux().stream_stats(4).unwrap().unacked, 1, "nothing was trimmed");
+            assert_eq!(tx.mux().stats().replay_frames, 1, "nothing was trimmed");
         }
     }
 

@@ -4,8 +4,10 @@
 //! [`IngestEngine::with_segment_tap`](pla_ingest::IngestEngine::with_segment_tap)
 //! hands back a live channel of
 //! `(StreamId, Segment)` in emission order; [`EngineUplink`] drains it
-//! into a [`MuxSender`], honoring credit backpressure by parking the
-//! head-of-line segment until the receiver grants more. The far end's
+//! into a [`MuxSender`], honoring the connection's credit backpressure
+//! by parking the head-of-line segment until the receiver grants more.
+//! A segment no grant could ever admit (larger than `max_frame` or the
+//! whole credit window) is a typed error, never parked. The far end's
 //! `StreamDemux` then rebuilds per-stream segment logs identical to
 //! what a direct per-stream [`Transmitter`](pla_transport::Transmitter)
 //! link would have produced — that identity is what the loopback
@@ -59,6 +61,12 @@ impl EngineUplink {
     /// Segment order per stream is preserved: the tap delivers in
     /// emission order, and a credit-refused segment parks at the head
     /// of the line rather than being skipped.
+    ///
+    /// # Errors
+    ///
+    /// Any refusal other than [`NetError::Backpressure`] — e.g.
+    /// [`NetError::EntryTooLarge`] or [`NetError::EntryExceedsWindow`]
+    /// — is returned as is; the refused segment is dropped, not parked.
     pub fn pump<C: Codec>(&mut self, mux: &mut MuxSender<C>) -> Result<UplinkStatus, NetError> {
         loop {
             let (stream, seg) = match self.parked.take() {
@@ -163,5 +171,32 @@ mod tests {
                 assert_eq!(got.connected, want.connected);
             }
         }
+    }
+
+    /// A segment whose payload exceeds the whole credit window can never
+    /// be admitted: the uplink surfaces the typed refusal instead of
+    /// parking the segment and reporting `Blocked` forever.
+    #[test]
+    fn a_segment_larger_than_the_credit_window_is_refused_not_parked() {
+        let (tx, tap) = mpsc::channel();
+        let wide = Segment {
+            t_start: 0.0,
+            x_start: [1.0; 3].into(),
+            t_end: 5.0,
+            x_end: [2.0; 3].into(),
+            connected: false,
+            n_points: 2,
+            new_recordings: 2,
+        };
+        tx.send((StreamId(4), wide)).unwrap();
+        drop(tx);
+        // A 3-D Start+End entry is 66 payload bytes.
+        let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
+        let mut mux = MuxSender::new(FixedCodec, 3, cfg);
+        let mut uplink = EngineUplink::new(tap);
+        let over = NetError::EntryExceedsWindow { stream: 4, payload_len: 66, window: 64 };
+        assert_eq!(uplink.pump(&mut mux), Err(over));
+        assert_eq!(uplink.pump(&mut mux), Ok(UplinkStatus::Drained), "nothing left parked");
+        assert_eq!(uplink.forwarded(), 0);
     }
 }

@@ -6,17 +6,17 @@
 //! [`FrameError`] — never panic. Any frame that does decode must survive
 //! an encode/decode round trip unchanged.
 //!
-//! The variable-length fields (varints, cursor lists and batches) are
-//! also pinned against the inputs a hostile peer would reach for: an
-//! over-long varint, a varint past `u64::MAX`, a stream delta that
-//! overflows, a cursor or entry count the body cannot hold, seq 0, a
-//! payload length past the body, and trailing bytes after the last
-//! cursor or entry. Each is refused before anything is sized from it,
-//! measured by the counting allocator below: no allocation at all,
-//! except that a cursor list whose count the body can hold is allocated
-//! once before its cursors are read. A `Batch` is validated whole before
-//! its one body copy, so every refused batch — truncated golden batches
-//! included — allocates nothing.
+//! The variable-length fields (varints, the `Ack`/`HelloAck` point and
+//! batches) are also pinned against the inputs a hostile peer would
+//! reach for: an over-long varint, a varint past `u64::MAX`, a truncated
+//! varint, a stream delta that overflows, an entry count the body cannot
+//! hold, a base seq of 0 or one whose last entry's seq overflows `u64`,
+//! a payload length past the body, and trailing bytes after the ack
+//! point or the last entry. Each is refused before anything is sized
+//! from it, measured by the counting allocator below: no allocation at
+//! all. A `Batch` is validated whole before its one body copy, so every
+//! refused batch — truncated golden batches included — allocates
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,10 +189,10 @@ fn a_varint_past_u64_max_is_refused_without_allocating() {
     body.push(1);
     assert_refused_without_allocating(&framed(KIND_BATCH, &body), "varint overflows u64");
     // The largest value that fits still decodes: one entry on stream
-    // u64::MAX.
-    let mut body = vec![1];
+    // u64::MAX, at seq 1.
+    let mut body = vec![1, 1];
     body.extend_from_slice(&MAX_VARINT);
-    body.extend_from_slice(&[1, 0]);
+    body.push(0);
     let (result, _) = decode_one(&framed(KIND_BATCH, &body));
     let Ok(Some(NetFrame::Batch(batch))) = result else { panic!("a valid batch: {result:?}") };
     let entries: Vec<(u64, u64, usize)> =
@@ -204,22 +204,20 @@ fn a_varint_past_u64_max_is_refused_without_allocating() {
 fn a_batch_entry_count_the_body_cannot_back_is_refused_without_allocating() {
     // Count u64::MAX over three bytes: nothing may be sized from it.
     let mut body = MAX_VARINT.to_vec();
-    body.extend_from_slice(&[1, 1, 0]);
+    body.extend_from_slice(&[1, 1, 1, 0]);
     assert_refused_without_allocating(
         &framed(KIND_BATCH, &body),
         "batch entry count exceeds the frame body",
     );
-    // Count 2 with five bytes, one short of two minimal entries.
+    // Count 2, base 1, three entry bytes: one short of two minimal
+    // entries.
     assert_refused_without_allocating(
-        &framed(KIND_BATCH, &[2, 1, 1, 0, 2, 1]),
+        &framed(KIND_BATCH, &[2, 1, 1, 0, 2]),
         "batch entry count exceeds the frame body",
     );
-    // Count 2 backed by six bytes, but the first entry's payload takes
+    // Count 2 backed by four bytes, but the first entry's payload takes
     // the bytes the second one needs.
-    assert_refused_without_allocating(
-        &framed(KIND_BATCH, &[2, 1, 1, 1, 9, 2, 1]),
-        "truncated varint",
-    );
+    assert_refused_without_allocating(&framed(KIND_BATCH, &[2, 1, 1, 1, 9, 2]), "truncated varint");
     // A zero count is no batch at all.
     assert_refused_without_allocating(&framed(KIND_BATCH, &[0]), "batch frame carries no entries");
 }
@@ -227,37 +225,52 @@ fn a_batch_entry_count_the_body_cannot_back_is_refused_without_allocating() {
 #[test]
 fn a_batch_stream_delta_that_overflows_is_refused_without_allocating() {
     // Stream u64::MAX, then a delta of 1 past it.
-    let mut body = vec![2];
+    let mut body = vec![2, 1];
     body.extend_from_slice(&MAX_VARINT);
-    body.extend_from_slice(&[1, 0, 1, 1, 0]);
+    body.extend_from_slice(&[0, 1, 0]);
     assert_refused_without_allocating(
         &framed(KIND_BATCH, &body),
         "batch stream delta overflows u64",
     );
 }
 
+/// A base seq of 0 would number the first entry 0, below every applied
+/// point.
 #[test]
 fn a_batch_entry_with_seq_zero_is_refused_without_allocating() {
     assert_refused_without_allocating(
-        &framed(KIND_BATCH, &[1, 5, 0, 1, 9]),
-        "batch entry seq must be at least 1",
+        &framed(KIND_BATCH, &[1, 0, 5, 1, 9]),
+        "batch base seq must be at least 1",
     );
-    // A repeated stream must carry the next seq, not skip or repeat one.
-    for seq in [1, 3] {
-        assert_refused_without_allocating(
-            &framed(KIND_BATCH, &[2, 5, 1, 0, 0, seq, 0]),
-            "repeated batch stream skips a seq",
-        );
-    }
+}
+
+#[test]
+fn a_batch_whose_seqs_run_past_u64_max_is_refused_without_allocating() {
+    // Base u64::MAX holds exactly one entry; a second would be seq 2^64.
+    let mut body = vec![2];
+    body.extend_from_slice(&MAX_VARINT);
+    body.extend_from_slice(&[5, 0, 0, 0]);
+    assert_refused_without_allocating(&framed(KIND_BATCH, &body), "batch seqs run past u64::MAX");
+    // A huge count is refused as an overflow before its bytes are even
+    // counted.
+    let mut body = MAX_VARINT.to_vec();
+    body.extend_from_slice(&[2, 5, 0]);
+    assert_refused_without_allocating(&framed(KIND_BATCH, &body), "batch seqs run past u64::MAX");
+    let mut body = vec![1];
+    body.extend_from_slice(&MAX_VARINT);
+    body.extend_from_slice(&[5, 0]);
+    let (result, _) = decode_one(&framed(KIND_BATCH, &body));
+    let Ok(Some(NetFrame::Batch(batch))) = result else { panic!("a valid batch: {result:?}") };
+    assert_eq!(batch.entries().map(|e| e.seq).collect::<Vec<_>>(), [u64::MAX]);
 }
 
 #[test]
 fn a_batch_payload_length_past_the_body_is_refused_without_allocating() {
     assert_refused_without_allocating(
-        &framed(KIND_BATCH, &[1, 5, 1, 4, 9, 9, 9]),
+        &framed(KIND_BATCH, &[1, 1, 5, 4, 9, 9, 9]),
         "batch payload runs past the frame body",
     );
-    let mut body = vec![1, 5, 1];
+    let mut body = vec![1, 1, 5];
     body.extend_from_slice(&MAX_VARINT);
     assert_refused_without_allocating(
         &framed(KIND_BATCH, &body),
@@ -268,7 +281,7 @@ fn a_batch_payload_length_past_the_body_is_refused_without_allocating() {
 #[test]
 fn trailing_bytes_after_the_last_batch_entry_are_refused_without_allocating() {
     assert_refused_without_allocating(
-        &framed(KIND_BATCH, &[1, 5, 1, 1, 9, 0xAA]),
+        &framed(KIND_BATCH, &[1, 1, 5, 1, 9, 0xAA]),
         "trailing bytes after the last batch entry",
     );
 }
@@ -290,63 +303,86 @@ fn every_truncated_golden_batch_is_refused_without_allocating() {
     }
 }
 
+/// A delta that overflows after valid entries with payloads is refused
+/// as whole-frame validation, not after the earlier entries were copied.
 #[test]
 fn a_stream_delta_that_overflows_is_refused_without_allocating() {
-    // Two cursors: stream u64::MAX, then a delta of 1 past it. The count
-    // fits the body, so the cursor list itself is allocated first — the
-    // overflow must be refused without allocating anything further.
-    let mut body = vec![2];
-    body.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0]);
-    body.extend_from_slice(&[1, 0, 0]);
-    let (result, allocs) = decode_one(&framed(KIND_ACK, &body));
-    assert_eq!(result, Err(FrameError::Malformed("cursor stream delta overflows u64")));
-    assert!(allocs <= 1, "only the cursor list itself may be allocated, got {allocs}");
-}
-
-#[test]
-fn a_cursor_count_the_body_cannot_hold_is_refused_without_allocating() {
-    // Count u64::MAX, three bytes of body: nothing may be sized from it.
-    let mut body = vec![0xFF; 9];
-    body.extend_from_slice(&[0x01, 1, 2, 3]);
+    // Three entries: stream 7 (two payload bytes), stream u64::MAX
+    // (one), then a delta of 1 past it.
+    let mut body = vec![3, 40, 7, 2, 0xAB, 0xCD];
+    let mut delta = u64::MAX - 7;
+    while delta >= 0x80 {
+        body.push(delta as u8 | 0x80);
+        delta >>= 7;
+    }
+    body.push(delta as u8);
+    body.extend_from_slice(&[1, 0xEE, 1, 0]);
     assert_refused_without_allocating(
-        &framed(KIND_ACK, &body),
-        "cursor count exceeds the frame body",
-    );
-    // Count 2 with one cursor's worth of bytes (five, one short of two
-    // minimal cursors).
-    assert_refused_without_allocating(
-        &framed(KIND_ACK, &[2, 1, 1, 1, 1, 1]),
-        "cursor count exceeds the frame body",
-    );
-    // The same bound holds for a `HelloAck`'s resume cursors.
-    let mut body = vec![3, 0];
-    body.extend_from_slice(&7u64.to_le_bytes());
-    body.extend_from_slice(&[0x80, 0x80, 0x04, 1, 1, 1]);
-    assert_refused_without_allocating(
-        &framed(KIND_HELLO_ACK, &body),
-        "cursor count exceeds the frame body",
+        &framed(KIND_BATCH, &body),
+        "batch stream delta overflows u64",
     );
 }
 
-#[test]
-fn trailing_bytes_after_the_last_cursor_are_refused() {
-    assert_refused_without_allocating(
-        &framed(KIND_ACK, &[0, 0]),
-        "trailing bytes after the last cursor",
-    );
-    let (result, _) = decode_one(&framed(KIND_ACK, &[1, 3, 9, 0, 0]));
-    assert_eq!(result, Err(FrameError::Malformed("trailing bytes after the last cursor")));
-    let mut body = vec![3, 0];
-    body.extend_from_slice(&7u64.to_le_bytes());
-    body.extend_from_slice(&[1, 3, 9, 0, 0xAA]);
-    let (result, _) = decode_one(&framed(KIND_HELLO_ACK, &body));
-    assert_eq!(result, Err(FrameError::Malformed("trailing bytes after the last cursor")));
+/// An `Ack` body and a `HelloAck`'s 11-byte header followed by `point`.
+fn ack_frames(point: &[u8]) -> [Vec<u8>; 2] {
+    let mut hello_ack = vec![5, 0];
+    hello_ack.extend_from_slice(&7u64.to_le_bytes());
+    hello_ack.extend_from_slice(point);
+    [framed(KIND_ACK, point), framed(KIND_HELLO_ACK, &hello_ack)]
 }
 
 #[test]
-fn repeated_cursor_streams_are_refused() {
-    let (result, _) = decode_one(&framed(KIND_ACK, &[2, 3, 1, 0, 0, 2, 0]));
-    assert_eq!(result, Err(FrameError::Malformed("cursor streams must ascend strictly")));
+fn a_hostile_ack_point_is_refused_without_allocating() {
+    let mut over_long = vec![0x80; 10];
+    over_long.extend_from_slice(&[0x01, 0]);
+    let mut past_max = vec![0xFF; 9];
+    past_max.extend_from_slice(&[0x02, 0]);
+    let mut grant_past_max = vec![3];
+    grant_past_max.extend_from_slice(&[0xFF; 9]);
+    grant_past_max.push(0x7F);
+    for (point, what) in [
+        (&[][..], "truncated varint"),
+        (&[3][..], "truncated varint"),
+        (&[3, 0x80][..], "truncated varint"),
+        (&over_long[..], "varint longer than 10 bytes"),
+        (&past_max[..], "varint overflows u64"),
+        (&grant_past_max[..], "varint overflows u64"),
+    ] {
+        for frame in ack_frames(point) {
+            assert_refused_without_allocating(&frame, what);
+        }
+    }
+    // The extremes that fit decode exactly.
+    let mut point = MAX_VARINT.to_vec();
+    point.extend_from_slice(&MAX_VARINT);
+    let [ack, hello_ack] = ack_frames(&point);
+    let (result, allocs) = decode_one(&ack);
+    assert_eq!(result, Ok(Some(NetFrame::Ack { through: u64::MAX, granted_total: u64::MAX })));
+    assert_eq!(allocs, 0, "an Ack decodes without allocating");
+    let (result, _) = decode_one(&hello_ack);
+    assert_eq!(
+        result,
+        Ok(Some(NetFrame::HelloAck {
+            version: 5,
+            token: 7,
+            through: u64::MAX,
+            granted_total: u64::MAX
+        }))
+    );
+}
+
+#[test]
+fn trailing_bytes_after_the_ack_point_are_refused() {
+    for point in [&[0, 0, 0][..], &[3, 9, 0xAA][..], &[0x80, 0x01, 0, 0, 0][..]] {
+        for frame in ack_frames(point) {
+            assert_refused_without_allocating(&frame, "trailing bytes after the ack point");
+        }
+    }
+    // A `HelloAck` shorter than its fixed header is refused as such.
+    assert_refused_without_allocating(
+        &framed(KIND_HELLO_ACK, &[5, 0, 7, 0, 0]),
+        "HelloAck frame shorter than its header",
+    );
 }
 
 proptest! {

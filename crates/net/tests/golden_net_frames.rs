@@ -1,7 +1,8 @@
 //! Golden wire-format pin for the ingest plane: the exact bytes of every
-//! ingest-plane frame kind — `Hello`, `HelloAck` (with and without resume
-//! cursors), `Batch`, `Ack` (empty, one cursor, and grant-carrying and
-//! `u64::MAX` cursors), `Fin` and `Heartbeat` — are checked into
+//! ingest-plane frame kind — `Hello`, `HelloAck` (fresh and resuming),
+//! `Batch` (including one whose last entry is seq `u64::MAX`), `Ack`
+//! (zero, small, grant-carrying and `u64::MAX` points), `Fin` and
+//! `Heartbeat` — are checked into
 //! `golden_net_frames.bin`. The data section is `Batch` frames whose
 //! entries carry every `pla-transport` payload message tag (`Hold`,
 //! `Start`, `End`, `Point`, `Provisional`) under both codecs, at d = 1
@@ -21,7 +22,7 @@
 use bytes::BytesMut;
 
 use pla_core::{DimVec, ProvisionalUpdate, Segment};
-use pla_net::frame::{encode, Batch, FrameDecoder, NetFrame, ResumeCursor, PROTOCOL_VERSION};
+use pla_net::frame::{encode, Batch, FrameDecoder, NetFrame, PROTOCOL_VERSION};
 use pla_net::{MuxSender, NetConfig};
 use pla_transport::wire::{
     provisional_message, segment_messages, Codec, CompactCodec, FixedCodec, Message,
@@ -33,38 +34,27 @@ const GOLDEN: &[u8] = include_bytes!("golden_net_frames.bin");
 const WINDOW: u64 = 1 << 20;
 
 /// Every ingest-plane control frame with fixed, representative field
-/// values — edge values included (`u64::MAX` ids and seqs, zero
-/// sequence numbers, empty cursor lists, empty and repeated-stream
-/// batch entries).
+/// values — edge values included (`u64::MAX` ids, seqs and grants,
+/// zero points, empty and repeated-stream batch entries).
 fn control_frames() -> Vec<NetFrame> {
     vec![
         NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 },
         NetFrame::Hello { version: PROTOCOL_VERSION, token: u64::MAX },
-        NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 0, cursors: vec![] },
+        NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 0, through: 0, granted_total: 0 },
         NetFrame::HelloAck {
             version: PROTOCOL_VERSION,
             token: 0x0123_4567_89AB_CDEF,
-            cursors: vec![
-                ResumeCursor { stream: 3, through_seq: 12, granted_total: 65_536 },
-                ResumeCursor { stream: u64::MAX, through_seq: 0, granted_total: 0 },
-            ],
+            through: 12,
+            granted_total: 1 << 20,
         },
-        NetFrame::Batch(Batch::from_entries([
-            (0, u64::MAX, &[][..]),
-            (7, 1, &[][..]),
-            (7, 2, &[0xAB][..]),
-            (u64::MAX, 1, &[0x00, 0xFF][..]),
-        ])),
-        NetFrame::Ack { cursors: vec![] },
-        NetFrame::Ack {
-            cursors: vec![ResumeCursor { stream: 7, through_seq: 1, granted_total: 0 }],
-        },
-        NetFrame::Ack {
-            cursors: vec![
-                ResumeCursor { stream: 7, through_seq: 1, granted_total: 98_304 },
-                ResumeCursor { stream: u64::MAX, through_seq: u64::MAX, granted_total: 0 },
-            ],
-        },
+        NetFrame::Batch(Batch::from_entries(
+            u64::MAX - 3,
+            [(0, &[][..]), (7, &[][..]), (7, &[0xAB][..]), (u64::MAX, &[0x00, 0xFF][..])],
+        )),
+        NetFrame::Ack { through: 0, granted_total: 0 },
+        NetFrame::Ack { through: 1, granted_total: 0 },
+        NetFrame::Ack { through: 300, granted_total: 1_572_864 },
+        NetFrame::Ack { through: u64::MAX, granted_total: u64::MAX },
         NetFrame::Fin { stream: 7, final_seq: 0 },
         NetFrame::Fin { stream: 7, final_seq: 1 },
         NetFrame::Heartbeat { seq: 0 },
@@ -139,18 +129,20 @@ fn frame_len(frame: &NetFrame) -> usize {
     encode(frame, &mut buf) - 4
 }
 
-fn batch(entries: &[(u64, u64, Vec<u8>)]) -> NetFrame {
-    NetFrame::Batch(Batch::from_entries(entries.iter().map(|(s, q, p)| (*s, *q, &p[..]))))
+/// A `Batch` of `entries` from session seq `base`.
+fn batch(base: u64, entries: &[(u64, Vec<u8>)]) -> NetFrame {
+    NetFrame::Batch(Batch::from_entries(base, entries.iter().map(|(s, p)| (*s, &p[..]))))
 }
 
 /// Sends the script on streams `a < b` alternately, one flush at the
-/// end (`finish_all`).
+/// end (`finish_all`): the flush sorts by stream, so all of `a`'s
+/// entries take session seqs 1..=n and `b`'s the next n.
 fn section<C: Codec + Clone>(codec: C, streams: [u64; 2], d: usize, max_frame: u32) -> Section {
     let items = script(d);
     let mut enc = codec.clone();
-    let mut entries: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
     for stream in streams {
-        for (i, item) in items.iter().enumerate() {
+        for item in &items {
             let mut msgs = Vec::new();
             match item {
                 Item::Segment(seg) => segment_messages(seg, |m| msgs.push(m)),
@@ -161,22 +153,26 @@ fn section<C: Codec + Clone>(codec: C, streams: [u64; 2], d: usize, max_frame: u
             for m in &msgs {
                 enc.encode(m, d, &mut payload);
             }
-            entries.push((stream, i as u64 + 1, payload.to_vec()));
+            entries.push((stream, payload.to_vec()));
         }
     }
     let mut frames = Vec::new();
-    let mut open: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    let mut base = 1;
+    let mut open: Vec<(u64, Vec<u8>)> = Vec::new();
     for entry in entries.iter().cloned() {
         open.push(entry);
-        if open.len() > 1 && frame_len(&batch(&open)) > max_frame as usize {
+        if open.len() > 1 && frame_len(&batch(base, &open)) > max_frame as usize {
             let next = open.pop().expect("just pushed");
-            frames.push(batch(&open));
+            frames.push(batch(base, &open));
+            base += open.len() as u64;
             open = vec![next];
         }
     }
-    frames.push(batch(&open));
+    frames.push(batch(base, &open));
+    // Both streams finish after the one flush: each `Fin` names the last
+    // seq sealed.
     for stream in streams {
-        frames.push(NetFrame::Fin { stream, final_seq: items.len() as u64 });
+        frames.push(NetFrame::Fin { stream, final_seq: entries.len() as u64 });
     }
 
     let mut tx = MuxSender::new(codec.clone(), d, NetConfig { window: WINDOW, max_frame });
@@ -193,7 +189,7 @@ fn section<C: Codec + Clone>(codec: C, streams: [u64; 2], d: usize, max_frame: u
 
     let mut dec = codec;
     let mut tags = [false; 5];
-    for (_, _, payload) in &entries {
+    for (_, payload) in &entries {
         dec.reset();
         let mut bytes = bytes::Bytes::copy_from_slice(payload);
         while !bytes.is_empty() {
@@ -270,9 +266,9 @@ fn mux_sender_matches_the_golden_file() {
 }
 
 #[test]
-fn golden_file_is_for_protocol_version_4() {
-    assert_eq!(PROTOCOL_VERSION, 4, "regenerate the golden file when the version moves");
-    assert_eq!(&GOLDEN[5..7], &4u16.to_le_bytes(), "golden Hello must advertise version 4");
+fn golden_file_is_for_protocol_version_5() {
+    assert_eq!(PROTOCOL_VERSION, 5, "regenerate the golden file when the version moves");
+    assert_eq!(&GOLDEN[5..7], &5u16.to_le_bytes(), "golden Hello must advertise version 5");
 }
 
 #[test]

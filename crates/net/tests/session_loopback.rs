@@ -4,7 +4,7 @@
 //! deadline) — and every recovery performed *by the session machine
 //! itself*: the sender redials through its `Redial` factory, presents
 //! its session token, and the collector rebinds the same `ConnId` from
-//! the resume cursors. There is no operator-style re-attach call
+//! its resume point. There is no operator-style re-attach call
 //! anywhere in this file. The store must end byte-identical to 128
 //! dedicated fault-free point-to-point links, and a version-mismatched
 //! client dialing into the same collector must be refused with a typed

@@ -105,7 +105,7 @@ fn plans_from_seeds(seeds: &[u64]) -> Vec<Vec<FaultPlan>> {
 /// per-connection fault-plan queues, returning the store snapshot.
 /// Every recovery in here is automatic: a faulted link dies, the
 /// session machine backs off, redials, presents its token, and resumes
-/// from the collector's cursors.
+/// from the collector's resume point.
 fn run_chaos(
     logs: &[Vec<Segment>],
     schedule: &[usize],
@@ -216,7 +216,7 @@ proptest! {
     /// Interleaving noise *crossed with* seeded fault storms on every
     /// connection: severs, truncations, duplicate deliveries, and read
     /// delays at arbitrary frame indices. The snapshot must still match
-    /// the fault-free run exactly — replay trimmed by resume cursors,
+    /// the fault-free run exactly — replay trimmed by the resume point,
     /// duplicates dropped by sequence dedup, truncated links redialed.
     #[test]
     fn fault_storms_converge_to_the_fault_free_snapshot(

@@ -284,7 +284,8 @@ impl<A: Acceptor> QueryServer<A> {
                         &NetFrame::HelloAck {
                             version: PROTOCOL_VERSION,
                             token: minted,
-                            cursors: vec![],
+                            through: 0,
+                            granted_total: 0,
                         },
                     );
                 }
@@ -296,7 +297,8 @@ impl<A: Acceptor> QueryServer<A> {
                         &NetFrame::HelloAck {
                             version: PROTOCOL_VERSION,
                             token: 0,
-                            cursors: vec![],
+                            through: 0,
+                            granted_total: 0,
                         },
                     );
                     conn.closing = true;
@@ -346,7 +348,12 @@ impl<A: Acceptor> QueryServer<A> {
             NetFrame::Hello { version, .. } if version == PROTOCOL_VERSION => {
                 Self::stage(
                     conn,
-                    &NetFrame::HelloAck { version: PROTOCOL_VERSION, token, cursors: vec![] },
+                    &NetFrame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                        token,
+                        through: 0,
+                        granted_total: 0,
+                    },
                 );
             }
             // Ingest-plane frames (or a mid-session version change) do

@@ -68,7 +68,8 @@ fn golden_frames() -> Vec<NetFrame> {
         NetFrame::HelloAck {
             version: PROTOCOL_VERSION,
             token: 0x1122_3344_5566_7788,
-            cursors: vec![],
+            through: 0,
+            granted_total: 0,
         },
     ];
     frames.extend(
@@ -111,11 +112,11 @@ fn wire_encoding_matches_the_golden_file() {
 /// The version the golden bytes were captured under. A version bump
 /// without a regenerated fixture (or vice versa) fails here.
 #[test]
-fn golden_file_is_for_protocol_version_4() {
-    assert_eq!(PROTOCOL_VERSION, 4, "regenerate the golden file when the version moves");
+fn golden_file_is_for_protocol_version_5() {
+    assert_eq!(PROTOCOL_VERSION, 5, "regenerate the golden file when the version moves");
     // The Hello's version field lives right after the 4-byte length and
     // 1-byte kind: pin it in the raw bytes too.
-    assert_eq!(&GOLDEN[5..7], &4u16.to_le_bytes(), "golden Hello must advertise version 4");
+    assert_eq!(&GOLDEN[5..7], &5u16.to_le_bytes(), "golden Hello must advertise version 5");
 }
 
 #[test]

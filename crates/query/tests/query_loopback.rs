@@ -159,7 +159,12 @@ fn client_turns_a_refusal_into_a_typed_terminal_error() {
     }
     let mut buf = BytesMut::new();
     encode(
-        &NetFrame::HelloAck { version: PROTOCOL_VERSION - 1, token: 0, cursors: vec![] },
+        &NetFrame::HelloAck {
+            version: PROTOCOL_VERSION - 1,
+            token: 0,
+            through: 0,
+            granted_total: 0,
+        },
         &mut buf,
     );
     served.try_write(&buf).unwrap();
@@ -231,7 +236,12 @@ fn out_of_order_and_duplicate_responses_resolve_by_req_id() {
         match frame {
             NetFrame::Hello { .. } => {
                 encode(
-                    &NetFrame::HelloAck { version: PROTOCOL_VERSION, token: 42, cursors: vec![] },
+                    &NetFrame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                        token: 42,
+                        through: 0,
+                        granted_total: 0,
+                    },
                     &mut out,
                 );
             }

@@ -18,8 +18,9 @@
 //!   per stream — from a byte stream interleaved behind `StreamFrame`
 //!   headers ([`StreamDemux::consume`]), or from header-less sequenced
 //!   entries that name their stream out of band
-//!   ([`StreamDemux::consume_sequenced`], what `pla-net`'s `Batch`
-//!   frames carry);
+//!   ([`StreamDemux::consume_sequenced`] with a per-stream sequence
+//!   number, or [`StreamDemux::consume_next`] behind a transport that
+//!   sequences entries itself, as `pla-net`'s `Batch` frames do);
 //! * [`simulate_lag`] — end-to-end lag measurement backing the paper's
 //!   `m_max_lag` bound;
 //! * [`packing`] — the §5.4 analysis: compressing `d` dimensions jointly

@@ -9,8 +9,9 @@
 //! * [`StreamDemux`] — the multi-stream endpoint, producing one segment
 //!   log per stream: [`consume`](StreamDemux::consume) applies every
 //!   message to the stream named by the most recent frame header, and
-//!   [`consume_sequenced`](StreamDemux::consume_sequenced) applies one
-//!   header-less entry to the stream its caller names.
+//!   [`consume_sequenced`](StreamDemux::consume_sequenced) and
+//!   [`consume_next`](StreamDemux::consume_next) apply one header-less
+//!   entry to the stream their caller names.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -81,9 +82,10 @@ struct Assembler {
     covered: f64,
     provisionals: u64,
     messages: u64,
-    /// Next expected entry sequence number (sequenced mode, see
-    /// [`StreamDemux::consume_sequenced`]); stays 1 for streams only ever
-    /// fed through plain [`StreamDemux::consume`].
+    /// One past the entries applied so far (see
+    /// [`StreamDemux::consume_sequenced`], whose next expected sequence
+    /// number it is, and [`StreamDemux::consume_next`]); stays 1 for
+    /// streams only ever fed through plain [`StreamDemux::consume`].
     next_seq: u64,
 }
 
@@ -287,11 +289,17 @@ impl<C: Codec> Receiver<C> {
 /// assert_eq!(demux.segments(7).unwrap().len(), 1);
 /// assert_eq!(demux.segments(9).unwrap().len(), 1);
 /// ```
-pub struct StreamDemux<C> {
+///
+/// Each stream's slot also holds a caller-defined `T` (default `()`),
+/// reached through the same map lookup that applies an entry
+/// ([`consume_next`](Self::consume_next)): a transport that keeps its
+/// own per-stream bookkeeping beside the reconstruction pays one lookup
+/// per entry, not one per table.
+pub struct StreamDemux<C, T = ()> {
     codec: C,
     dims: usize,
     current: Option<u64>,
-    streams: BTreeMap<u64, Assembler>,
+    streams: BTreeMap<u64, (Assembler, T)>,
     frames: u64,
 }
 
@@ -308,6 +316,14 @@ pub enum SeqOutcome {
 impl<C: Codec> StreamDemux<C> {
     /// Creates a demultiplexer for `dims`-dimensional streams.
     pub fn new(codec: C, dims: usize) -> Self {
+        Self::with_slots(codec, dims)
+    }
+}
+
+impl<C: Codec, T: Default> StreamDemux<C, T> {
+    /// Creates a demultiplexer whose stream slots each carry a `T`
+    /// (starting at `T::default()`).
+    pub fn with_slots(codec: C, dims: usize) -> Self {
         Self { codec, dims, current: None, streams: BTreeMap::new(), frames: 0 }
     }
 
@@ -328,18 +344,19 @@ impl<C: Codec> StreamDemux<C> {
             let stream = self
                 .current
                 .ok_or(ReceiveError::Protocol("payload message before any StreamFrame"))?;
-            self.streams.get_mut(&stream).expect("current stream is registered").apply(msg)?;
+            self.streams.get_mut(&stream).expect("current stream is registered").0.apply(msg)?;
         }
         Ok(())
     }
 
     /// Applies one *sequenced entry*: a self-contained chunk of one
     /// stream's codec bytes, tagged with a per-stream sequence number.
-    /// This is the resumable-delivery entry point `pla-net`'s
-    /// multiplexed transport uses (one call per `Batch` entry): after a
-    /// reconnect the sender replays every unacknowledged entry, and the
-    /// sequence numbers let this side drop the ones it already applied,
-    /// so the reconstruction is identical to an uninterrupted run.
+    /// This is the resumable-delivery entry point for a transport that
+    /// sequences each stream on its own: after a reconnect the sender
+    /// replays every unacknowledged entry, and the sequence numbers let
+    /// this side drop the ones it already applied, so the reconstruction
+    /// is identical to an uninterrupted run. (`pla-net` sequences a
+    /// whole session instead and uses [`consume_next`](Self::consume_next).)
     ///
     /// The contract, enforced here:
     ///
@@ -363,63 +380,79 @@ impl<C: Codec> StreamDemux<C> {
         &mut self,
         stream: u64,
         seq: u64,
-        mut bytes: Bytes,
+        bytes: Bytes,
     ) -> Result<SeqOutcome, ReceiveError> {
         if seq == 0 {
             return Err(ReceiveError::Protocol("frame sequence numbers start at 1"));
         }
         // One map lookup serves the sequence check and the apply: the
         // expected sequence number lives in the stream's own assembler.
-        let (asm, fresh) = match self.streams.entry(stream) {
+        let (codec, dims) = (&mut self.codec, self.dims);
+        let (slot, fresh) = match self.streams.entry(stream) {
             Entry::Occupied(e) => (e.into_mut(), false),
-            Entry::Vacant(e) => (e.insert(Assembler::default()), true),
+            Entry::Vacant(e) => (e.insert(Default::default()), true),
         };
-        let expected = asm.next_seq;
+        let expected = slot.0.next_seq;
         if seq < expected {
             return Ok(SeqOutcome::Duplicate);
         }
         let result = if seq > expected {
             Err(ReceiveError::SequenceGap { stream, expected, got: seq })
-        } else if bytes.remaining() == 0 {
-            Err(ReceiveError::Protocol("sequenced entry carries no messages"))
         } else {
-            // Entries are coded independently (the sender resets its
-            // codec per entry) so a replay decodes byte-identically
-            // regardless of what arrived in between.
-            self.codec.reset();
-            let mut apply = || {
-                while bytes.remaining() > 0 {
-                    let msg = self.codec.decode(&mut bytes, self.dims)?;
-                    if matches!(msg, Message::StreamFrame { .. }) {
-                        return Err(ReceiveError::Protocol(
-                            "StreamFrame header inside a sequenced entry",
-                        ));
-                    }
-                    asm.apply(msg)?;
-                }
-                Ok(())
-            };
-            apply()
+            apply_entry(codec, dims, &mut slot.0, bytes)
         };
-        match result {
-            Ok(()) => {
-                asm.next_seq = expected + 1;
-                Ok(SeqOutcome::Applied)
+        if result.is_err() && fresh {
+            self.streams.remove(&stream);
+        }
+        result.map(|()| SeqOutcome::Applied)
+    }
+
+    /// Applies `stream`'s next entry — the same contract as
+    /// [`consume_sequenced`](Self::consume_sequenced) minus the
+    /// per-stream sequence number, for a transport that orders and
+    /// dedups entries itself (`pla-net` numbers entries per session) —
+    /// and hands back the stream's slot from the same lookup.
+    ///
+    /// On any error the entry does not count as applied, and a stream
+    /// the refused entry would have introduced is not registered.
+    pub fn consume_next(&mut self, stream: u64, bytes: Bytes) -> Result<&mut T, ReceiveError> {
+        let (codec, dims) = (&mut self.codec, self.dims);
+        match self.streams.entry(stream) {
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                apply_entry(codec, dims, &mut slot.0, bytes)?;
+                Ok(&mut slot.1)
             }
-            Err(e) => {
-                if fresh {
-                    self.streams.remove(&stream);
-                }
-                Err(e)
+            Entry::Vacant(e) => {
+                let mut asm = Assembler::default();
+                apply_entry(codec, dims, &mut asm, bytes)?;
+                Ok(&mut e.insert((asm, T::default())).1)
             }
         }
     }
 
-    /// Highest frame sequence number applied for `stream` (0 when none) —
-    /// the cumulative acknowledgement point a transport should report
-    /// back to the sender.
+    /// `stream`'s slot, if the stream is known.
+    pub fn slot(&self, stream: u64) -> Option<&T> {
+        self.streams.get(&stream).map(|(_, slot)| slot)
+    }
+
+    /// `stream`'s slot, registering the stream (with an empty log) if
+    /// it is new.
+    pub fn slot_mut(&mut self, stream: u64) -> &mut T {
+        &mut self.streams.entry(stream).or_default().1
+    }
+
+    /// Every stream's slot, ascending by stream.
+    pub fn slots(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        self.streams.iter().map(|(&id, (_, slot))| (id, slot))
+    }
+
+    /// Entries applied for `stream` (0 when none). Under
+    /// [`consume_sequenced`](Self::consume_sequenced) that is the highest
+    /// sequence number applied — the cumulative acknowledgement point a
+    /// transport should report back to the sender.
     pub fn ack_point(&self, stream: u64) -> u64 {
-        self.streams.get(&stream).map_or(0, |asm| asm.next_seq - 1)
+        self.streams.get(&stream).map_or(0, |(asm, _)| asm.next_seq - 1)
     }
 
     /// Stream ids seen so far, ascending.
@@ -440,7 +473,7 @@ impl<C: Codec> StreamDemux<C> {
     /// effect (a later `Hold` would open a new hold), so callers flush
     /// only streams that are complete. Unknown streams are a no-op.
     pub fn flush_stream(&mut self, stream: u64) {
-        if let Some(asm) = self.streams.get_mut(&stream) {
+        if let Some((asm, _)) = self.streams.get_mut(&stream) {
             asm.flush();
         }
     }
@@ -450,7 +483,7 @@ impl<C: Codec> StreamDemux<C> {
     /// consumer that never drains (`None` if no frame header ever named
     /// the stream).
     pub fn segments(&self, stream: u64) -> Option<&[Segment]> {
-        self.streams.get(&stream).map(|a| a.segments.as_slice())
+        self.streams.get(&stream).map(|(a, _)| a.segments.as_slice())
     }
 
     /// Moves `stream`'s reconstructed segments onto the end of `out`, in
@@ -460,14 +493,14 @@ impl<C: Codec> StreamDemux<C> {
     /// demultiplexer only ever holds what it has not handed on yet.
     /// Unknown streams are a no-op.
     pub fn drain_segments(&mut self, stream: u64, out: &mut Vec<Segment>) {
-        if let Some(asm) = self.streams.get_mut(&stream) {
+        if let Some((asm, _)) = self.streams.get_mut(&stream) {
             out.append(&mut asm.segments);
         }
     }
 
     /// Highest timestamp the reconstruction of `stream` reaches.
     pub fn covered_through(&self, stream: u64) -> Option<f64> {
-        self.streams.get(&stream).map(|a| a.covered)
+        self.streams.get(&stream).map(|(a, _)| a.covered)
     }
 
     /// `StreamFrame` headers seen by [`consume`](Self::consume).
@@ -478,7 +511,7 @@ impl<C: Codec> StreamDemux<C> {
     /// Payload messages applied across all streams (frame headers not
     /// counted).
     pub fn messages(&self) -> u64 {
-        self.streams.values().map(|a| a.messages).sum()
+        self.streams.values().map(|(a, _)| a.messages).sum()
     }
 
     /// Flushes every stream and hands back the per-stream segment logs
@@ -486,12 +519,39 @@ impl<C: Codec> StreamDemux<C> {
     pub fn into_segment_logs(self) -> BTreeMap<u64, Vec<Segment>> {
         self.streams
             .into_iter()
-            .map(|(id, mut asm)| {
+            .map(|(id, (mut asm, _))| {
                 asm.flush();
                 (id, asm.segments)
             })
             .collect()
     }
+}
+
+/// Decodes one header-less entry from a reset codec and applies it to
+/// `asm`, counting it in `asm.next_seq`. On any error the entry counts
+/// as not applied.
+fn apply_entry<C: Codec>(
+    codec: &mut C,
+    dims: usize,
+    asm: &mut Assembler,
+    mut bytes: Bytes,
+) -> Result<(), ReceiveError> {
+    if bytes.remaining() == 0 {
+        return Err(ReceiveError::Protocol("sequenced entry carries no messages"));
+    }
+    // Entries are coded independently (the sender resets its codec per
+    // entry) so a replay decodes byte-identically regardless of what
+    // arrived in between.
+    codec.reset();
+    while bytes.remaining() > 0 {
+        let msg = codec.decode(&mut bytes, dims)?;
+        if matches!(msg, Message::StreamFrame { .. }) {
+            return Err(ReceiveError::Protocol("StreamFrame header inside a sequenced entry"));
+        }
+        asm.apply(msg)?;
+    }
+    asm.next_seq += 1;
+    Ok(())
 }
 
 fn constant_segment(t0: f64, t1: f64, x: DimVec<f64>) -> Segment {
@@ -763,6 +823,26 @@ mod tests {
         assert_eq!(demux.ack_point(5), 2);
         let logs = demux.into_segment_logs();
         assert_eq!(logs[&5].len(), 1, "duplicates must not duplicate segments");
+    }
+
+    /// `consume_next` applies each entry in turn and hands back the
+    /// stream's slot; a refused entry applies nothing and registers no
+    /// stream it would have introduced.
+    #[test]
+    fn next_entries_apply_in_order_and_share_the_slot_lookup() {
+        let mut demux: StreamDemux<FixedCodec, u32> = StreamDemux::with_slots(FixedCodec, 1);
+        let start = frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]);
+        *demux.consume_next(5, start).unwrap() += 1;
+        let end = frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]);
+        *demux.consume_next(5, end).unwrap() += 1;
+        assert_eq!((demux.slot(5), demux.ack_point(5)), (Some(&2), 2), "one slot, two entries");
+        assert_eq!(demux.segments(5).unwrap().len(), 1);
+        let headed = frame_bytes(&[Message::StreamFrame { stream: 9 }]);
+        assert!(demux.consume_next(9, headed).is_err());
+        assert!(demux.consume_next(9, Bytes::from_static(&[])).is_err());
+        assert_eq!(demux.slot(9), None, "a refused first entry registers nothing");
+        *demux.slot_mut(9) = 7;
+        assert_eq!(demux.slots().collect::<Vec<_>>(), [(5, &2), (9, &7)]);
     }
 
     #[test]

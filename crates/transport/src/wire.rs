@@ -16,7 +16,7 @@
 //! messages. A connection that never sends a `StreamFrame` is a
 //! single-stream connection, exactly as before — the header is pay-as-you-go.
 //! A transport that names each chunk's stream itself (`pla-net`'s
-//! `Batch` entries, fed to `StreamDemux::consume_sequenced`) sends no
+//! `Batch` entries, fed to `StreamDemux::consume_next`) sends no
 //! `StreamFrame` at all.
 //!
 //! Two codecs serialize messages: [`FixedCodec`] (8-byte IEEE doubles,

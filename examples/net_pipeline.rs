@@ -20,9 +20,9 @@
 //! 3. halfway through, the connection is severed — bytes in flight are
 //!    lost — and the session heals itself: the sender redials and
 //!    presents its session token, the collector rebinds the same
-//!    connection and answers with its ack cursors, the sender replays
-//!    only its unacknowledged tail, and the collector drops duplicates
-//!    by sequence number;
+//!    connection and answers with its cumulative ack, the sender resends
+//!    only its unacknowledged frames, and the collector drops duplicates
+//!    by session sequence number;
 //! 4. the store holds every segment exactly once, verified against the
 //!    ε guarantee.
 
