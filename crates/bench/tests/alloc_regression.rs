@@ -34,7 +34,7 @@ use std::time::Instant;
 use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
 use pla_core::filters::{run_filter, StreamFilter};
 use pla_core::metrics::CountingSink;
-use pla_core::{Segment, INLINE_DIMS};
+use pla_core::{DimVec, Segment, INLINE_DIMS};
 use pla_ingest::{SegmentStore, StoreConfig, StreamId};
 use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
@@ -138,6 +138,30 @@ fn spill_regime_allocations_are_bounded_per_interval_close() {
         "slide d={d}: {allocs} allocations over {closes} interval closes \
          ({per_close:.1}/close) — spill-regime recycling has regressed"
     );
+}
+
+#[test]
+fn cleared_spilled_dimvec_refills_without_allocating() {
+    let _guard = serial();
+    // A spilled vector keeps its heap buffer through `clear`, so the
+    // filters' recycled d > INLINE_DIMS scratch refills in place.
+    let d = 2 * INLINE_DIMS + 1;
+    let values: Vec<f64> = (0..d).map(|i| i as f64).collect();
+    let mut v = DimVec::from_slice(&values);
+    let (_, allocs) = alloc_counter::count(|| {
+        for _ in 0..1_000 {
+            v.clear();
+            for &x in &values {
+                v.push(x);
+            }
+            v.clear();
+            v.extend_from_slice(&values);
+            v.assign(&values[..INLINE_DIMS]);
+            v.assign(&values);
+        }
+    });
+    assert_eq!(allocs, 0, "{allocs} heap allocations refilling a cleared spilled DimVec");
+    assert_eq!(v.as_slice(), &values[..]);
 }
 
 #[test]

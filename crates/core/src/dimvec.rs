@@ -12,21 +12,35 @@
 //! hot path* invariant, asserted by the `alloc-counter` tests in
 //! `pla-bench`).
 //!
+//! The storage is a two-variant enum, inline array *or* heap buffer, so
+//! the two never take space side by side: a `DimVec<f64>` is 40 bytes
+//! (tag and length in the first word, then 32 bytes of inline elements
+//! or a `Vec`), and a [`Segment`](crate::Segment), which holds two, is
+//! 104. Every copy of a segment the pipeline keeps pays that size, so
+//! both sizes are pinned by compile-time assertions. A spilled vector
+//! stays spilled when it is cleared or shrunk: its buffer, and the
+//! allocation behind it, serve the next refill.
+//!
 //! The element bound `T: Copy + Default` keeps the implementation free of
 //! `unsafe`: the inline array is always fully initialized, with
 //! `T::default()` filling the unused tail. The spill buffer is padded the
-//! same way to a whole number of [`INLINE_DIMS`]-wide chunks, so the lane
-//! kernels (`crate::kern`) see every `DimVec<f64>` as zero-padded chunks
-//! at any length; every mutator keeps that padding at `T::default()`.
+//! same way to a whole number of [`INLINE_DIMS`]-wide chunks (at least
+//! one), so the lane kernels (`crate::kern`) see every `DimVec<f64>` as
+//! zero-padded chunks at any length; every mutator keeps that padding at
+//! `T::default()`.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 /// Number of dimensions stored inline before [`DimVec`] spills to the
-/// heap. Chosen to cover the paper's experimental range (`d ≤ 4` in §5's
-/// multi-dimensional runs) while keeping the inline footprint at 32 bytes
-/// for `f64` payloads.
+/// heap, and the width of the chunks the lane kernels work in. Chosen to
+/// cover the paper's experimental range (`d ≤ 4` in §5's
+/// multi-dimensional runs) while keeping a `DimVec<f64>` at 40 bytes:
+/// 32 bytes of inline elements behind one word of tag and length.
 pub const INLINE_DIMS: usize = 4;
+
+// Layout pin: a field that regrows the type fails the build.
+const _: () = assert!(size_of::<DimVec<f64>>() == 40);
 
 /// A fixed-small vector: inline storage for up to [`INLINE_DIMS`]
 /// elements, heap spill above.
@@ -34,6 +48,13 @@ pub const INLINE_DIMS: usize = 4;
 /// Semantically a `Vec<T>` restricted to `Copy + Default` elements; it
 /// dereferences to a slice, so all slice APIs (indexing, iteration,
 /// `copy_from_slice`, …) apply.
+///
+/// Storage is either inline or spilled, never both. A vector spills when
+/// it grows past [`INLINE_DIMS`] and then keeps its heap buffer, through
+/// [`clear`](Self::clear) and shorter [`assign`](Self::assign)s too, so a
+/// spilled vector that is emptied and refilled allocates nothing.
+/// [`is_inline`](Self::is_inline) reports the length regime
+/// (`len() ≤ INLINE_DIMS`), not which storage is in use.
 ///
 /// ```
 /// use pla_core::DimVec;
@@ -45,17 +66,21 @@ pub const INLINE_DIMS: usize = 4;
 /// assert_eq!(&doubled[..], &[1.0, 3.0]);
 /// ```
 #[derive(Clone)]
-pub struct DimVec<T: Copy + Default> {
-    /// Element count. Elements live in `inline[..len]` when
-    /// `len <= INLINE_DIMS`, in `spill[..len]` otherwise.
-    len: u32,
-    /// Inline elements, then `T::default()` padding. All padding while
-    /// the vector is spilled.
-    inline: [T; INLINE_DIMS],
-    /// Spilled elements, then `T::default()` padding up to the next
-    /// multiple of [`INLINE_DIMS`], so the lane kernels see whole
-    /// chunks. Empty while the vector is inline.
-    spill: Vec<T>,
+pub struct DimVec<T: Copy + Default>(Repr<T>);
+
+/// The two storages. Both keep `len` first, so it shares a word with the
+/// tag.
+#[derive(Clone)]
+enum Repr<T> {
+    /// `len ≤ INLINE_DIMS` elements in `data[..len]`, then
+    /// `T::default()` padding.
+    Inline { len: u32, data: [T; INLINE_DIMS] },
+    /// `len` elements in `buf[..len]`, then `T::default()` padding up to
+    /// the next multiple of [`INLINE_DIMS`], and never fewer than one
+    /// chunk, so the lane kernels see whole chunks. `len` may be any
+    /// value, [`INLINE_DIMS`] or below included, once the vector has
+    /// spilled.
+    Spilled { len: u32, buf: Vec<T> },
 }
 
 /// `d` rounded up to a whole number of [`INLINE_DIMS`]-wide chunks.
@@ -69,17 +94,17 @@ fn padded(d: usize) -> usize {
 /// stays small enough to inline.
 #[inline(never)]
 fn padded_copy<T: Copy + Default>(slice: &[T]) -> Vec<T> {
-    let mut spill = Vec::with_capacity(padded(slice.len()));
-    spill.extend_from_slice(slice);
-    spill.resize(padded(slice.len()), T::default());
-    spill
+    let mut buf = Vec::with_capacity(padded(slice.len()));
+    buf.extend_from_slice(slice);
+    buf.resize(padded(slice.len()), T::default());
+    buf
 }
 
 impl<T: Copy + Default> DimVec<T> {
     /// An empty vector (no heap allocation).
     #[inline]
     pub fn new() -> Self {
-        Self { len: 0, inline: [T::default(); INLINE_DIMS], spill: Vec::new() }
+        Self(Repr::Inline { len: 0, data: [T::default(); INLINE_DIMS] })
     }
 
     /// An empty vector with room for `d` elements: no-op for `d ≤`
@@ -87,8 +112,12 @@ impl<T: Copy + Default> DimVec<T> {
     /// chunks) above.
     #[inline]
     pub fn with_capacity(d: usize) -> Self {
-        let spill = if d > INLINE_DIMS { Vec::with_capacity(padded(d)) } else { Vec::new() };
-        Self { len: 0, inline: [T::default(); INLINE_DIMS], spill }
+        if d <= INLINE_DIMS {
+            return Self::new();
+        }
+        let mut buf = Vec::with_capacity(padded(d));
+        buf.resize(INLINE_DIMS, T::default());
+        Self(Repr::Spilled { len: 0, buf })
     }
 
     /// A vector of `d` elements produced by `f(0..d)`.
@@ -110,58 +139,67 @@ impl<T: Copy + Default> DimVec<T> {
     /// A vector holding a copy of `slice`.
     #[inline]
     pub fn from_slice(slice: &[T]) -> Self {
-        let mut inline = [T::default(); INLINE_DIMS];
-        let spill = if slice.len() <= INLINE_DIMS {
-            inline[..slice.len()].copy_from_slice(slice);
-            Vec::new()
+        let len = slice.len() as u32;
+        if slice.len() <= INLINE_DIMS {
+            let mut data = [T::default(); INLINE_DIMS];
+            data[..slice.len()].copy_from_slice(slice);
+            Self(Repr::Inline { len, data })
         } else {
-            padded_copy(slice)
-        };
-        Self { len: slice.len() as u32, inline, spill }
+            Self(Repr::Spilled { len, buf: padded_copy(slice) })
+        }
     }
 
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len as usize
+        match &self.0 {
+            Repr::Inline { len, .. } | Repr::Spilled { len, .. } => *len as usize,
+        }
     }
 
     /// Whether the vector holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Whether the elements live inline (no heap allocation).
+    /// Whether the length is at most [`INLINE_DIMS`] — one chunk, which
+    /// needs no heap. A vector that spilled earlier keeps its buffer, so
+    /// this does not promise that it holds none.
     #[inline]
     pub fn is_inline(&self) -> bool {
-        self.len as usize <= INLINE_DIMS
+        self.len() <= INLINE_DIMS
     }
 
     /// Appends an element, spilling to the heap when crossing
     /// [`INLINE_DIMS`].
     pub fn push(&mut self, value: T) {
-        let len = self.len as usize;
-        if len < INLINE_DIMS {
-            self.inline[len] = value;
-        } else {
-            if len == INLINE_DIMS {
-                // Crossing the boundary: move the inline block over,
-                // reserving enough that incremental dimension-by-
-                // dimension fills don't re-grow immediately, and leave
-                // the inline block all padding.
-                self.spill.clear();
-                self.spill.reserve(2 * INLINE_DIMS);
-                self.spill.extend_from_slice(&self.inline);
-                self.inline = [T::default(); INLINE_DIMS];
+        match &mut self.0 {
+            Repr::Inline { len, data } => {
+                if let Some(slot) = data.get_mut(*len as usize) {
+                    *slot = value;
+                    *len += 1;
+                } else {
+                    // Crossing the boundary: move the inline block over,
+                    // reserving enough that incremental dimension-by-
+                    // dimension fills don't re-grow immediately.
+                    let mut buf = Vec::with_capacity(2 * INLINE_DIMS);
+                    buf.extend_from_slice(data);
+                    buf.push(value);
+                    buf.resize(2 * INLINE_DIMS, T::default());
+                    self.0 = Repr::Spilled { len: INLINE_DIMS as u32 + 1, buf };
+                }
             }
-            if len == self.spill.len() {
-                // The last chunk is full: open a padding chunk.
-                self.spill.resize(len + INLINE_DIMS, T::default());
+            Repr::Spilled { len, buf } => {
+                let at = *len as usize;
+                if at == buf.len() {
+                    // The last chunk is full: open a padding chunk.
+                    buf.resize(at + INLINE_DIMS, T::default());
+                }
+                buf[at] = value;
+                *len += 1;
             }
-            self.spill[len] = value;
         }
-        self.len += 1;
     }
 
     /// Appends every element of `slice`.
@@ -171,34 +209,40 @@ impl<T: Copy + Default> DimVec<T> {
         }
     }
 
-    /// Removes all elements. Spill capacity is retained for reuse.
+    /// Removes all elements. A spilled vector keeps its buffer, cut to
+    /// one chunk of padding, and its allocation for reuse.
     #[inline]
     pub fn clear(&mut self) {
-        if self.is_inline() {
-            self.inline[..self.len as usize].fill(T::default());
-        } else {
-            self.spill.clear();
+        match &mut self.0 {
+            Repr::Inline { len, data } => {
+                *data = [T::default(); INLINE_DIMS];
+                *len = 0;
+            }
+            Repr::Spilled { len, buf } => {
+                buf.truncate(INLINE_DIMS);
+                buf.fill(T::default());
+                *len = 0;
+            }
         }
-        self.len = 0;
     }
 
     /// The elements as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        if self.is_inline() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill[..self.len as usize]
+        // An inline `len` never exceeds `INLINE_DIMS`; clamping it
+        // instead of bounds-checking compiles to a select, not a branch.
+        match &self.0 {
+            Repr::Inline { len, data } => &data[..(*len as usize).min(INLINE_DIMS)],
+            Repr::Spilled { len, buf } => &buf[..*len as usize],
         }
     }
 
     /// The elements as a mutable slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        if self.is_inline() {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.spill[..self.len as usize]
+        match &mut self.0 {
+            Repr::Inline { len, data } => &mut data[..(*len as usize).min(INLINE_DIMS)],
+            Repr::Spilled { len, buf } => &mut buf[..*len as usize],
         }
     }
 
@@ -215,35 +259,57 @@ impl<T: Copy + Default> DimVec<T> {
 }
 
 impl DimVec<f64> {
+    /// Whether every vector in `vs` keeps its elements in its inline
+    /// block rather than in a heap buffer. The lane kernels
+    /// (`crate::kern`) test this once for all of their operands and pass
+    /// the result to [`Self::lanes`] as a constant; in the `true` copy of
+    /// a kernel the compiler then knows every operand's storage, so no
+    /// per-operand storage test is left on the hot path.
+    #[inline(always)]
+    pub(crate) fn all_inline_storage<const N: usize>(vs: &[&Self; N]) -> bool {
+        vs.iter().fold(true, |all, v| all & matches!(v.0, Repr::Inline { .. }))
+    }
+
     /// The elements as [`INLINE_DIMS`]-wide chunks for the lane kernels
-    /// (`crate::kern`): one chunk, the inline block, for `len() ≤
-    /// INLINE_DIMS`; ⌈len / INLINE_DIMS⌉ chunks of the spill buffer
-    /// above. Lanes past `len()` are `0.0`, which every lane op treats as
-    /// neutral: every mutator of this type keeps them so (pinned by
+    /// (`crate::kern`): one chunk for `len() ≤ INLINE_DIMS` (the inline
+    /// block, or the first chunk of a spilled buffer), ⌈len /
+    /// INLINE_DIMS⌉ chunks of the spilled buffer above. Lanes past
+    /// `len()` are `0.0`, which every lane op treats as neutral: every
+    /// mutator of this type keeps them so (pinned by
     /// `every_mutator_keeps_padding_zero`), and the kernels write `0.0`
     /// back to them (pinned by `kern`'s `padding_lanes_are_neutral`).
     ///
-    /// `inline` must equal [`Self::is_inline`]. A kernel decides it once
-    /// for all of its same-length operands and passes it as a constant,
-    /// so the one-chunk case compiles to straight-line code.
+    /// `inline == true` returns exactly one chunk, a length the compiler
+    /// sees, and requires [`Self::is_inline`]; `false` returns every
+    /// chunk of the storage in use, which is also one for a vector that
+    /// is inline by length. A kernel passes the constant it got from
+    /// [`Self::all_inline_storage`] over all of its same-length operands.
     #[inline(always)]
     pub(crate) fn lanes(&self, inline: bool) -> &[[f64; INLINE_DIMS]] {
-        debug_assert_eq!(inline, self.is_inline(), "lanes(): wrong storage regime");
+        debug_assert!(!inline || self.is_inline(), "lanes(): wrong storage regime");
+        let chunks = match &self.0 {
+            Repr::Inline { data, .. } => std::slice::from_ref(data),
+            Repr::Spilled { buf, .. } => buf.as_chunks().0,
+        };
         if inline {
-            std::slice::from_ref(&self.inline)
+            &chunks[..1]
         } else {
-            self.spill.as_chunks().0
+            chunks
         }
     }
 
     /// Mutable chunk view; same contract as [`Self::lanes`].
     #[inline(always)]
     pub(crate) fn lanes_mut(&mut self, inline: bool) -> &mut [[f64; INLINE_DIMS]] {
-        debug_assert_eq!(inline, self.is_inline(), "lanes_mut(): wrong storage regime");
+        debug_assert!(!inline || self.is_inline(), "lanes_mut(): wrong storage regime");
+        let chunks = match &mut self.0 {
+            Repr::Inline { data, .. } => std::slice::from_mut(data),
+            Repr::Spilled { buf, .. } => buf.as_chunks_mut().0,
+        };
         if inline {
-            std::slice::from_mut(&mut self.inline)
+            &mut chunks[..1]
         } else {
-            self.spill.as_chunks_mut().0
+            chunks
         }
     }
 }
@@ -288,7 +354,7 @@ impl<T: Copy + Default> From<Vec<T>> for DimVec<T> {
             // the padding outgrows its capacity.
             let len = vec.len() as u32;
             vec.resize(padded(vec.len()), T::default());
-            Self { len, inline: [T::default(); INLINE_DIMS], spill: vec }
+            Self(Repr::Spilled { len, buf: vec })
         } else {
             Self::from_slice(&vec)
         }
@@ -368,6 +434,8 @@ impl<'de, T: Copy + Default + serde::Deserialize<'de>> serde::Deserialize<'de> f
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -524,6 +592,99 @@ mod tests {
         let opts: DimVec<Option<Point2>> = DimVec::splat(3, None);
         assert!(opts.iter().all(|o| o.is_none()));
     }
+
+    #[test]
+    fn a_cleared_spilled_vector_keeps_its_buffer() {
+        let mut v = DimVec::from_fn(2 * INLINE_DIMS, |i| i as f64 + 1.0);
+        let buf = v.as_slice().as_ptr();
+        v.clear();
+        assert!(v.is_empty() && v.is_inline());
+        assert!(matches!(v.0, Repr::Spilled { .. }), "still spilled after clear");
+        assert_eq!(v.lanes(true), &[[0.0; INLINE_DIMS]]);
+        v.extend_from_slice(&[9.0; 2 * INLINE_DIMS]);
+        assert_eq!(v.as_slice().as_ptr(), buf, "the refill reused the buffer");
+        assert_eq!(v.lanes(false).len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Model-based: random operation sequences on a `DimVec` and on a
+        /// `Vec<f64>` model agree after every step, at lengths 0..=13 so
+        /// both directions across the inline/spill boundary are crossed;
+        /// the chunk view stays whole and zero padded throughout.
+        #[test]
+        fn operations_match_a_vec_model(
+            ops in prop::collection::vec((0u8..10, 0usize..=MAX_LEN, -8i32..8), 1..60)
+        ) {
+            let mut v: DimVec<f64> = DimVec::new();
+            let mut model: Vec<f64> = Vec::new();
+            for (step, &(op, n, seed)) in ops.iter().enumerate() {
+                // `n` fresh values, distinct per step.
+                let values: Vec<f64> =
+                    (0..n).map(|i| f64::from(seed) + (step * 16 + i) as f64 / 64.0).collect();
+                match op {
+                    0 if model.len() < MAX_LEN => {
+                        v.push(f64::from(seed));
+                        model.push(f64::from(seed));
+                    }
+                    1 => {
+                        v.clear();
+                        model.clear();
+                    }
+                    2 => {
+                        v.assign(&values);
+                        model = values;
+                    }
+                    3 => {
+                        // Same-length assign: the in-place refill.
+                        let same: Vec<f64> =
+                            (0..model.len()).map(|i| f64::from(seed) - i as f64 / 8.0).collect();
+                        v.assign(&same);
+                        model = same;
+                    }
+                    4 => {
+                        let room = MAX_LEN - model.len();
+                        v.extend_from_slice(&values[..n.min(room)]);
+                        model.extend_from_slice(&values[..n.min(room)]);
+                    }
+                    5 => {
+                        v = DimVec::from(values.clone());
+                        model = values;
+                    }
+                    6 => {
+                        v = DimVec::from_slice(&values);
+                        model = values;
+                    }
+                    7 => {
+                        v = values.iter().copied().collect();
+                        model = values;
+                    }
+                    8 => v = v.clone(),
+                    _ => {
+                        let writes = v.as_mut_slice().iter_mut().zip(&mut model);
+                        for (i, (slot, m)) in writes.enumerate() {
+                            if i % 2 == step % 2 {
+                                *slot = -*slot - 1.0;
+                                *m = -*m - 1.0;
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(v.as_slice(), &model[..]);
+                prop_assert_eq!(v.len(), model.len());
+                prop_assert_eq!(v.is_inline(), model.len() <= INLINE_DIMS);
+                prop_assert!(v == DimVec::from_slice(&model));
+                let lanes = v.lanes(v.is_inline());
+                prop_assert_eq!(lanes.len(), model.len().div_ceil(INLINE_DIMS).max(1));
+                prop_assert!(padding(&v).iter().all(|&p| p == 0.0), "op {op}: {:?}", lanes);
+            }
+        }
+    }
+
+    /// The longest vector the model-based test builds: three chunks and
+    /// one lane of a fourth.
+    const MAX_LEN: usize = 13;
 
     #[test]
     fn slice_apis_through_deref() {

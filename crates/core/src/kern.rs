@@ -69,15 +69,17 @@ impl Kernel {
     }
 }
 
-/// Evaluates `$body` with `$inline` bound to the operands' storage
-/// regime (`DimVec::is_inline`) as a constant: the body is expanded once
-/// per regime, so it compiles once as straight-line code over the single
-/// inline chunk and once as a loop over the spilled chunks. (A closure
-/// would not do: the compiler may keep it out of line, with the regime
-/// a runtime argument.)
+/// Evaluates `$body` with `$inline` bound, as a constant, to whether
+/// every listed operand keeps its elements in its inline block
+/// (`DimVec::all_inline_storage`): the body is expanded once per regime,
+/// so it compiles once as straight-line code over the single inline
+/// chunk, with no per-operand storage test left in it, and once as a
+/// loop over the chunks of whatever storage the operands have. (A
+/// closure would not do: the compiler may keep it out of line, with the
+/// regime a runtime argument.)
 macro_rules! by_regime {
-    ($regime:expr, |$inline:ident| $body:expr) => {
-        if $regime {
+    ([$($operand:expr),+], |$inline:ident| $body:expr) => {
+        if DimVec::all_inline_storage(&[$(&*$operand),+]) {
             let $inline = true;
             $body
         } else {
@@ -170,7 +172,7 @@ pub(crate) fn swing_step(
     l: &mut DimVec<f64>,
     u: &mut DimVec<f64>,
 ) -> bool {
-    by_regime!(eps.is_inline(), |inline| {
+    by_regime!([origin, eps, l, u], |inline| {
         let (origin, eps) = (origin.lanes(inline), eps.lanes(inline));
         let fits = (0..eps.len()).all(|c| {
             let (lo, hi) = swing_edges(&origin[c], &l.lanes(inline)[c], &u.lanes(inline)[c], dt);
@@ -211,7 +213,7 @@ pub(crate) fn fits_affine(
     dt: f64,
     x: &[f64],
 ) -> bool {
-    by_regime!(eps.is_inline(), |inline| {
+    by_regime!([anchor, slope, eps], |inline| {
         let (anchor, slope, eps) = (anchor.lanes(inline), slope.lanes(inline), eps.lanes(inline));
         (0..eps.len()).all(|c| {
             let (a, s, e, x) = (&anchor[c], &slope[c], &eps[c], x_chunk(x, c));
@@ -228,7 +230,7 @@ pub(crate) fn fits_affine(
 /// (the cache filter's first-value acceptance).
 #[inline(always)]
 pub(crate) fn fits_const(center: &DimVec<f64>, eps: &DimVec<f64>, x: &[f64]) -> bool {
-    by_regime!(eps.is_inline(), |inline| {
+    by_regime!([center, eps], |inline| {
         let (center, eps) = (center.lanes(inline), eps.lanes(inline));
         (0..eps.len()).all(|c| {
             let (m, e, x) = (&center[c], &eps[c], x_chunk(x, c));
@@ -251,7 +253,7 @@ pub(crate) fn slide_step(
     t: f64,
     x: &[f64],
 ) -> bool {
-    by_regime!(eps.is_inline(), |inline| {
+    by_regime!([u.t0, u.x0, u.slope, l.t0, l.x0, l.slope, eps], |inline| {
         let eps = eps.lanes(inline);
         (0..eps.len()).all(|c| {
             let (ue, le) = EnvView::eval(u, l, inline, c, t);
@@ -279,7 +281,7 @@ pub(crate) fn slide_pierced(
     x: &[f64],
     c: usize,
 ) -> Pierced {
-    by_regime!(eps.is_inline(), |inline| {
+    by_regime!([u.t0, u.x0, u.slope, l.t0, l.x0, l.slope, eps], |inline| {
         let (ue, le) = EnvView::eval(u, l, inline, c, t);
         let (e, x) = (&eps.lanes(inline)[c], x_chunk(x, c));
         let mut p = Pierced::default();
@@ -317,7 +319,7 @@ pub(crate) fn range_step(
     eps: &DimVec<f64>,
     x: &[f64],
 ) -> bool {
-    let fits = by_regime!(eps.is_inline(), |inline| {
+    let fits = by_regime!([min, max, eps], |inline| {
         let eps = eps.lanes(inline);
         (0..eps.len()).all(|c| {
             let (lo, hi) =
@@ -344,7 +346,7 @@ pub(crate) fn minmax_sum(
     sum: &mut DimVec<f64>,
     x: &[f64],
 ) {
-    by_regime!(min.is_inline(), |inline| {
+    by_regime!([min, max, sum], |inline| {
         let (min, max, sum) = (min.lanes_mut(inline), max.lanes_mut(inline), sum.lanes_mut(inline));
         for c in 0..min.len() {
             let x = x_chunk(x, c);
@@ -366,7 +368,7 @@ pub(crate) fn sums_push(
     u: f64,
     x: &[f64],
 ) {
-    by_regime!(x_ref.is_inline(), |inline| {
+    by_regime!([x_ref, sv, suv], |inline| {
         let (x_ref, sv, suv) = (x_ref.lanes(inline), sv.lanes_mut(inline), suv.lanes_mut(inline));
         for c in 0..x_ref.len() {
             let (r, x) = (&x_ref[c], x_chunk(x, c));

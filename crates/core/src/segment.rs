@@ -43,6 +43,10 @@ pub struct Segment {
     pub new_recordings: u8,
 }
 
+// Layout pin: every copy of a segment the pipeline holds pays this size,
+// so a field that regrows it fails the build.
+const _: () = assert!(size_of::<Segment>() == 104);
+
 impl Segment {
     /// Number of dimensions.
     #[inline]

@@ -11,11 +11,17 @@
 //! * The **sender** holds a [`CreditWindow`]: `used` payload bytes sent
 //!   since the session began versus the `granted` cumulative budget. A
 //!   send that would cross the budget is refused — surfaced to callers
-//!   as [`NetError::Backpressure`](crate::NetError::Backpressure).
+//!   as [`NetError::Backpressure`].
 //! * The **receiver** holds a [`ReceiveWindow`]: `delivered` payload
 //!   bytes applied. It keeps the sender's budget topped up to
 //!   `delivered + window`, re-granting once half the window is consumed
-//!   (so grants ride about two `Ack`s per window, not every one).
+//!   (so grants ride about two `Ack`s per window, not every one), and
+//!   refuses a payload that would take `delivered` past its own grant —
+//!   surfaced as [`NetError::CreditOverrun`]: a sender only ever holds a
+//!   grant this side announced, so one that gets there ignored its
+//!   credit.
+
+use crate::NetError;
 
 /// Sender-side credit accounting for one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,18 +74,22 @@ impl ReceiveWindow {
         Self { delivered: 0, granted: window, window }
     }
 
-    /// Records `n` payload bytes applied.
-    pub fn on_delivered(&mut self, n: u64) {
-        self.delivered += n;
+    /// Records `n` payload bytes as delivered, or refuses them, changing
+    /// nothing, when they would take delivery past the current grant.
+    pub fn on_delivered(&mut self, n: u64) -> Result<(), NetError> {
+        let delivered = self.delivered.saturating_add(n);
+        if delivered > self.granted {
+            return Err(NetError::CreditOverrun { granted: self.granted, delivered });
+        }
+        self.delivered = delivered;
+        Ok(())
     }
 
     /// The grant to announce now, if one is due (less than half the
     /// window still granted ahead of delivery). Returns the new
     /// cumulative total and records it as announced.
     pub fn due_grant(&mut self) -> Option<u64> {
-        // Saturating: a peer that overran its grant gets topped up from
-        // what was actually delivered, not a wrapped difference.
-        if self.granted.saturating_sub(self.delivered) < self.window / 2 {
+        if self.granted - self.delivered < self.window / 2 {
             self.granted = self.delivered + self.window;
             Some(self.granted)
         } else {
@@ -125,12 +135,21 @@ mod tests {
     fn receive_window_batches_grants() {
         let mut r = ReceiveWindow::new(100);
         assert_eq!(r.due_grant(), None, "nothing consumed yet");
-        r.on_delivered(40);
+        r.on_delivered(40).unwrap();
         assert_eq!(r.due_grant(), None, "60 > half the window still granted");
-        r.on_delivered(20);
+        r.on_delivered(20).unwrap();
         assert_eq!(r.due_grant(), Some(160), "40 < 50 → top up to delivered + window");
         assert_eq!(r.due_grant(), None, "grant announced once");
         assert_eq!(r.current_grant(), 160);
+    }
+
+    #[test]
+    fn delivery_past_the_grant_is_refused_and_not_recorded() {
+        let mut r = ReceiveWindow::new(100);
+        r.on_delivered(100).unwrap();
+        let overrun = NetError::CreditOverrun { granted: 100, delivered: 101 };
+        assert_eq!(r.on_delivered(1), Err(overrun));
+        assert_eq!(r.due_grant(), Some(200), "the refused byte was not counted");
     }
 
     #[test]
@@ -143,7 +162,7 @@ mod tests {
             // re-grant on the other side.
             if tx.try_reserve(30) {
                 sent_total += 30;
-                rx.on_delivered(30);
+                rx.on_delivered(30).unwrap();
                 if let Some(total) = rx.due_grant() {
                     tx.grant_to(total);
                 }

@@ -178,6 +178,16 @@ pub enum NetError {
         /// The session seq that arrived.
         got: u64,
     },
+    /// A `Batch` entry's payload would take the bytes delivered on this
+    /// session past the credit this receiver granted. A sender only
+    /// holds grants the receiver announced, so only one that ignores its
+    /// credit gets here; the entry is refused before it is applied.
+    CreditOverrun {
+        /// The cumulative grant, in payload bytes.
+        granted: u64,
+        /// The cumulative payload bytes the entry would have brought.
+        delivered: u64,
+    },
     /// The receiver acknowledged an entry this sender never sealed. A
     /// cumulative ack licenses the sender to discard its replay frames,
     /// so one that overshoots can only come from a corrupt or confused
@@ -219,6 +229,9 @@ impl std::fmt::Display for NetError {
             ),
             Self::SequenceGap { expected, got } => {
                 write!(f, "session seq gap: expected {expected}, got {got}")
+            }
+            Self::CreditOverrun { granted, delivered } => {
+                write!(f, "credit overrun: {delivered} payload bytes delivered, {granted} granted")
             }
             Self::AckBeyondSent { through_seq, last_seq } => {
                 write!(f, "ack through session seq {through_seq} but only {last_seq} sealed")

@@ -152,7 +152,9 @@ impl<C: Codec> NetReceiver<C> {
     ///   if it had arrived alone; entries at or below it are replays and
     ///   are dropped. Either way an `Ack` is due, so a sender whose acks
     ///   were lost with the old connection can still release its replay
-    ///   frames.
+    ///   frames. An entry whose payload would overrun the granted credit
+    ///   is refused with [`NetError::CreditOverrun`]; replays do not
+    ///   count against the credit.
     /// * `Fin` → the stream is complete; verified against the applied
     ///   seq.
     /// * `Ack` → protocol error at this endpoint.
@@ -171,12 +173,11 @@ impl<C: Codec> NetReceiver<C> {
                         if entry.seq != expected {
                             return Err(NetError::SequenceGap { expected, got: entry.seq });
                         }
-                        let len = entry.payload.len() as u64;
+                        self.window.on_delivered(entry.payload.len() as u64)?;
                         let rx = self.demux.consume_next(entry.stream, entry.payload)?;
                         Self::touch(&mut self.touched, self.touch_batch, entry.stream, rx);
                         self.applied = expected;
                         self.frames_applied += 1;
-                        self.window.on_delivered(len);
                     }
                 }
                 NetFrame::Fin { stream, final_seq } => {
@@ -512,6 +513,38 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_past_the_granted_credit_is_refused_unapplied() {
+        let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
+        let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
+        // Three 17-byte Point entries fit the initial 64-byte grant; a
+        // fourth, sent without waiting for the top-up, would reach 68.
+        for seq in 1..=3 {
+            rx.on_bytes(&data_bytes(1, seq, &point(seq as f64, 1.0))).unwrap();
+        }
+        assert_eq!(
+            rx.on_bytes(&data_bytes(1, 4, &point(4.0, 1.0))),
+            Err(NetError::CreditOverrun { granted: 64, delivered: 68 })
+        );
+        assert_eq!(rx.stats().frames_applied, 3, "the overrunning entry was not applied");
+        assert_eq!(rx.resume_point(), (3, 64));
+    }
+
+    #[test]
+    fn replays_do_not_count_against_the_credit() {
+        let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
+        let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
+        let first = data_bytes(1, 1, &point(0.0, 1.0));
+        rx.on_bytes(&first).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &point(1.0, 1.0))).unwrap();
+        // 34 bytes delivered; replaying seq 1 many times moves nothing.
+        for _ in 0..4 {
+            rx.on_bytes(&first).unwrap();
+        }
+        rx.on_bytes(&data_bytes(1, 3, &point(2.0, 1.0))).unwrap();
+        assert_eq!(rx.stats().frames_applied, 3);
+    }
+
+    #[test]
     fn fin_requires_every_frame_applied() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
         rx.on_bytes(&data_bytes(2, 1, &point(0.0, 1.0))).unwrap();
@@ -543,7 +576,7 @@ mod tests {
     /// connection carried, however many.
     #[test]
     fn reconnect_stages_one_frame_covering_every_known_stream() {
-        let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
+        let cfg = NetConfig { window: 128, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
         rx.on_bytes(&data_bytes(9, 1, &point(0.0, 1.0))).unwrap();
         rx.on_bytes(&data_bytes(2, 2, &point(0.0, 1.0))).unwrap();
@@ -551,9 +584,9 @@ mod tests {
         rx.on_bytes(&data_bytes(5, 4, &point(0.0, 3.0))).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.reset_link();
-        // The flush saw 68 bytes delivered, past half the 64-byte
-        // window, so the grant moved to 68 + 64.
-        assert_eq!(rx.resume_point(), (4, 68 + 64), "one point covers all three streams");
+        // The flush saw 68 bytes delivered, past half the 128-byte
+        // window, so the grant moved to 68 + 128.
+        assert_eq!(rx.resume_point(), (4, 68 + 128), "one point covers all three streams");
         assert_eq!(rx.staged_bytes(), 0, "the HelloAck, not the receiver, carries it");
     }
 
