@@ -14,6 +14,11 @@
 //! allocations in steady state (the sender's replay copy of the frame,
 //! the receiver's copy of the payload, and amortized store growth).
 //!
+//! Handing samples to the ingest engine one at a time carries a budget
+//! counted on both sides of the shard queue: at d = 1 the values travel
+//! inline in the queue slot, so what is left per sample is amortized
+//! growth of the engine's logs and channels, well under one allocation.
+//!
 //! The shared store's snapshot is pointer work: its allocations are the
 //! snapshot's own maps and epochs box, the same whatever the streams'
 //! runs and tails hold. With no snapshot alive, appends allocate only
@@ -32,10 +37,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
-use pla_core::filters::{run_filter, StreamFilter};
+use pla_core::filters::{run_filter, FilterSpec, StreamFilter};
 use pla_core::metrics::CountingSink;
 use pla_core::{DimVec, Segment, INLINE_DIMS};
-use pla_ingest::{SegmentStore, StoreConfig, StreamId};
+use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StoreConfig, StreamId};
 use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla_transport::wire::FixedCodec;
 
@@ -284,6 +289,50 @@ fn wire_path_allocations_per_segment_are_bounded() {
     assert!(
         per_segment < 3.0,
         "wire path: {per_segment:.2} heap allocations per segment (budget < 3)"
+    );
+}
+
+#[test]
+fn engine_push_allocations_per_sample_are_bounded() {
+    let _guard = serial();
+    // 64 d = 1 swing streams pushed one sample at a time through a
+    // 1-shard engine with a segment tap. The count is process-wide, so
+    // the shard thread's allocations (applying each push, the filter,
+    // the report log, the tap send) land in it beside the producer's.
+    // The window closes with `finish`, which drains every queued push.
+    const STREAMS: u64 = 64;
+    const WARMUP: usize = 200;
+    const N: usize = 2_000;
+    let signals: Vec<_> =
+        (0..STREAMS).map(|s| walk_signal(WARMUP + N, 0.5, 1.0, 0xE6 + s)).collect();
+    let config = IngestConfig { shards: 1, queue_depth: 64, shard_log: false };
+    let (engine, tap) = IngestEngine::with_segment_tap(config);
+    let h = engine.handle();
+    let spec = FilterSpec::new(pla_core::filters::FilterKind::Swing, &[0.3]);
+    for s in 0..STREAMS {
+        h.register(StreamId(s), spec.clone()).expect("valid spec");
+    }
+    let push = |samples: std::ops::Range<usize>| {
+        for j in samples {
+            for (s, signal) in signals.iter().enumerate() {
+                let (t, x) = signal.sample(j);
+                h.push(StreamId(s as u64), t, x).expect("engine is running");
+            }
+        }
+    };
+    push(0..WARMUP);
+    let before = alloc_counter::allocations();
+    push(WARMUP..WARMUP + N);
+    let report = engine.finish();
+    let allocs = alloc_counter::allocations() - before;
+    let pushed = STREAMS * N as u64;
+    assert_eq!(report.total_samples(), STREAMS * (WARMUP + N) as u64, "every sample applied");
+    assert_eq!(tap.iter().count(), report.total_segments(), "the tap carried every segment");
+    let per_sample = allocs as f64 / pushed as f64;
+    eprintln!("engine push: {allocs} allocs / {pushed} samples = {per_sample:.3} per sample");
+    assert!(
+        per_sample <= 0.1,
+        "engine push: {per_sample:.3} heap allocations per sample (budget <= 0.1)"
     );
 }
 

@@ -20,7 +20,7 @@
 //!
 //! With [`SwingBuilder::max_lag`], an interval that accumulates
 //! `m_max_lag` points commits to its MSE-optimal line, ships it to the
-//! receiver as a [`ProvisionalUpdate`](crate::segment::ProvisionalUpdate),
+//! receiver as a [`ProvisionalUpdate`],
 //! and degrades to a plain linear filter until the interval ends (paper
 //! §3.3), keeping the receiver at most `m_max_lag` points behind.
 

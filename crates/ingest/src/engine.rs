@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use pla_core::filters::FilterSpec;
-use pla_core::Segment;
+use pla_core::{DimVec, Segment};
 
 use crate::store::SegmentStore;
 use crate::table::{IngestError, StreamOutput, StreamTable};
@@ -117,10 +117,14 @@ enum Op {
         stream: StreamId,
         spec: FilterSpec,
     },
+    /// One sample. Its values travel inline in the queue slot for
+    /// d ≤ [`INLINE_DIMS`](pla_core::INLINE_DIMS) and in one heap buffer
+    /// above, so the common per-sample handoff allocates nothing on the
+    /// producer and frees nothing on the shard.
     Push {
         stream: StreamId,
         t: f64,
-        x: Box<[f64]>,
+        x: DimVec<f64>,
     },
     /// Columnar batch: `values` holds `dims` contiguous values per sample.
     PushBatch {
@@ -179,17 +183,21 @@ impl IngestHandle {
     }
 
     /// Sends one sample, blocking while the owning shard's queue is full
-    /// (backpressure).
+    /// (backpressure). The values are copied into the queue slot itself
+    /// for d ≤ [`INLINE_DIMS`](pla_core::INLINE_DIMS), so the handoff
+    /// allocates nothing; above that they take one heap buffer.
     pub fn push(&self, stream: StreamId, t: f64, x: &[f64]) -> Result<(), IngestError> {
-        self.send(stream, Op::Push { stream, t, x: x.into() })
+        self.send(stream, Op::Push { stream, t, x: DimVec::from_slice(x) })
     }
 
     /// Sends one sample without blocking; a full shard queue yields
     /// [`IngestError::Backpressure`]. Every rejection is counted into
-    /// the owning shard's [`ShardStats::backpressure`].
+    /// the owning shard's [`ShardStats::backpressure`]. The values travel
+    /// as in [`push`](Self::push): inline for d ≤
+    /// [`INLINE_DIMS`](pla_core::INLINE_DIMS), one heap buffer above.
     pub fn try_push(&self, stream: StreamId, t: f64, x: &[f64]) -> Result<(), IngestError> {
         let shard = shard_of(stream, self.senders.len());
-        match self.senders[shard].try_send(Op::Push { stream, t, x: x.into() }) {
+        match self.senders[shard].try_send(Op::Push { stream, t, x: DimVec::from_slice(x) }) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
                 self.backpressure[shard].fetch_add(1, Ordering::Relaxed);

@@ -12,18 +12,26 @@ use pla_ingest::{shard_of, IngestConfig, IngestEngine, IngestError, StreamId};
 /// A deterministic per-stream workload: a random walk seeded by the
 /// stream id, so every test regenerates the same signals.
 fn stream_signal(id: u64, n: usize) -> Signal {
+    walk_signal(id, 1, n)
+}
+
+/// A `dims`-dimensional random walk at unit-spaced timestamps, seeded by
+/// the stream id; every dimension takes its own steps.
+fn walk_signal(id: u64, dims: usize, n: usize) -> Signal {
     let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut rnd = || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
     };
-    let mut x = rnd() * 10.0;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        x += rnd();
-        values.push(x);
+    let mut x: Vec<f64> = (0..dims).map(|_| rnd() * 10.0).collect();
+    let mut signal = Signal::with_capacity(dims, n);
+    for j in 0..n {
+        for v in &mut x {
+            *v += rnd();
+        }
+        signal.push(j as f64, &x).unwrap();
     }
-    Signal::from_values(&values)
+    signal
 }
 
 /// The spec each stream uses: vary the filter family by id so every
@@ -39,14 +47,33 @@ fn spec_for(id: u64) -> FilterSpec {
 }
 
 fn standalone_segments(id: u64, n: usize) -> Vec<Segment> {
-    let signal = stream_signal(id, n);
-    let mut filter = spec_for(id).build().unwrap();
+    standalone_run(&spec_for(id), &stream_signal(id, n))
+}
+
+fn standalone_run(spec: &FilterSpec, signal: &Signal) -> Vec<Segment> {
+    let mut filter = spec.build().unwrap();
     let mut sink = CollectingSink::default();
     for (t, x) in signal.iter() {
         filter.push(t, x, &mut sink).unwrap();
     }
     filter.finish(&mut sink).unwrap();
     sink.segments
+}
+
+/// Every float a segment carries, as raw bits: equal bits, not merely
+/// equal values.
+fn segment_bits(segments: &[Segment]) -> Vec<u64> {
+    segments
+        .iter()
+        .flat_map(|s| {
+            let scalars = [s.t_start, s.t_end].map(f64::to_bits);
+            let flags = [u64::from(s.connected), s.n_points as u64, s.new_recordings as u64];
+            scalars
+                .into_iter()
+                .chain(s.x_start.iter().chain(s.x_end.iter()).map(|v| v.to_bits()))
+                .chain(flags)
+        })
+        .collect()
 }
 
 #[test]
@@ -182,6 +209,80 @@ fn try_push_backpressure_never_loses_accepted_samples() {
     // Informational: on a loaded machine the worker may keep up and never
     // exert backpressure; the accounting invariant above is the real test.
     let _ = backpressured;
+}
+
+#[test]
+fn per_sample_pushes_match_standalone_filters_on_both_sides_of_inline_dims() {
+    // Single-sample pushes carry their values inline in the shard queue
+    // up to INLINE_DIMS = 4 and in one heap buffer above; both forms must
+    // hand the filter exactly the sample that was pushed.
+    const STREAMS: u64 = 8;
+    const N: usize = 300;
+    for dims in [1usize, 4, 5, 9] {
+        let spec = |id: u64| FilterSpec::new(spec_for(id).kind, &vec![0.4; dims]);
+        let engine =
+            IngestEngine::new(IngestConfig { shards: 2, queue_depth: 8, shard_log: false });
+        let h = engine.handle();
+        for id in 0..STREAMS {
+            h.register(StreamId(id), spec(id)).unwrap();
+        }
+        let signals: Vec<Signal> = (0..STREAMS).map(|id| walk_signal(id, dims, N)).collect();
+        for j in 0..N {
+            for (id, signal) in signals.iter().enumerate() {
+                let (t, x) = signal.sample(j);
+                h.push(StreamId(id as u64), t, x).unwrap();
+            }
+        }
+        let report = engine.finish();
+        assert_eq!(report.quarantined(), 0, "d = {dims}");
+        for (id, signal) in signals.iter().enumerate() {
+            let id = id as u64;
+            let expected = standalone_run(&spec(id), signal);
+            let got = &report.streams[&StreamId(id)];
+            assert_eq!(got.samples_in, N as u64, "d = {dims}, stream {id}");
+            assert!(!got.segments.is_empty(), "d = {dims}, stream {id}: no segments");
+            assert_eq!(
+                segment_bits(&got.segments),
+                segment_bits(&expected),
+                "d = {dims}, stream {id} diverged from its standalone filter"
+            );
+        }
+    }
+}
+
+#[test]
+fn try_push_above_inline_dims_never_loses_accepted_samples() {
+    // d = 5 spills each sample's values to the heap on its way through a
+    // 4-deep queue. Exactly the accepted samples must reach the filter, in
+    // order: the report equals a standalone run over the accepted ones.
+    const DIMS: usize = 5;
+    let spec = FilterSpec::new(FilterKind::Swing, &[0.5; DIMS]);
+    let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+    let h = engine.handle();
+    h.register(StreamId(1), spec.clone()).unwrap();
+    let offered = walk_signal(1, DIMS, 5_000);
+    let mut accepted = Signal::with_capacity(DIMS, offered.len());
+    let mut t = 0.0;
+    let mut rejected = 0u64;
+    for (_, x) in offered.iter() {
+        match h.try_push(StreamId(1), t, x) {
+            Ok(()) => {
+                accepted.push(t, x).unwrap();
+                t += 1.0;
+            }
+            Err(IngestError::Backpressure) => rejected += 1,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    let report = engine.finish();
+    assert_eq!(report.shards[0].backpressure, rejected, "every rejection is reported");
+    let got = &report.streams[&StreamId(1)];
+    assert_eq!(got.samples_in, accepted.len() as u64);
+    assert_eq!(
+        segment_bits(&got.segments),
+        segment_bits(&standalone_run(&spec, &accepted)),
+        "the accepted samples reached the filter intact and in order"
+    );
 }
 
 #[test]

@@ -439,10 +439,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         for &stream in &touched {
             // Closing a finished stream's trailing hold is a no-op the
             // second time, so a replayed `Fin` may touch it again.
-            if c.rx.is_finished(stream) {
-                c.rx.demux_mut().flush_stream(stream);
-            }
-            c.rx.demux_mut().drain_segments(stream, &mut batch);
+            c.rx.drain_to_publish(stream, &mut batch);
             if batch.is_empty() {
                 continue;
             }

@@ -3,7 +3,7 @@
 //!
 //! [`NetReceiver`] is the sans-I/O twin of
 //! [`MuxSender`](crate::MuxSender): it owns the
-//! [`FrameDecoder`](crate::frame::FrameDecoder), a [`StreamDemux`]
+//! [`FrameDecoder`], a [`StreamDemux`]
 //! (which performs the actual segment reconstruction), the session's
 //! applied seq (the dedup point that makes replay safe) and one
 //! [`ReceiveWindow`] for the whole connection. Each stream's own
@@ -25,6 +25,7 @@ use std::collections::VecDeque;
 
 use bytes::BytesMut;
 
+use pla_core::Segment;
 use pla_transport::wire::Codec;
 use pla_transport::StreamDemux;
 
@@ -286,13 +287,6 @@ impl<C: Codec> NetReceiver<C> {
         &self.demux
     }
 
-    /// Mutable access to the reconstruction state — the collector uses
-    /// it to flush a finished stream's trailing hold segment
-    /// ([`StreamDemux::flush_stream`]) before publishing.
-    pub fn demux_mut(&mut self) -> &mut StreamDemux<C, RxStream> {
-        &mut self.demux
-    }
-
     /// Consumes the receiver, handing back the demultiplexer (for
     /// [`StreamDemux::into_segment_logs`]).
     pub fn into_demux(self) -> StreamDemux<C, RxStream> {
@@ -307,6 +301,15 @@ impl<C: Codec> NetReceiver<C> {
     /// Whether `stream` is complete.
     pub fn is_finished(&self, stream: u64) -> bool {
         self.demux.slot(stream).is_some_and(|rx| rx.fin.is_some())
+    }
+
+    /// Moves `stream`'s reconstructed segments onto the end of `out`,
+    /// first closing its trailing hold if its `Fin` has arrived — the
+    /// collector's publish step, from one demux lookup
+    /// ([`StreamDemux::drain_segments_flushing_if`]). A replayed `Fin`
+    /// may drain the stream again: the second flush finds no hold.
+    pub fn drain_to_publish(&mut self, stream: u64, out: &mut Vec<Segment>) {
+        self.demux.drain_segments_flushing_if(stream, out, |rx| rx.fin.is_some());
     }
 
     /// Current endpoint counters (entries applied, duplicates dropped,

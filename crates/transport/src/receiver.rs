@@ -493,7 +493,25 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
     /// demultiplexer only ever holds what it has not handed on yet.
     /// Unknown streams are a no-op.
     pub fn drain_segments(&mut self, stream: u64, out: &mut Vec<Segment>) {
-        if let Some((asm, _)) = self.streams.get_mut(&stream) {
+        self.drain_segments_flushing_if(stream, out, |_| false);
+    }
+
+    /// [`drain_segments`](Self::drain_segments), first closing the
+    /// stream's trailing hold ([`flush_stream`](Self::flush_stream)) when
+    /// `complete` says its slot marks the stream finished — one map
+    /// lookup for both. The flush is a no-op on a stream with no open
+    /// hold, so a replayed end-of-stream marker may drain it again.
+    /// Unknown streams are a no-op.
+    pub fn drain_segments_flushing_if(
+        &mut self,
+        stream: u64,
+        out: &mut Vec<Segment>,
+        complete: impl FnOnce(&T) -> bool,
+    ) {
+        if let Some((asm, slot)) = self.streams.get_mut(&stream) {
+            if complete(slot) {
+                asm.flush();
+            }
             out.append(&mut asm.segments);
         }
     }
@@ -651,6 +669,36 @@ mod tests {
         assert_eq!(logs[&1], after_first);
         assert_eq!(logs[&2], closed);
         assert_eq!(logs[&3], vec![]);
+    }
+
+    /// The one-lookup publish step: a stream not yet complete keeps its
+    /// hold open, a complete one drains it as its trailing segment once,
+    /// and draining it again (a replayed end-of-stream marker) moves
+    /// nothing.
+    #[test]
+    fn drain_flushing_if_complete_closes_the_hold_once() {
+        let bytes = encode(
+            &[
+                Message::StreamFrame { stream: 1 },
+                Message::Start { t: 0.0, x: [1.0].into() },
+                Message::End { t: 3.0, x: [2.0].into() },
+                Message::Hold { t: 4.0, x: [5.0].into() },
+            ],
+            1,
+        );
+        let mut demux = StreamDemux::new(FixedCodec, 1);
+        demux.consume(bytes.clone()).unwrap();
+        let mut out = Vec::new();
+        demux.drain_segments_flushing_if(1, &mut out, |_| false);
+        assert_eq!(out.len(), 1, "the closed segment moves; the hold stays open");
+        demux.drain_segments_flushing_if(1, &mut out, |_| true);
+        assert_eq!(out.len(), 2, "completion closes the hold into the log");
+        demux.drain_segments_flushing_if(1, &mut out, |_| true);
+        demux.drain_segments_flushing_if(999, &mut out, |_| true);
+        assert_eq!(out.len(), 2, "a second drain and an unknown stream move nothing");
+        let mut reference = StreamDemux::new(FixedCodec, 1);
+        reference.consume(bytes).unwrap();
+        assert_eq!(out, reference.into_segment_logs()[&1], "matches the teardown flush");
     }
 
     #[test]
