@@ -773,7 +773,12 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             bytes_moved: c.bytes_moved,
             resumes: c.resumes,
             failed: c.failed.clone(),
-            ack_points: c.rx.demux().streams().map(|s| (s, c.rx.demux().ack_point(s))).collect(),
+            ack_points: c
+                .rx
+                .demux()
+                .streams()
+                .map(|s| (s, c.rx.demux().entries_applied(s)))
+                .collect(),
         })
     }
 

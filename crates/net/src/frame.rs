@@ -29,9 +29,9 @@
 //! is fixed-width little-endian.
 //!
 //! Entries never split messages: each payload is a self-contained codec
-//! unit of one stream (the sender resets its codec per entry, and no
-//! `StreamFrame` header rides inside — the entry names its stream), so a
-//! replayed entry decodes identically whenever it arrives. The sender
+//! unit of one stream (the sender resets its codec per entry, and the
+//! entry names its stream; the messages inside never do), so a replayed
+//! entry decodes identically whenever it arrives. The sender
 //! replays sealed frames byte for byte, and the receiver drops every
 //! entry at or below its applied point. The control frames keep the
 //! same idempotence discipline: `through` and `granted_total` are
@@ -53,11 +53,12 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// the handshake instead of failing mid-stream; 3 = one cumulative
 /// cursor frame per flush, varint `Data` header, `Credit` retired (kind
 /// byte 3 is now unknown); 4 = one `Batch` frame per flush replaces the
-/// per-segment `Data` frame and its in-payload `StreamFrame` header
-/// (kind byte 1 is now unknown); 5 = one session sequence space (a
-/// `Batch` carries a base seq, entries drop their per-stream seq), a
-/// single-point `Ack`/`HelloAck` replaces the per-stream cursor lists,
-/// and one credit window per connection replaces the per-stream ones.
+/// per-segment `Data` frame and the stream header inside its payload
+/// (kind byte 1 is now unknown, and so is message tag 5); 5 = one
+/// session sequence space (a `Batch` carries a base seq, entries drop
+/// their per-stream seq), a single-point `Ack`/`HelloAck` replaces the
+/// per-stream cursor lists, and one credit window per connection
+/// replaces the per-stream ones.
 pub const PROTOCOL_VERSION: u16 = 5;
 
 /// One sequenced entry of a [`Batch`]: a chunk of one stream's wire
@@ -69,7 +70,7 @@ pub struct BatchEntry {
     /// Session sequence number: the batch's base plus the entry's index.
     pub seq: u64,
     /// The stream's `pla-transport` codec bytes, coded from a reset
-    /// codec, with no `StreamFrame` header.
+    /// codec.
     pub payload: Bytes,
 }
 

@@ -433,7 +433,7 @@ mod tests {
         }
         assert_eq!(only_ack(&mut rx), (7, 0), "one cumulative ack per round, for every stream");
         assert_eq!(rx.stats().acks_staged, 1, "acks count frames, not entries or streams");
-        assert_eq!(rx.demux().ack_point(3), 5, "stream 3 applied five entries");
+        assert_eq!(rx.demux().entries_applied(3), 5, "stream 3 applied five entries");
         // Nothing new ⇒ the next flush stages nothing.
         assert!(control_frames(&mut rx).is_empty());
     }

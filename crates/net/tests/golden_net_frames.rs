@@ -199,7 +199,6 @@ fn section<C: Codec + Clone>(codec: C, streams: [u64; 2], d: usize, max_frame: u
                 Message::End { .. } => 2,
                 Message::Point { .. } => 3,
                 Message::Provisional { .. } => 4,
-                Message::StreamFrame { .. } => panic!("entries carry no stream header"),
             };
             tags[tag] = true;
         }

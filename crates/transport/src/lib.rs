@@ -15,12 +15,10 @@
 //!   *lag*;
 //! * [`StreamDemux`] — the multi-stream receiver: one connection carries
 //!   many logical streams, and the demultiplexer rebuilds one segment log
-//!   per stream — from a byte stream interleaved behind `StreamFrame`
-//!   headers ([`StreamDemux::consume`]), or from header-less sequenced
-//!   entries that name their stream out of band
-//!   ([`StreamDemux::consume_sequenced`] with a per-stream sequence
-//!   number, or [`StreamDemux::consume_next`] behind a transport that
-//!   sequences entries itself, as `pla-net`'s `Batch` frames do);
+//!   per stream from *entries*, each a chunk of one stream's codec bytes
+//!   handed over with its stream id ([`StreamDemux::consume_next`]); the
+//!   transport orders and deduplicates entries itself, as `pla-net`'s
+//!   `Batch` frames do;
 //! * [`simulate_lag`] — end-to-end lag measurement backing the paper's
 //!   `m_max_lag` bound;
 //! * [`packing`] — the §5.4 analysis: compressing `d` dimensions jointly
@@ -38,5 +36,5 @@ mod transmitter;
 pub mod wire;
 
 pub use channel::simulate_lag;
-pub use receiver::{ReceiveError, Receiver, SeqOutcome, StreamDemux};
+pub use receiver::{ReceiveError, Receiver, StreamDemux};
 pub use transmitter::{Transmitter, TransmitterStats};

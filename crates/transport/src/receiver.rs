@@ -2,16 +2,11 @@
 //!
 //! Two receivers share one reconstruction state machine ([`Assembler`]):
 //!
-//! * [`Receiver`] — the paper's single-stream endpoint. A
-//!   [`StreamFrame`](Message::StreamFrame) header arriving here is a
-//!   protocol violation: the sender is multiplexing and the bytes must go
-//!   through a demultiplexer instead.
+//! * [`Receiver`] — the paper's single-stream endpoint, fed one byte
+//!   stream.
 //! * [`StreamDemux`] — the multi-stream endpoint, producing one segment
-//!   log per stream: [`consume`](StreamDemux::consume) applies every
-//!   message to the stream named by the most recent frame header, and
-//!   [`consume_sequenced`](StreamDemux::consume_sequenced) and
-//!   [`consume_next`](StreamDemux::consume_next) apply one header-less
-//!   entry to the stream their caller names.
+//!   log per stream: [`consume_next`](StreamDemux::consume_next) applies
+//!   one entry to the stream its caller names.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -30,17 +25,6 @@ pub enum ReceiveError {
     /// Messages arrived in an order no transmitter produces (e.g. an
     /// `End` with no open segment).
     Protocol(&'static str),
-    /// A sequenced frame skipped ahead: frames for one stream must arrive
-    /// in contiguous sequence order (duplicates are tolerated and
-    /// dropped; gaps mean the transport lost data).
-    SequenceGap {
-        /// The stream whose sequence jumped.
-        stream: u64,
-        /// The sequence number the demultiplexer expected next.
-        expected: u64,
-        /// The sequence number that actually arrived.
-        got: u64,
-    },
 }
 
 impl std::fmt::Display for ReceiveError {
@@ -48,9 +32,6 @@ impl std::fmt::Display for ReceiveError {
         match self {
             Self::Wire(e) => write!(f, "wire error: {e}"),
             Self::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            Self::SequenceGap { stream, expected, got } => {
-                write!(f, "stream#{stream}: expected frame seq {expected}, got {got}")
-            }
         }
     }
 }
@@ -82,11 +63,9 @@ struct Assembler {
     covered: f64,
     provisionals: u64,
     messages: u64,
-    /// One past the entries applied so far (see
-    /// [`StreamDemux::consume_sequenced`], whose next expected sequence
-    /// number it is, and [`StreamDemux::consume_next`]); stays 1 for
-    /// streams only ever fed through plain [`StreamDemux::consume`].
-    next_seq: u64,
+    /// Entries applied through [`StreamDemux::consume_next`] (0 under a
+    /// single-stream [`Receiver`]).
+    entries: u64,
 }
 
 impl Default for Assembler {
@@ -98,7 +77,7 @@ impl Default for Assembler {
             covered: f64::NEG_INFINITY,
             provisionals: 0,
             messages: 0,
-            next_seq: 1,
+            entries: 0,
         }
     }
 }
@@ -125,8 +104,7 @@ impl Assembler {
         }
     }
 
-    /// Applies one payload message. Frame headers never reach here — both
-    /// receivers intercept them first.
+    /// Applies one message.
     fn apply(&mut self, msg: Message) -> Result<(), ReceiveError> {
         self.messages += 1;
         match msg {
@@ -184,9 +162,6 @@ impl Assembler {
                 self.provisionals += 1;
                 self.covered = f64::INFINITY;
             }
-            Message::StreamFrame { .. } => {
-                unreachable!("frame headers are intercepted before apply")
-            }
         }
         Ok(())
     }
@@ -242,11 +217,6 @@ impl<C: Codec> Receiver<C> {
     pub fn consume(&mut self, mut bytes: Bytes) -> Result<(), ReceiveError> {
         while bytes.remaining() > 0 {
             let msg = self.codec.decode(&mut bytes, self.dims)?;
-            if matches!(msg, Message::StreamFrame { .. }) {
-                return Err(ReceiveError::Protocol(
-                    "StreamFrame on a single-stream receiver; use StreamDemux",
-                ));
-            }
             self.asm.apply(msg)?;
         }
         Ok(())
@@ -260,57 +230,41 @@ impl<C: Codec> Receiver<C> {
 
 /// Demultiplexes one multi-stream connection into per-stream segment logs.
 ///
-/// The transmitter interleaves [`Message::StreamFrame`] headers with
-/// ordinary messages; every payload message is applied to the stream named
-/// by the most recent header. Stream ids match `pla-ingest`'s `StreamId`
-/// (the engine's per-shard fan-in log is exactly the feed a multiplexing
-/// sender walks).
+/// The connection carries *entries*: self-contained chunks of one
+/// stream's codec bytes, each handed over with the stream it belongs to
+/// ([`consume_next`](Self::consume_next)). Stream ids match
+/// `pla-ingest`'s `StreamId`. The transport orders entries and drops
+/// duplicates itself (`pla-net` numbers them per session), so every
+/// entry handed over is its stream's next one.
 ///
 /// ```
 /// use bytes::BytesMut;
 /// use pla_transport::wire::{Codec, FixedCodec, Message};
 /// use pla_transport::StreamDemux;
 ///
-/// let mut codec = FixedCodec;
-/// let mut buf = BytesMut::new();
-/// for msg in [
-///     Message::StreamFrame { stream: 7 },
-///     Message::Start { t: 0.0, x: [0.0].into() },
-///     Message::StreamFrame { stream: 9 },
-///     Message::Point { t: 0.0, x: [5.0].into() },
-///     Message::StreamFrame { stream: 7 },
-///     Message::End { t: 4.0, x: [8.0].into() },
-/// ] {
-///     codec.encode(&msg, 1, &mut buf);
-/// }
+/// let entry = |msg: Message| {
+///     let mut buf = BytesMut::new();
+///     FixedCodec.encode(&msg, 1, &mut buf);
+///     buf.freeze()
+/// };
 /// let mut demux = StreamDemux::new(FixedCodec, 1);
-/// demux.consume(buf.freeze()).unwrap();
+/// demux.consume_next(7, entry(Message::Start { t: 0.0, x: [0.0].into() })).unwrap();
+/// demux.consume_next(9, entry(Message::Point { t: 0.0, x: [5.0].into() })).unwrap();
+/// demux.consume_next(7, entry(Message::End { t: 4.0, x: [8.0].into() })).unwrap();
 /// assert_eq!(demux.streams().collect::<Vec<_>>(), vec![7, 9]);
 /// assert_eq!(demux.segments(7).unwrap().len(), 1);
 /// assert_eq!(demux.segments(9).unwrap().len(), 1);
+/// assert_eq!(demux.entries_applied(7), 2);
 /// ```
 ///
 /// Each stream's slot also holds a caller-defined `T` (default `()`),
-/// reached through the same map lookup that applies an entry
-/// ([`consume_next`](Self::consume_next)): a transport that keeps its
-/// own per-stream bookkeeping beside the reconstruction pays one lookup
-/// per entry, not one per table.
+/// reached through the same map lookup that applies an entry: a
+/// transport that keeps its own per-stream bookkeeping beside the
+/// reconstruction pays one lookup per entry, not one per table.
 pub struct StreamDemux<C, T = ()> {
     codec: C,
     dims: usize,
-    current: Option<u64>,
     streams: BTreeMap<u64, (Assembler, T)>,
-    frames: u64,
-}
-
-/// What [`StreamDemux::consume_sequenced`] did with a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqOutcome {
-    /// The frame was new and its messages were applied.
-    Applied,
-    /// The frame's sequence number was already applied (a replay after
-    /// reconnect); its bytes were dropped without touching any state.
-    Duplicate,
 }
 
 impl<C: Codec> StreamDemux<C> {
@@ -324,97 +278,25 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
     /// Creates a demultiplexer whose stream slots each carry a `T`
     /// (starting at `T::default()`).
     pub fn with_slots(codec: C, dims: usize) -> Self {
-        Self { codec, dims, current: None, streams: BTreeMap::new(), frames: 0 }
+        Self { codec, dims, streams: BTreeMap::new() }
     }
 
-    /// Decodes and applies every message in `bytes`, routing by the
-    /// interleaved frame headers.
-    ///
-    /// A payload message arriving before any `StreamFrame` is a protocol
-    /// violation: nothing says which stream it belongs to.
-    pub fn consume(&mut self, mut bytes: Bytes) -> Result<(), ReceiveError> {
-        while bytes.remaining() > 0 {
-            let msg = self.codec.decode(&mut bytes, self.dims)?;
-            if let Message::StreamFrame { stream } = msg {
-                self.frames += 1;
-                self.current = Some(stream);
-                self.streams.entry(stream).or_default();
-                continue;
-            }
-            let stream = self
-                .current
-                .ok_or(ReceiveError::Protocol("payload message before any StreamFrame"))?;
-            self.streams.get_mut(&stream).expect("current stream is registered").0.apply(msg)?;
-        }
-        Ok(())
-    }
-
-    /// Applies one *sequenced entry*: a self-contained chunk of one
-    /// stream's codec bytes, tagged with a per-stream sequence number.
-    /// This is the resumable-delivery entry point for a transport that
-    /// sequences each stream on its own: after a reconnect the sender
-    /// replays every unacknowledged entry, and the sequence numbers let
-    /// this side drop the ones it already applied, so the reconstruction
-    /// is identical to an uninterrupted run. (`pla-net` sequences a
-    /// whole session instead and uses [`consume_next`](Self::consume_next).)
+    /// Applies `stream`'s next entry and hands back the stream's slot
+    /// from the same lookup.
     ///
     /// The contract, enforced here:
     ///
-    /// * `seq` starts at 1 and increments by 1 per entry per stream.
-    ///   `seq < expected` is a replay → [`SeqOutcome::Duplicate`], bytes
-    ///   dropped untouched. `seq > expected` means the transport lost an
-    ///   entry → [`ReceiveError::SequenceGap`].
-    /// * The payload holds at least one message, all for `stream`: the
-    ///   entry names its stream, so a [`Message::StreamFrame`] inside
-    ///   the payload is a protocol error (one entry, one stream —
-    ///   otherwise dropping a duplicate would also drop other streams'
-    ///   messages).
+    /// * The payload holds at least one message, all for `stream`; the
+    ///   messages themselves never name a stream.
     /// * Each entry is decoded from a fresh codec state
-    ///   ([`Codec::reset`]), so replayed entries decode identically no
-    ///   matter what was decoded in between.
+    ///   ([`Codec::reset`]), so an entry decodes the same whatever was
+    ///   decoded before it — a resent entry included.
+    /// * Ordering and deduplication belong to the transport: every entry
+    ///   handed over is applied.
     ///
-    /// On any error the entry is *not* counted as applied (the ack point
-    /// stays put), and a stream the refused entry would have introduced
-    /// is not registered.
-    pub fn consume_sequenced(
-        &mut self,
-        stream: u64,
-        seq: u64,
-        bytes: Bytes,
-    ) -> Result<SeqOutcome, ReceiveError> {
-        if seq == 0 {
-            return Err(ReceiveError::Protocol("frame sequence numbers start at 1"));
-        }
-        // One map lookup serves the sequence check and the apply: the
-        // expected sequence number lives in the stream's own assembler.
-        let (codec, dims) = (&mut self.codec, self.dims);
-        let (slot, fresh) = match self.streams.entry(stream) {
-            Entry::Occupied(e) => (e.into_mut(), false),
-            Entry::Vacant(e) => (e.insert(Default::default()), true),
-        };
-        let expected = slot.0.next_seq;
-        if seq < expected {
-            return Ok(SeqOutcome::Duplicate);
-        }
-        let result = if seq > expected {
-            Err(ReceiveError::SequenceGap { stream, expected, got: seq })
-        } else {
-            apply_entry(codec, dims, &mut slot.0, bytes)
-        };
-        if result.is_err() && fresh {
-            self.streams.remove(&stream);
-        }
-        result.map(|()| SeqOutcome::Applied)
-    }
-
-    /// Applies `stream`'s next entry — the same contract as
-    /// [`consume_sequenced`](Self::consume_sequenced) minus the
-    /// per-stream sequence number, for a transport that orders and
-    /// dedups entries itself (`pla-net` numbers entries per session) —
-    /// and hands back the stream's slot from the same lookup.
-    ///
-    /// On any error the entry does not count as applied, and a stream
-    /// the refused entry would have introduced is not registered.
+    /// On any error the entry does not count as applied
+    /// ([`entries_applied`](Self::entries_applied) stays put), and a
+    /// stream the refused entry would have introduced is not registered.
     pub fn consume_next(&mut self, stream: u64, bytes: Bytes) -> Result<&mut T, ReceiveError> {
         let (codec, dims) = (&mut self.codec, self.dims);
         match self.streams.entry(stream) {
@@ -447,12 +329,11 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
         self.streams.iter().map(|(&id, (_, slot))| (id, slot))
     }
 
-    /// Entries applied for `stream` (0 when none). Under
-    /// [`consume_sequenced`](Self::consume_sequenced) that is the highest
-    /// sequence number applied — the cumulative acknowledgement point a
-    /// transport should report back to the sender.
-    pub fn ack_point(&self, stream: u64) -> u64 {
-        self.streams.get(&stream).map_or(0, |(asm, _)| asm.next_seq - 1)
+    /// Entries applied to `stream` (0 when none, or for an unknown
+    /// stream). A count, not a sequence number: the transport's own
+    /// sequence space is separate.
+    pub fn entries_applied(&self, stream: u64) -> u64 {
+        self.streams.get(&stream).map_or(0, |(asm, _)| asm.entries)
     }
 
     /// Stream ids seen so far, ascending.
@@ -480,8 +361,7 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
 
     /// Segments reconstructed for one stream and not yet moved out by
     /// [`drain_segments`](Self::drain_segments) — the whole log for a
-    /// consumer that never drains (`None` if no frame header ever named
-    /// the stream).
+    /// consumer that never drains (`None` for an unknown stream).
     pub fn segments(&self, stream: u64) -> Option<&[Segment]> {
         self.streams.get(&stream).map(|(a, _)| a.segments.as_slice())
     }
@@ -521,13 +401,7 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
         self.streams.get(&stream).map(|(a, _)| a.covered)
     }
 
-    /// `StreamFrame` headers seen by [`consume`](Self::consume).
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Payload messages applied across all streams (frame headers not
-    /// counted).
+    /// Messages applied across all streams.
     pub fn messages(&self) -> u64 {
         self.streams.values().map(|(a, _)| a.messages).sum()
     }
@@ -545,9 +419,9 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
     }
 }
 
-/// Decodes one header-less entry from a reset codec and applies it to
-/// `asm`, counting it in `asm.next_seq`. On any error the entry counts
-/// as not applied.
+/// Decodes one entry from a reset codec and applies it to `asm`,
+/// counting it in `asm.entries`. On any error the entry counts as not
+/// applied.
 fn apply_entry<C: Codec>(
     codec: &mut C,
     dims: usize,
@@ -555,20 +429,16 @@ fn apply_entry<C: Codec>(
     mut bytes: Bytes,
 ) -> Result<(), ReceiveError> {
     if bytes.remaining() == 0 {
-        return Err(ReceiveError::Protocol("sequenced entry carries no messages"));
+        return Err(ReceiveError::Protocol("entry carries no messages"));
     }
     // Entries are coded independently (the sender resets its codec per
-    // entry) so a replay decodes byte-identically regardless of what
-    // arrived in between.
+    // entry) so a resent entry decodes byte-identically regardless of
+    // what arrived in between.
     codec.reset();
     while bytes.remaining() > 0 {
-        let msg = codec.decode(&mut bytes, dims)?;
-        if matches!(msg, Message::StreamFrame { .. }) {
-            return Err(ReceiveError::Protocol("StreamFrame header inside a sequenced entry"));
-        }
-        asm.apply(msg)?;
+        asm.apply(codec.decode(&mut bytes, dims)?)?;
     }
-    asm.next_seq += 1;
+    asm.entries += 1;
     Ok(())
 }
 
@@ -590,8 +460,7 @@ mod tests {
     use crate::wire::{CompactCodec, FixedCodec};
     use bytes::BytesMut;
 
-    fn encode(msgs: &[Message], dims: usize) -> Bytes {
-        let mut codec = FixedCodec;
+    fn encode_with<C: Codec>(mut codec: C, msgs: &[Message], dims: usize) -> Bytes {
         let mut buf = BytesMut::new();
         for m in msgs {
             codec.encode(m, dims, &mut buf);
@@ -599,20 +468,28 @@ mod tests {
         buf.freeze()
     }
 
+    fn encode(msgs: &[Message], dims: usize) -> Bytes {
+        encode_with(FixedCodec, msgs, dims)
+    }
+
+    /// One entry's payload: 1-d messages from a fresh `FixedCodec`.
+    fn entry(msgs: &[Message]) -> Bytes {
+        encode(msgs, 1)
+    }
+
+    fn compact() -> CompactCodec {
+        CompactCodec::new(0.01, &[0.01])
+    }
+
+    /// Tag 5 — the retired in-band stream header — followed by what was
+    /// its 8-byte stream id.
+    const RETIRED_TAG_5: &[u8] = &[5, 7, 0, 0, 0, 0, 0, 0, 0];
+
     #[test]
     fn flush_stream_closes_only_that_streams_hold() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        demux
-            .consume(encode(
-                &[
-                    Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: [4.0].into() },
-                    Message::StreamFrame { stream: 2 },
-                    Message::Hold { t: 0.0, x: [9.0].into() },
-                ],
-                1,
-            ))
-            .unwrap();
+        demux.consume_next(1, entry(&[Message::Hold { t: 0.0, x: [4.0].into() }])).unwrap();
+        demux.consume_next(2, entry(&[Message::Hold { t: 0.0, x: [9.0].into() }])).unwrap();
         assert_eq!(demux.segments(1).unwrap().len(), 0, "hold still open");
         demux.flush_stream(1);
         assert_eq!(demux.segments(1).unwrap().len(), 1, "flushed hold became a segment");
@@ -632,22 +509,14 @@ mod tests {
     #[test]
     fn flush_stream_on_drained_or_empty_streams_changes_nothing() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        demux
-            .consume(encode(
-                &[
-                    // Stream 1: an open hold to flush twice.
-                    Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: [4.0].into() },
-                    // Stream 2: closed by an explicit End — no open hold.
-                    Message::StreamFrame { stream: 2 },
-                    Message::Start { t: 0.0, x: [1.0].into() },
-                    Message::End { t: 3.0, x: [2.0].into() },
-                    // Stream 3: a frame header and nothing else.
-                    Message::StreamFrame { stream: 3 },
-                ],
-                1,
-            ))
-            .unwrap();
+        // Stream 1: an open hold to flush twice.
+        demux.consume_next(1, entry(&[Message::Hold { t: 0.0, x: [4.0].into() }])).unwrap();
+        // Stream 2: closed by an explicit End — no open hold.
+        let closed_by_end =
+            [Message::Start { t: 0.0, x: [1.0].into() }, Message::End { t: 3.0, x: [2.0].into() }];
+        demux.consume_next(2, entry(&closed_by_end)).unwrap();
+        // Stream 3: registered, and nothing else.
+        demux.slot_mut(3);
         demux.flush_stream(1);
         let after_first = demux.segments(1).unwrap().to_vec();
         assert_eq!(after_first.len(), 1);
@@ -677,17 +546,13 @@ mod tests {
     /// nothing.
     #[test]
     fn drain_flushing_if_complete_closes_the_hold_once() {
-        let bytes = encode(
-            &[
-                Message::StreamFrame { stream: 1 },
-                Message::Start { t: 0.0, x: [1.0].into() },
-                Message::End { t: 3.0, x: [2.0].into() },
-                Message::Hold { t: 4.0, x: [5.0].into() },
-            ],
-            1,
-        );
+        let bytes = entry(&[
+            Message::Start { t: 0.0, x: [1.0].into() },
+            Message::End { t: 3.0, x: [2.0].into() },
+            Message::Hold { t: 4.0, x: [5.0].into() },
+        ]);
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        demux.consume(bytes.clone()).unwrap();
+        demux.consume_next(1, bytes.clone()).unwrap();
         let mut out = Vec::new();
         demux.drain_segments_flushing_if(1, &mut out, |_| false);
         assert_eq!(out.len(), 1, "the closed segment moves; the hold stays open");
@@ -697,7 +562,7 @@ mod tests {
         demux.drain_segments_flushing_if(999, &mut out, |_| true);
         assert_eq!(out.len(), 2, "a second drain and an unknown stream move nothing");
         let mut reference = StreamDemux::new(FixedCodec, 1);
-        reference.consume(bytes).unwrap();
+        reference.consume_next(1, bytes).unwrap();
         assert_eq!(out, reference.into_segment_logs()[&1], "matches the teardown flush");
     }
 
@@ -785,36 +650,37 @@ mod tests {
         assert_eq!(rx.segments().len(), 1);
     }
 
+    /// The retired stream-header tag is an unknown tag on the
+    /// single-stream receiver too, and applies nothing.
     #[test]
     fn single_stream_receiver_rejects_frame_headers() {
-        let bytes = encode(
-            &[Message::StreamFrame { stream: 1 }, Message::Point { t: 0.0, x: [1.0].into() }],
-            1,
-        );
         let mut rx = Receiver::new(FixedCodec, 1);
-        assert!(matches!(rx.consume(bytes), Err(ReceiveError::Protocol(_))));
+        assert_eq!(
+            rx.consume(Bytes::from_static(RETIRED_TAG_5)),
+            Err(ReceiveError::Wire(WireError::BadTag(5)))
+        );
+        assert_eq!(rx.messages(), 0);
     }
 
     #[test]
     fn demux_routes_interleaved_streams() {
-        let bytes = encode(
-            &[
-                Message::StreamFrame { stream: 3 },
-                Message::Start { t: 0.0, x: [0.0].into() },
-                Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 0.0, x: [5.0].into() },
-                Message::StreamFrame { stream: 3 },
-                Message::End { t: 10.0, x: [10.0].into() },
-                Message::End { t: 14.0, x: [6.0].into() }, // still stream 3: connected
-                Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 20.0, x: [7.0].into() },
-            ],
-            1,
-        );
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        demux.consume(bytes).unwrap();
+        for (stream, msgs) in [
+            (3, vec![Message::Start { t: 0.0, x: [0.0].into() }]),
+            (8, vec![Message::Hold { t: 0.0, x: [5.0].into() }]),
+            (
+                3,
+                vec![
+                    Message::End { t: 10.0, x: [10.0].into() },
+                    Message::End { t: 14.0, x: [6.0].into() }, // still stream 3: connected
+                ],
+            ),
+            (8, vec![Message::Hold { t: 20.0, x: [7.0].into() }]),
+        ] {
+            demux.consume_next(stream, entry(&msgs)).unwrap();
+        }
         assert_eq!(demux.streams().collect::<Vec<_>>(), vec![3, 8]);
-        assert_eq!(demux.frames(), 4);
+        assert_eq!((demux.entries_applied(3), demux.entries_applied(8)), (2, 2));
         assert_eq!(demux.messages(), 5);
         assert_eq!(demux.covered_through(3), Some(14.0));
         assert_eq!(demux.covered_through(8), Some(f64::INFINITY));
@@ -829,48 +695,13 @@ mod tests {
     }
 
     #[test]
-    fn demux_requires_a_frame_header_first() {
-        let bytes = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
-        let mut demux = StreamDemux::new(FixedCodec, 1);
-        assert!(matches!(demux.consume(bytes), Err(ReceiveError::Protocol(_))));
-    }
-
-    #[test]
     fn demux_per_stream_state_is_independent() {
         // An End for stream 2 must not see stream 1's open segment.
-        let bytes = encode(
-            &[
-                Message::StreamFrame { stream: 1 },
-                Message::Start { t: 0.0, x: [0.0].into() },
-                Message::StreamFrame { stream: 2 },
-                Message::End { t: 1.0, x: [1.0].into() },
-            ],
-            1,
-        );
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        assert!(matches!(demux.consume(bytes), Err(ReceiveError::Protocol(_))));
-    }
-
-    /// One sequenced entry's payload: the messages, no stream header.
-    fn frame_bytes(msgs: &[Message]) -> Bytes {
-        encode(msgs, 1)
-    }
-
-    #[test]
-    fn sequenced_frames_apply_in_order_and_drop_duplicates() {
-        let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f1 = frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]);
-        let f2 = frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]);
-        assert_eq!(demux.consume_sequenced(5, 1, f1.clone()).unwrap(), SeqOutcome::Applied);
-        assert_eq!(demux.ack_point(5), 1);
-        // Replay of frame 1 (e.g. after a reconnect): dropped untouched.
-        assert_eq!(demux.consume_sequenced(5, 1, f1).unwrap(), SeqOutcome::Duplicate);
-        assert_eq!(demux.ack_point(5), 1);
-        assert_eq!(demux.consume_sequenced(5, 2, f2.clone()).unwrap(), SeqOutcome::Applied);
-        assert_eq!(demux.consume_sequenced(5, 2, f2).unwrap(), SeqOutcome::Duplicate);
-        assert_eq!(demux.ack_point(5), 2);
-        let logs = demux.into_segment_logs();
-        assert_eq!(logs[&5].len(), 1, "duplicates must not duplicate segments");
+        demux.consume_next(1, entry(&[Message::Start { t: 0.0, x: [0.0].into() }])).unwrap();
+        let end = entry(&[Message::End { t: 1.0, x: [1.0].into() }]);
+        assert!(matches!(demux.consume_next(2, end), Err(ReceiveError::Protocol(_))));
+        assert_eq!(demux.streams().collect::<Vec<_>>(), vec![1]);
     }
 
     /// `consume_next` applies each entry in turn and hands back the
@@ -879,40 +710,73 @@ mod tests {
     #[test]
     fn next_entries_apply_in_order_and_share_the_slot_lookup() {
         let mut demux: StreamDemux<FixedCodec, u32> = StreamDemux::with_slots(FixedCodec, 1);
-        let start = frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]);
+        let start = entry(&[Message::Start { t: 0.0, x: [0.0].into() }]);
         *demux.consume_next(5, start).unwrap() += 1;
-        let end = frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]);
+        let end = entry(&[Message::End { t: 4.0, x: [4.0].into() }]);
         *demux.consume_next(5, end).unwrap() += 1;
-        assert_eq!((demux.slot(5), demux.ack_point(5)), (Some(&2), 2), "one slot, two entries");
+        assert_eq!(
+            (demux.slot(5), demux.entries_applied(5)),
+            (Some(&2), 2),
+            "one slot, two entries"
+        );
         assert_eq!(demux.segments(5).unwrap().len(), 1);
-        let headed = frame_bytes(&[Message::StreamFrame { stream: 9 }]);
-        assert!(demux.consume_next(9, headed).is_err());
-        assert!(demux.consume_next(9, Bytes::from_static(&[])).is_err());
+        assert!(demux.consume_next(9, Bytes::from_static(RETIRED_TAG_5)).is_err());
+        assert_eq!(
+            demux.consume_next(9, Bytes::from_static(&[])),
+            Err(ReceiveError::Protocol("entry carries no messages"))
+        );
         assert_eq!(demux.slot(9), None, "a refused first entry registers nothing");
         *demux.slot_mut(9) = 7;
         assert_eq!(demux.slots().collect::<Vec<_>>(), [(5, &2), (9, &7)]);
     }
 
+    /// Tag 5, once the in-band stream header, is retired: an entry that
+    /// leads with it, or carries it after a valid message, is an unknown
+    /// tag under both codecs. The refused entry registers no stream and
+    /// leaves its stream's entry count where it was.
+    #[test]
+    fn entries_carrying_the_retired_tag_are_refused() {
+        fn check<C: Codec + Clone>(codec: C) {
+            let point =
+                encode_with(codec.clone(), &[Message::Point { t: 0.0, x: [1.0].into() }], 1);
+            let trailing = Bytes::from([&point[..], RETIRED_TAG_5].concat());
+            let bad = [Bytes::from_static(RETIRED_TAG_5), trailing];
+            let mut demux = StreamDemux::new(codec, 1);
+            let refused = Err(ReceiveError::Wire(WireError::BadTag(5)));
+            for entry in &bad {
+                assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
+                assert_eq!((demux.streams().count(), demux.entries_applied(7)), (0, 0));
+            }
+            demux.consume_next(7, point).unwrap();
+            for entry in &bad {
+                assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
+                assert_eq!((demux.streams().count(), demux.entries_applied(7)), (1, 1));
+            }
+        }
+        check(FixedCodec);
+        check(compact());
+    }
+
     #[test]
     fn drained_segments_leave_the_demux_and_reconstruction_continues() {
-        let frames = [
-            frame_bytes(&[Message::Start { t: 0.0, x: [0.0].into() }]),
-            frame_bytes(&[Message::End { t: 4.0, x: [4.0].into() }]),
+        let entries = [
+            entry(&[Message::Start { t: 0.0, x: [0.0].into() }]),
+            entry(&[Message::End { t: 4.0, x: [4.0].into() }]),
             // Connected to the drained segment's end point.
-            frame_bytes(&[Message::End { t: 9.0, x: [1.0].into() }]),
-            frame_bytes(&[Message::Hold { t: 12.0, x: [2.0].into() }]),
+            entry(&[Message::End { t: 9.0, x: [1.0].into() }]),
+            entry(&[Message::Hold { t: 12.0, x: [2.0].into() }]),
         ];
         let mut undrained = StreamDemux::new(FixedCodec, 1);
         let mut demux = StreamDemux::new(FixedCodec, 1);
         let mut out = Vec::new();
-        for (i, f) in frames.iter().enumerate() {
-            undrained.consume_sequenced(5, i as u64 + 1, f.clone()).unwrap();
-            demux.consume_sequenced(5, i as u64 + 1, f.clone()).unwrap();
+        for e in &entries {
+            undrained.consume_next(5, e.clone()).unwrap();
+            demux.consume_next(5, e.clone()).unwrap();
             demux.drain_segments(5, &mut out);
             assert_eq!(demux.segments(5), Some(&[][..]), "drained ⇒ the demux keeps nothing");
         }
         demux.drain_segments(99, &mut out); // unknown stream: no-op
-        assert_eq!(demux.ack_point(5), 4, "draining leaves the sequence state alone");
+        assert_eq!(demux.entries_applied(5), 4, "draining leaves the entry count alone");
         // The drained pieces plus the teardown flush equal the
         // undrained log.
         out.extend(demux.into_segment_logs().remove(&5).unwrap());
@@ -921,97 +785,39 @@ mod tests {
         assert!(out[1].connected);
     }
 
-    #[test]
-    fn sequence_gaps_are_typed_errors() {
-        let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f = frame_bytes(&[Message::Point { t: 0.0, x: [1.0].into() }]);
-        assert_eq!(
-            demux.consume_sequenced(9, 3, f.clone()),
-            Err(ReceiveError::SequenceGap { stream: 9, expected: 1, got: 3 })
-        );
-        assert_eq!(
-            demux.consume_sequenced(9, 0, f),
-            Err(ReceiveError::Protocol("frame sequence numbers start at 1"))
-        );
-        assert_eq!(demux.ack_point(9), 0);
-        assert_eq!(demux.streams().count(), 0, "a refused frame registers no stream");
-    }
-
-    #[test]
-    fn sequenced_entries_must_not_carry_stream_headers() {
-        let mut demux = StreamDemux::new(FixedCodec, 1);
-        let point = Message::Point { t: 0.0, x: [1.0].into() };
-        // The entry names its stream; a header inside it — its own
-        // stream's or another's, leading or after a message — is refused.
-        for msgs in [
-            vec![Message::StreamFrame { stream: 7 }, point.clone()],
-            vec![Message::StreamFrame { stream: 8 }, point.clone()],
-            vec![point.clone(), Message::StreamFrame { stream: 8 }],
-        ] {
-            assert_eq!(
-                demux.consume_sequenced(7, 1, encode(&msgs, 1)),
-                Err(ReceiveError::Protocol("StreamFrame header inside a sequenced entry"))
-            );
-        }
-        // Empty payload.
-        assert_eq!(
-            demux.consume_sequenced(7, 1, Bytes::from_static(&[])),
-            Err(ReceiveError::Protocol("sequenced entry carries no messages"))
-        );
-        // A failed entry is not counted as applied, and registers no
-        // stream it would have introduced.
-        assert_eq!(demux.ack_point(7), 0);
-        assert_eq!(demux.streams().count(), 0);
-        // The bare messages apply.
-        assert_eq!(demux.consume_sequenced(7, 1, encode(&[point], 1)), Ok(SeqOutcome::Applied));
-        assert_eq!(demux.segments(7).map(<[Segment]>::len), Some(1));
-    }
-
+    /// The compact codec's delta predictor is reset per entry, so a
+    /// resent entry decodes exactly as its first delivery did, whatever
+    /// other streams' entries were decoded in between.
     #[test]
     fn sequenced_compact_codec_replay_is_idempotent() {
-        // The compact codec's delta predictor is reset per entry, so a
-        // replayed entry decodes identically even though other entries
-        // were decoded in between.
-        let enc_frame = |msgs: &[Message]| {
-            let mut codec = CompactCodec::new(0.01, &[0.01]);
-            let mut buf = BytesMut::new();
-            for m in msgs {
-                codec.encode(m, 1, &mut buf);
-            }
-            buf.freeze()
-        };
-        let a1 = enc_frame(&[Message::Start { t: 0.0, x: [1.0].into() }]);
-        let b1 = enc_frame(&[Message::Start { t: 0.0, x: [-1.0].into() }]);
-        let a2 = enc_frame(&[Message::End { t: 8.0, x: [3.0].into() }]);
-        let mut demux = StreamDemux::new(CompactCodec::new(0.01, &[0.01]), 1);
-        demux.consume_sequenced(1, 1, a1.clone()).unwrap();
-        demux.consume_sequenced(2, 1, b1).unwrap();
-        assert_eq!(demux.consume_sequenced(1, 1, a1).unwrap(), SeqOutcome::Duplicate);
-        demux.consume_sequenced(1, 2, a2).unwrap();
-        let logs = demux.into_segment_logs();
+        let a1 = encode_with(compact(), &[Message::Start { t: 0.0, x: [1.0].into() }], 1);
+        let b1 = encode_with(compact(), &[Message::Start { t: 0.0, x: [-1.0].into() }], 1);
+        let a2 = encode_with(compact(), &[Message::End { t: 8.0, x: [3.0].into() }], 1);
+        let mut first = StreamDemux::new(compact(), 1);
+        let mut resent = StreamDemux::new(compact(), 1);
+        for (stream, e) in [(1, &a1), (2, &b1), (1, &a2)] {
+            first.consume_next(stream, e.clone()).unwrap();
+        }
+        for (stream, e) in [(2, &b1), (1, &a1), (1, &a2)] {
+            resent.consume_next(stream, e.clone()).unwrap();
+        }
+        let logs = first.into_segment_logs();
+        assert_eq!(logs, resent.into_segment_logs());
         assert_eq!(logs[&1].len(), 1);
         assert!((logs[&1][0].x_end[0] - 3.0).abs() <= 0.005 + 1e-12);
     }
 
     #[test]
     fn demux_works_through_the_compact_codec() {
-        let msgs = [
-            Message::StreamFrame { stream: 40 },
-            Message::Start { t: 0.0, x: [1.0].into() },
-            Message::StreamFrame { stream: 41 },
-            Message::Start { t: 0.0, x: [-1.0].into() },
-            Message::StreamFrame { stream: 40 },
-            Message::End { t: 8.0, x: [3.0].into() },
-            Message::StreamFrame { stream: 41 },
-            Message::End { t: 8.0, x: [-3.0].into() },
-        ];
-        let mut enc = CompactCodec::new(0.01, &[0.01]);
-        let mut buf = BytesMut::new();
-        for m in &msgs {
-            enc.encode(m, 1, &mut buf);
+        let mut demux = StreamDemux::new(compact(), 1);
+        for (stream, msg) in [
+            (40, Message::Start { t: 0.0, x: [1.0].into() }),
+            (41, Message::Start { t: 0.0, x: [-1.0].into() }),
+            (40, Message::End { t: 8.0, x: [3.0].into() }),
+            (41, Message::End { t: 8.0, x: [-3.0].into() }),
+        ] {
+            demux.consume_next(stream, encode_with(compact(), &[msg], 1)).unwrap();
         }
-        let mut demux = StreamDemux::new(CompactCodec::new(0.01, &[0.01]), 1);
-        demux.consume(buf.freeze()).unwrap();
         let logs = demux.into_segment_logs();
         assert_eq!(logs.len(), 2);
         assert_eq!(logs[&40].len(), 1);

@@ -1,6 +1,6 @@
 //! Wire protocol between transmitter and receiver.
 //!
-//! A segment stream maps onto five message kinds:
+//! A segment stream maps onto five message kinds (tags 0–4):
 //!
 //! | Message | Meaning | Recordings |
 //! |---|---|---|
@@ -9,15 +9,12 @@
 //! | `End(t, X)` | the open segment ends at `(t, X)`; a connected successor may begin here | 1 |
 //! | `Point(t, X)` | degenerate single-point segment | 1 |
 //! | `Provisional(anchor, slopes, through)` | lag-bound line commitment (paper §3.3) | 1 |
-//! | `StreamFrame(id)` | all following messages belong to stream `id` | 0 |
 //!
-//! `StreamFrame` is the multi-stream extension: one connection carries
-//! many logical streams by interleaving frame headers with the ordinary
-//! messages. A connection that never sends a `StreamFrame` is a
-//! single-stream connection, exactly as before — the header is pay-as-you-go.
-//! A transport that names each chunk's stream itself (`pla-net`'s
-//! `Batch` entries, fed to `StreamDemux::consume_next`) sends no
-//! `StreamFrame` at all.
+//! The messages never name a stream. A multi-stream transport names each
+//! entry's stream out of band (`pla-net`'s `Batch` entries, fed to
+//! [`StreamDemux::consume_next`](crate::StreamDemux::consume_next)). Tag
+//! 5, once an in-band stream header, is retired: it decodes as
+//! [`WireError::BadTag`] like any other unknown tag.
 //!
 //! Two codecs serialize messages: [`FixedCodec`] (8-byte IEEE doubles,
 //! lossless) and [`CompactCodec`] (per-dimension quantization plus
@@ -76,13 +73,6 @@ pub enum Message {
         /// Newest covered sample time at commit.
         covers_through: f64,
     },
-    /// Stream-id frame header: every following message (until the next
-    /// `StreamFrame`) belongs to the stream with this id.
-    StreamFrame {
-        /// The stream id (caller-assigned, matches
-        /// `pla-ingest`'s `StreamId`).
-        stream: u64,
-    },
 }
 
 impl Message {
@@ -93,13 +83,11 @@ impl Message {
             Self::End { .. } => 2,
             Self::Point { .. } => 3,
             Self::Provisional { .. } => 4,
-            Self::StreamFrame { .. } => 5,
         }
     }
 
     /// Scalar payload count (times + values) — the "recording units" a
-    /// size analysis like the paper's §5.4 would assign. A frame header
-    /// carries no recording payload.
+    /// size analysis like the paper's §5.4 would assign.
     pub fn scalar_count(&self) -> usize {
         match self {
             Self::Hold { x, .. }
@@ -107,7 +95,6 @@ impl Message {
             | Self::End { x, .. }
             | Self::Point { x, .. } => 1 + x.len(),
             Self::Provisional { x_anchor, slopes, .. } => 2 + x_anchor.len() + slopes.len(),
-            Self::StreamFrame { .. } => 0,
         }
     }
 }
@@ -231,9 +218,6 @@ impl Codec for FixedCodec {
                 Self::put_vec(out, slopes);
                 out.put_f64_le(*covers_through);
             }
-            Message::StreamFrame { stream } => {
-                out.put_u64_le(*stream);
-            }
         }
         out.len() - before
     }
@@ -269,10 +253,6 @@ impl Codec for FixedCodec {
                 let slopes = Self::get_vec(buf, dims)?;
                 let covers_through = buf.get_f64_le();
                 Ok(Message::Provisional { t_anchor, x_anchor, slopes, covers_through })
-            }
-            5 => {
-                need(1, buf)?;
-                Ok(Message::StreamFrame { stream: buf.get_u64_le() })
             }
             other => Err(WireError::BadTag(other)),
         }
@@ -387,7 +367,7 @@ impl CompactCodec {
         }
     }
 
-    /// Feeds the quantized scalars of a payload message to `put`, in
+    /// Feeds the quantized scalars of a message to `put`, in
     /// encoding order: time, values, then (provisional lines) slopes and
     /// the covered-through time.
     fn quantized(&self, msg: &Message, mut put: impl FnMut(i64)) {
@@ -406,7 +386,6 @@ impl CompactCodec {
                 self.put_scaled(slopes, |d| self.slope_quantum(d), &mut put);
                 put(Self::quantize(*covers_through, self.t_quantum));
             }
-            Message::StreamFrame { .. } => {}
         }
     }
 
@@ -441,13 +420,6 @@ impl Codec for CompactCodec {
     fn encode(&mut self, msg: &Message, _dims: usize, out: &mut BytesMut) -> usize {
         let before = out.len();
         out.put_u8(msg.tag());
-        // Frame headers bypass the delta predictor entirely: switching
-        // streams must not perturb the value deltas of the messages around
-        // the switch (the predictor state belongs to the payload stream).
-        if let Message::StreamFrame { stream } = msg {
-            Self::put_varint(out, *stream as i64);
-            return out.len() - before;
-        }
         // Delta against the previous message's scalar at the same
         // position (0 past its end), overwriting the predictor in place.
         let mut prev = std::mem::take(&mut self.prev);
@@ -475,9 +447,6 @@ impl Codec for CompactCodec {
             return Err(WireError::Truncated);
         }
         let tag = buf.get_u8();
-        if tag == 5 {
-            return Ok(Message::StreamFrame { stream: Self::get_varint(buf)? as u64 });
-        }
         let count = match tag {
             0..=3 => 1 + dims,
             4 => 2 + 2 * dims,
@@ -506,10 +475,8 @@ mod tests {
 
     fn sample_messages() -> Vec<Message> {
         vec![
-            Message::StreamFrame { stream: 42 },
             Message::Start { t: 0.0, x: [1.5, -2.0].into() },
             Message::End { t: 10.0, x: [2.5, -1.0].into() },
-            Message::StreamFrame { stream: u64::MAX },
             Message::End { t: 20.0, x: [3.5, 0.5].into() },
             Message::Hold { t: 30.0, x: [3.5, 0.5].into() },
             Message::Point { t: 41.0, x: [9.0, 9.0].into() },
@@ -566,9 +533,6 @@ mod tests {
                 ) => {
                     assert!((g - w).abs() <= 0.25 + 1e-12);
                 }
-                (Message::StreamFrame { stream: g }, Message::StreamFrame { stream: w }) => {
-                    assert_eq!(g, w, "frame headers are lossless even in the compact codec");
-                }
                 _ => panic!("kind mismatch: {got:?} vs {m:?}"),
             }
         }
@@ -614,11 +578,16 @@ mod tests {
         assert_eq!(codec.decode(&mut short, 1), Err(WireError::Truncated));
     }
 
+    /// Unknown tags — including 5, the retired in-band stream header —
+    /// are refused under both codecs.
     #[test]
     fn bad_tag_is_reported() {
-        let mut codec = FixedCodec;
-        let mut bytes = Bytes::from_static(&[9u8, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(codec.decode(&mut bytes, 0), Err(WireError::BadTag(9)));
+        let input = |tag: u8| Bytes::copy_from_slice(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]);
+        for tag in [5u8, 9] {
+            assert_eq!(FixedCodec.decode(&mut input(tag), 0), Err(WireError::BadTag(tag)));
+            let mut compact = CompactCodec::new(0.5, &[0.01]);
+            assert_eq!(compact.decode(&mut input(tag), 1), Err(WireError::BadTag(tag)));
+        }
     }
 
     /// Regression: a compact codec holding fewer value quanta than the
@@ -658,11 +627,6 @@ mod tests {
             wide.reset();
             assert!(wide.decode(&mut buf.clone().freeze(), 2).is_ok());
         }
-        // Frame headers carry no values and decode whatever the quanta.
-        buf.clear();
-        wide.encode(&Message::StreamFrame { stream: 3 }, 2, &mut buf);
-        let mut narrow = CompactCodec::new(0.5, &[0.01]);
-        assert_eq!(narrow.decode(&mut buf.freeze(), 2), Ok(Message::StreamFrame { stream: 3 }));
     }
 
     #[test]

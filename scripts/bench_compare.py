@@ -166,8 +166,8 @@ def main():
         if not args.allow_machine_mismatch:
             sys.exit(
                 f"ERROR: baseline machine metadata does not match this host ({detail}). "
-                "Absolute ns/iter do not transfer across machines, and a CPU "
-                "feature-set change flips kernel dispatch. Re-capture with "
+                "Absolute ns/iter do not transfer across machines, CPU models "
+                "or CPU feature sets. Re-capture with "
                 "scripts/bench_baseline.py on this machine class, or pass "
                 "--allow-machine-mismatch for an informational comparison."
             )
