@@ -77,7 +77,8 @@ impl Polyline {
         Some((self.segments.first()?.t_start, self.segments.last()?.t_end))
     }
 
-    /// Index of the segment covering `t`, preferring the earliest cover.
+    /// Index of the segment covering `t`: the last segment starting at or
+    /// before `t`, so of two abutting segments the later one wins.
     fn find(&self, t: f64) -> Result<usize, usize> {
         // Binary search on start times, then check coverage.
         let idx = self.segments.partition_point(|s| s.t_start <= t);
@@ -180,6 +181,14 @@ mod tests {
         assert_eq!(p.eval(5.0, 0, GapPolicy::Strict), Some(5.0));
         assert_eq!(p.eval(0.0, 0, GapPolicy::Strict), Some(0.0));
         assert_eq!(p.eval(6.0, 0, GapPolicy::Strict), Some(4.0));
+        // A disconnected jump at t = 1: the later segment wins under
+        // every policy (the sample polyline's abutting values at t = 5
+        // are equal, so only a jump tells the two covers apart).
+        let jump =
+            Polyline::new(vec![seg(0.0, 0.0, 1.0, 0.0, false), seg(1.0, 10.0, 2.0, 10.0, false)]);
+        for policy in [GapPolicy::Strict, GapPolicy::Hold, GapPolicy::Interpolate] {
+            assert_eq!(jump.eval(1.0, 0, policy), Some(10.0));
+        }
     }
 
     #[test]

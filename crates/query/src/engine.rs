@@ -1,12 +1,19 @@
-//! The query engine: evaluate-once, bound-everything.
+//! The grid query engine: bounded aggregates over one finished
+//! [`Polyline`], evaluated at a sampling grid by the crate's one
+//! per-stream evaluator (the one [`StoreQueryEngine`] runs).
+//!
+//! [`StoreQueryEngine`]: crate::StoreQueryEngine
 
-use pla_core::{GapPolicy, Polyline};
+use pla_core::Polyline;
+use pla_ingest::{SegmentStore, StreamId, StreamView};
 
-use crate::types::{Bounded, BoundedCount, Crossing, CrossingKind, QueryError, SamplingGrid};
+use crate::store::{check_eps, StreamEval, StreamIndex};
+use crate::types::{Bounded, BoundedCount, Crossing, CrossingKind, QueryError};
 
 /// Answers queries over one compressed stream. See the crate docs.
 pub struct QueryEngine {
-    polyline: Polyline,
+    view: StreamView,
+    index: StreamIndex,
     eps: Vec<f64>,
 }
 
@@ -20,68 +27,48 @@ impl QueryEngine {
                 got: eps.len(),
             });
         }
-        for &e in eps {
-            if !(e.is_finite() && e > 0.0) {
-                return Err(QueryError::InvalidEpsilon(e));
-            }
-        }
-        Ok(Self { polyline, eps: eps.to_vec() })
+        eps.iter().try_for_each(|&e| check_eps(e))?;
+        // The segments go through a store so that the view has the
+        // run/tail layout every other query reads.
+        let store = SegmentStore::new();
+        store.append_batch(0, StreamId(0), &mut polyline.segments().to_vec());
+        let view = store.snapshot().streams.remove(&StreamId(0)).unwrap_or_default();
+        Ok(Self { index: StreamIndex::new(&view), view, eps: eps.to_vec() })
     }
 
-    /// The wrapped reconstruction.
-    pub fn polyline(&self) -> &Polyline {
-        &self.polyline
+    fn stream(&self) -> StreamEval<'_> {
+        StreamEval { view: &self.view, index: &self.index }
     }
 
+    /// `dim`'s ε. Queries check it first, then the grid, then coverage
+    /// (the evaluator answers only within the covered span; gaps between
+    /// disconnected segments interpolate).
     fn check_dim(&self, dim: usize) -> Result<f64, QueryError> {
         self.eps.get(dim).copied().ok_or(QueryError::BadDimension(dim))
-    }
-
-    /// PLA values at the grid times; errors on the first uncovered time.
-    /// Queries are answered only within the approximation's covered span
-    /// (gaps between disconnected segments interpolate).
-    fn series(&self, times: &[f64], dim: usize) -> Result<Vec<f64>, QueryError> {
-        if times.is_empty() {
-            return Err(QueryError::EmptyGrid);
-        }
-        let (span_lo, span_hi) =
-            self.polyline.span().ok_or(QueryError::Uncovered { t: times[0] })?;
-        times
-            .iter()
-            .map(|&t| {
-                if t < span_lo || t > span_hi {
-                    return Err(QueryError::Uncovered { t });
-                }
-                self.polyline
-                    .eval(t, dim, GapPolicy::Interpolate)
-                    .or_else(|| self.polyline.eval(t, dim, GapPolicy::Hold))
-                    .ok_or(QueryError::Uncovered { t })
-            })
-            .collect()
     }
 
     /// Mean of the samples at `times`, with ±ε bounds.
     pub fn mean(&self, times: &[f64], dim: usize) -> Result<Bounded, QueryError> {
         let eps = self.check_dim(dim)?;
-        let series = self.series(times, dim)?;
-        let value = series.iter().sum::<f64>() / series.len() as f64;
-        Ok(Bounded { value, lo: value - eps, hi: value + eps })
+        let mut sum = 0.0;
+        self.stream().on_grid(times, dim, |_, v| sum += v)?;
+        Ok(Bounded::around(sum / times.len() as f64, eps))
     }
 
     /// Minimum of the samples at `times`, with ±ε bounds.
     pub fn min(&self, times: &[f64], dim: usize) -> Result<Bounded, QueryError> {
         let eps = self.check_dim(dim)?;
-        let series = self.series(times, dim)?;
-        let value = series.iter().copied().fold(f64::INFINITY, f64::min);
-        Ok(Bounded { value, lo: value - eps, hi: value + eps })
+        let mut min = f64::INFINITY;
+        self.stream().on_grid(times, dim, |_, v| min = min.min(v))?;
+        Ok(Bounded::around(min, eps))
     }
 
     /// Maximum of the samples at `times`, with ±ε bounds.
     pub fn max(&self, times: &[f64], dim: usize) -> Result<Bounded, QueryError> {
         let eps = self.check_dim(dim)?;
-        let series = self.series(times, dim)?;
-        let value = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok(Bounded { value, lo: value - eps, hi: value + eps })
+        let mut max = f64::NEG_INFINITY;
+        self.stream().on_grid(times, dim, |_, v| max = max.max(v))?;
+        Ok(Bounded::around(max, eps))
     }
 
     /// Sample count strictly above `threshold`, bounded from both sides:
@@ -94,10 +81,7 @@ impl QueryEngine {
         threshold: f64,
     ) -> Result<BoundedCount, QueryError> {
         let eps = self.check_dim(dim)?;
-        let series = self.series(times, dim)?;
-        let definite = series.iter().filter(|&&v| v - eps > threshold).count();
-        let possible = series.iter().filter(|&&v| v + eps > threshold).count();
-        Ok(BoundedCount { definite, possible })
+        self.stream().count_above(times, dim, threshold, eps)
     }
 
     /// Threshold-crossing events along the grid, classified by certainty.
@@ -120,60 +104,35 @@ impl QueryEngine {
             Ambiguous,
         }
         let eps = self.check_dim(dim)?;
-        let series = self.series(times, dim)?;
-        let zone = |v: f64| {
-            if v - eps > threshold {
+        let mut out = Vec::new();
+        // The previous grid point's zone, and the most recent *certain*
+        // zone. Only a transition between the two certain zones
+        // (directly or through the ambiguity band) is a certain crossing
+        // — a stream that merely starts ambiguous and then resolves has
+        // not crossed.
+        let (mut prev, mut last_certain) = (None, None);
+        self.stream().on_grid(times, dim, |t, v| {
+            let cur = if v - eps > threshold {
                 Zone::Above
             } else if v + eps < threshold {
                 Zone::Below
             } else {
                 Zone::Ambiguous
-            }
-        };
-        let mut out = Vec::new();
-        let mut prev = zone(series[0]);
-        // The most recent *certain* zone; `None` until one is seen. Only
-        // a transition between the two certain zones (directly or through
-        // the ambiguity band) is a certain crossing — a stream that
-        // merely starts ambiguous and then resolves has not crossed.
-        let mut last_certain = match prev {
-            Zone::Ambiguous => None,
-            z => Some(z),
-        };
-        for (j, &v) in series.iter().enumerate().skip(1) {
-            let cur = zone(v);
-            if cur == prev {
-                continue;
-            }
-            match (prev, cur) {
-                (Zone::Below, Zone::Above) => {
-                    out.push(Crossing { t: times[j], rising: true, kind: CrossingKind::Certain })
+            };
+            if prev.is_some_and(|p| p != cur) {
+                if cur == Zone::Ambiguous {
+                    let rising = prev == Some(Zone::Below);
+                    out.push(Crossing { t, rising, kind: CrossingKind::Possible });
+                } else if last_certain.is_some_and(|lc| lc != cur) {
+                    let rising = cur == Zone::Above;
+                    out.push(Crossing { t, rising, kind: CrossingKind::Certain });
                 }
-                (Zone::Above, Zone::Below) => {
-                    out.push(Crossing { t: times[j], rising: false, kind: CrossingKind::Certain })
-                }
-                (entered_from, Zone::Ambiguous) => out.push(Crossing {
-                    t: times[j],
-                    rising: entered_from == Zone::Below,
-                    kind: CrossingKind::Possible,
-                }),
-                (Zone::Ambiguous, certain) => {
-                    if last_certain.is_some_and(|lc| lc != certain) {
-                        out.push(Crossing {
-                            t: times[j],
-                            rising: certain == Zone::Above,
-                            kind: CrossingKind::Certain,
-                        });
-                    }
-                }
-                // cur == prev was handled by the `continue` above.
-                (Zone::Above, Zone::Above) | (Zone::Below, Zone::Below) => unreachable!(),
             }
             if cur != Zone::Ambiguous {
                 last_certain = Some(cur);
             }
-            prev = cur;
-        }
+            prev = Some(cur);
+        })?;
         Ok(out)
     }
 
@@ -181,44 +140,12 @@ impl QueryEngine {
     /// `± ε·(b−a)`: valid for any underlying signal that stays within ε
     /// of the approximation over the window (which holds at sample times
     /// by the filters' guarantee, and in between under the usual
-    /// piecewise-linear interpolation reading of the recordings).
+    /// piecewise-linear interpolation reading of the recordings). The
+    /// value is piecewise-exact, the store engine's range integral.
     pub fn integral(&self, a: f64, b: f64, dim: usize) -> Result<Bounded, QueryError> {
         let eps = self.check_dim(dim)?;
-        if b < a {
-            return Err(QueryError::EmptyGrid);
-        }
-        // Trapezoid over segment pieces clipped to [a, b]; gaps between
-        // disconnected segments interpolate (same reading as `eval`).
-        let mut total = 0.0;
-        let mut cursor = a;
-        const STEPS: usize = 1024;
-        // Piecewise-exact integration segment by segment would be
-        // straightforward but gap handling dominates the code; a fixed
-        // fine trapezoid keeps this readable and its discretization error
-        // is far below the ε·(b−a) bound we report.
-        let h = (b - a) / STEPS as f64;
-        let mut prev = self
-            .polyline
-            .eval(cursor, dim, GapPolicy::Interpolate)
-            .or_else(|| self.polyline.eval(cursor, dim, GapPolicy::Hold))
-            .ok_or(QueryError::Uncovered { t: cursor })?;
-        for _ in 0..STEPS {
-            cursor += h;
-            let next = self
-                .polyline
-                .eval(cursor, dim, GapPolicy::Interpolate)
-                .or_else(|| self.polyline.eval(cursor, dim, GapPolicy::Hold))
-                .ok_or(QueryError::Uncovered { t: cursor })?;
-            total += 0.5 * (prev + next) * h;
-            prev = next;
-        }
-        let slack = eps * (b - a);
-        Ok(Bounded { value: total, lo: total - slack, hi: total + slack })
-    }
-
-    /// Convenience: run a query on a [`SamplingGrid`].
-    pub fn mean_on(&self, grid: &SamplingGrid, dim: usize) -> Result<Bounded, QueryError> {
-        self.mean(&grid.times(), dim)
+        let integral = self.stream().range(a, b, dim)?.integral;
+        Ok(Bounded::around(integral, eps * (b - a)))
     }
 }
 
@@ -340,7 +267,8 @@ mod tests {
         assert!(matches!(eng.mean(&[], 0), Err(QueryError::EmptyGrid)));
         assert!(matches!(eng.mean(signal.times(), 7), Err(QueryError::BadDimension(7))));
         assert!(matches!(eng.mean(&[1e12], 0), Err(QueryError::Uncovered { .. })));
-        let poly = eng.polyline().clone();
+        let poly =
+            Polyline::new(run_filter(&mut SlideFilter::new(&[0.5]).unwrap(), &signal).unwrap());
         assert!(matches!(QueryEngine::new(poly, &[0.0]), Err(QueryError::InvalidEpsilon(_))));
     }
 }

@@ -13,19 +13,17 @@
 //! #above(θ)      ∈  [count(PLA > θ + ε), count(PLA > θ − ε)]
 //! ```
 //!
-//! Queries evaluate the [`Polyline`](pla_core::Polyline) at the sampling grid (monitoring
-//! deployments know their sampling schedule; the grid is either given
-//! explicitly or described by a [`SamplingGrid`]), never touching the
-//! original data — the whole point of the compression.
+//! One per-stream evaluator answers every query: it reads a stream's
+//! segments through the ingest store's run/tail layout, using them as
+//! a learned index (two-level binary search over run start times), and
+//! evaluates at a sampling grid (given explicitly or described by a
+//! [`SamplingGrid`]) or over a time range, never touching the original
+//! data — the whole point of the compression. Two layers sit on it:
 //!
-//! Two engines share these semantics:
-//!
-//! * [`QueryEngine`] — grid-based bounded aggregates over a single
+//! * [`QueryEngine`] — the grid layer: bounded aggregates over one
 //!   finished [`Polyline`](pla_core::Polyline).
-//! * [`StoreQueryEngine`] — point / range / aggregate queries directly
-//!   against a live [`StoreSnapshot`](pla_ingest::StoreSnapshot) from
-//!   the ingest tier's sharded store, using the segments themselves as
-//!   a learned index (two-level binary search over run start times).
+//! * [`StoreQueryEngine`] — point / range / aggregate queries on every
+//!   stream of a live [`StoreSnapshot`](pla_ingest::StoreSnapshot).
 //!
 //! The serving tier puts the store engine on the wire (see
 //! `crates/query/README.md` for the protocol):

@@ -1,17 +1,18 @@
-//! Live-store queries: point, range, and aggregate answers straight off
-//! a [`StoreSnapshot`] — no intermediate [`Polyline`](pla_core::Polyline)
-//! materialization.
+//! The crate's one per-stream evaluator, and live-store queries over it:
+//! point, range, and aggregate answers straight off a [`StoreSnapshot`]
+//! — no intermediate [`Polyline`](pla_core::Polyline) materialization.
 //!
-//! The serving-tier counterpart of [`QueryEngine`](crate::QueryEngine):
-//! where that engine wraps one locally owned segment `Vec`, this one
-//! wraps a whole store snapshot (every stream a collector or ingest
-//! engine has published) and evaluates queries *through* the snapshot's
-//! run/tail layout. The segments themselves are the index — Ferragina &
-//! Lari's learned-index reading of PLA: each segment is a model mapping
-//! time to value, and the sorted run starts are the routing layer above
-//! the models. A point lookup is two binary searches (runs by first
-//! breakpoint, then within one run), O(log n) comparisons total over an
-//! immutable layout that appends never invalidate.
+//! Every query evaluates one stream's [`StreamView`] through the same
+//! code (locate, span check, gap interpolation, the `range` knot walk,
+//! the `count_above` threshold count). [`StoreQueryEngine`] runs it on
+//! every stream of a snapshot, the grid [`QueryEngine`](crate::QueryEngine)
+//! on one view of its polyline's segments. The segments themselves are
+//! the index — Ferragina & Lari's learned-index reading of PLA: each
+//! segment is a model mapping time to value, and the sorted run starts
+//! are the routing layer above the models. A point lookup is two binary
+//! searches (runs by first breakpoint, then within one run), O(log n)
+//! comparisons total over an immutable layout that appends never
+//! invalidate.
 //!
 //! ```
 //! use pla_ingest::{SegmentStore, StreamId};
@@ -95,16 +96,38 @@ pub struct BoundedRange {
 /// stream. `O(runs)` to build — snapshotting plus indexing never walks
 /// the segments.
 #[derive(Debug)]
-struct StreamIndex {
+pub(crate) struct StreamIndex {
     starts: Vec<f64>,
     dims: usize,
 }
 
-/// Point/range/aggregate queries over a live [`StoreSnapshot`]. See the
-/// module docs.
-pub struct StoreQueryEngine {
-    snap: StoreSnapshot,
-    index: BTreeMap<StreamId, StreamIndex>,
+impl StreamIndex {
+    /// Indexes one view, reading only each block's first breakpoint.
+    pub(crate) fn new(view: &StreamView) -> Self {
+        let mut starts: Vec<f64> = view.runs().iter().map(|r| r.segments()[0].t_start).collect();
+        if let Some(first) = view.tail().first() {
+            starts.push(first.t_start);
+        }
+        Self { starts, dims: view.get(0).map_or(0, Segment::dims) }
+    }
+}
+
+/// The per-stream evaluator: one stream's view and its routing index.
+/// Dimension checks belong to the callers, which differ in what an
+/// empty stream means to them.
+#[derive(Clone, Copy)]
+pub(crate) struct StreamEval<'a> {
+    pub(crate) view: &'a StreamView,
+    pub(crate) index: &'a StreamIndex,
+}
+
+/// An ε must be finite and positive.
+pub(crate) fn check_eps(eps: f64) -> Result<(), QueryError> {
+    if eps.is_finite() && eps > 0.0 {
+        Ok(())
+    } else {
+        Err(QueryError::InvalidEpsilon(eps))
+    }
 }
 
 /// Binary partition over a slice with comparison counting: first index
@@ -123,23 +146,172 @@ fn partition_counted<T>(slice: &[T], mut pred: impl FnMut(&T) -> bool, cmp: &mut
     lo
 }
 
+impl StreamEval<'_> {
+    /// Number of segments with `t_start <= t`, via the two-level binary
+    /// search: route to a block by run start, then partition within it.
+    fn partition(&self, t: f64, cmp: &mut usize) -> usize {
+        let view = self.view;
+        let blocks = partition_counted(&self.index.starts, |&s| s <= t, cmp);
+        if blocks == 0 {
+            return 0;
+        }
+        let block = blocks - 1;
+        let (slice, base) = if block < view.runs().len() {
+            (view.runs()[block].segments(), block * view.run_len())
+        } else {
+            (view.tail(), view.runs().len() * view.run_len())
+        };
+        base + partition_counted(slice, |s| s.t_start <= t, cmp)
+    }
+
+    /// Index of the segment covering `t` (the last segment starting at
+    /// or before `t` — exactly [`Polyline::eval`](pla_core::Polyline)'s
+    /// preference), or the insertion point when `t` falls in a gap.
+    fn find(&self, t: f64, cmp: &mut usize) -> Result<usize, usize> {
+        let p = self.partition(t, cmp);
+        if p == 0 {
+            return Err(0);
+        }
+        *cmp += 1;
+        if self.view.get(p - 1).is_some_and(|s| s.covers(t)) {
+            return Ok(p - 1);
+        }
+        *cmp += 1;
+        if self.view.get(p).is_some_and(|s| s.covers(t)) {
+            return Ok(p);
+        }
+        Err(p)
+    }
+
+    /// PLA value at `t`: in-segment linear interpolation, gap times
+    /// interpolated between the surrounding endpoints. Errors outside
+    /// the covered span.
+    fn eval(&self, t: f64, dim: usize, cmp: &mut usize) -> Result<f64, QueryError> {
+        let view = self.view;
+        let (lo, hi) = view.span().ok_or(QueryError::Uncovered { t })?;
+        if t < lo || t > hi {
+            return Err(QueryError::Uncovered { t });
+        }
+        match self.find(t, cmp) {
+            Ok(i) => Ok(view.get(i).expect("find returned a valid index").eval(t, dim)),
+            Err(after) => {
+                // Inside the span but between segments: interpolate the
+                // gap; an abutting disconnected boundary holds the
+                // earlier endpoint (cannot occur for `find` misses, but
+                // keep the Hold fallback for degenerate geometry).
+                let a = view.get(after - 1).ok_or(QueryError::Uncovered { t })?;
+                match view.get(after) {
+                    Some(b) if b.t_start > a.t_end => {
+                        let frac = (t - a.t_end) / (b.t_start - a.t_end);
+                        Ok(a.x_end[dim] + frac * (b.x_start[dim] - a.x_end[dim]))
+                    }
+                    _ => Ok(a.x_end[dim]),
+                }
+            }
+        }
+    }
+
+    /// Feeds `visit` each of `times` with its PLA value, in order.
+    /// `EmptyGrid` for no times; `Uncovered` at the first time outside
+    /// the span.
+    pub(crate) fn on_grid(
+        &self,
+        times: &[f64],
+        dim: usize,
+        mut visit: impl FnMut(f64, f64),
+    ) -> Result<(), QueryError> {
+        if times.is_empty() {
+            return Err(QueryError::EmptyGrid);
+        }
+        let mut cmp = 0;
+        for &t in times {
+            visit(t, self.eval(t, dim, &mut cmp)?);
+        }
+        Ok(())
+    }
+
+    /// Sample count strictly above `threshold` at the grid `times`,
+    /// bounded from both sides: a sample counts as *definite* when its
+    /// whole ε-band clears the threshold, as *possible* when any part of
+    /// the band does.
+    pub(crate) fn count_above(
+        &self,
+        times: &[f64],
+        dim: usize,
+        threshold: f64,
+        eps: f64,
+    ) -> Result<BoundedCount, QueryError> {
+        let mut count = BoundedCount { definite: 0, possible: 0 };
+        self.on_grid(times, dim, |_, v| {
+            count.definite += usize::from(v - eps > threshold);
+            count.possible += usize::from(v + eps > threshold);
+        })?;
+        Ok(count)
+    }
+
+    /// Exact min/max/integral/mean of the PLA over `[a, b]`: every
+    /// segment boundary in the range is a knot.
+    pub(crate) fn range(&self, a: f64, b: f64, dim: usize) -> Result<RangeAggregate, QueryError> {
+        if b < a {
+            return Err(QueryError::EmptyGrid);
+        }
+        let mut cmp = 0;
+        let va = self.eval(a, dim, &mut cmp)?;
+        if a == b {
+            return Ok(RangeAggregate { min: va, max: va, integral: 0.0, mean: va });
+        }
+        let vb = self.eval(b, dim, &mut cmp)?;
+        // Knots: the range endpoints plus every segment breakpoint
+        // strictly inside (a, b), walked in segment order. The PLA is
+        // linear between consecutive knots (in-segment pieces and
+        // interpolated gaps alike), so endpoint values carry the exact
+        // extrema and trapezoids the exact integral. An abutting
+        // disconnected boundary contributes two knots at the same time
+        // — a zero-width piece that costs the integral nothing and
+        // feeds the jump's both sides into min/max.
+        let first = match self.find(a, &mut cmp) {
+            Ok(i) => i,
+            Err(after) => after.saturating_sub(1),
+        };
+        let mut min = va.min(vb);
+        let mut max = va.max(vb);
+        let mut integral = 0.0;
+        let (mut t_prev, mut v_prev) = (a, va);
+        let mut knot = |t: f64, v: f64, min: &mut f64, max: &mut f64, integral: &mut f64| {
+            *min = min.min(v);
+            *max = max.max(v);
+            *integral += 0.5 * (v_prev + v) * (t - t_prev);
+            (t_prev, v_prev) = (t, v);
+        };
+        for i in first..self.view.len() {
+            let seg = self.view.get(i).expect("index in bounds");
+            if seg.t_start >= b {
+                break;
+            }
+            if seg.t_start > a {
+                knot(seg.t_start, seg.x_start[dim], &mut min, &mut max, &mut integral);
+            }
+            if seg.t_end > a && seg.t_end < b {
+                knot(seg.t_end, seg.x_end[dim], &mut min, &mut max, &mut integral);
+            }
+        }
+        knot(b, vb, &mut min, &mut max, &mut integral);
+        Ok(RangeAggregate { min, max, integral, mean: integral / (b - a) })
+    }
+}
+
+/// Point/range/aggregate queries over a live [`StoreSnapshot`]. See the
+/// module docs.
+pub struct StoreQueryEngine {
+    snap: StoreSnapshot,
+    index: BTreeMap<StreamId, StreamIndex>,
+}
+
 impl StoreQueryEngine {
     /// Indexes a snapshot for querying. Costs O(streams + runs): only
     /// each block's *first* breakpoint is read, never the segments.
     pub fn new(snap: StoreSnapshot) -> Self {
-        let index = snap
-            .streams
-            .iter()
-            .map(|(&id, view)| {
-                let mut starts: Vec<f64> =
-                    view.runs().iter().map(|r| r.segments()[0].t_start).collect();
-                if let Some(first) = view.tail().first() {
-                    starts.push(first.t_start);
-                }
-                let dims = view.get(0).map_or(0, Segment::dims);
-                (id, StreamIndex { starts, dims })
-            })
-            .collect();
+        let index = snap.streams.iter().map(|(&id, view)| (id, StreamIndex::new(view))).collect();
         Self { snap, index }
     }
 
@@ -163,94 +335,13 @@ impl StoreQueryEngine {
         self.stream(stream)?.span()
     }
 
-    fn view_and_index(&self, stream: StreamId) -> Result<(&StreamView, &StreamIndex), QueryError> {
+    /// `stream`'s evaluator, once `dim` is known to be one of its
+    /// dimensions.
+    fn evaluator(&self, stream: StreamId, dim: usize) -> Result<StreamEval<'_>, QueryError> {
         match (self.snap.streams.get(&stream), self.index.get(&stream)) {
-            (Some(v), Some(i)) => Ok((v, i)),
+            (Some(view), Some(index)) if dim < index.dims => Ok(StreamEval { view, index }),
+            (Some(_), Some(_)) => Err(QueryError::BadDimension(dim)),
             _ => Err(QueryError::UnknownStream(stream.0)),
-        }
-    }
-
-    /// Number of segments with `t_start <= t`, via the two-level binary
-    /// search: route to a block by run start, then partition within it.
-    fn partition_global(view: &StreamView, idx: &StreamIndex, t: f64, cmp: &mut usize) -> usize {
-        let blocks = partition_counted(&idx.starts, |&s| s <= t, cmp);
-        if blocks == 0 {
-            return 0;
-        }
-        let block = blocks - 1;
-        let (slice, base) = if block < view.runs().len() {
-            (view.runs()[block].segments(), block * view.run_len())
-        } else {
-            (view.tail(), view.runs().len() * view.run_len())
-        };
-        base + partition_counted(slice, |s| s.t_start <= t, cmp)
-    }
-
-    /// Index of the segment covering `t` (the last segment starting at
-    /// or before `t` — exactly [`Polyline::eval`](pla_core::Polyline)'s
-    /// preference), or the insertion point when `t` falls in a gap.
-    fn find(view: &StreamView, idx: &StreamIndex, t: f64, cmp: &mut usize) -> Result<usize, usize> {
-        let p = Self::partition_global(view, idx, t, cmp);
-        if p == 0 {
-            return Err(0);
-        }
-        *cmp += 1;
-        if view.get(p - 1).is_some_and(|s| s.covers(t)) {
-            return Ok(p - 1);
-        }
-        *cmp += 1;
-        if view.get(p).is_some_and(|s| s.covers(t)) {
-            return Ok(p);
-        }
-        Err(p)
-    }
-
-    /// PLA value at `t`: in-segment linear interpolation, gap times
-    /// interpolated between the surrounding endpoints. Errors outside
-    /// the covered span.
-    fn eval(
-        view: &StreamView,
-        idx: &StreamIndex,
-        t: f64,
-        dim: usize,
-        cmp: &mut usize,
-    ) -> Result<f64, QueryError> {
-        let (lo, hi) = view.span().ok_or(QueryError::Uncovered { t })?;
-        if t < lo || t > hi {
-            return Err(QueryError::Uncovered { t });
-        }
-        match Self::find(view, idx, t, cmp) {
-            Ok(i) => Ok(view.get(i).expect("find returned a valid index").eval(t, dim)),
-            Err(after) => {
-                // Inside the span but between segments: interpolate the
-                // gap; an abutting disconnected boundary holds the
-                // earlier endpoint (cannot occur for `find` misses, but
-                // keep the Hold fallback for degenerate geometry).
-                let a = view.get(after - 1).ok_or(QueryError::Uncovered { t })?;
-                match view.get(after) {
-                    Some(b) if b.t_start > a.t_end => {
-                        let frac = (t - a.t_end) / (b.t_start - a.t_end);
-                        Ok(a.x_end[dim] + frac * (b.x_start[dim] - a.x_end[dim]))
-                    }
-                    _ => Ok(a.x_end[dim]),
-                }
-            }
-        }
-    }
-
-    fn check_dim(idx: &StreamIndex, dim: usize) -> Result<(), QueryError> {
-        if dim < idx.dims {
-            Ok(())
-        } else {
-            Err(QueryError::BadDimension(dim))
-        }
-    }
-
-    fn check_eps(eps: f64) -> Result<(), QueryError> {
-        if eps.is_finite() && eps > 0.0 {
-            Ok(())
-        } else {
-            Err(QueryError::InvalidEpsilon(eps))
         }
     }
 
@@ -267,10 +358,8 @@ impl StoreQueryEngine {
         t: f64,
         dim: usize,
     ) -> Result<(f64, LookupStats), QueryError> {
-        let (view, idx) = self.view_and_index(stream)?;
-        Self::check_dim(idx, dim)?;
         let mut cmp = 0;
-        let value = Self::eval(view, idx, t, dim, &mut cmp)?;
+        let value = self.evaluator(stream, dim)?.eval(t, dim, &mut cmp)?;
         Ok((value, LookupStats { comparisons: cmp }))
     }
 
@@ -283,9 +372,8 @@ impl StoreQueryEngine {
         dim: usize,
         eps: f64,
     ) -> Result<Bounded, QueryError> {
-        Self::check_eps(eps)?;
-        let value = self.point(stream, t, dim)?;
-        Ok(Bounded { value, lo: value - eps, hi: value + eps })
+        check_eps(eps)?;
+        Ok(Bounded::around(self.point(stream, t, dim)?, eps))
     }
 
     /// Exact min/max/integral/mean of the PLA over `[a, b]` —
@@ -298,53 +386,7 @@ impl StoreQueryEngine {
         b: f64,
         dim: usize,
     ) -> Result<RangeAggregate, QueryError> {
-        let (view, idx) = self.view_and_index(stream)?;
-        Self::check_dim(idx, dim)?;
-        if b < a {
-            return Err(QueryError::EmptyGrid);
-        }
-        let mut cmp = 0;
-        let va = Self::eval(view, idx, a, dim, &mut cmp)?;
-        if a == b {
-            return Ok(RangeAggregate { min: va, max: va, integral: 0.0, mean: va });
-        }
-        let vb = Self::eval(view, idx, b, dim, &mut cmp)?;
-        // Knots: the range endpoints plus every segment breakpoint
-        // strictly inside (a, b), walked in segment order. The PLA is
-        // linear between consecutive knots (in-segment pieces and
-        // interpolated gaps alike), so endpoint values carry the exact
-        // extrema and trapezoids the exact integral. An abutting
-        // disconnected boundary contributes two knots at the same time
-        // — a zero-width piece that costs the integral nothing and
-        // feeds the jump's both sides into min/max.
-        let first = match Self::find(view, idx, a, &mut cmp) {
-            Ok(i) => i,
-            Err(after) => after.saturating_sub(1),
-        };
-        let mut min = va.min(vb);
-        let mut max = va.max(vb);
-        let mut integral = 0.0;
-        let (mut t_prev, mut v_prev) = (a, va);
-        let mut knot = |t: f64, v: f64, min: &mut f64, max: &mut f64, integral: &mut f64| {
-            *min = min.min(v);
-            *max = max.max(v);
-            *integral += 0.5 * (v_prev + v) * (t - t_prev);
-            (t_prev, v_prev) = (t, v);
-        };
-        for i in first..view.len() {
-            let seg = view.get(i).expect("index in bounds");
-            if seg.t_start >= b {
-                break;
-            }
-            if seg.t_start > a {
-                knot(seg.t_start, seg.x_start[dim], &mut min, &mut max, &mut integral);
-            }
-            if seg.t_end > a && seg.t_end < b {
-                knot(seg.t_end, seg.x_end[dim], &mut min, &mut max, &mut integral);
-            }
-        }
-        knot(b, vb, &mut min, &mut max, &mut integral);
-        Ok(RangeAggregate { min, max, integral, mean: integral / (b - a) })
+        self.evaluator(stream, dim)?.range(a, b, dim)
     }
 
     /// [`range`](Self::range) with the ±ε guarantee folded in: bounds
@@ -357,20 +399,19 @@ impl StoreQueryEngine {
         dim: usize,
         eps: f64,
     ) -> Result<BoundedRange, QueryError> {
-        Self::check_eps(eps)?;
+        check_eps(eps)?;
         let agg = self.range(stream, a, b, dim)?;
-        let band = |value: f64, slack: f64| Bounded { value, lo: value - slack, hi: value + slack };
         Ok(BoundedRange {
-            min: band(agg.min, eps),
-            max: band(agg.max, eps),
-            integral: band(agg.integral, eps * (b - a)),
-            mean: band(agg.mean, eps),
+            min: Bounded::around(agg.min, eps),
+            max: Bounded::around(agg.max, eps),
+            integral: Bounded::around(agg.integral, eps * (b - a)),
+            mean: Bounded::around(agg.mean, eps),
         })
     }
 
     /// Sample count strictly above `threshold` at the grid `times`,
     /// bounded from both sides (the [`QueryEngine::count_above`]
-    /// semantics, evaluated through the store layout).
+    /// semantics; both run the same evaluator).
     ///
     /// [`QueryEngine::count_above`]: crate::QueryEngine::count_above
     pub fn count_above(
@@ -381,24 +422,9 @@ impl StoreQueryEngine {
         threshold: f64,
         eps: f64,
     ) -> Result<BoundedCount, QueryError> {
-        let (view, idx) = self.view_and_index(stream)?;
-        Self::check_dim(idx, dim)?;
-        Self::check_eps(eps)?;
-        if times.is_empty() {
-            return Err(QueryError::EmptyGrid);
-        }
-        let mut cmp = 0;
-        let (mut definite, mut possible) = (0, 0);
-        for &t in times {
-            let v = Self::eval(view, idx, t, dim, &mut cmp)?;
-            if v - eps > threshold {
-                definite += 1;
-            }
-            if v + eps > threshold {
-                possible += 1;
-            }
-        }
-        Ok(BoundedCount { definite, possible })
+        let eval = self.evaluator(stream, dim)?;
+        check_eps(eps)?;
+        eval.count_above(times, dim, threshold, eps)
     }
 }
 

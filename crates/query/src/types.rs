@@ -13,6 +13,11 @@ pub struct Bounded {
 }
 
 impl Bounded {
+    /// `value ± radius`.
+    pub(crate) fn around(value: f64, radius: f64) -> Self {
+        Self { value, lo: value - radius, hi: value + radius }
+    }
+
     /// Half-width of the uncertainty interval.
     pub fn radius(&self) -> f64 {
         0.5 * (self.hi - self.lo)

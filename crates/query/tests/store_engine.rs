@@ -1,10 +1,12 @@
 //! Integration tests for [`StoreQueryEngine`] against live store
 //! snapshots, including the acceptance pin that point lookups stay
-//! O(log n) in the number of segments.
+//! O(log n) in the number of segments, and the pin that the grid
+//! [`QueryEngine`] answers exactly what the store engine answers.
 
-use pla_core::{GapPolicy, Polyline, Segment};
+use pla_core::filters::{run_filter, SlideFilter, SwingFilter};
+use pla_core::{GapPolicy, Polyline, Segment, Signal};
 use pla_ingest::{SegmentStore, StoreConfig, StreamId};
-use pla_query::StoreQueryEngine;
+use pla_query::{QueryEngine, QueryError, StoreQueryEngine};
 
 fn seg(k: usize) -> Segment {
     let t0 = k as f64;
@@ -122,4 +124,114 @@ fn range_aggregate_is_piecewise_exact_over_runs() {
     // ∫ t dt over [10.5, 90.5] = (90.5² − 10.5²)/2 = 4040.
     assert!((agg.integral - 4040.0).abs() < 1e-9);
     assert!((agg.mean - 50.5).abs() < 1e-12);
+}
+
+/// Seeded random walk: `n` unit-spaced samples of `dims` dimensions.
+fn walk(n: usize, dims: usize, seed: u64) -> Signal {
+    let mut state = seed | 1;
+    let mut x = vec![0.0; dims];
+    let mut signal = Signal::with_capacity(dims, n);
+    for j in 0..n {
+        for v in &mut x {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *v += ((state >> 33) as f64 / (1u64 << 31) as f64) * 2.0 - 1.0;
+        }
+        signal.push(j as f64, &x).unwrap();
+    }
+    signal
+}
+
+/// Swing and slide output over seeded walks at d = 1 and d = 2, each
+/// behind a grid engine over its `Polyline` and a store engine over a
+/// store holding the same segments (as stream 4, across sealed runs).
+fn agreement_cases() -> Vec<(Signal, Vec<f64>, QueryEngine, StoreQueryEngine)> {
+    let mut cases = Vec::new();
+    for dims in [1, 2] {
+        for seed in 1..=3 {
+            let signal = walk(300, dims, seed);
+            let eps: Vec<f64> = (0..dims).map(|d| 0.5 + 0.25 * d as f64).collect();
+            let outputs = [
+                run_filter(&mut SwingFilter::new(&eps).unwrap(), &signal).unwrap(),
+                run_filter(&mut SlideFilter::new(&eps).unwrap(), &signal).unwrap(),
+            ];
+            for segs in outputs {
+                let grid = QueryEngine::new(Polyline::new(segs.clone()), &eps).unwrap();
+                let store =
+                    SegmentStore::with_config(StoreConfig { shards: 2, seal_threshold: 16 });
+                store.append_batch(1, StreamId(4), &mut segs.clone());
+                cases.push((
+                    signal.clone(),
+                    eps.clone(),
+                    grid,
+                    StoreQueryEngine::new(store.snapshot()),
+                ));
+            }
+        }
+    }
+    cases
+}
+
+/// On the sample grid, `count_above` agrees bit for bit; on one-time
+/// grids (sample times and the midpoints between them, which may fall
+/// in gaps between disconnected segments) `min` and `max` are exactly
+/// the store engine's `point`.
+#[test]
+fn grid_engine_agrees_with_store_engine_bit_for_bit() {
+    for (signal, eps, grid, store) in agreement_cases() {
+        let times = signal.times();
+        for (dim, &e) in eps.iter().enumerate() {
+            for threshold in [-6.0, -1.5, 0.0, 2.5, 8.0] {
+                assert_eq!(
+                    grid.count_above(times, dim, threshold).unwrap(),
+                    store.count_above(StreamId(4), times, dim, threshold, e).unwrap()
+                );
+            }
+            let last = times[times.len() - 1];
+            for t in times.iter().flat_map(|&t| [t, t + 0.5]).filter(|&t| t <= last) {
+                let want = store.point(StreamId(4), t, dim).unwrap().to_bits();
+                assert_eq!(grid.min(&[t], dim).unwrap().value.to_bits(), want, "min at t={t}");
+                assert_eq!(grid.max(&[t], dim).unwrap().value.to_bits(), want, "max at t={t}");
+            }
+        }
+    }
+}
+
+/// `QueryEngine::integral` is the store engine's piecewise-exact range
+/// integral, bit for bit.
+#[test]
+fn grid_integral_is_the_store_range_integral() {
+    for (signal, eps, grid, store) in agreement_cases() {
+        let last = signal.times()[signal.len() - 1];
+        for dim in 0..eps.len() {
+            for (a, b) in [(0.0, last), (0.3, last - 17.6), (41.5, 41.5), (12.25, 13.0)] {
+                assert_eq!(
+                    grid.integral(a, b, dim).unwrap().value.to_bits(),
+                    store.range(StreamId(4), a, b, dim).unwrap().integral.to_bits(),
+                    "integral over [{a}, {b}]"
+                );
+            }
+        }
+    }
+}
+
+/// Edge inputs of the grid engine: an empty polyline covers nothing
+/// (it is neither an unknown stream nor a bad dimension), an integral
+/// past the span is uncovered like every other query, and errors keep
+/// their precedence: `BadDimension`, then `EmptyGrid`, then `Uncovered`.
+#[test]
+fn grid_engine_edge_inputs_are_typed() {
+    let empty = QueryEngine::new(Polyline::new(vec![]), &[0.5]).unwrap();
+    assert_eq!(empty.mean(&[1.0], 0), Err(QueryError::Uncovered { t: 1.0 }));
+    assert_eq!(empty.count_above(&[1.0], 0, 0.0), Err(QueryError::Uncovered { t: 1.0 }));
+    assert_eq!(empty.integral(0.0, 1.0, 0), Err(QueryError::Uncovered { t: 0.0 }));
+    assert_eq!(empty.mean(&[], 3), Err(QueryError::BadDimension(3)));
+    assert_eq!(empty.mean(&[], 0), Err(QueryError::EmptyGrid));
+
+    let ramp = QueryEngine::new(Polyline::new((0..10).map(seg).collect()), &[0.5]).unwrap();
+    assert_eq!(ramp.integral(2.0, 12.0, 0), Err(QueryError::Uncovered { t: 12.0 }));
+    assert_eq!(ramp.integral(5.0, 4.0, 1), Err(QueryError::BadDimension(1)));
+    assert_eq!(ramp.integral(5.0, 4.0, 0), Err(QueryError::EmptyGrid));
+    assert_eq!(ramp.count_above(&[], 1, 0.0), Err(QueryError::BadDimension(1)));
+    assert_eq!(ramp.count_above(&[], 0, 0.0), Err(QueryError::EmptyGrid));
+    assert_eq!(ramp.crossings(&[1.0, 11.0], 0, 0.0), Err(QueryError::Uncovered { t: 11.0 }));
 }

@@ -420,8 +420,8 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
 }
 
 /// Decodes one entry from a reset codec and applies it to `asm`,
-/// counting it in `asm.entries`. On any error the entry counts as not
-/// applied.
+/// counting it in `asm.entries`. All or nothing: on any error `asm` is
+/// restored to its state before the entry.
 fn apply_entry<C: Codec>(
     codec: &mut C,
     dims: usize,
@@ -431,12 +431,23 @@ fn apply_entry<C: Codec>(
     if bytes.remaining() == 0 {
         return Err(ReceiveError::Protocol("entry carries no messages"));
     }
+    // Messages only ever push onto the log, so its length plus the
+    // scalar state restore it. The clones copy inline `DimVec`s: no
+    // allocation at d <= INLINE_DIMS.
+    let logged = asm.segments.len();
+    let saved = (asm.open.clone(), asm.hold.clone(), asm.covered, asm.provisionals, asm.messages);
     // Entries are coded independently (the sender resets its codec per
     // entry) so a resent entry decodes byte-identically regardless of
     // what arrived in between.
     codec.reset();
     while bytes.remaining() > 0 {
-        asm.apply(codec.decode(&mut bytes, dims)?)?;
+        if let Err(e) =
+            codec.decode(&mut bytes, dims).map_err(ReceiveError::from).and_then(|m| asm.apply(m))
+        {
+            asm.segments.truncate(logged);
+            (asm.open, asm.hold, asm.covered, asm.provisionals, asm.messages) = saved;
+            return Err(e);
+        }
     }
     asm.entries += 1;
     Ok(())
@@ -733,25 +744,49 @@ mod tests {
     /// Tag 5, once the in-band stream header, is retired: an entry that
     /// leads with it, or carries it after a valid message, is an unknown
     /// tag under both codecs. The refused entry registers no stream and
-    /// leaves its stream's entry count where it was.
+    /// leaves its stream's reconstruction exactly where it was: entry
+    /// count, log, open segment, hold and coverage.
     #[test]
     fn entries_carrying_the_retired_tag_are_refused() {
         fn check<C: Codec + Clone>(codec: C) {
-            let point =
-                encode_with(codec.clone(), &[Message::Point { t: 0.0, x: [1.0].into() }], 1);
-            let trailing = Bytes::from([&point[..], RETIRED_TAG_5].concat());
-            let bad = [Bytes::from_static(RETIRED_TAG_5), trailing];
-            let mut demux = StreamDemux::new(codec, 1);
+            let one = |msg: Message| encode_with(codec.clone(), &[msg], 1);
+            let point = one(Message::Point { t: 0.0, x: [1.0].into() });
+            let held = one(Message::Hold { t: 0.5, x: [3.0].into() });
+            let trailing = |prefix: &Bytes| Bytes::from([&prefix[..], RETIRED_TAG_5].concat());
+            let bad = [Bytes::from_static(RETIRED_TAG_5), trailing(&point), trailing(&held)];
+            let mut demux = StreamDemux::new(codec.clone(), 1);
             let refused = Err(ReceiveError::Wire(WireError::BadTag(5)));
             for entry in &bad {
                 assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
                 assert_eq!((demux.streams().count(), demux.entries_applied(7)), (0, 0));
             }
-            demux.consume_next(7, point).unwrap();
+            demux.consume_next(7, point.clone()).unwrap();
             for entry in &bad {
                 assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
                 assert_eq!((demux.streams().count(), demux.entries_applied(7)), (1, 1));
+                // All or nothing: what the entry applied before its bad
+                // tag is undone.
+                assert_eq!(demux.segments(7).map(<[_]>::len), Some(1));
             }
+            // Refusals while a segment is open leave it open, so the
+            // `End` after them closes it exactly as in a demux that
+            // never saw them.
+            let start = one(Message::Start { t: 1.0, x: [2.0].into() });
+            let end = one(Message::End { t: 3.0, x: [4.0].into() });
+            demux.consume_next(7, start.clone()).unwrap();
+            for entry in &bad {
+                assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
+                assert_eq!(demux.segments(7).map(<[_]>::len), Some(1));
+            }
+            demux.consume_next(7, end.clone()).unwrap();
+            let mut clean = StreamDemux::new(codec, 1);
+            for entry in [point, start, end] {
+                clean.consume_next(7, entry).unwrap();
+            }
+            assert_eq!(demux.entries_applied(7), clean.entries_applied(7));
+            assert_eq!(demux.messages(), clean.messages());
+            assert_eq!(demux.covered_through(7), clean.covered_through(7));
+            assert_eq!(demux.into_segment_logs(), clean.into_segment_logs());
         }
         check(FixedCodec);
         check(compact());
