@@ -23,8 +23,10 @@
 //! it hosts: [`pump_at`](Collector::pump_at) does one non-blocking
 //! round at an explicit instant (tests drive it deterministically on a
 //! synthetic clock, interleaving and severing however they like), and
-//! [`drive_collector`] runs it on the [`runtime`] — one accept task
-//! plus one spawned task per bound connection.
+//! production calls [`pump`](Collector::pump) in a plain loop that
+//! sleeps about 1 ms after a round that moved nothing. That loop never
+//! waits on readiness: a silently wedged fd never becomes readable, so
+//! only a timed re-pump lets the liveness deadline fire.
 //!
 //! Reconnect: every connection opens with a session `Hello`
 //! ([`session`](crate::session)) and is issued a token. A dead or
@@ -36,11 +38,9 @@
 //! are dropped by session seq — so the store ends up byte-identical to
 //! an uninterrupted run.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::BytesMut;
 use pla_core::Segment;
@@ -52,7 +52,6 @@ use crate::frame::{encode, FrameDecoder, NetFrame};
 use crate::link::Link;
 use crate::listen::Acceptor;
 use crate::receiver::{NetReceiver, ReceiverStats};
-use crate::runtime;
 use crate::session::{splitmix64, HandshakeError, SessionConfig};
 use crate::{NetConfig, NetError};
 
@@ -201,7 +200,7 @@ struct Pending<L: Link> {
 }
 
 /// The many-connection collector. See the [module docs](self) for the
-/// model and [`drive_collector`] for the async form.
+/// model and the driving loop.
 ///
 /// ```
 /// use pla_ingest::SegmentStore;
@@ -298,7 +297,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// connection gets a receiver cloned from `codec` and `config` — as
     /// always, `config.window` must match what the senders were built
     /// with. Drive with [`pump_at`](Self::pump_at) (tests) or
-    /// [`pump`](Self::pump)/[`drive_collector`] (production clock).
+    /// [`pump`](Self::pump) (production clock).
     pub fn with_sessions(
         codec: C,
         dims: usize,
@@ -521,10 +520,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// at the given instant: reads, decodes the first frame, and either
     /// binds a connection (fresh token or resume), refuses the link, or
     /// keeps waiting until the handshake deadline. Also evicts detached
-    /// sessions whose TTL lapsed. Returns the connections bound this
-    /// round (a resumed `ConnId` reappears here when its session
-    /// rebinds).
-    pub fn pump_sessions(&mut self, now: Instant) -> Vec<ConnId> {
+    /// sessions whose TTL lapsed.
+    pub fn pump_sessions(&mut self, now: Instant) {
         let sess = self.session;
         self.evict_expired(now, sess.session_ttl);
         // An accept error means the listener died; existing connections
@@ -533,7 +530,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             let dec = FrameDecoder::new(self.config.max_frame);
             self.pending.push(Pending { link, dec, since: now });
         }
-        let mut bound = Vec::new();
         let mut keep = Vec::new();
         for mut p in std::mem::take(&mut self.pending) {
             let read = pump_in(&mut p.link, |bytes| {
@@ -579,7 +575,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                         };
                         self.conns.get_mut(&id).expect("just adopted").rx.stage_session(&ack);
                         self.feed_adopted(id, &leftover, now);
-                        bound.push(ConnId(id));
                     } else {
                         match self.tokens.get(&token).copied() {
                             Some(id) if self.conns[&id].failed.is_some() => {
@@ -608,7 +603,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                                 c.last_recv = now;
                                 c.resumes += 1;
                                 self.feed_adopted(id, &leftover, now);
-                                bound.push(ConnId(id));
                             }
                             None => {
                                 self.refuse(
@@ -630,7 +624,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             }
         }
         self.pending = keep;
-        bound
     }
 
     /// Evicts detached sessions whose TTL lapsed: connection state and
@@ -662,7 +655,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// deterministic tests drive. `now` drives the handshake, liveness,
     /// and TTL deadlines.
     pub fn pump_at(&mut self, now: Instant) -> Result<usize, CollectorError> {
-        let _ = self.pump_sessions(now);
+        self.pump_sessions(now);
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut moved = 0;
         let mut first_failure = None;
@@ -752,8 +745,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     }
 
     /// The first quarantined connection's failure, if any — a protocol
-    /// violation poisons only its own connection, so an async `done`
-    /// predicate (or a post-run check) decides whether one bad sensor
+    /// violation poisons only its own connection, so the driving loop's
+    /// done check (or a post-run check) decides whether one bad sensor
     /// aborts the collection round or merely gets reported.
     pub fn failure(&self) -> Option<CollectorError> {
         self.conns.iter().find_map(|(&id, c)| {
@@ -815,19 +808,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     pub fn pending_handshakes(&self) -> usize {
         self.pending.len()
     }
-
-    /// How long a connection's async task sleeps after a no-progress
-    /// round, or `None` once the connection is quarantined or evicted
-    /// (the task exits). An attached link parks on a short timer, never
-    /// on its readiness source: a silently wedged fd never becomes
-    /// readable, so a readiness wait would sleep straight through the
-    /// liveness deadline it is supposed to enforce. A detached
-    /// connection, awaiting its token resume, backs off longer so a
-    /// dead connection does not keep the executor hot.
-    fn idle_wait(&self, conn: u64) -> Option<Duration> {
-        let c = self.conns.get(&conn).filter(|c| c.failed.is_none())?;
-        Some(Duration::from_millis(if c.link.is_some() { 1 } else { 5 }))
-    }
 }
 
 /// The wire-level name of a frame, for typed `NotHello` refusals.
@@ -843,90 +823,6 @@ fn frame_name(frame: &NetFrame) -> &'static str {
         NetFrame::QueryResp { .. } => "QueryResp",
         NetFrame::EpochsReq { .. } => "EpochsReq",
         NetFrame::EpochsResp { .. } => "EpochsResp",
-    }
-}
-
-/// Drives a collector on the [`runtime`]: one accept task plus one
-/// spawned task per bound connection, each pumping its own
-/// [`NetReceiver`]. Returns `Ok(())` when `done(&collector)` is
-/// satisfied — spawned tasks are dropped with the root (structured
-/// teardown) — or the first failure once **every** connection has been
-/// quarantined (nothing left to drive). A protocol violation on one
-/// connection quarantines only that connection; put
-/// [`Collector::failure`]/[`CollectorStats::failed`] in the `done`
-/// predicate to abort earlier.
-///
-/// Every task runs on timers, not on readiness: the accept task and
-/// each attached connection's task re-pump after a 1 ms park whenever
-/// a round moved nothing, so handshake and liveness deadlines fire
-/// even on a silently wedged fd. A detached connection's task backs
-/// off to 5 ms until its sender resumes by token. The `done` predicate
-/// is re-evaluated on the same millisecond cadence.
-pub async fn drive_collector<C, A>(
-    collector: Rc<RefCell<Collector<C, A>>>,
-    mut done: impl FnMut(&Collector<C, A>) -> bool,
-) -> Result<(), CollectorError>
-where
-    C: Codec + Clone + 'static,
-    A: Acceptor + 'static,
-{
-    let spawner = runtime::spawner();
-    // Accept task: accepts and handshakes new links, spawning one pump
-    // task per bound connection (pending sockets have no task until
-    // their `Hello` binds them). A resumed session reuses its `ConnId`,
-    // whose original task is still alive in its detached backoff — the
-    // spawned-set keeps it singly driven.
-    spawner.spawn({
-        let collector = collector.clone();
-        let spawner = spawner.clone();
-        async move {
-            let mut spawned = std::collections::BTreeSet::new();
-            loop {
-                let bound = collector.borrow_mut().pump_sessions(Instant::now());
-                for conn in bound {
-                    if spawned.insert(conn.0) {
-                        spawner.spawn(drive_connection(collector.clone(), conn));
-                    }
-                }
-                runtime::sleep(Duration::from_millis(1)).await;
-            }
-        }
-    });
-    loop {
-        {
-            let coll = collector.borrow();
-            if done(&coll) {
-                return Ok(());
-            }
-            let stats = coll.stats();
-            if stats.connections > 0 && stats.failed == stats.connections {
-                let failure = coll.failure().expect("every connection failed");
-                return Err(failure);
-            }
-        }
-        runtime::sleep(Duration::from_millis(1)).await;
-    }
-}
-
-/// One connection's pump loop (the spawned per-connection task).
-async fn drive_connection<C, A>(collector: Rc<RefCell<Collector<C, A>>>, conn: ConnId)
-where
-    C: Codec + Clone + 'static,
-    A: Acceptor + 'static,
-{
-    loop {
-        let moved = match collector.borrow_mut().pump_conn(conn) {
-            Ok(n) => n,
-            // Quarantined: the failure is recorded in the connection's
-            // stats; this task has nothing left to drive.
-            Err(_) => return,
-        };
-        if moved > 0 {
-            runtime::yield_now().await;
-            continue;
-        }
-        let Some(wait) = collector.borrow().idle_wait(conn.0) else { return };
-        runtime::sleep(wait).await;
     }
 }
 
@@ -966,6 +862,21 @@ mod tests {
             connector,
             store,
         )
+    }
+
+    /// The production driving loop: pump on the wall clock until `done`
+    /// holds, sleeping 1 ms after a round that moved nothing.
+    fn pump_until(
+        coll: &mut Collector<FixedCodec, MemoryAcceptor>,
+        done: impl Fn(&Collector<FixedCodec, MemoryAcceptor>) -> bool,
+    ) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while !done(coll) {
+            assert!(Instant::now() < deadline, "collector never reached its done condition");
+            if coll.pump().expect("collector") == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
     }
 
     /// A session sender that dials through `connector` on its first
@@ -1521,14 +1432,13 @@ mod tests {
     }
 
     #[test]
-    fn async_driver_spawns_a_task_per_connection() {
+    fn pump_loop_collects_every_concurrent_sender() {
         let cfg = NetConfig::default();
-        let (coll, connector, store) = make(cfg, SessionConfig::default());
-        let coll = Rc::new(RefCell::new(coll));
+        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
         const CONNS: u64 = 4;
         // Sender threads dial in and push concurrently — the memory
-        // connector is Send, so this exercises real cross-thread
-        // wakes.
+        // connector is Send, so the collector's loop sees real
+        // cross-thread arrivals.
         let senders: Vec<_> = (0..CONNS)
             .map(|c| {
                 let connector = connector.clone();
@@ -1555,32 +1465,28 @@ mod tests {
                 })
             })
             .collect();
-        runtime::block_on(
-            // Segments land before the acks that release the sender
-            // threads are written, so wait for both.
-            drive_collector(coll.clone(), |c| {
-                c.stats().segments == CONNS * 5 && (1..=CONNS).all(|id| c.conn_complete(ConnId(id)))
-            }),
-        )
-        .expect("collector");
+        // Segments land before the acks that release the sender threads
+        // are written, so wait for both.
+        pump_until(&mut coll, |c| {
+            c.stats().segments == CONNS * 5 && (1..=CONNS).all(|id| c.conn_complete(ConnId(id)))
+        });
         for s in senders {
             s.join().unwrap();
         }
         let snap = store.snapshot();
         assert_eq!(snap.streams.len(), CONNS as usize);
         assert_eq!(snap.total_segments, CONNS * 5);
-        assert_eq!(coll.borrow().stats().connections, CONNS as usize);
+        assert_eq!(coll.stats().connections, CONNS as usize);
     }
 
-    /// The async driver end to end: handshakes arrive through
-    /// the accept task, the wedge-proof timer parks keep liveness
-    /// ticking, and a mid-run redial rebinds by token.
+    /// The wall-clock pump loop end to end: handshakes arrive through
+    /// `pump_sessions`, the 1 ms idle sleeps keep liveness ticking, and
+    /// a mid-run redial rebinds by token.
     #[test]
-    fn async_session_driver_handshakes_and_resumes() {
+    fn pump_loop_handshakes_and_resumes_a_severed_sender() {
         let cfg = NetConfig::default();
         let sess = SessionConfig::default();
-        let (coll, connector, store) = make(cfg, sess);
-        let coll = Rc::new(RefCell::new(coll));
+        let (mut coll, connector, store) = make(cfg, sess);
         let sender = std::thread::spawn(move || {
             let mut tx = SessionSender::new(
                 FixedCodec,
@@ -1625,13 +1531,10 @@ mod tests {
             }
             tx.redial().dials()
         });
-        runtime::block_on(drive_collector(coll.clone(), |c| {
-            c.stats().connections == 1 && c.conn_complete(ConnId(1))
-        }))
-        .expect("collector");
+        pump_until(&mut coll, |c| c.stats().connections == 1 && c.conn_complete(ConnId(1)));
         let dials = sender.join().unwrap();
         assert!(dials >= 2, "the sever must have forced a redial, got {dials}");
-        let stats = coll.borrow().stats();
+        let stats = coll.stats();
         assert_eq!(stats.connections, 1, "the resume rebound the same conn");
         assert_eq!(store.snapshot().total_segments, 4);
     }

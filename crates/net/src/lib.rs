@@ -1,4 +1,4 @@
-//! # pla-net — async multiplexed transport for PLA segment streams
+//! # pla-net — multiplexed transport for PLA segment streams
 //!
 //! The paper's transmitter/receiver model (§1–2) assumes one reliable
 //! point-to-point link per stream. A deployment serving millions of
@@ -6,10 +6,6 @@
 //! and the transport must multiplex them with explicit flow control and
 //! recovery. This crate is that layer:
 //!
-//! * [`runtime`] — a minimal vendored-style futures runtime (same
-//!   offline policy as `vendor/`): a single-threaded executor that parks
-//!   until its next timer, timers, and `block_on`. No external
-//!   dependencies.
 //! * [`link`] — the byte-pipe abstraction the transport runs over:
 //!   [`MemoryLink`] (in-process, capacity-bounded, severable — the
 //!   deterministic test substrate) and [`TcpLink`] (non-blocking
@@ -42,6 +38,12 @@
 //!   accepted sessions into one shared `SegmentStore`.
 //! * [`uplink`] — the `pla-ingest` integration: an engine's live segment
 //!   tap flows straight out over one multiplexed connection.
+//!
+//! There is one driving model: every endpoint is a synchronous,
+//! non-blocking `pump`, and whoever owns it calls it in a plain loop
+//! that sleeps about 1 ms after a round that moved nothing. Nothing
+//! waits on fd readiness. ([`runtime`] keeps only a `block_on` shim for
+//! perfbench's `meta` line.)
 //!
 //! ```
 //! use bytes::BytesMut;
@@ -89,7 +91,7 @@ pub mod session;
 pub mod testutil;
 pub mod uplink;
 
-pub use collector::{drive_collector, Collector, CollectorStats, ConnId, ConnStats};
+pub use collector::{Collector, CollectorStats, ConnId, ConnStats};
 pub use link::{Link, MemoryLink, TcpLink};
 pub use listen::{Acceptor, MemoryAcceptor, MemoryConnector, TcpAcceptor};
 pub use mux::{MuxSender, SendStats};

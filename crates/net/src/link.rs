@@ -20,9 +20,10 @@ use std::sync::{Arc, Mutex};
 /// A non-blocking, connection-oriented byte stream.
 ///
 /// Both methods follow `std::io` conventions: `WouldBlock` means "try
-/// again later" (the pumps end their round and the driving task sleeps
-/// on a timer); any other error means the connection is dead and the
-/// session layer should reconnect.
+/// again later" (the pumps end their round and the driving loop sleeps
+/// about 1 ms), `Interrupted` means "retry now" (every pump loop
+/// retries it at once); any other error means the connection is dead
+/// and the session layer should reconnect.
 pub trait Link {
     /// Writes some prefix of `buf`, returning how many bytes were
     /// accepted. `Err(WouldBlock)` when the pipe is full.

@@ -120,7 +120,7 @@ fn run_schedule(
         }
         let moved_tx = tx.pump_at(now);
         assert!(tx.failure().is_none(), "session failed: {:?}", tx.failure());
-        let _ = collector.pump_sessions(now);
+        collector.pump_sessions(now);
         let moved_rx = collector.pump_conn_at(conn, now).expect("protocol holds");
         turn += 1;
         stalled = if moved_tx + moved_rx == 0 { stalled + 1 } else { 0 };

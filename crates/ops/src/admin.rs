@@ -62,9 +62,8 @@ pub struct CollectorAdmin<C: Codec + Clone, A: Acceptor> {
 }
 
 impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
-    /// Wraps `collector` (shared with the tasks pumping it — the same
-    /// `Rc<RefCell<..>>` handed to
-    /// [`drive_collector`](pla_net::drive_collector)).
+    /// Wraps `collector`, shared with the loop that pumps it: the loop
+    /// borrows it for each `pump` round, the handler between rounds.
     pub fn new(collector: Rc<RefCell<Collector<C, A>>>) -> Self {
         let mut registry = Registry::new();
         let requests =

@@ -4,17 +4,13 @@
 //! Just enough HTTP for an operations endpoint: request-line + headers,
 //! `Content-Length` bodies, keep-alive responses. Because `MemoryLink`
 //! never signals EOF (and `TcpLink` is non-blocking), the server is a
-//! sans-I/O pump: [`OpsServer::pump`] is the deterministic sync form,
-//! [`drive_ops`] the async loop on the shared runtime — the same split
-//! as the collector.
+//! sans-I/O pump: whoever owns an [`OpsServer`] calls
+//! [`pump`](OpsServer::pump) in a plain loop next to the collector's,
+//! sleeping about 1 ms after a round that moved nothing.
 
-use std::cell::RefCell;
 use std::io;
-use std::rc::Rc;
-use std::time::Duration;
 
 use pla_net::listen::Acceptor;
-use pla_net::runtime;
 use pla_net::Link;
 
 /// Hard cap on a buffered request (start-line + headers + body).
@@ -217,6 +213,7 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
                     return moved;
@@ -245,6 +242,7 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
                     moved += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
                     break;
@@ -300,22 +298,6 @@ fn take_request(buf: &mut Vec<u8>, max_request: usize) -> Result<Option<Request>
     let body = buf[head_end..head_end + content_length].to_vec();
     buf.drain(..head_end + content_length);
     Ok(Some(Request { method, path, body }))
-}
-
-/// Drives an [`OpsServer`] forever on the shared single-thread runtime:
-/// pump, then yield (after progress) or sleep ~1 ms (when idle) — the
-/// same cadence [`drive_collector`](pla_net::drive_collector) uses.
-/// Spawn it next to the collector tasks; it completes only when the
-/// surrounding root future is dropped.
-pub async fn drive_ops<A: Acceptor, H: Handler>(server: Rc<RefCell<OpsServer<A, H>>>) {
-    loop {
-        let moved = server.borrow_mut().pump();
-        if moved > 0 {
-            runtime::yield_now().await;
-        } else {
-            runtime::sleep(Duration::from_millis(1)).await;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -401,5 +383,58 @@ mod tests {
         server.pump();
         let resp = String::from_utf8(read_all(&mut client)).unwrap();
         assert!(resp.starts_with("HTTP/1.1 413 "), "{resp}");
+    }
+
+    /// A link whose first read and first write each fail with
+    /// `Interrupted` before it behaves like the link it wraps.
+    struct Interrupting {
+        inner: MemoryLink,
+        read_interrupted: bool,
+        write_interrupted: bool,
+    }
+
+    impl Link for Interrupting {
+        fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.write_interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.try_write(buf)
+        }
+
+        fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.read_interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.try_read(buf)
+        }
+    }
+
+    struct InterruptingAcceptor(MemoryAcceptor);
+
+    impl Acceptor for InterruptingAcceptor {
+        type Link = Interrupting;
+
+        fn try_accept(&mut self) -> io::Result<Option<Interrupting>> {
+            Ok(self.0.try_accept()?.map(|inner| Interrupting {
+                inner,
+                read_interrupted: false,
+                write_interrupted: false,
+            }))
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_and_writes_are_retried() {
+        let acceptor = MemoryAcceptor::new();
+        let connector = acceptor.connector();
+        let mut server = OpsServer::new(InterruptingAcceptor(acceptor), |req: &Request| {
+            Response::text(200, format!("{} {}", req.method, req.path))
+        });
+        let mut client = connector.connect(4096);
+        client.try_write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        server.pump();
+        let resp = String::from_utf8(read_all(&mut client)).unwrap();
+        assert!(resp.ends_with("GET /healthz"), "{resp}");
+        assert_eq!(server.connections(), 1, "the interrupted connection stays open");
     }
 }

@@ -4,7 +4,7 @@
 //! `CollectorStats`/`ConnStats`, `ReceiverStats`, `StoreSnapshot`
 //! watermarks and epochs, `LookupStats` — made operable: a metrics
 //! registry with Prometheus text exposition, a minimal HTTP/1.1 admin
-//! surface on the `pla-net` runtime, and file/env configuration so a
+//! surface pumped beside the collector, and file/env configuration so a
 //! collector+store+query stack boots from one file.
 //!
 //! Three layers:
@@ -15,7 +15,7 @@
 //!   stats structs into metric families.
 //! - [`http`] + [`admin`] — an [`OpsServer`] behind the
 //!   existing `Acceptor`/`Link` seam (deterministically testable over
-//!   `MemoryAcceptor`, drivable on the `pla-net` runtime), and the
+//!   `MemoryAcceptor`, driven by a plain pump loop), and the
 //!   [`CollectorAdmin`] handler serving
 //!   `/metrics`, `/healthz`, and the JSON admin API.
 //! - [`config`] — a dependency-free TOML-subset parser with `PLA_*` env

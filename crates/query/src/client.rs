@@ -435,6 +435,7 @@ impl<R: Redial> QueryClient<R> {
                     moved += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     lost = true;
                     break;
@@ -454,6 +455,7 @@ impl<R: Redial> QueryClient<R> {
                     moved += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     lost = true;
                 }

@@ -11,10 +11,10 @@
 //! [`epochs`](SegmentStore::epochs) moved since the last build. A
 //! read-only workload over a quiet store never re-snapshots.
 //!
-//! Same driver split as `pla-ops`'s `OpsServer`: a sync non-blocking
-//! [`pump`](QueryServer::pump) owns all protocol logic, and
-//! [`drive_query_server`] wraps it in the shared single-thread
-//! [`pla_net::runtime`] loop.
+//! Same driving model as `pla-ops`'s `OpsServer`: a sync non-blocking
+//! [`pump`](QueryServer::pump) owns all protocol logic, and its owner
+//! calls it in a plain loop that sleeps about 1 ms after a round that
+//! moved nothing.
 //!
 //! Failure containment mirrors the collector: a version-mismatched
 //! `Hello` gets a `HelloAck { token: 0 }` refusal and only that
@@ -23,18 +23,16 @@
 //! engine refuses is not a failure at all — the typed
 //! [`QueryError`](crate::QueryError) rides back inside the response.
 
-use std::cell::RefCell;
 use std::io;
-use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::BytesMut;
 
 use pla_ingest::SegmentStore;
 use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::listen::Acceptor;
-use pla_net::{runtime, Link, NetConfig};
+use pla_net::{Link, NetConfig};
 
 use crate::store::StoreQueryEngine;
 use crate::wire::{Query, QueryResult};
@@ -224,6 +222,7 @@ impl<A: Acceptor> QueryServer<A> {
                     self.stats.bytes_in += n as u64;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
                     return moved;
@@ -250,6 +249,7 @@ impl<A: Acceptor> QueryServer<A> {
                     self.stats.bytes_out += n as u64;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
                     break;
@@ -362,22 +362,6 @@ impl<A: Acceptor> QueryServer<A> {
                 self.stats.malformed += 1;
                 conn.dead = true;
             }
-        }
-    }
-}
-
-/// Drives a [`QueryServer`] forever on the shared single-thread
-/// runtime: pump, then yield (after progress) or sleep ~1 ms (idle) —
-/// the same cadence as `drive_ops` and `drive_collector`.
-/// Spawn it next to the collector tasks; it completes only when the
-/// surrounding root future is dropped.
-pub async fn drive_query_server<A: Acceptor>(server: Rc<RefCell<QueryServer<A>>>) {
-    loop {
-        let moved = server.borrow_mut().pump();
-        if moved > 0 {
-            runtime::yield_now().await;
-        } else {
-            runtime::sleep(Duration::from_millis(1)).await;
         }
     }
 }

@@ -2,18 +2,20 @@
 //! and `QueryServer` over in-memory links must answer every query kind
 //! bit-identically to the local `StoreQueryEngine`, refuse mismatched
 //! protocol versions cleanly in both directions, echo heartbeats,
-//! absorb duplicate and out-of-order responses, and convert a silent
-//! server into a typed timeout.
+//! absorb duplicate and out-of-order responses, convert a silent
+//! server into a typed timeout, and retry `Interrupted` reads and
+//! writes on both peers instead of dropping the link.
 
 mod common;
 
+use std::io;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
 use pla_net::frame::{encode, FrameDecoder, NetFrame, PROTOCOL_VERSION};
 use pla_net::listen::{Acceptor, MemoryAcceptor};
-use pla_net::{Link, MemoryRedial, NetConfig};
+use pla_net::{Link, MemoryLink, MemoryRedial, NetConfig, Redial};
 use pla_query::{
     ClientError, Outcome, Query, QueryClient, QueryClientConfig, QueryResult, QueryServer, Response,
 };
@@ -294,4 +296,94 @@ fn a_silent_server_converges_to_a_typed_timeout() {
     assert_eq!(client.stats().timeouts, 1);
     assert!(client.stats().dials >= 3, "each suspect deadline forces a fresh dial");
     assert!(client.failure().is_none(), "a timeout is per-request, not terminal");
+}
+
+/// A link whose first read and first write each fail with
+/// `Interrupted` before it behaves like the link it wraps.
+struct Interrupting {
+    inner: MemoryLink,
+    read_interrupted: bool,
+    write_interrupted: bool,
+}
+
+impl Interrupting {
+    fn new(inner: MemoryLink) -> Self {
+        Self { inner, read_interrupted: false, write_interrupted: false }
+    }
+}
+
+impl Link for Interrupting {
+    fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !std::mem::replace(&mut self.write_interrupted, true) {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        self.inner.try_write(buf)
+    }
+
+    fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !std::mem::replace(&mut self.read_interrupted, true) {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        self.inner.try_read(buf)
+    }
+}
+
+struct InterruptingAcceptor(MemoryAcceptor);
+
+impl Acceptor for InterruptingAcceptor {
+    type Link = Interrupting;
+
+    fn try_accept(&mut self) -> io::Result<Option<Interrupting>> {
+        Ok(self.0.try_accept()?.map(Interrupting::new))
+    }
+}
+
+struct InterruptingRedial(MemoryRedial);
+
+impl Redial for InterruptingRedial {
+    type Link = Interrupting;
+
+    fn redial(&mut self) -> io::Result<Interrupting> {
+        self.0.redial().map(Interrupting::new)
+    }
+}
+
+/// Runs every query kind to completion and checks the answers and
+/// that the exchange never dropped its first link.
+fn assert_exchange_completes_on_one_link<R: Redial, A: Acceptor>(
+    client: &mut QueryClient<R>,
+    server: &mut QueryServer<A>,
+) {
+    let queries = all_queries();
+    let reference = local_answers(server.store(), &queries);
+    let t0 = Instant::now();
+    let ids: Vec<u64> = queries.iter().map(|q| client.submit(q.clone(), t0)).collect();
+    let done = drive_to_completion(client, server, t0, &ids, 10_000);
+    for ((id, query), want) in ids.iter().zip(&queries).zip(&reference) {
+        assert_bit_equal(unwrap_result(&done[id]), want, &format!("query {query:?}"));
+    }
+    assert_eq!(server.stats().accepted, 1, "the server kept its first connection");
+    let cs = client.stats();
+    assert_eq!((cs.dials, cs.retransmits), (1, 0), "the client kept its first link");
+}
+
+#[test]
+fn server_retries_interrupted_reads_and_writes() {
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let mut server =
+        QueryServer::new(InterruptingAcceptor(acceptor), sample_store(), NetConfig::default());
+    let mut client =
+        QueryClient::new(MemoryRedial::new(connector, 1 << 16), QueryClientConfig::default());
+    assert_exchange_completes_on_one_link(&mut client, &mut server);
+}
+
+#[test]
+fn client_retries_interrupted_reads_and_writes() {
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let mut server = QueryServer::new(acceptor, sample_store(), NetConfig::default());
+    let redial = InterruptingRedial(MemoryRedial::new(connector, 1 << 16));
+    let mut client = QueryClient::new(redial, QueryClientConfig::default());
+    assert_exchange_completes_on_one_link(&mut client, &mut server);
 }

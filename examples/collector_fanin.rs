@@ -13,23 +13,21 @@
 //! `(ConnId, StreamId, Segment)` into one queryable store. Each sensor
 //! is a `SessionSender`: it opens with a `Hello`, is issued a session
 //! token, and would redial and resume by that token on its own if its
-//! socket died. The collector's per-connection tasks re-pump on a 1 ms
-//! timer when idle, so a liveness deadline fires even on a socket that
-//! wedges silently.
+//! socket died. The base station pumps the collector in a plain loop
+//! that sleeps 1 ms after an idle round, so a liveness deadline fires
+//! even on a socket that wedges silently.
 //!
 //! (For one session severed mid-stream and healing itself — redial,
 //! token resume, replay of the unacknowledged tail — see
 //! `examples/net_pipeline.rs`.)
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pla::core::filters::{run_filter, FilterKind};
 use pla::ingest::SegmentStore;
 use pla::net::listen::TcpAcceptor;
-use pla::net::{collector, runtime, Collector, NetConfig, SessionConfig, SessionSender, TcpRedial};
+use pla::net::{Collector, NetConfig, SessionConfig, SessionSender, TcpRedial};
 use pla::signal::{random_walk, WalkParams};
 use pla::transport::wire::FixedCodec;
 
@@ -50,14 +48,7 @@ fn main() {
     };
     let addr = acceptor.local_addr().expect("bound address");
     let store = Arc::new(SegmentStore::new());
-    let collector = Rc::new(RefCell::new(Collector::with_sessions(
-        FixedCodec,
-        1,
-        cfg,
-        sess,
-        acceptor,
-        store.clone(),
-    )));
+    let mut collector = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
 
     // --- edge fleet: one thread per sensor node ------------------------
     let mut expected = 0u64;
@@ -112,32 +103,28 @@ fn main() {
         }));
     }
 
-    // --- base station: the collector on the async runtime --------------
-    let start = std::time::Instant::now();
-    let reactor = runtime::block_on({
-        let collector = collector.clone();
-        async move {
-            let kind = runtime::active_reactor();
-            // Done once every segment landed *and* every connection's
-            // acks went out: a sender's 0-RTT data is published while
-            // its handshake completes, before its `HelloAck` is written.
-            let done = |c: &Collector<_, _>| {
-                let stats = c.stats();
-                stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
-            };
-            collector::drive_collector(collector, done).await.expect("collector");
-            kind
+    // --- base station: pump the collector until everything landed -------
+    let start = Instant::now();
+    // Done once every segment landed *and* every connection's acks went
+    // out: a sender's 0-RTT data is published while its handshake
+    // completes, before its `HelloAck` is written.
+    let done = |c: &Collector<_, _>| {
+        let stats = c.stats();
+        stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
+    };
+    while !done(&collector) {
+        if collector.pump().expect("collector") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-    });
+    }
     let elapsed = start.elapsed();
     for w in workers {
         w.join().expect("sensor thread");
     }
 
     // --- what landed ----------------------------------------------------
-    let stats = collector.borrow().stats();
+    let stats = collector.stats();
     let snap = store.snapshot();
-    println!("reactor: {reactor:?}");
     println!(
         "{} connections, {} streams, {} segments collected in {:.1} ms",
         stats.connections,

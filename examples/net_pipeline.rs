@@ -9,13 +9,14 @@
 //! The paper's transmitter/receiver pipeline assumes one reliable link
 //! per stream; a collector serving a fleet multiplexes thousands of
 //! streams over few connections. This example runs the whole
-//! production-shaped path on `pla-net`'s vendored-style async runtime:
+//! production-shaped path from one plain loop that pumps each end in
+//! turn and sleeps 1 ms after a round that moved nothing:
 //!
 //! 1. 32 sensor streams feed an `IngestEngine` (filtering happens
 //!    shard-per-core); the engine's live segment tap feeds an uplink;
 //! 2. the uplink multiplexes segments into sequenced, credit-limited
 //!    frames on a `SessionSender` over an in-memory link (swap in
-//!    `TcpRedial`/`TcpAcceptor` for sockets), and a `Collector` task
+//!    `TcpRedial`/`TcpAcceptor` for sockets), and a `Collector`
 //!    publishes them into a `SegmentStore`;
 //! 3. halfway through, the connection is severed — bytes in flight are
 //!    lost — and the session heals itself: the sender redials and
@@ -26,8 +27,6 @@
 //! 4. the store holds every segment exactly once, verified against the
 //!    ε guarantee.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,9 +34,7 @@ use pla::core::filters::{FilterKind, FilterSpec};
 use pla::ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
 use pla::net::listen::MemoryAcceptor;
 use pla::net::uplink::{EngineUplink, UplinkStatus};
-use pla::net::{
-    collector, runtime, Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender,
-};
+use pla::net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
 use pla::signal::{random_walk, WalkParams};
 use pla::transport::wire::FixedCodec;
 
@@ -87,70 +84,45 @@ fn main() {
     let store = Arc::new(SegmentStore::new());
     let acceptor = MemoryAcceptor::new();
     let redial = MemoryRedial::new(acceptor.connector(), 1024);
-    let collector = Rc::new(RefCell::new(Collector::with_sessions(
-        FixedCodec,
-        1,
-        cfg,
-        sess,
-        acceptor,
-        store.clone(),
-    )));
+    let mut collector = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
     let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, Instant::now());
-
-    runtime::block_on({
-        let collector = collector.clone();
-        let store = store.clone();
-        let tx = &mut tx;
-        async move {
-            // The base station runs as a task beside the sender; it is
-            // dropped when the root (the sender) completes.
-            runtime::spawner().spawn({
-                let collector = collector.clone();
-                async move {
-                    collector::drive_collector(collector, |_| false).await.expect("collector");
-                }
-            });
-            let mut uplink = EngineUplink::new(tap);
-            let mut finned = false;
-            let mut severed = false;
-            loop {
-                // Feed the sender from the engine tap (credit-limited).
-                let status = uplink.pump(tx.mux_mut()).expect("uplink");
-                if status == UplinkStatus::Drained && !finned {
-                    tx.mux_mut().finish_all();
-                    finned = true;
-                }
-
-                // Sever the link once, mid-transfer. No reconnect call
-                // follows: the session redials and resumes on its own.
-                let published = store.watermark(CONN.0).map_or(0, |w| w.segments);
-                if !severed && tx.is_established() && published >= total_segments / 2 {
-                    tx.redial().last_link().expect("dialed").sever();
-                    severed = true;
-                    println!(
-                        "!! connection severed after {published} segments landed; \
-                         in-flight bytes lost"
-                    );
-                }
-
-                let moved = tx.pump();
-                if let Some(e) = tx.failure() {
-                    panic!("session failed: {e}");
-                }
-                if finned && tx.mux().is_idle() && collector.borrow().conn_complete(CONN) {
-                    break;
-                }
-                if moved == 0 {
-                    runtime::sleep(Duration::from_millis(1)).await;
-                } else {
-                    runtime::yield_now().await;
-                }
-            }
+    let mut uplink = EngineUplink::new(tap);
+    let mut finned = false;
+    let mut severed = false;
+    loop {
+        // Feed the sender from the engine tap (credit-limited).
+        let status = uplink.pump(tx.mux_mut()).expect("uplink");
+        if status == UplinkStatus::Drained && !finned {
+            tx.mux_mut().finish_all();
+            finned = true;
         }
-    });
+
+        // Sever the link once, mid-transfer. No reconnect call follows:
+        // the session redials and resumes on its own.
+        let published = store.watermark(CONN.0).map_or(0, |w| w.segments);
+        if !severed && tx.is_established() && published >= total_segments / 2 {
+            tx.redial().last_link().expect("dialed").sever();
+            severed = true;
+            println!(
+                "!! connection severed after {published} segments landed; in-flight bytes lost"
+            );
+        }
+
+        let moved = tx.pump();
+        if let Some(e) = tx.failure() {
+            panic!("session failed: {e}");
+        }
+        let moved = moved + collector.pump().expect("collector");
+        if finned && tx.mux().is_idle() && collector.conn_complete(CONN) {
+            break;
+        }
+        if moved == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     // --- 4. verify the reconstruction ------------------------------------
-    let stats = collector.borrow().stats();
+    let stats = collector.stats();
     assert_eq!(stats.connections, 1, "the resume rebound the same connection");
     assert_eq!(stats.resumes, 1, "the sever was healed by exactly one token resume");
     assert_eq!(tx.stats().established, 2, "first handshake plus the resume");

@@ -19,18 +19,15 @@
 //! wire traffic.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-use std::cell::RefCell;
+use std::time::{Duration, Instant};
 
 use pla::core::filters::{run_filter, FilterKind};
 use pla::ingest::SegmentStore;
 use pla::net::listen::TcpAcceptor;
 use pla::net::session::TcpRedial;
-use pla::net::{collector, runtime, Collector, NetConfig, SessionConfig, SessionSender};
+use pla::net::{Collector, NetConfig, SessionConfig, SessionSender};
 use pla::query::{
     Cached, Query, QueryClient, QueryClientConfig, QueryServer, Response, StoreQueryEngine,
 };
@@ -122,26 +119,19 @@ fn main() {
     }
 
     // --- base station: collect everything, then serve queries -----------
-    let collector = Rc::new(RefCell::new(Collector::with_sessions(
-        FixedCodec,
-        1,
-        cfg,
-        sess,
-        ingest_acceptor,
-        store.clone(),
-    )));
-    runtime::block_on({
-        let collector = collector.clone();
-        async move {
-            // Every segment landed and every connection's acks went out
-            // (0-RTT data is published before the `HelloAck` is written).
-            let done = |c: &Collector<_, _>| {
-                let stats = c.stats();
-                stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
-            };
-            collector::drive_collector(collector, done).await.expect("collector");
+    let mut collector =
+        Collector::with_sessions(FixedCodec, 1, cfg, sess, ingest_acceptor, store.clone());
+    // Every segment landed and every connection's acks went out (0-RTT
+    // data is published before the `HelloAck` is written).
+    let done = |c: &Collector<_, _>| {
+        let stats = c.stats();
+        stats.segments >= expected && stats.conns.iter().all(|s| c.conn_complete(s.conn))
+    };
+    while !done(&collector) {
+        if collector.pump().expect("collector") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-    });
+    }
     for w in workers {
         w.join().expect("sensor thread");
     }
@@ -218,12 +208,12 @@ fn main() {
         })
     };
 
-    // Serve until the reader is done (production uses the async
-    // `drive_query_server` task; the sync pump keeps the example flat).
+    // Serve until the reader is done, sleeping 1 ms after an idle round.
     let mut server = QueryServer::new(query_acceptor, store.clone(), cfg);
     while !reader_done.load(Ordering::Acquire) {
-        server.pump();
-        std::thread::yield_now();
+        if server.pump() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
     server.pump();
     let (results, cache_hits, client_stats) = reader.join().expect("reader thread");
