@@ -14,6 +14,10 @@
 //! allocations in steady state (the sender's replay copy of the frame,
 //! the receiver's copy of the payload, and amortized store growth).
 //!
+//! A collector round that moves no byte allocates nothing for the round
+//! itself, however many rounds run: an idle collector polled in a loop
+//! must not churn the heap.
+//!
 //! Handing samples to the ingest engine one at a time carries a budget
 //! counted on both sides of the shard queue: at d = 1 the values travel
 //! inline in the queue slot, so what is left per sample is amortized
@@ -293,6 +297,50 @@ fn wire_path_allocations_per_segment_are_bounded() {
 }
 
 #[test]
+fn idle_collector_rounds_do_not_allocate() {
+    let _guard = serial();
+    // Four bound sessions with nothing in flight, on a frozen clock so no
+    // deadline fires: every round finds no bytes to move.
+    let config = NetConfig::default();
+    let session = SessionConfig::default();
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let store = Arc::new(SegmentStore::new());
+    let mut collector = Collector::with_sessions(FixedCodec, 1, config, session, acceptor, store);
+    let now = Instant::now();
+    let mut senders: Vec<_> = (0..4)
+        .map(|_| {
+            let redial = MemoryRedial::new(connector.clone(), 4096);
+            SessionSender::new(FixedCodec, 1, config, session, redial, now)
+        })
+        .collect();
+    for tx in &mut senders {
+        tx.pump_at(now);
+    }
+    collector.pump_at(now).unwrap();
+    for tx in &mut senders {
+        tx.pump_at(now);
+    }
+    assert!(senders.iter().all(|tx| tx.is_established()), "every session bound");
+    assert_eq!(collector.stats().attached, 4);
+    let mut idle = |rounds: usize| {
+        alloc_counter::count(|| {
+            for _ in 0..rounds {
+                assert_eq!(collector.pump_at(now).unwrap(), 0, "an idle round moves nothing");
+            }
+        })
+        .1
+    };
+    idle(8);
+    let (few, many) = (idle(8), idle(256));
+    eprintln!("idle collector: {few} allocs over 8 rounds, {many} over 256");
+    assert_eq!(
+        few, many,
+        "idle collector rounds allocate per round: {few} over 8, {many} over 256"
+    );
+}
+
+#[test]
 fn engine_push_allocations_per_sample_are_bounded() {
     let _guard = serial();
     // 64 d = 1 swing streams pushed one sample at a time through a
@@ -305,7 +353,7 @@ fn engine_push_allocations_per_sample_are_bounded() {
     const N: usize = 2_000;
     let signals: Vec<_> =
         (0..STREAMS).map(|s| walk_signal(WARMUP + N, 0.5, 1.0, 0xE6 + s)).collect();
-    let config = IngestConfig { shards: 1, queue_depth: 64, shard_log: false };
+    let config = IngestConfig { shards: 1, queue_depth: 64 };
     let (engine, tap) = IngestEngine::with_segment_tap(config);
     let h = engine.handle();
     let spec = FilterSpec::new(pla_core::filters::FilterKind::Swing, &[0.3]);

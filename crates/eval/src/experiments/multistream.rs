@@ -49,7 +49,7 @@ pub fn stream_workload(streams: usize, samples_per_stream: usize, seed: u64) -> 
 /// run panics if any stream is quarantined or loses samples, so the
 /// timing can never silently measure partial work.
 pub fn ingest_run(shards: usize, signals: &[Signal]) -> u64 {
-    let engine = IngestEngine::new(IngestConfig { shards, queue_depth: 1024, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards, queue_depth: 1024 });
     let handle = engine.handle();
     for i in 0..signals.len() {
         handle

@@ -18,7 +18,6 @@ use std::thread::JoinHandle;
 use pla_core::filters::FilterSpec;
 use pla_core::{DimVec, Segment};
 
-use crate::store::SegmentStore;
 use crate::table::{IngestError, StreamOutput, StreamTable};
 use crate::StreamId;
 
@@ -45,16 +44,12 @@ pub struct IngestConfig {
     /// of in-flight samples is at most `shards × queue_depth` plus one
     /// batch per producer.
     pub queue_depth: usize,
-    /// Record, per shard, the fan-in log of `(stream, segment)` pairs in
-    /// emission order — the feed a multiplexing transport would ship.
-    /// Costs one segment clone per emission; off by default.
-    pub shard_log: bool,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { shards, queue_depth: 1024, shard_log: false }
+        Self { shards, queue_depth: 1024 }
     }
 }
 
@@ -91,8 +86,6 @@ pub struct IngestReport {
     pub streams: BTreeMap<StreamId, StreamOutput>,
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Per-shard fan-in logs (empty unless [`IngestConfig::shard_log`]).
-    pub shard_logs: Vec<Vec<(StreamId, Segment)>>,
 }
 
 impl IngestReport {
@@ -142,7 +135,6 @@ enum Op {
 struct ShardResult {
     outputs: BTreeMap<StreamId, StreamOutput>,
     stats: ShardStats,
-    log: Vec<(StreamId, Segment)>,
 }
 
 /// Cloneable producer handle: routes samples to shards.
@@ -242,25 +234,20 @@ impl IngestHandle {
 ///
 /// ```
 /// use pla_core::filters::{FilterKind, FilterSpec};
-/// use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
-/// use std::sync::Arc;
+/// use pla_ingest::{IngestConfig, IngestEngine, StreamId};
 ///
-/// // Shard-per-core ingest, emitting straight into a shared store.
-/// let store = Arc::new(SegmentStore::new());
-/// let engine = IngestEngine::with_segment_store(
-///     IngestConfig { shards: 2, ..Default::default() },
-///     store.clone(),
-///     0, // this engine's source watermark id
-/// );
+/// // Shard-per-core ingest with a live segment tap.
+/// let (engine, tap) =
+///     IngestEngine::with_segment_tap(IngestConfig { shards: 2, ..Default::default() });
 /// let handle = engine.handle();
 /// handle.register(StreamId(7), FilterSpec::new(FilterKind::Swing, &[0.5])).unwrap();
 /// for j in 0..100 {
-///     handle.push(StreamId(7), j as f64, &[j as f64 * 0.1]).unwrap();
+///     handle.push(StreamId(7), j as f64, &[(j as f64 * 0.1).sin()]).unwrap();
 /// }
 /// let report = engine.finish();
-/// // The store saw exactly what the report accounts for.
-/// assert_eq!(store.total_segments(), report.total_segments() as u64);
-/// assert_eq!(store.watermark(0).unwrap().segments, store.total_segments());
+/// // The tap carried exactly the stream's segment log, in order.
+/// let tapped: Vec<_> = tap.iter().map(|(_, seg)| seg).collect();
+/// assert_eq!(tapped, report.streams[&StreamId(7)].segments);
 /// ```
 pub struct IngestEngine {
     handle: IngestHandle,
@@ -270,7 +257,7 @@ pub struct IngestEngine {
 impl IngestEngine {
     /// Spawns the shard workers described by `config`.
     pub fn new(config: IngestConfig) -> Self {
-        Self::build(config, None, None)
+        Self::build(config, None)
     }
 
     /// Spawns the engine with a *segment tap*: every segment any shard's
@@ -286,35 +273,10 @@ impl IngestEngine {
     /// for that safety. The tap closes when the engine finishes.
     pub fn with_segment_tap(config: IngestConfig) -> (Self, mpsc::Receiver<(StreamId, Segment)>) {
         let (tap_tx, tap_rx) = mpsc::channel();
-        (Self::build(config, Some(tap_tx), None), tap_rx)
+        (Self::build(config, Some(tap_tx)), tap_rx)
     }
 
-    /// Spawns the engine wired straight into a shared [`SegmentStore`]:
-    /// every segment any shard emits is appended live (in per-stream
-    /// emission order) under the given `source` watermark id — the
-    /// local-ingest counterpart of a `pla-net` collector connection
-    /// writing into the same store.
-    ///
-    /// Unlike the tap there is no channel in between: each ingest shard
-    /// appends a drain's segments as one batch, taking the owning
-    /// *store* shard's write lock once per drain. Segment emission is
-    /// filter-rate-limited (hundreds of samples per segment) and store
-    /// shards only contend when two ingest shards publish streams that
-    /// hash to the same store shard, so the locks are quiet even at
-    /// high sample rates.
-    pub fn with_segment_store(
-        config: IngestConfig,
-        store: std::sync::Arc<SegmentStore>,
-        source: u64,
-    ) -> Self {
-        Self::build(config, None, Some((store, source)))
-    }
-
-    fn build(
-        config: IngestConfig,
-        tap: Option<mpsc::Sender<(StreamId, Segment)>>,
-        store: Option<(std::sync::Arc<SegmentStore>, u64)>,
-    ) -> Self {
+    fn build(config: IngestConfig, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -> Self {
         let shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
         let backpressure = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
@@ -323,13 +285,11 @@ impl IngestEngine {
         for shard in 0..shards {
             let (tx, rx) = sync_channel::<Op>(depth);
             senders.push(tx);
-            let shard_log = config.shard_log;
             let tap = tap.clone();
-            let store = store.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pla-ingest-shard-{shard}"))
-                    .spawn(move || run_shard(rx, shard_log, tap, store))
+                    .spawn(move || run_shard(rx, tap))
                     .expect("spawn shard worker"),
             );
         }
@@ -368,16 +328,14 @@ impl IngestEngine {
         }
         let mut streams = BTreeMap::new();
         let mut shards = Vec::with_capacity(self.workers.len());
-        let mut shard_logs = Vec::with_capacity(self.workers.len());
         for (shard, worker) in self.workers.into_iter().enumerate() {
             let mut result = worker.join().expect("shard worker panicked");
             result.stats.backpressure =
                 self.handle.backpressure[shard].load(std::sync::atomic::Ordering::Relaxed);
             streams.extend(result.outputs);
             shards.push(result.stats);
-            shard_logs.push(result.log);
         }
-        IngestReport { streams, shards, shard_logs }
+        IngestReport { streams, shards }
     }
 }
 
@@ -407,48 +365,18 @@ fn fill_pairs<'a>(out: &mut [(f64, &'a [f64])], dims: usize, times: &'a [f64], v
 struct ShardWorker {
     table: StreamTable,
     stats: ShardStats,
-    log: Vec<(StreamId, Segment)>,
-    shard_log: bool,
     tap: Option<mpsc::Sender<(StreamId, Segment)>>,
-    /// Live append target with its source watermark id
-    /// ([`IngestEngine::with_segment_store`]).
-    store: Option<(std::sync::Arc<SegmentStore>, u64)>,
-    /// Recycled staging buffer for store publication: a drain's segments
-    /// are collected here and appended as one batch, so the shard takes
-    /// its store shard's write lock once per drain instead of once per
-    /// segment.
-    publish_scratch: Vec<Segment>,
 }
 
 impl ShardWorker {
-    /// Forwards segments emitted since the last call for `stream` into
-    /// the fan-in log, the live tap, and/or the shared store.
+    /// Forwards segments emitted since the last call for `stream` to the
+    /// live tap, if there is one.
     fn emit_new_segments(&mut self, stream: StreamId) {
-        if !self.shard_log && self.tap.is_none() && self.store.is_none() {
-            return;
-        }
-        let log = &mut self.log;
-        let shard_log = self.shard_log;
-        let tap = &self.tap;
-        let staging = self.store.is_some();
-        let scratch = &mut self.publish_scratch;
+        let Some(tap) = &self.tap else { return };
         self.table.drain_new_segments(stream, |seg| {
-            if shard_log {
-                log.push((stream, seg.clone()));
-            }
-            if let Some(tap) = tap {
-                // A dropped tap consumer is load shedding, not an error.
-                let _ = tap.send((stream, seg.clone()));
-            }
-            if staging {
-                scratch.push(seg.clone());
-            }
+            // A dropped tap consumer is load shedding, not an error.
+            let _ = tap.send((stream, seg.clone()));
         });
-        if let Some((store, source)) = &self.store {
-            // Moves the staged segments into the store, leaving the
-            // scratch empty with its capacity for the next drain.
-            store.append_batch(*source, stream, scratch);
-        }
     }
 
     /// Applies one queued operation.
@@ -506,21 +434,8 @@ impl ShardWorker {
     }
 }
 
-fn run_shard(
-    rx: Receiver<Op>,
-    shard_log: bool,
-    tap: Option<mpsc::Sender<(StreamId, Segment)>>,
-    store: Option<(std::sync::Arc<SegmentStore>, u64)>,
-) -> ShardResult {
-    let mut worker = ShardWorker {
-        table: StreamTable::new(),
-        stats: ShardStats::default(),
-        log: Vec::new(),
-        shard_log,
-        tap,
-        store,
-        publish_scratch: Vec::new(),
-    };
+fn run_shard(rx: Receiver<Op>, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -> ShardResult {
+    let mut worker = ShardWorker { table: StreamTable::new(), stats: ShardStats::default(), tap };
     while let Ok(op) = rx.recv() {
         if matches!(op, Op::Shutdown) {
             worker.stats.ops += 1;
@@ -544,7 +459,7 @@ fn run_shard(
     }
     worker.stats.streams = worker.table.len();
     worker.stats.segments = worker.table.total_segments() as u64;
-    ShardResult { outputs: worker.table.into_outputs(), stats: worker.stats, log: worker.log }
+    ShardResult { outputs: worker.table.into_outputs(), stats: worker.stats }
 }
 
 #[cfg(test)]
@@ -572,7 +487,8 @@ mod tests {
 
     #[test]
     fn engine_compresses_and_reports() {
-        let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 8, shard_log: true });
+        let (engine, tap) =
+            IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 8 });
         let h = engine.handle();
         for id in 0..6u64 {
             h.register(StreamId(id), spec()).unwrap();
@@ -587,9 +503,8 @@ mod tests {
         assert_eq!(report.streams.len(), 6);
         assert_eq!(report.total_samples(), 6 * 200);
         assert_eq!(report.quarantined(), 0);
-        // The fan-in logs carry every segment exactly once.
-        let logged: usize = report.shard_logs.iter().map(|l| l.len()).sum();
-        assert_eq!(logged, report.total_segments());
+        // The tap carries every segment exactly once.
+        assert_eq!(tap.iter().count(), report.total_segments());
         // Per-shard stats add up.
         let samples: u64 = report.shards.iter().map(|s| s.samples).sum();
         assert_eq!(samples, 6 * 200);
@@ -597,8 +512,7 @@ mod tests {
 
     #[test]
     fn unknown_streams_are_counted_not_fatal() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 2, queue_depth: 4, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 4 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         h.push(StreamId(1), 0.0, &[1.0]).unwrap();
@@ -612,8 +526,7 @@ mod tests {
 
     #[test]
     fn unknown_batches_count_every_sample_dropped() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         let x = [1.0];
@@ -626,8 +539,7 @@ mod tests {
 
     #[test]
     fn duplicate_registration_is_counted_and_first_spec_wins() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 8, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 8 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         // Same id, different spec: validated Ok at the handle, dropped on
@@ -648,8 +560,7 @@ mod tests {
         // shutdown marker while it is still chewing, then enqueue more
         // samples *behind the marker*. The graceful drain must process
         // them instead of dropping the queue tail.
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 32, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 32 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         let values: Vec<f64> = (0..500_000).map(|j| (j as f64 * 0.01).sin()).collect();
@@ -690,8 +601,7 @@ mod tests {
         // Stall the single shard with a large batch, fill its depth-1
         // queue, then watch try_push rejections: every Backpressure the
         // caller sees must be visible in the report.
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 1, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 1 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         let values: Vec<f64> = (0..1_000_000).map(|j| (j as f64 * 0.01).sin()).collect();
@@ -717,11 +627,8 @@ mod tests {
 
     #[test]
     fn segment_tap_streams_every_segment_live_in_order() {
-        let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-            shards: 2,
-            queue_depth: 16,
-            shard_log: true,
-        });
+        let (engine, tap) =
+            IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 16 });
         let h = engine.handle();
         for id in 0..6u64 {
             h.register(StreamId(id), spec()).unwrap();
@@ -749,51 +656,11 @@ mod tests {
                 "{id}: tap must carry the exact segment log in emission order"
             );
         }
-        // And it coexists with (doesn't replace) the shard fan-in log.
-        let logged: usize = report.shard_logs.iter().map(|l| l.len()).sum();
-        assert_eq!(logged, report.total_segments());
-    }
-
-    #[test]
-    fn segment_store_wiring_carries_every_segment_in_order() {
-        let store = std::sync::Arc::new(SegmentStore::new());
-        let engine = IngestEngine::with_segment_store(
-            IngestConfig { shards: 2, queue_depth: 16, shard_log: true },
-            store.clone(),
-            42,
-        );
-        let h = engine.handle();
-        for id in 0..6u64 {
-            h.register(StreamId(id), spec()).unwrap();
-        }
-        for j in 0..300 {
-            for id in 0..6u64 {
-                h.push(
-                    StreamId(id),
-                    j as f64,
-                    &[(j as f64 * (0.2 + id as f64 * 0.07)).sin() * 3.0],
-                )
-                .unwrap();
-            }
-        }
-        let report = engine.finish();
-        let snap = store.snapshot();
-        assert_eq!(snap.streams.len(), report.streams.len());
-        for (id, out) in &report.streams {
-            assert_eq!(
-                snap.streams[id], out.segments,
-                "{id}: store must carry the exact segment log in emission order"
-            );
-        }
-        let mark = snap.sources[&42];
-        assert_eq!(mark.segments, report.total_segments() as u64);
-        assert!(mark.covered_through.is_finite());
     }
 
     #[test]
     fn sends_after_finish_fail_closed() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         let _ = engine.finish();
@@ -803,8 +670,7 @@ mod tests {
 
     #[test]
     fn invalid_spec_is_rejected_at_the_handle() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4 });
         let h = engine.handle();
         let bad = FilterSpec::new(FilterKind::Swing, &[-1.0]);
         assert!(matches!(
@@ -816,8 +682,7 @@ mod tests {
 
     #[test]
     fn ragged_batches_are_rejected() {
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4 });
         let h = engine.handle();
         h.register(StreamId(1), spec()).unwrap();
         let a = [1.0, 2.0];

@@ -25,8 +25,7 @@
 //!   [`snapshot`](SegmentStore::snapshot)s are two `Arc` clones per
 //!   stream (the writer copies on write) with a per-shard consistency
 //!   contract (see
-//!   [`store`](SegmentStore)'s module docs). Fed directly by an engine
-//!   ([`IngestEngine::with_segment_store`]) or, at the base station, by
+//!   [`store`](SegmentStore)'s module docs). Fed at the base station by
 //!   `pla-net`'s many-connection collector funneling every connection's
 //!   reconstruction into one queryable place; `pla-query`'s
 //!   `StoreQueryEngine` answers point/range/aggregate queries straight

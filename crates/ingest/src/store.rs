@@ -1,16 +1,12 @@
 //! The shared segment store: a sharded, epoch-based home for every
-//! reconstructed (or locally emitted) segment log, built so *readers
-//! scale*.
+//! reconstructed segment log, built so *readers scale*.
 //!
 //! The deployment picture behind it is the paper's: many sensors
 //! compress at the edge, one base station reconstructs — and Ferragina
 //! & Lari (arXiv:2509.07827) argue the reconstructed logs should land
 //! in a *queryable shared structure*, not per-connection buffers. A
 //! `pla-net` collector funnels every connection's `(ConnId, StreamId,
-//! Segment)` output here; an [`IngestEngine`](crate::IngestEngine) can
-//! append its shards' emissions directly
-//! ([`with_segment_store`](crate::IngestEngine::with_segment_store));
-//! readers take [`snapshot`](SegmentStore::snapshot)s while appends
+//! Segment)` output here; readers take [`snapshot`](SegmentStore::snapshot)s while appends
 //! continue — and a snapshot costs two `Arc` clones per stream, not a
 //! copy of any segment.
 //!
@@ -80,7 +76,7 @@
 //! Other rules carried over unchanged from the coarse-lock store:
 //!
 //! * **A stream has one owner.** Stream ids are expected to be written
-//!   by a single source (connection or engine); multi-owner writes are
+//!   by a single source (a collector connection); multi-owner writes are
 //!   recorded in arrival order but no cross-source ordering is
 //!   promised.
 //! * **Watermarks are per source.** Each source id carries how many
@@ -98,8 +94,8 @@ use pla_core::Segment;
 use crate::engine::shard_of;
 use crate::StreamId;
 
-/// Progress watermark for one append source (a collector connection, an
-/// engine, a backfill job).
+/// Progress watermark for one append source (a collector connection, a
+/// backfill job).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceWatermark {
     /// Segments this source has appended.

@@ -85,8 +85,8 @@ struct StreamEntry {
     sink: CollectingSink,
     samples_in: u64,
     quarantine: Option<Quarantine>,
-    /// How many segments the shard log has already copied out.
-    log_cursor: usize,
+    /// How many segments the tap has already been handed.
+    tap_cursor: usize,
 }
 
 /// Registry of streams and their filters; one per shard (or standalone
@@ -151,7 +151,7 @@ impl StreamTable {
                 sink: CollectingSink::default(),
                 samples_in: 0,
                 quarantine,
-                log_cursor: 0,
+                tap_cursor: 0,
             },
         );
         result
@@ -253,13 +253,13 @@ impl StreamTable {
     }
 
     /// Hands every segment emitted since the last call for `id` to `f`
-    /// (the shard fan-in log's feed).
+    /// (the segment tap's feed).
     pub fn drain_new_segments(&mut self, id: StreamId, mut f: impl FnMut(&Segment)) {
         if let Some(entry) = self.streams.get_mut(&id) {
-            for seg in &entry.sink.segments[entry.log_cursor..] {
+            for seg in &entry.sink.segments[entry.tap_cursor..] {
                 f(seg);
             }
-            entry.log_cursor = entry.sink.segments.len();
+            entry.tap_cursor = entry.sink.segments.len();
         }
     }
 
@@ -422,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_log_cursor_sees_each_segment_once() {
+    fn tap_cursor_sees_each_segment_once() {
         let mut table = StreamTable::new();
         table.register(StreamId(1), &spec(FilterKind::Cache)).unwrap();
         let mut seen = 0;

@@ -80,7 +80,7 @@ fn segment_bits(segments: &[Segment]) -> Vec<u64> {
 fn sixty_four_streams_on_two_shards_match_standalone_filters() {
     const STREAMS: u64 = 64;
     const N: usize = 400;
-    let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 64, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 64 });
     let h = engine.handle();
     for id in 0..STREAMS {
         h.register(StreamId(id), spec_for(id)).unwrap();
@@ -109,7 +109,7 @@ fn concurrent_producers_preserve_per_stream_order() {
     const STREAMS_PER_PRODUCER: u64 = 8;
     const PRODUCERS: u64 = 4;
     const N: usize = 300;
-    let engine = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 16, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 16 });
     let h = engine.handle();
     for id in 0..STREAMS_PER_PRODUCER * PRODUCERS {
         h.register(StreamId(id), spec_for(id)).unwrap();
@@ -149,7 +149,7 @@ fn shard_count_does_not_change_any_stream_output() {
     const N: usize = 250;
     let mut outputs: Vec<BTreeMap<StreamId, Vec<Segment>>> = Vec::new();
     for shards in [1usize, 2, 4] {
-        let engine = IngestEngine::new(IngestConfig { shards, queue_depth: 32, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards, queue_depth: 32 });
         let h = engine.handle();
         for id in 0..STREAMS {
             h.register(StreamId(id), spec_for(id)).unwrap();
@@ -172,8 +172,8 @@ fn shard_count_does_not_change_any_stream_output() {
 
 #[test]
 fn routing_is_stable_across_engines() {
-    let a = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 4, shard_log: false });
-    let b = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 4, shard_log: false });
+    let a = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 4 });
+    let b = IngestEngine::new(IngestConfig { shards: 4, queue_depth: 4 });
     for id in 0..500u64 {
         assert_eq!(a.shard_of(StreamId(id)), b.shard_of(StreamId(id)));
         assert_eq!(a.shard_of(StreamId(id)), shard_of(StreamId(id), 4));
@@ -187,7 +187,7 @@ fn try_push_backpressure_never_loses_accepted_samples() {
     // A 1-deep queue on one shard: under a producer flood, try_push will
     // sometimes report Backpressure. The invariant under test: exactly the
     // accepted samples reach the filter, in order.
-    let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 1, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 1 });
     let h = engine.handle();
     h.register(StreamId(1), FilterSpec::new(FilterKind::Swing, &[0.5])).unwrap();
     let mut accepted = 0u64;
@@ -220,8 +220,7 @@ fn per_sample_pushes_match_standalone_filters_on_both_sides_of_inline_dims() {
     const N: usize = 300;
     for dims in [1usize, 4, 5, 9] {
         let spec = |id: u64| FilterSpec::new(spec_for(id).kind, &vec![0.4; dims]);
-        let engine =
-            IngestEngine::new(IngestConfig { shards: 2, queue_depth: 8, shard_log: false });
+        let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 8 });
         let h = engine.handle();
         for id in 0..STREAMS {
             h.register(StreamId(id), spec(id)).unwrap();
@@ -257,7 +256,7 @@ fn try_push_above_inline_dims_never_loses_accepted_samples() {
     // order: the report equals a standalone run over the accepted ones.
     const DIMS: usize = 5;
     let spec = FilterSpec::new(FilterKind::Swing, &[0.5; DIMS]);
-    let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards: 1, queue_depth: 4 });
     let h = engine.handle();
     h.register(StreamId(1), spec.clone()).unwrap();
     let offered = walk_signal(1, DIMS, 5_000);
@@ -292,7 +291,7 @@ fn quarantine_under_load_spares_shard_mates() {
     let healthy = (0..100u64)
         .find(|&id| id != sick && shard_of(StreamId(id), 2) == shard_of(StreamId(sick), 2))
         .expect("some id shares the shard");
-    let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 16, shard_log: false });
+    let engine = IngestEngine::new(IngestConfig { shards: 2, queue_depth: 16 });
     let h = engine.handle();
     h.register(StreamId(sick), FilterSpec::new(FilterKind::Slide, &[0.5])).unwrap();
     h.register(StreamId(healthy), FilterSpec::new(FilterKind::Slide, &[0.5])).unwrap();

@@ -15,7 +15,8 @@
 //!   or replaying sender cannot corrupt another's reconstruction;
 //! * every reconstructed segment is published, in per-stream order, to
 //!   one shared [`SegmentStore`] as `(ConnId, StreamId, Segment)` —
-//!   per-connection buffers exist only transiently inside the demux;
+//!   each connection's receiver buffers a pump round's segments in
+//!   arrival order, and the publish step empties that buffer;
 //!   queries read cheap O(streams) store snapshots (per-shard
 //!   consistent, `Arc`-shared sealed runs) while ingest continues.
 //!
@@ -281,9 +282,8 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     quarantined_streams: std::collections::BTreeSet<u64>,
     /// Segments shed by per-stream quarantine.
     shed_segments: u64,
-    /// Recycled publish buffers: the streams a receiver reports touched,
-    /// and one stream's segments on their way into the store.
-    touched: Vec<u64>,
+    /// Recycled publish buffer: one stream's run of segments on its way
+    /// into the store.
     publish_batch: Vec<Segment>,
 }
 
@@ -323,7 +323,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             last_refusal: None,
             quarantined_streams: std::collections::BTreeSet::new(),
             shed_segments: 0,
-            touched: Vec::new(),
             publish_batch: Vec::new(),
         }
     }
@@ -424,23 +423,20 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// Publishes `conn`'s newly reconstructed segments (and, for
-    /// streams whose `Fin` arrived, the flushed trailing hold) to the
-    /// store. Only streams the receiver reports as touched since the
-    /// last publish are visited, and their segments are *moved* out of
-    /// the demultiplexer into the store — the connection keeps no copy of
+    /// Publishes `conn`'s newly reconstructed segments (a `Fin`'s
+    /// trailing hold included) to the store, in one walk over the
+    /// receiver's buffer. Each run of one stream's segments is checked
+    /// against the quarantine set once, then shed or appended as one
+    /// batch. The segments are *moved*: the connection keeps no copy of
     /// what it has published.
     fn publish_conn(&mut self, conn: u64) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut batch = std::mem::take(&mut self.publish_batch);
-        c.rx.take_touched(&mut touched);
-        for &stream in &touched {
-            // Closing a finished stream's trailing hold is a no-op the
-            // second time, so a replayed `Fin` may touch it again.
-            c.rx.drain_to_publish(stream, &mut batch);
-            if batch.is_empty() {
-                continue;
+        let batch = &mut self.publish_batch;
+        let mut segments = c.rx.take_segments().peekable();
+        while let Some((stream, first)) = segments.next() {
+            batch.push(first);
+            while let Some((_, seg)) = segments.next_if(|(s, _)| *s == stream) {
+                batch.push(seg);
             }
             if self.quarantined_streams.contains(&stream) {
                 // Shed instead of publish: a later release resumes from
@@ -449,12 +445,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 batch.clear();
             } else {
                 c.published_total += batch.len() as u64;
-                self.store.append_batch(conn, StreamId(stream), &mut batch);
+                self.store.append_batch(conn, StreamId(stream), batch);
             }
         }
-        touched.clear();
-        self.touched = touched;
-        self.publish_batch = batch;
     }
 
     /// Issues a fresh session token: unique among live sessions and
@@ -656,10 +649,13 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// and TTL deadlines.
     pub fn pump_at(&mut self, now: Instant) -> Result<usize, CollectorError> {
         self.pump_sessions(now);
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut moved = 0;
         let mut first_failure = None;
-        for id in ids {
+        // Walks the ids in place, so an idle round allocates nothing:
+        // each step finds the first connection past the last one pumped.
+        let mut next = 0;
+        while let Some(id) = self.conns.range(next..).next().map(|(&id, _)| id) {
+            next = id + 1;
             match self.pump_conn_at(ConnId(id), now) {
                 Ok(n) => moved += n,
                 // Quarantine already happened; keep pumping the others
@@ -891,9 +887,9 @@ mod tests {
         SessionSender::new(FixedCodec, 1, cfg, SessionConfig::default(), redial, now)
     }
 
-    /// Publishing moves: once a pump round has published a stream's
-    /// segments, the connection's demux holds none of them — only the
-    /// store does.
+    /// Publishing moves: once a pump round has published, the
+    /// connection's segment buffer is empty — only the store holds the
+    /// segments.
     #[test]
     fn published_segments_move_out_of_the_demux() {
         let cfg = NetConfig::default();
@@ -914,9 +910,8 @@ mod tests {
             tx.pump_at(t0);
             assert_eq!(store.total_segments(), sent);
             let c = &coll.conns[&1];
-            for stream in [1u64, 2] {
-                assert_eq!(c.rx.demux().segments(stream), Some(&[][..]), "published ⇒ moved");
-            }
+            assert!(c.rx.demux().buffered().is_empty(), "published ⇒ moved");
+            assert!(coll.publish_batch.is_empty(), "the run buffer is emptied too");
         }
         assert!(tx.is_established() && tx.mux().all_acked());
         assert_eq!(store.stream_segments(StreamId(1)).unwrap().len(), 3);

@@ -25,8 +25,9 @@
 //! * [`MuxSender`] / [`NetReceiver`] — the two connection endpoints as
 //!   *sans-I/O* state machines: bytes in, bytes out, no sockets inside,
 //!   so every protocol path is unit-testable deterministically. The
-//!   receiver feeds `pla_transport::StreamDemux`, which rebuilds one
-//!   segment log per stream.
+//!   receiver feeds `pla_transport::StreamDemux`, which rebuilds every
+//!   stream's segments into one buffer in arrival order; the collector
+//!   takes that buffer after each pump and publishes it.
 //! * [`session`] — the one way a connection comes back: a
 //!   [`SessionSender`] redials on its own and resumes by session token.
 //!   The resume `HelloAck` carries the receiver's cumulative ack and

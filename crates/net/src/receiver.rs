@@ -1,14 +1,16 @@
-//! The receiving endpoint: framed bytes in, per-stream segment logs
-//! out, acks and credit grants back.
+//! The receiving endpoint: framed bytes in, reconstructed
+//! `(stream, segment)` pairs out, acks and credit grants back.
 //!
 //! [`NetReceiver`] is the sans-I/O twin of
 //! [`MuxSender`](crate::MuxSender): it owns the
 //! [`FrameDecoder`], a [`StreamDemux`]
 //! (which performs the actual segment reconstruction), the session's
 //! applied seq (the dedup point that makes replay safe) and one
-//! [`ReceiveWindow`] for the whole connection. Each stream's own
-//! bookkeeping — its publish mark and its `Fin` — lives in the demux's
-//! slot for the stream, so applying an entry costs one map lookup.
+//! [`ReceiveWindow`] for the whole connection. Each stream's `Fin`
+//! lives in the demux's slot for the stream, so applying an entry costs
+//! one map lookup. Segments leave through one buffer, in arrival order
+//! ([`take_segments`](NetReceiver::take_segments)); a `Fin` closes its
+//! stream's trailing hold into that buffer the moment it is applied.
 //!
 //! # Batched acknowledgements
 //!
@@ -69,8 +71,6 @@ pub struct ReceiverStats {
 /// for it (see [`StreamDemux::consume_next`]).
 #[derive(Debug, Default)]
 pub struct RxStream {
-    /// The receiver's touch round this stream was last reported in.
-    touch_batch: u64,
     /// The session seq its `Fin` named, once one arrived.
     fin: Option<u64>,
 }
@@ -78,8 +78,8 @@ pub struct RxStream {
 /// The multiplexed receiver. Feed it link bytes with
 /// [`on_bytes`](Self::on_bytes); collect its outbound `Ack`
 /// control frames from [`take_staged`](Self::take_staged) (or the
-/// [`driver`](crate::driver) pumps); read the reconstruction from
-/// [`demux`](Self::demux).
+/// [`driver`](crate::driver) pumps); move reconstructed segments out
+/// with [`take_segments`](Self::take_segments).
 pub struct NetReceiver<C: Codec> {
     frames: FrameDecoder,
     demux: StreamDemux<C, RxStream>,
@@ -89,12 +89,6 @@ pub struct NetReceiver<C: Codec> {
     /// Whether a `Batch` arrived since the last
     /// [`flush_control`](Self::flush_control).
     ack_due: bool,
-    /// Streams that applied an entry or received a `Fin` since the
-    /// last [`take_touched`](Self::take_touched), each listed once.
-    touched: Vec<u64>,
-    /// Bumped whenever `touched` is taken, which unlists every stream at
-    /// once without touching their slots.
-    touch_batch: u64,
     out: Outbox,
     scratch: BytesMut,
     /// Heartbeat sequence numbers to echo back on the next control
@@ -119,8 +113,6 @@ impl<C: Codec> NetReceiver<C> {
             applied: 0,
             window: ReceiveWindow::new(config.window),
             ack_due: false,
-            touched: Vec::new(),
-            touch_batch: 1,
             out: Outbox::default(),
             scratch: BytesMut::new(),
             heartbeat_echoes: VecDeque::new(),
@@ -139,14 +131,6 @@ impl<C: Codec> NetReceiver<C> {
         self.out.stage(&self.scratch);
     }
 
-    /// Lists `stream` as touched unless it already is this round.
-    fn touch(touched: &mut Vec<u64>, touch_batch: u64, stream: u64, rx: &mut RxStream) {
-        if rx.touch_batch != touch_batch {
-            rx.touch_batch = touch_batch;
-            touched.push(stream);
-        }
-    }
-
     /// Feeds inbound link bytes, applying every complete frame:
     ///
     /// * `Batch` → each entry above the applied seq in order, exactly as
@@ -157,7 +141,8 @@ impl<C: Codec> NetReceiver<C> {
     ///   is refused with [`NetError::CreditOverrun`]; replays do not
     ///   count against the credit.
     /// * `Fin` → the stream is complete; verified against the applied
-    ///   seq.
+    ///   seq. Its trailing hold, if any, is closed into the segment
+    ///   buffer; a replayed `Fin` finds no hold and emits nothing.
     /// * `Ack` → protocol error at this endpoint.
     pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.frames.extend(bytes);
@@ -175,8 +160,7 @@ impl<C: Codec> NetReceiver<C> {
                             return Err(NetError::SequenceGap { expected, got: entry.seq });
                         }
                         self.window.on_delivered(entry.payload.len() as u64)?;
-                        let rx = self.demux.consume_next(entry.stream, entry.payload)?;
-                        Self::touch(&mut self.touched, self.touch_batch, entry.stream, rx);
+                        self.demux.consume_next(entry.stream, entry.payload)?;
                         self.applied = expected;
                         self.frames_applied += 1;
                     }
@@ -187,10 +171,9 @@ impl<C: Codec> NetReceiver<C> {
                         return Err(NetError::IncompleteFin { stream, final_seq, applied });
                     }
                     // Idempotent: a replayed Fin re-records the same
-                    // fact, and a reported stream may be reported twice.
-                    let rx = self.demux.slot_mut(stream);
-                    rx.fin = Some(final_seq);
-                    Self::touch(&mut self.touched, self.touch_batch, stream, rx);
+                    // fact, and its flush finds no hold left to close.
+                    self.demux.slot_mut(stream).fin = Some(final_seq);
+                    self.demux.flush_stream(stream);
                 }
                 NetFrame::Heartbeat { seq } => {
                     self.heartbeats += 1;
@@ -244,14 +227,11 @@ impl<C: Codec> NetReceiver<C> {
         }
     }
 
-    /// Moves onto `out` the id of every stream that applied an entry or
-    /// received its `Fin` since the last call, each once, and
-    /// starts tracking afresh. The collector publishes exactly these
-    /// streams after a pump round, instead of walking every stream the
-    /// connection has ever carried.
-    pub fn take_touched(&mut self, out: &mut Vec<u64>) {
-        out.append(&mut self.touched);
-        self.touch_batch += 1;
+    /// Moves every segment reconstructed since the last take out of the
+    /// receiver as `(stream, segment)`, in arrival order — the
+    /// collector's publish feed ([`StreamDemux::take_segments`]).
+    pub fn take_segments(&mut self) -> std::vec::Drain<'_, (u64, Segment)> {
+        self.demux.take_segments()
     }
 
     /// This side's cumulative resume point: the session seq applied
@@ -281,8 +261,7 @@ impl<C: Codec> NetReceiver<C> {
         self.stage_frame(frame);
     }
 
-    /// The reconstruction state: per-stream segment logs, coverage,
-    /// counters.
+    /// The reconstruction state: buffered segments, coverage, counters.
     pub fn demux(&self) -> &StreamDemux<C, RxStream> {
         &self.demux
     }
@@ -301,15 +280,6 @@ impl<C: Codec> NetReceiver<C> {
     /// Whether `stream` is complete.
     pub fn is_finished(&self, stream: u64) -> bool {
         self.demux.slot(stream).is_some_and(|rx| rx.fin.is_some())
-    }
-
-    /// Moves `stream`'s reconstructed segments onto the end of `out`,
-    /// first closing its trailing hold if its `Fin` has arrived — the
-    /// collector's publish step, from one demux lookup
-    /// ([`StreamDemux::drain_segments_flushing_if`]). A replayed `Fin`
-    /// may drain the stream again: the second flush finds no hold.
-    pub fn drain_to_publish(&mut self, stream: u64, out: &mut Vec<Segment>) {
-        self.demux.drain_segments_flushing_if(stream, out, |rx| rx.fin.is_some());
     }
 
     /// Current endpoint counters (entries applied, duplicates dropped,
@@ -391,6 +361,11 @@ mod tests {
         fin
     }
 
+    /// How many of `stream`'s segments wait in the receiver's buffer.
+    fn buffered(rx: &NetReceiver<FixedCodec>, stream: u64) -> usize {
+        rx.demux().buffered().iter().filter(|(s, _)| *s == stream).count()
+    }
+
     fn control_frames(rx: &mut NetReceiver<FixedCodec>) -> Vec<NetFrame> {
         let mut dec = FrameDecoder::new(1 << 20);
         dec.extend(&rx.take_staged());
@@ -416,7 +391,7 @@ mod tests {
         rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
         assert!(rx.control_dirty());
         assert_eq!(only_ack(&mut rx), (1, 0), "acked through 1, no grant due");
-        assert_eq!(rx.demux().segments(3).unwrap().len(), 1);
+        assert_eq!(buffered(&rx, 3), 1);
         assert_eq!(rx.stats().frames_applied, 1);
         assert!(!rx.control_dirty());
     }
@@ -448,8 +423,8 @@ mod tests {
         rx.on_bytes(&batch(1, &[(3, &p0), (3, &p1), (8, &p0)])).unwrap();
         rx.on_bytes(&batch(2, &[(3, &p1), (8, &p0), (8, &p1), (9, &p2)])).unwrap();
         assert_eq!((rx.stats().frames_applied, rx.stats().dup_drops), (5, 2));
-        assert_eq!(rx.demux().segments(3).unwrap().len(), 2, "no duplicate segment");
-        assert_eq!(rx.demux().segments(8).unwrap().len(), 2);
+        assert_eq!(buffered(&rx, 3), 2, "no duplicate segment");
+        assert_eq!(buffered(&rx, 8), 2);
         assert_eq!(only_ack(&mut rx), (5, 0));
         // An entry that fails mid-batch fails the connection, but the
         // entries before it stay applied (and acknowledged).
@@ -466,29 +441,61 @@ mod tests {
         rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
         let gap = batch(3, &[(4, &point(0.0, 1.0))]);
         assert_eq!(rx.on_bytes(&gap), Err(NetError::SequenceGap { expected: 2, got: 3 }));
-        assert_eq!(rx.demux().segments(4), None, "nothing past the gap applied");
+        assert!(rx.demux().slot(4).is_none(), "nothing past the gap applied");
+        assert_eq!(buffered(&rx, 4), 0);
         assert_eq!(rx.resume_point().0, 1);
     }
 
+    /// Segments leave the receiver once, in arrival order across
+    /// streams (so each stream's own order holds), and a take right
+    /// after a take finds nothing.
     #[test]
-    fn touched_streams_are_reported_once_per_take() {
+    fn segments_leave_in_arrival_order_once_per_take() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &point(0.0, 1.0))).unwrap();
-        rx.on_bytes(&data_bytes(3, 2, &point(1.0, 1.0))).unwrap();
-        rx.on_bytes(&data_bytes(8, 3, &point(0.0, 1.0))).unwrap();
-        let mut touched = Vec::new();
-        rx.take_touched(&mut touched);
-        assert_eq!(touched, vec![3, 8], "each stream once, however many entries it applied");
-        touched.clear();
-        rx.take_touched(&mut touched);
-        assert!(touched.is_empty(), "nothing new since the last take");
-        // A replay applies nothing, so it touches nothing — but a Fin does.
-        rx.on_bytes(&data_bytes(3, 2, &point(1.0, 1.0))).unwrap();
-        rx.take_touched(&mut touched);
-        assert!(touched.is_empty(), "a dropped duplicate is not new data");
-        rx.on_bytes(&fin_bytes(8, 3)).unwrap();
-        rx.take_touched(&mut touched);
-        assert_eq!(touched, vec![8]);
+        let (p0, p1, p2) = (point(0.0, 1.0), point(1.0, 2.0), point(2.0, 3.0));
+        rx.on_bytes(&batch(1, &[(3, &p0), (3, &p1), (8, &p0)])).unwrap();
+        rx.on_bytes(&data_bytes(3, 4, &p2)).unwrap();
+        let taken: Vec<(u64, f64)> = rx.take_segments().map(|(s, seg)| (s, seg.t_start)).collect();
+        assert_eq!(taken, vec![(3, 0.0), (3, 1.0), (8, 0.0), (3, 2.0)], "arrival order");
+        assert_eq!(rx.take_segments().count(), 0, "nothing new since the last take");
+        // A replay applies nothing, so it buffers nothing.
+        rx.on_bytes(&data_bytes(3, 4, &p2)).unwrap();
+        assert_eq!(rx.take_segments().count(), 0, "a dropped duplicate is not new data");
+        rx.on_bytes(&data_bytes(8, 5, &p1)).unwrap();
+        let taken: Vec<(u64, f64)> = rx.take_segments().map(|(s, seg)| (s, seg.t_start)).collect();
+        assert_eq!(taken, vec![(8, 1.0)]);
+    }
+
+    /// A `Fin` closes its stream's trailing hold into the buffer when it
+    /// is applied, exactly once: a replayed `Fin`, here after a resume
+    /// that also replays the stream's entry, emits nothing more. What
+    /// left the receiver matches a single-stream reconstruction.
+    #[test]
+    fn a_fin_closes_a_trailing_hold_exactly_once() {
+        let msgs = [
+            Message::Start { t: 0.0, x: [1.0].into() },
+            Message::End { t: 3.0, x: [2.0].into() },
+            Message::Hold { t: 4.0, x: [5.0].into() },
+        ];
+        let entry = payload(&msgs);
+        let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
+        rx.on_bytes(&data_bytes(5, 1, &entry)).unwrap();
+        let mut out: Vec<Segment> = rx.take_segments().map(|(_, seg)| seg).collect();
+        assert_eq!(out.len(), 1, "the hold stays open until the Fin");
+        rx.on_bytes(&fin_bytes(5, 1)).unwrap();
+        assert_eq!(buffered(&rx, 5), 1, "the Fin closed the hold at arrival");
+        out.extend(rx.take_segments().map(|(_, seg)| seg));
+        // The link dies and the sender resumes: it replays the entry and
+        // the Fin.
+        let _ = control_frames(&mut rx);
+        rx.reset_link();
+        rx.on_bytes(&data_bytes(5, 1, &entry)).unwrap();
+        rx.on_bytes(&fin_bytes(5, 1)).unwrap();
+        assert_eq!(rx.take_segments().count(), 0, "the replayed Fin finds no hold");
+        assert!(rx.is_finished(5));
+        let mut single = pla_transport::Receiver::new(FixedCodec, 1);
+        single.consume(bytes::Bytes::from(entry)).unwrap();
+        assert_eq!(out, single.into_segments());
     }
 
     #[test]
@@ -499,7 +506,7 @@ mod tests {
         let _ = control_frames(&mut rx);
         rx.on_bytes(&frame).unwrap();
         assert_eq!(only_ack(&mut rx), (1, 0), "re-ack the replay");
-        assert_eq!(rx.demux().segments(3).unwrap().len(), 1, "no duplicate segment");
+        assert_eq!(buffered(&rx, 3), 1, "no duplicate segment");
         assert_eq!(rx.stats().dup_drops, 1, "the dropped replay is counted");
     }
 

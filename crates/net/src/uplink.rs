@@ -118,11 +118,8 @@ mod tests {
 
     #[test]
     fn engine_tap_flows_through_the_mux_lossless() {
-        let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-            shards: 2,
-            queue_depth: 64,
-            shard_log: false,
-        });
+        let (engine, tap) =
+            IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 64 });
         let h = engine.handle();
         for id in 0..8u64 {
             h.register(StreamId(id), FilterSpec::new(FilterKind::Swing, &[0.4])).unwrap();

@@ -118,11 +118,8 @@ impl<C: Codec, R: Redial> EdgeSender<C, R> {
     /// completion up front (the tap buffers; the uplink then drains it
     /// under credit control).
     fn new(codec: C, conn: u64, fleet: Fleet, config: NetConfig, redial: R, now: Instant) -> Self {
-        let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-            shards: 2,
-            queue_depth: 128,
-            shard_log: false,
-        });
+        let (engine, tap) =
+            IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 128 });
         let handle = engine.handle();
         let base = conn * fleet.streams_per_conn;
         for s in 0..fleet.streams_per_conn {

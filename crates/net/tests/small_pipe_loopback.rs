@@ -97,11 +97,8 @@ impl Edge {
         redial: MemoryRedial,
         epoch: Instant,
     ) -> Self {
-        let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-            shards: 2,
-            queue_depth: 128,
-            shard_log: false,
-        });
+        let (engine, tap) =
+            IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 128 });
         let handle = engine.handle();
         let base = conn * STREAMS_PER_CONN;
         for s in 0..STREAMS_PER_CONN {

@@ -309,7 +309,6 @@ impl AppConfig {
             ("ingest", "queue_depth") => {
                 self.ingest.queue_depth = parse_num!(self, "ingest", "queue_depth", raw, usize, 1)
             }
-            ("ingest", "shard_log") => self.ingest.shard_log = parse_bool(section, key, raw)?,
             ("ops" | "collector" | "store" | "ingest", _) => {
                 return Err(ConfigError::UnknownKey {
                     section: section.to_string(),
@@ -413,7 +412,7 @@ impl AppConfig {
              heartbeat_ms = {}\nliveness_ms = {}\nhandshake_ms = {}\nsession_ttl_ms = {}\n\
              redial_initial_ms = {}\nredial_cap_ms = {}\ntoken_seed = {}\n\n\
              [store]\nshards = {}\nseal_threshold = {}\n\n\
-             [ingest]\nshards = {}\nqueue_depth = {}\nshard_log = {}\n",
+             [ingest]\nshards = {}\nqueue_depth = {}\n",
             self.ops.enabled,
             quote(&self.ops.listen),
             self.ops.max_request,
@@ -431,7 +430,6 @@ impl AppConfig {
             self.store.seal_threshold,
             self.ingest.shards,
             self.ingest.queue_depth,
-            self.ingest.shard_log,
         )
     }
 }

@@ -30,8 +30,7 @@ fn file_values_override_defaults() {
          shards = 4\n\
          \n\
          [ingest]\n\
-         queue_depth = 64\n\
-         shard_log = true\n",
+         queue_depth = 64\n",
     )
     .expect("valid file");
     assert!(!cfg.ops.enabled);
@@ -42,7 +41,6 @@ fn file_values_override_defaults() {
     assert_eq!(cfg.collector.token_seed, 12345);
     assert_eq!(cfg.store.shards, 4);
     assert_eq!(cfg.ingest.queue_depth, 64);
-    assert!(cfg.ingest.shard_log);
     // Untouched keys keep their defaults.
     assert_eq!(cfg.collector.max_frame, AppConfig::default().collector.max_frame);
     // The typed views reflect the file.
@@ -144,7 +142,6 @@ fn every_field_round_trips_through_the_file_grammar() {
     cfg.store.seal_threshold = 88;
     cfg.ingest.shards = 9;
     cfg.ingest.queue_depth = 101;
-    cfg.ingest.shard_log = true;
 
     let text = cfg.to_file_string();
     let back = AppConfig::parse_str(&text).expect("serialized config re-parses");

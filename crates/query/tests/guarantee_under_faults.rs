@@ -127,11 +127,8 @@ fn session_config() -> SessionConfig {
 /// Runs the whole ingest path under faults and returns the store the
 /// collector filled.
 fn ingest(case: &Case, signals: &[Vec<(f64, Vec<f64>)>]) -> Arc<SegmentStore> {
-    let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-        shards: 2,
-        queue_depth: 128,
-        shard_log: false,
-    });
+    let (engine, tap) =
+        IngestEngine::with_segment_tap(IngestConfig { shards: 2, queue_depth: 128 });
     let handle = engine.handle();
     for (s, signal) in signals.iter().enumerate() {
         let id = StreamId(s as u64);

@@ -14,11 +14,11 @@
 //!   its reconstruction reaches (`covered_through`), which defines the
 //!   *lag*;
 //! * [`StreamDemux`] — the multi-stream receiver: one connection carries
-//!   many logical streams, and the demultiplexer rebuilds one segment log
-//!   per stream from *entries*, each a chunk of one stream's codec bytes
-//!   handed over with its stream id ([`StreamDemux::consume_next`]); the
-//!   transport orders and deduplicates entries itself, as `pla-net`'s
-//!   `Batch` frames do;
+//!   many logical streams, and the demultiplexer rebuilds their segments
+//!   from *entries*, each a chunk of one stream's codec bytes handed
+//!   over with its stream id ([`StreamDemux::consume_next`]), into one
+//!   `(stream, segment)` buffer in arrival order; the transport orders
+//!   and deduplicates entries itself, as `pla-net`'s `Batch` frames do;
 //! * [`simulate_lag`] — end-to-end lag measurement backing the paper's
 //!   `m_max_lag` bound;
 //! * [`packing`] — the §5.4 analysis: compressing `d` dimensions jointly

@@ -4,9 +4,10 @@
 //!
 //! * [`Receiver`] — the paper's single-stream endpoint, fed one byte
 //!   stream.
-//! * [`StreamDemux`] — the multi-stream endpoint, producing one segment
-//!   log per stream: [`consume_next`](StreamDemux::consume_next) applies
-//!   one entry to the stream its caller names.
+//! * [`StreamDemux`] — the multi-stream endpoint:
+//!   [`consume_next`](StreamDemux::consume_next) applies one entry to the
+//!   stream its caller names, and every stream's reconstructed segments
+//!   land in one buffer, in arrival order.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -45,14 +46,10 @@ impl From<WireError> for ReceiveError {
 }
 
 /// The per-stream reconstruction state machine: wire messages in,
-/// [`Segment`]s out. One per connection in [`Receiver`], one per stream in
-/// [`StreamDemux`].
+/// [`Segment`]s out through the caller's `emit`. One per connection in
+/// [`Receiver`], one per stream in [`StreamDemux`].
 #[derive(Debug)]
 struct Assembler {
-    /// Reconstructed segments not yet drained
-    /// ([`StreamDemux::drain_segments`]); the whole log for a consumer
-    /// that never drains.
-    segments: Vec<Segment>,
     /// Open piece-wise-linear segment start, with its "came from an End"
     /// connectedness flag.
     open: Option<(f64, DimVec<f64>, bool)>,
@@ -71,7 +68,6 @@ struct Assembler {
 impl Default for Assembler {
     fn default() -> Self {
         Self {
-            segments: Vec::new(),
             open: None,
             hold: None,
             covered: f64::NEG_INFINITY,
@@ -91,31 +87,31 @@ impl Assembler {
         }
     }
 
-    fn close_hold(&mut self, at: f64) {
+    fn close_hold(&mut self, at: f64, mut emit: impl FnMut(Segment)) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, at, x));
+            emit(constant_segment(t0, at, x));
         }
     }
 
     /// Closes any active hold at the end of the stream.
-    fn flush(&mut self) {
+    fn flush(&mut self, mut emit: impl FnMut(Segment)) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, t0.max(self.covered_finite()), x));
+            emit(constant_segment(t0, t0.max(self.covered_finite()), x));
         }
     }
 
-    /// Applies one message.
-    fn apply(&mut self, msg: Message) -> Result<(), ReceiveError> {
+    /// Applies one message, emitting the segments it completes.
+    fn apply(&mut self, msg: Message, mut emit: impl FnMut(Segment)) -> Result<(), ReceiveError> {
         self.messages += 1;
         match msg {
             Message::Hold { t, x } => {
-                self.close_hold(t);
+                self.close_hold(t, emit);
                 self.open = None;
                 self.hold = Some((t, x));
                 self.covered = f64::INFINITY;
             }
             Message::Start { t, x } => {
-                self.close_hold(t);
+                self.close_hold(t, emit);
                 if self.covered < t {
                     self.covered = t;
                 }
@@ -129,7 +125,7 @@ impl Assembler {
                 if t < t0 {
                     return Err(ReceiveError::Protocol("segment runs backwards"));
                 }
-                self.segments.push(Segment {
+                emit(Segment {
                     t_start: t0,
                     x_start: x0,
                     t_end: t,
@@ -143,9 +139,9 @@ impl Assembler {
                 self.open = Some((t, x, true));
             }
             Message::Point { t, x } => {
-                self.close_hold(t);
+                self.close_hold(t, &mut emit);
                 self.open = None;
-                self.segments.push(Segment {
+                emit(Segment {
                     t_start: t,
                     x_start: x.clone(),
                     t_end: t,
@@ -179,23 +175,24 @@ pub struct Receiver<C> {
     codec: C,
     dims: usize,
     asm: Assembler,
+    segments: Vec<Segment>,
 }
 
 impl<C: Codec> Receiver<C> {
     /// Creates a receiver for `dims`-dimensional streams.
     pub fn new(codec: C, dims: usize) -> Self {
-        Self { codec, dims, asm: Assembler::default() }
+        Self { codec, dims, asm: Assembler::default(), segments: Vec::new() }
     }
 
     /// Segments reconstructed so far.
     pub fn segments(&self) -> &[Segment] {
-        &self.asm.segments
+        &self.segments
     }
 
     /// Takes ownership of the reconstructed segments.
     pub fn into_segments(mut self) -> Vec<Segment> {
         self.flush();
-        self.asm.segments
+        self.segments
     }
 
     /// Highest timestamp the receiver can currently represent.
@@ -217,18 +214,19 @@ impl<C: Codec> Receiver<C> {
     pub fn consume(&mut self, mut bytes: Bytes) -> Result<(), ReceiveError> {
         while bytes.remaining() > 0 {
             let msg = self.codec.decode(&mut bytes, self.dims)?;
-            self.asm.apply(msg)?;
+            self.asm.apply(msg, |s| self.segments.push(s))?;
         }
         Ok(())
     }
 
     /// Closes any active hold at the end of the stream.
     pub fn flush(&mut self) {
-        self.asm.flush();
+        self.asm.flush(|s| self.segments.push(s));
     }
 }
 
-/// Demultiplexes one multi-stream connection into per-stream segment logs.
+/// Demultiplexes one multi-stream connection into `(stream, segment)`
+/// output, in arrival order.
 ///
 /// The connection carries *entries*: self-contained chunks of one
 /// stream's codec bytes, each handed over with the stream it belongs to
@@ -236,6 +234,12 @@ impl<C: Codec> Receiver<C> {
 /// `pla-ingest`'s `StreamId`. The transport orders entries and drops
 /// duplicates itself (`pla-net` numbers them per session), so every
 /// entry handed over is its stream's next one.
+///
+/// Every segment an entry completes lands in one buffer shared by all
+/// streams, tagged with its stream and in arrival order, so each
+/// stream's segments keep their own order. An incremental consumer
+/// moves them out with [`take_segments`](Self::take_segments); the demux
+/// keeps no segment once it is taken.
 ///
 /// ```
 /// use bytes::BytesMut;
@@ -252,8 +256,9 @@ impl<C: Codec> Receiver<C> {
 /// demux.consume_next(9, entry(Message::Point { t: 0.0, x: [5.0].into() })).unwrap();
 /// demux.consume_next(7, entry(Message::End { t: 4.0, x: [8.0].into() })).unwrap();
 /// assert_eq!(demux.streams().collect::<Vec<_>>(), vec![7, 9]);
-/// assert_eq!(demux.segments(7).unwrap().len(), 1);
-/// assert_eq!(demux.segments(9).unwrap().len(), 1);
+/// let order: Vec<u64> = demux.take_segments().map(|(stream, _)| stream).collect();
+/// assert_eq!(order, vec![9, 7], "arrival order: the Point, then the End");
+/// assert_eq!(demux.take_segments().count(), 0, "a take leaves nothing behind");
 /// assert_eq!(demux.entries_applied(7), 2);
 /// ```
 ///
@@ -265,6 +270,8 @@ pub struct StreamDemux<C, T = ()> {
     codec: C,
     dims: usize,
     streams: BTreeMap<u64, (Assembler, T)>,
+    /// Reconstructed segments not yet taken, in arrival order.
+    out: Vec<(u64, Segment)>,
 }
 
 impl<C: Codec> StreamDemux<C> {
@@ -278,7 +285,7 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
     /// Creates a demultiplexer whose stream slots each carry a `T`
     /// (starting at `T::default()`).
     pub fn with_slots(codec: C, dims: usize) -> Self {
-        Self { codec, dims, streams: BTreeMap::new() }
+        Self { codec, dims, streams: BTreeMap::new(), out: Vec::new() }
     }
 
     /// Applies `stream`'s next entry and hands back the stream's slot
@@ -295,19 +302,20 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
     ///   handed over is applied.
     ///
     /// On any error the entry does not count as applied
-    /// ([`entries_applied`](Self::entries_applied) stays put), and a
-    /// stream the refused entry would have introduced is not registered.
+    /// ([`entries_applied`](Self::entries_applied) stays put), none of
+    /// its segments stay buffered, and a stream the refused entry would
+    /// have introduced is not registered.
     pub fn consume_next(&mut self, stream: u64, bytes: Bytes) -> Result<&mut T, ReceiveError> {
-        let (codec, dims) = (&mut self.codec, self.dims);
+        let (codec, dims, out) = (&mut self.codec, self.dims, &mut self.out);
         match self.streams.entry(stream) {
             Entry::Occupied(e) => {
                 let slot = e.into_mut();
-                apply_entry(codec, dims, &mut slot.0, bytes)?;
+                apply_entry(codec, dims, &mut slot.0, stream, out, bytes)?;
                 Ok(&mut slot.1)
             }
             Entry::Vacant(e) => {
                 let mut asm = Assembler::default();
-                apply_entry(codec, dims, &mut asm, bytes)?;
+                apply_entry(codec, dims, &mut asm, stream, out, bytes)?;
                 Ok(&mut e.insert((asm, T::default())).1)
             }
         }
@@ -318,8 +326,7 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
         self.streams.get(&stream).map(|(_, slot)| slot)
     }
 
-    /// `stream`'s slot, registering the stream (with an empty log) if
-    /// it is new.
+    /// `stream`'s slot, registering the stream if it is new.
     pub fn slot_mut(&mut self, stream: u64) -> &mut T {
         &mut self.streams.entry(stream).or_default().1
     }
@@ -341,59 +348,36 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
         self.streams.keys().copied()
     }
 
-    /// Flushes one stream's reconstruction — closes its active hold, if
-    /// any, appending the trailing constant segment to its log.
+    /// Flushes one stream's reconstruction: closes its active hold, if
+    /// any, appending the trailing constant segment to the buffer.
     ///
     /// [`into_segment_logs`](Self::into_segment_logs) does this for
-    /// every stream at teardown; an *incremental* consumer (pla-net's
-    /// collector publishes segments into a shared store as they
-    /// reconstruct) calls this per stream the moment that stream's
-    /// end-of-stream marker arrives, so the published log matches what
-    /// a dedicated single-stream [`Receiver::into_segments`] would have
-    /// produced. Flushing a stream mid-flight is *not* idempotent in
-    /// effect (a later `Hold` would open a new hold), so callers flush
-    /// only streams that are complete. Unknown streams are a no-op.
+    /// every stream at teardown; an incremental consumer (pla-net's
+    /// receiver) calls it the moment a stream's end-of-stream marker
+    /// arrives, so what it publishes matches what a dedicated
+    /// single-stream [`Receiver::into_segments`] would have produced. A
+    /// stream with no open hold (flushed already, closed by an `End`, or
+    /// unknown) emits nothing, so a replayed marker may flush again.
+    /// Flushing mid-flight is *not* harmless (a later `Hold` would open
+    /// a new hold), so callers flush only streams that are complete.
     pub fn flush_stream(&mut self, stream: u64) {
         if let Some((asm, _)) = self.streams.get_mut(&stream) {
-            asm.flush();
+            asm.flush(|s| self.out.push((stream, s)));
         }
     }
 
-    /// Segments reconstructed for one stream and not yet moved out by
-    /// [`drain_segments`](Self::drain_segments) — the whole log for a
-    /// consumer that never drains (`None` for an unknown stream).
-    pub fn segments(&self, stream: u64) -> Option<&[Segment]> {
-        self.streams.get(&stream).map(|(a, _)| a.segments.as_slice())
+    /// Segments reconstructed and not yet taken, as `(stream, segment)`
+    /// in arrival order.
+    pub fn buffered(&self) -> &[(u64, Segment)] {
+        &self.out
     }
 
-    /// Moves `stream`'s reconstructed segments onto the end of `out`, in
-    /// order, leaving its log empty (its capacity is kept for the
-    /// segments to come). An incremental consumer — pla-net's collector
-    /// publishing into a shared store — drains instead of copying, so the
-    /// demultiplexer only ever holds what it has not handed on yet.
-    /// Unknown streams are a no-op.
-    pub fn drain_segments(&mut self, stream: u64, out: &mut Vec<Segment>) {
-        self.drain_segments_flushing_if(stream, out, |_| false);
-    }
-
-    /// [`drain_segments`](Self::drain_segments), first closing the
-    /// stream's trailing hold ([`flush_stream`](Self::flush_stream)) when
-    /// `complete` says its slot marks the stream finished — one map
-    /// lookup for both. The flush is a no-op on a stream with no open
-    /// hold, so a replayed end-of-stream marker may drain it again.
-    /// Unknown streams are a no-op.
-    pub fn drain_segments_flushing_if(
-        &mut self,
-        stream: u64,
-        out: &mut Vec<Segment>,
-        complete: impl FnOnce(&T) -> bool,
-    ) {
-        if let Some((asm, slot)) = self.streams.get_mut(&stream) {
-            if complete(slot) {
-                asm.flush();
-            }
-            out.append(&mut asm.segments);
-        }
+    /// Moves every buffered segment out, in arrival order, leaving the
+    /// buffer empty with its capacity kept for the segments to come.
+    /// Segments the caller does not iterate are dropped with the
+    /// iterator.
+    pub fn take_segments(&mut self) -> std::vec::Drain<'_, (u64, Segment)> {
+        self.out.drain(..)
     }
 
     /// Highest timestamp the reconstruction of `stream` reaches.
@@ -406,45 +390,53 @@ impl<C: Codec, T: Default> StreamDemux<C, T> {
         self.streams.values().map(|(a, _)| a.messages).sum()
     }
 
-    /// Flushes every stream and hands back the per-stream segment logs
-    /// (what has not been drained), ordered by stream id.
-    pub fn into_segment_logs(self) -> BTreeMap<u64, Vec<Segment>> {
-        self.streams
-            .into_iter()
-            .map(|(id, (mut asm, _))| {
-                asm.flush();
-                (id, asm.segments)
-            })
-            .collect()
+    /// Flushes every stream and hands back the segments not yet taken,
+    /// grouped into one log per stream (every known stream, ordered by
+    /// stream id).
+    pub fn into_segment_logs(mut self) -> BTreeMap<u64, Vec<Segment>> {
+        for (&id, (asm, _)) in &mut self.streams {
+            asm.flush(|s| self.out.push((id, s)));
+        }
+        let mut logs: BTreeMap<u64, Vec<Segment>> =
+            self.streams.keys().map(|&id| (id, Vec::new())).collect();
+        for (id, seg) in self.out {
+            logs.entry(id).or_default().push(seg);
+        }
+        logs
     }
 }
 
 /// Decodes one entry from a reset codec and applies it to `asm`,
-/// counting it in `asm.entries`. All or nothing: on any error `asm` is
-/// restored to its state before the entry.
+/// buffering its segments under `stream` in `out` and counting it in
+/// `asm.entries`. All or nothing: on any error `asm` and `out` are
+/// restored to their state before the entry.
 fn apply_entry<C: Codec>(
     codec: &mut C,
     dims: usize,
     asm: &mut Assembler,
+    stream: u64,
+    out: &mut Vec<(u64, Segment)>,
     mut bytes: Bytes,
 ) -> Result<(), ReceiveError> {
     if bytes.remaining() == 0 {
         return Err(ReceiveError::Protocol("entry carries no messages"));
     }
-    // Messages only ever push onto the log, so its length plus the
+    // Messages only ever push onto the buffer, so its length plus the
     // scalar state restore it. The clones copy inline `DimVec`s: no
     // allocation at d <= INLINE_DIMS.
-    let logged = asm.segments.len();
+    let buffered = out.len();
     let saved = (asm.open.clone(), asm.hold.clone(), asm.covered, asm.provisionals, asm.messages);
     // Entries are coded independently (the sender resets its codec per
     // entry) so a resent entry decodes byte-identically regardless of
     // what arrived in between.
     codec.reset();
     while bytes.remaining() > 0 {
-        if let Err(e) =
-            codec.decode(&mut bytes, dims).map_err(ReceiveError::from).and_then(|m| asm.apply(m))
-        {
-            asm.segments.truncate(logged);
+        let applied = codec
+            .decode(&mut bytes, dims)
+            .map_err(ReceiveError::from)
+            .and_then(|m| asm.apply(m, |s| out.push((stream, s))));
+        if let Err(e) = applied {
+            out.truncate(buffered);
             (asm.open, asm.hold, asm.covered, asm.provisionals, asm.messages) = saved;
             return Err(e);
         }
@@ -496,15 +488,20 @@ mod tests {
     /// its 8-byte stream id.
     const RETIRED_TAG_5: &[u8] = &[5, 7, 0, 0, 0, 0, 0, 0, 0];
 
+    /// `stream`'s segments still in the demux's buffer, in order.
+    fn buffered<C: Codec, T: Default>(demux: &StreamDemux<C, T>, stream: u64) -> Vec<Segment> {
+        demux.buffered().iter().filter(|(s, _)| *s == stream).map(|(_, seg)| seg.clone()).collect()
+    }
+
     #[test]
     fn flush_stream_closes_only_that_streams_hold() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
         demux.consume_next(1, entry(&[Message::Hold { t: 0.0, x: [4.0].into() }])).unwrap();
         demux.consume_next(2, entry(&[Message::Hold { t: 0.0, x: [9.0].into() }])).unwrap();
-        assert_eq!(demux.segments(1).unwrap().len(), 0, "hold still open");
+        assert!(demux.buffered().is_empty(), "holds still open");
         demux.flush_stream(1);
-        assert_eq!(demux.segments(1).unwrap().len(), 1, "flushed hold became a segment");
-        assert_eq!(demux.segments(2).unwrap().len(), 0, "other stream untouched");
+        assert_eq!(buffered(&demux, 1).len(), 1, "flushed hold became a segment");
+        assert_eq!(buffered(&demux, 2).len(), 0, "other stream untouched");
         demux.flush_stream(999); // unknown stream: no-op
                                  // The incremental flush matches the teardown flush.
         let logs = demux.into_segment_logs();
@@ -529,19 +526,19 @@ mod tests {
         // Stream 3: registered, and nothing else.
         demux.slot_mut(3);
         demux.flush_stream(1);
-        let after_first = demux.segments(1).unwrap().to_vec();
+        let after_first = buffered(&demux, 1);
         assert_eq!(after_first.len(), 1);
         demux.flush_stream(1);
-        assert_eq!(demux.segments(1).unwrap(), &after_first[..], "second flush is a no-op");
+        assert_eq!(buffered(&demux, 1), after_first, "second flush is a no-op");
         assert_eq!(demux.covered_through(1), Some(f64::INFINITY), "a hold covers forward");
 
-        let closed = demux.segments(2).unwrap().to_vec();
+        let closed = buffered(&demux, 2);
         assert_eq!(closed.len(), 1, "End already closed the segment");
         demux.flush_stream(2);
-        assert_eq!(demux.segments(2).unwrap(), &closed[..], "nothing to flush after End");
+        assert_eq!(buffered(&demux, 2), closed, "nothing to flush after End");
 
         demux.flush_stream(3);
-        assert_eq!(demux.segments(3).unwrap(), &[], "an empty stream flushes to nothing");
+        assert_eq!(buffered(&demux, 3), vec![], "an empty stream flushes to nothing");
         assert_eq!(demux.covered_through(3), Some(f64::NEG_INFINITY));
 
         // Teardown agrees with every incremental answer.
@@ -551,12 +548,12 @@ mod tests {
         assert_eq!(logs[&3], vec![]);
     }
 
-    /// The one-lookup publish step: a stream not yet complete keeps its
-    /// hold open, a complete one drains it as its trailing segment once,
-    /// and draining it again (a replayed end-of-stream marker) moves
-    /// nothing.
+    /// A stream's trailing hold enters the buffer once: taking before
+    /// the flush moves only the closed segment, the flush then emits the
+    /// hold, and a second flush (a replayed end-of-stream marker) or an
+    /// unknown stream emits nothing.
     #[test]
-    fn drain_flushing_if_complete_closes_the_hold_once() {
+    fn flush_stream_emits_the_trailing_hold_into_the_buffer_once() {
         let bytes = entry(&[
             Message::Start { t: 0.0, x: [1.0].into() },
             Message::End { t: 3.0, x: [2.0].into() },
@@ -564,17 +561,22 @@ mod tests {
         ]);
         let mut demux = StreamDemux::new(FixedCodec, 1);
         demux.consume_next(1, bytes.clone()).unwrap();
-        let mut out = Vec::new();
-        demux.drain_segments_flushing_if(1, &mut out, |_| false);
+        let mut out: Vec<(u64, Segment)> = demux.take_segments().collect();
         assert_eq!(out.len(), 1, "the closed segment moves; the hold stays open");
-        demux.drain_segments_flushing_if(1, &mut out, |_| true);
-        assert_eq!(out.len(), 2, "completion closes the hold into the log");
-        demux.drain_segments_flushing_if(1, &mut out, |_| true);
-        demux.drain_segments_flushing_if(999, &mut out, |_| true);
-        assert_eq!(out.len(), 2, "a second drain and an unknown stream move nothing");
+        demux.flush_stream(1);
+        out.extend(demux.take_segments());
+        assert_eq!(out.len(), 2, "the flush closes the hold into the buffer");
+        demux.flush_stream(1);
+        demux.flush_stream(999);
+        assert_eq!(
+            demux.take_segments().count(),
+            0,
+            "a second flush and an unknown stream emit nothing"
+        );
         let mut reference = StreamDemux::new(FixedCodec, 1);
         reference.consume_next(1, bytes).unwrap();
-        assert_eq!(out, reference.into_segment_logs()[&1], "matches the teardown flush");
+        let segs: Vec<Segment> = out.into_iter().map(|(_, seg)| seg).collect();
+        assert_eq!(segs, reference.into_segment_logs()[&1], "matches the teardown flush");
     }
 
     #[test]
@@ -730,7 +732,7 @@ mod tests {
             (Some(&2), 2),
             "one slot, two entries"
         );
-        assert_eq!(demux.segments(5).unwrap().len(), 1);
+        assert_eq!(buffered(&demux, 5).len(), 1);
         assert!(demux.consume_next(9, Bytes::from_static(RETIRED_TAG_5)).is_err());
         assert_eq!(
             demux.consume_next(9, Bytes::from_static(&[])),
@@ -745,7 +747,7 @@ mod tests {
     /// leads with it, or carries it after a valid message, is an unknown
     /// tag under both codecs. The refused entry registers no stream and
     /// leaves its stream's reconstruction exactly where it was: entry
-    /// count, log, open segment, hold and coverage.
+    /// count, buffered segments, open segment, hold and coverage.
     #[test]
     fn entries_carrying_the_retired_tag_are_refused() {
         fn check<C: Codec + Clone>(codec: C) {
@@ -761,12 +763,13 @@ mod tests {
                 assert_eq!((demux.streams().count(), demux.entries_applied(7)), (0, 0));
             }
             demux.consume_next(7, point.clone()).unwrap();
+            let buffered = demux.buffered().len();
             for entry in &bad {
                 assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
                 assert_eq!((demux.streams().count(), demux.entries_applied(7)), (1, 1));
                 // All or nothing: what the entry applied before its bad
-                // tag is undone.
-                assert_eq!(demux.segments(7).map(<[_]>::len), Some(1));
+                // tag is undone, so the buffer keeps its length.
+                assert_eq!(demux.buffered().len(), buffered);
             }
             // Refusals while a segment is open leave it open, so the
             // `End` after them closes it exactly as in a demux that
@@ -776,7 +779,7 @@ mod tests {
             demux.consume_next(7, start.clone()).unwrap();
             for entry in &bad {
                 assert_eq!(demux.consume_next(7, entry.clone()).map(|_| ()), refused);
-                assert_eq!(demux.segments(7).map(<[_]>::len), Some(1));
+                assert_eq!(demux.buffered().len(), buffered);
             }
             demux.consume_next(7, end.clone()).unwrap();
             let mut clean = StreamDemux::new(codec, 1);
@@ -807,13 +810,12 @@ mod tests {
         for e in &entries {
             undrained.consume_next(5, e.clone()).unwrap();
             demux.consume_next(5, e.clone()).unwrap();
-            demux.drain_segments(5, &mut out);
-            assert_eq!(demux.segments(5), Some(&[][..]), "drained ⇒ the demux keeps nothing");
+            out.extend(demux.take_segments().map(|(_, seg)| seg));
+            assert!(demux.buffered().is_empty(), "taken ⇒ the demux keeps nothing");
         }
-        demux.drain_segments(99, &mut out); // unknown stream: no-op
-        assert_eq!(demux.entries_applied(5), 4, "draining leaves the entry count alone");
-        // The drained pieces plus the teardown flush equal the
-        // undrained log.
+        assert_eq!(demux.entries_applied(5), 4, "taking leaves the entry count alone");
+        // The taken pieces plus the teardown flush equal the untaken
+        // log.
         out.extend(demux.into_segment_logs().remove(&5).unwrap());
         assert_eq!(out, undrained.into_segment_logs()[&5]);
         assert_eq!(out.len(), 3);

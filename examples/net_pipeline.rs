@@ -46,11 +46,8 @@ const CONN: ConnId = ConnId(1);
 
 fn main() {
     // --- 1. fleet ingest -------------------------------------------------
-    let (engine, tap) = IngestEngine::with_segment_tap(IngestConfig {
-        shards: 4,
-        queue_depth: 256,
-        shard_log: false,
-    });
+    let (engine, tap) =
+        IngestEngine::with_segment_tap(IngestConfig { shards: 4, queue_depth: 256 });
     let handle = engine.handle();
     let mut signals = Vec::new();
     for id in 0..STREAMS {
