@@ -40,6 +40,7 @@
 //! an uninterrupted run.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,7 +50,7 @@ use pla_ingest::{SegmentStore, StreamId};
 use pla_transport::wire::Codec;
 
 use crate::driver::{pump_in, pump_out, pump_receiver_split, DriveError};
-use crate::frame::{encode, FrameDecoder, NetFrame};
+use crate::frame::{encode, FrameDecoder, NetFrame, Outbox};
 use crate::link::Link;
 use crate::listen::Acceptor;
 use crate::receiver::{NetReceiver, ReceiverStats};
@@ -360,8 +361,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// publish newly reconstructed segments to the store. Returns bytes
     /// moved.
     ///
-    /// An I/O failure **detaches** the connection (its reconstruction
-    /// state is retained for a token resume) and counts as no progress.
+    /// An I/O failure or the peer closing the link **detaches** the
+    /// connection (its reconstruction state is retained for a token
+    /// resume) and counts as no progress.
     /// A protocol violation **quarantines** the connection — link
     /// dropped, resume refused, failure recorded in
     /// [`ConnStats::failed`] — and is returned once to the caller;
@@ -406,7 +408,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 self.publish_conn(conn.0);
                 Ok(moved)
             }
-            Err(DriveError::Io(_)) => {
+            Err(DriveError::Io(_) | DriveError::Closed) => {
                 c.link = None;
                 c.detached_at = Some(now);
                 // Frames applied before the link died may have produced
@@ -474,7 +476,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         let mut buf = BytesMut::new();
         let refusal = NetFrame::HelloAck { version, token: 0, through: 0, granted_total: 0 };
         encode(&refusal, &mut buf);
-        let _ = link.try_write(&buf);
+        let mut out = Outbox::default();
+        out.stage(&buf);
+        let _ = pump_out(&mut out, link);
         self.refused += 1;
         self.last_refusal = Some(NetError::Handshake(err));
     }
@@ -489,6 +493,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// failure, instead of redialing as a stranger and minting a fresh
     /// quarantined connection every time. As in
     /// [`refuse`](Self::refuse), the link is dropped, not shut down.
+    /// Either way the segments of the entries applied before any
+    /// violation are published, as [`pump_conn_at`](Self::pump_conn_at)
+    /// publishes them.
     fn feed_adopted(&mut self, id: u64, leftover: &[u8], now: Instant) {
         if leftover.is_empty() {
             return;
@@ -498,7 +505,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             Ok(()) => {
                 c.last_recv = now;
                 c.bytes_moved += leftover.len() as u64;
-                self.publish_conn(id);
             }
             Err(error) => {
                 if let Some(mut dead) = c.link.take() {
@@ -507,6 +513,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 c.failed = Some(error);
             }
         }
+        self.publish_conn(id);
     }
 
     /// Accepts every waiting link and advances every mid-handshake link
@@ -527,9 +534,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         for mut p in std::mem::take(&mut self.pending) {
             let read = pump_in(&mut p.link, |bytes| {
                 p.dec.extend(bytes);
-                Ok(())
+                Ok::<_, Infallible>(())
             });
-            if matches!(read, Err(DriveError::Io(_))) {
+            if read.is_err() {
                 // Died before identifying itself: nothing to retain.
                 continue;
             }
@@ -1034,53 +1041,85 @@ mod tests {
     /// quarantined, but its `HelloAck` is delivered first: the peer
     /// learns its token, so its redial is refused as quarantined
     /// instead of minting one more quarantined connection per redial.
+    /// Valid entries ahead of the violation are published, exactly as
+    /// the same bytes publish through `pump_conn_at` after a clean
+    /// handshake.
     #[test]
     fn zero_rtt_violation_delivers_the_hello_ack_before_quarantine() {
         let cfg = NetConfig::default();
-        let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+        let hello = frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 });
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        for i in 0..3 {
+            tx.try_send_segment(3, &seg(i)).unwrap();
+        }
+        tx.finish_stream(3).unwrap();
+        let batch_and_fin = tx.outbox().take();
+
+        // What the Batch and Fin publish through `pump_conn_at` once a
+        // clean handshake bound the connection.
+        let (mut clean, connector, clean_store) = make(cfg, SessionConfig::default());
         let t0 = Instant::now();
         let mut client = connector.connect(4096);
-        // Hello plus a frame whose length prefix passes `max_frame`, in
-        // one write: the violation arrives in the handshake's read.
-        let mut burst = frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 });
-        burst.extend_from_slice(&(cfg.max_frame + 1).to_le_bytes());
-        burst.push(12);
-        client.try_write(&burst).unwrap();
-        coll.pump_at(t0).unwrap();
-        let stats = coll.stats();
-        assert_eq!((stats.connections, stats.failed), (1, 1), "bound, then quarantined");
-        let token = coll.conn_stats(ConnId(1)).unwrap().token;
-        assert_ne!(token, 0);
-        match read_frame(&mut client) {
-            NetFrame::HelloAck { token: got, .. } => assert_eq!(got, token),
-            other => panic!("expected the staged HelloAck, got {other:?}"),
-        }
-        let mut buf = [0u8; 64];
-        assert_eq!(
-            client.try_read(&mut buf).unwrap_err().kind(),
-            std::io::ErrorKind::WouldBlock,
-            "nothing follows the HelloAck: the collector dropped the link"
-        );
+        client.try_write(&hello).unwrap();
+        clean.pump_at(t0).unwrap();
+        client.try_write(&batch_and_fin).unwrap();
+        clean.pump_conn_at(ConnId(1), t0).unwrap();
+        let published = clean_store.stream_segments(StreamId(3)).expect("stream 3 published");
+        assert!(!published.is_empty());
 
-        // The redial presents the learned token and is refused, typed.
-        let mut redial = connector.connect(4096);
-        redial
-            .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token }))
-            .unwrap();
-        coll.pump_at(t0).unwrap();
-        assert!(matches!(
-            coll.last_refusal(),
-            Some(NetError::Handshake(HandshakeError::Quarantined(t))) if *t == token
-        ));
-        match read_frame(&mut redial) {
-            NetFrame::HelloAck { token: 0, .. } => {}
-            other => panic!("expected a refusal HelloAck, got {other:?}"),
+        for zero_rtt in [Vec::new(), batch_and_fin] {
+            let (mut coll, connector, store) = make(cfg, SessionConfig::default());
+            let mut client = connector.connect(4096);
+            // Hello, the 0-RTT entries and a frame whose length prefix
+            // passes `max_frame`, in one write: the violation arrives in
+            // the handshake's read.
+            let mut burst = hello.clone();
+            burst.extend_from_slice(&zero_rtt);
+            burst.extend_from_slice(&(cfg.max_frame + 1).to_le_bytes());
+            burst.push(12);
+            client.try_write(&burst).unwrap();
+            coll.pump_at(t0).unwrap();
+            let stats = coll.stats();
+            assert_eq!((stats.connections, stats.failed), (1, 1), "bound, then quarantined");
+            let token = coll.conn_stats(ConnId(1)).unwrap().token;
+            assert_ne!(token, 0);
+            match read_frame(&mut client) {
+                NetFrame::HelloAck { token: got, .. } => assert_eq!(got, token),
+                other => panic!("expected the staged HelloAck, got {other:?}"),
+            }
+            let mut buf = [0u8; 64];
+            assert_eq!(
+                client.try_read(&mut buf).unwrap_err().kind(),
+                std::io::ErrorKind::WouldBlock,
+                "nothing follows the HelloAck: the collector dropped the link"
+            );
+
+            // The redial presents the learned token and is refused, typed.
+            let mut redial = connector.connect(4096);
+            redial
+                .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token }))
+                .unwrap();
+            coll.pump_at(t0).unwrap();
+            assert!(matches!(
+                coll.last_refusal(),
+                Some(NetError::Handshake(HandshakeError::Quarantined(t))) if *t == token
+            ));
+            match read_frame(&mut redial) {
+                NetFrame::HelloAck { token: 0, .. } => {}
+                other => panic!("expected a refusal HelloAck, got {other:?}"),
+            }
+            let stats = coll.stats();
+            assert_eq!(stats.connections, 1, "the redial minted no second connection");
+            assert_eq!((stats.failed, stats.refused), (1, 1));
+            assert!(coll.conn_stats(ConnId(1)).unwrap().failed.is_some());
+            if zero_rtt.is_empty() {
+                assert_eq!(store.total_segments(), 0);
+            } else {
+                assert_eq!(store.total_segments(), published.len() as u64);
+                assert_eq!(store.stream_segments(StreamId(3)), Some(published.clone()));
+                assert_eq!(stats.segments, published.len() as u64);
+            }
         }
-        let stats = coll.stats();
-        assert_eq!(stats.connections, 1, "the redial minted no second connection");
-        assert_eq!((stats.failed, stats.refused), (1, 1));
-        assert!(coll.conn_stats(ConnId(1)).unwrap().failed.is_some());
-        assert_eq!(store.total_segments(), 0);
     }
 
     /// The same loop end to end: a sender whose 0-RTT batch exceeds the
@@ -1408,6 +1447,94 @@ mod tests {
                 if *ours == PROTOCOL_VERSION + 1 && *theirs == PROTOCOL_VERSION
         ));
         assert_eq!(client.pump_at(t0), 0, "a refused session is terminal; no redial storm");
+    }
+
+    /// A link that fails every read and every write once with
+    /// `Interrupted` before passing it through.
+    struct Interrupting {
+        inner: MemoryLink,
+        read_interrupted: bool,
+        write_interrupted: bool,
+    }
+
+    impl Interrupting {
+        fn new(inner: MemoryLink) -> Self {
+            Self { inner, read_interrupted: false, write_interrupted: false }
+        }
+    }
+
+    impl Link for Interrupting {
+        fn try_write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_interrupted = !self.write_interrupted;
+            if self.write_interrupted {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.try_write(buf)
+        }
+
+        fn try_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.read_interrupted = !self.read_interrupted;
+            if self.read_interrupted {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.try_read(buf)
+        }
+
+        fn shutdown(&mut self) {
+            self.inner.shutdown();
+        }
+    }
+
+    struct InterruptingAcceptor(MemoryAcceptor);
+
+    impl Acceptor for InterruptingAcceptor {
+        type Link = Interrupting;
+
+        fn try_accept(&mut self) -> std::io::Result<Option<Interrupting>> {
+            Ok(self.0.try_accept()?.map(Interrupting::new))
+        }
+    }
+
+    struct InterruptingRedial(MemoryRedial);
+
+    impl crate::Redial for InterruptingRedial {
+        type Link = Interrupting;
+
+        fn redial(&mut self) -> std::io::Result<Interrupting> {
+            self.0.redial().map(Interrupting::new)
+        }
+    }
+
+    /// `Interrupted` is retried at once on both ends: a session whose
+    /// every read and write is interrupted first still completes on its
+    /// first link, with one dial and no resume.
+    #[test]
+    fn collector_and_sender_retry_interrupted_reads_and_writes() {
+        let cfg = NetConfig::default();
+        let sess = SessionConfig::default();
+        let store = Arc::new(SegmentStore::new());
+        let acceptor = MemoryAcceptor::new();
+        let redial = InterruptingRedial(MemoryRedial::new(acceptor.connector(), 4096));
+        let acceptor = InterruptingAcceptor(acceptor);
+        let mut coll = Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, store.clone());
+        let t0 = Instant::now();
+        let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess, redial, t0);
+        for stream in 0..4u64 {
+            for i in 0..16 {
+                tx.mux_mut().try_send_segment(stream, &seg(i)).unwrap();
+            }
+            tx.mux_mut().finish_stream(stream).unwrap();
+        }
+        let mut stalled = 0;
+        while !(tx.mux().all_acked() && coll.conn_complete(ConnId(1))) {
+            let moved = coll.pump_at(t0).unwrap() + tx.pump_at(t0);
+            stalled = if moved == 0 { stalled + 1 } else { 0 };
+            assert!(stalled < 10, "transfer stalled");
+        }
+        assert_eq!(store.total_segments(), 4 * 16);
+        assert_eq!((tx.stats().dials, tx.stats().established), (1, 1));
+        let stats = coll.stats();
+        assert_eq!((stats.connections, stats.resumes, stats.refused), (1, 0, 0));
     }
 
     #[test]

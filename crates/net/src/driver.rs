@@ -1,11 +1,19 @@
 //! Pumps: moving bytes between the sans-I/O endpoints and a [`Link`].
 //!
+//! [`pump_in`] and [`pump_out`] are the read and write halves every
+//! peer builds its rounds from — the collector, the session sender,
+//! the query server and client, and the ops HTTP server. They hold the
+//! one I/O rule for a [`Link`]: read 4 KiB chunks until `WouldBlock`,
+//! write until the outbox empties, the link pushes back or accepts
+//! nothing, retry `Interrupted` at once, and treat any other error as a
+//! dead link. A read's EOF is reported apart
+//! ([`DriveError::Closed`]), so each peer keeps its own EOF rule.
+//!
 //! The synchronous [`pump_sender`]/[`pump_receiver`] functions do one
 //! non-blocking round each — read everything available, write
 //! everything staged — and report progress; they are what the
 //! deterministic tests call directly, in whatever interleaving they
-//! want to probe. The session layer and the collector build their
-//! rounds from the same crate-private read and write halves.
+//! want to probe.
 
 use std::io;
 
@@ -17,34 +25,36 @@ use crate::mux::MuxSender;
 use crate::receiver::NetReceiver;
 use crate::NetError;
 
-/// What can go wrong while pumping: the link died (reconnectable) or
-/// the protocol itself failed (fatal).
+/// What can go wrong while pumping: the link died or closed
+/// (reconnectable), or the bytes read were refused by the feed (for the
+/// ingest plane, a protocol violation — fatal).
 #[derive(Debug)]
-pub enum DriveError {
+pub enum DriveError<E = NetError> {
     /// The link failed; the session layer may reconnect and resume.
     Io(io::Error),
-    /// The byte stream violated the protocol; reconnecting cannot help.
-    Net(NetError),
+    /// The peer closed the link (a read returned `Ok(0)`). Ingest
+    /// sessions close by protocol (`Fin` + acks), so their peers treat
+    /// this as a lost link; the query and ops servers treat it as the
+    /// client hanging up.
+    Closed,
+    /// The feed refused the bytes read and stopped the read; reading
+    /// more cannot help.
+    Net(E),
 }
 
-impl std::fmt::Display for DriveError {
+impl<E: std::fmt::Display> std::fmt::Display for DriveError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "link error: {e}"),
+            Self::Closed => write!(f, "link closed by the peer"),
             Self::Net(e) => write!(f, "protocol error: {e}"),
         }
     }
 }
 
-impl std::error::Error for DriveError {}
+impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for DriveError<E> {}
 
-impl From<NetError> for DriveError {
-    fn from(e: NetError) -> Self {
-        Self::Net(e)
-    }
-}
-
-impl From<io::Error> for DriveError {
+impl<E> From<io::Error> for DriveError<E> {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
     }
@@ -52,12 +62,13 @@ impl From<io::Error> for DriveError {
 
 const READ_CHUNK: usize = 4096;
 
-/// Writes staged bytes until the outbox empties or the link pushes
-/// back. Returns bytes written.
-pub(crate) fn pump_out<L: Link>(out: &mut Outbox, link: &mut L) -> io::Result<usize> {
+/// Writes staged bytes until the outbox empties, the link pushes back
+/// (`WouldBlock`) or accepts nothing (`Ok(0)`). Returns bytes written.
+pub fn pump_out<L: Link>(out: &mut Outbox, link: &mut L) -> io::Result<usize> {
     let mut written = 0;
     while !out.is_empty() {
         match link.try_write(out.as_bytes()) {
+            Ok(0) => break,
             Ok(n) => {
                 out.consume(n);
                 written += n;
@@ -70,26 +81,21 @@ pub(crate) fn pump_out<L: Link>(out: &mut Outbox, link: &mut L) -> io::Result<us
     Ok(written)
 }
 
-/// Reads until the link runs dry, handing each chunk to `feed`.
-/// Returns bytes read. A clean EOF (`Ok(0)`) surfaces as
-/// `UnexpectedEof`: these sessions close by protocol (`Fin` + acks),
-/// never by one side hanging up first.
-pub(crate) fn pump_in<L: Link>(
+/// Reads until the link runs dry, handing each chunk to `feed`. Returns
+/// bytes read. A `feed` error stops the read at once and surfaces as
+/// [`DriveError::Net`]; a clean EOF (`Ok(0)`) as [`DriveError::Closed`].
+/// Chunks fed before either stay fed.
+pub fn pump_in<L: Link, E>(
     link: &mut L,
-    mut feed: impl FnMut(&[u8]) -> Result<(), NetError>,
-) -> Result<usize, DriveError> {
+    mut feed: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<usize, DriveError<E>> {
     let mut buf = [0u8; READ_CHUNK];
     let mut read = 0;
     loop {
         match link.try_read(&mut buf) {
-            Ok(0) => {
-                return Err(DriveError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-session",
-                )))
-            }
+            Ok(0) => return Err(DriveError::Closed),
             Ok(n) => {
-                feed(&buf[..n])?;
+                feed(&buf[..n]).map_err(DriveError::Net)?;
                 read += n;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(read),

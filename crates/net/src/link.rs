@@ -21,9 +21,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// Both methods follow `std::io` conventions: `WouldBlock` means "try
 /// again later" (the pumps end their round and the driving loop sleeps
-/// about 1 ms), `Interrupted` means "retry now" (every pump loop
-/// retries it at once); any other error means the connection is dead
-/// and the session layer should reconnect.
+/// about 1 ms), `Interrupted` means "retry now"; any other error means
+/// the connection is dead and the session layer should reconnect.
+/// Outside `Link` impls, only the
+/// [`driver`](crate::driver)'s `pump_in`/`pump_out` call these methods,
+/// so every peer applies that rule the same way.
 pub trait Link {
     /// Writes some prefix of `buf`, returning how many bytes were
     /// accepted. `Err(WouldBlock)` when the pipe is full.

@@ -31,6 +31,7 @@
 //! [`pump_at`](SessionSender::pump_at), so tests drive a synthetic
 //! clock and every timeout path is deterministic.
 
+use std::convert::Infallible;
 use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -39,7 +40,7 @@ use bytes::BytesMut;
 
 use pla_transport::wire::Codec;
 
-use crate::driver::{pump_in, pump_out, DriveError};
+use crate::driver::{pump_in, pump_out};
 use crate::frame::{encode, FrameDecoder, FrameError, NetFrame, Outbox, PROTOCOL_VERSION};
 use crate::link::{Link, MemoryLink, TcpLink};
 use crate::listen::MemoryConnector;
@@ -48,9 +49,10 @@ use crate::{NetConfig, NetError};
 
 /// splitmix64 — the workspace's standard inline PRNG (same seeding
 /// discipline as `pla-signal`): advances `state` in place. Used for
-/// session-token issuance (unique, nonzero identity — not secrecy) and
-/// by the fault harness to scatter faults.
-pub(crate) fn splitmix64(state: &mut u64) {
+/// session-token issuance by the collector and the query server
+/// (unique, nonzero identity — not secrecy) and by the fault harness to
+/// scatter faults.
+pub fn splitmix64(state: &mut u64) {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -489,32 +491,25 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
         let Some(mut link) = self.link.take() else {
             return 0;
         };
-        let mut moved = 0;
 
-        // Read and dispatch. Frames are pulled out of the decoder one at
-        // a time so a terminal error mid-buffer doesn't lose its cause.
-        let mut net_err: Option<NetError> = None;
-        let read = {
-            let dec = &mut self.dec;
-            pump_in(&mut link, |bytes| {
-                dec.extend(bytes);
-                Ok(())
-            })
+        // Read. A link that failed or closed is lost: sessions close by
+        // protocol, never by one side hanging up first.
+        let dec = &mut self.dec;
+        let read = pump_in(&mut link, |bytes| {
+            dec.extend(bytes);
+            Ok::<_, Infallible>(())
+        });
+        let Ok(moved) = read else {
+            self.link = Some(link);
+            self.drop_link_and_backoff(now);
+            return 0;
         };
-        match read {
-            Ok(n) => {
-                if n > 0 {
-                    self.last_recv = now;
-                    moved += n;
-                }
-            }
-            Err(DriveError::Io(_)) => {
-                self.link = Some(link);
-                self.drop_link_and_backoff(now);
-                return moved;
-            }
-            Err(DriveError::Net(_)) => unreachable!("feed closure never fails"),
+        if moved > 0 {
+            self.last_recv = now;
         }
+        // Dispatch. Frames are pulled out of the decoder one at a time
+        // so a terminal error mid-buffer doesn't lose its cause.
+        let mut net_err: Option<NetError> = None;
         loop {
             match self.dec.try_next() {
                 Ok(Some(frame)) => {
@@ -569,57 +564,30 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
         // would desync the peer's decoder). Heartbeats never starve
         // behind a busy mux queue: the peer refreshes liveness on any
         // inbound bytes, data included.
-        let mux_first = self.mux.outbox().partial_head().is_some();
-        let mut wrote_session = 0;
-        let mut wrote_mux = 0;
-        let write_err = if mux_first {
-            match pump_out(self.mux.outbox(), &mut link) {
-                Ok(n) => {
-                    wrote_mux = n;
-                    if self.mux.outbox().is_empty() {
-                        match pump_out(&mut self.session_out, &mut link) {
-                            Ok(n) => {
-                                wrote_session = n;
-                                false
-                            }
-                            Err(_) => true,
-                        }
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => true,
-            }
+        let mux_out = self.mux.outbox();
+        let outboxes = if mux_out.partial_head().is_some() {
+            [mux_out, &mut self.session_out]
         } else {
-            match pump_out(&mut self.session_out, &mut link) {
-                Ok(n) => {
-                    wrote_session = n;
-                    if self.session_out.is_empty() {
-                        match pump_out(self.mux.outbox(), &mut link) {
-                            Ok(n) => {
-                                wrote_mux = n;
-                                false
-                            }
-                            Err(_) => true,
-                        }
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => true,
-            }
+            [&mut self.session_out, mux_out]
         };
-        moved += wrote_session + wrote_mux;
-        if write_err {
-            self.link = Some(link);
-            self.drop_link_and_backoff(now);
-            return moved;
-        }
-        if wrote_session + wrote_mux > 0 {
-            self.last_send = now;
+        let mut written = 0;
+        let mut lost = false;
+        for out in outboxes {
+            match pump_out(out, &mut link) {
+                Ok(n) => written += n,
+                Err(_) => lost = true,
+            }
+            if lost || !out.is_empty() {
+                break;
+            }
         }
         self.link = Some(link);
-        moved
+        if lost {
+            self.drop_link_and_backoff(now);
+        } else if written > 0 {
+            self.last_send = now;
+        }
+        moved + written
     }
 
     /// [`pump_at`](Self::pump_at) stamped with the real clock.

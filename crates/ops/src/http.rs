@@ -8,15 +8,13 @@
 //! [`pump`](OpsServer::pump) in a plain loop next to the collector's,
 //! sleeping about 1 ms after a round that moved nothing.
 
-use std::io;
-
+use pla_net::driver::{pump_in, pump_out, DriveError};
+use pla_net::frame::Outbox;
 use pla_net::listen::Acceptor;
 use pla_net::Link;
 
 /// Hard cap on a buffered request (start-line + headers + body).
 const DEFAULT_MAX_REQUEST: usize = 64 * 1024;
-/// Per-pump read chunk.
-const READ_CHUNK: usize = 4096;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +114,8 @@ impl<F: FnMut(&Request) -> Response> Handler for F {
 struct HttpConn<L: Link> {
     link: L,
     inbuf: Vec<u8>,
-    out: Vec<u8>,
+    /// Encoded responses, one staged unit each.
+    out: Outbox,
     /// Peer signaled close (EOF) or the request stream went bad; the
     /// connection is dropped once `out` drains.
     closing: bool,
@@ -177,7 +176,7 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
             self.conns.push(HttpConn {
                 link,
                 inbuf: Vec::new(),
-                out: Vec::new(),
+                out: Outbox::default(),
                 closing: false,
                 dead: false,
             });
@@ -198,23 +197,26 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
         max_request: usize,
     ) -> usize {
         let mut moved = 0;
-        let mut chunk = [0u8; READ_CHUNK];
-        while !conn.closing {
-            match conn.link.try_read(&mut chunk) {
-                Ok(0) => {
+        if !conn.closing {
+            let inbuf = &mut conn.inbuf;
+            let read = pump_in(&mut conn.link, |bytes| {
+                inbuf.extend_from_slice(bytes);
+                moved += bytes.len();
+                if inbuf.len() > max_request && find_head_end(inbuf).is_none() {
+                    return Err(Response::text(413, "too large\n"));
+                }
+                Ok(())
+            });
+            match read {
+                Ok(_) => {}
+                // The client hung up: answer what arrived, flush it,
+                // then drop the connection.
+                Err(DriveError::Closed) => conn.closing = true,
+                Err(DriveError::Net(refusal)) => {
+                    conn.out.stage(&refusal.encode());
                     conn.closing = true;
                 }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    moved += n;
-                    if conn.inbuf.len() > max_request && find_head_end(&conn.inbuf).is_none() {
-                        conn.out.extend_from_slice(&Response::text(413, "too large\n").encode());
-                        conn.closing = true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
+                Err(DriveError::Io(_)) => {
                     conn.dead = true;
                     return moved;
                 }
@@ -224,30 +226,19 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
             match take_request(&mut conn.inbuf, max_request) {
                 Ok(Some(req)) => {
                     *requests += 1;
-                    conn.out.extend_from_slice(&handler.handle(&req).encode());
+                    conn.out.stage(&handler.handle(&req).encode());
                 }
                 Ok(None) => break,
                 Err(resp) => {
-                    conn.out.extend_from_slice(&resp.encode());
+                    conn.out.stage(&resp.encode());
                     conn.closing = true;
                     break;
                 }
             }
         }
-        while !conn.out.is_empty() {
-            match conn.link.try_write(&conn.out) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.out.drain(..n);
-                    moved += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
+        match pump_out(&mut conn.out, &mut conn.link) {
+            Ok(n) => moved += n,
+            Err(_) => conn.dead = true,
         }
         moved
     }
@@ -305,6 +296,7 @@ mod tests {
     use super::*;
     use pla_net::listen::{MemoryAcceptor, MemoryConnector};
     use pla_net::MemoryLink;
+    use std::io;
 
     fn serve_echo() -> (OpsServer<MemoryAcceptor, impl Handler>, MemoryConnector) {
         let acceptor = MemoryAcceptor::new();

@@ -26,18 +26,17 @@
 //! refuses the protocol version or the response bytes are garbage.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
 use pla_ingest::{shard_of, StreamId};
+use pla_net::driver::{pump_in, pump_out};
 use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
-use pla_net::{Link, NetConfig, Redial};
+use pla_net::{NetConfig, Redial};
 
 use crate::wire::{Query, QueryResult, WireError};
-
-const READ_CHUNK: usize = 4096;
 
 /// Client knobs. Defaults suit tests and LAN deployments.
 #[derive(Debug, Clone, Copy)]
@@ -426,40 +425,19 @@ impl<R: Redial> QueryClient<R> {
             self.outbox.stage(&buf);
         }
 
-        // Flush.
-        while !self.outbox.is_empty() {
-            match link.try_write(self.outbox.as_bytes()) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.outbox.consume(n);
-                    moved += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    lost = true;
-                    break;
-                }
-            }
+        // Flush, then read. A link that fails or closes is lost.
+        match pump_out(&mut self.outbox, &mut link) {
+            Ok(n) => moved += n,
+            Err(_) => lost = true,
         }
-
-        // Read.
-        let mut chunk = [0u8; READ_CHUNK];
-        while !lost {
-            match link.try_read(&mut chunk) {
-                Ok(0) => {
-                    lost = true;
-                }
-                Ok(n) => {
-                    self.decoder.extend(&chunk[..n]);
-                    moved += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    lost = true;
-                }
-            }
+        if !lost {
+            let decoder = &mut self.decoder;
+            let read = pump_in(&mut link, |bytes| {
+                decoder.extend(bytes);
+                moved += bytes.len();
+                Ok::<_, Infallible>(())
+            });
+            lost = read.is_err();
         }
 
         // Apply.

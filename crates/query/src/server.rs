@@ -23,21 +23,21 @@
 //! engine refuses is not a failure at all — the typed
 //! [`QueryError`](crate::QueryError) rides back inside the response.
 
-use std::io;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::BytesMut;
 
 use pla_ingest::SegmentStore;
+use pla_net::driver::{pump_in, pump_out, DriveError};
 use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::listen::Acceptor;
+use pla_net::session::splitmix64;
 use pla_net::{Link, NetConfig};
 
 use crate::store::StoreQueryEngine;
 use crate::wire::{Query, QueryResult};
-
-const READ_CHUNK: usize = 4096;
 
 /// Upper bounds (seconds) of the server's finite service-time buckets;
 /// the implicit `+Inf` bucket follows.
@@ -119,14 +119,6 @@ struct QueryConn<L: Link> {
     dead: bool,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The query server. See the module docs.
 pub struct QueryServer<A: Acceptor> {
     acceptor: A,
@@ -153,13 +145,6 @@ impl<A: Acceptor> QueryServer<A> {
             token_state: 0x5EED_0F5E_51D5_0001,
             stats: QueryServerStats::default(),
         }
-    }
-
-    /// Overrides the token-minting seed (tests pin deterministic
-    /// tokens).
-    pub fn with_token_seed(mut self, seed: u64) -> Self {
-        self.token_state = seed;
-        self
     }
 
     /// The served store.
@@ -212,17 +197,19 @@ impl<A: Acceptor> QueryServer<A> {
 
     fn pump_conn(&mut self, conn: &mut QueryConn<A::Link>) -> usize {
         let mut moved = 0;
-        let mut chunk = [0u8; READ_CHUNK];
-        while !conn.closing {
-            match conn.link.try_read(&mut chunk) {
-                Ok(0) => conn.closing = true,
-                Ok(n) => {
-                    conn.decoder.extend(&chunk[..n]);
-                    moved += n;
-                    self.stats.bytes_in += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+        if !conn.closing {
+            let decoder = &mut conn.decoder;
+            let read = pump_in(&mut conn.link, |bytes| {
+                decoder.extend(bytes);
+                moved += bytes.len();
+                Ok::<_, Infallible>(())
+            });
+            self.stats.bytes_in += moved as u64;
+            match read {
+                Ok(_) => {}
+                // The client hung up: answer what arrived, flush it,
+                // then drop the connection.
+                Err(DriveError::Closed) => conn.closing = true,
                 Err(_) => {
                     conn.dead = true;
                     return moved;
@@ -240,21 +227,12 @@ impl<A: Acceptor> QueryServer<A> {
                 }
             }
         }
-        while !conn.outbox.is_empty() {
-            match conn.link.try_write(conn.outbox.as_bytes()) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.outbox.consume(n);
-                    moved += n;
-                    self.stats.bytes_out += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
+        match pump_out(&mut conn.outbox, &mut conn.link) {
+            Ok(n) => {
+                moved += n;
+                self.stats.bytes_out += n as u64;
             }
+            Err(_) => conn.dead = true,
         }
         moved
     }
@@ -273,9 +251,9 @@ impl<A: Acceptor> QueryServer<A> {
             match frame {
                 NetFrame::Hello { version, token: _ } if version == PROTOCOL_VERSION => {
                     let minted = loop {
-                        let t = splitmix64(&mut self.token_state);
-                        if t != 0 {
-                            break t;
+                        splitmix64(&mut self.token_state);
+                        if self.token_state != 0 {
+                            break self.token_state;
                         }
                     };
                     conn.token = Some(minted);
