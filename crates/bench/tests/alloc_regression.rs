@@ -23,6 +23,11 @@
 //! inline in the queue slot, so what is left per sample is amortized
 //! growth of the engine's logs and channels, well under one allocation.
 //!
+//! A remote point query's round trip (client → link → query server →
+//! link → client) carries a budget too: the request and answer bodies,
+//! the decoded frames and the client's cache entry, with no per-frame
+//! staging buffer on either side.
+//!
 //! The shared store's snapshot is pointer work: its allocations are the
 //! snapshot's own maps and epochs box, the same whatever the streams'
 //! runs and tails hold. With no snapshot alive, appends allocate only
@@ -46,6 +51,7 @@ use pla_core::metrics::CountingSink;
 use pla_core::{DimVec, Segment, INLINE_DIMS};
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StoreConfig, StreamId};
 use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
+use pla_query::{Query, QueryClient, QueryClientConfig, QueryServer};
 use pla_transport::wire::FixedCodec;
 
 /// The allocation counter is process-wide, but libtest runs `#[test]`s on
@@ -485,5 +491,49 @@ fn unshared_appends_allocate_only_at_seals() {
         seal_allocs <= 2 * seals + growth,
         "{seal_allocs} allocations across {seals} seals (budget {})",
         2 * seals + growth
+    );
+}
+
+#[test]
+fn remote_query_allocations_per_round_trip_are_bounded() {
+    let _guard = serial();
+    // One remote point lookup at a time through QueryClient → MemoryLink
+    // → QueryServer and back, against a static 64-segment stream, so no
+    // engine rebuild lands in the window. Each round trip encodes the
+    // request body, stages and decodes both frames, evaluates, encodes
+    // the answer, and caches it at the client.
+    const WARMUP: usize = 64;
+    const ROUND_TRIPS: usize = 1_000;
+    const BUDGET: f64 = 12.5;
+    let store = Arc::new(SegmentStore::new());
+    for k in 0..64 {
+        store.append(1, StreamId(3), store_seg(k));
+    }
+    let acceptor = MemoryAcceptor::new();
+    let redial = MemoryRedial::new(acceptor.connector(), 1 << 16);
+    let mut server = QueryServer::new(acceptor, store, NetConfig::default());
+    let mut client = QueryClient::new(redial, QueryClientConfig::default());
+    let now = Instant::now();
+    let mut round_trip = |k: usize| {
+        let query = Query::PointWithStats { stream: 3, t: (k % 64) as f64 + 0.5, dim: 0 };
+        let id = client.submit(query, now);
+        client.pump_at(now);
+        server.pump();
+        client.pump_at(now);
+        assert!(client.take_outcome(id).is_some_and(|o| o.is_ok()), "answered in one round");
+    };
+    for k in 0..WARMUP {
+        round_trip(k);
+    }
+    let ((), allocs) = alloc_counter::count(|| {
+        for k in 0..ROUND_TRIPS {
+            round_trip(k);
+        }
+    });
+    let per_trip = allocs as f64 / ROUND_TRIPS as f64;
+    eprintln!("remote query: {allocs} allocs / {ROUND_TRIPS} round trips = {per_trip:.2} per trip");
+    assert!(
+        per_trip <= BUDGET,
+        "remote query: {per_trip:.2} heap allocations per round trip (budget {BUDGET})"
     );
 }

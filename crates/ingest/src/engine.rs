@@ -10,13 +10,12 @@
 //! [`IngestError::Backpressure`]) instead of buffering without limit.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use pla_core::filters::FilterSpec;
 use pla_core::{DimVec, Segment};
+use pla_metrics::{Counter, Gauge, Registry};
 
 use crate::table::{IngestError, StreamOutput, StreamTable};
 use crate::StreamId;
@@ -53,7 +52,8 @@ impl Default for IngestConfig {
     }
 }
 
-/// Counters one shard accumulates over its lifetime.
+/// Counters one shard accumulates over its lifetime, read from its
+/// series at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Operations dequeued (registrations, pushes, batches, finishes).
@@ -74,9 +74,24 @@ pub struct ShardStats {
     /// [`IngestHandle::try_push`] attempts refused with
     /// [`IngestError::Backpressure`] because this shard's queue was
     /// full. Counted on the handle side (the sample never reaches the
-    /// shard), aggregated into the report at shutdown so shed load is
-    /// observable instead of silently vanishing at the call sites.
+    /// shard), so shed load is observable instead of silently vanishing
+    /// at the call sites.
     pub backpressure: u64,
+}
+
+pla_metrics::series! {
+    /// One shard's exported series, labeled `shard="<i>"`.
+    #[derive(Clone)]
+    struct ShardSeries {
+        ops: counter("pla_ingest_ops_total", "Queue operations processed, per shard."),
+        samples: counter("pla_ingest_samples_total", "Samples pushed through filters, per shard."),
+        segments: counter("pla_ingest_segments_total", "Segments emitted, per shard."),
+        backpressure: counter("pla_ingest_backpressure_total",
+            "try_push rejections due to a full shard queue, per shard."),
+        unknown_stream_drops: counter("pla_ingest_unknown_stream_drops_total",
+            "Samples dropped for unregistered streams, per shard."),
+        streams: gauge("pla_ingest_streams", "Streams registered, per shard."),
+    }
 }
 
 /// What the engine hands back at shutdown.
@@ -134,7 +149,7 @@ enum Op {
 
 struct ShardResult {
     outputs: BTreeMap<StreamId, StreamOutput>,
-    stats: ShardStats,
+    duplicate_registers: u64,
 }
 
 /// Cloneable producer handle: routes samples to shards.
@@ -145,9 +160,8 @@ struct ShardResult {
 #[derive(Clone)]
 pub struct IngestHandle {
     senders: Vec<SyncSender<Op>>,
-    /// Per-shard count of `try_push` rejections, shared by all handle
-    /// clones and read into [`ShardStats::backpressure`] at shutdown.
-    backpressure: Arc<Vec<AtomicU64>>,
+    /// Each shard's `pla_ingest_backpressure_total` handle.
+    backpressure: Vec<Counter>,
 }
 
 impl IngestHandle {
@@ -192,7 +206,7 @@ impl IngestHandle {
         match self.senders[shard].try_send(Op::Push { stream, t, x: DimVec::from_slice(x) }) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
-                self.backpressure[shard].fetch_add(1, Ordering::Relaxed);
+                self.backpressure[shard].inc();
                 Err(IngestError::Backpressure)
             }
             Err(TrySendError::Disconnected(_)) => Err(IngestError::Closed),
@@ -252,6 +266,8 @@ impl IngestHandle {
 pub struct IngestEngine {
     handle: IngestHandle,
     workers: Vec<JoinHandle<ShardResult>>,
+    series: Vec<ShardSeries>,
+    registry: Registry,
 }
 
 impl IngestEngine {
@@ -279,21 +295,33 @@ impl IngestEngine {
     fn build(config: IngestConfig, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -> Self {
         let shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
-        let backpressure = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+        let mut registry = Registry::new();
+        let series: Vec<ShardSeries> = (0..shards)
+            .map(|i| ShardSeries::register(&mut registry, &[("shard", &i.to_string())]))
+            .collect();
+        let quarantined = registry
+            .gauge("pla_ingest_quarantined_streams", "Streams quarantined by a filter error.");
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, series) in series.iter().enumerate() {
             let (tx, rx) = sync_channel::<Op>(depth);
             senders.push(tx);
-            let tap = tap.clone();
+            let (series, quarantined, tap) = (series.clone(), quarantined.clone(), tap.clone());
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pla-ingest-shard-{shard}"))
-                    .spawn(move || run_shard(rx, tap))
+                    .spawn(move || run_shard(rx, series, quarantined, tap))
                     .expect("spawn shard worker"),
             );
         }
-        Self { handle: IngestHandle { senders, backpressure }, workers }
+        let backpressure = series.iter().map(|s| s.backpressure.clone()).collect();
+        Self { handle: IngestHandle { senders, backpressure }, workers, series, registry }
+    }
+
+    /// The engine's series, live while the shards run: per-shard
+    /// `pla_ingest_*{shard}`, plus `pla_ingest_quarantined_streams`.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// A cloneable producer handle.
@@ -328,12 +356,18 @@ impl IngestEngine {
         }
         let mut streams = BTreeMap::new();
         let mut shards = Vec::with_capacity(self.workers.len());
-        for (shard, worker) in self.workers.into_iter().enumerate() {
-            let mut result = worker.join().expect("shard worker panicked");
-            result.stats.backpressure =
-                self.handle.backpressure[shard].load(std::sync::atomic::Ordering::Relaxed);
+        for (worker, series) in self.workers.into_iter().zip(&self.series) {
+            let result = worker.join().expect("shard worker panicked");
             streams.extend(result.outputs);
-            shards.push(result.stats);
+            shards.push(ShardStats {
+                ops: series.ops.get(),
+                samples: series.samples.get(),
+                unknown_stream_drops: series.unknown_stream_drops.get(),
+                duplicate_registers: result.duplicate_registers,
+                streams: series.streams.get() as usize,
+                segments: series.segments.get(),
+                backpressure: series.backpressure.get(),
+            });
         }
         IngestReport { streams, shards }
     }
@@ -364,43 +398,61 @@ fn fill_pairs<'a>(out: &mut [(f64, &'a [f64])], dims: usize, times: &'a [f64], v
 /// loop and the post-shutdown drain apply operations identically.
 struct ShardWorker {
     table: StreamTable,
-    stats: ShardStats,
+    series: ShardSeries,
+    quarantined: Gauge,
+    duplicate_registers: u64,
     tap: Option<mpsc::Sender<(StreamId, Segment)>>,
 }
 
 impl ShardWorker {
-    /// Forwards segments emitted since the last call for `stream` to the
-    /// live tap, if there is one.
+    /// Counts the segments emitted since the last call for `stream` and
+    /// forwards them to the live tap, if there is one.
     fn emit_new_segments(&mut self, stream: StreamId) {
-        let Some(tap) = &self.tap else { return };
-        self.table.drain_new_segments(stream, |seg| {
-            // A dropped tap consumer is load shedding, not an error.
-            let _ = tap.send((stream, seg.clone()));
+        let tap = &self.tap;
+        let n = self.table.drain_new_segments(stream, |seg| {
+            if let Some(tap) = tap {
+                // A dropped tap consumer is load shedding, not an error.
+                let _ = tap.send((stream, seg.clone()));
+            }
         });
+        if n > 0 {
+            self.series.segments.add(n as u64);
+        }
+    }
+
+    /// Counts the quarantine a filter error just started, and the
+    /// samples an unregistered stream dropped.
+    fn count_error<T>(&self, result: Result<T, IngestError>, samples: u64) {
+        match result {
+            Err(IngestError::Filter { .. }) => self.quarantined.add(1.0),
+            Err(IngestError::UnknownStream(_)) => self.series.unknown_stream_drops.add(samples),
+            _ => {}
+        }
     }
 
     /// Applies one queued operation.
     fn apply(&mut self, op: Op) {
-        self.stats.ops += 1;
+        self.series.ops.inc();
         match op {
             Op::Register { stream, spec } => {
                 // An unbuildable spec is recorded in the table as
                 // quarantine state; a duplicate registration is dropped
                 // (the original filter keeps running) and counted so the
                 // discard is observable.
-                if let Err(IngestError::DuplicateStream(_)) = self.table.register(stream, &spec) {
-                    self.stats.duplicate_registers += 1;
+                match self.table.register(stream, &spec) {
+                    Err(IngestError::DuplicateStream(_)) => self.duplicate_registers += 1,
+                    result => self.count_error(result, 0),
                 }
+                self.series.streams.set(self.table.len() as f64);
             }
             Op::Push { stream, t, x } => {
-                self.stats.samples += 1;
-                if let Err(IngestError::UnknownStream(_)) = self.table.push(stream, t, &x) {
-                    self.stats.unknown_stream_drops += 1;
-                }
+                self.series.samples.inc();
+                let result = self.table.push(stream, t, &x);
+                self.count_error(result, 1);
                 self.emit_new_segments(stream);
             }
             Op::PushBatch { stream, dims, times, values } => {
-                self.stats.samples += times.len() as u64;
+                self.series.samples.add(times.len() as u64);
                 // Rebuild the pair view on a small stack buffer for
                 // small batches (its zero-init is cheaper than an
                 // allocation); larger batches build an exact-capacity
@@ -419,14 +471,13 @@ impl ShardWorker {
                     &heap
                 };
                 let result = self.table.push_batch(stream, pairs);
-                if let Err(IngestError::UnknownStream(_)) = result {
-                    self.stats.unknown_stream_drops += times.len() as u64;
-                }
+                self.count_error(result, times.len() as u64);
                 self.emit_new_segments(stream);
             }
             Op::FinishStream { stream } => {
-                // An unknown finish drops no samples; nothing to count.
-                let _ = self.table.finish_stream(stream);
+                // An unknown finish drops no samples.
+                let result = self.table.finish_stream(stream);
+                self.count_error(result, 0);
                 self.emit_new_segments(stream);
             }
             Op::Shutdown => unreachable!("Shutdown is handled by the receive loop"),
@@ -434,11 +485,17 @@ impl ShardWorker {
     }
 }
 
-fn run_shard(rx: Receiver<Op>, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -> ShardResult {
-    let mut worker = ShardWorker { table: StreamTable::new(), stats: ShardStats::default(), tap };
+fn run_shard(
+    rx: Receiver<Op>,
+    series: ShardSeries,
+    quarantined: Gauge,
+    tap: Option<mpsc::Sender<(StreamId, Segment)>>,
+) -> ShardResult {
+    let table = StreamTable::new();
+    let mut worker = ShardWorker { table, series, quarantined, duplicate_registers: 0, tap };
     while let Ok(op) = rx.recv() {
         if matches!(op, Op::Shutdown) {
-            worker.stats.ops += 1;
+            worker.series.ops.inc();
             // Graceful drain: operations that raced into the queue
             // behind the shutdown marker are still in flight from a
             // producer's point of view — process them instead of
@@ -452,14 +509,15 @@ fn run_shard(rx: Receiver<Op>, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -
         }
         worker.apply(op);
     }
-    worker.table.finish_all();
+    worker.quarantined.add(worker.table.finish_all() as f64);
     let ids: Vec<StreamId> = worker.table.ids().collect();
     for stream in ids {
         worker.emit_new_segments(stream);
     }
-    worker.stats.streams = worker.table.len();
-    worker.stats.segments = worker.table.total_segments() as u64;
-    ShardResult { outputs: worker.table.into_outputs(), stats: worker.stats }
+    ShardResult {
+        outputs: worker.table.into_outputs(),
+        duplicate_registers: worker.duplicate_registers,
+    }
 }
 
 #[cfg(test)]

@@ -80,16 +80,17 @@
 //!   recorded in arrival order but no cross-source ordering is
 //!   promised.
 //! * **Watermarks are per source.** Each source id carries how many
-//!   segments it appended and the highest `t_end` it reached. A source
-//!   writing streams on several shards has its watermark tracked
-//!   per shard and merged on read, so a watermark read concurrent with
-//!   appends may mix per-shard prefixes — each of which is itself
-//!   consistent, and the merged value is always ≤ the true total.
+//!   segments it appended and the highest `t_end` it reached, held in
+//!   the source's two metric handles (one pair per source, shared by
+//!   every shard it writes). A watermark read concurrent with appends
+//!   may lag them; it never runs ahead of what was appended.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use pla_core::Segment;
+use pla_metrics::{Counter, Gauge, Handle, Registry};
 
 use crate::engine::shard_of;
 use crate::StreamId;
@@ -100,24 +101,26 @@ use crate::StreamId;
 pub struct SourceWatermark {
     /// Segments this source has appended.
     pub segments: u64,
-    /// Highest `t_end` this source has appended (`-inf` before the
-    /// first append).
+    /// Highest `t_end` this source has appended.
     pub covered_through: f64,
 }
 
-impl Default for SourceWatermark {
-    fn default() -> Self {
-        Self { segments: 0, covered_through: f64::NEG_INFINITY }
+pla_metrics::series! {
+    /// One source's watermark as its two series, labeled `source="<id>"`.
+    #[derive(Debug, Clone)]
+    struct SourceSeries {
+        segments: counter("pla_store_source_segments_total",
+            "Segments appended per source connection (watermark)."),
+        covered_through: gauge("pla_store_source_covered_through",
+            "Latest segment end-time published per source connection."),
     }
 }
 
-impl SourceWatermark {
-    /// Folds another shard's contribution for the same source into
-    /// `self` (segment counts add, coverage takes the furthest point).
-    fn merge(&mut self, other: &SourceWatermark) {
-        self.segments += other.segments;
-        if other.covered_through > self.covered_through {
-            self.covered_through = other.covered_through;
+impl SourceSeries {
+    fn watermark(&self) -> SourceWatermark {
+        SourceWatermark {
+            segments: self.segments.get(),
+            covered_through: self.covered_through.get(),
         }
     }
 }
@@ -233,39 +236,9 @@ impl StreamLog {
 #[derive(Debug, Default)]
 struct ShardInner {
     streams: BTreeMap<StreamId, StreamLog>,
-    /// This shard's *contribution* to each source's watermark (a source
-    /// writing streams on several shards is merged on read).
-    sources: BTreeMap<u64, SourceWatermark>,
-    segments: u64,
-    /// Segments ever admitted by this shard; never decreases.
-    epoch: u64,
-}
-
-impl ShardInner {
-    /// Appends `segments` in order to `stream`'s log, crediting
-    /// `source`'s watermark, with one watermark and one stream lookup
-    /// however many segments there are.
-    fn append(
-        &mut self,
-        source: u64,
-        stream: StreamId,
-        segments: impl Iterator<Item = Segment>,
-        seal: usize,
-    ) {
-        let mark = self.sources.entry(source).or_default();
-        let log = self.streams.entry(stream).or_insert_with(|| StreamLog::new(seal));
-        let mut n = 0;
-        for segment in segments {
-            if segment.t_end > mark.covered_through {
-                mark.covered_through = segment.t_end;
-            }
-            log.push(segment, seal);
-            n += 1;
-        }
-        mark.segments += n;
-        self.segments += n;
-        self.epoch += n;
-    }
+    /// The series of each source that appended to this shard — clones
+    /// of the store-wide handles, found with one lookup per append.
+    sources: BTreeMap<u64, SourceSeries>,
 }
 
 /// A read-only view of one stream's log at snapshot time: the store's
@@ -387,7 +360,7 @@ impl PartialEq<StreamView> for Vec<Segment> {
 }
 
 /// A point-in-time view of the store: per-stream [`StreamView`]s plus
-/// merged per-source watermarks.
+/// per-source watermarks.
 ///
 /// Internally consistent *per shard* (see the module docs): every
 /// stream's view is an exact prefix of its append history, same-shard
@@ -400,8 +373,8 @@ pub struct StoreSnapshot {
     /// Per-stream segment views, ordered by stream id, each in append
     /// order.
     pub streams: BTreeMap<StreamId, StreamView>,
-    /// Per-source progress watermarks (merged across shards), ordered
-    /// by source id.
+    /// Per-source progress watermarks, read after the stream sweep,
+    /// ordered by source id.
     pub sources: BTreeMap<u64, SourceWatermark>,
     /// Total segments across all streams.
     pub total_segments: u64,
@@ -447,6 +420,15 @@ impl PartialEq for StoreSnapshot {
 pub struct SegmentStore {
     shards: Box<[RwLock<ShardInner>]>,
     seal_threshold: usize,
+    /// Every source's series, by source id.
+    sources: RwLock<BTreeMap<u64, SourceSeries>>,
+    segments: Counter,
+    streams: Gauge,
+    /// Segments ever admitted per shard, advanced under the shard's write
+    /// lock and read under its read lock; never decreases.
+    epochs: Box<[Counter]>,
+    /// Built on first use, so a store nobody scrapes registers nothing.
+    registry: OnceLock<Mutex<Registry>>,
 }
 
 impl Default for SegmentStore {
@@ -465,9 +447,85 @@ impl SegmentStore {
     pub fn with_config(config: StoreConfig) -> Self {
         let shards = config.shards.max(1);
         Self {
-            shards: (0..shards).map(|_| RwLock::new(ShardInner::default())).collect(),
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
             seal_threshold: config.seal_threshold.max(1),
+            sources: RwLock::default(),
+            segments: Counter::new(),
+            streams: Gauge::new(),
+            epochs: (0..shards).map(|_| Counter::new()).collect(),
+            registry: OnceLock::new(),
         }
+    }
+
+    /// The store's series: `pla_store_streams`, `pla_store_segments_total`,
+    /// the `pla_store_shard_epoch{shard}` epochs and, from a source's first
+    /// append, its `pla_store_source_*{source}` pair.
+    pub fn registry(&self) -> MutexGuard<'_, Registry> {
+        let registry = self.registry.get_or_init(|| {
+            let mut registry = Registry::new();
+            let streams = Handle::Gauge(self.streams.clone());
+            registry.add("pla_store_streams", "Streams present in the store.", &[], streams);
+            let segments = Handle::Counter(self.segments.clone());
+            registry.add(
+                "pla_store_segments_total",
+                "Segments appended to the store.",
+                &[],
+                segments,
+            );
+            let help = "Append epoch per store shard (cache-validation cursor).";
+            for (shard, epoch) in self.epochs.iter().enumerate() {
+                let id = shard.to_string();
+                let epoch = Handle::Counter(epoch.clone());
+                registry.add("pla_store_shard_epoch", help, &[("shard", &id)], epoch);
+            }
+            SourceSeries::declare(&mut registry);
+            Mutex::new(registry)
+        });
+        registry.lock().expect("segment store registry lock")
+    }
+
+    /// `source`'s series, registered on its first append. Sources join
+    /// only through here, after the registry exists, so it serves all.
+    fn source_series(&self, source: u64) -> SourceSeries {
+        let mut registry = self.registry();
+        let mut sources = self.sources.write().expect("segment store source lock");
+        let series = sources.entry(source).or_insert_with(|| {
+            let id = source.to_string();
+            let series = SourceSeries::register(&mut registry, &[("source", &id)]);
+            series.covered_through.set(f64::NEG_INFINITY);
+            series
+        });
+        series.clone()
+    }
+
+    /// Appends `segments` in order to `stream`'s log under the owning
+    /// shard's write lock, with one source and one stream lookup and
+    /// one update of each handle however many segments there are.
+    fn append_run(&self, source: u64, stream: StreamId, segments: impl Iterator<Item = Segment>) {
+        let seal = self.seal_threshold;
+        let shard = shard_of(stream, self.shards.len());
+        let mut guard = self.shards[shard].write().expect("segment store shard lock");
+        let inner = &mut *guard;
+        let series = inner.sources.entry(source).or_insert_with(|| self.source_series(source));
+        let log = match inner.streams.entry(stream) {
+            Entry::Occupied(log) => log.into_mut(),
+            Entry::Vacant(slot) => {
+                self.streams.add(1.0);
+                slot.insert(StreamLog::new(seal))
+            }
+        };
+        let (mut n, mut reach) = (0, f64::NEG_INFINITY);
+        for segment in segments {
+            if segment.t_end > reach {
+                reach = segment.t_end;
+            }
+            log.push(segment, seal);
+            n += 1;
+        }
+        series.segments.add(n);
+        series.covered_through.set_max(reach);
+        self.epochs[shard].add(n);
+        self.segments.add(n);
     }
 
     /// Number of lock shards.
@@ -487,8 +545,7 @@ impl SegmentStore {
     /// Appends one segment to `stream`'s log, crediting `source`'s
     /// watermark. Takes only the owning shard's write lock.
     pub fn append(&self, source: u64, stream: StreamId, segment: Segment) {
-        let mut inner = self.shard(stream).write().expect("segment store shard lock");
-        inner.append(source, stream, std::iter::once(segment), self.seal_threshold);
+        self.append_run(source, stream, std::iter::once(segment));
     }
 
     /// Appends a batch under one lock acquisition of the owning shard
@@ -501,8 +558,7 @@ impl SegmentStore {
         if segments.is_empty() {
             return;
         }
-        let mut inner = self.shard(stream).write().expect("segment store shard lock");
-        inner.append(source, stream, segments.drain(..), self.seal_threshold);
+        self.append_run(source, stream, segments.drain(..));
     }
 
     /// A point-in-time view of everything (logs and watermarks), taken
@@ -513,18 +569,18 @@ impl SegmentStore {
     pub fn snapshot(&self) -> StoreSnapshot {
         let mut snap = StoreSnapshot::default();
         let mut epochs = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
+        for (shard, epoch) in self.shards.iter().zip(self.epochs.iter()) {
             let inner = shard.read().expect("segment store shard lock");
             for (&id, log) in &inner.streams {
                 snap.streams.insert(id, log.view(self.seal_threshold));
             }
-            for (&source, mark) in &inner.sources {
-                snap.sources.entry(source).or_default().merge(mark);
-            }
-            snap.total_segments += inner.segments;
-            epochs.push(inner.epoch);
+            let epoch = epoch.get();
+            snap.total_segments += epoch;
+            epochs.push(epoch);
         }
         snap.epochs = epochs.into();
+        let sources = self.sources.read().expect("segment store source lock");
+        snap.sources = sources.iter().map(|(&id, series)| (id, series.watermark())).collect();
         snap
     }
 
@@ -552,7 +608,11 @@ impl SegmentStore {
     /// with a snapshot's [`epochs`](StoreSnapshot::epochs) for an
     /// O(shards) "did anything change?" probe.
     pub fn epochs(&self) -> Box<[u64]> {
-        self.shards.iter().map(|s| s.read().expect("segment store shard lock").epoch).collect()
+        let under_lock = |(s, e): (&RwLock<ShardInner>, &Counter)| {
+            let _held = s.read().expect("segment store shard lock");
+            e.get()
+        };
+        self.shards.iter().zip(self.epochs.iter()).map(under_lock).collect()
     }
 
     /// One stream's log, materialized flat, or `None` if nothing was
@@ -590,23 +650,19 @@ impl SegmentStore {
         self.len() == 0
     }
 
-    /// Total segments across all streams. Sums per-shard counts read
-    /// one lock at a time; monotone, may lag racing writers.
+    /// Total segments across all streams (`pla_store_segments_total`):
+    /// monotone, may lag racing writers.
     pub fn total_segments(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().expect("segment store shard lock").segments).sum()
+        self.segments.get()
     }
 
-    /// `source`'s progress watermark merged across shards, or `None` if
-    /// it never appended.
+    /// `source`'s progress watermark, or `None` if it never appended.
     pub fn watermark(&self, source: u64) -> Option<SourceWatermark> {
-        let mut merged: Option<SourceWatermark> = None;
-        for shard in self.shards.iter() {
-            let inner = shard.read().expect("segment store shard lock");
-            if let Some(mark) = inner.sources.get(&source) {
-                merged.get_or_insert_with(SourceWatermark::default).merge(mark);
-            }
-        }
-        merged
+        self.sources
+            .read()
+            .expect("segment store source lock")
+            .get(&source)
+            .map(SourceSeries::watermark)
     }
 }
 
@@ -774,6 +830,26 @@ mod tests {
         assert_eq!(mark.segments, 32);
         assert_eq!(mark.covered_through, 32.0);
         assert_eq!(store.snapshot().sources[&7], mark);
+    }
+
+    #[test]
+    fn registry_serves_totals_epochs_and_source_watermarks() {
+        let store = SegmentStore::with_config(StoreConfig { shards: 2, seal_threshold: 64 });
+        let empty = store.registry().render();
+        assert!(empty.contains("# TYPE pla_store_source_segments_total counter"));
+        assert!(!empty.contains("pla_store_source_segments_total{"), "no source yet");
+        store.append(7, StreamId(1), seg(0.0, 2.0));
+        store.append_batch(7, StreamId(2), &mut vec![seg(2.0, 3.0), seg(3.0, 5.0)]);
+        let text = store.registry().render();
+        assert!(text.contains("pla_store_streams 2"));
+        assert!(text.contains("pla_store_segments_total 3"));
+        assert!(text.contains("pla_store_source_segments_total{source=\"7\"} 3"));
+        assert!(text.contains("pla_store_source_covered_through{source=\"7\"} 5"));
+        let epochs: u64 = store.epochs().iter().sum();
+        assert_eq!(epochs, 3);
+        for (shard, epoch) in store.epochs().iter().enumerate() {
+            assert!(text.contains(&format!("pla_store_shard_epoch{{shard=\"{shard}\"}} {epoch}")));
+        }
     }
 
     #[test]

@@ -236,8 +236,9 @@ impl StreamTable {
 
     /// Ends every non-quarantined stream (engine shutdown). A filter whose
     /// `finish` errors (none of the built-ins do) is quarantined like any
-    /// other failure.
-    pub fn finish_all(&mut self) {
+    /// other failure. Returns how many streams it quarantined.
+    pub fn finish_all(&mut self) -> usize {
+        let mut quarantined = 0;
         for entry in self.streams.values_mut() {
             if entry.quarantine.is_none() {
                 if let Err(e) = entry
@@ -247,20 +248,21 @@ impl StreamTable {
                     .finish(&mut entry.sink)
                 {
                     entry.quarantine = Some(Quarantine { error: e, dropped: 0 });
+                    quarantined += 1;
                 }
             }
         }
+        quarantined
     }
 
     /// Hands every segment emitted since the last call for `id` to `f`
-    /// (the segment tap's feed).
-    pub fn drain_new_segments(&mut self, id: StreamId, mut f: impl FnMut(&Segment)) {
-        if let Some(entry) = self.streams.get_mut(&id) {
-            for seg in &entry.sink.segments[entry.tap_cursor..] {
-                f(seg);
-            }
-            entry.tap_cursor = entry.sink.segments.len();
-        }
+    /// (the segment tap's feed); returns how many it handed over.
+    pub fn drain_new_segments(&mut self, id: StreamId, mut f: impl FnMut(&Segment)) -> usize {
+        let Some(entry) = self.streams.get_mut(&id) else { return 0 };
+        let new = &entry.sink.segments[entry.tap_cursor..];
+        new.iter().for_each(&mut f);
+        entry.tap_cursor = entry.sink.segments.len();
+        new.len()
     }
 
     /// Registered stream ids, in arbitrary order.

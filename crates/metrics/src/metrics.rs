@@ -75,6 +75,24 @@ impl Gauge {
         }
     }
 
+    /// Raises the gauge to `v` if `v` is larger (CAS loop over the
+    /// stored bits), so racing writers keep the maximum. Alloc-free.
+    #[inline]
+    pub fn set_max(&self, v: f64) {
+        let mut cur = self.0.load(Ordering::Relaxed);
+        while v > f64::from_bits(cur) {
+            match self.0.compare_exchange_weak(
+                cur,
+                v.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
@@ -233,38 +251,30 @@ pub struct MetricFamily {
     pub samples: Vec<Sample>,
 }
 
-/// A source of metric families scraped at render time. Implemented for
-/// closures, so `registry.collect_fn(move |out| ...)` is the common form.
-pub trait Collect {
-    /// Appends this source's current families to `out`.
-    fn collect(&self, out: &mut Vec<MetricFamily>);
-}
-
-impl<F: Fn(&mut Vec<MetricFamily>)> Collect for F {
-    fn collect(&self, out: &mut Vec<MetricFamily>) {
-        self(out)
-    }
-}
-
-enum Primitive {
+/// A metric handle as a [`Registry`] serves it.
+#[derive(Debug, Clone)]
+pub enum Handle {
+    /// A [`Counter`].
     Counter(Counter),
+    /// A [`Gauge`].
     Gauge(Gauge),
+    /// A [`Histogram`].
     Histogram(Histogram),
 }
 
+#[derive(Clone)]
 struct OwnedFamily {
     name: String,
     help: String,
     kind: MetricKind,
-    series: Vec<(Vec<(String, String)>, Primitive)>,
+    series: Vec<(Vec<(String, String)>, Handle)>,
 }
 
-/// Registry of owned metric primitives plus [`Collect`] scrape sources,
-/// rendering Prometheus text exposition format.
+/// Registry of owned metric primitives, rendering Prometheus text
+/// exposition format.
 #[derive(Default)]
 pub struct Registry {
     families: Vec<OwnedFamily>,
-    collectors: Vec<Box<dyn Collect>>,
 }
 
 fn valid_name(name: &str) -> bool {
@@ -283,14 +293,14 @@ impl Registry {
     }
 
     fn family_mut(&mut self, name: &str, help: &str, kind: MetricKind) -> &mut OwnedFamily {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        if let Some(i) = self.families.iter().position(|f| f.name == name) {
+        if let Some(i) = self.families.iter().rposition(|f| f.name == name) {
             assert!(
                 self.families[i].kind == kind,
                 "metric {name:?} re-registered with a different kind"
             );
             return &mut self.families[i];
         }
+        assert!(valid_name(name), "invalid metric name {name:?}");
         self.families.push(OwnedFamily {
             name: name.to_string(),
             help: help.to_string(),
@@ -315,12 +325,21 @@ impl Registry {
 
     /// Registers a counter series under `labels` within family `name`.
     pub fn counter_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let owned = Self::own_labels(labels);
         let c = Counter::new();
-        self.family_mut(name, help, MetricKind::Counter)
-            .series
-            .push((owned, Primitive::Counter(c.clone())));
+        self.add(name, help, labels, Handle::Counter(c.clone()));
         c
+    }
+
+    /// Serves `handle`, perhaps made and counting before this registry,
+    /// under `labels` within family `name`.
+    pub fn add(&mut self, name: &str, help: &str, labels: &[(&str, &str)], handle: Handle) {
+        let kind = match handle {
+            Handle::Counter(_) => MetricKind::Counter,
+            Handle::Gauge(_) => MetricKind::Gauge,
+            Handle::Histogram(_) => MetricKind::Histogram,
+        };
+        let owned = Self::own_labels(labels);
+        self.family_mut(name, help, kind).series.push((owned, handle));
     }
 
     /// Registers an unlabeled gauge.
@@ -330,11 +349,8 @@ impl Registry {
 
     /// Registers a gauge series under `labels` within family `name`.
     pub fn gauge_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let owned = Self::own_labels(labels);
         let g = Gauge::new();
-        self.family_mut(name, help, MetricKind::Gauge)
-            .series
-            .push((owned, Primitive::Gauge(g.clone())));
+        self.add(name, help, labels, Handle::Gauge(g.clone()));
         g
     }
 
@@ -352,21 +368,43 @@ impl Registry {
         bounds: &[f64],
         labels: &[(&str, &str)],
     ) -> Histogram {
-        let owned = Self::own_labels(labels);
         let h = Histogram::new(bounds);
-        self.family_mut(name, help, MetricKind::Histogram)
-            .series
-            .push((owned, Primitive::Histogram(h.clone())));
+        self.add(name, help, labels, Handle::Histogram(h.clone()));
         h
     }
 
-    /// Adds a scrape source consulted on every [`gather`](Self::gather).
-    pub fn collect_fn(&mut self, c: impl Collect + 'static) {
-        self.collectors.push(Box::new(c));
+    /// Declares family `name`, rendered (`# HELP`, `# TYPE`) even while
+    /// it has no series.
+    pub fn family(&mut self, name: &str, help: &str, kind: MetricKind) {
+        self.family_mut(name, help, kind);
     }
 
-    /// Snapshots every owned primitive and scrape source into families,
-    /// sorted deterministically (by name, then label set).
+    /// Removes every series labeled exactly `labels`, in every family
+    /// (the value they were labeled with is gone). The families stay.
+    pub fn remove(&mut self, labels: &[(&str, &str)]) {
+        let labeled = |owned: &Vec<(String, String)>| {
+            owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).eq(labels.iter().copied())
+        };
+        for fam in &mut self.families {
+            fam.series.retain(|(owned, _)| !labeled(owned));
+        }
+    }
+
+    /// A registry sharing every handle of this one, with `labels` added
+    /// to each series (two senders served side by side, say).
+    pub fn with_labels(&self, labels: &[(&str, &str)]) -> Registry {
+        let extra = Self::own_labels(labels);
+        let mut families = self.families.clone();
+        for fam in &mut families {
+            for (owned, _) in &mut fam.series {
+                owned.extend(extra.iter().cloned());
+            }
+        }
+        Registry { families }
+    }
+
+    /// Snapshots every owned primitive into families, sorted
+    /// deterministically (by name, then label set).
     pub fn gather(&self) -> Vec<MetricFamily> {
         let mut out: Vec<MetricFamily> = Vec::with_capacity(self.families.len());
         for fam in &self.families {
@@ -376,9 +414,9 @@ impl Registry {
                 .map(|(labels, prim)| Sample {
                     labels: labels.clone(),
                     value: match prim {
-                        Primitive::Counter(c) => SampleValue::Counter(c.get()),
-                        Primitive::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Primitive::Histogram(h) => {
+                        Handle::Counter(c) => SampleValue::Counter(c.get()),
+                        Handle::Gauge(g) => SampleValue::Gauge(g.get()),
+                        Handle::Histogram(h) => {
                             let (buckets, _inf) = h.buckets();
                             SampleValue::Histogram { buckets, sum: h.sum(), count: h.count() }
                         }
@@ -392,9 +430,6 @@ impl Registry {
                 samples,
             });
         }
-        for c in &self.collectors {
-            c.collect(&mut out);
-        }
         sort_families(&mut out);
         out
     }
@@ -407,15 +442,13 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("families", &self.families.len())
-            .field("collectors", &self.collectors.len())
-            .finish()
+        f.debug_struct("Registry").field("families", &self.families.len()).finish()
     }
 }
 
 /// Canonical ordering: families by name, samples by label vector. Families
-/// sharing a name (owned + scraped) are merged into one block.
+/// sharing a name (gathered from several registries) are merged into one
+/// block.
 fn sort_families(families: &mut Vec<MetricFamily>) {
     families.sort_by(|a, b| a.name.cmp(&b.name));
     let mut merged: Vec<MetricFamily> = Vec::with_capacity(families.len());
@@ -432,7 +465,7 @@ fn sort_families(families: &mut Vec<MetricFamily>) {
 }
 
 /// Renders pre-gathered families (sorted and merged first, so callers may
-/// concatenate scraped sets from several subsystems).
+/// concatenate the families of several subsystems' registries).
 pub fn render_families(families: &[MetricFamily]) -> String {
     let mut fams = families.to_vec();
     sort_families(&mut fams);
@@ -713,6 +746,40 @@ mod tests {
         let la = first.find("{a=\"1\"}").unwrap();
         let lb = first.find("{b=\"2\"}").unwrap();
         assert!(la < lb, "samples must render in label order");
+    }
+
+    #[test]
+    fn gauges_keep_the_largest_value_offered() {
+        let g = Gauge::new();
+        g.set(f64::NEG_INFINITY);
+        for v in [3.0, 1.0, 7.5, 7.0] {
+            g.set_max(v);
+        }
+        assert_eq!(g.get(), 7.5);
+    }
+
+    #[test]
+    fn declared_families_render_empty_and_removed_series_go() {
+        let mut reg = Registry::new();
+        reg.family("pla_c_total", "C.", MetricKind::Counter);
+        assert_eq!(reg.render(), "# HELP pla_c_total C.\n# TYPE pla_c_total counter\n");
+        reg.counter_with("pla_c_total", "C.", &[("conn", "1")]).add(2);
+        reg.gauge_with("pla_g", "G.", &[("conn", "1")]).set(1.0);
+        reg.counter_with("pla_c_total", "C.", &[("conn", "2")]).add(3);
+        reg.remove(&[("conn", "1")]);
+        let text = reg.render();
+        assert!(text.contains("pla_c_total{conn=\"2\"} 3"));
+        assert!(!text.contains("conn=\"1\""), "{text}");
+        assert!(text.contains("# TYPE pla_g gauge"), "families stay when their series go");
+    }
+
+    #[test]
+    fn labeled_copies_share_their_handles() {
+        let mut reg = Registry::new();
+        let c = reg.counter_with("pla_x_total", "X.", &[("shard", "0")]);
+        let copy = reg.with_labels(&[("edge", "3")]);
+        c.add(5);
+        assert!(copy.render().contains("pla_x_total{shard=\"0\",edge=\"3\"} 5"));
     }
 
     #[test]

@@ -38,19 +38,25 @@
 //! credit grant, the sender resends its unacked frames, replayed entries
 //! are dropped by session seq — so the store ends up byte-identical to
 //! an uninterrupted run.
+//!
+//! Metrics: the collector's [`registry`](Collector::registry) totals
+//! count over its lifetime, evicted connections included; a
+//! connection's `pla_conn_*{conn}` series go when it is evicted. Data
+//! path handles move at most once per connection per pump round, and
+//! [`stats`](Collector::stats) reads them.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::BytesMut;
 use pla_core::Segment;
 use pla_ingest::{SegmentStore, StreamId};
+use pla_metrics::{Gauge, Registry};
 use pla_transport::wire::Codec;
 
 use crate::driver::{pump_in, pump_out, pump_receiver_split, DriveError};
-use crate::frame::{encode, FrameDecoder, NetFrame, Outbox};
+use crate::frame::{FrameDecoder, NetFrame, Outbox};
 use crate::link::Link;
 use crate::listen::Acceptor;
 use crate::receiver::{NetReceiver, ReceiverStats};
@@ -130,7 +136,8 @@ pub struct ConnStats {
 /// attached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectorStats {
-    /// Connections accepted over the collector's lifetime.
+    /// Connections bound and not yet evicted (quarantined and detached
+    /// ones included).
     pub connections: usize,
     /// Connections currently holding a live link.
     pub attached: usize,
@@ -170,6 +177,65 @@ pub struct CollectorStats {
     pub conns: Vec<ConnStats>,
 }
 
+pla_metrics::series! {
+    /// The collector-wide series (see the [module docs](self)).
+    struct CollectorSeries {
+        connections: gauge("pla_collector_connections", "Connections accepted and still tracked."),
+        attached: gauge("pla_collector_attached", "Connections currently holding a live link."),
+        frames: counter("pla_collector_frames_total",
+            "Sequenced entries applied across all connections."),
+        dup_drops: counter("pla_collector_dup_drops_total",
+            "Duplicate frames dropped (replays after reconnect)."),
+        segments: counter("pla_collector_segments_total", "Segments published to the shared store."),
+        backpressure: counter("pla_collector_backpressure_total",
+            "Pump rounds that could not fully flush staged control bytes."),
+        failed: gauge("pla_collector_failed", "Connections quarantined by a protocol violation."),
+        refused: counter("pla_collector_refused_total",
+            "Handshakes refused (version mismatch, garbage, unknown token, timeout)."),
+        evicted: counter("pla_collector_evicted_total",
+            "Detached sessions evicted after their TTL lapsed."),
+        shed_segments: counter("pla_collector_shed_segments_total",
+            "Segments shed by per-stream quarantine instead of published."),
+        quarantined_streams: gauge("pla_collector_quarantined_streams",
+            "Streams currently under admin quarantine."),
+        heartbeats: counter("pla_session_heartbeats_echoed_total",
+            "Heartbeat frames received (and echoed) across all connections."),
+        resumes: counter("pla_session_resumes_total",
+            "Session-token resumes: a redialed link rebound to its existing connection."),
+    }
+}
+
+pla_metrics::series! {
+    /// One connection's series, labeled `conn="<id>"`.
+    struct ConnSeries {
+        published: counter("pla_conn_published_total",
+            "Segments published to the store, per connection."),
+        bytes_moved: counter("pla_conn_bytes_moved_total",
+            "Bytes moved over the link (read + written), per connection."),
+        frames: counter("pla_conn_frames_total", "Sequenced entries applied, per connection."),
+        resumes: counter("pla_conn_resumes_total", "Session-token resumes, per connection."),
+        attached: gauge("pla_conn_attached", "Whether the connection currently holds a live link."),
+    }
+}
+
+impl CollectorSeries {
+    /// Adds what `c`'s receiver applied since it counted `before` to
+    /// the collector's and the connection's series.
+    fn count_applied<C: Codec, L: Link>(&self, c: &Connection<C, L>, before: [u64; 3]) {
+        let [frames, dup_drops, heartbeats] = c.rx.counts();
+        if frames > before[0] {
+            self.frames.add(frames - before[0]);
+            c.series.frames.add(frames - before[0]);
+        }
+        if dup_drops > before[1] {
+            self.dup_drops.add(dup_drops - before[1]);
+        }
+        if heartbeats > before[2] {
+            self.heartbeats.add(heartbeats - before[2]);
+        }
+    }
+}
+
 /// Per-connection state: the receiver plus publish bookkeeping.
 struct Connection<C: Codec, L: Link> {
     rx: NetReceiver<C>,
@@ -186,11 +252,19 @@ struct Connection<C: Codec, L: Link> {
     last_recv: Instant,
     /// When the connection detached, for session-TTL eviction.
     detached_at: Option<Instant>,
-    published_total: u64,
     backpressure: u64,
-    bytes_moved: u64,
-    /// Token resumes (see [`ConnStats::resumes`]).
-    resumes: u64,
+    series: ConnSeries,
+}
+
+impl<C: Codec, L: Link> Connection<C, L> {
+    /// Swaps the connection's link, keeping the collector's `attached`
+    /// gauge and the connection's in step.
+    fn swap_link(&mut self, link: Option<L>, attached: &Gauge) -> Option<L> {
+        let now = f64::from(u8::from(link.is_some()));
+        attached.add(now - f64::from(u8::from(self.link.is_some())));
+        self.series.attached.set(now);
+        std::mem::replace(&mut self.link, link)
+    }
 }
 
 /// An accepted link that has not yet completed the session handshake:
@@ -271,8 +345,6 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     /// Issued session tokens → connection ids.
     tokens: BTreeMap<u64, u64>,
     token_ctr: u64,
-    refused: u64,
-    evicted: u64,
     /// The most recent handshake refusal, for observability (refused
     /// links have no `ConnId` to hang a failure on).
     last_refusal: Option<NetError>,
@@ -281,11 +353,11 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     /// stream without touching its connection (the per-stream analogue
     /// of connection quarantine, mirroring `pla-ingest`'s).
     quarantined_streams: std::collections::BTreeSet<u64>,
-    /// Segments shed by per-stream quarantine.
-    shed_segments: u64,
     /// Recycled publish buffer: one stream's run of segments on its way
     /// into the store.
     publish_batch: Vec<Segment>,
+    series: CollectorSeries,
+    registry: Registry,
 }
 
 impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
@@ -307,6 +379,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         acceptor: A,
         store: Arc<SegmentStore>,
     ) -> Self {
+        let mut registry = Registry::new();
+        ConnSeries::declare(&mut registry);
         Self {
             codec,
             dims,
@@ -319,12 +393,11 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             pending: Vec::new(),
             tokens: BTreeMap::new(),
             token_ctr: 0,
-            refused: 0,
-            evicted: 0,
             last_refusal: None,
             quarantined_streams: std::collections::BTreeSet::new(),
-            shed_segments: 0,
             publish_batch: Vec::new(),
+            series: CollectorSeries::register(&mut registry, &[]),
+            registry,
         }
     }
 
@@ -333,26 +406,29 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         &self.store
     }
 
+    /// The collector's metric series (see the [module docs](self)).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
     /// Materializes a connection around a link whose `Hello` was just
     /// accepted with a freshly issued `token`.
     fn adopt(&mut self, link: A::Link, token: u64, now: Instant) -> u64 {
         let id = self.next_conn;
         self.next_conn += 1;
-        self.conns.insert(
-            id,
-            Connection {
-                rx: NetReceiver::new(self.codec.clone(), self.dims, self.config),
-                link: Some(link),
-                failed: None,
-                token,
-                last_recv: now,
-                detached_at: None,
-                published_total: 0,
-                backpressure: 0,
-                bytes_moved: 0,
-                resumes: 0,
-            },
-        );
+        let mut c = Connection {
+            rx: NetReceiver::new(self.codec.clone(), self.dims, self.config),
+            link: None,
+            failed: None,
+            token,
+            last_recv: now,
+            detached_at: None,
+            backpressure: 0,
+            series: ConnSeries::register(&mut self.registry, &[("conn", &id.to_string())]),
+        };
+        c.swap_link(Some(link), &self.series.attached);
+        self.series.connections.add(1.0);
+        self.conns.insert(id, c);
         id
     }
 
@@ -383,14 +459,17 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             return Ok(0);
         }
         let Some(link) = c.link.as_mut() else { return Ok(0) };
-        match pump_receiver_split(&mut c.rx, link) {
+        let before = c.rx.counts();
+        let round = pump_receiver_split(&mut c.rx, link);
+        self.series.count_applied(c, before);
+        match round {
             Ok((read, written)) => {
                 if read > 0 {
                     c.last_recv = now;
                 } else if now.duration_since(c.last_recv) >= self.session.liveness_timeout {
                     // Only *arriving* bytes prove the peer alive — our own
                     // writes may be vanishing into a wedged pipe.
-                    if let Some(mut dead) = c.link.take() {
+                    if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
                         dead.shutdown();
                     }
                     c.detached_at = Some(now);
@@ -403,13 +482,14 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 }
                 if c.rx.staged_bytes() > 0 {
                     c.backpressure += 1;
+                    self.series.backpressure.inc();
                 }
-                c.bytes_moved += moved as u64;
+                c.series.bytes_moved.add(moved as u64);
                 self.publish_conn(conn.0);
                 Ok(moved)
             }
             Err(DriveError::Io(_) | DriveError::Closed) => {
-                c.link = None;
+                c.swap_link(None, &self.series.attached);
                 c.detached_at = Some(now);
                 // Frames applied before the link died may have produced
                 // segments; publish them before going quiet.
@@ -417,8 +497,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 Ok(0)
             }
             Err(DriveError::Net(error)) => {
-                c.link = None;
+                c.swap_link(None, &self.series.attached);
                 c.failed = Some(error.clone());
+                self.series.failed.add(1.0);
                 self.publish_conn(conn.0);
                 Err(CollectorError { conn, error })
             }
@@ -440,13 +521,15 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             while let Some((_, seg)) = segments.next_if(|(s, _)| *s == stream) {
                 batch.push(seg);
             }
+            let n = batch.len() as u64;
             if self.quarantined_streams.contains(&stream) {
                 // Shed instead of publish: a later release resumes from
                 // live data, it does not backfill the quarantined span.
-                self.shed_segments += batch.len() as u64;
+                self.series.shed_segments.add(n);
                 batch.clear();
             } else {
-                c.published_total += batch.len() as u64;
+                c.series.published.add(n);
+                self.series.segments.add(n);
                 self.store.append_batch(conn, StreamId(stream), batch);
             }
         }
@@ -473,14 +556,24 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// would destroy the refusal before the peer reads it. Only this
     /// link is touched — every bound connection keeps running.
     fn refuse(&mut self, link: &mut A::Link, version: u16, err: HandshakeError) {
-        let mut buf = BytesMut::new();
-        let refusal = NetFrame::HelloAck { version, token: 0, through: 0, granted_total: 0 };
-        encode(&refusal, &mut buf);
         let mut out = Outbox::default();
-        out.stage(&buf);
+        out.stage_frame(&NetFrame::HelloAck { version, token: 0, through: 0, granted_total: 0 });
         let _ = pump_out(&mut out, link);
-        self.refused += 1;
-        self.last_refusal = Some(NetError::Handshake(err));
+        self.record_refusal(err);
+    }
+
+    /// Counts a refused handshake and moves
+    /// `pla_collector_last_refusal_info` onto its reason.
+    fn record_refusal(&mut self, err: HandshakeError) {
+        let error = NetError::Handshake(err);
+        let reason = error.to_string();
+        self.series.refused.inc();
+        if let Some(old) = self.last_refusal.replace(error) {
+            self.registry.remove(&[("reason", &old.to_string())]);
+        }
+        let help = "Most recent handshake refusal; the reason rides the label.";
+        let labels = [("reason", reason.as_str())];
+        self.registry.gauge_with("pla_collector_last_refusal_info", help, &labels).set(1.0);
     }
 
     /// Feeds bytes that arrived in the same read as the `Hello` (the
@@ -501,16 +594,20 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             return;
         }
         let Some(c) = self.conns.get_mut(&id) else { return };
-        match c.rx.on_bytes(leftover) {
+        let before = c.rx.counts();
+        let fed = c.rx.on_bytes(leftover);
+        self.series.count_applied(c, before);
+        match fed {
             Ok(()) => {
                 c.last_recv = now;
-                c.bytes_moved += leftover.len() as u64;
+                c.series.bytes_moved.add(leftover.len() as u64);
             }
             Err(error) => {
-                if let Some(mut dead) = c.link.take() {
+                if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
                     let _ = pump_out(c.rx.outbox(), &mut dead);
                 }
                 c.failed = Some(error);
+                self.series.failed.add(1.0);
             }
         }
         self.publish_conn(id);
@@ -543,8 +640,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             match p.dec.try_next() {
                 Ok(None) => {
                     if now.duration_since(p.since) >= sess.handshake_timeout {
-                        self.refused += 1;
-                        self.last_refusal = Some(NetError::Handshake(HandshakeError::Timeout));
+                        self.record_refusal(HandshakeError::Timeout);
                         p.link.shutdown();
                     } else {
                         keep.push(p);
@@ -573,7 +669,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                             through: 0,
                             granted_total: 0,
                         };
-                        self.conns.get_mut(&id).expect("just adopted").rx.stage_session(&ack);
+                        let c = self.conns.get_mut(&id).expect("just adopted");
+                        c.rx.outbox().stage_frame(&ack);
                         self.feed_adopted(id, &leftover, now);
                     } else {
                         match self.tokens.get(&token).copied() {
@@ -586,7 +683,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                             }
                             Some(id) => {
                                 let c = self.conns.get_mut(&id).expect("token maps to a conn");
-                                if let Some(mut old) = c.link.take() {
+                                if let Some(mut old) =
+                                    c.swap_link(Some(p.link), &self.series.attached)
+                                {
                                     old.shutdown();
                                 }
                                 c.rx.reset_link();
@@ -597,11 +696,11 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                                     through,
                                     granted_total,
                                 };
-                                c.rx.stage_session(&ack);
-                                c.link = Some(p.link);
+                                c.rx.outbox().stage_frame(&ack);
                                 c.detached_at = None;
                                 c.last_recv = now;
-                                c.resumes += 1;
+                                c.series.resumes.inc();
+                                self.series.resumes.inc();
                                 self.feed_adopted(id, &leftover, now);
                             }
                             None => {
@@ -639,7 +738,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         for id in expired {
             if let Some(c) = self.conns.remove(&id) {
                 self.tokens.remove(&c.token);
-                self.evicted += 1;
+                self.registry.remove(&[("conn", &id.to_string())]);
+                self.series.connections.add(-1.0);
+                self.series.evicted.inc();
             }
         }
     }
@@ -687,7 +788,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         let now = Instant::now();
         match self.conns.get_mut(&conn.0) {
             Some(c) if c.failed.is_none() && c.link.is_some() => {
-                if let Some(mut dead) = c.link.take() {
+                if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
                     dead.shutdown();
                 }
                 c.detached_at = Some(now);
@@ -703,7 +804,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// appended to the store. Already-published segments stay. Every
     /// other stream is untouched. Returns false if already quarantined.
     pub fn quarantine_stream(&mut self, stream: u64) -> bool {
-        self.quarantined_streams.insert(stream)
+        let fresh = self.quarantined_streams.insert(stream);
+        self.series.quarantined_streams.set(self.quarantined_streams.len() as f64);
+        fresh
     }
 
     /// Lifts a [`quarantine_stream`](Self::quarantine_stream): publishing
@@ -711,7 +814,9 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// quarantined span is shed, not backfilled). Returns false if the
     /// stream was not quarantined.
     pub fn release_stream(&mut self, stream: u64) -> bool {
-        self.quarantined_streams.remove(&stream)
+        let held = self.quarantined_streams.remove(&stream);
+        self.series.quarantined_streams.set(self.quarantined_streams.len() as f64);
+        held
     }
 
     /// Whether `stream` is currently quarantined.
@@ -764,10 +869,10 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             attached: c.link.is_some(),
             token: c.token,
             receiver: c.rx.stats(),
-            published: c.published_total,
+            published: c.series.published.get(),
             backpressure: c.backpressure,
-            bytes_moved: c.bytes_moved,
-            resumes: c.resumes,
+            bytes_moved: c.series.bytes_moved.get(),
+            resumes: c.series.resumes.get(),
             failed: c.failed.clone(),
             ack_points: c
                 .rx
@@ -778,26 +883,26 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         })
     }
 
-    /// Aggregate counters plus per-connection detail.
+    /// Aggregate counters plus per-connection detail. The totals count
+    /// over the collector's lifetime, evicted connections included.
     pub fn stats(&self) -> CollectorStats {
-        let conns: Vec<ConnStats> =
-            self.conns.keys().filter_map(|&id| self.conn_stats(ConnId(id))).collect();
+        let s = &self.series;
         CollectorStats {
-            connections: conns.len(),
-            attached: conns.iter().filter(|c| c.attached).count(),
-            frames: conns.iter().map(|c| c.receiver.frames_applied).sum(),
-            dup_drops: conns.iter().map(|c| c.receiver.dup_drops).sum(),
-            segments: conns.iter().map(|c| c.published).sum(),
-            backpressure: conns.iter().map(|c| c.backpressure).sum(),
-            failed: conns.iter().filter(|c| c.failed.is_some()).count(),
-            refused: self.refused,
-            evicted: self.evicted,
-            heartbeats: conns.iter().map(|c| c.receiver.heartbeats).sum(),
-            resumes: conns.iter().map(|c| c.resumes).sum(),
-            shed_segments: self.shed_segments,
+            connections: s.connections.get() as usize,
+            attached: s.attached.get() as usize,
+            frames: s.frames.get(),
+            dup_drops: s.dup_drops.get(),
+            segments: s.segments.get(),
+            backpressure: s.backpressure.get(),
+            failed: s.failed.get() as usize,
+            refused: s.refused.get(),
+            evicted: s.evicted.get(),
+            heartbeats: s.heartbeats.get(),
+            resumes: s.resumes.get(),
+            shed_segments: s.shed_segments.get(),
             quarantined_streams: self.quarantined_streams(),
             last_refusal: self.last_refusal.as_ref().map(|e| e.to_string()),
-            conns,
+            conns: self.conns.keys().filter_map(|&id| self.conn_stats(ConnId(id))).collect(),
         }
     }
 

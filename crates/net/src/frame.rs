@@ -289,7 +289,7 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-fn put_u32_le(out: &mut BytesMut, n: u32) {
+fn put_u32_le(out: &mut impl BufMut, n: u32) {
     out.put_slice(&n.to_le_bytes());
 }
 
@@ -305,7 +305,7 @@ fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     at + 1
 }
 
-fn put_varint(out: &mut BytesMut, v: u64) {
+fn put_varint(out: &mut impl BufMut, v: u64) {
     let mut buf = [0; MAX_VARINT_BYTES];
     let n = write_varint(&mut buf, 0, v);
     out.put_slice(&buf[..n]);
@@ -337,7 +337,7 @@ fn batch_len(count: u64, base: u64, body_len: usize) -> usize {
     1 + varint_len(count) + varint_len(base) + body_len
 }
 
-fn put_batch_header(out: &mut BytesMut, count: u64, base: u64, body_len: usize) {
+fn put_batch_header(out: &mut impl BufMut, count: u64, base: u64, body_len: usize) {
     put_u32_le(out, batch_len(count, base, body_len) as u32);
     out.put_u8(KIND_BATCH);
     put_varint(out, count);
@@ -353,7 +353,7 @@ pub(crate) fn single_entry_frame_len(stream: u64, seq: u64, payload_len: usize) 
 }
 
 /// The two cumulative varints `Ack` and `HelloAck` end in.
-fn put_point(out: &mut BytesMut, through: u64, granted_total: u64) {
+fn put_point(out: &mut impl BufMut, through: u64, granted_total: u64) {
     put_varint(out, through);
     put_varint(out, granted_total);
 }
@@ -424,6 +424,11 @@ impl BatchWriter {
 /// Encodes `frame` onto `out`, returning the encoded length.
 pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
     let before = out.len();
+    put_frame(frame, out);
+    out.len() - before
+}
+
+fn put_frame(frame: &NetFrame, out: &mut impl BufMut) {
     match frame {
         NetFrame::Batch(batch) => {
             put_batch_header(out, batch.count, batch.base, batch.body.len());
@@ -486,7 +491,6 @@ pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
             }
         }
     }
-    out.len() - before
 }
 
 /// A read position over one frame body. Every read is bounds-checked
@@ -762,12 +766,25 @@ pub struct Outbox {
 impl Outbox {
     /// Appends encoded frame bytes (one whole frame per call).
     pub fn stage(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.extend_from_slice(bytes);
+        self.frame_lens.push_back(bytes.len());
+    }
+
+    /// Encodes `frame` straight into the outbox as one staged frame.
+    pub fn stage_frame(&mut self, frame: &NetFrame) {
+        self.compact();
+        let before = self.buf.len();
+        put_frame(frame, &mut self.buf);
+        self.frame_lens.push_back(self.buf.len() - before);
+    }
+
+    /// Drops the written prefix once it is most of the buffer.
+    fn compact(&mut self) {
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
-        self.frame_lens.push_back(bytes.len());
     }
 
     /// Bytes not yet handed to the link.

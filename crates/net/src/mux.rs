@@ -27,7 +27,7 @@ use pla_core::{ProvisionalUpdate, Segment};
 use pla_transport::wire::{provisional_message, segment_messages, Codec, Message};
 
 use crate::credit::CreditWindow;
-use crate::frame::{encode, single_entry_frame_len, BatchWriter, FrameDecoder, NetFrame, Outbox};
+use crate::frame::{single_entry_frame_len, BatchWriter, FrameDecoder, NetFrame, Outbox};
 use crate::{NetConfig, NetError};
 
 /// Point-in-time sender counters, for observability and tests.
@@ -72,7 +72,6 @@ pub struct MuxSender<C: Codec> {
     out: Outbox,
     frames_in: FrameDecoder,
     scratch: BytesMut,
-    frame_scratch: BytesMut,
 }
 
 impl<C: Codec> MuxSender<C> {
@@ -93,7 +92,6 @@ impl<C: Codec> MuxSender<C> {
             out: Outbox::default(),
             frames_in: FrameDecoder::new(config.max_frame),
             scratch: BytesMut::new(),
-            frame_scratch: BytesMut::new(),
         }
     }
 
@@ -226,9 +224,7 @@ impl<C: Codec> MuxSender<C> {
         self.seal_pending();
         let final_seq = self.sealed;
         self.streams.insert(stream, Some(final_seq));
-        self.frame_scratch.clear();
-        encode(&NetFrame::Fin { stream, final_seq }, &mut self.frame_scratch);
-        self.out.stage(&self.frame_scratch);
+        self.out.stage_frame(&NetFrame::Fin { stream, final_seq });
         Ok(())
     }
 
@@ -356,9 +352,7 @@ impl<C: Codec> MuxSender<C> {
         }
         for (&stream, &fin) in &self.streams {
             if let Some(final_seq) = fin {
-                self.frame_scratch.clear();
-                encode(&NetFrame::Fin { stream, final_seq }, &mut self.frame_scratch);
-                self.out.stage(&self.frame_scratch);
+                self.out.stage_frame(&NetFrame::Fin { stream, final_seq });
             }
         }
     }
@@ -417,6 +411,7 @@ impl<C: Codec> MuxSender<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode;
     use crate::frame::Batch;
     use pla_transport::wire::FixedCodec;
 

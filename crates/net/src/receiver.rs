@@ -25,14 +25,12 @@
 
 use std::collections::VecDeque;
 
-use bytes::BytesMut;
-
 use pla_core::Segment;
 use pla_transport::wire::Codec;
 use pla_transport::StreamDemux;
 
 use crate::credit::ReceiveWindow;
-use crate::frame::{encode, FrameDecoder, NetFrame, Outbox};
+use crate::frame::{FrameDecoder, NetFrame, Outbox};
 use crate::{NetConfig, NetError};
 
 /// Heartbeats awaiting an echo are bounded: a peer that floods probes
@@ -90,7 +88,6 @@ pub struct NetReceiver<C: Codec> {
     /// [`flush_control`](Self::flush_control).
     ack_due: bool,
     out: Outbox,
-    scratch: BytesMut,
     /// Heartbeat sequence numbers to echo back on the next control
     /// flush (bounded by [`HEARTBEAT_ECHO_CAP`]).
     heartbeat_echoes: VecDeque<u64>,
@@ -114,7 +111,6 @@ impl<C: Codec> NetReceiver<C> {
             window: ReceiveWindow::new(config.window),
             ack_due: false,
             out: Outbox::default(),
-            scratch: BytesMut::new(),
             heartbeat_echoes: VecDeque::new(),
             frames_applied: 0,
             dup_drops: 0,
@@ -123,12 +119,6 @@ impl<C: Codec> NetReceiver<C> {
             heartbeats: 0,
             stray_hellos: 0,
         }
-    }
-
-    fn stage_frame(&mut self, frame: &NetFrame) {
-        self.scratch.clear();
-        encode(frame, &mut self.scratch);
-        self.out.stage(&self.scratch);
     }
 
     /// Feeds inbound link bytes, applying every complete frame:
@@ -220,10 +210,10 @@ impl<C: Codec> NetReceiver<C> {
             self.credits_staged += u64::from(grant.is_some());
             self.acks_staged += 1;
             let ack = NetFrame::Ack { through: self.applied, granted_total: grant.unwrap_or(0) };
-            self.stage_frame(&ack);
+            self.out.stage_frame(&ack);
         }
         while let Some(seq) = self.heartbeat_echoes.pop_front() {
-            self.stage_frame(&NetFrame::Heartbeat { seq });
+            self.out.stage_frame(&NetFrame::Heartbeat { seq });
         }
     }
 
@@ -253,12 +243,6 @@ impl<C: Codec> NetReceiver<C> {
         self.out.clear();
         self.ack_due = false;
         self.heartbeat_echoes.clear();
-    }
-
-    /// Stages one session-layer frame (`HelloAck`, handshake-time
-    /// heartbeats) ahead of whatever control traffic follows.
-    pub(crate) fn stage_session(&mut self, frame: &NetFrame) {
-        self.stage_frame(frame);
     }
 
     /// The reconstruction state: buffered segments, coverage, counters.
@@ -297,6 +281,12 @@ impl<C: Codec> NetReceiver<C> {
         }
     }
 
+    /// Entries applied, duplicates dropped and heartbeats received: the
+    /// collector's series follow these, skipping `stats`' stream walk.
+    pub(crate) fn counts(&self) -> [u64; 3] {
+        [self.frames_applied, self.dup_drops, self.heartbeats]
+    }
+
     /// Bytes staged for the link (acks, credit grants) but not yet
     /// written. Control for freshly applied entries is staged by
     /// [`flush_control`](Self::flush_control) — the driver pumps run it
@@ -319,6 +309,8 @@ impl<C: Codec> NetReceiver<C> {
         self.out.take()
     }
 
+    /// The outbox its control frames leave through; the collector
+    /// stages a session's `HelloAck` here, ahead of them.
     pub(crate) fn outbox(&mut self) -> &mut Outbox {
         &mut self.out
     }
@@ -327,7 +319,8 @@ impl<C: Codec> NetReceiver<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Batch;
+    use crate::frame::{encode, Batch};
+    use bytes::BytesMut;
     use pla_transport::wire::{FixedCodec, Message};
 
     fn payload(msgs: &[Message]) -> Vec<u8> {

@@ -36,12 +36,11 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-
+use pla_metrics::Registry;
 use pla_transport::wire::Codec;
 
 use crate::driver::{pump_in, pump_out};
-use crate::frame::{encode, FrameDecoder, FrameError, NetFrame, Outbox, PROTOCOL_VERSION};
+use crate::frame::{FrameDecoder, FrameError, NetFrame, Outbox, PROTOCOL_VERSION};
 use crate::link::{Link, MemoryLink, TcpLink};
 use crate::listen::MemoryConnector;
 use crate::mux::MuxSender;
@@ -261,7 +260,7 @@ enum Phase {
     Failed,
 }
 
-/// Point-in-time session counters, for tests and observability.
+/// Point-in-time session counters, read from the sender's series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Dial attempts made (including failures).
@@ -272,6 +271,20 @@ pub struct SessionStats {
     pub heartbeats_sent: u64,
     /// Heartbeat echoes received back.
     pub echoes_seen: u64,
+}
+
+pla_metrics::series! {
+    /// The sender's series, one per [`SessionStats`] field, unlabeled.
+    struct SessionSeries {
+        dials: counter("pla_session_dials_total",
+            "Dial attempts made (including failures), per sender."),
+        established: counter("pla_session_established_total",
+            "Handshakes completed (first establishment plus resumes), per sender."),
+        heartbeats_sent: counter("pla_session_heartbeats_sent_total",
+            "Heartbeat probes sent, per sender."),
+        echoes_seen: counter("pla_session_echoes_seen_total",
+            "Heartbeat echoes received back, per sender."),
+    }
 }
 
 /// A [`MuxSender`] wrapped in the self-healing session machine: it
@@ -293,14 +306,14 @@ pub struct SessionSender<C: Codec, R: Redial> {
     /// The session machine decodes the link itself (it must intercept
     /// `HelloAck` before the mux sees bytes).
     dec: FrameDecoder,
-    scratch: BytesMut,
     token: u64,
     backoff: Duration,
     last_recv: Instant,
     last_send: Instant,
     heartbeat_seq: u64,
     failed: Option<NetError>,
-    stats: SessionStats,
+    series: SessionSeries,
+    registry: Registry,
 }
 
 impl<C: Codec, R: Redial> SessionSender<C, R> {
@@ -316,6 +329,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
         redial: R,
         now: Instant,
     ) -> Self {
+        let mut registry = Registry::new();
         Self {
             mux: MuxSender::new(codec, dims, config),
             redial,
@@ -324,14 +338,14 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
             session,
             session_out: Outbox::default(),
             dec: FrameDecoder::new(config.max_frame),
-            scratch: BytesMut::new(),
             token: 0,
             backoff: session.redial_initial,
             last_recv: now,
             last_send: now,
             heartbeat_seq: 0,
             failed: None,
-            stats: SessionStats::default(),
+            series: SessionSeries::register(&mut registry, &[]),
+            registry,
         }
     }
 
@@ -365,7 +379,19 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
 
     /// Session counters.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        let s = &self.series;
+        SessionStats {
+            dials: s.dials.get(),
+            established: s.established.get(),
+            heartbeats_sent: s.heartbeats_sent.get(),
+            echoes_seen: s.echoes_seen.get(),
+        }
+    }
+
+    /// The sender's metric series, one `pla_session_*_total` counter
+    /// per [`SessionStats`] field.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The redial factory — fault-injection tests reach their
@@ -377,12 +403,6 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
     /// Mutable access to the redial factory (scripting dial failures).
     pub fn redial_mut(&mut self) -> &mut R {
         &mut self.redial
-    }
-
-    fn stage_session_frame(&mut self, frame: &NetFrame) {
-        self.scratch.clear();
-        encode(frame, &mut self.scratch);
-        self.session_out.stage(&self.scratch);
     }
 
     fn fail(&mut self, err: NetError) {
@@ -406,14 +426,14 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
     }
 
     fn dial(&mut self, now: Instant) {
-        self.stats.dials += 1;
+        self.series.dials.inc();
         match self.redial.redial() {
             Ok(link) => {
                 self.link = Some(link);
                 self.dec.reset();
                 self.session_out.clear();
                 let hello = NetFrame::Hello { version: self.session.version, token: self.token };
-                self.stage_session_frame(&hello);
+                self.session_out.stage_frame(&hello);
                 // 0-RTT replay: stage the unacked frames right behind the
                 // Hello. If the HelloAck's point later shows some of them
                 // were already applied, `apply_resume` re-trims.
@@ -454,7 +474,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                         self.mux.apply_resume(through, granted_total)?;
                         self.phase = Phase::Established;
                         self.backoff = self.session.redial_initial;
-                        self.stats.established += 1;
+                        self.series.established.inc();
                     }
                     // A duplicated HelloAck for the session we already
                     // hold is replay noise; a *different* token
@@ -466,7 +486,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                 Ok(())
             }
             NetFrame::Heartbeat { .. } => {
-                self.stats.echoes_seen += 1;
+                self.series.echoes_seen.inc();
                 Ok(())
             }
             other => self.mux.on_frame(other),
@@ -550,8 +570,8 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
                 if now.duration_since(self.last_send) >= self.session.heartbeat_interval {
                     self.heartbeat_seq += 1;
                     let probe = NetFrame::Heartbeat { seq: self.heartbeat_seq };
-                    self.stage_session_frame(&probe);
-                    self.stats.heartbeats_sent += 1;
+                    self.session_out.stage_frame(&probe);
+                    self.series.heartbeats_sent.inc();
                 }
             }
             _ => {}
@@ -599,6 +619,8 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode;
+    use bytes::BytesMut;
 
     #[test]
     fn backoff_doubles_to_the_cap_and_resets_on_establishment() {

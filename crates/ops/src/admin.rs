@@ -3,7 +3,7 @@
 //!
 //! | Method | Path | Effect |
 //! |---|---|---|
-//! | GET | `/metrics` | Prometheus exposition of every registered series |
+//! | GET | `/metrics` | Prometheus exposition of the ops, collector, store and handed-in registries |
 //! | GET | `/healthz` | liveness probe, `200 ok` |
 //! | GET | `/admin/connections` | per-connection counters as JSON |
 //! | GET | `/admin/streams` | streams + quarantine state + per-source watermarks |
@@ -18,9 +18,8 @@ use pla_net::listen::Acceptor;
 use pla_net::{Collector, ConnId};
 use pla_transport::wire::Codec;
 
-use crate::collect::{collector_families, store_families};
 use crate::http::{Handler, Request, Response};
-use crate::metrics::{render_families, Collect, MetricFamily, Registry};
+use crate::metrics::{render_families, Counter, Histogram, Registry};
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -50,15 +49,17 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// The admin [`Handler`]: owns the ops [`Registry`] (HTTP self-metrics
-/// live here), scrapes the wrapped collector and its store on every
-/// `/metrics`, and maps the admin POSTs onto the collector's
-/// drain/quarantine machinery.
+/// live here), renders it with the wrapped collector's and its store's
+/// registries and every registry handed in through
+/// [`add_registry`](Self::add_registry) on each `/metrics`, and maps
+/// the admin POSTs onto the collector's drain/quarantine machinery.
 pub struct CollectorAdmin<C: Codec + Clone, A: Acceptor> {
     collector: Rc<RefCell<Collector<C, A>>>,
     registry: Registry,
-    extra: Vec<Box<dyn Collect>>,
-    requests: crate::metrics::Counter,
-    response_bytes: crate::metrics::Histogram,
+    /// Handed-in registries, each carrying its constant labels.
+    sources: Vec<Registry>,
+    requests: Counter,
+    response_bytes: Histogram,
 }
 
 impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
@@ -73,29 +74,26 @@ impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
             "Response body sizes served by the ops endpoint.",
             &[256.0, 1024.0, 4096.0, 16384.0, 65536.0],
         );
-        Self { collector, registry, extra: Vec::new(), requests, response_bytes }
+        Self { collector, registry, sources: Vec::new(), requests, response_bytes }
     }
 
-    /// Adds a scrape source consulted on every `/metrics` (ingest
-    /// reports, sender session stats, query counters, ...).
-    pub fn add_source(&mut self, source: impl Collect + 'static) {
-        self.extra.push(Box::new(source));
-    }
-
-    /// The ops-owned registry, for registering more primitives.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+    /// Serves `registry`'s series on every `/metrics` with `labels`
+    /// added to each (`sender="0"`, say), so several registries of one
+    /// kind stay apart. The handles are shared, so every later update
+    /// shows; a series `registry` gains after this call does not.
+    pub fn add_registry(&mut self, registry: &Registry, labels: &[(&str, &str)]) {
+        self.sources.push(registry.with_labels(labels));
     }
 
     fn metrics(&self) -> Response {
-        let mut fams: Vec<MetricFamily> = self.registry.gather();
+        let mut fams = self.registry.gather();
         {
             let coll = self.collector.borrow();
-            collector_families(&coll.stats(), &mut fams);
-            store_families(&coll.store().snapshot(), &mut fams);
+            fams.extend(coll.registry().gather());
+            fams.extend(coll.store().registry().gather());
         }
-        for source in &self.extra {
-            source.collect(&mut fams);
+        for source in &self.sources {
+            fams.extend(source.gather());
         }
         Response::exposition(render_families(&fams))
     }

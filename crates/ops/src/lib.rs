@@ -1,18 +1,18 @@
 //! # pla-ops — the operations tier
 //!
-//! Everything the pipeline already measures — `IngestReport`,
-//! `CollectorStats`/`ConnStats`, `ReceiverStats`, `StoreSnapshot`
-//! watermarks and epochs, `LookupStats` — made operable: a metrics
-//! registry with Prometheus text exposition, a minimal HTTP/1.1 admin
-//! surface pumped beside the collector, and file/env configuration so a
-//! collector+store+query stack boots from one file.
+//! Everything the pipeline measures made operable: the registries the
+//! collector, store, ingest engines, session senders and query server
+//! keep of their own series, served as Prometheus text exposition by a
+//! minimal HTTP/1.1 admin surface pumped beside the collector, plus
+//! file/env configuration so a collector+store+query stack boots from
+//! one file.
 //!
 //! Three layers:
 //!
-//! - [`metrics`] — lock-cheap counter/gauge/histogram primitives
-//!   (alloc-free increments), a [`Registry`] rendering
-//!   exposition text, and [`collect`] adapters scraping the existing
-//!   stats structs into metric families.
+//! - [`metrics`] — `pla-metrics`, re-exported: lock-cheap
+//!   counter/gauge/histogram handles (alloc-free increments) and the
+//!   [`Registry`] rendering exposition text. Each subsystem declares
+//!   and updates its own series; this crate only serves them.
 //! - [`http`] + [`admin`] — an [`OpsServer`] behind the
 //!   existing `Acceptor`/`Link` seam (deterministically testable over
 //!   `MemoryAcceptor`, driven by a plain pump loop), and the
@@ -29,15 +29,14 @@
 #![forbid(unsafe_code)]
 
 pub mod admin;
-pub mod collect;
 pub mod config;
 pub mod http;
-pub mod metrics;
+pub use pla_metrics as metrics;
 
 pub use admin::CollectorAdmin;
 pub use config::{AppConfig, CollectorConfig, ConfigError, OpsConfig};
 pub use http::{OpsServer, Request, Response};
 pub use metrics::{
-    parse_exposition, render_families, Collect, Counter, Gauge, Histogram, MetricFamily,
-    MetricKind, ParsedSample, Registry, Sample, SampleValue,
+    parse_exposition, render_families, Counter, Gauge, Histogram, MetricFamily, MetricKind,
+    ParsedSample, Registry, Sample, SampleValue,
 };

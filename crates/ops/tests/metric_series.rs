@@ -4,9 +4,10 @@
 //! `golden_metrics.txt` pins the exposition *format* on synthetic
 //! names; this list pins the *names* dashboards and alerts key on. The
 //! pipeline is a session collector fed by two senders, its store, and
-//! ingest, session and query sources registered through
-//! [`CollectorAdmin::add_source`]. Values are not pinned — they depend
-//! on timing — only which series exist and how they are labeled.
+//! the ingest engine's, the senders' and the query server's registries
+//! handed in through [`CollectorAdmin::add_registry`]. Values are not
+//! pinned — they depend on timing — only which series exist and how
+//! they are labeled.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -19,10 +20,9 @@ use pla_core::Segment;
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
 use pla_net::listen::MemoryAcceptor;
 use pla_net::{Collector, ConnId, MemoryRedial, NetConfig, SessionConfig, SessionSender};
-use pla_ops::collect::{ingest_families, query_families, query_server_families, session_families};
 use pla_ops::http::Handler;
-use pla_ops::{parse_exposition, CollectorAdmin, MetricFamily, Request};
-use pla_query::{LookupStats, QueryServer};
+use pla_ops::{parse_exposition, CollectorAdmin, Request};
+use pla_query::QueryServer;
 use pla_transport::wire::FixedCodec;
 
 fn seg(i: usize) -> Segment {
@@ -81,23 +81,15 @@ fn scrape() -> String {
     for i in 0..16 {
         handle.push(StreamId(0), i as f64, &[(i % 5) as f64]).expect("push");
     }
-    let report = engine.finish();
-
-    let sessions: Vec<_> = senders.iter().map(SessionSender::stats).collect();
     let query_server = QueryServer::new(MemoryAcceptor::new(), store, cfg);
-    let query_stats = query_server.stats();
 
     let mut admin = CollectorAdmin::new(collector);
-    admin.add_source(move |out: &mut Vec<MetricFamily>| ingest_families(&report, out));
-    admin.add_source(move |out: &mut Vec<MetricFamily>| {
-        for (i, s) in sessions.iter().enumerate() {
-            session_families(&i.to_string(), s, out);
-        }
-    });
-    admin.add_source(move |out: &mut Vec<MetricFamily>| {
-        query_server_families(&query_stats, out);
-        query_families(1, &LookupStats::default(), out);
-    });
+    admin.add_registry(engine.registry(), &[]);
+    engine.finish();
+    for (i, tx) in senders.iter().enumerate() {
+        admin.add_registry(tx.registry(), &[("sender", &i.to_string())]);
+    }
+    admin.add_registry(query_server.registry(), &[]);
     let resp = admin.handle(&Request {
         method: "GET".to_string(),
         path: "/metrics".to_string(),

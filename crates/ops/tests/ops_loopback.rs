@@ -5,7 +5,10 @@
 //!
 //! `GET /metrics` on the live stack must serve valid Prometheus text
 //! exposition covering ingest, collector, session, store, query, and
-//! ops-self series; `POST /admin/quarantine/{stream}` must isolate
+//! ops-self series — every subsystem's registry is handed to the admin
+//! before traffic, so a scrape taken while the engines, senders and
+//! query server still run already shows their counts; `POST
+//! /admin/quarantine/{stream}` must isolate
 //! exactly that stream while every other stream's store content stays
 //! byte-identical to dedicated fault-free point-to-point links.
 
@@ -17,17 +20,16 @@ use std::time::{Duration, Instant};
 
 use pla_core::filters::{FilterKind, FilterSpec};
 use pla_core::{Segment, Signal};
-use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, ShardStats, StreamId};
+use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
 use pla_net::listen::{MemoryAcceptor, MemoryConnector};
-use pla_net::session::SessionStats;
 use pla_net::uplink::{EngineUplink, UplinkStatus};
 use pla_net::{
     Collector, CollectorStats, ConnId, Link, MemoryLink, MemoryRedial, NetConfig, SessionConfig,
     SessionSender,
 };
-use pla_ops::collect::{ingest_shard_families, query_families, session_families};
-use pla_ops::{parse_exposition, CollectorAdmin, OpsServer, ParsedSample};
-use pla_query::{LookupStats, StoreQueryEngine};
+use pla_ops::http::Handler;
+use pla_ops::{parse_exposition, CollectorAdmin, OpsServer, ParsedSample, Request};
+use pla_query::{Query, QueryClient, QueryClientConfig, QueryResult, QueryServer, Response};
 use pla_signal::{random_walk, WalkParams};
 use pla_transport::wire::FixedCodec;
 use pla_transport::{Receiver, Transmitter};
@@ -37,6 +39,10 @@ const STREAMS_PER_CONN: u64 = 16;
 const SAMPLES: usize = 300;
 const LINK_CAPACITY: usize = 211;
 const TICK: Duration = Duration::from_millis(5);
+/// Samples the edge engines are fed.
+const PUSHED: f64 = (CONNS * STREAMS_PER_CONN) as f64 * SAMPLES as f64;
+/// How long the live scrape may wait for the shard threads.
+const LIVE_DEADLINE: Duration = Duration::from_secs(30);
 
 fn spec_for(id: u64) -> FilterSpec {
     let kind = match id % 3 {
@@ -88,11 +94,11 @@ fn session_config() -> SessionConfig {
 }
 
 struct Edge {
+    /// Running until [`finish_engine`](Edge::finish_engine).
+    engine: Option<IngestEngine>,
     sess: SessionSender<FixedCodec, MemoryRedial>,
     uplink: EngineUplink,
     finned: bool,
-    shard_stats: Vec<ShardStats>,
-    quarantined: usize,
     expected_segments: u64,
 }
 
@@ -115,9 +121,8 @@ impl Edge {
             let samples: Vec<(f64, &[f64])> = signal.iter().collect();
             handle.push_batch(StreamId(id), &samples).expect("feed");
         }
-        let report = engine.finish();
-        assert_eq!(report.quarantined(), 0);
         Self {
+            engine: Some(engine),
             sess: SessionSender::new(
                 FixedCodec,
                 1,
@@ -128,10 +133,16 @@ impl Edge {
             ),
             uplink: EngineUplink::new(tap),
             finned: false,
-            quarantined: report.quarantined(),
-            expected_segments: report.total_segments() as u64,
-            shard_stats: report.shards.clone(),
+            expected_segments: 0,
         }
+    }
+
+    /// Shuts the engine down, closing its tap so the uplink can drain
+    /// and `Fin` every stream.
+    fn finish_engine(&mut self) {
+        let report = self.engine.take().expect("engine still running").finish();
+        assert_eq!(report.quarantined(), 0);
+        self.expected_segments = report.total_segments() as u64;
     }
 
     fn round(&mut self, now: Instant) -> usize {
@@ -199,17 +210,62 @@ fn fetch(server: &mut Server, client: &mut MemoryLink, method: &str, path: &str)
     panic!("response never completed");
 }
 
+/// Submits `queries` to the remote query server and pumps both ends
+/// until every answer is in, returned in submission order.
+fn ask(
+    client: &mut QueryClient<MemoryRedial>,
+    server: &mut QueryServer<MemoryAcceptor>,
+    queries: Vec<Query>,
+    now: Instant,
+) -> Vec<QueryResult> {
+    let ids: Vec<u64> = queries.into_iter().map(|q| client.submit(q, now)).collect();
+    let mut answers = BTreeMap::new();
+    for _ in 0..10_000 {
+        client.pump_at(now);
+        server.pump();
+        client.pump_at(now);
+        for (id, outcome) in client.take_completed() {
+            match outcome {
+                Ok(Response::Result(result)) => answers.insert(id, result),
+                other => panic!("remote query failed: {other:?}"),
+            };
+        }
+        if answers.len() == ids.len() {
+            return ids.iter().map(|id| answers.remove(id).expect("answered")).collect();
+        }
+    }
+    panic!("remote queries never completed");
+}
+
+fn total(samples: &[ParsedSample], name: &str) -> f64 {
+    samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
+}
+
+/// Whether a live scrape shows every pushed sample, a dial by every
+/// sender and the one remote query.
+fn live_counts_arrived(m: &[ParsedSample]) -> bool {
+    let dialed = m.iter().filter(|s| s.name == "pla_session_dials_total" && s.value >= 1.0);
+    total(m, "pla_ingest_samples_total") == PUSHED
+        && dialed.count() == CONNS as usize
+        && total(m, "pla_query_server_requests_total") == 1.0
+}
+
 struct FanInResult {
     store: Arc<SegmentStore>,
     stats: CollectorStats,
+    /// A scrape taken before any engine finished.
+    live: Vec<ParsedSample>,
     metrics: Vec<ParsedSample>,
     metrics_text: String,
     streams_json: String,
 }
 
-/// Runs the full fan-in with the ops server alongside, quarantining
-/// `quarantine` through the HTTP API before any traffic flows, then
-/// scrapes `/metrics` and `/admin/streams` from the finished stack.
+/// Runs the full fan-in with the ops server and a remote query server
+/// alongside, quarantining `quarantine` through the HTTP API before any
+/// traffic flows. Scrapes `/metrics` once while the engines still run
+/// (after one remote query), then asks one remote point lookup per
+/// stored stream and scrapes `/metrics` and `/admin/streams` from the
+/// finished stack.
 fn run_fanin(quarantine: &[u64]) -> FanInResult {
     let cfg = NetConfig { window: 512, max_frame: 1 << 20 };
     let sess_cfg = session_config();
@@ -237,15 +293,52 @@ fn run_fanin(quarantine: &[u64]) -> FanInResult {
         assert_eq!(body, format!("{{\"quarantined\":{stream}}}"));
     }
 
+    let query_acceptor = MemoryAcceptor::new();
+    let query_redial = MemoryRedial::new(query_acceptor.connector(), 1 << 20);
+    let mut query_server = QueryServer::new(query_acceptor, store.clone(), cfg);
+    let mut query_client = QueryClient::new(query_redial, QueryClientConfig::default());
+
     let epoch = Instant::now();
     let mut edges: Vec<Edge> =
         (0..CONNS).map(|c| Edge::new(c, cfg, sess_cfg, connector.clone(), epoch)).collect();
+
+    // Every subsystem's series are served live, before any traffic.
+    let admin = server.handler_mut();
+    admin.add_registry(query_server.registry(), &[]);
+    for (i, edge) in edges.iter().enumerate() {
+        let id = i.to_string();
+        let engine = edge.engine.as_ref().expect("engine running");
+        admin.add_registry(engine.registry(), &[("edge", &id)]);
+        admin.add_registry(edge.sess.registry(), &[("sender", &id)]);
+    }
 
     // Dial before the first collector round so accept order follows
     // edge order: edge c is conn c+1.
     let mut now = epoch;
     for edge in &mut edges {
         edge.round(now);
+    }
+
+    // Live: one remote query, then poll until the shard threads have
+    // taken every sample, while the engines run and the senders pump.
+    ask(&mut query_client, &mut query_server, vec![Query::Streams], now);
+    let deadline = Instant::now() + LIVE_DEADLINE;
+    let live = loop {
+        now += TICK;
+        collector.borrow_mut().pump_at(now).expect("fault-free run");
+        for edge in &mut edges {
+            edge.round(now);
+        }
+        let (status, text) = fetch(&mut server, &mut ops_client, "GET", "/metrics");
+        assert_eq!(status, 200);
+        let live = parse_exposition(&text).expect("live exposition must parse");
+        if live_counts_arrived(&live) || Instant::now() > deadline {
+            break live;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    for edge in &mut edges {
+        edge.finish_engine();
     }
 
     let mut stalled = 0;
@@ -265,45 +358,17 @@ fn run_fanin(quarantine: &[u64]) -> FanInResult {
         assert!(stalled < 256, "fan-in deadlocked");
     }
 
-    // The transfer is complete: register the remaining scrape sources
-    // (aggregated ingest shard stats, sender-side session stats, query
-    // counters driven by real lookups) and take the exposition.
-    let mut shard_totals = vec![ShardStats::default(); 2];
-    let mut quarantined_streams = 0;
-    for edge in &edges {
-        quarantined_streams += edge.quarantined;
-        for (total, s) in shard_totals.iter_mut().zip(&edge.shard_stats) {
-            total.ops += s.ops;
-            total.samples += s.samples;
-            total.segments += s.segments;
-            total.backpressure += s.backpressure;
-            total.unknown_stream_drops += s.unknown_stream_drops;
-            total.duplicate_registers += s.duplicate_registers;
-            total.streams += s.streams;
-        }
+    // The transfer is complete: one remote point lookup per stream.
+    let lookups: Vec<Query> = store
+        .snapshot()
+        .streams
+        .iter()
+        .filter_map(|(id, view)| view.span().map(|(lo, hi)| (id.0, (lo + hi) / 2.0)))
+        .map(|(stream, t)| Query::PointWithStats { stream, t, dim: 0 })
+        .collect();
+    for answer in ask(&mut query_client, &mut query_server, lookups, now) {
+        assert!(matches!(answer, QueryResult::ValueWithStats { .. }), "covered: {answer:?}");
     }
-    let sessions: Vec<SessionStats> = edges.iter().map(|e| e.sess.stats()).collect();
-    server.handler_mut().add_source(move |out: &mut Vec<pla_ops::MetricFamily>| {
-        ingest_shard_families(&shard_totals, quarantined_streams, out);
-        for (i, s) in sessions.iter().enumerate() {
-            session_families(&i.to_string(), s, out);
-        }
-    });
-
-    let engine = StoreQueryEngine::new(store.snapshot());
-    let mut lookups = 0u64;
-    let mut comparisons = LookupStats::default();
-    for id in engine.streams() {
-        let view = engine.stream(id).expect("listed stream");
-        if let Some((lo, hi)) = view.span() {
-            let (_, st) = engine.point_with_stats(id, (lo + hi) / 2.0, 0).expect("covered");
-            lookups += 1;
-            comparisons.comparisons += st.comparisons;
-        }
-    }
-    server.handler_mut().add_source(move |out: &mut Vec<pla_ops::MetricFamily>| {
-        query_families(lookups, &comparisons, out);
-    });
 
     let (status, metrics_text) = fetch(&mut server, &mut ops_client, "GET", "/metrics");
     assert_eq!(status, 200);
@@ -317,7 +382,7 @@ fn run_fanin(quarantine: &[u64]) -> FanInResult {
         tapped,
         "every segment the engines emitted was either published or shed"
     );
-    FanInResult { store, stats, metrics, metrics_text, streams_json }
+    FanInResult { store, stats, live, metrics, metrics_text, streams_json }
 }
 
 fn sample_value<'a>(samples: &'a [ParsedSample], name: &str) -> Option<&'a ParsedSample> {
@@ -329,6 +394,22 @@ fn live_metrics_cover_every_subsystem() {
     let reference = direct_reference();
     let expected_total: u64 = reference.values().map(|v| v.len() as u64).sum();
     let result = run_fanin(&[]);
+
+    // While the engines ran, the scrape already saw every pushed
+    // sample, each sender's dial and the one remote query.
+    let live = &result.live;
+    assert_eq!(total(live, "pla_ingest_samples_total"), PUSHED, "live ingest samples");
+    for sender in 0..CONNS {
+        let dials = live
+            .iter()
+            .find(|s| {
+                s.name == "pla_session_dials_total"
+                    && s.labels.contains(&("sender".to_string(), sender.to_string()))
+            })
+            .unwrap_or_else(|| panic!("no live dial series for sender {sender}"));
+        assert!(dials.value >= 1.0, "sender {sender} dialed");
+    }
+    assert_eq!(total(live, "pla_query_server_requests_total"), 1.0, "one remote query");
 
     // Store ground truth first: the fan-in itself must be lossless.
     let snap = result.store.snapshot();
@@ -424,4 +505,67 @@ fn quarantining_one_stream_leaves_every_other_byte_identical() {
     // Every sender still completed: acks are independent of publishing,
     // so quarantine sheds data without stalling the connection.
     assert_eq!(result.stats.attached, CONNS as usize);
+}
+
+/// Evicting a session must not take its counts with it: once the
+/// liveness lapse and the session TTL have evicted a severed sender,
+/// the scraped collector totals still match the store.
+#[test]
+fn collector_totals_survive_session_eviction() {
+    let (cfg, sess_cfg) = (NetConfig::default(), SessionConfig::default());
+    let store = Arc::new(SegmentStore::new());
+    let acceptor = MemoryAcceptor::new();
+    let redial = MemoryRedial::new(acceptor.connector(), 4096);
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec,
+        1,
+        cfg,
+        sess_cfg,
+        acceptor,
+        store.clone(),
+    )));
+    let mut admin = Admin::new(collector.clone());
+    let t0 = Instant::now();
+    let mut tx = SessionSender::new(FixedCodec, 1, cfg, sess_cfg, redial, t0);
+    for i in 0..4 {
+        let t = i as f64 * 10.0;
+        let seg = Segment {
+            t_start: t,
+            x_start: [t].into(),
+            t_end: t + 5.0,
+            x_end: [t + 1.0].into(),
+            connected: false,
+            n_points: 2,
+            new_recordings: 2,
+        };
+        tx.mux_mut().try_send_segment(0, &seg).expect("fits the window");
+    }
+    for _ in 0..4 {
+        tx.pump_at(t0);
+        collector.borrow_mut().pump_at(t0).expect("fault-free run");
+    }
+    assert_eq!(store.total_segments(), 4);
+    let frames = collector.borrow().stats().frames;
+    assert!(frames > 0);
+
+    tx.redial().last_link().expect("dialed once").sever();
+    let lapse = t0 + sess_cfg.liveness_timeout;
+    collector.borrow_mut().pump_at(lapse).expect("a severed link only detaches");
+    collector.borrow_mut().pump_at(lapse + sess_cfg.session_ttl).expect("eviction is no failure");
+    assert_eq!(collector.borrow().stats().evicted, 1);
+
+    let resp = admin.handle(&Request {
+        method: "GET".to_string(),
+        path: "/metrics".to_string(),
+        body: Vec::new(),
+    });
+    let m = parse_exposition(&String::from_utf8(resp.body).expect("utf8")).expect("parses");
+    let value = |name: &str| sample_value(&m, name).unwrap_or_else(|| panic!("{name}")).value;
+    assert_eq!(value("pla_collector_segments_total"), store.total_segments() as f64);
+    assert_eq!(value("pla_collector_frames_total"), frames as f64);
+    assert_eq!(value("pla_collector_connections"), 0.0);
+    assert!(
+        m.iter().all(|s| !s.name.starts_with("pla_conn_")),
+        "an evicted connection's series go with it"
+    );
 }

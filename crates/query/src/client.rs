@@ -29,11 +29,9 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-
 use pla_ingest::{shard_of, StreamId};
 use pla_net::driver::{pump_in, pump_out};
-use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
+use pla_net::frame::{FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::{NetConfig, Redial};
 
 use crate::wire::{Query, QueryResult, WireError};
@@ -420,9 +418,7 @@ impl<R: Redial> QueryClient<R> {
                 PendingKind::Query(q) => NetFrame::QueryReq { req_id: id, body: q.encode() },
                 PendingKind::Epochs => NetFrame::EpochsReq { req_id: id },
             };
-            let mut buf = BytesMut::new();
-            encode(&frame, &mut buf);
-            self.outbox.stage(&buf);
+            self.outbox.stage_frame(&frame);
         }
 
         // Flush, then read. A link that fails or closes is lost.
@@ -531,9 +527,8 @@ impl<R: Redial> QueryClient<R> {
                 self.backoff = self.config.redial_initial;
                 self.decoder.reset();
                 self.outbox.clear();
-                let mut buf = BytesMut::new();
-                encode(&NetFrame::Hello { version: PROTOCOL_VERSION, token: self.token }, &mut buf);
-                self.outbox.stage(&buf);
+                let hello = NetFrame::Hello { version: PROTOCOL_VERSION, token: self.token };
+                self.outbox.stage_frame(&hello);
                 // Everything unanswered goes out again on this link.
                 for p in self.pending.values_mut() {
                     p.staged = false;

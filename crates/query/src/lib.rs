@@ -68,7 +68,7 @@ pub use client::{
     SnapshotCache,
 };
 pub use engine::QueryEngine;
-pub use server::{QueryServer, QueryServerStats, ServiceLatency};
+pub use server::{QueryServer, QueryServerStats};
 pub use store::{BoundedRange, LookupStats, RangeAggregate, StoreQueryEngine};
 pub use types::{Bounded, BoundedCount, Crossing, CrossingKind, QueryError, SamplingGrid};
 pub use wire::{Query, QueryResult, WireError};

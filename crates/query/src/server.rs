@@ -24,14 +24,13 @@
 //! [`QueryError`](crate::QueryError) rides back inside the response.
 
 use std::convert::Infallible;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use bytes::BytesMut;
-
 use pla_ingest::SegmentStore;
+use pla_metrics::{Histogram, Registry};
 use pla_net::driver::{pump_in, pump_out, DriveError};
-use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
+use pla_net::frame::{FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::listen::Acceptor;
 use pla_net::session::splitmix64;
 use pla_net::{Link, NetConfig};
@@ -43,43 +42,8 @@ use crate::wire::{Query, QueryResult};
 /// the implicit `+Inf` bucket follows.
 pub const SERVICE_BUCKETS: [f64; 5] = [50e-6, 250e-6, 1e-3, 5e-3, 25e-3];
 
-/// Fixed-bucket service-time distribution, accumulated by the server
-/// and scraped by `pla-ops` into a Prometheus histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceLatency {
-    /// Observation counts per bucket: one per [`SERVICE_BUCKETS`] bound
-    /// (non-cumulative), then the `+Inf` overflow.
-    pub counts: [u64; SERVICE_BUCKETS.len() + 1],
-    /// Sum of all observations, seconds.
-    pub sum: f64,
-    /// Total observations.
-    pub count: u64,
-}
-
-impl Default for ServiceLatency {
-    fn default() -> Self {
-        Self { counts: [0; SERVICE_BUCKETS.len() + 1], sum: 0.0, count: 0 }
-    }
-}
-
-impl ServiceLatency {
-    fn observe(&mut self, seconds: f64) {
-        let slot =
-            SERVICE_BUCKETS.iter().position(|&b| seconds <= b).unwrap_or(SERVICE_BUCKETS.len());
-        self.counts[slot] += 1;
-        self.sum += seconds;
-        self.count += 1;
-    }
-
-    /// `(upper_bound, count)` per finite bucket, non-cumulative — the
-    /// shape `pla-ops`'s histogram samples want.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        SERVICE_BUCKETS.iter().zip(self.counts.iter()).map(|(&b, &c)| (b, c)).collect()
-    }
-}
-
-/// Aggregate server counters, cheap to copy out for scraping.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Aggregate server counters, read from the server's series.
+#[derive(Debug, Clone)]
 pub struct QueryServerStats {
     /// Connections currently tracked.
     pub connections: usize,
@@ -105,8 +69,36 @@ pub struct QueryServerStats {
     pub bytes_out: u64,
     /// Engine rebuilds (one per request round that found moved epochs).
     pub rebuilds: u64,
-    /// Service-time distribution over answered queries.
-    pub latency: ServiceLatency,
+    /// Service-time distribution over answered queries (the server's
+    /// `pla_query_server_service_seconds` handle).
+    pub latency: Histogram,
+}
+
+pla_metrics::series! {
+    /// The server's series (see [`QueryServer::registry`]).
+    struct ServerSeries {
+        connections: gauge("pla_query_server_connections", "Query connections currently tracked."),
+        accepted: counter("pla_query_server_accepted_total", "Query connections accepted."),
+        refused: counter("pla_query_server_refused_total",
+            "Query handshakes refused (version mismatch, non-Hello first frame)."),
+        malformed: counter("pla_query_server_malformed_total",
+            "Query connections killed by undecodable bytes."),
+        requests: counter("pla_query_server_requests_total", "Query requests answered."),
+        errors: counter("pla_query_server_errors_total", "Answers that carried a typed query error."),
+        epoch_probes: counter("pla_query_server_epoch_probes_total",
+            "Epoch cache-validation probes answered."),
+        heartbeats: counter("pla_query_server_heartbeats_total",
+            "Heartbeats echoed on the query plane."),
+        bytes_in: counter("pla_query_server_bytes_read_total", "Bytes read from query links."),
+        bytes_out: counter("pla_query_server_bytes_written_total", "Bytes written to query links."),
+        rebuilds: counter("pla_query_server_snapshot_rebuilds_total",
+            "Engine rebuilds triggered by moved store epochs."),
+        latency: histogram("pla_query_server_service_seconds",
+            "Per-request service time on the query server.", &SERVICE_BUCKETS),
+        lookups: counter("pla_query_lookups_total", "Point/range lookups served."),
+        comparisons: counter("pla_query_comparisons_total",
+            "Index comparisons spent across all lookups."),
+    }
 }
 
 struct QueryConn<L: Link> {
@@ -128,7 +120,8 @@ pub struct QueryServer<A: Acceptor> {
     engine: Option<StoreQueryEngine>,
     engine_epochs: Box<[u64]>,
     token_state: u64,
-    stats: QueryServerStats,
+    series: ServerSeries,
+    registry: OnceLock<Registry>,
 }
 
 impl<A: Acceptor> QueryServer<A> {
@@ -143,7 +136,8 @@ impl<A: Acceptor> QueryServer<A> {
             engine: None,
             engine_epochs: Box::new([]),
             token_state: 0x5EED_0F5E_51D5_0001,
-            stats: QueryServerStats::default(),
+            series: ServerSeries::new(),
+            registry: OnceLock::new(),
         }
     }
 
@@ -152,11 +146,33 @@ impl<A: Acceptor> QueryServer<A> {
         &self.store
     }
 
-    /// Copies out the server counters.
+    /// Reads the server counters.
     pub fn stats(&self) -> QueryServerStats {
-        let mut s = self.stats.clone();
-        s.connections = self.conns.len();
-        s
+        let s = &self.series;
+        QueryServerStats {
+            connections: s.connections.get() as usize,
+            accepted: s.accepted.get(),
+            refused: s.refused.get(),
+            malformed: s.malformed.get(),
+            requests: s.requests.get(),
+            errors: s.errors.get(),
+            epoch_probes: s.epoch_probes.get(),
+            heartbeats: s.heartbeats.get(),
+            bytes_in: s.bytes_in.get(),
+            bytes_out: s.bytes_out.get(),
+            rebuilds: s.rebuilds.get(),
+            latency: s.latency.clone(),
+        }
+    }
+
+    /// The server's series, built on first use: `pla_query_server_*`,
+    /// and the `pla_query_{lookups,comparisons}_total` of its lookups.
+    pub fn registry(&self) -> &Registry {
+        self.registry.get_or_init(|| {
+            let mut registry = Registry::new();
+            self.series.add_to(&mut registry, &[]);
+            registry
+        })
     }
 
     /// Rebuilds the engine iff the store's epochs moved (or no engine
@@ -166,7 +182,7 @@ impl<A: Acceptor> QueryServer<A> {
         if self.engine.is_none() || epochs != self.engine_epochs {
             self.engine = Some(StoreQueryEngine::new(self.store.snapshot()));
             self.engine_epochs = epochs;
-            self.stats.rebuilds += 1;
+            self.series.rebuilds.inc();
         }
         self.engine.as_ref().expect("engine just ensured")
     }
@@ -183,7 +199,7 @@ impl<A: Acceptor> QueryServer<A> {
                 closing: false,
                 dead: false,
             });
-            self.stats.accepted += 1;
+            self.series.accepted.inc();
         }
         let mut moved = 0;
         let mut conns = std::mem::take(&mut self.conns);
@@ -192,6 +208,7 @@ impl<A: Acceptor> QueryServer<A> {
         }
         self.conns = conns;
         self.conns.retain(|c| !(c.dead || (c.closing && c.outbox.is_empty())));
+        self.series.connections.set(self.conns.len() as f64);
         moved
     }
 
@@ -204,7 +221,7 @@ impl<A: Acceptor> QueryServer<A> {
                 moved += bytes.len();
                 Ok::<_, Infallible>(())
             });
-            self.stats.bytes_in += moved as u64;
+            self.series.bytes_in.add(moved as u64);
             match read {
                 Ok(_) => {}
                 // The client hung up: answer what arrived, flush it,
@@ -221,7 +238,7 @@ impl<A: Acceptor> QueryServer<A> {
                 Ok(Some(frame)) => self.on_frame(conn, frame),
                 Ok(None) => break,
                 Err(_) => {
-                    self.stats.malformed += 1;
+                    self.series.malformed.inc();
                     conn.dead = true;
                     return moved;
                 }
@@ -230,19 +247,11 @@ impl<A: Acceptor> QueryServer<A> {
         match pump_out(&mut conn.outbox, &mut conn.link) {
             Ok(n) => {
                 moved += n;
-                self.stats.bytes_out += n as u64;
+                self.series.bytes_out.add(n as u64);
             }
             Err(_) => conn.dead = true,
         }
         moved
-    }
-
-    /// Encodes `frame` and stages it — one whole frame per
-    /// [`Outbox::stage`] call, the torn-write invariant.
-    fn stage(conn: &mut QueryConn<A::Link>, frame: &NetFrame) {
-        let mut buf = BytesMut::new();
-        encode(frame, &mut buf);
-        conn.outbox.stage(&buf);
     }
 
     fn on_frame(&mut self, conn: &mut QueryConn<A::Link>, frame: NetFrame) {
@@ -257,33 +266,27 @@ impl<A: Acceptor> QueryServer<A> {
                         }
                     };
                     conn.token = Some(minted);
-                    Self::stage(
-                        conn,
-                        &NetFrame::HelloAck {
-                            version: PROTOCOL_VERSION,
-                            token: minted,
-                            through: 0,
-                            granted_total: 0,
-                        },
-                    );
+                    conn.outbox.stage_frame(&NetFrame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                        token: minted,
+                        through: 0,
+                        granted_total: 0,
+                    });
                 }
                 NetFrame::Hello { .. } => {
                     // Version mismatch: refuse cleanly, then close.
-                    self.stats.refused += 1;
-                    Self::stage(
-                        conn,
-                        &NetFrame::HelloAck {
-                            version: PROTOCOL_VERSION,
-                            token: 0,
-                            through: 0,
-                            granted_total: 0,
-                        },
-                    );
+                    self.series.refused.inc();
+                    conn.outbox.stage_frame(&NetFrame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                        token: 0,
+                        through: 0,
+                        granted_total: 0,
+                    });
                     conn.closing = true;
                 }
                 _ => {
                     // Anything but Hello first is a protocol violation.
-                    self.stats.refused += 1;
+                    self.series.refused.inc();
                     conn.dead = true;
                 }
             }
@@ -292,54 +295,116 @@ impl<A: Acceptor> QueryServer<A> {
         match frame {
             NetFrame::QueryReq { req_id, body } => {
                 let started = Instant::now();
+                let mut lookup = None;
                 let result = match Query::decode(&body) {
-                    Ok(query) => query.run(self.fresh_engine()),
+                    Ok(query) => query.run_counted(self.fresh_engine(), &mut lookup),
                     Err(_) => {
                         // The body bytes are garbage: the peer and we
                         // disagree about the codec — kill the
                         // connection rather than guess.
-                        self.stats.malformed += 1;
+                        self.series.malformed.inc();
                         conn.dead = true;
                         return;
                     }
                 };
-                self.stats.requests += 1;
+                self.series.requests.inc();
                 if matches!(result, QueryResult::Err(_)) {
-                    self.stats.errors += 1;
+                    self.series.errors.inc();
                 }
-                self.stats.latency.observe(started.elapsed().as_secs_f64());
-                Self::stage(conn, &NetFrame::QueryResp { req_id, body: result.encode() });
+                if let Some(cost) = lookup {
+                    self.series.lookups.inc();
+                    self.series.comparisons.add(cost.comparisons as u64);
+                }
+                self.series.latency.observe(started.elapsed().as_secs_f64());
+                conn.outbox.stage_frame(&NetFrame::QueryResp { req_id, body: result.encode() });
             }
             NetFrame::EpochsReq { req_id } => {
-                self.stats.epoch_probes += 1;
-                Self::stage(
-                    conn,
-                    &NetFrame::EpochsResp { req_id, epochs: self.store.epochs().to_vec() },
-                );
+                self.series.epoch_probes.inc();
+                let epochs = self.store.epochs().to_vec();
+                conn.outbox.stage_frame(&NetFrame::EpochsResp { req_id, epochs });
             }
             NetFrame::Heartbeat { seq } => {
-                self.stats.heartbeats += 1;
-                Self::stage(conn, &NetFrame::Heartbeat { seq });
+                self.series.heartbeats.inc();
+                conn.outbox.stage_frame(&NetFrame::Heartbeat { seq });
             }
             // A duplicated Hello (replayed by a flaky path) re-states a
             // bound session: re-ack idempotently with the same token.
             NetFrame::Hello { version, .. } if version == PROTOCOL_VERSION => {
-                Self::stage(
-                    conn,
-                    &NetFrame::HelloAck {
-                        version: PROTOCOL_VERSION,
-                        token,
-                        through: 0,
-                        granted_total: 0,
-                    },
-                );
+                conn.outbox.stage_frame(&NetFrame::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    token,
+                    through: 0,
+                    granted_total: 0,
+                });
             }
             // Ingest-plane frames (or a mid-session version change) do
             // not belong on the query plane.
             _ => {
-                self.stats.malformed += 1;
+                self.series.malformed.inc();
                 conn.dead = true;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{QueryClient, QueryClientConfig, Response};
+    use pla_core::Segment;
+    use pla_ingest::StreamId;
+    use pla_net::listen::MemoryAcceptor;
+    use pla_net::MemoryRedial;
+
+    #[test]
+    fn registry_counts_requests_lookups_and_service_time() {
+        let store = Arc::new(SegmentStore::new());
+        for i in 0..8 {
+            let t = i as f64;
+            let seg = Segment {
+                t_start: t,
+                x_start: [t].into(),
+                t_end: t + 1.0,
+                x_end: [t + 1.0].into(),
+                connected: i > 0,
+                n_points: 2,
+                new_recordings: if i == 0 { 2 } else { 1 },
+            };
+            store.append(1, StreamId(3), seg);
+        }
+        let acceptor = MemoryAcceptor::new();
+        let redial = MemoryRedial::new(acceptor.connector(), 1 << 16);
+        let mut server = QueryServer::new(acceptor, store, NetConfig::default());
+        let mut client = QueryClient::new(redial, QueryClientConfig::default());
+        let now = Instant::now();
+        let point = client.submit(Query::PointWithStats { stream: 3, t: 4.5, dim: 0 }, now);
+        // An unknown stream is a refused lookup: counted, no comparisons.
+        client.submit(Query::Point { stream: 9, t: 0.0, dim: 0 }, now);
+        client.submit(Query::Streams, now);
+        for _ in 0..100 {
+            client.pump_at(now);
+            server.pump();
+            client.pump_at(now);
+        }
+        assert!(client.is_idle());
+        let Some(Ok(Response::Result(QueryResult::ValueWithStats { comparisons, .. }))) =
+            client.take_outcome(point)
+        else {
+            panic!("the point lookup is answered with its cost");
+        };
+        assert!(comparisons > 0);
+
+        let text = server.registry().render();
+        for line in [
+            "pla_query_server_connections 1".to_string(),
+            "pla_query_server_requests_total 3".to_string(),
+            "pla_query_server_errors_total 1".to_string(),
+            "pla_query_lookups_total 2".to_string(),
+            format!("pla_query_comparisons_total {comparisons}"),
+            "pla_query_server_service_seconds_count 3".to_string(),
+        ] {
+            assert!(text.contains(&format!("{line}\n")), "missing {line:?} in:\n{text}");
+        }
+        assert_eq!(server.stats().latency.count(), 3);
     }
 }

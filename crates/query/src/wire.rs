@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 
-use crate::store::{BoundedRange, LookupStats, RangeAggregate, StoreQueryEngine};
+use crate::store::{check_eps, BoundedRange, LookupStats, RangeAggregate, StoreQueryEngine};
 use crate::types::{Bounded, BoundedCount, QueryError};
 use pla_ingest::StreamId;
 
@@ -378,27 +378,43 @@ impl Query {
     /// dispatch, and the reference the remote≡local equivalence tests
     /// compare wire answers against.
     pub fn run(&self, engine: &StoreQueryEngine) -> QueryResult {
+        self.run_counted(engine, &mut None)
+    }
+
+    /// [`run`](Self::run), recording in `lookup` the cost of a point
+    /// query's lookup (zero comparisons if refused), which the query
+    /// server counts; other queries leave `lookup` as it was.
+    pub fn run_counted(
+        &self,
+        engine: &StoreQueryEngine,
+        lookup: &mut Option<LookupStats>,
+    ) -> QueryResult {
         fn wrap<T>(r: Result<T, QueryError>, ok: impl FnOnce(T) -> QueryResult) -> QueryResult {
             match r {
                 Ok(v) => ok(v),
                 Err(e) => QueryResult::Err(e),
             }
         }
+        let mut point = |stream: &u64, t: &f64, dim: &u32| {
+            let looked = engine.point_with_stats(StreamId(*stream), *t, *dim as usize);
+            *lookup = Some(looked.as_ref().map_or_else(|_| LookupStats::default(), |(_, s)| *s));
+            looked
+        };
         match self {
             Self::Point { stream, t, dim } => {
-                wrap(engine.point(StreamId(*stream), *t, *dim as usize), QueryResult::Value)
+                wrap(point(stream, t, dim), |(value, _)| QueryResult::Value(value))
             }
-            Self::PointWithStats { stream, t, dim } => wrap(
-                engine.point_with_stats(StreamId(*stream), *t, *dim as usize),
-                |(value, stats)| QueryResult::ValueWithStats {
+            Self::PointWithStats { stream, t, dim } => {
+                wrap(point(stream, t, dim), |(value, stats)| QueryResult::ValueWithStats {
                     value,
                     comparisons: stats.comparisons as u64,
-                },
-            ),
-            Self::PointBounded { stream, t, dim, eps } => wrap(
-                engine.point_bounded(StreamId(*stream), *t, *dim as usize, *eps),
-                QueryResult::Bounded,
-            ),
+                })
+            }
+            Self::PointBounded { stream, t, dim, eps } => {
+                wrap(check_eps(*eps).and_then(|()| point(stream, t, dim)), |(value, _)| {
+                    QueryResult::Bounded(Bounded::around(value, *eps))
+                })
+            }
             Self::Range { stream, a, b, dim } => {
                 wrap(engine.range(StreamId(*stream), *a, *b, *dim as usize), QueryResult::Range)
             }

@@ -62,7 +62,7 @@ fn every_query_kind_answers_bit_identically_to_the_local_engine() {
     assert_eq!(stats.accepted, 1);
     assert_eq!(stats.requests, queries.len() as u64);
     assert_eq!(stats.errors, errors as u64);
-    assert_eq!(stats.latency.count, queries.len() as u64);
+    assert_eq!(stats.latency.count(), queries.len() as u64);
     assert_eq!(stats.refused + stats.malformed, 0);
     // A static store snapshots exactly once however many queries arrive.
     assert_eq!(stats.rebuilds, 1);

@@ -21,13 +21,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pla::core::filters::{FilterKind, FilterSpec};
-use pla::ingest::{IngestEngine, SegmentStore, ShardStats, StreamId};
+use pla::ingest::{IngestEngine, SegmentStore, StreamId};
 use pla::net::listen::MemoryAcceptor;
 use pla::net::uplink::{EngineUplink, UplinkStatus};
 use pla::net::{Collector, MemoryLink, MemoryRedial, SessionSender};
-use pla::ops::collect::{ingest_shard_families, query_families, session_families};
-use pla::ops::{AppConfig, CollectorAdmin, MetricFamily, OpsServer};
-use pla::query::{LookupStats, StoreQueryEngine};
+use pla::ops::{AppConfig, CollectorAdmin, OpsServer};
+use pla::query::{Query, QueryClient, QueryClientConfig, QueryServer};
 use pla::signal::{random_walk, WalkParams};
 use pla::transport::wire::FixedCodec;
 
@@ -133,11 +132,20 @@ fn main() {
         .with_max_request(cfg.ops.max_request);
     let mut client = ops_connector.connect(1 << 20);
 
+    // --- the query server, its series served beside the collector's ----
+    let query_acceptor = MemoryAcceptor::new();
+    let query_redial = MemoryRedial::new(query_acceptor.connector(), 1 << 20);
+    let mut query_server =
+        QueryServer::new(query_acceptor, store.clone(), cfg.collector.net_config());
+    let mut query_client = QueryClient::new(query_redial, QueryClientConfig::default());
+    server.handler_mut().add_registry(query_server.registry(), &[]);
+
     // --- edge fleet: ingest engines feeding session senders -------------
+    // Each edge's registries are served under its own label.
     let epoch = Instant::now();
     let mut edges = Vec::new();
-    let mut shard_totals = vec![ShardStats::default(); cfg.ingest.shards];
     for conn in 0..CONNS {
+        let edge = conn.to_string();
         let (engine, tap) = IngestEngine::with_segment_tap(cfg.ingest);
         let handle = engine.handle();
         for s in 0..STREAMS_PER_CONN {
@@ -153,13 +161,8 @@ fn main() {
             let samples: Vec<(f64, &[f64])> = signal.iter().collect();
             handle.push_batch(StreamId(id), &samples).expect("feed");
         }
-        let report = engine.finish();
-        for (total, s) in shard_totals.iter_mut().zip(&report.shards) {
-            total.ops += s.ops;
-            total.samples += s.samples;
-            total.segments += s.segments;
-            total.streams += s.streams;
-        }
+        server.handler_mut().add_registry(engine.registry(), &[("edge", &edge)]);
+        engine.finish();
         let sess = SessionSender::new(
             FixedCodec,
             cfg.collector.dims,
@@ -168,6 +171,7 @@ fn main() {
             MemoryRedial::new(connector.clone(), 64 * 1024),
             epoch,
         );
+        server.handler_mut().add_registry(sess.registry(), &[("sender", &edge)]);
         edges.push((sess, EngineUplink::new(tap), false));
     }
 
@@ -198,27 +202,18 @@ fn main() {
         assert!(rounds < 100_000, "fan-in did not converge");
     }
 
-    // --- register the remaining scrape sources --------------------------
-    let sessions: Vec<_> = edges.iter().map(|(sess, _, _)| sess.stats()).collect();
-    server.handler_mut().add_source(move |out: &mut Vec<MetricFamily>| {
-        ingest_shard_families(&shard_totals, 0, out);
-        for (i, s) in sessions.iter().enumerate() {
-            session_families(&i.to_string(), s, out);
-        }
-    });
-    let engine = StoreQueryEngine::new(store.snapshot());
-    let mut lookups = 0u64;
-    let mut stats = LookupStats::default();
-    for id in engine.streams() {
-        if let Some((lo, hi)) = engine.stream(id).and_then(|v| v.span()) {
-            let (_, st) = engine.point_with_stats(id, (lo + hi) / 2.0, 0).expect("covered");
-            lookups += 1;
-            stats.comparisons += st.comparisons;
+    // --- one remote point lookup per stored stream ----------------------
+    for (id, view) in &store.snapshot().streams {
+        if let Some((lo, hi)) = view.span() {
+            let t = (lo + hi) / 2.0;
+            query_client.submit(Query::PointWithStats { stream: id.0, t, dim: 0 }, now);
         }
     }
-    server.handler_mut().add_source(move |out: &mut Vec<MetricFamily>| {
-        query_families(lookups, &stats, out);
-    });
+    while !query_client.is_idle() {
+        query_client.pump_at(now);
+        query_server.pump();
+        query_client.pump_at(now);
+    }
 
     // --- operate it over HTTP -------------------------------------------
     let (status, body) = fetch(&mut server, &mut client, "GET", "/healthz");
