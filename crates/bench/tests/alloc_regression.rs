@@ -23,6 +23,9 @@
 //! inline in the queue slot, so what is left per sample is amortized
 //! growth of the engine's logs and channels, well under one allocation.
 //!
+//! Building a collector or a session sender allocates one handle per
+//! counter it keeps and nothing else: no constructor registers series.
+//!
 //! A remote point query's round trip (client → link → query server →
 //! link → client) carries a budget too: the request and answer bodies,
 //! the decoded frames and the client's cache entry, with no per-frame
@@ -345,6 +348,44 @@ fn idle_collector_rounds_do_not_allocate() {
         "idle collector rounds allocate per round: {few} over 8, {many} over 256"
     );
 }
+
+/// Building a collector or a session sender allocates only the metric
+/// handles it keeps: registries are views built when asked, so no
+/// constructor registers a series. The acceptor, store and redial are
+/// built outside the counted window.
+#[test]
+fn constructors_allocate_only_the_handles_they_keep() {
+    let _guard = serial();
+    let (config, session) = (NetConfig::default(), SessionConfig::default());
+    let acceptor = MemoryAcceptor::new();
+    let redial = MemoryRedial::new(acceptor.connector(), 4096);
+    let store = Arc::new(SegmentStore::new());
+    let (collector, coll_allocs) = alloc_counter::count(|| {
+        Collector::with_sessions(FixedCodec, 1, config, session, acceptor, store)
+    });
+    let now = Instant::now();
+    let (sender, sender_allocs) =
+        alloc_counter::count(|| SessionSender::new(FixedCodec, 1, config, session, redial, now));
+    eprintln!("constructors: collector {coll_allocs} allocs, session sender {sender_allocs}");
+    assert!(
+        coll_allocs <= COLLECTOR_CONSTRUCTION_ALLOCS,
+        "Collector::with_sessions: {coll_allocs} heap allocations \
+         (budget {COLLECTOR_CONSTRUCTION_ALLOCS}, one per handle kept)"
+    );
+    assert!(
+        sender_allocs <= SENDER_CONSTRUCTION_ALLOCS,
+        "SessionSender::new: {sender_allocs} heap allocations \
+         (budget {SENDER_CONSTRUCTION_ALLOCS})"
+    );
+    drop((collector, sender));
+}
+
+/// The collector keeps nine counters (its state gauges are read off
+/// its connections when a view is built).
+const COLLECTOR_CONSTRUCTION_ALLOCS: u64 = 9;
+/// The sender's four counters (its mux and frame decoder allocate on
+/// first use).
+const SENDER_CONSTRUCTION_ALLOCS: u64 = 4;
 
 #[test]
 fn engine_push_allocations_per_sample_are_bounded() {

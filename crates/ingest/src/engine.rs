@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 
 use pla_core::filters::FilterSpec;
 use pla_core::{DimVec, Segment};
-use pla_metrics::{Counter, Gauge, Registry};
+use pla_metrics::{Counter, Gauge, Handle, Registry};
 
 use crate::table::{IngestError, StreamOutput, StreamTable};
 use crate::StreamId;
@@ -267,7 +267,7 @@ pub struct IngestEngine {
     handle: IngestHandle,
     workers: Vec<JoinHandle<ShardResult>>,
     series: Vec<ShardSeries>,
-    registry: Registry,
+    quarantined: Gauge,
 }
 
 impl IngestEngine {
@@ -295,12 +295,8 @@ impl IngestEngine {
     fn build(config: IngestConfig, tap: Option<mpsc::Sender<(StreamId, Segment)>>) -> Self {
         let shards = config.shards.max(1);
         let depth = config.queue_depth.max(1);
-        let mut registry = Registry::new();
-        let series: Vec<ShardSeries> = (0..shards)
-            .map(|i| ShardSeries::register(&mut registry, &[("shard", &i.to_string())]))
-            .collect();
-        let quarantined = registry
-            .gauge("pla_ingest_quarantined_streams", "Streams quarantined by a filter error.");
+        let series: Vec<ShardSeries> = (0..shards).map(|_| ShardSeries::new()).collect();
+        let quarantined = Gauge::new();
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for (shard, series) in series.iter().enumerate() {
@@ -315,13 +311,21 @@ impl IngestEngine {
             );
         }
         let backpressure = series.iter().map(|s| s.backpressure.clone()).collect();
-        Self { handle: IngestHandle { senders, backpressure }, workers, series, registry }
+        Self { handle: IngestHandle { senders, backpressure }, workers, series, quarantined }
     }
 
-    /// The engine's series, live while the shards run: per-shard
-    /// `pla_ingest_*{shard}`, plus `pla_ingest_quarantined_streams`.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// The engine's series, built from its handles on each call and live
+    /// while the shards run: per-shard `pla_ingest_*{shard}`, plus
+    /// `pla_ingest_quarantined_streams`.
+    pub fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        for (shard, series) in self.series.iter().enumerate() {
+            series.add_to(&mut registry, &[("shard", &shard.to_string())]);
+        }
+        let quarantined = Handle::Gauge(self.quarantined.clone());
+        let help = "Streams quarantined by a filter error.";
+        registry.add("pla_ingest_quarantined_streams", help, &[], quarantined);
+        registry
     }
 
     /// A cloneable producer handle.

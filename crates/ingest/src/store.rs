@@ -87,7 +87,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use pla_core::Segment;
 use pla_metrics::{Counter, Gauge, Handle, Registry};
@@ -427,8 +427,6 @@ pub struct SegmentStore {
     /// Segments ever admitted per shard, advanced under the shard's write
     /// lock and read under its read lock; never decreases.
     epochs: Box<[Counter]>,
-    /// Built on first use, so a store nobody scrapes registers nothing.
-    registry: OnceLock<Mutex<Registry>>,
 }
 
 impl Default for SegmentStore {
@@ -453,45 +451,36 @@ impl SegmentStore {
             segments: Counter::new(),
             streams: Gauge::new(),
             epochs: (0..shards).map(|_| Counter::new()).collect(),
-            registry: OnceLock::new(),
         }
     }
 
-    /// The store's series: `pla_store_streams`, `pla_store_segments_total`,
-    /// the `pla_store_shard_epoch{shard}` epochs and, from a source's first
-    /// append, its `pla_store_source_*{source}` pair.
-    pub fn registry(&self) -> MutexGuard<'_, Registry> {
-        let registry = self.registry.get_or_init(|| {
-            let mut registry = Registry::new();
-            let streams = Handle::Gauge(self.streams.clone());
-            registry.add("pla_store_streams", "Streams present in the store.", &[], streams);
-            let segments = Handle::Counter(self.segments.clone());
-            registry.add(
-                "pla_store_segments_total",
-                "Segments appended to the store.",
-                &[],
-                segments,
-            );
-            let help = "Append epoch per store shard (cache-validation cursor).";
-            for (shard, epoch) in self.epochs.iter().enumerate() {
-                let id = shard.to_string();
-                let epoch = Handle::Counter(epoch.clone());
-                registry.add("pla_store_shard_epoch", help, &[("shard", &id)], epoch);
-            }
-            SourceSeries::declare(&mut registry);
-            Mutex::new(registry)
-        });
-        registry.lock().expect("segment store registry lock")
+    /// The store's series, built from its handles on each call:
+    /// `pla_store_streams`, `pla_store_segments_total`, the
+    /// `pla_store_shard_epoch{shard}` epochs and each source's
+    /// `pla_store_source_*{source}` pair.
+    pub fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        let streams = Handle::Gauge(self.streams.clone());
+        registry.add("pla_store_streams", "Streams present in the store.", &[], streams);
+        let segments = Handle::Counter(self.segments.clone());
+        registry.add("pla_store_segments_total", "Segments appended to the store.", &[], segments);
+        let help = "Append epoch per store shard (cache-validation cursor).";
+        for (shard, epoch) in self.epochs.iter().enumerate() {
+            let epoch = Handle::Counter(epoch.clone());
+            registry.add("pla_store_shard_epoch", help, &[("shard", &shard.to_string())], epoch);
+        }
+        SourceSeries::declare(&mut registry);
+        for (source, series) in self.sources.read().expect("segment store source lock").iter() {
+            series.add_to(&mut registry, &[("source", &source.to_string())]);
+        }
+        registry
     }
 
-    /// `source`'s series, registered on its first append. Sources join
-    /// only through here, after the registry exists, so it serves all.
+    /// `source`'s series, made on its first append.
     fn source_series(&self, source: u64) -> SourceSeries {
-        let mut registry = self.registry();
         let mut sources = self.sources.write().expect("segment store source lock");
         let series = sources.entry(source).or_insert_with(|| {
-            let id = source.to_string();
-            let series = SourceSeries::register(&mut registry, &[("source", &id)]);
+            let series = SourceSeries::new();
             series.covered_through.set(f64::NEG_INFINITY);
             series
         });

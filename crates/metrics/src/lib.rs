@@ -1,11 +1,14 @@
 //! # pla-metrics — the workspace's one instrumentation path
 //!
 //! Each subsystem (collector, store, ingest engine, session sender,
-//! query server) builds one [`Registry`] in its constructor, keeps the
-//! handles it registered, and updates them where the event happens;
-//! its `stats()` reads the same handles. `pla-ops` only renders what
-//! the registries hold. This crate depends on nothing, so every
-//! subsystem crate can.
+//! query server) keeps only its handles, declared with [`series!`],
+//! and updates them where the event happens; its `stats()` reads the
+//! same handles. Its `registry()` is a view: a fresh [`Registry`]
+//! built from those handles on each call, so no subsystem stores one
+//! and a label value that comes and goes needs no add/remove step.
+//! Building a view allocates: do it per scrape or per
+//! `add_registry`, never per event. `pla-ops` only renders the views.
+//! This crate depends on nothing, so every subsystem crate can.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,14 +30,17 @@ pub use metrics::{
 ///         wait: histogram("pla_demo_wait_seconds", "Send wait.", &[1e-3, 1e-2]),
 ///     }
 /// }
+/// let sent = Sent::new();
+/// sent.frames.inc();
+/// // The owner's `registry()`: a view built from the handles when asked.
 /// let mut registry = pla_metrics::Registry::new();
-/// Sent::register(&mut registry, &[("sender", "0")]).frames.inc();
+/// sent.add_to(&mut registry, &[("sender", "0")]);
 /// assert!(registry.render().contains("pla_demo_frames_total{sender=\"0\"} 1"));
 /// ```
 ///
-/// `register` is `new` (the handles) then `add_to` (serve them under
-/// `labels`), which an owner may defer until asked; `declare` adds only
-/// the families, rendered before their first series joins.
+/// `new` makes the handles, `add_to` serves them in a view under
+/// `labels`, and `declare` adds only the families, rendered before
+/// their first series joins.
 #[macro_export]
 macro_rules! series {
     ($(#[$meta:meta])* $vis:vis struct $name:ident {
@@ -49,12 +55,6 @@ macro_rules! series {
         impl $name {
             fn new() -> Self {
                 Self { $($field: $crate::series!(@new $kind $(, $bounds)?)),+ }
-            }
-
-            fn register(registry: &mut $crate::Registry, labels: &[(&str, &str)]) -> Self {
-                let series = Self::new();
-                series.add_to(registry, labels);
-                series
             }
 
             fn add_to(&self, registry: &mut $crate::Registry, labels: &[(&str, &str)]) {

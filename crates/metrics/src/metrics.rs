@@ -4,8 +4,9 @@
 //! are a fixed bucket array of atomics. Every increment path —
 //! [`Counter::inc`], [`Gauge::set`], [`Histogram::observe`] — is a handful
 //! of relaxed atomic ops and performs **zero heap allocations**, so handles
-//! can live adjacent to the filter hot path. Allocation happens only at
-//! registration and render time.
+//! can live adjacent to the filter hot path. Allocation happens only
+//! when a handle is made, when a [`Registry`] view is built over
+//! handles, and at render time.
 //!
 //! Metric names and label sets are a **wire contract**: dashboards and
 //! alert rules key on them, so renames are breaking changes. The repo-wide
@@ -21,7 +22,7 @@ use std::sync::Arc;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// New free-standing counter at zero (registry-less use).
+    /// New counter at zero, served by any registry view it is added to.
     pub fn new() -> Self {
         Self::default()
     }
@@ -51,7 +52,7 @@ impl Counter {
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    /// New free-standing gauge at `0.0` (registry-less use).
+    /// New gauge at `0.0`, served by any registry view it is added to.
     pub fn new() -> Self {
         Self::default()
     }
@@ -262,7 +263,6 @@ pub enum Handle {
     Histogram(Histogram),
 }
 
-#[derive(Clone)]
 struct OwnedFamily {
     name: String,
     help: String,
@@ -270,8 +270,11 @@ struct OwnedFamily {
     series: Vec<(Vec<(String, String)>, Handle)>,
 }
 
-/// Registry of owned metric primitives, rendering Prometheus text
-/// exposition format.
+/// A view over metric handles, rendering Prometheus text exposition
+/// format. Subsystems store no registry: each builds a fresh one from
+/// the handles it keeps whenever asked, so a label value that comes
+/// and goes (a connection, a refusal reason) needs no add/remove
+/// bookkeeping — the next view simply has or lacks its series.
 #[derive(Default)]
 pub struct Registry {
     families: Vec<OwnedFamily>,
@@ -379,28 +382,16 @@ impl Registry {
         self.family_mut(name, help, kind);
     }
 
-    /// Removes every series labeled exactly `labels`, in every family
-    /// (the value they were labeled with is gone). The families stay.
-    pub fn remove(&mut self, labels: &[(&str, &str)]) {
-        let labeled = |owned: &Vec<(String, String)>| {
-            owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).eq(labels.iter().copied())
-        };
-        for fam in &mut self.families {
-            fam.series.retain(|(owned, _)| !labeled(owned));
-        }
-    }
-
-    /// A registry sharing every handle of this one, with `labels` added
-    /// to each series (two senders served side by side, say).
-    pub fn with_labels(&self, labels: &[(&str, &str)]) -> Registry {
+    /// This registry with `labels` added to each series (two senders
+    /// served side by side, say); the handles stay shared.
+    pub fn with_labels(mut self, labels: &[(&str, &str)]) -> Registry {
         let extra = Self::own_labels(labels);
-        let mut families = self.families.clone();
-        for fam in &mut families {
+        for fam in &mut self.families {
             for (owned, _) in &mut fam.series {
                 owned.extend(extra.iter().cloned());
             }
         }
-        Registry { families }
+        self
     }
 
     /// Snapshots every owned primitive into families, sorted
@@ -759,18 +750,14 @@ mod tests {
     }
 
     #[test]
-    fn declared_families_render_empty_and_removed_series_go() {
+    fn declared_families_render_before_their_first_series() {
         let mut reg = Registry::new();
         reg.family("pla_c_total", "C.", MetricKind::Counter);
         assert_eq!(reg.render(), "# HELP pla_c_total C.\n# TYPE pla_c_total counter\n");
-        reg.counter_with("pla_c_total", "C.", &[("conn", "1")]).add(2);
-        reg.gauge_with("pla_g", "G.", &[("conn", "1")]).set(1.0);
         reg.counter_with("pla_c_total", "C.", &[("conn", "2")]).add(3);
-        reg.remove(&[("conn", "1")]);
         let text = reg.render();
-        assert!(text.contains("pla_c_total{conn=\"2\"} 3"));
-        assert!(!text.contains("conn=\"1\""), "{text}");
-        assert!(text.contains("# TYPE pla_g gauge"), "families stay when their series go");
+        assert!(text.contains("pla_c_total{conn=\"2\"} 3"), "{text}");
+        assert_eq!(text.matches("# TYPE pla_c_total counter").count(), 1, "{text}");
     }
 
     #[test]

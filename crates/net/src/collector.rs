@@ -39,11 +39,14 @@
 //! are dropped by session seq — so the store ends up byte-identical to
 //! an uninterrupted run.
 //!
-//! Metrics: the collector's [`registry`](Collector::registry) totals
-//! count over its lifetime, evicted connections included; a
-//! connection's `pla_conn_*{conn}` series go when it is evicted. Data
-//! path handles move at most once per connection per pump round, and
-//! [`stats`](Collector::stats) reads them.
+//! Metrics: the collector keeps only counter handles. Its
+//! [`registry`](Collector::registry) is a view built on each call: the
+//! totals, which count over its lifetime (evicted connections
+//! included), gauges read off its state at that moment, one set of
+//! `pla_conn_*{conn}` series per connection it still tracks, and the
+//! latest refusal's reason. Data path handles move at most once per
+//! connection per pump round, and [`stats`](Collector::stats) reads
+//! them.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -52,7 +55,7 @@ use std::time::Instant;
 
 use pla_core::Segment;
 use pla_ingest::{SegmentStore, StreamId};
-use pla_metrics::{Gauge, Registry};
+use pla_metrics::Registry;
 use pla_transport::wire::Codec;
 
 use crate::driver::{pump_in, pump_out, pump_receiver_split, DriveError};
@@ -178,10 +181,8 @@ pub struct CollectorStats {
 }
 
 pla_metrics::series! {
-    /// The collector-wide series (see the [module docs](self)).
+    /// The collector-wide counters (see the [module docs](self)).
     struct CollectorSeries {
-        connections: gauge("pla_collector_connections", "Connections accepted and still tracked."),
-        attached: gauge("pla_collector_attached", "Connections currently holding a live link."),
         frames: counter("pla_collector_frames_total",
             "Sequenced entries applied across all connections."),
         dup_drops: counter("pla_collector_dup_drops_total",
@@ -189,15 +190,12 @@ pla_metrics::series! {
         segments: counter("pla_collector_segments_total", "Segments published to the shared store."),
         backpressure: counter("pla_collector_backpressure_total",
             "Pump rounds that could not fully flush staged control bytes."),
-        failed: gauge("pla_collector_failed", "Connections quarantined by a protocol violation."),
         refused: counter("pla_collector_refused_total",
             "Handshakes refused (version mismatch, garbage, unknown token, timeout)."),
         evicted: counter("pla_collector_evicted_total",
             "Detached sessions evicted after their TTL lapsed."),
         shed_segments: counter("pla_collector_shed_segments_total",
             "Segments shed by per-stream quarantine instead of published."),
-        quarantined_streams: gauge("pla_collector_quarantined_streams",
-            "Streams currently under admin quarantine."),
         heartbeats: counter("pla_session_heartbeats_echoed_total",
             "Heartbeat frames received (and echoed) across all connections."),
         resumes: counter("pla_session_resumes_total",
@@ -206,7 +204,7 @@ pla_metrics::series! {
 }
 
 pla_metrics::series! {
-    /// One connection's series, labeled `conn="<id>"`.
+    /// One connection's counters, labeled `conn="<id>"`.
     struct ConnSeries {
         published: counter("pla_conn_published_total",
             "Segments published to the store, per connection."),
@@ -214,6 +212,23 @@ pla_metrics::series! {
             "Bytes moved over the link (read + written), per connection."),
         frames: counter("pla_conn_frames_total", "Sequenced entries applied, per connection."),
         resumes: counter("pla_conn_resumes_total", "Session-token resumes, per connection."),
+    }
+}
+
+pla_metrics::series! {
+    /// The collector's state as gauges, set when a view is built.
+    struct CollectorGauges {
+        connections: gauge("pla_collector_connections", "Connections accepted and still tracked."),
+        attached: gauge("pla_collector_attached", "Connections currently holding a live link."),
+        failed: gauge("pla_collector_failed", "Connections quarantined by a protocol violation."),
+        quarantined_streams: gauge("pla_collector_quarantined_streams",
+            "Streams currently under admin quarantine."),
+    }
+}
+
+pla_metrics::series! {
+    /// One connection's state as a gauge, set when a view is built.
+    struct ConnGauges {
         attached: gauge("pla_conn_attached", "Whether the connection currently holds a live link."),
     }
 }
@@ -254,17 +269,6 @@ struct Connection<C: Codec, L: Link> {
     detached_at: Option<Instant>,
     backpressure: u64,
     series: ConnSeries,
-}
-
-impl<C: Codec, L: Link> Connection<C, L> {
-    /// Swaps the connection's link, keeping the collector's `attached`
-    /// gauge and the connection's in step.
-    fn swap_link(&mut self, link: Option<L>, attached: &Gauge) -> Option<L> {
-        let now = f64::from(u8::from(link.is_some()));
-        attached.add(now - f64::from(u8::from(self.link.is_some())));
-        self.series.attached.set(now);
-        std::mem::replace(&mut self.link, link)
-    }
 }
 
 /// An accepted link that has not yet completed the session handshake:
@@ -357,7 +361,6 @@ pub struct Collector<C: Codec + Clone, A: Acceptor> {
     /// into the store.
     publish_batch: Vec<Segment>,
     series: CollectorSeries,
-    registry: Registry,
 }
 
 impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
@@ -379,8 +382,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         acceptor: A,
         store: Arc<SegmentStore>,
     ) -> Self {
-        let mut registry = Registry::new();
-        ConnSeries::declare(&mut registry);
         Self {
             codec,
             dims,
@@ -396,8 +397,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
             last_refusal: None,
             quarantined_streams: std::collections::BTreeSet::new(),
             publish_batch: Vec::new(),
-            series: CollectorSeries::register(&mut registry, &[]),
-            registry,
+            series: CollectorSeries::new(),
         }
     }
 
@@ -406,9 +406,42 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         &self.store
     }
 
-    /// The collector's metric series (see the [module docs](self)).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// The collector's metric series, built from its handles and state
+    /// on each call (see the [module docs](self)): the counters stay
+    /// live, the gauges hold the state at the call.
+    pub fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        self.series.add_to(&mut registry, &[]);
+        let (attached, failed) = self.attached_and_failed();
+        let gauges = CollectorGauges::new();
+        gauges.connections.set(self.conns.len() as f64);
+        gauges.attached.set(attached as f64);
+        gauges.failed.set(failed as f64);
+        gauges.quarantined_streams.set(self.quarantined_streams.len() as f64);
+        gauges.add_to(&mut registry, &[]);
+        ConnSeries::declare(&mut registry);
+        ConnGauges::declare(&mut registry);
+        for (id, c) in &self.conns {
+            let labels = [("conn", &*id.to_string())];
+            c.series.add_to(&mut registry, &labels);
+            let gauges = ConnGauges::new();
+            gauges.attached.set(f64::from(u8::from(c.link.is_some())));
+            gauges.add_to(&mut registry, &labels);
+        }
+        if let Some(refusal) = &self.last_refusal {
+            let help = "Most recent handshake refusal; the reason rides the label.";
+            let labels = [("reason", &*refusal.to_string())];
+            registry.gauge_with("pla_collector_last_refusal_info", help, &labels).set(1.0);
+        }
+        registry
+    }
+
+    /// Connections holding a live link, and connections quarantined by
+    /// a protocol violation.
+    fn attached_and_failed(&self) -> (usize, usize) {
+        let attached = self.conns.values().filter(|c| c.link.is_some()).count();
+        let failed = self.conns.values().filter(|c| c.failed.is_some()).count();
+        (attached, failed)
     }
 
     /// Materializes a connection around a link whose `Hello` was just
@@ -416,18 +449,16 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     fn adopt(&mut self, link: A::Link, token: u64, now: Instant) -> u64 {
         let id = self.next_conn;
         self.next_conn += 1;
-        let mut c = Connection {
+        let c = Connection {
             rx: NetReceiver::new(self.codec.clone(), self.dims, self.config),
-            link: None,
+            link: Some(link),
             failed: None,
             token,
             last_recv: now,
             detached_at: None,
             backpressure: 0,
-            series: ConnSeries::register(&mut self.registry, &[("conn", &id.to_string())]),
+            series: ConnSeries::new(),
         };
-        c.swap_link(Some(link), &self.series.attached);
-        self.series.connections.add(1.0);
         self.conns.insert(id, c);
         id
     }
@@ -469,7 +500,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 } else if now.duration_since(c.last_recv) >= self.session.liveness_timeout {
                     // Only *arriving* bytes prove the peer alive — our own
                     // writes may be vanishing into a wedged pipe.
-                    if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
+                    if let Some(mut dead) = c.link.take() {
                         dead.shutdown();
                     }
                     c.detached_at = Some(now);
@@ -489,7 +520,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 Ok(moved)
             }
             Err(DriveError::Io(_) | DriveError::Closed) => {
-                c.swap_link(None, &self.series.attached);
+                c.link = None;
                 c.detached_at = Some(now);
                 // Frames applied before the link died may have produced
                 // segments; publish them before going quiet.
@@ -497,9 +528,8 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 Ok(0)
             }
             Err(DriveError::Net(error)) => {
-                c.swap_link(None, &self.series.attached);
+                c.link = None;
                 c.failed = Some(error.clone());
-                self.series.failed.add(1.0);
                 self.publish_conn(conn.0);
                 Err(CollectorError { conn, error })
             }
@@ -562,18 +592,10 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         self.record_refusal(err);
     }
 
-    /// Counts a refused handshake and moves
-    /// `pla_collector_last_refusal_info` onto its reason.
+    /// Counts a refused handshake and keeps it as the latest.
     fn record_refusal(&mut self, err: HandshakeError) {
-        let error = NetError::Handshake(err);
-        let reason = error.to_string();
         self.series.refused.inc();
-        if let Some(old) = self.last_refusal.replace(error) {
-            self.registry.remove(&[("reason", &old.to_string())]);
-        }
-        let help = "Most recent handshake refusal; the reason rides the label.";
-        let labels = [("reason", reason.as_str())];
-        self.registry.gauge_with("pla_collector_last_refusal_info", help, &labels).set(1.0);
+        self.last_refusal = Some(NetError::Handshake(err));
     }
 
     /// Feeds bytes that arrived in the same read as the `Hello` (the
@@ -603,11 +625,10 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 c.series.bytes_moved.add(leftover.len() as u64);
             }
             Err(error) => {
-                if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
+                if let Some(mut dead) = c.link.take() {
                     let _ = pump_out(c.rx.outbox(), &mut dead);
                 }
                 c.failed = Some(error);
-                self.series.failed.add(1.0);
             }
         }
         self.publish_conn(id);
@@ -683,9 +704,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                             }
                             Some(id) => {
                                 let c = self.conns.get_mut(&id).expect("token maps to a conn");
-                                if let Some(mut old) =
-                                    c.swap_link(Some(p.link), &self.series.attached)
-                                {
+                                if let Some(mut old) = c.link.replace(p.link) {
                                     old.shutdown();
                                 }
                                 c.rx.reset_link();
@@ -738,8 +757,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         for id in expired {
             if let Some(c) = self.conns.remove(&id) {
                 self.tokens.remove(&c.token);
-                self.registry.remove(&[("conn", &id.to_string())]);
-                self.series.connections.add(-1.0);
                 self.series.evicted.inc();
             }
         }
@@ -788,7 +805,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         let now = Instant::now();
         match self.conns.get_mut(&conn.0) {
             Some(c) if c.failed.is_none() && c.link.is_some() => {
-                if let Some(mut dead) = c.swap_link(None, &self.series.attached) {
+                if let Some(mut dead) = c.link.take() {
                     dead.shutdown();
                 }
                 c.detached_at = Some(now);
@@ -804,9 +821,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// appended to the store. Already-published segments stay. Every
     /// other stream is untouched. Returns false if already quarantined.
     pub fn quarantine_stream(&mut self, stream: u64) -> bool {
-        let fresh = self.quarantined_streams.insert(stream);
-        self.series.quarantined_streams.set(self.quarantined_streams.len() as f64);
-        fresh
+        self.quarantined_streams.insert(stream)
     }
 
     /// Lifts a [`quarantine_stream`](Self::quarantine_stream): publishing
@@ -814,9 +829,7 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// quarantined span is shed, not backfilled). Returns false if the
     /// stream was not quarantined.
     pub fn release_stream(&mut self, stream: u64) -> bool {
-        let held = self.quarantined_streams.remove(&stream);
-        self.series.quarantined_streams.set(self.quarantined_streams.len() as f64);
-        held
+        self.quarantined_streams.remove(&stream)
     }
 
     /// Whether `stream` is currently quarantined.
@@ -887,14 +900,15 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
     /// over the collector's lifetime, evicted connections included.
     pub fn stats(&self) -> CollectorStats {
         let s = &self.series;
+        let (attached, failed) = self.attached_and_failed();
         CollectorStats {
-            connections: s.connections.get() as usize,
-            attached: s.attached.get() as usize,
+            connections: self.conns.len(),
+            attached,
             frames: s.frames.get(),
             dup_drops: s.dup_drops.get(),
             segments: s.segments.get(),
             backpressure: s.backpressure.get(),
-            failed: s.failed.get() as usize,
+            failed,
             refused: s.refused.get(),
             evicted: s.evicted.get(),
             heartbeats: s.heartbeats.get(),

@@ -313,7 +313,6 @@ pub struct SessionSender<C: Codec, R: Redial> {
     heartbeat_seq: u64,
     failed: Option<NetError>,
     series: SessionSeries,
-    registry: Registry,
 }
 
 impl<C: Codec, R: Redial> SessionSender<C, R> {
@@ -329,7 +328,6 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
         redial: R,
         now: Instant,
     ) -> Self {
-        let mut registry = Registry::new();
         Self {
             mux: MuxSender::new(codec, dims, config),
             redial,
@@ -344,8 +342,7 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
             last_send: now,
             heartbeat_seq: 0,
             failed: None,
-            series: SessionSeries::register(&mut registry, &[]),
-            registry,
+            series: SessionSeries::new(),
         }
     }
 
@@ -389,9 +386,11 @@ impl<C: Codec, R: Redial> SessionSender<C, R> {
     }
 
     /// The sender's metric series, one `pla_session_*_total` counter
-    /// per [`SessionStats`] field.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// per [`SessionStats`] field, built from its handles on each call.
+    pub fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        self.series.add_to(&mut registry, &[]);
+        registry
     }
 
     /// The redial factory — fault-injection tests reach their

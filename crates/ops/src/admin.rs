@@ -80,8 +80,9 @@ impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
     /// Serves `registry`'s series on every `/metrics` with `labels`
     /// added to each (`sender="0"`, say), so several registries of one
     /// kind stay apart. The handles are shared, so every later update
-    /// shows; a series `registry` gains after this call does not.
-    pub fn add_registry(&mut self, registry: &Registry, labels: &[(&str, &str)]) {
+    /// shows; a series its owner gains after this call does not (the
+    /// collector's and the store's are rebuilt on every scrape instead).
+    pub fn add_registry(&mut self, registry: Registry, labels: &[(&str, &str)]) {
         self.sources.push(registry.with_labels(labels));
     }
 

@@ -1,11 +1,11 @@
 //! # pla-ops — the operations tier
 //!
-//! Everything the pipeline measures made operable: the registries the
-//! collector, store, ingest engines, session senders and query server
-//! keep of their own series, served as Prometheus text exposition by a
-//! minimal HTTP/1.1 admin surface pumped beside the collector, plus
-//! file/env configuration so a collector+store+query stack boots from
-//! one file.
+//! Everything the pipeline measures made operable: the registry views
+//! the collector, store, ingest engines, session senders and query
+//! server build from their own metric handles when asked, served as
+//! Prometheus text exposition by a minimal HTTP/1.1 admin surface
+//! pumped beside the collector, plus file/env configuration so a
+//! collector+store+query stack boots from one file.
 //!
 //! Three layers:
 //!

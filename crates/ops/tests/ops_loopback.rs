@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use pla_core::filters::{FilterKind, FilterSpec};
 use pla_core::{Segment, Signal};
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StreamId};
+use pla_net::frame::{NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::listen::{MemoryAcceptor, MemoryConnector};
 use pla_net::uplink::{EngineUplink, UplinkStatus};
 use pla_net::{
@@ -568,4 +569,173 @@ fn collector_totals_survive_session_eviction() {
         m.iter().all(|s| !s.name.starts_with("pla_conn_")),
         "an evicted connection's series go with it"
     );
+}
+
+/// Scrapes the admin's `/metrics` and parses it.
+fn scrape(admin: &mut Admin) -> Vec<ParsedSample> {
+    let resp = admin.handle(&Request {
+        method: "GET".to_string(),
+        path: "/metrics".to_string(),
+        body: Vec::new(),
+    });
+    parse_exposition(&String::from_utf8(resp.body).expect("utf8")).expect("parses")
+}
+
+/// Asserts the collector's gauges in `m`: `[connections, attached,
+/// failed, quarantined_streams]`, then `pla_conn_attached` as exactly
+/// the `(conn, attached)` series listed.
+fn assert_gauges(m: &[ParsedSample], step: &str, gauges: [f64; 4], conns: &[(&str, f64)]) {
+    let names = [
+        "pla_collector_connections",
+        "pla_collector_attached",
+        "pla_collector_failed",
+        "pla_collector_quarantined_streams",
+    ];
+    for (name, want) in names.into_iter().zip(gauges) {
+        let got = sample_value(m, name).unwrap_or_else(|| panic!("{step}: no {name}")).value;
+        assert_eq!(got, want, "{step}: {name}");
+    }
+    let attached: Vec<(String, f64)> = m
+        .iter()
+        .filter(|s| s.name == "pla_conn_attached")
+        .map(|s| {
+            assert_eq!(s.labels.len(), 1, "{step}: one label");
+            assert_eq!(s.labels[0].0, "conn", "{step}: labeled by conn");
+            (s.labels[0].1.clone(), s.value)
+        })
+        .collect();
+    let want: Vec<(String, f64)> = conns.iter().map(|&(c, v)| (c.to_string(), v)).collect();
+    assert_eq!(attached, want, "{step}: pla_conn_attached");
+}
+
+/// The `reason` labels of every `pla_collector_last_refusal_info` series.
+fn refusal_reasons(m: &[ParsedSample]) -> Vec<String> {
+    m.iter()
+        .filter(|s| s.name == "pla_collector_last_refusal_info")
+        .map(|s| {
+            assert_eq!(s.value, 1.0);
+            assert_eq!(s.labels.len(), 1);
+            assert_eq!(s.labels[0].0, "reason");
+            s.labels[0].1.clone()
+        })
+        .collect()
+}
+
+/// One frame's bytes as they travel on a link.
+fn frame_bytes(frame: &NetFrame) -> Vec<u8> {
+    let mut out = Outbox::default();
+    out.stage_frame(frame);
+    out.take()
+}
+
+/// The collector's state gauges and `pla_conn_attached{conn}` follow a
+/// whole lifecycle — bind, drain, resume, stream quarantine, refusals,
+/// connection quarantine, eviction — scrape by scrape, and
+/// `pla_collector_last_refusal_info` always has exactly one series,
+/// naming the latest refusal.
+#[test]
+fn collector_gauges_follow_the_connection_lifecycle() {
+    let cfg = NetConfig::default();
+    // Liveness never lapses here; only the drained session expires.
+    let sess_cfg = SessionConfig {
+        liveness_timeout: Duration::from_secs(3600),
+        session_ttl: Duration::from_secs(10),
+        ..SessionConfig::default()
+    };
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let store = Arc::new(SegmentStore::new());
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec, 1, cfg, sess_cfg, acceptor, store,
+    )));
+    let mut admin = Admin::new(collector.clone());
+    let post = |admin: &mut Admin, path: &str| {
+        let req = Request { method: "POST".to_string(), path: path.to_string(), body: Vec::new() };
+        assert_eq!(admin.handle(&req).status, 200, "POST {path}");
+    };
+    let pump = |now: Instant| collector.borrow_mut().pump_at(now);
+    let t0 = Instant::now();
+    let m = scrape(&mut admin);
+    assert_gauges(&m, "fresh", [0.0, 0.0, 0.0, 0.0], &[]);
+    assert!(refusal_reasons(&m).is_empty(), "no refusal yet");
+
+    // Two sessions bind.
+    let mut senders: Vec<_> = (0..2)
+        .map(|_| {
+            let redial = MemoryRedial::new(connector.clone(), 4096);
+            SessionSender::new(FixedCodec, 1, cfg, sess_cfg, redial, t0)
+        })
+        .collect();
+    for _ in 0..2 {
+        for tx in &mut senders {
+            tx.pump_at(t0);
+        }
+        pump(t0).expect("clean handshakes");
+    }
+    for tx in &mut senders {
+        tx.pump_at(t0);
+    }
+    assert!(senders.iter().all(|tx| tx.is_established()));
+    assert_gauges(&scrape(&mut admin), "bound", [2.0, 2.0, 0.0, 0.0], &[("1", 1.0), ("2", 1.0)]);
+
+    // Drain conn 1; its sender resumes by token.
+    post(&mut admin, "/admin/drain/1");
+    assert_gauges(&scrape(&mut admin), "drained", [2.0, 1.0, 0.0, 0.0], &[("1", 0.0), ("2", 1.0)]);
+    let t1 = t0 + sess_cfg.redial_cap;
+    senders[0].pump_at(t0); // sees the link gone, backs off
+    senders[0].pump_at(t1); // redials with its token
+    pump(t1).expect("clean resume");
+    senders[0].pump_at(t1);
+    assert!(senders[0].is_established());
+    assert_eq!(collector.borrow().stats().resumes, 1);
+    assert_gauges(&scrape(&mut admin), "resumed", [2.0, 2.0, 0.0, 0.0], &[("1", 1.0), ("2", 1.0)]);
+
+    // Stream quarantine: two in, one released.
+    post(&mut admin, "/admin/quarantine/5");
+    post(&mut admin, "/admin/quarantine/6");
+    post(&mut admin, "/admin/release/6");
+    let m = scrape(&mut admin);
+    assert_gauges(&m, "stream quarantined", [2.0, 2.0, 0.0, 1.0], &[("1", 1.0), ("2", 1.0)]);
+
+    // Two refusals for different reasons: the info gauge moves.
+    let mut reasons = Vec::new();
+    for hello in [
+        NetFrame::Hello { version: PROTOCOL_VERSION + 1, token: 0 },
+        NetFrame::Hello { version: PROTOCOL_VERSION, token: 0xdead },
+    ] {
+        let mut link = connector.connect(4096);
+        link.try_write(&frame_bytes(&hello)).expect("fits");
+        pump(t1).expect("a refusal touches no connection");
+        let reason = collector.borrow().last_refusal().expect("refused").to_string();
+        let m = scrape(&mut admin);
+        assert_eq!(refusal_reasons(&m), vec![reason.clone()], "one series, the latest reason");
+        assert_gauges(&m, "refused", [2.0, 2.0, 0.0, 1.0], &[("1", 1.0), ("2", 1.0)]);
+        reasons.push(reason);
+    }
+    assert_ne!(reasons[0], reasons[1], "the two refusals differ");
+    assert_eq!(collector.borrow().stats().refused, 2);
+
+    // A third connection binds, then violates the protocol.
+    let mut hostile = connector.connect(4096);
+    hostile
+        .try_write(&frame_bytes(&NetFrame::Hello { version: PROTOCOL_VERSION, token: 0 }))
+        .expect("fits");
+    pump(t1).expect("clean handshake");
+    let m = scrape(&mut admin);
+    let conns = [("1", 1.0), ("2", 1.0), ("3", 1.0)];
+    assert_gauges(&m, "third bound", [3.0, 3.0, 0.0, 1.0], &conns);
+    hostile.try_write(&[1u8, 0, 0, 0, 99]).expect("fits");
+    assert_eq!(pump(t1).expect_err("the violation surfaces").conn, ConnId(3));
+    let conns = [("1", 1.0), ("2", 1.0), ("3", 0.0)];
+    assert_gauges(&scrape(&mut admin), "quarantined conn", [3.0, 2.0, 1.0, 1.0], &conns);
+
+    // Conn 2 is drained and never resumes: the TTL evicts it.
+    post(&mut admin, "/admin/drain/2");
+    let conns = [("1", 1.0), ("2", 0.0), ("3", 0.0)];
+    assert_gauges(&scrape(&mut admin), "second drained", [3.0, 1.0, 1.0, 1.0], &conns);
+    pump(Instant::now() + sess_cfg.session_ttl).expect("eviction is no failure");
+    assert_eq!(collector.borrow().stats().evicted, 1);
+    let m = scrape(&mut admin);
+    assert_gauges(&m, "evicted", [2.0, 1.0, 1.0, 1.0], &[("1", 1.0), ("3", 0.0)]);
+    assert_eq!(refusal_reasons(&m), vec![reasons[1].clone()], "still the latest refusal");
 }

@@ -24,7 +24,7 @@
 //! [`QueryError`](crate::QueryError) rides back inside the response.
 
 use std::convert::Infallible;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use pla_ingest::SegmentStore;
@@ -95,9 +95,9 @@ pla_metrics::series! {
             "Engine rebuilds triggered by moved store epochs."),
         latency: histogram("pla_query_server_service_seconds",
             "Per-request service time on the query server.", &SERVICE_BUCKETS),
-        lookups: counter("pla_query_lookups_total", "Point/range lookups served."),
+        lookups: counter("pla_query_lookups_total", "Point lookups served."),
         comparisons: counter("pla_query_comparisons_total",
-            "Index comparisons spent across all lookups."),
+            "Index comparisons spent across all point lookups."),
     }
 }
 
@@ -121,7 +121,6 @@ pub struct QueryServer<A: Acceptor> {
     engine_epochs: Box<[u64]>,
     token_state: u64,
     series: ServerSeries,
-    registry: OnceLock<Registry>,
 }
 
 impl<A: Acceptor> QueryServer<A> {
@@ -137,7 +136,6 @@ impl<A: Acceptor> QueryServer<A> {
             engine_epochs: Box::new([]),
             token_state: 0x5EED_0F5E_51D5_0001,
             series: ServerSeries::new(),
-            registry: OnceLock::new(),
         }
     }
 
@@ -165,14 +163,13 @@ impl<A: Acceptor> QueryServer<A> {
         }
     }
 
-    /// The server's series, built on first use: `pla_query_server_*`,
-    /// and the `pla_query_{lookups,comparisons}_total` of its lookups.
-    pub fn registry(&self) -> &Registry {
-        self.registry.get_or_init(|| {
-            let mut registry = Registry::new();
-            self.series.add_to(&mut registry, &[]);
-            registry
-        })
+    /// The server's series, built from its handles on each call:
+    /// `pla_query_server_*`, and the `pla_query_{lookups,comparisons}_total`
+    /// of its point lookups.
+    pub fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        self.series.add_to(&mut registry, &[]);
+        registry
     }
 
     /// Rebuilds the engine iff the store's epochs moved (or no engine
@@ -406,5 +403,23 @@ mod tests {
             assert!(text.contains(&format!("{line}\n")), "missing {line:?} in:\n{text}");
         }
         assert_eq!(server.stats().latency.count(), 3);
+
+        // A range query is answered but is no point lookup: the lookup
+        // and comparison counts stay where they were.
+        client.submit(Query::Range { stream: 3, a: 1.0, b: 6.0, dim: 0 }, now);
+        for _ in 0..100 {
+            client.pump_at(now);
+            server.pump();
+            client.pump_at(now);
+        }
+        assert!(client.is_idle());
+        let text = server.registry().render();
+        for line in [
+            "pla_query_server_requests_total 4".to_string(),
+            "pla_query_lookups_total 2".to_string(),
+            format!("pla_query_comparisons_total {comparisons}"),
+        ] {
+            assert!(text.contains(&format!("{line}\n")), "missing {line:?} in:\n{text}");
+        }
     }
 }
