@@ -26,6 +26,10 @@
 //! Building a collector or a session sender allocates one handle per
 //! counter it keeps and nothing else: no constructor registers series.
 //!
+//! A `/metrics` scrape carries a budget: the collector's and the
+//! store's views built for it and the text, with no gathered copy of
+//! any family.
+//!
 //! A remote point query's round trip (client → link → query server →
 //! link → client) carries a budget too: the request and answer bodies,
 //! the decoded frames and the client's cache entry, with no per-frame
@@ -43,6 +47,8 @@
 //! ```
 #![cfg(feature = "alloc-counter")]
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Mutex;
 
 use std::sync::Arc;
@@ -54,6 +60,8 @@ use pla_core::metrics::CountingSink;
 use pla_core::{DimVec, Segment, INLINE_DIMS};
 use pla_ingest::{IngestConfig, IngestEngine, SegmentStore, StoreConfig, StreamId};
 use pla_net::{Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender};
+use pla_ops::http::Handler;
+use pla_ops::{CollectorAdmin, Request};
 use pla_query::{Query, QueryClient, QueryClientConfig, QueryServer};
 use pla_transport::wire::FixedCodec;
 
@@ -305,18 +313,19 @@ fn wire_path_allocations_per_segment_are_bounded() {
     );
 }
 
-#[test]
-fn idle_collector_rounds_do_not_allocate() {
-    let _guard = serial();
-    // Four bound sessions with nothing in flight, on a frozen clock so no
-    // deadline fires: every round finds no bytes to move.
+type IdleCollector = Collector<FixedCodec, MemoryAcceptor>;
+type BoundSender = SessionSender<FixedCodec, MemoryRedial>;
+
+/// A collector with four bound sessions and nothing in flight, on a
+/// frozen clock (`now`) so no deadline fires: every round finds no bytes
+/// to move.
+fn idle_collector(now: Instant) -> (IdleCollector, Vec<BoundSender>) {
     let config = NetConfig::default();
     let session = SessionConfig::default();
     let acceptor = MemoryAcceptor::new();
     let connector = acceptor.connector();
     let store = Arc::new(SegmentStore::new());
     let mut collector = Collector::with_sessions(FixedCodec, 1, config, session, acceptor, store);
-    let now = Instant::now();
     let mut senders: Vec<_> = (0..4)
         .map(|_| {
             let redial = MemoryRedial::new(connector.clone(), 4096);
@@ -332,6 +341,14 @@ fn idle_collector_rounds_do_not_allocate() {
     }
     assert!(senders.iter().all(|tx| tx.is_established()), "every session bound");
     assert_eq!(collector.stats().attached, 4);
+    (collector, senders)
+}
+
+#[test]
+fn idle_collector_rounds_do_not_allocate() {
+    let _guard = serial();
+    let now = Instant::now();
+    let (mut collector, _senders) = idle_collector(now);
     let mut idle = |rounds: usize| {
         alloc_counter::count(|| {
             for _ in 0..rounds {
@@ -348,6 +365,36 @@ fn idle_collector_rounds_do_not_allocate() {
         "idle collector rounds allocate per round: {few} over 8, {many} over 256"
     );
 }
+
+/// One `/metrics` scrape of the idle collector, its store, the admin's
+/// own series and the four senders' views renders every view's handles
+/// in place: its allocations are the collector's and the store's views
+/// (built per scrape) and the output text, with no gathered copy of any
+/// family.
+#[test]
+fn scrape_allocations_are_bounded() {
+    let _guard = serial();
+    let now = Instant::now();
+    let (collector, senders) = idle_collector(now);
+    let mut admin = CollectorAdmin::new(Rc::new(RefCell::new(collector)));
+    for (i, tx) in senders.iter().enumerate() {
+        admin.add_registry(tx.registry(), &[("sender", &*i.to_string())]);
+    }
+    let req = Request { method: "GET".to_string(), path: "/metrics".to_string(), body: Vec::new() };
+    admin.handle(&req);
+    let (resp, allocs) = alloc_counter::count(|| admin.handle(&req));
+    eprintln!("scrape: {allocs} allocs for {} bytes", resp.body.len());
+    assert_eq!(resp.status, 200);
+    assert!(
+        allocs <= SCRAPE_ALLOCS,
+        "GET /metrics: {allocs} heap allocations per scrape (budget {SCRAPE_ALLOCS})"
+    );
+}
+
+/// Measured for this setup: the admin's, the collector's and the
+/// store's views built for the scrape, two reference lists and the
+/// growing text.
+const SCRAPE_ALLOCS: u64 = 234;
 
 /// Building a collector or a session sender allocates only the metric
 /// handles it keeps: registries are views built when asked, so no

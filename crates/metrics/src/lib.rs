@@ -7,7 +7,11 @@
 //! built from those handles on each call, so no subsystem stores one
 //! and a label value that comes and goes needs no add/remove step.
 //! Building a view allocates: do it per scrape or per
-//! `add_registry`, never per event. `pla-ops` only renders the views.
+//! `add_registry`, never per event. Views are the one representation
+//! of the series: [`Registry::render`] and [`render_views`] (several
+//! views merged into one exposition, as `pla-ops` serves them) read
+//! each handle in place and write the text directly, with no gathered
+//! copy of a family.
 //! This crate depends on nothing, so every subsystem crate can.
 
 #![warn(missing_docs)]
@@ -16,8 +20,8 @@
 mod metrics;
 
 pub use metrics::{
-    parse_exposition, render_families, Counter, Gauge, Handle, Histogram, MetricFamily, MetricKind,
-    ParsedSample, Registry, Sample, SampleValue,
+    parse_exposition, render_views, Counter, Gauge, Handle, Histogram, MetricKind, ParsedSample,
+    Registry,
 };
 
 /// Declares a struct of metric handles, one field per series, with

@@ -209,49 +209,6 @@ impl MetricKind {
     }
 }
 
-/// Value carried by one sample within a family.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SampleValue {
-    /// Counter reading.
-    Counter(u64),
-    /// Gauge reading.
-    Gauge(f64),
-    /// Histogram reading: non-cumulative finite buckets as
-    /// `(upper_bound, count)`, the `+Inf` overflow count folded into
-    /// `count`, plus the sum of observations.
-    Histogram {
-        /// `(upper_bound, count)` per finite bucket, non-cumulative.
-        buckets: Vec<(f64, u64)>,
-        /// Sum of all observations.
-        sum: f64,
-        /// Total observation count (including the `+Inf` overflow).
-        count: u64,
-    },
-}
-
-/// One labeled sample of a metric family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Label pairs, `(name, value)`. Order is canonicalized at render.
-    pub labels: Vec<(String, String)>,
-    /// The reading.
-    pub value: SampleValue,
-}
-
-/// A named metric with help text and its samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricFamily {
-    /// Metric name (`pla_<subsystem>_<name>`); must match
-    /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-    pub name: String,
-    /// One-line help text (escaped at render).
-    pub help: String,
-    /// Family kind.
-    pub kind: MetricKind,
-    /// Samples, one per label set.
-    pub samples: Vec<Sample>,
-}
-
 /// A metric handle as a [`Registry`] serves it.
 #[derive(Debug, Clone)]
 pub enum Handle {
@@ -271,7 +228,8 @@ struct OwnedFamily {
 }
 
 /// A view over metric handles, rendering Prometheus text exposition
-/// format. Subsystems store no registry: each builds a fresh one from
+/// format by reading the handles in place (no snapshot of a family is
+/// taken). Subsystems store no registry: each builds a fresh one from
 /// the handles it keeps whenever asked, so a label value that comes
 /// and goes (a connection, a refusal reason) needs no add/remove
 /// bookkeeping — the next view simply has or lacks its series.
@@ -394,40 +352,10 @@ impl Registry {
         self
     }
 
-    /// Snapshots every owned primitive into families, sorted
-    /// deterministically (by name, then label set).
-    pub fn gather(&self) -> Vec<MetricFamily> {
-        let mut out: Vec<MetricFamily> = Vec::with_capacity(self.families.len());
-        for fam in &self.families {
-            let samples = fam
-                .series
-                .iter()
-                .map(|(labels, prim)| Sample {
-                    labels: labels.clone(),
-                    value: match prim {
-                        Handle::Counter(c) => SampleValue::Counter(c.get()),
-                        Handle::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Handle::Histogram(h) => {
-                            let (buckets, _inf) = h.buckets();
-                            SampleValue::Histogram { buckets, sum: h.sum(), count: h.count() }
-                        }
-                    },
-                })
-                .collect();
-            out.push(MetricFamily {
-                name: fam.name.clone(),
-                help: fam.help.clone(),
-                kind: fam.kind,
-                samples,
-            });
-        }
-        sort_families(&mut out);
-        out
-    }
-
-    /// Renders the full registry in Prometheus text exposition format.
+    /// Renders the registry in Prometheus text exposition format: the
+    /// one-view case of [`render_views`].
     pub fn render(&self) -> String {
-        render_families(&self.gather())
+        render_views([self])
     }
 }
 
@@ -437,112 +365,119 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Canonical ordering: families by name, samples by label vector. Families
-/// sharing a name (gathered from several registries) are merged into one
-/// block.
-fn sort_families(families: &mut Vec<MetricFamily>) {
+/// Renders `views` as one exposition, reading every handle in place.
+/// Families render in name order; families sharing a name across views
+/// merge into one block under the first view's HELP, and a block's
+/// series render in label order (stable, so equal label sets keep view
+/// order).
+pub fn render_views<'a>(views: impl IntoIterator<Item = &'a Registry>) -> String {
+    let mut families: Vec<&OwnedFamily> = views.into_iter().flat_map(|v| &v.families).collect();
     families.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut merged: Vec<MetricFamily> = Vec::with_capacity(families.len());
-    for fam in families.drain(..) {
-        match merged.last_mut() {
-            Some(last) if last.name == fam.name => last.samples.extend(fam.samples),
-            _ => merged.push(fam),
-        }
-    }
-    for fam in merged.iter_mut() {
-        fam.samples.sort_by(|a, b| a.labels.cmp(&b.labels));
-    }
-    *families = merged;
-}
-
-/// Renders pre-gathered families (sorted and merged first, so callers may
-/// concatenate the families of several subsystems' registries).
-pub fn render_families(families: &[MetricFamily]) -> String {
-    let mut fams = families.to_vec();
-    sort_families(&mut fams);
+    let mut series: Vec<&(Vec<(String, String)>, Handle)> = Vec::new();
     let mut out = String::new();
-    for fam in &fams {
-        let _ = writeln!(out, "# HELP {} {}", fam.name, escape_help(&fam.help));
-        let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.as_str());
-        for sample in &fam.samples {
-            render_sample(&mut out, &fam.name, sample);
+    for block in families.chunk_by(|a, b| a.name == b.name) {
+        let (name, kind) = (&*block[0].name, block[0].kind);
+        let _ = write!(out, "# HELP {name} ");
+        escape_into(&mut out, &block[0].help, false);
+        let _ = writeln!(out, "\n# TYPE {name} {}", kind.as_str());
+        series.clear();
+        series.extend(block.iter().flat_map(|f| &f.series));
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        for (labels, handle) in &series {
+            match handle {
+                Handle::Counter(c) => {
+                    write_series(&mut out, name, "", labels, None);
+                    let _ = writeln!(out, " {}", c.get());
+                }
+                Handle::Gauge(g) => {
+                    write_series(&mut out, name, "", labels, None);
+                    out.push(' ');
+                    write_value(&mut out, g.get());
+                    out.push('\n');
+                }
+                Handle::Histogram(h) => {
+                    let core = &*h.0;
+                    let count = h.count();
+                    let mut cumulative = 0u64;
+                    for (bound, c) in core.bounds.iter().zip(core.counts.iter()) {
+                        cumulative += c.load(Ordering::Relaxed);
+                        write_series(&mut out, name, "_bucket", labels, Some(*bound));
+                        let _ = writeln!(out, " {cumulative}");
+                    }
+                    write_series(&mut out, name, "_bucket", labels, Some(f64::INFINITY));
+                    let _ = writeln!(out, " {count}");
+                    write_series(&mut out, name, "_sum", labels, None);
+                    out.push(' ');
+                    write_value(&mut out, h.sum());
+                    out.push('\n');
+                    write_series(&mut out, name, "_count", labels, None);
+                    let _ = writeln!(out, " {count}");
+                }
+            }
         }
     }
     out
 }
 
-fn render_sample(out: &mut String, name: &str, sample: &Sample) {
-    match &sample.value {
-        SampleValue::Counter(v) => {
-            render_series(out, name, &sample.labels, None);
-            let _ = writeln!(out, " {v}");
-        }
-        SampleValue::Gauge(v) => {
-            render_series(out, name, &sample.labels, None);
-            let _ = writeln!(out, " {}", fmt_value(*v));
-        }
-        SampleValue::Histogram { buckets, sum, count } => {
-            let bucket_name = format!("{name}_bucket");
-            let mut cumulative = 0u64;
-            for (bound, c) in buckets {
-                cumulative += c;
-                render_series(out, &bucket_name, &sample.labels, Some(&fmt_value(*bound)));
-                let _ = writeln!(out, " {cumulative}");
-            }
-            render_series(out, &bucket_name, &sample.labels, Some("+Inf"));
-            let _ = writeln!(out, " {count}");
-            render_series(out, &format!("{name}_sum"), &sample.labels, None);
-            let _ = writeln!(out, " {}", fmt_value(*sum));
-            render_series(out, &format!("{name}_count"), &sample.labels, None);
-            let _ = writeln!(out, " {count}");
-        }
-    }
-}
-
-fn render_series(out: &mut String, name: &str, labels: &[(String, String)], le: Option<&str>) {
+/// Writes `name` + `suffix` and its label set, with `le` (a histogram
+/// bucket bound) last.
+fn write_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(String, String)],
+    le: Option<f64>,
+) {
     out.push_str(name);
+    out.push_str(suffix);
     if labels.is_empty() && le.is_none() {
         return;
     }
     out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_into(out, v, true);
+        out.push('"');
     }
     if let Some(le) = le {
-        if !first {
+        if !labels.is_empty() {
             out.push(',');
         }
-        let _ = write!(out, "le=\"{le}\"");
+        out.push_str("le=\"");
+        write_value(out, le);
+        out.push('"');
     }
     out.push('}');
 }
 
-/// Escapes a HELP line: `\` → `\\`, newline → `\n`.
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Escapes a label value: `\` → `\\`, `"` → `\"`, newline → `\n`.
-fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+/// Escapes `s` into `out`: `\` → `\\` and newline → `\n`, plus
+/// `"` → `\"` in a label value (`quote`).
+fn escape_into(out: &mut String, s: &str, quote: bool) {
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '"' if quote => out.push_str("\\\""),
+            c => out.push(c),
+        }
+    }
 }
 
 /// Exposition float formatting: `+Inf`/`-Inf`/`NaN`, else Rust `Display`
 /// (shortest round-trippable decimal).
-fn fmt_value(v: f64) -> String {
+fn write_value(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if v == f64::INFINITY {
-        "+Inf".to_string()
+        out.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+        out.push_str("-Inf");
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -561,7 +496,7 @@ pub struct ParsedSample {
 /// Minimal exposition-format line parser: validates `# HELP`/`# TYPE`
 /// comment structure and parses every sample line into name, unescaped
 /// labels, and value. The golden/property tests pin that
-/// [`render_families`] output always round-trips through this.
+/// [`render_views`] output always round-trips through this.
 pub fn parse_exposition(text: &str) -> Result<Vec<ParsedSample>, String> {
     let mut samples = Vec::new();
     for (ln, line) in text.lines().enumerate() {

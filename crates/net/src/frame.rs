@@ -766,16 +766,20 @@ pub struct Outbox {
 impl Outbox {
     /// Appends encoded frame bytes (one whole frame per call).
     pub fn stage(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
-        self.frame_lens.push_back(bytes.len());
+        self.stage_with(|buf| buf.extend_from_slice(bytes));
     }
 
     /// Encodes `frame` straight into the outbox as one staged frame.
     pub fn stage_frame(&mut self, frame: &NetFrame) {
+        self.stage_with(|buf| put_frame(frame, buf));
+    }
+
+    /// Stages what `write` appends to the buffer as one unit, written in
+    /// place (an HTTP response's head and body, say).
+    pub fn stage_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         self.compact();
         let before = self.buf.len();
-        put_frame(frame, &mut self.buf);
+        write(&mut self.buf);
         self.frame_lens.push_back(self.buf.len() - before);
     }
 

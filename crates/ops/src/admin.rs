@@ -19,7 +19,7 @@ use pla_net::{Collector, ConnId};
 use pla_transport::wire::Codec;
 
 use crate::http::{Handler, Request, Response};
-use crate::metrics::{render_families, Counter, Histogram, Registry};
+use crate::metrics::{render_views, Registry};
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -48,33 +48,35 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// The admin [`Handler`]: owns the ops [`Registry`] (HTTP self-metrics
-/// live here), renders it with the wrapped collector's and its store's
-/// registries and every registry handed in through
-/// [`add_registry`](Self::add_registry) on each `/metrics`, and maps
-/// the admin POSTs onto the collector's drain/quarantine machinery.
+pla_metrics::series! {
+    /// The ops endpoint's own series.
+    struct OpsSeries {
+        requests: counter("pla_ops_requests_total", "HTTP requests served by the ops endpoint."),
+        response_bytes: histogram(
+            "pla_ops_response_bytes",
+            "Response body sizes served by the ops endpoint.",
+            &[256.0, 1024.0, 4096.0, 16384.0, 65536.0]
+        ),
+    }
+}
+
+/// The admin [`Handler`]: on each `/metrics` it builds a view of its own
+/// HTTP series, the wrapped collector's and its store's, and renders
+/// them in place beside every registry handed in through
+/// [`add_registry`](Self::add_registry); it maps the admin POSTs onto
+/// the collector's drain/quarantine machinery.
 pub struct CollectorAdmin<C: Codec + Clone, A: Acceptor> {
     collector: Rc<RefCell<Collector<C, A>>>,
-    registry: Registry,
+    series: OpsSeries,
     /// Handed-in registries, each carrying its constant labels.
     sources: Vec<Registry>,
-    requests: Counter,
-    response_bytes: Histogram,
 }
 
 impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
     /// Wraps `collector`, shared with the loop that pumps it: the loop
     /// borrows it for each `pump` round, the handler between rounds.
     pub fn new(collector: Rc<RefCell<Collector<C, A>>>) -> Self {
-        let mut registry = Registry::new();
-        let requests =
-            registry.counter("pla_ops_requests_total", "HTTP requests served by the ops endpoint.");
-        let response_bytes = registry.histogram(
-            "pla_ops_response_bytes",
-            "Response body sizes served by the ops endpoint.",
-            &[256.0, 1024.0, 4096.0, 16384.0, 65536.0],
-        );
-        Self { collector, registry, sources: Vec::new(), requests, response_bytes }
+        Self { collector, series: OpsSeries::new(), sources: Vec::new() }
     }
 
     /// Serves `registry`'s series on every `/metrics` with `labels`
@@ -87,16 +89,12 @@ impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
     }
 
     fn metrics(&self) -> Response {
-        let mut fams = self.registry.gather();
-        {
-            let coll = self.collector.borrow();
-            fams.extend(coll.registry().gather());
-            fams.extend(coll.store().registry().gather());
-        }
-        for source in &self.sources {
-            fams.extend(source.gather());
-        }
-        Response::exposition(render_families(&fams))
+        let mut own = Registry::new();
+        self.series.add_to(&mut own, &[]);
+        let coll = self.collector.borrow();
+        let (collector, store) = (coll.registry(), coll.store().registry());
+        let views = [&own, &collector, &store].into_iter().chain(&self.sources);
+        Response::exposition(render_views(views))
     }
 
     fn connections_json(&self) -> Response {
@@ -214,7 +212,7 @@ impl<C: Codec + Clone, A: Acceptor> CollectorAdmin<C, A> {
 
 impl<C: Codec + Clone, A: Acceptor> Handler for CollectorAdmin<C, A> {
     fn handle(&mut self, req: &Request) -> Response {
-        self.requests.inc();
+        self.series.requests.inc();
         let resp = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/metrics") => self.metrics(),
             ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -228,7 +226,7 @@ impl<C: Codec + Clone, A: Acceptor> Handler for CollectorAdmin<C, A> {
                 }
             }
         };
-        self.response_bytes.observe(resp.body.len() as f64);
+        self.series.response_bytes.observe(resp.body.len() as f64);
         resp
     }
 }

@@ -8,6 +8,8 @@
 //! [`pump`](OpsServer::pump) in a plain loop next to the collector's,
 //! sleeping about 1 ms after a round that moved nothing.
 
+use std::io::Write as _;
+
 use pla_net::driver::{pump_in, pump_out, DriveError};
 use pla_net::frame::Outbox;
 use pla_net::listen::Acceptor;
@@ -81,17 +83,19 @@ impl Response {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.status,
-            self.reason(),
-            self.content_type,
-            self.body.len()
-        );
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
-        out
+    /// Stages the response, head and body, into `out` as one unit.
+    fn stage(&self, out: &mut Outbox) {
+        out.stage_with(|buf| {
+            let _ = write!(
+                buf,
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+                self.status,
+                self.reason(),
+                self.content_type,
+                self.body.len()
+            );
+            buf.extend_from_slice(&self.body);
+        });
     }
 }
 
@@ -213,7 +217,7 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
                 // then drop the connection.
                 Err(DriveError::Closed) => conn.closing = true,
                 Err(DriveError::Net(refusal)) => {
-                    conn.out.stage(&refusal.encode());
+                    refusal.stage(&mut conn.out);
                     conn.closing = true;
                 }
                 Err(DriveError::Io(_)) => {
@@ -226,11 +230,11 @@ impl<A: Acceptor, H: Handler> OpsServer<A, H> {
             match take_request(&mut conn.inbuf, max_request) {
                 Ok(Some(req)) => {
                     *requests += 1;
-                    conn.out.stage(&handler.handle(&req).encode());
+                    handler.handle(&req).stage(&mut conn.out);
                 }
                 Ok(None) => break,
                 Err(resp) => {
-                    conn.out.stage(&resp.encode());
+                    resp.stage(&mut conn.out);
                     conn.closing = true;
                     break;
                 }

@@ -11,8 +11,10 @@
 //!
 //! - [`metrics`] — `pla-metrics`, re-exported: lock-cheap
 //!   counter/gauge/histogram handles (alloc-free increments) and the
-//!   [`Registry`] rendering exposition text. Each subsystem declares
-//!   and updates its own series; this crate only serves them.
+//!   [`Registry`] view rendering them in place as exposition text. Each
+//!   subsystem declares and updates its own series; this crate only
+//!   serves them, rendering every view of a scrape by reference with
+//!   no gathered copy.
 //! - [`http`] + [`admin`] — an [`OpsServer`] behind the
 //!   existing `Acceptor`/`Link` seam (deterministically testable over
 //!   `MemoryAcceptor`, driven by a plain pump loop), and the
@@ -37,6 +39,5 @@ pub use admin::CollectorAdmin;
 pub use config::{AppConfig, CollectorConfig, ConfigError, OpsConfig};
 pub use http::{OpsServer, Request, Response};
 pub use metrics::{
-    parse_exposition, render_families, Counter, Gauge, Histogram, MetricFamily, MetricKind,
-    ParsedSample, Registry, Sample, SampleValue,
+    parse_exposition, Counter, Gauge, Histogram, MetricKind, ParsedSample, Registry,
 };

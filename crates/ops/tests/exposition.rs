@@ -1,8 +1,17 @@
-//! Exposition format tests: a golden file pinning the exact rendered
-//! text (the wire contract dashboards scrape), plus structural checks
-//! that survive reordering-free re-renders.
+//! Exposition format tests: golden files pinning the exact rendered
+//! text (the wire contract dashboards scrape) of one registry and of a
+//! whole `/metrics` scrape merging several views, plus structural
+//! checks that survive reordering-free re-renders.
 
-use pla_ops::{parse_exposition, Registry};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use pla_ingest::SegmentStore;
+use pla_net::listen::MemoryAcceptor;
+use pla_net::{Collector, Link, NetConfig, SessionConfig};
+use pla_ops::{parse_exposition, CollectorAdmin, MetricKind, OpsServer, Registry};
+use pla_transport::wire::FixedCodec;
 
 /// Builds the registry the golden file captures: every primitive, label
 /// escaping, HELP escaping, multi-series families, and histogram
@@ -92,11 +101,73 @@ fn render_is_deterministic() {
     assert_eq!(names, sorted, "families must render in sorted order");
 }
 
+/// Scrapes `GET /metrics` from a [`CollectorAdmin`] over an idle
+/// collector, with three views handed in beside the collector's, the
+/// store's and the admin's own: two share a counter family under
+/// `sender="1"` (added first, so its HELP is the one served) and
+/// `sender="0"`, and the third declares an empty family and serves a
+/// histogram whose label value needs escaping.
+fn golden_scrape() -> String {
+    let collector = Rc::new(RefCell::new(Collector::with_sessions(
+        FixedCodec,
+        1,
+        NetConfig::default(),
+        SessionConfig::default(),
+        MemoryAcceptor::new(),
+        Arc::new(SegmentStore::new()),
+    )));
+    let mut admin = CollectorAdmin::new(collector);
+    for (sender, sent, help) in [("1", 5, "Frames sent."), ("0", 12, "Frames sent (second view).")]
+    {
+        let mut reg = Registry::new();
+        reg.counter("pla_golden_sent_total", help).add(sent);
+        reg.gauge("pla_golden_backlog", "Frames waiting.").set(sent as f64 / 4.0);
+        admin.add_registry(reg, &[("sender", sender)]);
+    }
+    let mut reg = Registry::new();
+    reg.family("pla_golden_idle_total", "Declared, never served.", MetricKind::Counter);
+    let h = reg.histogram_with(
+        "pla_golden_wait_seconds",
+        "Waits by path.",
+        &[0.001, 0.01],
+        &[("path", "a \"b\" \\ c\nd")],
+    );
+    for v in [0.0005, 0.002, 0.5] {
+        h.observe(v);
+    }
+    admin.add_registry(reg, &[]);
+
+    let acceptor = MemoryAcceptor::new();
+    let mut client = acceptor.connector().connect(1 << 16);
+    let mut server = OpsServer::new(acceptor, admin);
+    client.try_write(b"GET /metrics HTTP/1.1\r\nHost: ops\r\n\r\n").unwrap();
+    server.pump();
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while let Ok(n) = client.try_read(&mut chunk) {
+        raw.extend_from_slice(&chunk[..n]);
+    }
+    let raw = String::from_utf8(raw).expect("utf8 response");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("complete response");
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())), "{head}");
+    body.to_string()
+}
+
+#[test]
+fn scrape_matches_golden_file() {
+    let got = golden_scrape();
+    let want = include_str!("golden_scrape.txt");
+    assert_eq!(got, want, "a scrape merges every view into one exposition; update tests/golden_scrape.txt deliberately if the format changes:\n{got}");
+    parse_exposition(&got).expect("scrape re-parses");
+}
+
 /// Deliberate-update path for the wire contract:
 /// `cargo test -p pla-ops --test exposition -- --ignored regenerate_golden`
-/// rewrites the golden file from the current renderer.
+/// rewrites both golden files from the current renderer.
 #[test]
 #[ignore]
 fn regenerate_golden() {
     std::fs::write("tests/golden_metrics.txt", golden_registry().render()).unwrap();
+    std::fs::write("tests/golden_scrape.txt", golden_scrape()).unwrap();
 }
